@@ -1,7 +1,7 @@
 """Smoke target for the performance harness: one quick degree sweep.
 
 Runs :func:`repro.eval.metrics.bench_headline` at reduced scale (few
-packets, degrees 1-3, no reference run) and checks the report shape that
+packets, degrees 1-3) and checks the report shape that
 ``repro bench`` serializes to ``BENCH_headline.json``.  Fast enough to run
 on every change: ``pytest benchmarks/test_bench_smoke.py``.
 """
@@ -13,8 +13,7 @@ from repro.eval.metrics import bench_headline
 
 def test_bench_smoke(benchmark):
     report = benchmark.pedantic(
-        lambda: bench_headline(packets=12, degrees=[1, 2, 3],
-                               measure_reference=False),
+        lambda: bench_headline(packets=12, degrees=[1, 2, 3]),
         rounds=1, iterations=1)
 
     json.dumps(report)  # must be serializable as written by `repro bench`

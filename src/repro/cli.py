@@ -31,8 +31,10 @@ PPS-C files conventionally use the ``.ppc`` extension.
 (:mod:`repro.pipeline.supervisor`): the result is independently verified
 (:mod:`repro.pipeline.verify`), and on partitioner faults or verifier
 rejection the requested degree degrades down a D → ⌈D/2⌉ → … → 1 ladder
-rather than failing outright.  ``--keep-going`` on ``chaos --sweep`` and
-``bench -j N`` likewise trades fail-fast for per-cell failure records.
+rather than failing outright.  ``--keep-going`` on the sweep
+commands (``bench``, ``plan``, ``explore``, ``chaos --sweep``) likewise
+trades fail-fast for per-cell failure records; a failed cell reports its
+seed and a reproduce one-liner identically at every ``-j``.
 
 Partition results are memoized in a content-addressed artifact cache
 (``--cache-dir DIR``, default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``;
@@ -51,8 +53,11 @@ survivors or by leaving a drained tail undelivered).
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 
+from repro import compile_module
 from repro.errors import (
     EXIT_DEGRADED,
     EXIT_FAILURE,
@@ -66,11 +71,8 @@ from repro.errors import (
 )
 from repro.eval.sweep import SweepError
 from repro.ir.function import Module
-from repro.ir.inline import inline_module
-from repro.ir.lowering import lower_program
-from repro.ir.optimize import optimize_module
 from repro.ir.printer import format_function, format_module
-from repro.lang import FrontendError, compile_source
+from repro.lang import FrontendError
 from repro.machine.costs import cost_table, cost_table_names
 from repro.pipeline.liveset import Strategy
 from repro.pipeline.transform import PipelineError, pipeline_pps
@@ -84,14 +86,9 @@ class CLIError(ReproError):
     """A usage error (bad flag value, unknown PPS): exit code 2."""
 
 
-def _load_module(path: str, *, optimize: bool = True) -> Module:
+def _load_module(path: str) -> Module:
     with open(path, encoding="utf-8") as handle:
-        source = handle.read()
-    module = lower_program(compile_source(source, path), path)
-    inline_module(module)
-    if optimize:
-        optimize_module(module)
-    return module
+        return compile_module(handle.read(), path)
 
 
 def _resolve_pps(module: Module, name: str | None) -> str:
@@ -104,6 +101,25 @@ def _resolve_pps(module: Module, name: str | None) -> str:
         return next(iter(module.ppses))
     raise CLIError(f"choose one of the PPSes with --pps: "
                    f"{', '.join(module.ppses)}")
+
+
+def _parse_list(flag: str, values, convert=str) -> list:
+    """The one list-flag parser (``--degrees``, ``--apps``, ``--rings``, …).
+
+    ``values`` is the flag's string, or its ``nargs`` list of strings;
+    parts are comma- and/or space-separated and empty parts are ignored.
+    A part ``convert`` rejects, or no parts at all, is a usage error.
+    """
+    if isinstance(values, str):
+        values = [values]
+    try:
+        parts = [convert(part) for entry in values
+                 for part in entry.replace(",", " ").split()]
+    except ValueError as exc:
+        raise CLIError(f"bad {flag} {','.join(values)!r}: {exc}") from exc
+    if not parts:
+        raise CLIError(f"{flag} needs at least one value")
+    return parts
 
 
 def _parse_feed(specs: list[str]) -> dict[str, list[int]]:
@@ -129,13 +145,76 @@ def _load_fault_plan(spec: str):
     return FaultPlan.load(spec)
 
 
-def _write_dead_letters(path: str, state) -> None:
-    import json
-
+def _write_json(path: str, payload, *, sort_keys: bool = False) -> None:
+    """Write one JSON artifact (indented, newline-terminated), creating
+    its directory first."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump([letter.as_dict() for letter in state.dead_letters],
-                  handle, indent=2)
+        json.dump(payload, handle, indent=2, sort_keys=sort_keys)
         handle.write("\n")
+
+
+def _execution_setup(args, module: Module):
+    """The fault plan + feed -> ``MachineState`` set-up of ``run`` and
+    ``trace``.
+
+    Returns ``(plan, fresh, watchdog)``: the ``--faults`` plan (or
+    ``None``), a factory for a fed — and, under a plan, armed — machine
+    state, and a factory for the run's watchdog (``None`` unless a
+    quantum or a plan asks for one).
+    """
+    from repro.runtime.faults import FaultInjector
+    from repro.runtime.watchdog import Watchdog
+
+    feeds = _parse_feed(args.feed or [])
+    plan = _load_fault_plan(args.faults) if args.faults else None
+    if plan is not None:
+        # Perturb the host-fed streams ONCE; every state shares them.
+        stream_injector = FaultInjector(plan)
+        feeds = {pipe: stream_injector.perturb(pipe, values)
+                 for pipe, values in feeds.items()}
+
+    def fresh() -> MachineState:
+        state = MachineState(module)
+        if plan is not None:
+            injector = FaultInjector(plan)
+            injector.arm(state)
+            injector.absorb_stream(stream_injector)
+        for pipe, values in feeds.items():
+            state.feed_pipe(pipe, values)
+        return state
+
+    def watchdog():
+        if args.watchdog_quantum is None and plan is None:
+            return None
+        return Watchdog(args.watchdog_quantum)
+
+    return plan, fresh, watchdog
+
+
+def _open_cache(args):
+    """The ``--cache-dir`` / ``--no-cache`` policy for one subcommand."""
+    from repro.cache import resolve_cache
+
+    return resolve_cache(args.cache_dir, args.no_cache)
+
+
+def _print_failures(failures: list) -> None:
+    """A keep-going sweep's failed cells; each error carries the cell's
+    seed and reproduce one-liner, exactly as a fail-fast sweep raises it."""
+    if failures:
+        print(f"  {len(failures)} sweep cells FAILED:")
+        for failure in failures:
+            print(f"    {failure['task']}: {failure['error']}")
+
+
+# -- shared argument groups ---------------------------------------------------
+#
+# One ``add_argument`` call site per shared option string; per-command
+# defaults are passed in, and a default of ``None``/``False`` leaves that
+# flag off the command.
 
 
 def _add_cache_flags(parser) -> None:
@@ -146,22 +225,84 @@ def _add_cache_flags(parser) -> None:
                         help="disable the compilation-artifact cache")
 
 
-def _open_cache(args):
-    """The ``--cache-dir`` / ``--no-cache`` policy for one subcommand."""
-    from repro.cache import resolve_cache
+def _add_workload_flags(parser, *, packets: int, seed: int | None = None,
+                        degrees: str | None = None,
+                        apps: bool = False) -> None:
+    """The generated traffic and the (app x degree) matrix it drives."""
+    parser.add_argument("--packets", type=int, default=packets,
+                        help="packets of generated traffic per run "
+                             "(default: %(default)s)")
+    if seed is not None:
+        parser.add_argument("--seed", type=int, default=seed,
+                            help="traffic seed (default: %(default)s)")
+    if degrees is not None:
+        parser.add_argument("--degrees", default=degrees,
+                            help="comma-separated pipeline degrees "
+                                 "(default: %(default)s)")
+    if apps:
+        parser.add_argument("--apps", nargs="*",
+                            help="apps to sweep, comma or space separated "
+                                 "(default: the command's whole suite)")
 
-    return resolve_cache(args.cache_dir, args.no_cache)
+
+def _add_sweep_flags(parser, *, jobs: bool = True, keep_going: bool = True,
+                     warm_start: bool = True) -> None:
+    """How a command's cells are run (:func:`repro.eval.sweep.run_sweep`)
+    and partitioned."""
+    if jobs:
+        parser.add_argument("-j", "--jobs", type=int, default=1,
+                            help="fan the cells over N worker processes "
+                                 "(default: 1; the output is identical at "
+                                 "any -j level)")
+    if keep_going:
+        parser.add_argument("--keep-going", action="store_true",
+                            help="record failed cells and keep running "
+                                 "instead of failing fast")
+    if warm_start:
+        parser.add_argument("--no-warm-start", action="store_true",
+                            help="solve every cut cold instead of seeding "
+                                 "it from related earlier solves (the cuts "
+                                 "are identical either way)")
 
 
 def _add_partition_flags(parser) -> None:
-    parser.add_argument("--no-warm-start", action="store_true",
-                        help="solve every cut cold instead of seeding it "
-                             "from the previous degree's preflow (the "
-                             "cuts are identical either way)")
+    _add_sweep_flags(parser, jobs=False, keep_going=False)
     parser.add_argument("--paranoid-verify", action="store_true",
                         help="make the verifier rebuild SSA/dependence/"
                              "liveness from scratch instead of sharing "
                              "the partitioner's analysis context")
+
+
+def _add_program_flags(parser, *, degree: int | None = None) -> None:
+    """The PPS-C program a command works on and, when the command
+    partitions it, the pipeline degree."""
+    parser.add_argument("file")
+    parser.add_argument("--pps")
+    if degree is not None:
+        parser.add_argument("-d", "--degree", type=int, default=degree)
+
+
+def _add_fault_flags(parser, *, quantum: int | None = None) -> None:
+    parser.add_argument("--faults", metavar="PLAN",
+                        help="fault-injection plan: a builtin plan name "
+                             "(serve: also worker-kill, worker-storm) or "
+                             "a JSON file")
+    parser.add_argument("--watchdog-quantum", type=int, default=quantum,
+                        metavar="N",
+                        help="livelock check every N scheduler steps; "
+                             "enables the deadlock watchdog "
+                             "(default: %(default)s)")
+
+
+def _add_execution_flags(parser, *, degree: int) -> None:
+    """``run`` / ``trace``: one program executed on the simulator."""
+    _add_program_flags(parser, degree=degree)
+    parser.add_argument("--iterations", type=int, default=10)
+    parser.add_argument("--feed", action="append",
+                        help="pipe=v1,v2,... (repeatable)")
+    _add_fault_flags(parser)
+    parser.add_argument("--isolate-traps", action="store_true",
+                        help="quarantine trapped packets instead of aborting")
 
 
 # -- subcommands ------------------------------------------------------------
@@ -177,7 +318,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_ir(args) -> int:
-    module = _load_module(args.file, optimize=not args.no_optimize)
+    module = _load_module(args.file)
     if args.pps:
         print(format_function(module.pps(_resolve_pps(module, args.pps))))
     else:
@@ -231,41 +372,13 @@ def cmd_pipeline(args) -> int:
 def cmd_run(args) -> int:
     module = _load_module(args.file)
     pps_name = _resolve_pps(module, args.pps)
-    feeds = _parse_feed(args.feed or [])
+    plan, fresh, watchdog = _execution_setup(args, module)
 
-    plan = _load_fault_plan(args.faults) if args.faults else None
-    if plan is not None:
-        # Perturb the host-fed streams ONCE; every run below shares them.
-        from repro.runtime.faults import FaultInjector
-
-        stream_injector = FaultInjector(plan)
-        feeds = {pipe: stream_injector.perturb(pipe, values)
-                 for pipe, values in feeds.items()}
-
-    def fresh() -> MachineState:
-        state = MachineState(module)
-        if plan is not None:
-            from repro.runtime.faults import FaultInjector
-
-            injector = FaultInjector(plan)
-            injector.arm(state)
-            injector.absorb_stream(stream_injector)
-        for pipe, values in feeds.items():
-            state.feed_pipe(pipe, values)
-        return state
-
-    def watchdog():
-        from repro.runtime.watchdog import Watchdog
-
-        if args.watchdog_quantum is None and plan is None:
-            return None
-        return Watchdog(args.watchdog_quantum)
-
-    iterations = args.iterations
     sequential = fresh()
     seq_watchdog = watchdog()
     stats = run_sequential(module.pps(pps_name), sequential,
-                           iterations=iterations, watchdog=seq_watchdog,
+                           iterations=args.iterations,
+                           watchdog=seq_watchdog,
                            isolate_traps=args.isolate_traps)
     print(f"sequential: {stats.iterations - 1} iterations, "
           f"{stats.weight} weighted instructions")
@@ -286,7 +399,7 @@ def cmd_run(args) -> int:
         pipelined = fresh()
         run_watchdog = watchdog()
         run = run_pipeline(outcome.result.stages, pipelined,
-                           iterations=iterations,
+                           iterations=args.iterations,
                            watchdog=run_watchdog,
                            isolate_traps=args.isolate_traps)
         longest = max(s.weight for s in run.stats.values())
@@ -316,7 +429,8 @@ def cmd_run(args) -> int:
             print(f"  {letter.stage} iter {letter.iteration} "
                   f"block {letter.last_block}: {letter.detail}")
     if args.dead_letters:
-        _write_dead_letters(args.dead_letters, state)
+        _write_json(args.dead_letters,
+                    [letter.as_dict() for letter in state.dead_letters])
         print(f"wrote {args.dead_letters}")
     if args.profile:
         from repro.obs import runtime_report
@@ -329,61 +443,47 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_chaos(args) -> int:
-    import json
-
-    from repro.eval.chaos import chaos_differential
-    from repro.runtime.faults import builtin_plans
-
-    try:
-        degrees = tuple(int(d) for d in args.degrees.split(","))
-    except ValueError as exc:
-        raise CLIError(f"bad --degrees {args.degrees!r}: {exc}") from exc
-    cache = _open_cache(args)
-
-    if args.sweep:
-        return _chaos_sweep(args, degrees, cache)
-
-    if args.plans:
-        available = builtin_plans()
-        plans = {}
-        for spec in args.plans:
-            plan = (available[spec] if spec in available
-                    else _load_fault_plan(spec))
-            plans[plan.name or spec] = plan
-    else:
-        plans = None
-
-    letters: list = []
-    report = chaos_differential(args.app, plans=plans, degrees=degrees,
-                                packets=args.packets, seed=args.seed,
-                                collect_letters=letters, cache=cache)
-    print(report.render())
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-    if args.dead_letters:
-        with open(args.dead_letters, "w", encoding="utf-8") as handle:
-            json.dump(letters, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.dead_letters}")
-    return 0 if report.ok else 1
-
-
 #: Apps with a stream/feed split — the ones the chaos sweep can drive.
 _CHAOS_SWEEP_APPS = ["ip_v4", "ip_v6", "ipv4", "rx"]
 
 
-def _chaos_sweep(args, degrees: tuple, cache) -> int:
-    """``repro chaos --sweep``: the multi-app differential, ``-j N``."""
-    import json
+def cmd_chaos(args) -> int:
+    degrees = tuple(_parse_list("--degrees", args.degrees, int))
+    cache = _open_cache(args)
+    letters: list = []
+    if args.sweep:
+        ok, report = _chaos_sweep(args, degrees, cache, letters)
+    else:
+        from repro.eval.chaos import chaos_differential
 
+        plans = None
+        if args.plans:
+            plans = {}
+            for spec in args.plans:
+                plan = _load_fault_plan(spec)
+                plans[plan.name or spec] = plan
+        outcome = chaos_differential(args.app, plans=plans, degrees=degrees,
+                                     packets=args.packets, seed=args.seed,
+                                     collect_letters=letters, cache=cache)
+        print(outcome.render())
+        ok, report = outcome.ok, outcome.as_dict()
+    if args.output:
+        _write_json(args.output, report)
+        print(f"wrote {args.output}")
+    if args.dead_letters:
+        _write_json(args.dead_letters, letters)
+        print(f"wrote {args.dead_letters}")
+    return 0 if ok else 1
+
+
+def _chaos_sweep(args, degrees: tuple, cache, letters: list):
+    """``repro chaos --sweep``: the multi-app differential, ``-j N``.
+    Returns ``(ok, merged report)`` and fills ``letters``."""
     from repro.eval.sweep import chaos_tasks, run_sweep
     from repro.runtime.faults import builtin_plans
 
-    apps = args.apps or list(_CHAOS_SWEEP_APPS)
+    apps = (_parse_list("--apps", args.apps) if args.apps
+            else _CHAOS_SWEEP_APPS)
     plans = None
     if args.plans:
         available = builtin_plans()
@@ -396,55 +496,34 @@ def _chaos_sweep(args, degrees: tuple, cache) -> int:
         plans = tuple(args.plans)
 
     tasks = chaos_tasks(apps, degrees, packets=args.packets, seed=args.seed,
-                        plans=plans,
-                        cache_dir=str(cache.root) if cache else None)
-    results = run_sweep(tasks, jobs=args.jobs, keep_going=args.keep_going)
+                        plans=plans)
+    results = run_sweep(tasks, jobs=args.jobs, keep_going=args.keep_going,
+                        cache=cache)
 
-    letters: list = []
-    failures: list = []
-    ok = True
+    failures = [result for result in results if result.get("failed")]
+    ok = not failures
     for result in results:
         if result.get("failed"):
-            ok = False
-            failures.append(result)
-            print(f"[seed {result['seed']}] {result['task']}: FAILED — "
-                  f"{result['error']}")
             continue
         print(f"[seed {result['seed']}] {result['rendered']}")
         ok = ok and result["ok"]
-        for letter in result["dead_letters"]:
-            letter = dict(letter)
-            letter["app"] = result["app"]
-            letters.append(letter)
+        letters.extend({**letter, "app": result["app"]}
+                       for letter in result["dead_letters"])
     print(f"sweep: {len(results)} apps x degrees "
           f"{','.join(str(d) for d in degrees)} (-j {args.jobs}): "
           f"{'ok' if ok else 'FAIL'}")
-    if failures:
-        print(f"  {len(failures)} cells failed; reproduce with:")
-        for failure in failures:
-            print(f"    {failure['repro']}")
+    _print_failures(failures)
 
-    if args.output:
-        merged = {
-            "sweep": True,
-            "seed": args.seed,
-            "jobs": args.jobs,
-            "ok": ok,
-            "apps": {result["app"]: result.get("report")
-                     for result in results},
-        }
-        if failures:
-            merged["failures"] = failures
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(merged, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-    if args.dead_letters:
-        with open(args.dead_letters, "w", encoding="utf-8") as handle:
-            json.dump(letters, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.dead_letters}")
-    return 0 if ok else 1
+    merged = {
+        "sweep": True,
+        "seed": args.seed,
+        "jobs": args.jobs,
+        "ok": ok,
+        "apps": {result["app"]: result.get("report") for result in results},
+    }
+    if failures:
+        merged["failures"] = failures
+    return ok, merged
 
 
 def _load_serve_plan(spec: str):
@@ -459,8 +538,6 @@ def _load_serve_plan(spec: str):
 
 
 def cmd_serve(args) -> int:
-    import json
-
     from repro.serve import ServePolicy, ServeRuntime
 
     plan = _load_serve_plan(args.faults) if args.faults else None
@@ -474,8 +551,7 @@ def cmd_serve(args) -> int:
                            seed=args.seed, batch=args.batch, plan=plan,
                            policy=policy, cache=cache,
                            journal_dir=args.journal_dir,
-                           watchdog_quantum=args.watchdog_quantum,
-                           verify=not args.no_verify)
+                           watchdog_quantum=args.watchdog_quantum)
 
     tracer = None
     if args.trace:
@@ -491,9 +567,7 @@ def cmd_serve(args) -> int:
     if args.profile:
         print(report.runtime_report(cache=cache).render())
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
+        _write_json(args.output, report.as_dict())
         print(f"wrote {args.output}")
     if tracer is not None:
         from repro.obs import emit_counter_events
@@ -507,38 +581,19 @@ def cmd_serve(args) -> int:
 def cmd_trace(args) -> int:
     from repro.obs import Tracer, emit_counter_events, runtime_report, tracing
 
-    plan = _load_fault_plan(args.faults) if args.faults else None
-    watchdog = None
-    if args.watchdog_quantum is not None or plan is not None:
-        from repro.runtime.watchdog import Watchdog
-
-        watchdog = Watchdog(args.watchdog_quantum)
-
     tracer = Tracer()
     with tracing(tracer):
         module = _load_module(args.file)
         pps_name = _resolve_pps(module, args.pps)
-        feeds = _parse_feed(args.feed or [])
-        state = MachineState(module)
-        if plan is not None:
-            from repro.runtime.faults import FaultInjector
-
-            stream_injector = FaultInjector(plan)
-            feeds = {pipe: stream_injector.perturb(pipe, values)
-                     for pipe, values in feeds.items()}
-            injector = FaultInjector(plan)
-            injector.arm(state)
-            injector.absorb_stream(stream_injector)
-        for pipe, values in feeds.items():
-            state.feed_pipe(pipe, values)
+        _, fresh, new_watchdog = _execution_setup(args, module)
+        state, watchdog = fresh(), new_watchdog()
         cache = _open_cache(args) if args.degree > 1 else None
         if args.degree > 1:
             result = pipeline_pps(module, pps_name, args.degree, cache=cache)
-            run = run_pipeline(result.stages, state,
-                               iterations=args.iterations,
-                               watchdog=watchdog,
-                               isolate_traps=args.isolate_traps)
-            run_stats = run.stats
+            run_stats = run_pipeline(result.stages, state,
+                                     iterations=args.iterations,
+                                     watchdog=watchdog,
+                                     isolate_traps=args.isolate_traps).stats
         else:
             stats = run_sequential(module.pps(pps_name), state,
                                    iterations=args.iterations,
@@ -591,25 +646,16 @@ def cmd_figures(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    import json
-    import os
-
     from repro.eval.metrics import bench_headline
 
     degrees = list(range(1, 5)) if args.quick else None
     result = bench_headline(packets=args.packets,
                             degrees=degrees,
-                            measure_reference=not args.no_reference,
                             jobs=args.jobs,
                             cache=_open_cache(args),
                             keep_going=args.keep_going,
                             warm_start=not args.no_warm_start)
-    parent = os.path.dirname(args.output)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
+    _write_json(args.output, result)
 
     print(f"bench: packets={args.packets} "
           f"degrees={result['config']['degrees']} jobs={args.jobs}")
@@ -623,10 +669,6 @@ def cmd_bench(args) -> int:
                 f"({rate / 1e6:.2f} Minstr/s)" if rate else
                 f"  {figure}: {entry['wall_seconds']:.3f}s simulation")
         print(line)
-        if "speedup_vs_reference" in entry:
-            print(f"    reference interpreter: "
-                  f"{entry['reference_wall_seconds']:.3f}s "
-                  f"-> {entry['speedup_vs_reference']:.2f}x speedup")
     if args.profile and result.get("partition_breakdown"):
         print(_partition_profile_table(result["partition_breakdown"]))
     if "cache" in result:
@@ -634,10 +676,7 @@ def cmd_bench(args) -> int:
         print(f"  cache     {counters['hits']} hits, "
               f"{counters['misses']} misses, {counters['stores']} stores, "
               f"{counters['evictions']} evicted")
-    if result.get("failures"):
-        print(f"  {len(result['failures'])} sweep cells FAILED:")
-        for failure in result["failures"]:
-            print(f"    {failure['task']}: {failure['error']}")
+    _print_failures(result.get("failures", []))
     print(f"wrote {args.output}")
     return EXIT_FAILURE if result.get("failures") else EXIT_OK
 
@@ -667,17 +706,9 @@ def cmd_plan(args) -> int:
     from repro.eval.experiments import FIGURE19_APPS, FIGURE20_APPS
     from repro.eval.sweep import plan_partitions
 
-    try:
-        degrees = [int(d) for d in args.degrees.split(",")]
-    except ValueError as exc:
-        raise CLIError(f"bad --degrees {args.degrees!r}: {exc}") from exc
-    if args.apps:
-        # --degrees is comma-separated, so accept "--apps rx,tx" as well
-        # as the nargs-style "--apps rx tx".
-        apps = [name for entry in args.apps
-                for name in entry.split(",") if name]
-    else:
-        apps = sorted(set(FIGURE19_APPS) | set(FIGURE20_APPS))
+    degrees = _parse_list("--degrees", args.degrees, int)
+    apps = (_parse_list("--apps", args.apps) if args.apps
+            else sorted(set(FIGURE19_APPS) | set(FIGURE20_APPS)))
     cache = _open_cache(args)
     if cache is None and args.jobs > 1:
         print("warning: --no-cache with -j > 1 plans in parallel but "
@@ -696,17 +727,12 @@ def cmd_plan(args) -> int:
           f"{total:.3f}s partition work"
           + ("" if cache is None else f", cached under {cache.root}"))
     print(_partition_profile_table(breakdown))
-    for failure in failures:
-        print(f"  {failure['task']}: FAILED — {failure['error']}",
-              file=sys.stderr)
+    _print_failures(failures)
     return EXIT_FAILURE if failures else EXIT_OK
 
 
 def cmd_explore(args) -> int:
     """``repro explore``: cost-aware design-space exploration."""
-    import json
-    import os
-
     from repro.eval.experiments import FIGURE19_APPS
     from repro.eval.explore import (
         ExploreError,
@@ -718,34 +744,20 @@ def cmd_explore(args) -> int:
         render_summary,
     )
 
-    def ints(flag: str, text: str) -> tuple:
-        try:
-            return tuple(int(part) for part in text.split(",") if part)
-        except ValueError as exc:
-            raise CLIError(f"bad {flag} {text!r}: {exc}") from exc
-
-    def floats(flag: str, text: str) -> tuple:
-        try:
-            return tuple(float(part) for part in text.split(",") if part)
-        except ValueError as exc:
-            raise CLIError(f"bad {flag} {text!r}: {exc}") from exc
-
-    if args.apps:
-        apps = tuple(name for entry in args.apps
-                     for name in entry.split(",") if name)
-    else:
-        apps = tuple(FIGURE19_APPS)
+    apps = (_parse_list("--apps", args.apps) if args.apps
+            else FIGURE19_APPS)
     incremental = {"on": (True,), "off": (False,),
                    "both": (True, False)}[args.incremental]
     try:
         space = SearchSpace(
-            apps=apps,
-            degrees=ints("--degrees", args.degrees),
-            rings=tuple(part for part in args.rings.split(",") if part),
-            epsilons=floats("--epsilons", args.epsilons),
+            apps=tuple(apps),
+            degrees=tuple(_parse_list("--degrees", args.degrees, int)),
+            rings=tuple(_parse_list("--rings", args.rings)),
+            epsilons=tuple(_parse_list("--epsilons", args.epsilons, float)),
             incremental=incremental,
-            max_block_instructions=ints("--max-block-instructions",
-                                        args.max_block_instructions),
+            max_block_instructions=tuple(_parse_list(
+                "--max-block-instructions", args.max_block_instructions,
+                int)),
             packets=args.packets,
             seed=args.seed,
         ).validate()
@@ -760,26 +772,22 @@ def cmd_explore(args) -> int:
                      warm_start=not args.no_warm_start,
                      keep_going=args.keep_going)
 
-    os.makedirs(args.out, exist_ok=True)
     frontier = deterministic_report(report)
     frontier_path = os.path.join(args.out, "frontier.json")
-    with open(frontier_path, "w", encoding="utf-8") as handle:
-        json.dump(frontier, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(frontier_path, frontier, sort_keys=True)
     with open(os.path.join(args.out, "frontier.md"), "w",
               encoding="utf-8") as handle:
         handle.write(render_markdown(frontier))
         handle.write("\n")
-    timings = {"timing": report.get("timing"),
-               "cache": report.get("cache"),
-               "jobs": args.jobs,
-               "cells": space.cell_count()}
-    with open(os.path.join(args.out, "timings.json"), "w",
-              encoding="utf-8") as handle:
-        json.dump(timings, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(os.path.join(args.out, "timings.json"),
+                {"timing": report.get("timing"),
+                 "cache": report.get("cache"),
+                 "jobs": args.jobs,
+                 "cells": space.cell_count()},
+                sort_keys=True)
 
     print(render_summary(report))
+    _print_failures(report.get("failures", []))
     if args.auto_pick:
         for app, entry in report["apps"].items():
             pick = entry["pick"]
@@ -796,9 +804,6 @@ def cmd_explore(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    import json
-    import os
-
     from repro.eval.fuzz import run_fuzz, self_test
 
     if args.self_test:
@@ -812,25 +817,19 @@ def cmd_fuzz(args) -> int:
         print("fuzz self-test: every seeded defect caught")
         return EXIT_OK
 
-    try:
-        degrees = tuple(int(d) for d in args.degrees.split(","))
-    except ValueError as exc:
-        raise CLIError(f"bad --degrees {args.degrees!r}: {exc}") from exc
     report = run_fuzz(args.seeds, start_seed=args.start_seed,
-                      degrees=degrees, packets=args.packets,
-                      shrink=not args.no_shrink, jobs=args.jobs)
+                      degrees=tuple(_parse_list("--degrees", args.degrees,
+                                                int)),
+                      packets=args.packets, jobs=args.jobs)
     print(report.render())
     if args.out and report.failures:
-        os.makedirs(args.out, exist_ok=True)
         for failure in report.failures:
-            stem = f"seed{failure.seed}_d{failure.degree}_{failure.phase}"
-            with open(os.path.join(args.out, stem + ".ppc"), "w",
-                      encoding="utf-8") as handle:
+            stem = os.path.join(
+                args.out,
+                f"seed{failure.seed}_d{failure.degree}_{failure.phase}")
+            _write_json(stem + ".json", failure.as_dict())
+            with open(stem + ".ppc", "w", encoding="utf-8") as handle:
                 handle.write(failure.artifact())
-            with open(os.path.join(args.out, stem + ".json"), "w",
-                      encoding="utf-8") as handle:
-                json.dump(failure.as_dict(), handle, indent=2)
-                handle.write("\n")
         print(f"wrote {len(report.failures)} failing programs to "
               f"{args.out}")
     return EXIT_OK if report.ok else EXIT_FAILURE
@@ -849,15 +848,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_ir = sub.add_parser("ir", help="dump the lowered, inlined IR")
-    p_ir.add_argument("file")
-    p_ir.add_argument("--pps")
-    p_ir.add_argument("--no-optimize", action="store_true")
+    _add_program_flags(p_ir)
     p_ir.set_defaults(func=cmd_ir)
 
     p_pipe = sub.add_parser("pipeline", help="partition a PPS into stages")
-    p_pipe.add_argument("file")
-    p_pipe.add_argument("--pps")
-    p_pipe.add_argument("-d", "--degree", type=int, default=2)
+    _add_program_flags(p_pipe, degree=2)
     p_pipe.add_argument("--ring", default="nn",
                         choices=cost_table_names(aliases=True))
     p_pipe.add_argument("--epsilon", type=float, default=1.0 / 16.0)
@@ -870,22 +865,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_run = sub.add_parser("run", help="execute on the simulator")
-    p_run.add_argument("file")
-    p_run.add_argument("--pps")
-    p_run.add_argument("-d", "--degree", type=int, default=1)
-    p_run.add_argument("--iterations", type=int, default=10)
-    p_run.add_argument("--feed", action="append",
-                       help="pipe=v1,v2,... (repeatable)")
+    _add_execution_flags(p_run, degree=1)
     p_run.add_argument("--profile", action="store_true",
                        help="print per-stage/per-pipe runtime counters")
-    p_run.add_argument("--faults", metavar="PLAN",
-                       help="fault-injection plan: builtin name or JSON file")
-    p_run.add_argument("--watchdog-quantum", type=int, default=None,
-                       metavar="N",
-                       help="livelock check every N scheduler steps "
-                            "(enables the deadlock watchdog)")
-    p_run.add_argument("--isolate-traps", action="store_true",
-                       help="quarantine trapped packets instead of aborting")
     p_run.add_argument("--dead-letters", metavar="FILE",
                        help="write quarantined-packet records as JSON")
     _add_partition_flags(p_run)
@@ -896,10 +878,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="run the chaos differential (faults + pipelining)")
     p_chaos.add_argument("--app", default="ipv4",
                          help="benchmark app (default: ipv4)")
-    p_chaos.add_argument("--packets", type=int, default=40)
-    p_chaos.add_argument("--seed", type=int, default=7)
-    p_chaos.add_argument("--degrees", default="1,2,4",
-                         help="comma-separated pipeline degrees")
+    _add_workload_flags(p_chaos, packets=40, seed=7, degrees="1,2,4",
+                        apps=True)
     p_chaos.add_argument("--plans", nargs="*",
                          help="builtin plan names or JSON files "
                               "(default: all builtin plans)")
@@ -909,15 +889,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write all dead-letter records as JSON")
     p_chaos.add_argument("--sweep", action="store_true",
                          help="run the differential for several apps "
-                              "(see --apps) instead of one")
-    p_chaos.add_argument("--apps", nargs="*",
-                         help="apps for --sweep (default: every "
-                              "stream-driven app)")
-    p_chaos.add_argument("-j", "--jobs", type=int, default=1,
-                         help="worker processes for --sweep (default: 1)")
-    p_chaos.add_argument("--keep-going", action="store_true",
-                         help="with --sweep: record failed cells and "
-                              "keep running instead of failing fast")
+                              "(see --apps; default: every stream-driven "
+                              "app) instead of one")
+    _add_sweep_flags(p_chaos, warm_start=False)
     _add_cache_flags(p_chaos)
     p_chaos.set_defaults(func=cmd_chaos)
 
@@ -930,15 +904,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes / flow shards (default: 4)")
     p_serve.add_argument("-d", "--degree", type=int, default=1,
                          help="pipeline degree inside each worker")
-    p_serve.add_argument("--packets", type=int, default=48)
-    p_serve.add_argument("--seed", type=int, default=7)
+    _add_workload_flags(p_serve, packets=48, seed=7)
     p_serve.add_argument("--batch", type=int, default=4,
                          help="packets per journaled batch (the commit "
                               "and replay unit)")
-    p_serve.add_argument("--faults", metavar="PLAN",
-                         help="fault plan with a workers section: serve "
-                              "plan name (worker-kill, worker-storm), "
-                              "builtin chaos plan name, or JSON file")
+    _add_fault_flags(p_serve, quantum=200_000)
     p_serve.add_argument("--max-restarts", type=int, default=3,
                          help="per-shard restart budget before the "
                               "circuit breaker re-shards (default: 3)")
@@ -954,13 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--journal-dir", metavar="DIR", default=None,
                          help="persist per-shard journals as JSONL "
                               "under DIR")
-    p_serve.add_argument("--watchdog-quantum", type=int, default=200_000,
-                         metavar="N",
-                         help="worker livelock check every N scheduler "
-                              "steps (default: 200000)")
-    p_serve.add_argument("--no-verify", action="store_true",
-                         help="skip the sequential-oracle differential "
-                              "after the run")
     p_serve.add_argument("--profile", action="store_true",
                          help="print per-shard runtime counters")
     p_serve.add_argument("--trace", metavar="FILE", default=None,
@@ -973,34 +936,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser(
         "trace", help="emit a Chrome-trace JSON of compile + run")
-    p_trace.add_argument("file")
-    p_trace.add_argument("--pps")
-    p_trace.add_argument("-d", "--degree", type=int, default=2)
-    p_trace.add_argument("--iterations", type=int, default=10)
-    p_trace.add_argument("--feed", action="append",
-                         help="pipe=v1,v2,... (repeatable)")
-    p_trace.add_argument("--faults", metavar="PLAN",
-                         help="fault-injection plan: builtin name or "
-                              "JSON file")
-    p_trace.add_argument("--watchdog-quantum", type=int, default=None,
-                         metavar="N",
-                         help="livelock check every N scheduler steps "
-                              "(enables the deadlock watchdog)")
-    p_trace.add_argument("--isolate-traps", action="store_true",
-                         help="quarantine trapped packets instead of "
-                              "aborting")
+    _add_execution_flags(p_trace, degree=2)
     p_trace.add_argument("-o", "--output", default="trace.json")
     _add_cache_flags(p_trace)
     p_trace.set_defaults(func=cmd_trace)
 
     p_fig = sub.add_parser("figures", help="regenerate the paper's figures")
-    p_fig.add_argument("--packets", type=int, default=60)
+    _add_workload_flags(p_fig, packets=60)
     _add_cache_flags(p_fig)
     p_fig.set_defaults(func=cmd_figures)
 
     p_bench = sub.add_parser(
         "bench", help="run the performance regression harness")
-    p_bench.add_argument("--packets", type=int, default=60)
+    _add_workload_flags(p_bench, packets=60)
     p_bench.add_argument("-o", "--output",
                          default="bench-out/BENCH_headline.json",
                          help="report path (default: "
@@ -1008,55 +956,27 @@ def build_parser() -> argparse.ArgumentParser:
                               "committed baseline stays untouched)")
     p_bench.add_argument("--quick", action="store_true",
                          help="small degree sweep (1-4) for smoke runs")
-    p_bench.add_argument("--no-reference", action="store_true",
-                         help="skip the reference-interpreter 'before' run")
-    p_bench.add_argument("-j", "--jobs", type=int, default=1,
-                         help="fan (figure, app) sweep cells over N worker "
-                              "processes")
-    p_bench.add_argument("--keep-going", action="store_true",
-                         help="with -j: record failed sweep cells and "
-                              "keep running instead of failing fast")
-    p_bench.add_argument("--no-warm-start", action="store_true",
-                         help="solve every cut cold instead of seeding it "
-                              "from related earlier solves")
     p_bench.add_argument("--profile", action="store_true",
                          help="print the partition-phase table (per app x "
                               "degree: seconds, cut iterations, pr work, "
                               "warm-start hits)")
+    _add_sweep_flags(p_bench)
     _add_cache_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     p_plan = sub.add_parser(
         "plan", help="pre-partition the benchmark matrix into the cache")
-    p_plan.add_argument("--apps", nargs="*",
-                        help="apps to plan (default: the Figure 19+20 "
-                             "suite)")
-    p_plan.add_argument("--degrees", default="1,2,3,4,5,6,7,8,9",
-                        help="comma-separated pipeline degrees")
-    p_plan.add_argument("--packets", type=int, default=60)
-    p_plan.add_argument("--seed", type=int, default=7)
-    p_plan.add_argument("-j", "--jobs", type=int, default=1,
-                        help="fan apps over N worker processes; each "
-                             "worker keeps its app's whole degree row so "
-                             "warm starts still apply")
-    p_plan.add_argument("--no-warm-start", action="store_true",
-                        help="solve every cut cold instead of seeding it "
-                             "from related earlier solves")
-    p_plan.add_argument("--keep-going", action="store_true",
-                        help="record failed apps and keep planning "
-                             "instead of failing fast")
+    _add_workload_flags(p_plan, packets=60, seed=7,
+                        degrees="1,2,3,4,5,6,7,8,9", apps=True)
+    _add_sweep_flags(p_plan)
     _add_cache_flags(p_plan)
     p_plan.set_defaults(func=cmd_plan)
 
     p_explore = sub.add_parser(
         "explore",
         help="cost-aware design-space exploration with a Pareto frontier")
-    p_explore.add_argument("--apps", nargs="*",
-                           help="apps to explore (default: the Figure 19 "
-                                "suite); comma or space separated")
-    p_explore.add_argument("--degrees", default="1,2,3,4,5,6,7,8,9",
-                           help="comma-separated pipeline degrees "
-                                "(include 1: the sequential floor)")
+    _add_workload_flags(p_explore, packets=60, seed=7,
+                        degrees="1,2,3,4,5,6,7,8,9", apps=True)
     p_explore.add_argument("--rings", default="nn-ring",
                            help="comma-separated cost-table names "
                                 "(see repro.machine.costs registry, e.g. "
@@ -1068,8 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="incremental-restart partitioner knob")
     p_explore.add_argument("--max-block-instructions", default="12",
                            help="comma-separated block-split thresholds")
-    p_explore.add_argument("--packets", type=int, default=60)
-    p_explore.add_argument("--seed", type=int, default=7)
     p_explore.add_argument("--weights", default=None,
                            help="objective weights, e.g. "
                                 "speedup=1,words=0.005,stages=0.01")
@@ -1087,16 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("-o", "--out", default="explore-out",
                            help="output directory (frontier.json, "
                                 "frontier.md, timings.json)")
-    p_explore.add_argument("-j", "--jobs", type=int, default=1,
-                           help="fan (app, knob-combo) rows over N worker "
-                                "processes; frontier.json is identical "
-                                "at any -j level")
-    p_explore.add_argument("--keep-going", action="store_true",
-                           help="record failed cells and keep exploring "
-                                "instead of failing fast")
-    p_explore.add_argument("--no-warm-start", action="store_true",
-                           help="solve every cut cold instead of seeding "
-                                "it from related earlier solves")
+    _add_sweep_flags(p_explore)
     _add_cache_flags(p_explore)
     p_explore.set_defaults(func=cmd_explore)
 
@@ -1105,16 +1014,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--seeds", type=int, default=50,
                         help="number of generated programs (default: 50)")
     p_fuzz.add_argument("--start-seed", type=int, default=0)
-    p_fuzz.add_argument("--degrees", default="2,3,4",
-                        help="comma-separated pipeline degrees, applied "
-                             "round-robin per seed")
-    p_fuzz.add_argument("--packets", type=int, default=24,
-                        help="packets per differential run (default: 24)")
-    p_fuzz.add_argument("--no-shrink", action="store_true",
-                        help="report failing programs unshrunk")
-    p_fuzz.add_argument("-j", "--jobs", type=int, default=1,
-                        help="fan fuzz cases over N worker processes "
-                             "(identical report at any -j level)")
+    _add_workload_flags(p_fuzz, packets=24, degrees="2,3,4")
+    _add_sweep_flags(p_fuzz, keep_going=False, warm_start=False)
     p_fuzz.add_argument("--self-test", action="store_true",
                         help="seed known partition defects instead; the "
                              "verifier must catch every one")

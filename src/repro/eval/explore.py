@@ -469,10 +469,10 @@ def explore(space: SearchSpace, *, weights: Weights | None = None,
 
     space.validate()
     weights = weights or Weights()
-    cache_dir = str(cache.root) if cache is not None else None
-    tasks = explore_tasks(space, cache_dir=cache_dir,
-                          warm_start=warm_start, keep_going=keep_going)
-    results = run_sweep(tasks, jobs=jobs, keep_going=keep_going)
+    tasks = explore_tasks(space, warm_start=warm_start,
+                          keep_going=keep_going)
+    results = run_sweep(tasks, jobs=jobs, keep_going=keep_going,
+                        cache=cache)
 
     failures = [entry for entry in results if entry.get("failed")]
     completed = [entry for entry in results if not entry.get("failed")]
@@ -480,10 +480,6 @@ def explore(space: SearchSpace, *, weights: Weights | None = None,
     # degree cells; they join the artifact's ``failures`` list.
     for entry in completed:
         failures.extend(entry.get("cell_failures") or [])
-    if cache is not None:
-        for entry in completed:
-            if entry.get("cache"):
-                cache.merge_counters(entry["cache"])
 
     by_app: dict[str, list[dict]] = {app: [] for app in space.apps}
     timing = {"build_seconds": 0.0, "partition_seconds": 0.0}

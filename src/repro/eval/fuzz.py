@@ -241,13 +241,13 @@ class FuzzReport:
         }
 
 
-def _fuzz_case(seed: int, degree: int, packets: int,
-               shrink: bool, max_shrink_tests: int) -> FuzzFailure | None:
-    """Run (and, on failure, shrink) one fuzz case.
+def fuzz_case(seed: int, degree: int, packets: int,
+              shrink_tests: int) -> FuzzFailure | None:
+    """Run (and, on failure, shrink within ``shrink_tests`` candidate
+    programs; 0 leaves it unshrunk) one fuzz case.
 
-    Module-level and fully determined by its arguments, so a process
-    pool can dispatch it by name and any worker produces the same
-    answer for the same seed.
+    Fully determined by its arguments, so any sweep worker produces the
+    same answer for the same seed.
     """
     source = random_pps_source(seed)
     try:
@@ -256,7 +256,7 @@ def _fuzz_case(seed: int, degree: int, packets: int,
     except CheckFailure as exc:
         failure = FuzzFailure(seed=seed, degree=degree, phase=exc.phase,
                               error=str(exc.cause), source=source)
-        if shrink:
+        if shrink_tests:
             signature = exc.signature
 
             def still_fails(text: str) -> bool:
@@ -269,54 +269,43 @@ def _fuzz_case(seed: int, degree: int, packets: int,
                 return False
 
             shrunk, tests = shrink_source(source, still_fails,
-                                          max_tests=max_shrink_tests)
+                                          max_tests=shrink_tests)
             failure.shrink_tests = tests
             if shrunk != source:
                 failure.shrunk_source = shrunk
         return failure
 
 
-def _fuzz_worker(args: tuple) -> FuzzFailure | None:
-    """Picklable pool entry point: unpack one :func:`_fuzz_case` call."""
-    return _fuzz_case(*args)
-
-
 def run_fuzz(seeds: int = 50, *, start_seed: int = 0,
              degrees: tuple = (2, 3, 4), packets: int = 24,
              shrink: bool = True, max_shrink_tests: int = 200,
-             jobs: int = 1, progress=None) -> FuzzReport:
+             jobs: int = 1) -> FuzzReport:
     """Fuzz ``seeds`` generated programs through the whole contract.
 
     Every case gets a deterministic degree from ``degrees`` (round
     robin) and a deterministic input stream, so a failing seed printed
-    by CI reproduces locally with the same flags.  ``progress`` is an
-    optional callback invoked with (seed, failure-or-None).
+    by CI reproduces locally with the same flags.
 
-    ``jobs > 1`` fans the cases over a process pool (``repro fuzz -j``).
+    The cases are ``fuzz`` cells of the sweep runner
+    (:func:`repro.eval.sweep.run_sweep`; ``jobs`` is ``repro fuzz -j``).
     Each case is a pure function of its seed, and results are merged in
-    seed order, so the report is identical at any parallelism level —
-    only ``progress`` timing changes (it still fires in seed order,
-    after the parallel region).
+    seed order, so the report is identical at any parallelism level; a
+    crashed case or a dead worker is a
+    :class:`~repro.eval.sweep.SweepError` naming the seed.
     """
+    from repro.eval.sweep import SweepTask, run_sweep
+
     report = FuzzReport(seeds=seeds, start_seed=start_seed,
                         degrees=tuple(degrees), packets=packets)
-    calls = [(start_seed + index,
-              report.degrees[index % len(report.degrees)],
-              packets, shrink, max_shrink_tests)
+    tasks = [SweepTask(kind="fuzz", app="progen",
+                       degrees=(report.degrees[index % len(report.degrees)],),
+                       packets=packets, seed=start_seed + index,
+                       shrink_tests=max_shrink_tests if shrink else 0)
              for index in range(seeds)]
-    if jobs > 1 and len(calls) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = pool.map(_fuzz_worker, calls)
-    else:
-        outcomes = (_fuzz_case(*call) for call in calls)
-    for call, failure in zip(calls, outcomes):
+    for result in run_sweep(tasks, jobs=jobs):
         report.cases += 1
-        if failure is not None:
-            report.failures.append(failure)
-        if progress is not None:
-            progress(call[0], failure)
+        if result["failure"] is not None:
+            report.failures.append(result["failure"])
     return report
 
 

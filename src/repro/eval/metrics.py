@@ -298,262 +298,84 @@ def measure_replication(app: AppInstance, ways: int, *,
 
 def bench_headline(*, packets: int = 60, seed: int = 7,
                    degrees: list[int] | None = None,
-                   measure_reference: bool = True,
                    jobs: int = 1, cache=None,
                    keep_going: bool = False,
                    warm_start: bool = True) -> dict:
     """Run the headline performance benchmark (``repro bench``).
 
-    Times the Figure 19/20 degree sweeps end to end, separating the three
-    phases so the interpreter speedup is not diluted by unchanged work:
+    Sweeps every app of Figures 19 and 20 over ``degrees`` as one
+    ``bench`` cell per *distinct* app (:mod:`repro.eval.sweep`; ``rx``
+    and ``tx`` sit in both figures but are partitioned and simulated
+    once), at any ``jobs`` level, and assembles the figures from the
+    cells.  Each cell times its phases separately so a regression names
+    its layer:
 
-    * **build** — compiling the PPS-C applications to IR,
+    * **build** — compiling the PPS-C application to IR,
     * **partition** — profiling, min-cut pipelining and stage realization
-      for every (app, degree) pair,
-    * **simulation** — the figure sweeps themselves, executed on the
-      compiled-dispatch interpreter + event-driven scheduler, and (for
-      Figure 19, unless ``measure_reference`` is off) once more on the
-      reference interpreter + polling scheduler to record the "before"
-      number the speedup is judged against.
+      for every degree,
+    * **compile** — threaded-code compilation, measured cold,
+    * **simulate** — the degree sweep itself, every pipelined run checked
+      observationally equivalent to the sequential one.
 
-    ``cache`` (a :class:`repro.cache.CompileCache`) memoizes every
-    partition by content address; its hit/miss counters land in the
-    result's ``cache`` section.  ``jobs > 1`` fans the per-(figure, app)
-    cells over a process pool (:mod:`repro.eval.sweep`); phase seconds
-    then aggregate worker CPU time while ``phase_seconds["sweep"]`` holds
-    the parallel region's wall clock.  The speedup series are
-    deterministic and identical under any ``jobs`` level.  ``keep_going``
-    (parallel path only) records failed cells under a ``failures`` key
-    instead of aborting the whole sweep on the first
-    :class:`~repro.eval.sweep.SweepError`.
+    The ``*_seconds`` totals and ``phase_seconds`` sum those phases over
+    the cells (worker CPU time when ``jobs > 1``);
+    ``phase_seconds["sweep"]`` is the wall clock of the whole sweep.  The
+    speedup series are deterministic and identical under any ``jobs``
+    level.  ``cache`` (a :class:`repro.cache.CompileCache`) memoizes
+    every partition by content address; its hit/miss counters land in
+    the result's ``cache`` section.  ``keep_going`` records failed cells
+    under a ``failures`` key instead of aborting the whole sweep on the
+    first :class:`~repro.eval.sweep.SweepError`.
 
     Returns a JSON-serializable dict; ``repro bench`` writes it to
     ``bench-out/BENCH_headline.json``.
     """
-    import gc
     import sys
-    from time import perf_counter
 
-    from repro.apps.suite import build_app
     from repro.eval.experiments import FIGURE19_APPS, FIGURE20_APPS
+    from repro.eval.sweep import app_tasks, run_sweep
     from repro.obs import PhaseTimer
-    from repro.runtime.compile import clear_cache, compile_function
-    from repro.runtime.mode import reference_mode
 
     degrees = sorted(set(degrees)) if degrees else list(range(1, 10))
     figure_apps = {"figure19": list(FIGURE19_APPS),
                    "figure20": list(FIGURE20_APPS)}
-
-    if jobs > 1:
-        return _bench_headline_parallel(
-            packets=packets, seed=seed, degrees=degrees,
-            measure_reference=measure_reference, jobs=jobs, cache=cache,
-            figure_apps=figure_apps, keep_going=keep_going,
-            warm_start=warm_start)
-
-    # Phase wall clocks; each phase also shows up as a span when the bench
-    # runs under an active repro.obs tracer.
-    phases = PhaseTimer()
-
-    with phases.phase("build", packets=packets):
-        apps = {}
-        for names in figure_apps.values():
-            for name in names:
-                if name not in apps:
-                    apps[name] = build_app(name, packets=packets, seed=seed)
-
-    with phases.phase("partition", degrees=len(degrees)):
-        transforms = {}
-        partition_breakdown: dict[str, dict] = {}
-        for name, app in apps.items():
-            per_app, breakdown = partition_app(app, degrees, cache=cache,
-                                               warm_start=warm_start)
-            for degree, transform in per_app.items():
-                transforms[name, degree] = transform
-            partition_breakdown[name] = breakdown
-
-    # Threaded-code compilation, measured cold (it is otherwise amortized
-    # into the first simulation of each function).
-    clear_cache()
-    with phases.phase("compile"):
-        for app in apps.values():
-            compile_function(app.module.pps(app.pps_name))
-        for transform in transforms.values():
-            for stage in transform.stages:
-                compile_function(stage.function)
-
-    def sweep(names: list[str], reference: bool, repeats: int = 3):
-        instructions = 0
-        series: dict[str, dict[int, float]] = {}
-        walls = []
-        # Drain the partition phase's pending garbage and keep the
-        # collector out of the timed region (both paths get the same
-        # treatment, as pytest-benchmark's disable_gc does). The runs
-        # are deterministic, so following timeit we repeat and keep the
-        # fastest pass: the minimum is the least noise-contaminated.
-        gc.collect()
-        gc.disable()
-        try:
-            with reference_mode(reference):
-                for attempt in range(repeats):
-                    instructions = 0
-                    series = {}
-                    start = perf_counter()
-                    for name in names:
-                        app = apps[name]
-                        baseline = measure_sequential(app)
-                        instructions += baseline.total_instructions
-                        app_series = {1: 1.0}
-                        for degree in degrees:
-                            if degree == 1:
-                                continue
-                            measured = measure_pipeline(
-                                app, degree, baseline=baseline,
-                                transform=transforms[name, degree])
-                            instructions += measured.total_instructions
-                            app_series[degree] = round(measured.speedup, 4)
-                        series[name] = app_series
-                    walls.append(perf_counter() - start)
-        finally:
-            gc.enable()
-        return min(walls), instructions, series
-
-    figures: dict[str, dict] = {}
-    for figure, names in figure_apps.items():
-        with phases.phase(f"simulate:{figure}", apps=len(names)):
-            wall, instructions, series = sweep(names, False)
-        entry = {
-            "apps": names,
-            "wall_seconds": round(wall, 4),
-            "simulated_instructions": instructions,
-            "instructions_per_second": (round(instructions / wall)
-                                        if wall else None),
-            "speedup_by_degree": series,
-        }
-        if measure_reference and figure == "figure19":
-            with phases.phase("simulate:reference", apps=len(names)):
-                ref_wall, _, _ = sweep(names, True)
-            entry["reference_wall_seconds"] = round(ref_wall, 4)
-            entry["speedup_vs_reference"] = (round(ref_wall / wall, 2)
-                                             if wall else None)
-        figures[figure] = entry
-
-    top = max(degrees)
-    headline = {}
-    for figure, entry in figures.items():
-        for name, app_series in entry["speedup_by_degree"].items():
-            if top in app_series:
-                headline[name] = app_series[top]
-
-    result = {
-        "config": {
-            "packets": packets,
-            "seed": seed,
-            "degrees": degrees,
-            "jobs": jobs,
-            "warm_start": warm_start,
-            "python": sys.version.split()[0],
-        },
-        "build_seconds": round(phases["build"], 4),
-        "partition_seconds": round(phases["partition"], 4),
-        "compile_seconds": round(phases["compile"], 4),
-        "phase_seconds": {name: round(value, 4)
-                          for name, value in sorted(phases.seconds.items())},
-        "partition_breakdown": partition_breakdown,
-        "figures": figures,
-        f"headline_speedup_degree{top}": headline,
-    }
-    if cache is not None:
-        result["cache"] = cache.counters()
-    return result
-
-
-def _bench_headline_parallel(*, packets: int, seed: int, degrees: list[int],
-                             measure_reference: bool, jobs: int, cache,
-                             figure_apps: dict,
-                             keep_going: bool = False,
-                             warm_start: bool = True) -> dict:
-    """The ``jobs > 1`` bench path: one sweep task per (figure, app)."""
-    import sys
-
-    from repro.eval.sweep import bench_tasks, run_sweep
-    from repro.obs import PhaseTimer
-
-    cache_dir = str(cache.root) if cache is not None else None
-    tasks = []
-    for figure, names in figure_apps.items():
-        tasks.extend(bench_tasks(names, degrees, packets=packets, seed=seed,
-                                 cache_dir=cache_dir, label=figure,
-                                 warm_start=warm_start))
-    if measure_reference:
-        tasks.extend(bench_tasks(figure_apps["figure19"], degrees,
-                                 packets=packets, seed=seed,
-                                 cache_dir=cache_dir, reference=True,
-                                 label="figure19:reference",
-                                 warm_start=warm_start))
+    distinct = list(dict.fromkeys(
+        name for names in figure_apps.values() for name in names))
+    tasks = app_tasks("bench", distinct, degrees, packets=packets,
+                      seed=seed, warm_start=warm_start)
 
     phases = PhaseTimer()
     with phases.phase("sweep", jobs=jobs, tasks=len(tasks)):
-        results = run_sweep(tasks, jobs=jobs, keep_going=keep_going)
+        results = run_sweep(tasks, jobs=jobs, keep_going=keep_going,
+                            cache=cache)
 
     # keep_going sweeps carry failure placeholders; aggregate only the
     # cells that completed, and report the rest under "failures".
     failures = [entry for entry in results if entry.get("failed")]
-    completed = [entry for entry in results if not entry.get("failed")]
+    cells = {entry["app"]: entry for entry in results
+             if not entry.get("failed")}
 
-    by_label: dict[str, list[dict]] = {}
-    for entry in completed:
-        by_label.setdefault(entry["label"], []).append(entry)
-
-    def aggregate(entries: list[dict], phase: str) -> float:
-        return sum(entry["timing"][phase] for entry in entries)
+    def seconds(phase: str, entries=None) -> float:
+        entries = cells.values() if entries is None else entries
+        return sum(entry["timing"][f"{phase}_seconds"] for entry in entries)
 
     figures: dict[str, dict] = {}
     for figure, names in figure_apps.items():
-        entries = by_label.get(figure, [])
-        wall = aggregate(entries, "simulate_seconds")
+        entries = [cells[name] for name in names if name in cells]
+        wall = seconds("simulate", entries)
         instructions = sum(entry["simulated_instructions"]
                            for entry in entries)
-        entry = {
+        figures[figure] = {
             "apps": names,
             "wall_seconds": round(wall, 4),
             "simulated_instructions": instructions,
             "instructions_per_second": (round(instructions / wall)
                                         if wall else None),
-            "speedup_by_degree": {result["app"]: result["speedup_by_degree"]
-                                  for result in entries},
+            "speedup_by_degree": {entry["app"]: entry["speedup_by_degree"]
+                                  for entry in entries},
         }
-        if measure_reference and figure == "figure19":
-            reference = by_label.get("figure19:reference", [])
-            ref_wall = aggregate(reference, "simulate_seconds")
-            entry["reference_wall_seconds"] = round(ref_wall, 4)
-            entry["speedup_vs_reference"] = (round(ref_wall / wall, 2)
-                                             if wall else None)
-        figures[figure] = entry
 
     top = max(degrees)
-    headline = {}
-    for figure, entry in figures.items():
-        for name, app_series in entry["speedup_by_degree"].items():
-            if top in app_series:
-                headline[name] = app_series[top]
-
-    if cache is not None:
-        for entry in completed:
-            if entry.get("cache"):
-                cache.merge_counters(entry["cache"])
-
-    # Per-app partition breakdowns come back from the workers; the
-    # reference cells re-partition from the shared cache, so prefer the
-    # non-reference cell's breakdown for each app.
-    partition_breakdown: dict[str, dict] = {}
-    for entry in completed:
-        if entry.get("partition_breakdown") is None:
-            continue
-        if entry["reference"] and entry["app"] in partition_breakdown:
-            continue
-        partition_breakdown[entry["app"]] = entry["partition_breakdown"]
-
     result = {
         "config": {
             "packets": packets,
@@ -563,20 +385,20 @@ def _bench_headline_parallel(*, packets: int, seed: int, degrees: list[int],
             "warm_start": warm_start,
             "python": sys.version.split()[0],
         },
-        "partition_breakdown": partition_breakdown,
-        "build_seconds": round(aggregate(completed, "build_seconds"), 4),
-        "partition_seconds": round(aggregate(completed, "partition_seconds"),
-                                   4),
-        "compile_seconds": round(aggregate(completed, "compile_seconds"), 4),
+        "build_seconds": round(seconds("build"), 4),
+        "partition_seconds": round(seconds("partition"), 4),
+        "compile_seconds": round(seconds("compile"), 4),
         "phase_seconds": {
             "sweep": round(phases["sweep"], 4),
-            "build": round(aggregate(completed, "build_seconds"), 4),
-            "partition": round(aggregate(completed, "partition_seconds"), 4),
-            "compile": round(aggregate(completed, "compile_seconds"), 4),
-            "simulate": round(aggregate(completed, "simulate_seconds"), 4),
+            **{phase: round(seconds(phase), 4)
+               for phase in ("build", "partition", "compile", "simulate")},
         },
+        "partition_breakdown": {name: entry["partition_breakdown"]
+                                for name, entry in cells.items()},
         "figures": figures,
-        f"headline_speedup_degree{top}": headline,
+        f"headline_speedup_degree{top}": {
+            name: entry["speedup_by_degree"][top]
+            for name, entry in cells.items()},
     }
     if failures:
         result["failures"] = failures

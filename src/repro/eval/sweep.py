@@ -3,8 +3,10 @@
 Fig-19-style sweeps re-partition the same four NPF apps over and over;
 each (app, D) cell is independent, deterministic given its seed, and
 dominated by the balanced-cut search — an embarrassingly parallel
-workload.  :func:`run_sweep` executes :class:`SweepTask` cells on a
-``concurrent.futures.ProcessPoolExecutor`` (``-j N`` on the CLI) with:
+workload.  :func:`run_sweep` is the one multi-cell path: ``repro bench``,
+``plan``, ``explore``, ``chaos --sweep`` and ``fuzz`` all describe their
+work as :class:`SweepTask` cells and run them here, inline or on a
+``concurrent.futures.ProcessPoolExecutor`` (``-j N`` on the CLI), with:
 
 * **deterministic merge** — results are returned in *task order* (the
   builders emit tasks ordered by (app, D)) no matter which worker
@@ -16,7 +18,8 @@ workload.  :func:`run_sweep` executes :class:`SweepTask` cells on a
   chaos sweeps stay reproducible under any parallelism;
 * **structured failure** — a worker exception or a hard worker crash
   (OOM-killed, segfault) surfaces as :class:`SweepError` (a
-  :class:`~repro.errors.ReproError`, CLI exit 1), never a hang;
+  :class:`~repro.errors.ReproError`, CLI exit 1), never a hang, and
+  identically at every ``-j`` level;
 * **shared artifact cache** — workers open the same on-disk
   :class:`~repro.cache.CompileCache` (atomic writes make racing safe),
   so repeated cells cost one partition across the whole sweep.
@@ -25,9 +28,10 @@ workload.  :func:`run_sweep` executes :class:`SweepTask` cells on a
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from time import perf_counter
 
 from repro.errors import ReproError
 
@@ -50,15 +54,13 @@ class SweepError(ReproError):
 class SweepTask:
     """One self-contained sweep cell, picklable for worker dispatch."""
 
-    kind: str                       # "bench" | "chaos" | "partition" | "explore"
+    kind: str                       # a key of _SCORERS
     app: str
     degrees: tuple                  # pipeline degrees to measure
     packets: int
     seed: int
-    reference: bool = False         # bench: use the reference interpreter
     plans: tuple | None = None      # chaos: builtin plan names (None = all)
     cache_dir: str | None = None    # shared CompileCache root
-    label: str | None = None        # grouping tag (e.g. figure name)
     warm_start: bool = True         # bench/partition: cross-degree seeding
     ring: str | None = None         # explore: cost-table name
     epsilon: float | None = None    # explore: balance slack knob
@@ -66,32 +68,33 @@ class SweepTask:
     max_block_instructions: int | None = None  # explore: block-split knob
     keep_going: bool = False        # explore: record failed degree cells
     #                                 instead of failing the whole row
+    shrink_tests: int = 0           # fuzz: shrink budget (0 = unshrunk)
 
     def describe(self) -> str:
-        tag = f" [{self.label}]" if self.label else ""
-        ref = " (reference)" if self.reference else ""
         knobs = ""
         if self.kind == "explore":
             knobs = (f" ring={self.ring} eps={self.epsilon:g} "
                      f"inc={'on' if self.incremental else 'off'} "
                      f"mbi={self.max_block_instructions}")
         return (f"{self.kind} {self.app} D={','.join(map(str, self.degrees))}"
-                f"{ref}{knobs}{tag}")
+                f"{knobs}")
 
     def repro_command(self) -> str:
         """A copy-paste one-liner that re-runs this exact cell inline."""
         degrees = ",".join(map(str, self.degrees))
+        warm = "" if self.warm_start else " --no-warm-start"
         if self.kind == "chaos":
             plans = (" --plans " + " ".join(self.plans)
                      if self.plans else "")
             return (f"repro chaos --app {self.app} --degrees {degrees} "
                     f"--packets {self.packets} --seed {self.seed}{plans}")
+        if self.kind == "fuzz":
+            return (f"repro fuzz --seeds 1 --start-seed {self.seed} "
+                    f"--degrees {degrees} --packets {self.packets}")
         if self.kind == "partition":
-            warm = "" if self.warm_start else " --no-warm-start"
-            return (f"repro bench --packets {self.packets} -j 1{warm}  "
-                    f"# plan cell: app={self.app} degrees={degrees}")
+            return (f"repro plan --apps {self.app} --degrees {degrees} "
+                    f"--packets {self.packets} --seed {self.seed} -j 1{warm}")
         if self.kind == "explore":
-            warm = "" if self.warm_start else " --no-warm-start"
             inc = "on" if self.incremental else "off"
             return (f"repro explore --apps {self.app} --degrees {degrees} "
                     f"--rings {self.ring} --epsilons {self.epsilon:g} "
@@ -123,105 +126,155 @@ def derive_seed(base: int, *parts) -> int:
 # -- task builders ----------------------------------------------------------
 
 
-def bench_tasks(apps: list[str], degrees: list[int], *, packets: int,
-                seed: int, cache_dir: str | None = None,
-                reference: bool = False,
-                label: str | None = None,
-                warm_start: bool = True) -> list[SweepTask]:
-    """Bench cells ordered by app (each cell covers all its degrees)."""
-    return [SweepTask(kind="bench", app=app, degrees=tuple(degrees),
-                      packets=packets, seed=seed, reference=reference,
-                      cache_dir=cache_dir, label=label,
-                      warm_start=warm_start)
-            for app in apps]
-
-
-def partition_tasks(apps: list[str], degrees, *, packets: int, seed: int,
-                    cache_dir: str | None = None,
-                    warm_start: bool = True,
-                    label: str | None = None) -> list[SweepTask]:
-    """Partition-plan cells: one per app, covering its whole degree row.
+def app_tasks(kind: str, apps: list[str], degrees, *, packets: int,
+              seed: int, warm_start: bool = True) -> list[SweepTask]:
+    """``bench`` / ``partition`` cells: one per app, in the given app
+    order, covering its whole degree row.
 
     A cell keeps all of an app's degrees together so the worker shares
     one :class:`~repro.analysis.context.AnalysisContext` and one warm
     -start cache across the row — the cross-degree seeding the planner
     exists to exploit; parallelism comes from fanning the *apps*.
     """
-    return [SweepTask(kind="partition", app=app, degrees=tuple(degrees),
-                      packets=packets, seed=seed, cache_dir=cache_dir,
-                      warm_start=warm_start, label=label)
+    return [SweepTask(kind=kind, app=app, degrees=tuple(degrees),
+                      packets=packets, seed=seed, warm_start=warm_start)
             for app in apps]
 
 
-def explore_tasks(space, *, cache_dir: str | None = None,
-                  warm_start: bool = True,
+def explore_tasks(space, *, warm_start: bool = True,
                   keep_going: bool = False) -> list[SweepTask]:
     """Explore cells: one task per (app, knob combo), covering the whole
     degree row.
 
-    Like :func:`partition_tasks`, a task keeps all of a combo's degrees
+    Like :func:`app_tasks`, a task keeps all of a combo's degrees
     together so the worker shares one analysis context and one baseline
     measurement across the row; parallelism fans the (app, combo) pairs.
     ``space`` is a :class:`repro.eval.explore.SearchSpace`.
     """
-    tasks = []
-    for app in space.apps:
-        for ring, epsilon, incremental, mbi in space.combos():
-            tasks.append(SweepTask(
-                kind="explore", app=app, degrees=tuple(space.degrees),
-                packets=space.packets, seed=space.seed,
-                cache_dir=cache_dir, warm_start=warm_start,
-                ring=ring, epsilon=epsilon, incremental=incremental,
-                max_block_instructions=mbi, keep_going=keep_going))
-    return tasks
+    return [SweepTask(kind="explore", app=app, degrees=tuple(space.degrees),
+                      packets=space.packets, seed=space.seed,
+                      warm_start=warm_start, ring=ring, epsilon=epsilon,
+                      incremental=incremental, max_block_instructions=mbi,
+                      keep_going=keep_going)
+            for app in space.apps
+            for ring, epsilon, incremental, mbi in space.combos()]
 
 
 def chaos_tasks(apps: list[str], degrees: tuple, *, packets: int, seed: int,
-                plans: tuple | None = None,
-                cache_dir: str | None = None) -> list[SweepTask]:
+                plans: tuple | None = None) -> list[SweepTask]:
     """Chaos cells ordered by app, each with its own derived seed."""
     return [SweepTask(kind="chaos", app=app, degrees=tuple(degrees),
                       packets=packets, seed=derive_seed(seed, "chaos", app),
-                      plans=plans, cache_dir=cache_dir)
+                      plans=plans)
             for app in sorted(apps)]
 
 
 # -- workers ----------------------------------------------------------------
 
 
-def _open_cache(task: SweepTask):
-    if task.cache_dir is None:
-        return None
-    from repro.cache import CompileCache
-
-    return CompileCache(task.cache_dir)
+def _timed(function, *args, **kwargs):
+    """``(function(*args, **kwargs), wall seconds it took)``."""
+    start = perf_counter()
+    value = function(*args, **kwargs)
+    return value, perf_counter() - start
 
 
 def _execute(task: SweepTask) -> dict:
-    """Run one cell; module-level so the pool can pickle it by name."""
-    if task.kind == "bench":
-        return _execute_bench(task)
-    if task.kind == "chaos":
-        return _execute_chaos(task)
-    if task.kind == "partition":
-        return _execute_partition(task)
-    if task.kind == "explore":
-        return _execute_explore(task)
-    raise SweepError(f"unknown sweep task kind {task.kind!r}")
+    """Run one cell; module-level so the pool can pickle it by name.
+
+    Every kind shares this frame — open the task's cache, score, report
+    what the cache saw — and differs only in its scorer, which returns
+    the kind's record fields and its ``timing`` dict.
+    """
+    score = _SCORERS.get(task.kind)
+    if score is None:
+        raise SweepError(f"unknown sweep task kind {task.kind!r}")
+    cache = None
+    if task.cache_dir is not None:
+        from repro.cache import CompileCache
+
+        cache = CompileCache(task.cache_dir)
+    fields, timing = score(task, cache)
+    return {
+        "kind": task.kind,
+        "app": task.app,
+        "seed": task.seed,
+        **fields,
+        "timing": timing,
+        # A cache opened for this cell alone: its counters are the cell's.
+        "cache": cache.counters() if cache is not None else None,
+    }
 
 
-def _execute_explore(task: SweepTask) -> dict:
+def _partition_row(task: SweepTask, cache):
+    """Build the task's app and partition its whole degree row."""
+    from repro.apps.suite import build_app
+    from repro.eval.metrics import partition_app
+
+    app, build_seconds = _timed(build_app, task.app, packets=task.packets,
+                                seed=task.seed)
+    (transforms, breakdown), partition_seconds = _timed(
+        partition_app, app, task.degrees, cache=cache,
+        warm_start=task.warm_start)
+    return (app, transforms, {"partition_breakdown": breakdown},
+            {"build_seconds": build_seconds,
+             "partition_seconds": partition_seconds})
+
+
+def _score_partition(task: SweepTask, cache):
+    """The planner cell: the results land in the shared compile cache,
+    so a following bench / fuzz / run phase gets pure cache hits; the
+    record carries the per-degree breakdown for profiling output."""
+    _, _, fields, timing = _partition_row(task, cache)
+    return fields, timing
+
+
+def _score_bench(task: SweepTask, cache):
+    """Partition, compile to threaded code, then simulate every degree
+    against the sequential baseline (equivalence-checked)."""
+    from repro.eval.metrics import measure_pipeline, measure_sequential
+    from repro.runtime.compile import compile_function
+
+    app, transforms, fields, timing = _partition_row(task, cache)
+
+    # Cold by construction: the app and every stage function are fresh
+    # objects, and the threaded-code cache is keyed per Function object.
+    start = perf_counter()
+    for transform in transforms.values():
+        for stage in transform.stages:
+            compile_function(stage.function)
+    compile_function(app.module.pps(app.pps_name))
+    timing["compile_seconds"] = perf_counter() - start
+
+    series: dict[int, float] = {}
+    start = perf_counter()
+    baseline = measure_sequential(app)
+    instructions = baseline.total_instructions
+    for degree in sorted(task.degrees):
+        if degree == 1:
+            series[1] = 1.0
+            continue
+        measured = measure_pipeline(app, degree, baseline=baseline,
+                                    transform=transforms[degree])
+        instructions += measured.total_instructions
+        series[degree] = round(measured.speedup, 4)
+    timing["simulate_seconds"] = perf_counter() - start
+
+    fields["speedup_by_degree"] = series
+    fields["simulated_instructions"] = instructions
+    return fields, timing
+
+
+def _score_explore(task: SweepTask, cache):
     """Evaluate one (app, knob combo) row of a design-space exploration.
 
     Every degree of the row goes through the *supervised* pipeline —
     partition, independent verification, graceful degradation — and is
     then simulated with the observational-equivalence check on.  The
-    returned record carries one cell dict per degree; the nondeterministic
+    record carries one cell dict per degree; the nondeterministic
     numbers (partition wall seconds) live under each cell's ``timing``
     key so the frontier artifact can strip them.
     """
-    from time import perf_counter
-
     from repro.analysis.context import AnalysisContext
     from repro.apps.suite import build_app
     from repro.eval.metrics import (
@@ -232,13 +285,9 @@ def _execute_explore(task: SweepTask) -> dict:
     from repro.machine.costs import cost_table
     from repro.pipeline.supervisor import supervise_partition
 
-    cache = _open_cache(task)
-    before = dict(cache.counters()) if cache is not None else {}
     costs = cost_table(task.ring)
-    start = perf_counter()
-    app = build_app(task.app, packets=task.packets, seed=task.seed)
-    build_seconds = perf_counter() - start
-
+    app, build_seconds = _timed(build_app, task.app, packets=task.packets,
+                                seed=task.seed)
     baseline = measure_sequential(app)
     profiler = make_profiler(app)
     context = AnalysisContext(app.module, app.pps_name,
@@ -280,16 +329,14 @@ def _execute_explore(task: SweepTask) -> dict:
                 "timing": {"partition_seconds": 0.0},
             })
             continue
-        start = perf_counter()
         try:
-            outcome = supervise_partition(
-                app.module, app.pps_name, degree,
+            outcome, partition_seconds = _timed(
+                supervise_partition, app.module, app.pps_name, degree,
                 costs=costs, epsilon=task.epsilon,
                 incremental=task.incremental,
                 max_block_instructions=task.max_block_instructions,
                 profiler=profiler, cache=cache, context=context,
                 warm_start=task.warm_start)
-            partition_seconds = perf_counter() - start
             partition_total += partition_seconds
             cell = {
                 "id": cell_id(degree),
@@ -327,155 +374,19 @@ def _execute_explore(task: SweepTask) -> dict:
             if not task.keep_going:
                 raise
             cell_task = replace(task, degrees=(degree,))
-            if isinstance(exc, SweepError):
-                error = exc
-            else:
-                error = SweepError(
-                    f"explore cell {cell_id(degree)} failed: {exc}; "
-                    f"{cell_task.detail()}", task=cell_task)
-            record = _failure_record(cell_task, error)
+            record = _failure_record(cell_task, _classify(cell_task, exc))
             record["cell"] = cell_id(degree)
             cell_failures.append(record)
 
-    counters = dict(cache.counters()) if cache is not None else None
-    if counters:
-        counters = {key: counters.get(key, 0) - before.get(key, 0)
-                    for key in counters}
-    return {
-        "kind": "explore",
-        "app": task.app,
-        "label": task.label,
-        "seed": task.seed,
-        "ring": costs.name,
-        "epsilon": task.epsilon,
-        "incremental": task.incremental,
-        "max_block_instructions": task.max_block_instructions,
-        "degrees": sorted(set(task.degrees)),
-        "warm_start": task.warm_start,
-        "cells": cells,
-        "cell_failures": cell_failures,
-        "timing": {
-            "build_seconds": round(build_seconds, 4),
-            "partition_seconds": round(partition_total, 4),
-        },
-        "cache": counters,
-    }
+    return ({"cells": cells, "cell_failures": cell_failures},
+            {"build_seconds": round(build_seconds, 4),
+             "partition_seconds": round(partition_total, 4)})
 
 
-def _execute_partition(task: SweepTask) -> dict:
-    """Partition one app's whole degree row (the planner worker).
-
-    The results land in the shared compile cache, so a following bench /
-    fuzz / run phase gets pure cache hits; the returned record carries
-    the per-degree breakdown for profiling output.
-    """
-    from time import perf_counter
-
-    from repro.apps.suite import build_app
-    from repro.eval.metrics import partition_app
-
-    cache = _open_cache(task)
-    before = dict(cache.counters()) if cache is not None else {}
-    start = perf_counter()
-    app = build_app(task.app, packets=task.packets, seed=task.seed)
-    build_seconds = perf_counter() - start
-
-    start = perf_counter()
-    _, breakdown = partition_app(app, task.degrees, cache=cache,
-                                 warm_start=task.warm_start)
-    partition_seconds = perf_counter() - start
-    counters = dict(cache.counters()) if cache is not None else None
-    if counters:
-        counters = {key: counters.get(key, 0) - before.get(key, 0)
-                    for key in counters}
-    return {
-        "kind": "partition",
-        "app": task.app,
-        "label": task.label,
-        "seed": task.seed,
-        "degrees": sorted(task.degrees),
-        "warm_start": task.warm_start,
-        "partition_breakdown": breakdown,
-        "timing": {
-            "build_seconds": build_seconds,
-            "partition_seconds": partition_seconds,
-        },
-        "cache": counters,
-    }
-
-
-def _execute_bench(task: SweepTask) -> dict:
-    from time import perf_counter
-
-    from repro.apps.suite import build_app
-    from repro.eval.metrics import (
-        measure_pipeline,
-        measure_sequential,
-        partition_app,
-    )
-    from repro.runtime.compile import compile_function
-    from repro.runtime.mode import reference_mode
-
-    cache = _open_cache(task)
-    start = perf_counter()
-    app = build_app(task.app, packets=task.packets, seed=task.seed)
-    build_seconds = perf_counter() - start
-
-    start = perf_counter()
-    transforms, breakdown = partition_app(app, task.degrees, cache=cache,
-                                          warm_start=task.warm_start)
-    partition_seconds = perf_counter() - start
-
-    start = perf_counter()
-    for transform in transforms.values():
-        for stage in transform.stages:
-            compile_function(stage.function)
-    compile_function(app.module.pps(app.pps_name))
-    compile_seconds = perf_counter() - start
-
-    instructions = 0
-    series: dict[int, float] = {}
-    start = perf_counter()
-    with reference_mode(task.reference):
-        baseline = measure_sequential(app)
-        instructions += baseline.total_instructions
-        for degree in sorted(task.degrees):
-            if degree == 1:
-                series[1] = 1.0
-                continue
-            measured = measure_pipeline(app, degree, baseline=baseline,
-                                        transform=transforms[degree])
-            instructions += measured.total_instructions
-            series[degree] = round(measured.speedup, 4)
-    simulate_seconds = perf_counter() - start
-
-    return {
-        "kind": "bench",
-        "app": task.app,
-        "label": task.label,
-        "reference": task.reference,
-        "seed": task.seed,
-        "degrees": sorted(task.degrees),
-        "speedup_by_degree": series,
-        "partition_breakdown": breakdown,
-        "simulated_instructions": instructions,
-        "timing": {
-            "build_seconds": build_seconds,
-            "partition_seconds": partition_seconds,
-            "compile_seconds": compile_seconds,
-            "simulate_seconds": simulate_seconds,
-        },
-        "cache": cache.counters() if cache is not None else None,
-    }
-
-
-def _execute_chaos(task: SweepTask) -> dict:
-    from time import perf_counter
-
+def _score_chaos(task: SweepTask, cache):
     from repro.eval.chaos import chaos_differential
     from repro.runtime.faults import builtin_plans
 
-    cache = _open_cache(task)
     plans = None
     if task.plans is not None:
         available = builtin_plans()
@@ -485,23 +396,34 @@ def _execute_chaos(task: SweepTask) -> dict:
                              f"{', '.join(unknown)}")
         plans = {name: available[name] for name in task.plans}
     letters: list = []
-    start = perf_counter()
-    report = chaos_differential(task.app, plans=plans,
-                                degrees=tuple(task.degrees),
-                                packets=task.packets, seed=task.seed,
-                                collect_letters=letters, cache=cache)
-    wall = perf_counter() - start
-    return {
-        "kind": "chaos",
-        "app": task.app,
-        "seed": task.seed,
-        "ok": report.ok,
-        "report": report.as_dict(),
-        "dead_letters": letters,
-        "rendered": report.render(),
-        "timing": {"wall_seconds": wall},
-        "cache": cache.counters() if cache is not None else None,
-    }
+    report, wall = _timed(chaos_differential, task.app, plans=plans,
+                          degrees=tuple(task.degrees),
+                          packets=task.packets, seed=task.seed,
+                          collect_letters=letters, cache=cache)
+    return ({"ok": report.ok,
+             "report": report.as_dict(),
+             "dead_letters": letters,
+             "rendered": report.render()},
+            {"wall_seconds": wall})
+
+
+def _score_fuzz(task: SweepTask, cache):
+    """One generated program (``task.seed``) at one degree; the record's
+    ``failure`` is a :class:`~repro.eval.fuzz.FuzzFailure` or ``None``."""
+    from repro.eval.fuzz import fuzz_case
+
+    [degree] = task.degrees
+    failure = fuzz_case(task.seed, degree, task.packets, task.shrink_tests)
+    return {"failure": failure}, {}
+
+
+_SCORERS = {
+    "bench": _score_bench,
+    "chaos": _score_chaos,
+    "explore": _score_explore,
+    "fuzz": _score_fuzz,
+    "partition": _score_partition,
+}
 
 
 # -- the partition planner --------------------------------------------------
@@ -512,44 +434,39 @@ def plan_partitions(apps: list[str], degrees, *, packets: int, seed: int,
                     keep_going: bool = False) -> list[dict]:
     """Partition the whole (app x degree) matrix up front, in parallel.
 
-    Fans one :func:`partition_tasks` cell per app over the sweep runner
-    (``jobs`` worker processes) with all results stored through the
-    shared on-disk compile ``cache`` — after planning, a cold ``repro
-    bench`` / ``repro fuzz`` / ``repro run`` gets pure cache hits for
-    every partition it needs.  Within each cell the worker shares one
-    analysis context and warm-start cache across the degree row, so the
-    parallel plan produces partitions bit-identical to a serial sweep
-    (and to cold, unseeded solves).
+    Fans one ``partition`` cell per app over the sweep runner (``jobs``
+    worker processes) with all results stored through the shared on-disk
+    compile ``cache`` — after planning, a cold ``repro bench`` / ``repro
+    fuzz`` / ``repro run`` gets pure cache hits for every partition it
+    needs.  Within each cell the worker shares one analysis context and
+    warm-start cache across the degree row, so the parallel plan
+    produces partitions bit-identical to a serial sweep (and to cold,
+    unseeded solves).
 
     Returns the task-order list of worker records (app, per-degree
-    breakdown, timings, cache counter deltas).  ``cache`` may be ``None``
-    (the plan then only returns the breakdown — nothing persists), but
-    that defeats the point when ``jobs > 1``.
+    breakdown, timings, cache counters).  ``cache`` may be ``None`` (the
+    plan then only returns the breakdown — nothing persists), but that
+    defeats the point when ``jobs > 1``.
     """
-    cache_dir = None
-    if cache is not None:
-        cache_dir = str(getattr(cache, "root", cache))
-    tasks = partition_tasks(sorted(set(apps)), degrees, packets=packets,
-                            seed=seed, cache_dir=cache_dir,
-                            warm_start=warm_start)
-    results = run_sweep(tasks, jobs=jobs, keep_going=keep_going)
-    if cache is not None:
-        for entry in results:
-            if entry.get("cache"):
-                cache.merge_counters(entry["cache"])
-    return results
+    tasks = app_tasks("partition", sorted(set(apps)), degrees,
+                      packets=packets, seed=seed, warm_start=warm_start)
+    return run_sweep(tasks, jobs=jobs, keep_going=keep_going, cache=cache)
 
 
 # -- the runner -------------------------------------------------------------
 
 
 def run_sweep(tasks, *, jobs: int = 1, worker=None,
-              keep_going: bool = False) -> list[dict]:
+              keep_going: bool = False, cache=None) -> list[dict]:
     """Execute every task; results come back in *task order*.
 
-    ``jobs <= 1`` runs inline through the exact same worker function, so
-    the parallel path cannot diverge from the sequential one.  ``worker``
-    is a test seam (must be a picklable module-level callable).
+    ``jobs <= 1`` runs inline through the exact same worker function and
+    the exact same failure handling, so the parallel path cannot diverge
+    from the sequential one.  ``worker`` is a test seam (must be a
+    picklable module-level callable).  ``cache`` (a
+    :class:`~repro.cache.CompileCache`) is the artifact cache every cell
+    shares: workers open its directory, and the counters they report
+    are folded back into it.
 
     ``keep_going=False`` (the default) fails fast: the first failing
     task raises :class:`SweepError` and sibling results are discarded.
@@ -559,42 +476,70 @@ def run_sweep(tasks, *, jobs: int = 1, worker=None,
     cell no longer costs the rest of the sweep.
     """
     tasks = list(tasks)
+    if cache is not None:
+        tasks = [replace(task, cache_dir=str(cache.root)) for task in tasks]
     worker = worker or _execute
-    if jobs <= 1:
-        return [_guarded(worker, task, keep_going=keep_going)
-                for task in tasks]
-
     results: list = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(worker, task): index
-                   for index, task in enumerate(tasks)}
-        for future in as_completed(futures):
-            index = futures[future]
-            task = tasks[index]
+
+    def settle(index: int, outcome) -> None:
+        task = tasks[index]
+        try:
+            results[index] = outcome()
+        except Exception as exc:
+            error = _classify(task, exc)
+            if keep_going:
+                results[index] = _failure_record(task, error)
+            elif error is exc:
+                raise
+            else:
+                raise error from exc
+
+    if jobs <= 1:
+        for index, task in enumerate(tasks):
+            settle(index, lambda: worker(task))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+
+            def submit(task: SweepTask) -> Future:
+                # A worker that has already died broke the pool: later
+                # submits raise instead of returning a future to settle.
+                try:
+                    return pool.submit(worker, task)
+                except BrokenProcessPool as exc:
+                    dead = Future()
+                    dead.set_exception(exc)
+                    return dead
+
+            futures = {submit(task): index
+                       for index, task in enumerate(tasks)}
             try:
-                results[index] = future.result()
-            except BrokenProcessPool as exc:
-                error = SweepError(
-                    f"sweep worker process died while running "
-                    f"{task.describe()} (killed or crashed); "
-                    f"{task.detail()}", task=task)
-                if keep_going:
-                    results[index] = _failure_record(task, error)
-                    continue
-                # Cancel what has not started; the pool is dead anyway.
+                for future in as_completed(futures):
+                    settle(futures[future], future.result)
+            except SweepError:
+                # Failing fast: do not run what has not started.
                 for pending in futures:
                     pending.cancel()
-                raise error from exc
-            except Exception as exc:
-                error = (exc if isinstance(exc, SweepError)
-                         else SweepError(
-                             f"sweep task {task.describe()} failed: "
-                             f"{exc}; {task.detail()}", task=task))
-                if keep_going:
-                    results[index] = _failure_record(task, error)
-                    continue
-                raise error from exc
+                raise
+
+    if cache is not None:
+        for entry in results:
+            if entry.get("cache"):
+                cache.merge_counters(entry["cache"])
     return results
+
+
+def _classify(task: SweepTask, exc: Exception) -> SweepError:
+    """The one failure classification, whatever ran the task: every
+    worker failure becomes a :class:`SweepError` naming the task, its
+    seed and its reproduce one-liner (a ``SweepError`` passes through)."""
+    if isinstance(exc, SweepError):
+        return exc
+    if isinstance(exc, BrokenProcessPool):
+        return SweepError(
+            f"sweep worker process died while running {task.describe()} "
+            f"(killed or crashed); {task.detail()}", task=task)
+    return SweepError(f"sweep task {task.describe()} failed: {exc}; "
+                      f"{task.detail()}", task=task)
 
 
 def _failure_record(task: SweepTask, error: Exception) -> dict:
@@ -603,7 +548,6 @@ def _failure_record(task: SweepTask, error: Exception) -> dict:
     return {
         "kind": task.kind,
         "app": task.app,
-        "label": task.label,
         "seed": task.seed,
         "ok": False,
         "failed": True,
@@ -611,25 +555,6 @@ def _failure_record(task: SweepTask, error: Exception) -> dict:
         "task": task.describe(),
         "repro": task.repro_command(),
     }
-
-
-def _guarded(worker, task: SweepTask, *, keep_going: bool = False) -> dict:
-    try:
-        return worker(task)
-    except SweepError as exc:
-        if keep_going:
-            return _failure_record(task, exc)
-        raise
-    except ReproError as exc:
-        if keep_going:
-            return _failure_record(task, exc)
-        raise
-    except Exception as exc:
-        error = SweepError(f"sweep task {task.describe()} failed: {exc}; "
-                           f"{task.detail()}", task=task)
-        if keep_going:
-            return _failure_record(task, error)
-        raise error from exc
 
 
 def deterministic_view(results: list[dict]) -> list[dict]:

@@ -370,13 +370,11 @@ def test_warm_bench_headline_all_hits(tmp_path):
     from repro.eval.metrics import bench_headline
 
     cold = CompileCache(tmp_path / "cache")
-    bench_headline(packets=4, degrees=[1, 2], measure_reference=False,
-                   cache=cold)
+    bench_headline(packets=4, degrees=[1, 2], cache=cold)
     assert cold.misses > 0 and cold.stores == cold.misses
 
     warm = CompileCache(tmp_path / "cache")
-    result = bench_headline(packets=4, degrees=[1, 2],
-                            measure_reference=False, cache=warm)
+    result = bench_headline(packets=4, degrees=[1, 2], cache=warm)
     assert warm.hits > 0
     assert warm.misses == 0
     assert result["cache"] == warm.counters()

@@ -189,6 +189,36 @@ def test_fuzz_bad_degrees_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["chaos", "--degrees", "x,y"],
+    ["plan", "--degrees", "1,two"],
+    ["explore", "--degrees", "x"],
+    ["fuzz", "--degrees", ","],
+    ["plan", "--apps", ","],
+])
+def test_bad_list_flag_is_a_usage_error_on_every_command(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_list_flags_take_commas_and_trailing_separators(tmp_path, capsys):
+    """One list parser behind --apps/--degrees: ``chaos --sweep`` takes
+    comma-separated apps like ``plan``/``explore`` do, and a trailing
+    comma is ignored everywhere, not only by ``explore``."""
+    assert main(["chaos", "--sweep", "--apps", "rx,ipv4", "--degrees",
+                 "1,2,", "--packets", "4", "--plans", "drop-light",
+                 "--no-cache", "-o", str(tmp_path / "chaos.json")]) == 0
+    out = capsys.readouterr().out
+    assert "sweep: 2 apps x degrees 1,2 (-j 1): ok" in out
+
+    import json
+
+    assert sorted(json.loads((tmp_path / "chaos.json").read_text())["apps"]) \
+        == ["ipv4", "rx"]
+    assert main(["fuzz", "--seeds", "2", "--packets", "8",
+                 "--degrees", "2,3,"]) == 0
+
+
 def test_keep_going_flags_parse():
     from repro.cli import build_parser
 
@@ -203,7 +233,7 @@ def test_keep_going_flags_parse():
 
 def test_bench_writes_report(tmp_path, capsys):
     output = tmp_path / "bench.json"
-    assert main(["bench", "--quick", "--packets", "8", "--no-reference",
+    assert main(["bench", "--quick", "--packets", "8",
                  "-o", str(output)]) == 0
     out = capsys.readouterr().out
     assert "figure19" in out
@@ -215,5 +245,4 @@ def test_bench_writes_report(tmp_path, capsys):
     assert report["config"]["packets"] == 8
     assert report["config"]["degrees"] == [1, 2, 3, 4]
     assert report["figures"]["figure19"]["simulated_instructions"] > 0
-    # --no-reference skips the before/after comparison run.
-    assert "speedup_vs_reference" not in report["figures"]["figure19"]
+    assert len(report["partition_breakdown"]) == 7  # one per distinct app

@@ -111,3 +111,23 @@ def test_parallel_fuzz_report_is_identical_to_serial():
     parallel = run_fuzz(seeds=4, packets=8, jobs=2)
     assert serial.as_dict() == parallel.as_dict()
     assert parallel.cases == 4
+
+
+def _die(seed):
+    import os
+
+    os._exit(13)  # hard death of the fuzz worker: no exception, no cleanup
+
+
+def test_dead_fuzz_worker_is_a_sweep_error_and_cli_exit_1(monkeypatch, capsys):
+    """``fuzz -j`` runs on the sweep runner: a worker that dies mid-case
+    is a SweepError naming the seed (exit 1), not a pool traceback."""
+    import repro.eval.fuzz as fuzz_module
+    from repro.cli import main
+
+    # Forked pool workers inherit the patched generator.
+    monkeypatch.setattr(fuzz_module, "random_pps_source", _die)
+    assert main(["fuzz", "--seeds", "2", "--packets", "8", "-j", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "sweep worker process died" in err
+    assert "reproduce: repro fuzz --seeds 1 --start-seed" in err

@@ -6,7 +6,8 @@ The contract under test:
   nondeterministic ``timing`` / ``cache`` fields are stripped
   (:func:`deterministic_view`), regardless of completion order;
 * a worker exception or a hard worker crash surfaces as
-  :class:`SweepError` — a structured failure, never a hang;
+  :class:`SweepError` — a structured failure, never a hang, and the
+  same failure at every ``-j`` level;
 * per-task seeds derive deterministically from the base seed and the
   task identity, so chaos sweeps reproduce under any parallelism.
 """
@@ -19,10 +20,12 @@ import time
 
 import pytest
 
+from repro.cache import CompileCache
+from repro.errors import TrapError
 from repro.eval.sweep import (
     SweepError,
     SweepTask,
-    bench_tasks,
+    app_tasks,
     chaos_tasks,
     derive_seed,
     deterministic_view,
@@ -47,11 +50,10 @@ def test_chaos_tasks_thread_derived_seeds_in_sorted_order():
     assert tasks[1].seed == derive_seed(7, "chaos", "tx")
 
 
-def test_bench_tasks_preserve_app_order_and_label():
-    tasks = bench_tasks(["tx", "rx"], [1, 2], packets=8, seed=7,
-                        label="figure19", reference=True)
+def test_app_tasks_preserve_app_order():
+    tasks = app_tasks("bench", ["tx", "rx"], [1, 2], packets=8, seed=7)
     assert [task.app for task in tasks] == ["tx", "rx"]
-    assert all(task.label == "figure19" and task.reference
+    assert all(task.kind == "bench" and task.degrees == (1, 2)
                for task in tasks)
 
 
@@ -71,6 +73,8 @@ def _echo_worker(task: SweepTask) -> dict:
 def _failing_worker(task: SweepTask) -> dict:
     if task.app == "bad":
         raise ValueError("synthetic task failure")
+    if task.app == "trap":
+        raise TrapError("synthetic trap")
     return {"app": task.app}
 
 
@@ -118,6 +122,27 @@ def test_sweep_error_carries_seed_args_and_repro_command():
         assert repr(tasks[1]) in message               # full arg tuple
         assert "reproduce:" in message                 # one-liner
         assert tasks[1].repro_command() in message
+
+
+@pytest.mark.parametrize("app", ["bad", "trap"])
+def test_failure_is_the_same_at_every_jobs_level(app):
+    """Whatever the worker raised — a toolchain error like TrapError
+    included — the exception type, message and keep-going record do not
+    depend on ``jobs``."""
+    tasks = _tasks(["good", app])
+    raised, recorded = [], []
+    for jobs in (1, 2):
+        with pytest.raises(SweepError, match="reproduce:") as excinfo:
+            run_sweep(tasks, jobs=jobs, worker=_failing_worker)
+        raised.append((type(excinfo.value), str(excinfo.value),
+                       excinfo.value.task))
+        recorded.append(run_sweep(tasks, jobs=jobs, worker=_failing_worker,
+                                  keep_going=True))
+    assert raised[0] == raised[1]
+    assert recorded[0] == recorded[1]
+    assert f"seed={tasks[1].seed}" in raised[0][1]
+    assert recorded[0][1]["failed"] and raised[0][1] == \
+        recorded[0][1]["error"]
 
 
 def test_worker_crash_is_a_sweep_error_not_a_hang():
@@ -179,12 +204,11 @@ def test_unknown_chaos_plan_rejected():
 
 
 def test_bench_sweep_parallel_identical_to_inline(tmp_path):
-    tasks = bench_tasks(["rx", "tx"], [1, 2], packets=4, seed=7,
-                        cache_dir=str(tmp_path / "inline-cache"))
-    inline = run_sweep(tasks, jobs=1)
-    tasks = bench_tasks(["rx", "tx"], [1, 2], packets=4, seed=7,
-                        cache_dir=str(tmp_path / "fanned-cache"))
-    fanned = run_sweep(tasks, jobs=4)
+    tasks = app_tasks("bench", ["rx", "tx"], [1, 2], packets=4, seed=7)
+    inline = run_sweep(tasks, jobs=1,
+                       cache=CompileCache(tmp_path / "inline-cache"))
+    fanned = run_sweep(tasks, jobs=4,
+                       cache=CompileCache(tmp_path / "fanned-cache"))
     assert json.dumps(deterministic_view(fanned), sort_keys=True) == \
         json.dumps(deterministic_view(inline), sort_keys=True)
     for result in inline:
@@ -193,21 +217,51 @@ def test_bench_sweep_parallel_identical_to_inline(tmp_path):
 
 def test_chaos_sweep_parallel_identical_to_inline(tmp_path):
     tasks = chaos_tasks(["rx"], (1, 2), packets=8, seed=7,
-                        plans=("drop-light",),
-                        cache_dir=str(tmp_path / "cache"))
-    inline = run_sweep(tasks, jobs=1)
-    fanned = run_sweep(tasks, jobs=2)
+                        plans=("drop-light",))
+    cache = CompileCache(tmp_path / "cache")
+    inline = run_sweep(tasks, jobs=1, cache=cache)
+    fanned = run_sweep(tasks, jobs=2, cache=cache)
     assert json.dumps(deterministic_view(fanned), sort_keys=True) == \
         json.dumps(deterministic_view(inline), sort_keys=True)
     assert inline[0]["ok"] is True
     assert inline[0]["seed"] == derive_seed(7, "chaos", "rx")
 
 
+def test_bench_headline_is_one_path_at_every_jobs_level():
+    """``repro bench``: same cells, same report shape, and each distinct
+    app partitioned once, whether inline or fanned out."""
+    from repro.eval.metrics import bench_headline
+
+    def cells(report):
+        return json.dumps({
+            "figures": {figure: {key: entry[key] for key in (
+                "apps", "speedup_by_degree", "simulated_instructions")}
+                for figure, entry in report["figures"].items()},
+            "headline": report["headline_speedup_degree2"],
+            "work": {app: {degree: {key: value
+                                    for key, value in cell.items()
+                                    if key != "seconds"}
+                           for degree, cell in per_app.items()}
+                     for app, per_app in report["partition_breakdown"].items()},
+        }, sort_keys=True)
+
+    inline = bench_headline(packets=4, degrees=[1, 2], jobs=1)
+    fanned = bench_headline(packets=4, degrees=[1, 2], jobs=2)
+    assert cells(inline) == cells(fanned)
+    assert set(inline) == set(fanned)
+    assert set(inline["phase_seconds"]) == set(fanned["phase_seconds"]) == \
+        {"sweep", "build", "partition", "compile", "simulate"}
+    for report in (inline, fanned):
+        assert sorted(report["partition_breakdown"]) == \
+            ["ip_v4", "ip_v6", "ipv4", "qm", "rx", "scheduler", "tx"]
+        assert set(report["figures"]["figure20"]["speedup_by_degree"]) == \
+            {"rx", "ip_v4", "ip_v6", "tx"}
+
+
 # -- the partition planner ---------------------------------------------------
 
 
 def test_plan_partitions_parallel_matches_serial(tmp_path):
-    from repro.cache import CompileCache
     from repro.eval.sweep import plan_partitions
 
     serial_cache = CompileCache(tmp_path / "serial")
@@ -228,7 +282,6 @@ def test_plan_partitions_parallel_matches_serial(tmp_path):
 
 def test_plan_partitions_prewarms_the_compile_cache(tmp_path):
     from repro.apps.suite import build_app
-    from repro.cache import CompileCache
     from repro.eval.metrics import partition_app
     from repro.eval.sweep import plan_partitions
 
