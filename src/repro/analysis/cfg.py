@@ -60,6 +60,24 @@ class PpsLoop:
         return graph
 
 
+def pps_loop_header(function: Function) -> str:
+    """The name of the PPS loop header block, without building a CFG.
+
+    The header is the unique block with two predecessor groups: one from
+    the prologue (outside the loop) and one back edge.  Lowering marks it
+    by name prefix, so callers that only need where an iteration starts
+    (the runtime, once per run) read the mark instead of the graph.
+    """
+    headers = [name for name in function.block_order
+               if name.startswith("pps_header")]
+    if len(headers) != 1:
+        raise ValueError(
+            f"{function.name}: expected exactly one PPS loop header, "
+            f"found {headers}"
+        )
+    return headers[0]
+
+
 def find_pps_loop(function: Function) -> PpsLoop:
     """Locate the PPS loop in a lowered PPS body.
 
@@ -68,19 +86,9 @@ def find_pps_loop(function: Function) -> PpsLoop:
     unique latch; every block except the prologue is in the loop (the PPS
     loop never exits).
     """
+    header = pps_loop_header(function)
     graph = cfg_of(function)
     assert function.entry is not None
-    # The header is the unique block with two predecessor groups: one from
-    # the prologue (outside the loop) and one back edge.  Lowering marks it
-    # by name prefix for robustness.
-    headers = [name for name in function.block_order
-               if name.startswith("pps_header")]
-    if len(headers) != 1:
-        raise ValueError(
-            f"{function.name}: expected exactly one PPS loop header, "
-            f"found {headers}"
-        )
-    header = headers[0]
     preds = graph.preds(header)
     # Blocks reachable from the header without leaving the loop: since the
     # PPS loop is infinite, everything reachable from header is in the loop.

@@ -16,6 +16,7 @@ whole-application runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 from repro.apps import qm as qm_mod
@@ -62,18 +63,37 @@ IPV6_PREFIXES = [
 ]
 
 
-def build_ipv4_tables() -> tuple[list[int], list[int]]:
+@cache
+def build_ipv4_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(rt_l1, rt_nodes)`` for :data:`IPV4_PREFIXES`.  Built once per
+    process and shared by every caller, hence tuples: ``load_region``
+    copies them into a machine state, nothing can write through them."""
     table = Ipv4RouteTable()
     for index, (prefix, plen) in enumerate(IPV4_PREFIXES):
         table.add_route(prefix, plen, port=index % 4, next_hop=100 + index)
-    return table.build()
+    level1, nodes = table.build()
+    return tuple(level1), tuple(nodes)
 
 
-def build_ipv6_tables() -> list[int]:
+@cache
+def build_ipv6_tables() -> tuple[int, ...]:
+    """``rt6_nodes`` for :data:`IPV6_PREFIXES` (memoised, see above)."""
     table = Ipv6RouteTable()
     for index, (prefix, plen) in enumerate(IPV6_PREFIXES):
         table.add_route(prefix, plen, port=index % 4, next_hop=200 + index)
-    return table.build()
+    return tuple(table.build())
+
+
+#: DSCP -> traffic class maps and the fast-path ACL, as loaded per feed.
+_CLASS_MAP = tuple((i * 3 + 1) & 0x7 for i in range(64))
+_CLASS6_MAP = tuple((i * 5 + 2) & 0x7 for i in range(64))
+_ACL_RULES = (
+    # (value, mask, match-on-src, action): action 2 = deny, 3 = remark.
+    0x0A630000, 0xFFFF0000, 0, 2,   # deny dst 10.99/16 (rare)
+    0xAC100000, 0xFFF00000, 0, 3,   # remark dst 172.16/12
+    0x7F000000, 0xFF000000, 1, 2,   # deny src loopback (redundant)
+    0xC0A82A00, 0xFFFFFF00, 1, 3,   # remark src 192.168.42/24
+) + (0,) * 48
 
 
 def combine_sources(*sources: str) -> str:
@@ -141,6 +161,8 @@ def _compile(source: str) -> Module:
 
 
 def _load_common_tables(state: MachineState) -> None:
+    """Copy the (process-wide, immutable) tables into ``state``: the only
+    per-feed cost is the copy, never the construction."""
     if "rt_l1" in state.regions:
         level1, nodes = build_ipv4_tables()
         state.load_region("rt_l1", level1)
@@ -148,18 +170,11 @@ def _load_common_tables(state: MachineState) -> None:
     if "rt6_nodes" in state.regions:
         state.load_region("rt6_nodes", build_ipv6_tables())
     if "class_map" in state.regions:
-        state.load_region("class_map", [(i * 3 + 1) & 0x7 for i in range(64)])
+        state.load_region("class_map", _CLASS_MAP)
     if "acl_rules" in state.regions:
-        # (value, mask, match-on-src, action): action 2 = deny, 3 = remark.
-        rules = [
-            0x0A630000, 0xFFFF0000, 0, 2,   # deny dst 10.99/16 (rare)
-            0xAC100000, 0xFFF00000, 0, 3,   # remark dst 172.16/12
-            0x7F000000, 0xFF000000, 1, 2,   # deny src loopback (redundant)
-            0xC0A82A00, 0xFFFFFF00, 1, 3,   # remark src 192.168.42/24
-        ]
-        state.load_region("acl_rules", rules + [0] * (64 - len(rules)))
+        state.load_region("acl_rules", _ACL_RULES)
     if "class6_map" in state.regions:
-        state.load_region("class6_map", [(i * 5 + 2) & 0x7 for i in range(64)])
+        state.load_region("class6_map", _CLASS6_MAP)
 
 
 def _traffic(count: int, seed: int, **kwargs) -> TrafficGenerator:

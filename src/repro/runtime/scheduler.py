@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.analysis.cfg import pps_loop_header
 from repro.errors import TrapError
 from repro.ir.function import Function
 from repro.obs import tracer as obs
@@ -218,10 +219,8 @@ def run_sequential(function: Function, state: MachineState, *,
                    iterations: int, watchdog=None,
                    isolate_traps: bool = False) -> InterpStats:
     """Run one sequential PPS for ``iterations`` loop iterations."""
-    from repro.analysis.cfg import find_pps_loop
-
-    loop = find_pps_loop(function)
-    interp = Interpreter(function, state, loop_start=loop.header,
+    interp = Interpreter(function, state,
+                         loop_start=pps_loop_header(function),
                          max_iterations=iterations)
     run_group({function.name: interp}, watchdog=watchdog,
               isolate_traps=isolate_traps)
@@ -257,16 +256,13 @@ def run_replicas(replicas: list, state: MachineState, *,
     ``iterations`` is the total number of global iterations; replica r of
     N executes ceil((iterations - r + 1) / N) of them.
     """
-    from repro.analysis.cfg import find_pps_loop
-
     interpreters: dict[str, Interpreter] = {}
     ways = len(replicas)
     for replica in replicas:
         function = replica.function
-        loop = find_pps_loop(function)
         own = (iterations - (replica.index - 1) + ways - 1) // ways
         interpreters[function.name] = Interpreter(
-            function, state, loop_start=loop.header,
+            function, state, loop_start=pps_loop_header(function),
             max_iterations=max(0, own),
             seq_offset=replica.index - 1, seq_stride=ways,
         )
@@ -277,8 +273,5 @@ def run_replicas(replicas: list, state: MachineState, *,
 def _stage_loop_start(stage) -> str:
     if stage.in_pipe is None:
         # Stage 1 starts iterations at the original PPS header.
-        for name in stage.function.block_order:
-            if name.startswith("pps_header"):
-                return name
-        raise TrapError(f"{stage.function.name}: no loop header found")
+        return pps_loop_header(stage.function)
     return "stage_recv"

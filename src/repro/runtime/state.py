@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import TrapError
@@ -202,9 +203,11 @@ class MachineState:
 
     # -- host-side helpers -----------------------------------------------------
 
-    def load_region(self, name: str, values: dict[int, int] | list[int]) -> None:
+    def load_region(self, name: str,
+                    values: dict[int, int] | Sequence[int]) -> None:
         """Populate a region before a run (route tables etc.); readonly
-        regions may only be written through this host-side call."""
+        regions may only be written through this host-side call.  The
+        values are copied in, so a shared table may be loaded many times."""
         region = self.region(name)
         if isinstance(values, dict):
             for addr, value in values.items():

@@ -6,10 +6,11 @@
   exactly-once commit watermark (replay + redelivery accounting);
 * :mod:`repro.serve.worker` — the child-process batch loop (compiled
   pipeline per worker, watchdog failure classification, deterministic
-  fault injection);
+  fault injection) and the batch runner it shares with the oracle;
 * :mod:`repro.serve.supervise` — the supervisor: heartbeats, crash
   recovery with exponential backoff, the restart-budget circuit
-  breaker, re-sharding onto survivors, and graceful drain.
+  breaker, re-sharding onto survivors, graceful drain, and the
+  sequential oracle it steps in its idle time.
 
 See ``docs/serving.md`` for the architecture and lifecycle.
 """

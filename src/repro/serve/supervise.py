@@ -34,6 +34,15 @@ bit-identical to a sequential PPS fed the same batch sequence — the
 *sequential oracle*.  Batches are the comparison unit because feeding
 assigns per-batch sequence metadata; sharing the exact feed calls makes
 oracle and worker inputs identical by construction.
+
+The oracle runs *beside* the workers, not after them: whenever no
+worker has a message ready the supervisor simulates one more oracle
+batch (:class:`_OracleStream`), and a batch is compared the moment both
+its oracle delta and its committed delta exist, after which both
+payloads are dropped.  What is left when the last worker exits is the
+verify lag, which ``_assemble`` finishes.  No thread (unsafe beside the
+``fork`` start method), no verifier process, nothing inside the workers
+(a restart would replay it).
 """
 
 from __future__ import annotations
@@ -46,14 +55,21 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 
-from repro.errors import EXIT_DEGRADED_SERVE, EXIT_FAILURE, EXIT_OK, ReproError
+from repro.errors import (
+    EXIT_DEGRADED_SERVE,
+    EXIT_FAILURE,
+    EXIT_OK,
+    DeadlockError,
+    ReproError,
+    TrapError,
+)
 from repro.obs import TID_RUNTIME, instant, span
 from repro.serve.journal import Journal
 from repro.serve.shard import make_batches, shard_stream
 from repro.serve.worker import (
+    BatchRunner,
     WorkerConfig,
     WorkerFaultSpec,
-    _DeltaTracker,
     worker_main,
 )
 
@@ -117,6 +133,12 @@ class ServeReport:
     degraded: bool = False
     drained: bool = False
     warnings: list = field(default_factory=list)
+    #: How fast it was: ``wall_s`` (``run()`` entry to verdict),
+    #: ``packets_per_s`` (committed packets over ``wall_s``),
+    #: ``first_commit_s`` and ``verify_tail_s`` (last commit to verdict).
+    #: The only nondeterministic part of the report — anything that
+    #: compares two reports (``serve_differential``, tests) ignores it.
+    timings: dict = field(default_factory=dict)
 
     @property
     def delivered(self) -> bool:
@@ -151,6 +173,7 @@ class ServeReport:
             "shards_detail": [dict(entry) for entry in self.shard_stats],
             "mismatches": list(self.mismatches),
             "warnings": list(self.warnings),
+            "timings": dict(self.timings),
         }
 
     def render(self) -> str:
@@ -179,6 +202,12 @@ class ServeReport:
                        if self.verified else
                        f"FAILED ({len(self.mismatches)} mismatches)")
             lines.append(f"  verify: {verdict}")
+        t = self.timings
+        if t:
+            lines.append(
+                f"  throughput: {t['packets_per_s']:.0f} packets/s over "
+                f"{t['wall_s']:.3f} s (first commit {t['first_commit_s']:.3f}"
+                f" s, verify tail {t['verify_tail_s']:.3f} s)")
         status = "ok" if self.ok else (
             "degraded" if self.degraded else "FAIL")
         if self.drained:
@@ -208,36 +237,31 @@ class ServeReport:
         return report
 
 
+def oracle_deltas(app, batches: list[list], *,
+                  watchdog_quantum: int | None = 200_000):
+    """The sequential oracle for one shard, one batch per ``next()``:
+    the plain PPS run over the identical batch sequence, yielding each
+    batch's observable delta."""
+    runner = BatchRunner(app, watchdog_quantum=watchdog_quantum)
+    for packets in batches:
+        yield runner.run(packets)[0]
+
+
 def shard_oracle(app, batches: list[list], *,
                  watchdog_quantum: int | None = 200_000) -> list[dict]:
-    """The sequential oracle for one shard: run the plain PPS over the
-    identical batch sequence, returning one observable delta per batch."""
-    from repro.runtime.scheduler import run_sequential
-    from repro.runtime.state import MachineState
-    from repro.runtime.watchdog import Watchdog
-
-    function = app.module.pps(app.pps_name)
-    state = MachineState(app.module)
-    tracker = _DeltaTracker(state)
-    deltas = []
-    for packets in batches:
-        iterations = app.feed(state, packets)
-        watchdog = (Watchdog(watchdog_quantum)
-                    if watchdog_quantum is not None else None)
-        run_sequential(function, state, iterations=iterations,
-                       watchdog=watchdog)
-        deltas.append(tracker.take())
-    return deltas
+    """:func:`oracle_deltas` run to the end: one delta per batch."""
+    return list(oracle_deltas(app, batches,
+                              watchdog_quantum=watchdog_quantum))
 
 
 def compare_deltas(shard: int, expected: list[dict],
-                   actual: dict[int, dict]) -> list[str]:
+                   actual: dict[int, dict], *, first: int = 1) -> list[str]:
     """Differences between the oracle's per-batch deltas and the
-    committed worker deltas (``actual`` maps batch seq -> delta).  Only
-    committed batches are compared — a drained run's uncommitted tail
-    is absent, not wrong."""
+    committed worker deltas (``actual`` maps batch seq -> delta;
+    ``expected[0]`` is batch ``first``).  Only committed batches are
+    compared — a drained run's uncommitted tail is absent, not wrong."""
     mismatches = []
-    for seq, want in enumerate(expected, start=1):
+    for seq, want in enumerate(expected, start=first):
         got = actual.get(seq)
         if got is None:
             continue
@@ -250,6 +274,92 @@ def compare_deltas(shard: int, expected: list[dict],
             mismatches.append(
                 f"shard {shard} batch {seq}: traces diverged")
     return mismatches
+
+
+class _OracleStream:
+    """The sequential oracle, streamed beside the workers.
+
+    ``step()`` simulates the next batch — shard by shard, so one oracle
+    machine state is alive at a time — and ``commit()`` takes a worker's
+    committed delta; whichever of the two arrives second for a batch
+    triggers its :func:`compare_deltas` and releases both payloads, so
+    what is retained is the verify lag, never the stream.
+    """
+
+    def __init__(self, app, journal: Journal,
+                 watchdog_quantum: int | None):
+        self._app = app
+        self._journal = journal
+        self._watchdog_quantum = watchdog_quantum
+        shards = len(journal.shards)
+        self._expected: list[dict[int, dict]] = [{} for _ in range(shards)]
+        self._committed: list[dict[int, dict]] = [{} for _ in range(shards)]
+        self._mismatches: dict[tuple[int, int], list[str]] = {}
+        self._shard = 0             # the shard being simulated
+        self._done = 0              # batches of it simulated so far
+        self._deltas = None         # its oracle_deltas generator
+
+    @property
+    def exhausted(self) -> bool:
+        """Every journaled batch of every shard has been simulated."""
+        return self._shard >= len(self._expected)
+
+    def commit(self, shard: int, seq: int, delta: dict) -> None:
+        self._committed[shard][seq] = delta
+        self._settle(shard, seq)
+
+    def step(self, *, committed_only: bool = False) -> bool:
+        """Simulate one more batch; False when none is left.  The oracle
+        may run ahead of the commit watermark (its deltas wait for their
+        commits) unless ``committed_only``."""
+        while not self.exhausted:
+            shard, journal = self._shard, self._journal[self._shard]
+            limit = (journal.committed if committed_only
+                     else len(journal.records))
+            if self._done < limit:
+                if self._deltas is None:
+                    self._deltas = oracle_deltas(
+                        self._app, [r.packets for r in journal.records],
+                        watchdog_quantum=self._watchdog_quantum)
+                seq = self._done + 1
+                try:
+                    delta = next(self._deltas)
+                except (TrapError, DeadlockError) as exc:
+                    # Same class (and CLI exit code) as the sequential
+                    # PPS raised; the message gains where it happened.
+                    exc.args = (f"sequential oracle, shard {shard} batch "
+                                f"{seq}: {exc}", *exc.args[1:])
+                    raise
+                self._done = seq
+                self._expected[shard][seq] = delta
+                self._settle(shard, seq)
+                return True
+            self._shard, self._done, self._deltas = shard + 1, 0, None
+        return False
+
+    def finish(self) -> list[str]:
+        """Catch up to every shard's commit watermark — the committed
+        prefix is what a run vouches for — and return every mismatch in
+        shard, batch order.  Oracle deltas that ran ahead of a drained
+        shard's watermark are dropped unused."""
+        while self.step(committed_only=True):
+            pass
+        for ahead in self._expected:
+            ahead.clear()
+        return [line for key in sorted(self._mismatches)
+                for line in self._mismatches[key]]
+
+    def _settle(self, shard: int, seq: int) -> None:
+        expected, committed = self._expected[shard], self._committed[shard]
+        if seq in expected and seq in committed:
+            lines = compare_deltas(shard, [expected.pop(seq)],
+                                   {seq: committed.pop(seq)}, first=seq)
+            if lines:
+                self._mismatches[shard, seq] = lines
+
+
+#: The per-batch delta counters a :class:`ServeReport` sums per shard.
+_SUMMED = ("instructions", "weight", "iterations")
 
 
 def _spawn_context():
@@ -288,7 +398,11 @@ class ServeRuntime:
         self._drain_started: float | None = None
         self._slots: list[_Slot] = []
         self._journal: Journal | None = None
-        self._deltas: list[dict[int, dict]] = []
+        self._oracle: _OracleStream | None = None   # None = verify off
+        self._totals: list[dict[str, int]] = []     # per shard, see _handle
+        self._started = 0.0
+        self._first_commit: float | None = None
+        self._last_commit: float | None = None
         self._attempts: dict[int, int] = {}
         self._resharded: dict[int, int] = {}
         self._warnings: list[str] = []
@@ -316,6 +430,7 @@ class ServeRuntime:
     def _run(self, *, install_sigterm: bool) -> ServeReport:
         from repro.apps.suite import build_app
 
+        self._started = time.monotonic()
         app = build_app(self.app_name, packets=self.packets, seed=self.seed)
         if app.stream is None or app.feed is None:
             raise ServeError(f"app {self.app_name!r} cannot be served "
@@ -330,12 +445,16 @@ class ServeRuntime:
 
         substreams = shard_stream(app.stream(), self.shards)
         self._journal = Journal(self.shards, self.journal_dir)
-        self._deltas = [{} for _ in range(self.shards)]
+        self._totals = [dict.fromkeys(_SUMMED, 0)
+                        for _ in range(self.shards)]
         self._slots = [_Slot(shard=index) for index in range(self.shards)]
         self._attempts = {}
         for index, substream in enumerate(substreams):
             for packets in make_batches(substream, self.batch):
                 self._journal.append(index, packets)
+        if self.verify:
+            self._oracle = _OracleStream(app, self._journal,
+                                         self.watchdog_quantum)
 
         self._drain_event = self._ctx.Event()
         previous = None
@@ -351,7 +470,7 @@ class ServeRuntime:
             if previous is not None:
                 signal.signal(signal.SIGTERM, previous)
             self._kill_all()
-        return self._assemble(app)
+        return self._assemble()
 
     def _worker_config(self) -> WorkerConfig:
         cache_dir = (str(self.cache.root)
@@ -440,16 +559,27 @@ class ServeRuntime:
                     slot.restart_at = None
                     self._maybe_start(slot, now)
             live = [slot for slot in self._slots if slot.proc is not None]
+            # Idle time belongs to the oracle: while it has batches left
+            # (and no drain is waiting on us) the supervisor only polls
+            # the workers, and simulates one oracle batch whenever none
+            # of them has anything to say.
+            oracle_busy = (self._oracle is not None
+                           and not self._oracle.exhausted
+                           and self._drain_started is None)
             if not live:
                 if self._drain_started is not None:
                     return
                 if all(slot.restart_at is None and not slot.orphans
                        for slot in self._slots):
                     return
-                time.sleep(policy.poll_interval)
+                if not (oracle_busy and self._oracle.step()):
+                    time.sleep(policy.poll_interval)
                 continue
-            ready = connection_wait([slot.conn for slot in live],
-                                    timeout=policy.poll_interval)
+            ready = connection_wait(
+                [slot.conn for slot in live],
+                timeout=0 if oracle_busy else policy.poll_interval)
+            if oracle_busy and not ready:
+                self._oracle.step()
             now = time.monotonic()
             by_conn = {slot.conn: slot for slot in live}
             for conn in ready:
@@ -481,7 +611,16 @@ class ServeRuntime:
         elif kind == "result":
             _, shard, _incarnation, seq, delta = message
             if self._journal.accept(shard, seq):
-                self._deltas[shard][seq] = delta
+                if self._first_commit is None:
+                    self._first_commit = now
+                self._last_commit = now
+                # Keep the sums the report needs; the payload lives on
+                # only until the oracle has compared it.
+                totals = self._totals[shard]
+                for name in _SUMMED:
+                    totals[name] += delta[name]
+                if self._oracle is not None:
+                    self._oracle.commit(shard, seq, delta)
                 if self.on_commit is not None:
                     self.on_commit(shard, seq)
         elif kind == "error":
@@ -620,7 +759,7 @@ class ServeRuntime:
 
     # -- reporting -----------------------------------------------------------
 
-    def _assemble(self, app) -> ServeReport:
+    def _assemble(self) -> ServeReport:
         journal = self._journal
         report = ServeReport(
             app=self.app_name, shards=self.shards, degree=self.degree,
@@ -634,7 +773,6 @@ class ServeRuntime:
             attempts = self._attempts.get(index, 0)
             restarts = max(0, attempts - 1)
             restarts_total += restarts
-            deltas = self._deltas[index]
             slot = self._slots[index]
             report.shard_stats.append({
                 "shard": index,
@@ -646,11 +784,7 @@ class ServeRuntime:
                 "causes": list(slot.causes),
                 "failed": slot.failed,
                 "resharded_to": self._resharded.get(index),
-                "instructions": sum(d["instructions"]
-                                    for d in deltas.values()),
-                "weight": sum(d["weight"] for d in deltas.values()),
-                "iterations": sum(d["iterations"]
-                                  for d in deltas.values()),
+                **self._totals[index],
             })
         counters = journal.counters()
         counters.update({
@@ -669,23 +803,27 @@ class ServeRuntime:
                        f"batches undelivered")
             report.warnings.append(message)
             print(message, file=sys.stderr)
-        if self.verify:
-            report.mismatches = self._verify(app)
+        if self._oracle is not None:
+            report.mismatches = self._oracle.finish()
             report.verified = not report.mismatches
+        report.timings = self._timings(time.monotonic())
         return report
 
-    def _verify(self, app) -> list[str]:
-        mismatches = []
-        for index in range(self.shards):
-            batches = [record.packets
-                       for record in self._journal[index].records]
-            if not batches:
-                continue
-            oracle = shard_oracle(
-                app, batches, watchdog_quantum=self.watchdog_quantum)
-            mismatches.extend(
-                compare_deltas(index, oracle, self._deltas[index]))
-        return mismatches
+    def _timings(self, verdict: float) -> dict:
+        """Wall-clock facts of the run, as of ``verdict``."""
+        wall = verdict - self._started
+        packets = sum(len(record.packets)
+                      for shard in self._journal.shards
+                      for record in shard.records[:shard.committed])
+        # A run that committed nothing has no first or last commit.
+        first = verdict if self._first_commit is None else self._first_commit
+        last = verdict if self._last_commit is None else self._last_commit
+        return {
+            "wall_s": wall,
+            "packets_per_s": packets / wall if wall > 0 else 0.0,
+            "first_commit_s": first - self._started,
+            "verify_tail_s": verdict - last,
+        }
 
 
 def serve(app_name: str, **kwargs) -> ServeReport:

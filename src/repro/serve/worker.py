@@ -33,6 +33,9 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import DeadlockError, TrapError
+from repro.runtime.scheduler import run_pipeline, run_sequential
+from repro.runtime.state import MachineState
+from repro.runtime.watchdog import Watchdog
 
 #: Exit code a worker uses for classified (reported) failures.
 WORKER_FAILURE_EXIT = 3
@@ -67,75 +70,86 @@ class WorkerFaultSpec:
         return incarnation == 0 or self.every_incarnation
 
 
-def _build_runner(config: WorkerConfig):
-    """Compile the app once per incarnation; returns (app, run_batch).
+class BatchRunner:
+    """One machine state fed and run to quiescence batch by batch: the
+    loop a worker incarnation and the sequential oracle share, so their
+    inputs (the exact ``feed`` calls) are identical by construction.
 
-    ``run_batch(state, packets)`` feeds one batch and runs it to
-    quiescence, returning (instructions, weight, iterations).
+    ``stages=None`` runs the plain sequential PPS — a degree-1 worker and
+    the oracle; otherwise the realized pipeline stages.
     """
-    from repro.apps.suite import build_app
-    from repro.runtime.scheduler import run_pipeline, run_sequential
-    from repro.runtime.watchdog import Watchdog
 
-    app = build_app(config.app, packets=config.packets, seed=config.seed)
-    if app.feed is None:
-        raise ValueError(f"app {config.app!r} has no stream/feed split")
-
-    def watchdog():
-        if config.watchdog_quantum is None:
-            return None
-        return Watchdog(config.watchdog_quantum)
-
-    if config.degree <= 1:
-        function = app.module.pps(app.pps_name)
-
-        def run_batch(state, packets):
-            iterations = app.feed(state, packets)
-            stats = run_sequential(function, state, iterations=iterations,
-                                   watchdog=watchdog(),
-                                   isolate_traps=config.isolate_traps)
-            return stats.instructions, stats.weight, stats.iterations
-    else:
-        from repro.cache import CompileCache
-        from repro.pipeline.transform import pipeline_pps
-
-        cache = (CompileCache(config.cache_dir)
-                 if config.cache_dir is not None else None)
-        result = pipeline_pps(app.module, app.pps_name, config.degree,
-                              cache=cache)
-
-        def run_batch(state, packets):
-            iterations = app.feed(state, packets)
-            run = run_pipeline(result.stages, state, iterations=iterations,
-                               watchdog=watchdog(),
-                               isolate_traps=config.isolate_traps)
-            return (sum(s.instructions for s in run.stats.values()),
-                    sum(s.weight for s in run.stats.values()),
-                    iterations)
-
-    return app, run_batch
-
-
-class _DeltaTracker:
-    """Incremental view of a state's observables (TX + traces)."""
-
-    def __init__(self, state):
-        self._state = state
+    def __init__(self, app, *, stages: list | None = None,
+                 watchdog_quantum: int | None = 200_000,
+                 isolate_traps: bool = False):
+        self._app = app
+        self._function = app.module.pps(app.pps_name)
+        self._stages = stages
+        self._watchdog_quantum = watchdog_quantum
+        self._isolate_traps = isolate_traps
+        self.state = MachineState(app.module)
         self._tx_seen = 0
         self._trace_seen: dict[int, int] = {}
 
-    def take(self) -> dict:
-        records = self._state.devices.tx_records
+    def run(self, packets: list) -> tuple[dict, dict]:
+        """Feed one batch, run it, and return ``(delta, counters)``: the
+        batch's new observables (TX records + trace events) and its
+        execution counters."""
+        state = self.state
+        iterations = self._app.feed(state, packets)
+        watchdog = (Watchdog(self._watchdog_quantum)
+                    if self._watchdog_quantum is not None else None)
+        if self._stages is None:
+            stats = [run_sequential(self._function, state,
+                                    iterations=iterations, watchdog=watchdog,
+                                    isolate_traps=self._isolate_traps)]
+            iterations = stats[0].iterations
+        else:
+            stats = run_pipeline(self._stages, state, iterations=iterations,
+                                 watchdog=watchdog,
+                                 isolate_traps=self._isolate_traps
+                                 ).stats.values()
+        counters = {"instructions": sum(s.instructions for s in stats),
+                    "weight": sum(s.weight for s in stats),
+                    "iterations": iterations,
+                    "dead_letters": len(state.dead_letters)}
+        return self._take_delta(), counters
+
+    def _take_delta(self) -> dict:
+        """What the state observed since the previous call."""
+        records = self.state.devices.tx_records
         tx = [(rec.port, rec.sop, rec.eop, bytes(rec.data))
               for rec in records[self._tx_seen:]]
         self._tx_seen = len(records)
         traces = {}
-        for tag, events in self._state.traces.items():
+        for tag, events in self.state.traces.items():
             seen = self._trace_seen.get(tag, 0)
             if len(events) > seen:
                 traces[tag] = list(events[seen:])
                 self._trace_seen[tag] = len(events)
         return {"tx": tx, "traces": traces}
+
+
+def _build_runner(config: WorkerConfig) -> BatchRunner:
+    """Compile the app once per incarnation (degree 1 = the sequential
+    PPS, no partitioning) and wrap it in a fresh :class:`BatchRunner`."""
+    from repro.apps.suite import build_app
+
+    app = build_app(config.app, packets=config.packets, seed=config.seed)
+    if app.feed is None:
+        raise ValueError(f"app {config.app!r} has no stream/feed split")
+    stages = None
+    if config.degree > 1:
+        from repro.cache import CompileCache
+        from repro.pipeline.transform import pipeline_pps
+
+        cache = (CompileCache(config.cache_dir)
+                 if config.cache_dir is not None else None)
+        stages = pipeline_pps(app.module, app.pps_name, config.degree,
+                              cache=cache).stages
+    return BatchRunner(app, stages=stages,
+                       watchdog_quantum=config.watchdog_quantum,
+                       isolate_traps=config.isolate_traps)
 
 
 def worker_main(config: WorkerConfig, shard: int, incarnation: int,
@@ -164,11 +178,7 @@ def _worker_body(config, shard, incarnation, batches, conn, drain_event,
                  fault) -> None:
     # The supervisor owns lifecycle signals; workers die by SIGKILL only.
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    app, run_batch = _build_runner(config)
-    from repro.runtime.state import MachineState
-
-    state = MachineState(app.module)
-    tracker = _DeltaTracker(state)
+    runner = _build_runner(config)
     conn.send(("ready", shard, incarnation))
 
     armed = fault if (fault is not None
@@ -183,12 +193,8 @@ def _worker_body(config, shard, incarnation, batches, conn, drain_event,
             while True:            # deliberate hang: heartbeats stop
                 time.sleep(_HANG_NAP)
         conn.send(("heartbeat", shard, incarnation, seq))
-        instructions, weight, iterations = run_batch(state, packets)
-        delta = tracker.take()
-        delta["instructions"] = instructions
-        delta["weight"] = weight
-        delta["iterations"] = iterations
-        delta["dead_letters"] = len(state.dead_letters)
+        delta, counters = runner.run(packets)
+        delta.update(counters)
         if armed is not None and armed.kill_after_batches is not None \
                 and sent == armed.kill_after_batches:
             # Die at the exact commit boundary: batch `seq` is fully

@@ -1,5 +1,7 @@
 """Tests for CFG views, PPS-loop discovery, and block splitting."""
 
+import pytest
+
 from repro.analysis.cfg import cfg_of, find_pps_loop, split_large_blocks
 from repro.ir.verify import verify_function
 from repro.runtime import MachineState, observe, run_sequential
@@ -82,3 +84,40 @@ def test_zero_threshold_means_no_split():
     before = len(pps.blocks)
     assert split_large_blocks(pps, 10**9) == 0
     assert len(pps.blocks) == before
+
+
+# -- the header lookup the runtime uses (no CFG built) ----------------------
+
+
+def test_pps_loop_header_agrees_with_find_pps_loop():
+    from repro.analysis.cfg import pps_loop_header
+    from repro.apps.suite import build_app
+
+    functions = [compile_module(STANDARD_PPS).pps("worker")]
+    for name in ("rx", "ipv4", "ip_v6", "qm"):
+        app = build_app(name, packets=4)
+        functions.append(app.module.pps(app.pps_name))
+    for function in functions:
+        assert pps_loop_header(function) == find_pps_loop(function).header
+
+
+@pytest.mark.parametrize("extra", [None, "pps_header_again"],
+                         ids=["zero-headers", "two-headers"])
+def test_header_lookup_needs_exactly_one_header(extra):
+    """Zero or two ``pps_header*`` blocks: the name scan raises the
+    ``ValueError`` ``find_pps_loop`` always raised, and so does the
+    runtime entry point that now uses it."""
+    from repro.analysis.cfg import pps_loop_header
+
+    module = compile_module(STANDARD_PPS)
+    pps = module.pps("worker")
+    header = find_pps_loop(pps).header
+    if extra is None:
+        pps.block_order.remove(header)
+    else:
+        pps.block_order.append(extra)
+    for lookup in (pps_loop_header, find_pps_loop,
+                   lambda function: run_sequential(
+                       function, MachineState(module), iterations=1)):
+        with pytest.raises(ValueError, match="exactly one PPS loop header"):
+            lookup(pps)

@@ -169,3 +169,32 @@ def test_app_statistics_report_structure():
     assert stats["ipv4"]["basic_blocks"] > 50
     assert stats["ipv4"]["instructions"] > 300
     assert stats["rx"]["inner_loops"] >= 1
+
+
+# -- feeding in batches (what `repro serve` does) ----------------------------
+
+STREAMABLE_APPS = ["rx", "ipv4", "ip_v4", "ip_v6"]
+
+
+@pytest.mark.parametrize("name", STREAMABLE_APPS)
+def test_batch_feeds_leave_regions_as_fresh_loads_do(name):
+    """``feed`` copies the process-wide tables in on every call: after
+    each of N batch feeds on one machine state, every region equals what
+    a fresh state gets from a single load."""
+    from repro.runtime import MachineState
+
+    app = build_app(name, packets=12)
+    stream = app.stream()
+    batches = [stream[start:start + 4] for start in range(0, len(stream), 4)]
+    assert len(batches) >= 3
+    state = MachineState(app.module)
+    function = app.module.pps(app.pps_name)
+    for batch in batches:
+        iterations = app.feed(state, batch)
+        fresh = MachineState(app.module)
+        app.feed(fresh, batch)
+        assert state.regions == fresh.regions
+        run_sequential(function, state, iterations=iterations)
+        assert state.regions == fresh.regions   # readonly: runs keep them
+    if "rt_l1" in state.regions:
+        assert any(state.regions["rt_l1"]) and any(state.regions["acl_rules"])

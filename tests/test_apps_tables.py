@@ -138,3 +138,37 @@ def test_ipv4_property_vs_naive(route_specs, probe):
         return best
 
     assert table.lookup(probe) == naive(probe)
+
+
+# -- the benchmark tables are built once per process -------------------------
+
+
+def test_benchmark_tables_are_memoised_and_cannot_be_written_through():
+    from repro.apps.suite import (
+        build_app,
+        build_ipv4_tables,
+        build_ipv6_tables,
+    )
+    from repro.runtime import MachineState
+
+    level1, nodes = build_ipv4_tables()
+    nodes6 = build_ipv6_tables()
+    assert build_ipv4_tables()[0] is level1 and build_ipv6_tables() is nodes6
+    # Equal to an independent, un-memoised construction.
+    rebuilt = build_ipv4_tables.__wrapped__()
+    assert rebuilt == (level1, nodes) and rebuilt[0] is not level1
+    assert build_ipv6_tables.__wrapped__() == nodes6
+    for table in (level1, nodes, nodes6):
+        with pytest.raises(TypeError):
+            table[0] = 0xBAD
+    # A machine state gets a copy: scribbling on it leaves the shared
+    # table, and the next state loaded from it, untouched.
+    app = build_app("ip_v4", packets=4)
+    state, _ = app.fresh_state()
+    state.regions["rt_l1"][0] = 0xBAD
+    state.regions["rt6_nodes"][0] = 0xBAD
+    assert build_ipv4_tables()[0][0] != 0xBAD
+    other = MachineState(app.module)
+    app.feed(other, app.stream())
+    assert other.regions["rt_l1"] == list(level1)
+    assert other.regions["rt6_nodes"][:len(nodes6)] == list(nodes6)

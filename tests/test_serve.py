@@ -184,6 +184,219 @@ def test_sharding_respects_flows_at_every_width():
                 assert seen.setdefault(key, index) == index
 
 
+# -- the streamed oracle -----------------------------------------------------
+
+#: Five batches on each of the two shards.
+STREAM_PACKETS, STREAM_BATCH = 40, 4
+
+
+class Tampering(ServeRuntime):
+    """Corrupts one worker delta on arrival and pins which side of the
+    comparison gets there first."""
+
+    def __init__(self, *args, victim, field, oracle_first, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.victim, self.field, self.oracle_first = (
+            victim, field, oracle_first)
+
+    def _supervise(self):
+        if self.oracle_first:
+            while self._oracle.step():      # every oracle delta waits
+                pass
+        else:                               # every commit waits
+            step = self._oracle.step
+            self._oracle.step = lambda *, committed_only=False: (
+                committed_only and step(committed_only=True))
+        super()._supervise()
+
+    def _handle(self, slot, message, now):
+        if message[0] == "result" and (message[1], message[3]) == self.victim:
+            delta = message[4]
+            if self.field == "tx":
+                delta["tx"] = delta["tx"] + [(0, 1, 1, b"forged")]
+            else:
+                tag = next(iter(delta["traces"]))
+                delta["traces"][tag] = [0xBAD]
+        super()._handle(slot, message, now)
+
+
+@pytest.mark.parametrize("oracle_first", [True, False],
+                         ids=["oracle-first", "commit-first"])
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("field", ["tx", "traces"])
+def test_tampered_delta_is_named_whichever_side_arrives_first(
+        field, position, oracle_first):
+    from repro.apps.suite import build_app
+    from repro.errors import EXIT_FAILURE
+    from repro.serve import make_batches
+
+    app = build_app("ipv4", packets=STREAM_PACKETS, seed=7)
+    count = len(make_batches(shard_stream(app.stream(), 2)[1], STREAM_BATCH))
+    assert count >= 3
+    seq = {"first": 1, "middle": (count + 1) // 2, "last": count}[position]
+    report = Tampering(
+        "ipv4", shards=2, packets=STREAM_PACKETS, batch=STREAM_BATCH,
+        policy=FAST, victim=(1, seq), field=field,
+        oracle_first=oracle_first).run()
+    assert report.verified is False
+    assert report.exit_code() == EXIT_FAILURE
+    assert report.counters["pending"] == 0
+    expected = (f"shard 1 batch {seq}: tx diverged (oracle 0 records, got 1)"
+                if field == "tx" else
+                f"shard 1 batch {seq}: traces diverged")
+    assert report.mismatches == [expected]
+    assert "FAILED (1 mismatches)" in report.render()
+
+
+def holds_observables(root) -> bool:
+    """Is a delta payload (a dict with ``tx`` / ``traces``) reachable
+    from ``root`` through containers and instance attributes?"""
+    seen, stack = set(), [root]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(
+                item, (str, bytes, int, float, type(None))):
+            continue
+        seen.add(id(item))
+        if isinstance(item, dict):
+            if "tx" in item or "traces" in item:
+                return True
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            stack.extend(item)
+        elif type(item).__module__.startswith("repro.serve"):
+            stack.extend(vars(item).values())
+    return False
+
+
+def test_verified_run_retains_no_delta_payload():
+    """Deltas are compared and released at commit: after the verdict
+    the runtime references only the sums ``_assemble`` reports."""
+    runtime = ServeRuntime("ipv4", shards=2, packets=STREAM_PACKETS,
+                           batch=STREAM_BATCH, policy=FAST)
+    assert holds_observables({"probe": {"tx": []}})     # the walker works
+    report = runtime.run()
+    assert report.verified is True
+    assert not holds_observables(runtime)
+    assert runtime._oracle.exhausted
+    for entry in report.shard_stats:
+        assert entry["instructions"] > 0 and entry["weight"] > 0
+        assert entry["iterations"] > 0
+
+
+def test_verify_off_never_builds_an_oracle(monkeypatch):
+    from repro.serve import supervise
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify=False touched the oracle")
+
+    monkeypatch.setattr(supervise, "_OracleStream", forbidden)
+    monkeypatch.setattr(supervise, "oracle_deltas", forbidden)
+    report = run_serve(verify=False)
+    assert report.verified is None and report.ok
+    assert report.counters["pending"] == 0
+
+
+@pytest.mark.parametrize("failure", ["trap", "livelock"])
+def test_oracle_failure_mid_run_is_loud_and_leaves_no_orphans(
+        monkeypatch, capsys, failure):
+    """The sequential PPS failing inside the supervision loop keeps its
+    class and exit code, says where, and every worker is reaped."""
+    import multiprocessing
+
+    from repro.errors import EXIT_RUNTIME, DeadlockError, TrapError
+    from repro.serve import supervise
+
+    real = supervise.oracle_deltas
+
+    def failing(app, batches, **kwargs):
+        deltas = real(app, batches, **kwargs)
+        yield next(deltas)
+        if failure == "trap":
+            raise TrapError("rt_l1[70000] out of bounds")
+        raise DeadlockError("no instruction progress", kind="livelock",
+                            parked={"ipv4": ("recv", "ipv4_in")})
+
+    live_at_failure = []
+    kill_all = ServeRuntime._kill_all
+
+    def recording_kill_all(self):
+        live_at_failure.append(
+            sum(slot.proc is not None for slot in self._slots))
+        kill_all(self)
+
+    monkeypatch.setattr(supervise, "oracle_deltas", failing)
+    monkeypatch.setattr(ServeRuntime, "_kill_all", recording_kill_all)
+    runtime = ServeRuntime("ipv4", shards=2, packets=STREAM_PACKETS,
+                           batch=STREAM_BATCH, policy=FAST)
+    with pytest.raises(TrapError if failure == "trap" else DeadlockError,
+                       match="shard 0 batch 2: ") as caught:
+        runtime.run()
+    if failure == "livelock":
+        assert caught.value.kind == "livelock" and caught.value.parked
+    assert live_at_failure == [2]       # it surfaced while serving
+    assert all(slot.proc is None for slot in runtime._slots)
+    assert not multiprocessing.active_children()
+
+    code = main(["serve", "--app", "ipv4", "--shards", "2",
+                 "--packets", str(STREAM_PACKETS),
+                 "--batch", str(STREAM_BATCH), "--backoff", "0.01",
+                 "--no-cache"])
+    assert code == EXIT_RUNTIME
+    assert "shard 0 batch 2: " in capsys.readouterr().err
+    assert not multiprocessing.active_children()
+
+
+def test_drain_verifies_the_committed_prefix_only(monkeypatch):
+    """Once the watermarks are final the oracle stops at them: no
+    batch of the undelivered tail is simulated, every committed one is
+    compared."""
+    from repro.apps.suite import build_app
+    from repro.serve import Journal, make_batches, shard_oracle, supervise
+
+    app = build_app("ipv4", packets=STREAM_PACKETS, seed=7)
+    journal = Journal(2)
+    for shard, substream in enumerate(shard_stream(app.stream(), 2)):
+        for packets in make_batches(substream, STREAM_BATCH):
+            journal.append(shard, packets)
+    simulated = []
+    real = supervise.oracle_deltas
+
+    def counting(app, batches, **kwargs):
+        for delta in real(app, batches, **kwargs):
+            simulated.append(delta)
+            yield delta
+
+    monkeypatch.setattr(supervise, "oracle_deltas", counting)
+    stream = supervise._OracleStream(app, journal, 200_000)
+    watermarks = {0: 2, 1: 1}
+    for shard, committed in watermarks.items():
+        deltas = shard_oracle(
+            app, [r.packets for r in journal[shard].records[:committed]])
+        for seq, delta in enumerate(deltas, start=1):
+            assert journal.accept(shard, seq)
+            stream.commit(shard, seq, delta)
+    del simulated[:]
+    assert stream.finish() == []
+    assert len(simulated) == sum(watermarks.values())
+    assert not holds_observables(stream)
+    assert not stream.step(committed_only=True)
+
+
+def test_report_says_how_fast_it_was():
+    report = run_serve()
+    timings = report.timings
+    assert set(timings) == {"wall_s", "packets_per_s", "first_commit_s",
+                            "verify_tail_s"}
+    assert 0 < timings["first_commit_s"] <= timings["wall_s"]
+    assert 0 <= timings["verify_tail_s"] < timings["wall_s"]
+    assert timings["packets_per_s"] == pytest.approx(
+        PACKETS / timings["wall_s"])
+    assert report.as_dict()["timings"] == timings
+    assert sum(line.startswith("  throughput: ")
+               for line in report.render().splitlines()) == 1
+
+
 # -- the serve chaos differential (the eval/chaos extension) ----------------
 
 
@@ -221,6 +434,8 @@ def test_cli_serve_parser_and_exit_codes(tmp_path, capsys):
 
     payload = json.loads((tmp_path / "serve.json").read_text())
     assert payload["ok"] and payload["counters"]["pending"] == 0
+    assert payload["timings"]["packets_per_s"] > 0
+    assert "  throughput: " in out
 
 
 def test_cli_serve_worker_storm_exits_degraded(capsys):
