@@ -57,11 +57,6 @@ class AnalysisContext:
         self._liveness: Liveness | None = None
         self._profiles: dict[int, list] = {}
 
-    @classmethod
-    def build(cls, module: Module, pps_name: str,
-              max_block_instructions: int = 12) -> "AnalysisContext":
-        return cls(module, pps_name, max_block_instructions)
-
     def matches(self, module: Module, pps_name: str,
                 max_block_instructions: int) -> bool:
         """Whether this context answers for the given request.

@@ -245,28 +245,19 @@ def _add_workload_flags(parser, *, packets: int, seed: int | None = None,
                                  "(default: the command's whole suite)")
 
 
-def _add_sweep_flags(parser, *, jobs: bool = True, keep_going: bool = True,
-                     warm_start: bool = True) -> None:
-    """How a command's cells are run (:func:`repro.eval.sweep.run_sweep`)
-    and partitioned."""
-    if jobs:
-        parser.add_argument("-j", "--jobs", type=int, default=1,
-                            help="fan the cells over N worker processes "
-                                 "(default: 1; the output is identical at "
-                                 "any -j level)")
+def _add_sweep_flags(parser, *, keep_going: bool = True) -> None:
+    """How a command's cells are run (:func:`repro.eval.sweep.run_sweep`)."""
+    parser.add_argument("-j", "--jobs", type=int, default=1,
+                        help="fan the cells over N worker processes "
+                             "(default: 1; the output is identical at "
+                             "any -j level)")
     if keep_going:
         parser.add_argument("--keep-going", action="store_true",
                             help="record failed cells and keep running "
                                  "instead of failing fast")
-    if warm_start:
-        parser.add_argument("--no-warm-start", action="store_true",
-                            help="solve every cut cold instead of seeding "
-                                 "it from related earlier solves (the cuts "
-                                 "are identical either way)")
 
 
 def _add_partition_flags(parser) -> None:
-    _add_sweep_flags(parser, jobs=False, keep_going=False)
     parser.add_argument("--paranoid-verify", action="store_true",
                         help="make the verifier rebuild SSA/dependence/"
                              "liveness from scratch instead of sharing "
@@ -337,7 +328,6 @@ def cmd_pipeline(args) -> int:
         epsilon=args.epsilon,
         strategy=Strategy(args.strategy),
         cache=_open_cache(args),
-        warm_start=not args.no_warm_start,
         paranoid_verify=args.paranoid_verify,
     )
     if outcome.result is None:
@@ -391,7 +381,6 @@ def cmd_run(args) -> int:
 
         outcome = supervise_partition(module, pps_name, args.degree,
                                       cache=cache,
-                                      warm_start=not args.no_warm_start,
                                       paranoid_verify=args.paranoid_verify)
         if outcome.result is None:
             raise PipelineError(outcome.summary())
@@ -653,8 +642,7 @@ def cmd_bench(args) -> int:
                             degrees=degrees,
                             jobs=args.jobs,
                             cache=_open_cache(args),
-                            keep_going=args.keep_going,
-                            warm_start=not args.no_warm_start)
+                            keep_going=args.keep_going)
     _write_json(args.output, result)
 
     print(f"bench: packets={args.packets} "
@@ -715,7 +703,6 @@ def cmd_plan(args) -> int:
               "persists nothing", file=sys.stderr)
     results = plan_partitions(apps, degrees, packets=args.packets,
                               seed=args.seed, jobs=args.jobs, cache=cache,
-                              warm_start=not args.no_warm_start,
                               keep_going=args.keep_going)
     failures = [entry for entry in results if entry.get("failed")]
     breakdown = {entry["app"]: entry["partition_breakdown"]
@@ -769,7 +756,6 @@ def cmd_explore(args) -> int:
     cache = _open_cache(args)
     report = explore(space, weights=weights, rule=args.pick_rule,
                      min_gain=args.min_gain, jobs=args.jobs, cache=cache,
-                     warm_start=not args.no_warm_start,
                      keep_going=args.keep_going)
 
     frontier = deterministic_report(report)
@@ -891,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the differential for several apps "
                               "(see --apps; default: every stream-driven "
                               "app) instead of one")
-    _add_sweep_flags(p_chaos, warm_start=False)
+    _add_sweep_flags(p_chaos)
     _add_cache_flags(p_chaos)
     p_chaos.set_defaults(func=cmd_chaos)
 
@@ -1015,7 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of generated programs (default: 50)")
     p_fuzz.add_argument("--start-seed", type=int, default=0)
     _add_workload_flags(p_fuzz, packets=24, degrees="2,3,4")
-    _add_sweep_flags(p_fuzz, keep_going=False, warm_start=False)
+    _add_sweep_flags(p_fuzz, keep_going=False)
     p_fuzz.add_argument("--self-test", action="store_true",
                         help="seed known partition defects instead; the "
                              "verifier must catch every one")

@@ -455,7 +455,7 @@ def _explain_pick(picked: dict, scores: dict, ladders: dict,
 
 def explore(space: SearchSpace, *, weights: Weights | None = None,
             rule: str = "marginal", min_gain: float = 0.0,
-            jobs: int = 1, cache=None, warm_start: bool = True,
+            jobs: int = 1, cache=None,
             keep_going: bool = False) -> dict:
     """Evaluate ``space`` and return the full exploration report.
 
@@ -469,8 +469,7 @@ def explore(space: SearchSpace, *, weights: Weights | None = None,
 
     space.validate()
     weights = weights or Weights()
-    tasks = explore_tasks(space, warm_start=warm_start,
-                          keep_going=keep_going)
+    tasks = explore_tasks(space, keep_going=keep_going)
     results = run_sweep(tasks, jobs=jobs, keep_going=keep_going,
                         cache=cache)
 

@@ -18,15 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.cfg import find_pps_loop
 from repro.apps.suite import AppInstance
 from repro.ir.function import Function
 from repro.machine.costs import NN_RING, CostModel
 from repro.pipeline.liveset import Strategy
 from repro.pipeline.transform import PipelineResult, pipeline_pps
 from repro.runtime.equivalence import Observation, assert_equivalent, observe
-from repro.runtime.interp import Interpreter
-from repro.runtime.scheduler import run_group, run_pipeline, run_sequential
+from repro.runtime.scheduler import run_pipeline, run_sequential
 from repro.runtime.state import MachineState
 
 
@@ -96,13 +94,10 @@ def make_profiler(app: AppInstance):
         for setup in setups:
             state = MachineState(app.module)
             iterations = setup(state)
-            loop = find_pps_loop(function)
-            interp = Interpreter(function, state, loop_start=loop.header,
-                                 max_iterations=iterations)
-            run_group({f"profile:{function.name}": interp})
+            stats = run_sequential(function, state, iterations=iterations)
             profiles.append({
                 name: count / max(1, iterations)
-                for name, count in interp.stats.block_counts.items()
+                for name, count in stats.block_counts.items()
             })
         return profiles
 
@@ -299,8 +294,7 @@ def measure_replication(app: AppInstance, ways: int, *,
 def bench_headline(*, packets: int = 60, seed: int = 7,
                    degrees: list[int] | None = None,
                    jobs: int = 1, cache=None,
-                   keep_going: bool = False,
-                   warm_start: bool = True) -> dict:
+                   keep_going: bool = False) -> dict:
     """Run the headline performance benchmark (``repro bench``).
 
     Sweeps every app of Figures 19 and 20 over ``degrees`` as one
@@ -342,7 +336,7 @@ def bench_headline(*, packets: int = 60, seed: int = 7,
     distinct = list(dict.fromkeys(
         name for names in figure_apps.values() for name in names))
     tasks = app_tasks("bench", distinct, degrees, packets=packets,
-                      seed=seed, warm_start=warm_start)
+                      seed=seed)
 
     phases = PhaseTimer()
     with phases.phase("sweep", jobs=jobs, tasks=len(tasks)):
@@ -382,7 +376,6 @@ def bench_headline(*, packets: int = 60, seed: int = 7,
             "seed": seed,
             "degrees": degrees,
             "jobs": jobs,
-            "warm_start": warm_start,
             "python": sys.version.split()[0],
         },
         "build_seconds": round(seconds("build"), 4),

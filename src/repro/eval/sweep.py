@@ -61,7 +61,6 @@ class SweepTask:
     seed: int
     plans: tuple | None = None      # chaos: builtin plan names (None = all)
     cache_dir: str | None = None    # shared CompileCache root
-    warm_start: bool = True         # bench/partition: cross-degree seeding
     ring: str | None = None         # explore: cost-table name
     epsilon: float | None = None    # explore: balance slack knob
     incremental: bool | None = None  # explore: incremental-restart knob
@@ -82,7 +81,6 @@ class SweepTask:
     def repro_command(self) -> str:
         """A copy-paste one-liner that re-runs this exact cell inline."""
         degrees = ",".join(map(str, self.degrees))
-        warm = "" if self.warm_start else " --no-warm-start"
         if self.kind == "chaos":
             plans = (" --plans " + " ".join(self.plans)
                      if self.plans else "")
@@ -93,14 +91,14 @@ class SweepTask:
                     f"--degrees {degrees} --packets {self.packets}")
         if self.kind == "partition":
             return (f"repro plan --apps {self.app} --degrees {degrees} "
-                    f"--packets {self.packets} --seed {self.seed} -j 1{warm}")
+                    f"--packets {self.packets} --seed {self.seed} -j 1")
         if self.kind == "explore":
             inc = "on" if self.incremental else "off"
             return (f"repro explore --apps {self.app} --degrees {degrees} "
                     f"--rings {self.ring} --epsilons {self.epsilon:g} "
                     f"--incremental {inc} "
                     f"--max-block-instructions {self.max_block_instructions} "
-                    f"--packets {self.packets} --seed {self.seed} -j 1{warm}")
+                    f"--packets {self.packets} --seed {self.seed} -j 1")
         return (f"repro bench --packets {self.packets} -j 1  "
                 f"# cell: app={self.app} degrees={degrees} "
                 f"seed={self.seed}")
@@ -127,7 +125,7 @@ def derive_seed(base: int, *parts) -> int:
 
 
 def app_tasks(kind: str, apps: list[str], degrees, *, packets: int,
-              seed: int, warm_start: bool = True) -> list[SweepTask]:
+              seed: int) -> list[SweepTask]:
     """``bench`` / ``partition`` cells: one per app, in the given app
     order, covering its whole degree row.
 
@@ -137,12 +135,11 @@ def app_tasks(kind: str, apps: list[str], degrees, *, packets: int,
     exists to exploit; parallelism comes from fanning the *apps*.
     """
     return [SweepTask(kind=kind, app=app, degrees=tuple(degrees),
-                      packets=packets, seed=seed, warm_start=warm_start)
+                      packets=packets, seed=seed)
             for app in apps]
 
 
-def explore_tasks(space, *, warm_start: bool = True,
-                  keep_going: bool = False) -> list[SweepTask]:
+def explore_tasks(space, *, keep_going: bool = False) -> list[SweepTask]:
     """Explore cells: one task per (app, knob combo), covering the whole
     degree row.
 
@@ -153,9 +150,8 @@ def explore_tasks(space, *, warm_start: bool = True,
     """
     return [SweepTask(kind="explore", app=app, degrees=tuple(space.degrees),
                       packets=space.packets, seed=space.seed,
-                      warm_start=warm_start, ring=ring, epsilon=epsilon,
-                      incremental=incremental, max_block_instructions=mbi,
-                      keep_going=keep_going)
+                      ring=ring, epsilon=epsilon, incremental=incremental,
+                      max_block_instructions=mbi, keep_going=keep_going)
             for app in space.apps
             for ring, epsilon, incremental, mbi in space.combos()]
 
@@ -214,8 +210,7 @@ def _partition_row(task: SweepTask, cache):
     app, build_seconds = _timed(build_app, task.app, packets=task.packets,
                                 seed=task.seed)
     (transforms, breakdown), partition_seconds = _timed(
-        partition_app, app, task.degrees, cache=cache,
-        warm_start=task.warm_start)
+        partition_app, app, task.degrees, cache=cache)
     return (app, transforms, {"partition_breakdown": breakdown},
             {"build_seconds": build_seconds,
              "partition_seconds": partition_seconds})
@@ -335,8 +330,7 @@ def _score_explore(task: SweepTask, cache):
                 costs=costs, epsilon=task.epsilon,
                 incremental=task.incremental,
                 max_block_instructions=task.max_block_instructions,
-                profiler=profiler, cache=cache, context=context,
-                warm_start=task.warm_start)
+                profiler=profiler, cache=cache, context=context)
             partition_total += partition_seconds
             cell = {
                 "id": cell_id(degree),
@@ -430,7 +424,7 @@ _SCORERS = {
 
 
 def plan_partitions(apps: list[str], degrees, *, packets: int, seed: int,
-                    jobs: int = 1, cache=None, warm_start: bool = True,
+                    jobs: int = 1, cache=None,
                     keep_going: bool = False) -> list[dict]:
     """Partition the whole (app x degree) matrix up front, in parallel.
 
@@ -449,7 +443,7 @@ def plan_partitions(apps: list[str], degrees, *, packets: int, seed: int,
     defeats the point when ``jobs > 1``.
     """
     tasks = app_tasks("partition", sorted(set(apps)), degrees,
-                      packets=packets, seed=seed, warm_start=warm_start)
+                      packets=packets, seed=seed)
     return run_sweep(tasks, jobs=jobs, keep_going=keep_going, cache=cache)
 
 

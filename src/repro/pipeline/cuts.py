@@ -133,7 +133,7 @@ def select_stages(model: LoopDependenceModel, degree: int, *,
             network = cut_net.network
             dims = {}
             totals = [0.0] * len(profiles)
-            for unit in remaining:
+            for unit in sorted(remaining):
                 vector = unit_dims[unit]
                 dims[network.node(("unit", unit))] = vector
                 for index, value in enumerate(vector):
@@ -157,7 +157,9 @@ def select_stages(model: LoopDependenceModel, degree: int, *,
             else:
                 sources = _frontier_units(model, remaining)
                 chosen = {min(sources, key=lambda u: (unit_weights[u], u))}
-        for unit in chosen:
+        # ``chosen`` iterates in an address-dependent order (see
+        # refine_stages); unit_stage's order is part of the artifact.
+        for unit in sorted(chosen):
             assignment.unit_stage[unit] = stage
         placed |= chosen
         remaining -= chosen
@@ -182,7 +184,7 @@ def select_stages(model: LoopDependenceModel, degree: int, *,
         if not remaining:
             break
 
-    for unit in remaining:
+    for unit in sorted(remaining):
         assignment.unit_stage[unit] = degree
 
     if unit_dims is not None:
@@ -214,10 +216,17 @@ def refine_stages(model: LoopDependenceModel, assignment: StageAssignment,
     # memoized on the model and shared with cut selection.
     succs, preds = model.unit_adjacency()
 
+    # Float sums and the first-candidate-wins tie-break below are order
+    # sensitive, and sets upstream iterate in an order that depends on
+    # object addresses (cut-network keys embed ``id(reg)``): walk units
+    # by (stage, id) here and in sorted order wherever a set is summed.
+    stage_map = assignment.unit_stage
+    ordered = sorted(stage_map, key=lambda unit: (stage_map[unit], unit))
+
     loads = [[0.0] * n_dims for _ in range(degree + 1)]  # 1-based stages
-    for unit, stage in assignment.unit_stage.items():
+    for unit in ordered:
         for index, value in enumerate(unit_dims[unit]):
-            loads[stage][index] += value
+            loads[stage_map[unit]][index] += value
 
     totals = [sum(loads[stage][index] for stage in range(1, degree + 1)) or 1.0
               for index in range(n_dims)]
@@ -233,7 +242,7 @@ def refine_stages(model: LoopDependenceModel, assignment: StageAssignment,
 
     def group_sums(group: set[int]) -> list[float]:
         group_dims = [0.0] * n_dims
-        for member in group:
+        for member in sorted(group):
             vector = unit_dims[member]
             for index in range(n_dims):
                 group_dims[index] += vector[index]
@@ -289,7 +298,7 @@ def refine_stages(model: LoopDependenceModel, assignment: StageAssignment,
         return result
 
     def apply(group: set[int], stage: int, new_stage: int, sign: int) -> None:
-        for member in group:
+        for member in sorted(group):
             for index, value in enumerate(unit_dims[member]):
                 loads[stage][index] -= sign * value
                 loads[new_stage][index] += sign * value
@@ -305,8 +314,7 @@ def refine_stages(model: LoopDependenceModel, assignment: StageAssignment,
 
     moves = 0
     improved = True
-    stage_map = assignment.unit_stage
-    candidates = [unit for unit in stage_map
+    candidates = [unit for unit in ordered
                   if unit not in (header_unit, latch_unit)]
     while improved and moves < max_moves:
         improved = False

@@ -27,7 +27,6 @@ from repro.runtime.faults import (
     builtin_plans,
 )
 from repro.runtime.interp import Interpreter, InterpStats
-from repro.runtime.mode import reference_active, reference_mode
 from repro.runtime.packets import PacketError, PacketStore
 from repro.runtime.scheduler import RunResult, run_group, run_pipeline, run_sequential
 from repro.runtime.state import MachineState, Pipe, RuntimeError_, WakeHub
@@ -63,8 +62,6 @@ __all__ = [
     "compile_function",
     "make_status",
     "observe",
-    "reference_active",
-    "reference_mode",
     "run_group",
     "run_pipeline",
     "run_sequential",

@@ -1,8 +1,8 @@
 """Threaded-code compilation of IR functions for the interpreter.
 
-The reference interpreter walks ``isinstance`` chains and re-resolves
-operands on every executed instruction.  This module performs that work
-*once per function*: each basic block becomes a tuple of per-instruction
+Walking the IR means an ``isinstance`` chain and an operand re-resolution
+on every executed instruction.  This module performs that work *once per
+function*: each basic block becomes a tuple of per-instruction
 closures with operand accessors (Const/VReg/array/pipe/intrinsic) already
 bound, and each terminator becomes a closure returning the next block
 name.  Executing a block is then a plain loop over precompiled callables
@@ -13,11 +13,11 @@ consecutive non-blocking instructions form a *segment* whose instruction
 count and weight are pre-summed and charged once per execution.  Ops that
 can block (pipe in/out, ``pipe_recv``/``pipe_send``/``rbuf_next``, the
 replication sequencer waits) still account themselves only once they
-succeed, exactly like the reference path, so completed runs produce
-bit-identical statistics (same counters, same traps, same message
-formats); the differential tests in
-``tests/test_runtime_compiled_differential.py`` enforce this over
-randomized programs.
+succeed, exactly like the instruction-by-instruction oracle in
+:mod:`repro.testing.reference`, so completed runs produce bit-identical
+statistics (same counters, same traps, same message formats); the
+differential tests in ``tests/test_runtime_compiled_differential.py``
+enforce this over randomized programs.
 
 Blocking is expressed without generators: an op that cannot proceed
 returns the *wait key* of the resource it needs — ``("recv", pipe)``,
@@ -269,7 +269,7 @@ def _compile_phi(inst: Phi):
 
 # -- blocking pseudo-ops -----------------------------------------------------
 #
-# These account for themselves only once they succeed (the reference path
+# These account for themselves only once they succeed (the reference oracle
 # does the same: a blocked instruction adds nothing until it executes).
 
 
@@ -648,7 +648,7 @@ _DEVICE_OPS = _device_table()
 #
 # Both self-account: SeqWait because it blocks, SeqAdvance because the
 # critical-section bookkeeping reads ``stats.weight`` and must see exactly
-# the weight the reference path would at the same point.
+# the weight the reference oracle would at the same point.
 
 
 def _compile_seq_wait(inst):

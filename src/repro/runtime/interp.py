@@ -8,20 +8,13 @@ scheduler interleave stages.  Instruction-count weights are accumulated
 per interpreter — the evaluation metric of the paper ("the number of
 instructions required for processing a minimum sized packet").
 
-Two dispatch strategies share this class:
-
-* the **compiled** path (default) executes per-instruction closures built
-  once per function by :mod:`repro.runtime.compile` — threaded code with
-  operands pre-resolved;
-* the **reference** path walks the IR with ``isinstance`` chains, exactly
-  as the original implementation did.  It is kept as the semantic oracle
-  for differential tests and as the "before" measurement of
-  ``repro bench``.
-
-Both paths publish the resource they are blocked on in ``wait_key``
-(``("recv", pipe)``, ``("send", pipe)``, ``("rbuf", port)``,
-``("seq", resource)``, or ``None`` for a voluntary per-iteration yield),
-which the event-driven scheduler uses to park and wake interpreters.
+Dispatch is threaded code: :meth:`Interpreter.run` drives the
+per-instruction closures that :mod:`repro.runtime.compile` builds once
+per function, with operands pre-resolved.  While blocked, the driver
+publishes the resource it waits for in ``wait_key`` (``("recv", pipe)``,
+``("send", pipe)``, ``("rbuf", port)``, ``("seq", resource)``, or
+``None`` for a voluntary per-iteration yield), which the scheduler uses
+to park and wake interpreters.
 """
 
 from __future__ import annotations
@@ -31,24 +24,7 @@ from typing import Iterator
 
 from repro.errors import TrapError
 from repro.ir.function import Function
-from repro.ir.instructions import (
-    ArrayLoad,
-    ArrayStore,
-    Assign,
-    BinOp,
-    Branch,
-    Call,
-    Jump,
-    Phi,
-    PipeIn,
-    PipeOut,
-    Return,
-    SwitchTerm,
-    UnOp,
-)
-from repro.ir.types import eval_binary, eval_unary, wrap32
-from repro.ir.values import ArrayRef, Const, PipeRef, RegionRef, Value, VReg
-from repro.runtime import mode
+from repro.ir.values import VReg
 from repro.runtime.compile import compile_function
 from repro.runtime.state import MachineState
 
@@ -78,8 +54,7 @@ class Interpreter:
                  max_iterations: int | None = None,
                  seq_offset: int = 0,
                  seq_stride: int = 1,
-                 fuel: int = 100_000_000,
-                 compiled: bool | None = None):
+                 fuel: int = 100_000_000):
         self.function = function
         self.state = state
         self.seq_offset = seq_offset
@@ -93,8 +68,6 @@ class Interpreter:
         self.max_iterations = max_iterations
         self.fuel = fuel
         self.finished = False
-        self.compiled = (not mode.reference_active()
-                         if compiled is None else compiled)
         self.wait_key: tuple | None = None
         self.prev_block: str | None = None
         self.pipes: dict = {}
@@ -110,28 +83,11 @@ class Interpreter:
         for param in function.params:
             self.regs[param] = 0
 
-    # -- value plumbing ----------------------------------------------------------
-
-    def value(self, operand: Value) -> int:
-        if isinstance(operand, Const):
-            return wrap32(operand.value)
-        if isinstance(operand, VReg):
-            return self.regs.get(operand, 0)
-        raise TrapError(f"cannot evaluate operand {operand!r}")
-
-    def set_reg(self, reg: VReg, value: int) -> None:
-        self.regs[reg] = wrap32(value)
-
     # -- driver -----------------------------------------------------------------
 
     def run(self) -> Iterator[None]:
         """Generator: executes until return / iteration budget / fuel, and
         yields whenever blocked on a pipe or device."""
-        if self.compiled:
-            return self._run_compiled()
-        return self._run_reference()
-
-    def _run_compiled(self) -> Iterator[None]:
         program = compile_function(self.function)
         state = self.state
         self.pipes = {name: state.pipe(name) for name in program.pipe_names}
@@ -181,67 +137,13 @@ class Interpreter:
                 return
             block = blocks[next_name]
 
-    def _run_reference(self) -> Iterator[None]:
-        block_name = self._resume_block or self.function.entry
-        self._resume_block = None
-        assert block_name is not None
-        prev_name: str | None = None
-        while True:
-            if block_name == self.loop_start:
-                self.stats.iterations += 1
-                if (self.max_iterations is not None
-                        and self.stats.iterations > self.max_iterations):
-                    self.finished = True
-                    return
-                yield  # cooperative scheduling point, once per iteration
-                if self._slow_yields:
-                    for _ in range(self._slow_yields):
-                        yield
-            block = self.function.block(block_name)
-            counts = self.stats.block_counts
-            counts[block_name] = counts.get(block_name, 0) + 1
-            self.prev_block = prev_name
-            for inst in block.instructions:
-                if self.fuel <= 0:
-                    raise self._fuel_exhausted()
-                self.fuel -= 1
-                if isinstance(inst, Phi):
-                    self._exec_phi(inst, prev_name)
-                    continue
-                yield from self._exec(inst)
-            terminator = block.terminator
-            assert terminator is not None
-            self._account(terminator)
-            prev_name = block_name
-            self.prev_block = block_name
-            if isinstance(terminator, Jump):
-                block_name = terminator.target
-            elif isinstance(terminator, Branch):
-                taken = self.value(terminator.cond) != 0
-                block_name = terminator.if_true if taken else terminator.if_false
-            elif isinstance(terminator, SwitchTerm):
-                selector = self.value(terminator.value)
-                block_name = terminator.cases.get(selector, terminator.default)
-            elif isinstance(terminator, Return):
-                self.finished = True
-                return
-            else:  # pragma: no cover
-                raise TrapError(f"unknown terminator {terminator}")
-
-    def _blocked(self, key: tuple) -> Iterator[None]:
-        """One blocked yield, publishing the awaited resource."""
-        self.stats.blocked += 1
-        self.wait_key = key
-        yield
-        self.wait_key = None
-
     # -- chaos hooks (fault injection + trap isolation) -------------------------
 
     def _fuel_exhausted(self) -> Exception:
         """Build the trap for a zero fuel gauge (cold path).
 
         Injected traps ride on the existing fuel check: arming one lowers
-        ``fuel`` to the target instruction budget, so the hot loops need
+        ``fuel`` to the target instruction budget, so the hot loop needs
         no extra test, and this cold handler tells the two cases apart.
         """
         if self._fault_trap is not None:
@@ -290,236 +192,3 @@ class Interpreter:
             self._fault_restore_fuel = 0
             self._fault_trap = None
         self._resume_block = self.loop_start
-
-    def _account(self, inst) -> None:
-        self.stats.instructions += 1
-        weight = inst.weight()
-        self.stats.weight += weight
-        if isinstance(inst, (PipeIn, PipeOut)):
-            self.stats.transmission_weight += weight
-
-    def _exec_phi(self, phi: Phi, prev_name: str | None) -> None:
-        self._account(phi)
-        if prev_name is None or prev_name not in phi.incomings:
-            raise TrapError(
-                f"phi in {self.function.name} has no incoming for {prev_name}"
-            )
-        self.set_reg(phi.dest, self.value(phi.incomings[prev_name]))
-
-    # -- instruction execution ------------------------------------------------------
-
-    def _exec(self, inst) -> Iterator[None]:
-        if isinstance(inst, Assign):
-            self._account(inst)
-            self.set_reg(inst.dest, self.value(inst.src))
-        elif isinstance(inst, BinOp):
-            self._account(inst)
-            try:
-                result = eval_binary(inst.op, self.value(inst.lhs),
-                                     self.value(inst.rhs))
-            except ZeroDivisionError as exc:
-                raise TrapError(
-                    f"{self.function.name}: {exc} at {inst.location}"
-                ) from exc
-            self.set_reg(inst.dest, result)
-        elif isinstance(inst, UnOp):
-            self._account(inst)
-            self.set_reg(inst.dest, eval_unary(inst.op, self.value(inst.operand)))
-        elif isinstance(inst, ArrayLoad):
-            self._account(inst)
-            self.set_reg(inst.dest, self._array_load(inst.array,
-                                                     self.value(inst.index)))
-        elif isinstance(inst, ArrayStore):
-            self._account(inst)
-            self._array_store(inst.array, self.value(inst.index),
-                              self.value(inst.value))
-        elif isinstance(inst, PipeIn):
-            pipe = self.state.pipe(inst.pipe.name)
-            while not pipe.can_recv():
-                yield from self._blocked(("recv", pipe.name))
-            message = pipe.recv()
-            if not isinstance(message, tuple):
-                message = (message,)
-            if len(message) != len(inst.dests):
-                raise TrapError(
-                    f"{self.function.name}: pipe_in expected "
-                    f"{len(inst.dests)} words, got {len(message)}"
-                )
-            self._account(inst)
-            for dest, word in zip(inst.dests, message):
-                self.set_reg(dest, word)
-        elif isinstance(inst, PipeOut):
-            pipe = self.state.pipe(inst.pipe.name)
-            while not pipe.can_send():
-                yield from self._blocked(("send", pipe.name))
-            self._account(inst)
-            pipe.send(tuple(self.value(value) for value in inst.values))
-        elif isinstance(inst, Call):
-            yield from self._exec_call(inst)
-        else:
-            yield from self._exec_extension(inst)
-
-    def _global_iteration(self) -> int:
-        """The global iteration index of the current loop pass (replicas
-        interleave: replica r of N handles r-1, r-1+N, ...)."""
-        return (self.stats.iterations - 1) * self.seq_stride + self.seq_offset
-
-    def _exec_extension(self, inst) -> Iterator[None]:
-        from repro.pipeline.replicate import SeqAdvance, SeqWait
-
-        if isinstance(inst, SeqWait):
-            target = self._global_iteration()
-            while self.state.sequencers.get(inst.resource, 0) != target:
-                yield from self._blocked(("seq", inst.resource))
-            self._account(inst)
-            # First wait of the iteration acquires the resource.
-            self._held.setdefault(inst.resource, self.stats.weight)
-            return
-        if isinstance(inst, SeqAdvance):
-            self._account(inst)
-            current = self.state.sequencers.get(inst.resource, 0)
-            expected = self._global_iteration()
-            if current != expected:
-                raise TrapError(
-                    f"{self.function.name}: sequencer for {inst.resource} "
-                    f"advanced out of order ({current} != {expected})"
-                )
-            self.state.advance_sequencer(inst.resource, current + 1)
-            start = self._held.pop(inst.resource, None)
-            if start is not None:
-                section = self.stats.weight - start
-                self.stats.serial_weight[inst.resource] = (
-                    self.stats.serial_weight.get(inst.resource, 0) + section)
-                self.stats.serial_sections[inst.resource] = (
-                    self.stats.serial_sections.get(inst.resource, 0) + 1)
-            return
-        raise TrapError(f"unknown instruction {inst}")
-
-    def _array_load(self, array: ArrayRef, index: int) -> int:
-        frame = self.arrays[array.name]
-        if not 0 <= index < len(frame):
-            raise TrapError(
-                f"{self.function.name}: {array.name}[{index}] out of bounds"
-            )
-        return frame[index]
-
-    def _array_store(self, array: ArrayRef, index: int, value: int) -> None:
-        frame = self.arrays[array.name]
-        if not 0 <= index < len(frame):
-            raise TrapError(
-                f"{self.function.name}: {array.name}[{index}] out of bounds"
-            )
-        frame[index] = value
-
-    # -- intrinsics -----------------------------------------------------------------
-
-    def _exec_call(self, inst: Call) -> Iterator[None]:
-        name = inst.callee
-        state = self.state
-        if not inst.is_intrinsic:
-            raise TrapError(
-                f"{self.function.name}: user call {name!r} reached the "
-                f"interpreter (inlining missed it)"
-            )
-
-        def arg(position: int) -> int:
-            return self.value(inst.args[position])
-
-        # Blocking intrinsics first (they must yield before consuming).
-        if name == "pipe_recv":
-            pipe_ref = inst.args[0]
-            assert isinstance(pipe_ref, PipeRef)
-            pipe = state.pipe(pipe_ref.name)
-            while not pipe.can_recv():
-                yield from self._blocked(("recv", pipe.name))
-            self._account(inst)
-            message = pipe.recv()
-            if isinstance(message, tuple):
-                raise TrapError(
-                    f"pipe_recv on {pipe_ref.name} found a multi-word message"
-                )
-            self._set_result(inst, message)
-            return
-        if name == "pipe_send":
-            pipe_ref = inst.args[0]
-            assert isinstance(pipe_ref, PipeRef)
-            pipe = state.pipe(pipe_ref.name)
-            while not pipe.can_send():
-                yield from self._blocked(("send", pipe.name))
-            self._account(inst)
-            pipe.send(arg(1))
-            return
-        if name == "rbuf_next":
-            port = arg(0)
-            element = state.devices.rbuf_next(port)
-            while element is None:
-                yield from self._blocked(("rbuf", port))
-                element = state.devices.rbuf_next(port)
-            self._account(inst)
-            self._set_result(inst, element)
-            return
-
-        self._account(inst)
-        if name == "pipe_empty":
-            pipe_ref = inst.args[0]
-            assert isinstance(pipe_ref, PipeRef)
-            self._set_result(inst, 0 if state.pipe(pipe_ref.name).can_recv() else 1)
-        elif name == "hash32":
-            self._set_result(inst, wrap32((arg(0) & 0xFFFFFFFF) * 2654435761))
-        elif name == "pkt_alloc":
-            self._set_result(inst, state.packets.alloc(arg(0)))
-        elif name == "pkt_free":
-            state.packets.free(arg(0))
-        elif name == "pkt_len":
-            self._set_result(inst, state.packets.length(arg(0)))
-        elif name == "pkt_load":
-            self._set_result(inst, state.packets.load(arg(0), arg(1)))
-        elif name == "pkt_store":
-            state.packets.store(arg(0), arg(1), arg(2))
-        elif name == "pkt_load_u16":
-            self._set_result(inst, state.packets.load_u16(arg(0), arg(1)))
-        elif name == "pkt_store_u16":
-            state.packets.store_u16(arg(0), arg(1), arg(2))
-        elif name == "pkt_load_u32":
-            self._set_result(inst, state.packets.load_u32(arg(0), arg(1)))
-        elif name == "pkt_store_u32":
-            state.packets.store_u32(arg(0), arg(1), arg(2))
-        elif name == "pkt_meta_get":
-            self._set_result(inst, state.packets.meta_get(arg(0), arg(1)))
-        elif name == "pkt_meta_set":
-            state.packets.meta_set(arg(0), arg(1), arg(2))
-        elif name == "mem_read":
-            region = inst.args[0]
-            assert isinstance(region, RegionRef)
-            self._set_result(inst, state.region_read(region.name, arg(1)))
-        elif name == "mem_write":
-            region = inst.args[0]
-            assert isinstance(region, RegionRef)
-            state.region_write(region.name, arg(1), wrap32(arg(2)))
-        elif name == "mem_add":
-            region = inst.args[0]
-            assert isinstance(region, RegionRef)
-            old = state.region_read(region.name, arg(1))
-            state.region_write(region.name, arg(1), wrap32(old + arg(2)))
-            self._set_result(inst, old)
-        elif name == "rbuf_status":
-            self._set_result(inst, state.devices.rbuf_status(arg(0)))
-        elif name == "rbuf_load":
-            self._set_result(inst, state.devices.rbuf_load(arg(0), arg(1)))
-        elif name == "rbuf_free":
-            state.devices.rbuf_free(arg(0))
-        elif name == "tbuf_alloc":
-            self._set_result(inst, state.devices.tbuf_alloc(arg(0)))
-        elif name == "tbuf_store":
-            state.devices.tbuf_store(arg(0), arg(1), arg(2))
-        elif name == "tbuf_commit":
-            state.devices.tbuf_commit(arg(0), arg(1))
-        elif name == "trace":
-            state.trace(arg(0), arg(1))
-        else:  # pragma: no cover
-            raise TrapError(f"unimplemented intrinsic {name!r}")
-        return
-
-    def _set_result(self, inst: Call, value: int) -> None:
-        if inst.dest is not None:
-            self.set_reg(inst.dest, value)

@@ -6,71 +6,11 @@ cache legitimately skips the partition phases — which would make
 trace-golden and phase-timing assertions depend on what ran before.
 Pointing the cache at a per-test tmp dir keeps every test cold and
 keeps the suite from writing into the user's real cache.
-
-The ``flake_artifact`` fixture is the triage harness for
-order-dependent flakes (the ``test_warm_equals_cold_across_degree_sweep
-[ip_v6]`` incident): a test that detects a divergence dumps a JSON
-artifact carrying the *collected test order* of the whole session plus
-whatever test-specific payload it assembled (e.g. the warm-vs-cold
-``assignment_identity`` diff per degree).  CI uploads the directory, so
-a flake that only reproduces under one collection order is diagnosable
-from the artifact alone.
 """
 
-import json
-import os
-
 import pytest
-
-#: Collected-order snapshot, filled once per session by the collection
-#: hook below; the flake_artifact fixture embeds it in every dump.
-_COLLECTED_ORDER: list = []
-
-
-def pytest_collection_modifyitems(session, config, items):
-    _COLLECTED_ORDER[:] = [item.nodeid for item in items]
-
-
-def _jsonable(value):
-    """Best-effort JSON projection: artifacts must never fail to write."""
-    if isinstance(value, dict):
-        return {str(key): _jsonable(entry) for key, entry in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(entry) for entry in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
 
 
 @pytest.fixture(autouse=True)
 def _isolated_compile_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "compile-cache"))
-
-
-@pytest.fixture
-def flake_artifact(request, pytestconfig):
-    """Dump a flake-triage JSON artifact; returns the written path.
-
-    ``flake_artifact(name, payload)`` writes ``<name>.json`` into
-    ``$REPRO_FLAKE_DIR`` (default: ``<rootdir>/flake-out``) with the
-    failing test's nodeid, the session's collected test order, and the
-    caller's payload.  Call it *before* failing the test, and include
-    the returned path in the failure message.
-    """
-
-    def dump(name: str, payload: dict) -> str:
-        directory = os.environ.get("REPRO_FLAKE_DIR") or str(
-            pytestconfig.rootpath / "flake-out")
-        os.makedirs(directory, exist_ok=True)
-        record = {
-            "test": request.node.nodeid,
-            "collected_order": list(_COLLECTED_ORDER),
-        }
-        record.update(payload)
-        path = os.path.join(directory, f"{name}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(_jsonable(record), handle, indent=2)
-            handle.write("\n")
-        return path
-
-    return dump

@@ -63,3 +63,36 @@ def test_empty_directory_is_flagged(tmp_path):
     (tmp_path / "abandoned").mkdir()
     offenders = check_tree.hollow_directories(str(tmp_path))
     assert offenders == [str(tmp_path)]
+
+
+def _imports_reference_oracle(path: Path) -> bool:
+    import ast
+
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name.startswith("repro.testing.reference") for name in names):
+            return True
+    return False
+
+
+def test_the_reference_oracle_is_test_equipment_only():
+    """One execution core: the ``isinstance`` evaluator and the polling
+    loop live in ``repro.testing.reference`` and no shipped module may
+    reach for them (nor for the deleted mode switch)."""
+    import repro.runtime
+
+    package = REPO / "src" / "repro"
+    offenders = [
+        str(path.relative_to(REPO)) for path in package.rglob("*.py")
+        if package / "testing" not in path.parents
+        and _imports_reference_oracle(path)
+    ]
+    assert offenders == []
+    assert not {"reference_mode", "reference_active"} & \
+        set(repro.runtime.__all__)
+    assert not (package / "runtime" / "mode.py").exists()

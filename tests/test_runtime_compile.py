@@ -1,9 +1,9 @@
-"""Unit tests for the compiled-dispatch interpreter and event scheduler.
+"""Unit tests for the threaded-code interpreter and ready-deque scheduler.
 
 The differential suite (``test_runtime_compiled_differential.py``) proves
-the two execution paths agree on random programs; these tests pin the
-mechanisms themselves: compilation caching, the wait-key protocol, the
-wake hub, and the mode switch.
+the execution core agrees with the reference oracle on random programs;
+these tests pin the mechanisms themselves: compilation caching, the
+wait-key protocol, and the wake hub.
 """
 
 from repro.runtime import (
@@ -11,23 +11,22 @@ from repro.runtime import (
     MachineState,
     WakeHub,
     compile_function,
-    reference_active,
-    reference_mode,
     run_group,
 )
 from repro.runtime.compile import clear_cache, invalidate
+from repro.testing import reference
 
 from helpers import STANDARD_PPS, compile_module, standard_setup
 
 
-def run_worker(module, state, *, count, **group_kwargs):
+def run_worker(module, state, *, count, run_group=run_group):
     from repro.analysis.cfg import find_pps_loop
 
     function = module.pps("worker")
     loop = find_pps_loop(function)
     interp = Interpreter(function, state, loop_start=loop.header,
                          max_iterations=count)
-    run_group({"worker": interp}, **group_kwargs)
+    run_group({"worker": interp})
     return interp
 
 
@@ -117,19 +116,19 @@ def test_pipe_operations_notify_hub():
     state.wake_hub.detach()
 
 
-# -- event-driven scheduling -------------------------------------------------
+# -- scheduling --------------------------------------------------------------
 
 
 def test_event_scheduler_matches_polling_outcome():
     module = compile_module(STANDARD_PPS)
 
-    def outcome(**kwargs):
+    def outcome(run_group):
         state = MachineState(module)
         count = standard_setup(state, 20)
-        interp = run_worker(module, state, count=count, **kwargs)
+        interp = run_worker(module, state, count=count, run_group=run_group)
         return interp.stats.weight, dict(state.traces)
 
-    assert outcome(event_driven=True) == outcome(event_driven=False)
+    assert outcome(run_group) == outcome(reference.run_group)
 
 
 def test_event_scheduler_quiesces_on_starved_pipe():
@@ -138,7 +137,7 @@ def test_event_scheduler_quiesces_on_starved_pipe():
     state.load_region("tbl", [0] * 64)
     state.feed_pipe("in_q", [1, 2])
     # No iteration bound: the run must end when in_q starves, not hang.
-    interp = run_worker(module, state, count=None, event_driven=True)
+    interp = run_worker(module, state, count=None)
     assert interp.stats.iterations == 3  # two packets + the starved pass
     assert len(state.pipe("out_q").queue) == 2
 
@@ -164,42 +163,8 @@ def test_producer_consumer_over_bounded_pipe():
         function = module.pps(name)
         loop = find_pps_loop(function)
         interps[name] = Interpreter(function, state, loop_start=loop.header)
-    run_group(interps, event_driven=True)
+    run_group(interps)
     assert list(state.pipe("done").queue) == [v * 2 + 1 for v in values]
-
-
-# -- the mode switch ---------------------------------------------------------
-
-
-def test_reference_mode_flips_both_layers():
-    assert not reference_active()
-    with reference_mode():
-        assert reference_active()
-        module = compile_module(STANDARD_PPS)
-        state = MachineState(module)
-        count = standard_setup(state, 5)
-        interp = run_worker(module, state, count=count)
-        assert not interp.compiled
-        with reference_mode(False):
-            assert not reference_active()
-        assert reference_active()
-    assert not reference_active()
-
-
-def test_explicit_compiled_flag_overrides_mode():
-    module = compile_module(STANDARD_PPS)
-    with reference_mode():
-        state = MachineState(module)
-        count = standard_setup(state, 5)
-        function = module.pps("worker")
-        from repro.analysis.cfg import find_pps_loop
-
-        loop = find_pps_loop(function)
-        interp = Interpreter(function, state, loop_start=loop.header,
-                             max_iterations=count, compiled=True)
-        assert interp.compiled
-        run_group({"worker": interp}, event_driven=True)
-        assert interp.stats.iterations == count + 1
 
 
 # -- satellite: hot dataclasses carry no __dict__ ----------------------------

@@ -1,11 +1,12 @@
-"""Differential testing: compiled dispatch vs the reference interpreter.
+"""Differential testing: the execution core vs the reference oracle.
 
-The compiled-dispatch interpreter and event-driven scheduler must be
-*semantically invisible*: on the same program and traffic they produce
-exactly the statistics and observable behaviour of the reference
-``isinstance`` interpreter under the polling scheduler.  ``blocked`` is
-the one counter deliberately excluded — how often an interpreter re-polls
-while waiting is a scheduling artifact, not program semantics.
+The threaded-code interpreter and ready-deque scheduler of
+:mod:`repro.runtime` must be *semantically invisible*: on the same
+program and traffic they produce exactly the statistics and observable
+behaviour of the ``isinstance`` evaluator under the polling loop in
+:mod:`repro.testing.reference`.  ``blocked`` is the one counter
+deliberately excluded — how often an interpreter re-polls while waiting
+is a scheduling artifact, not program semantics.
 """
 
 import pytest
@@ -14,12 +15,11 @@ from repro.pipeline.transform import pipeline_pps
 from repro.runtime import (
     MachineState,
     observe,
-    reference_mode,
     run_pipeline,
     run_sequential,
 )
 from repro.runtime.scheduler import run_replicas
-from repro.testing import random_pps_source
+from repro.testing import random_pps_source, reference
 
 from helpers import compile_module
 
@@ -54,10 +54,9 @@ def check_sequential(seed, **kwargs):
     state = fresh_state(module, seed)
     stats = run_sequential(module.pps("generated"), state,
                            iterations=ITERATIONS)
-    with reference_mode():
-        ref_state = fresh_state(module, seed)
-        ref_stats = run_sequential(module.pps("generated"), ref_state,
-                                   iterations=ITERATIONS)
+    ref_state = fresh_state(module, seed)
+    ref_stats = reference.run_sequential(module.pps("generated"), ref_state,
+                                         iterations=ITERATIONS)
     assert_stats_match(stats, ref_stats)
     assert observe(state) == observe(ref_state)
 
@@ -67,10 +66,9 @@ def check_pipelined(seed, degree, **kwargs):
     result = pipeline_pps(module, "generated", degree)
     state = fresh_state(module, seed)
     run = run_pipeline(result.stages, state, iterations=ITERATIONS)
-    with reference_mode():
-        ref_state = fresh_state(module, seed)
-        ref_run = run_pipeline(result.stages, ref_state,
-                               iterations=ITERATIONS)
+    ref_state = fresh_state(module, seed)
+    ref_run = reference.run_pipeline(result.stages, ref_state,
+                                     iterations=ITERATIONS)
     assert run.stats.keys() == ref_run.stats.keys()
     for name in run.stats:
         assert_stats_match(run.stats[name], ref_run.stats[name])
@@ -108,13 +106,12 @@ def test_replicated_matches_reference(seed):
     replication = replicate_pps(module, "generated", 3)
     state = fresh_state(module, seed)
     run = run_replicas(replication.replicas, state, iterations=ITERATIONS)
-    with reference_mode():
-        module_ref = compile_module(random_pps_source(
-            seed, use_memory_state=True))
-        replication_ref = replicate_pps(module_ref, "generated", 3)
-        ref_state = fresh_state(module_ref, seed)
-        ref_run = run_replicas(replication_ref.replicas, ref_state,
-                               iterations=ITERATIONS)
+    module_ref = compile_module(random_pps_source(
+        seed, use_memory_state=True))
+    replication_ref = replicate_pps(module_ref, "generated", 3)
+    ref_state = fresh_state(module_ref, seed)
+    ref_run = reference.run_replicas(replication_ref.replicas, ref_state,
+                                     iterations=ITERATIONS)
     assert sorted(run.stats) == sorted(ref_run.stats)
     for name in run.stats:
         assert_stats_match(run.stats[name], ref_run.stats[name])
