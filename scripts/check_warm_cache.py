@@ -6,6 +6,8 @@ CI runs ``repro bench --quick`` twice against the same
 
 * the cache saw hits and zero misses — every partition was served from
   the content-addressed store;
+* it saw zero stores — a hit writes nothing, so a write re-introduced
+  on the hit path fails here without a timing threshold;
 * the warm partition phase was not slower than the cold one (lenient:
   skipped when the "cold" run was itself already warm, e.g. when the
   CI cache was restored from a previous workflow run).
@@ -46,6 +48,8 @@ def main(argv: list[str] | None = None) -> int:
         return fail(f"no cache hits in the warm run: {counters}")
     if counters.get("misses", 0) != 0:
         return fail(f"warm run still missed the cache: {counters}")
+    if counters.get("stores", 0) != 0:
+        return fail(f"warm run wrote to the cache on a hit: {counters}")
 
     if args.cold:
         with open(args.cold, encoding="utf-8") as handle:

@@ -33,7 +33,10 @@ from repro.pipeline.realize import stage_pipe_name
 #: v3: CutDiagnostics gained the ``pr_work``/``warm_hit`` work-accounting
 #: fields; pre-v3 artifacts would deserialize with stale/absent work
 #: metrics, so they are invalidated wholesale.
-CACHE_SCHEMA_VERSION = 3
+#: v4: PipelineResult lost ``model`` (the dependence model and its SSA
+#: clone, 60-80 % of every payload) and ``cache_key`` and gained
+#: ``stage_weights``; the envelope is stamped with ``degree`` only.
+CACHE_SCHEMA_VERSION = 4
 
 
 def canonical_pps_text(module: Module, pps_name: str) -> str:

@@ -7,20 +7,25 @@ versioned envelope::
 
 The one-line JSON header carries the schema version, the key the entry
 was stored under, the SHA-256 + byte length of the pickle payload, and
-free-form ``annotations`` (the partition supervisor stamps the achieved
-degree and the verifier verdict there); :meth:`CompileCache.lookup`
-re-verifies all of them, so a truncated, bit-rotted, or wrong-schema
-entry is discarded (with a warning and a ``corrupt`` counter tick)
-instead of being deserialized.  A lookup may additionally pass
-``expect={...}``: an entry whose annotations contradict the expectation
-— e.g. a degraded artifact asked for at full degree — is *rejected*
-(counted, left on disk) and the lookup misses.
+free-form ``annotations`` (``pipeline_pps`` stamps the artifact's
+degree there); :meth:`CompileCache.lookup` re-verifies all of them, so
+a truncated, bit-rotted, or wrong-schema entry is discarded (with a
+warning and a ``corrupt`` counter tick) instead of being deserialized.
+A lookup may additionally pass ``expect={...}``: an entry whose
+annotations contradict the expectation — e.g. a degraded artifact asked
+for at full degree — is *rejected* (counted, left on disk) and the
+lookup misses.
 
 Writes go to a temporary file in the destination directory followed by
 ``os.replace`` — atomic on POSIX — so concurrent writers (the parallel
 sweep runner's worker processes) can race on the same key without ever
 exposing a torn entry; last writer wins, and both wrote the same bytes
 anyway because the store is content-addressed.
+
+The size budget is kept from a running total: an instance scans the
+store at its first write (sweeping temp files a killed writer left),
+adds each blob it writes, and rescans — evicting least-recently-used
+entries, seeing other processes' writes — only when the total crosses it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ import hashlib
 import json
 import os
 import pickle
+import stat
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -37,6 +44,11 @@ _MAGIC = "repro-pipeline-cache"
 
 #: Default size budget; oldest entries are evicted past it (see _prune).
 _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+
+#: A ``.*.tmp`` file older than this was orphaned by a writer killed
+#: between ``mkstemp`` and ``os.replace`` (a live writer's is
+#: milliseconds old); the size scan unlinks it.
+_STALE_TEMP_SECONDS = 3600.0
 
 
 def default_cache_dir() -> Path:
@@ -72,17 +84,14 @@ class CompileCache:
         self.corrupt = 0
         self.evictions = 0
         self.rejected = 0
+        #: Bytes of entries on disk as of the last scan plus every blob
+        #: written since; None until the first write scans (see _prune).
+        self._known_bytes: int | None = None
 
     # -- paths ---------------------------------------------------------
 
     def entry_path(self, key: str) -> Path:
         return self.root / "objects" / key[:2] / f"{key}.bin"
-
-    def _entries(self) -> list[Path]:
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return []
-        return [path for path in objects.glob("*/*.bin") if path.is_file()]
 
     # -- read ----------------------------------------------------------
 
@@ -170,8 +179,7 @@ class CompileCache:
         """Serialize ``artifact`` under ``key`` (atomic, best-effort).
 
         ``annotations`` ride in the envelope header (not the payload):
-        the partitioner stamps ``degree``, the supervisor re-stores with
-        ``verified``/``achieved_degree`` so lookups can filter on them.
+        the partitioner stamps ``degree`` so lookups can filter on it.
         """
         from repro.cache.key import CACHE_SCHEMA_VERSION
         from repro import __version__
@@ -209,24 +217,26 @@ class CompileCache:
                           RuntimeWarning, stacklevel=3)
             return
         self.stores += 1
-        self._prune(keep=path)
+        self._prune(keep=path, written=len(blob))
 
-    def _prune(self, keep: Path) -> None:
-        """Evict oldest-touched entries until the store fits max_bytes."""
+    def _prune(self, keep: Path, written: int) -> None:
+        """Evict oldest-touched entries once the store outgrows max_bytes.
+
+        Overwrites count ``written`` twice and this instance's own
+        discards are not subtracted, so the running total errs high —
+        towards an early rescan, which corrects it.
+        """
         if self.max_bytes <= 0:
             return
-        entries = []
-        total = 0
-        for path in self._entries():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        if total <= self.max_bytes:
-            return
+        if self._known_bytes is not None:
+            self._known_bytes += written
+            if self._known_bytes <= self.max_bytes:
+                return
+        entries = self._scan()
+        total = sum(size for _, size, _ in entries)
         for _, size, path in sorted(entries):
+            if total <= self.max_bytes:
+                break
             if path == keep:
                 continue
             try:
@@ -235,8 +245,29 @@ class CompileCache:
                 continue
             self.evictions += 1
             total -= size
-            if total <= self.max_bytes:
-                break
+        self._known_bytes = total
+
+    def _scan(self) -> list[tuple[float, int, Path]]:
+        """``(mtime, size, path)`` of every entry on disk; unlinks temp
+        files old enough to be orphans on the way."""
+        entries = []
+        stale_before = time.time() - _STALE_TEMP_SECONDS
+        for path in (self.root / "objects").glob("*/*"):
+            try:
+                status = path.stat()
+            except OSError:
+                continue
+            if not stat.S_ISREG(status.st_mode):
+                continue
+            if path.suffix == ".bin":
+                entries.append((status.st_mtime, status.st_size, path))
+            elif (path.suffix == ".tmp" and path.name.startswith(".")
+                    and status.st_mtime < stale_before):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+        return entries
 
     # -- reporting -----------------------------------------------------
 

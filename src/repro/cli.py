@@ -335,7 +335,7 @@ def cmd_pipeline(args) -> int:
     result = outcome.result
     print(f"{pps_name}: {outcome.achieved_degree} stages over {args.ring} "
           f"rings (epsilon={args.epsilon}, {args.strategy} transmission)")
-    weights = result.assignment.stage_weights(result.model)
+    weights = result.stage_weights
     for stage in result.stages:
         layout = (result.layouts[stage.index - 1]
                   if stage.index <= len(result.layouts) else None)

@@ -23,7 +23,9 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
+from repro.analysis.context import AnalysisContext
 from repro.errors import ReproError
+from repro.ir.function import Module
 from repro.ir.inline import inline_module
 from repro.ir.lowering import lower_program
 from repro.ir.optimize import optimize_module
@@ -378,7 +380,11 @@ def _mutate_unbalance_stage(result):
     """Move the heaviest movable unit one stage later and claim every
     cut balanced — a >ε imbalance hiding behind a clean diagnostic."""
     mutated = copy.deepcopy(result)
-    model = mutated.model
+    # Rebuilt from the normalized function, as the verifier rebuilds its
+    # own: unit numbering is a function of the program alone.
+    model = AnalysisContext(
+        Module(ppses={mutated.pps_name: mutated.normalized}),
+        mutated.pps_name, max_block_instructions=0).model
     assignment = mutated.assignment
     # Unit successors under both dependence and CFG constraints.
     succs: dict[int, set[int]] = {unit: set()

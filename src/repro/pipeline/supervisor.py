@@ -17,13 +17,12 @@ achieved degree), the verifier verdict, and one :class:`AttemptRecord`
 per attempt — callers surface degradation as a warning plus the
 ``degraded success`` exit code instead of a crash.
 
-Cache interaction: verified results are re-stored with envelope
-annotations ``{"verified": True, "degree": ..., "achieved_degree",
-"requested_degree"}``.  ``pipeline_pps`` itself only ever serves a hit
-whose stamped ``degree`` equals the request, so a degraded artifact can
-never masquerade as a full-degree hit; the supervisor's stamp
-additionally lets ``repro run --profile`` report the verdict the
-artifact was stored with.
+Cache interaction: the supervisor writes nothing.  ``pipeline_pps``
+stores a miss once, under a key that hashes the degree and with the
+degree stamped in the envelope, and only serves a hit whose stamped
+``degree`` equals the request — so a degraded artifact can never
+masquerade as a full-degree hit.  Every result, hit or miss, goes
+through the verifier here before it is returned.
 """
 
 from __future__ import annotations
@@ -210,7 +209,6 @@ def supervise_partition(module: Module, pps_name: str, degree: int, *,
                 continue
             attempts.append(AttemptRecord(degree=rung, knobs=knobs,
                                           outcome="verified"))
-            _stamp_cache(cache, result, requested=degree)
             return PartitionOutcome(
                 pps_name=pps_name, requested_degree=degree,
                 achieved_degree=rung, result=result, verdict=verdict,
@@ -218,20 +216,3 @@ def supervise_partition(module: Module, pps_name: str, degree: int, *,
     return PartitionOutcome(pps_name=pps_name, requested_degree=degree,
                             achieved_degree=0, result=None, verdict=None,
                             attempts=attempts)
-
-
-def _stamp_cache(cache, result: PipelineResult, *, requested: int) -> None:
-    """Re-store a verified result with the verdict in the envelope.
-
-    The stamped ``degree`` stays the artifact's own degree (what
-    ``pipeline_pps`` lookups filter on); ``achieved_degree`` /
-    ``requested_degree`` record the supervision outcome.
-    """
-    if cache is None or result.cache_key is None:
-        return
-    cache.store(result.cache_key, result, annotations={
-        "degree": result.degree,
-        "verified": True,
-        "achieved_degree": result.degree,
-        "requested_degree": requested,
-    })

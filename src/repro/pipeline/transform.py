@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.cfg import PpsLoop
 from repro.analysis.context import AnalysisContext
-from repro.analysis.dependence_graph import LoopDependenceModel
 from repro.errors import ReproError
 from repro.ir.function import Function, Module
 from repro.ir.instructions import Call
@@ -42,13 +41,21 @@ class PipelineError(ReproError):
 
 @dataclass
 class PipelineResult:
-    """Everything produced by one pipelining transformation."""
+    """Everything produced by one pipelining transformation.
+
+    The result is also the cached artifact, so it holds what its readers
+    use and no analysis objects: the dependence model the cuts were
+    selected on stays in the :class:`AnalysisContext`; only the static
+    weight it gave each stage rides along.
+    """
 
     pps_name: str
     degree: int
     stages: list[StageProgram]
     assignment: StageAssignment
-    model: LoopDependenceModel
+    #: Static instruction weight per stage (1-based), as
+    #: ``assignment.stage_weights(model)`` reported it at selection time.
+    stage_weights: dict[int, int]
     layouts: list[CutLayout]
     strategy: Strategy
     costs: CostModel
@@ -58,10 +65,6 @@ class PipelineResult:
     #: refinement rebalances by *dynamic* weight, so the verifier must
     #: not hold the static ε envelope against the result).
     profiled: bool = False
-    #: The content address the result was stored under (None when the
-    #: transformation ran uncached); the supervisor uses it to re-stamp
-    #: the envelope with the verifier verdict.
-    cache_key: str | None = field(repr=False, default=None)
 
     def stage_functions(self) -> list[Function]:
         return [stage.function for stage in self.stages]
@@ -182,18 +185,16 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
         degree=degree,
         stages=stages,
         assignment=assignment,
-        model=model,
+        stage_weights=assignment.stage_weights(model),
         layouts=layouts,
         strategy=strategy,
         costs=costs,
         normalized=work,
         loop=loop,
         profiled=profiles is not None,
-        cache_key=key,
     )
     if key is not None:
-        cache.store(key, result, annotations={"degree": degree,
-                                              "verified": False})
+        cache.store(key, result, annotations={"degree": degree})
     return result
 
 

@@ -17,9 +17,12 @@ Covers the ISSUE 4 acceptance contract:
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import pickle
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -73,8 +76,7 @@ def canonical_artifact_bytes(result) -> bytes:
         parts.append(repr(sorted(
             (str(reg), slot) for reg, slot in layout.slot_of.items())))
     parts.append(format_function(result.normalized))
-    weights = result.assignment.stage_weights(result.model)
-    parts.append(repr(sorted(weights.items())))
+    parts.append(repr(sorted(result.stage_weights.items())))
     for diag in result.assignment.diagnostics:
         parts.append(f"cut {diag.stage}: target={diag.target!r} "
                      f"weight={diag.weight} cost={diag.cut_value} "
@@ -198,6 +200,41 @@ def test_round_trip_preserves_pickle_payload(tmp_path):
     assert cache.counters()["hits"] == 1
 
 
+class _ModuleRecorder(pickle.Unpickler):
+    """Unpickles normally, recording the module of every class loaded."""
+
+    def __init__(self, file):
+        super().__init__(file)
+        self.modules: set[str] = set()
+
+    def find_class(self, module, name):
+        self.modules.add(module)
+        return super().find_class(module, name)
+
+
+@pytest.mark.parametrize("app_name", SUITE_APPS)
+def test_artifact_holds_no_analysis_objects(app_name, tmp_path):
+    """The dependence model (CFG summary, dependence graph, SSA clone)
+    stays in the AnalysisContext: nothing of it is pickled into an entry.
+    Structural, not a byte threshold — one stray reference drags the
+    whole model back in."""
+    cache = CompileCache(tmp_path / "cache")
+    app = build_app(app_name, packets=4, seed=7)
+    pipeline_pps(app.module, app.pps_name, 9, cache=cache)
+    (entry,) = (tmp_path / "cache" / "objects").glob("*/*.bin")
+    _, _, payload = entry.read_bytes().partition(b"\n")
+    recorder = _ModuleRecorder(io.BytesIO(payload))
+    artifact = recorder.load()
+    assert artifact.degree == 9 and sum(artifact.stage_weights.values()) > 0
+    assert "repro.pipeline.transform" in recorder.modules
+    leaked = sorted(
+        module for module in recorder.modules
+        if module in ("repro.analysis.dependence_graph",
+                      "repro.analysis.graph")
+        or module == "repro.ssa" or module.startswith("repro.ssa."))
+    assert not leaked, f"{app_name}: artifact pickles {leaked}"
+
+
 # -- corruption -------------------------------------------------------------
 
 
@@ -280,6 +317,84 @@ def test_lru_eviction_past_size_budget(tmp_path):
     # The just-written entry always survives its own prune.
     assert cache.entry_path(keys[-1]).exists()
     assert sum(1 for k in keys if cache.entry_path(k).exists()) < 4
+
+
+def _disk_bytes(root) -> int:
+    return sum(path.stat().st_size
+               for path in root.glob("objects/*/*.bin"))
+
+
+def test_running_total_eviction_stays_within_budget(tmp_path):
+    """Ten stores against a three-entry budget through ONE instance: the
+    running total triggers a rescan at every overflow, the LRU order and
+    ``keep`` are the scan's, and the store never ends over budget."""
+    blob = bytes(1500)
+    keys = [f"{i:02x}" + "5" * 62 for i in range(10)]
+    probe = CompileCache(tmp_path / "probe")
+    probe.store(keys[0], blob)
+    entry = _disk_bytes(tmp_path / "probe")
+    cache = CompileCache(tmp_path / "cache", max_bytes=3 * entry + entry // 2)
+    for age, key in enumerate(keys):
+        cache.store(key, blob)
+        os.utime(cache.entry_path(key), (1_000 + age, 1_000 + age))
+        assert _disk_bytes(tmp_path / "cache") <= cache.max_bytes
+    assert cache.stores == 10
+    assert cache.evictions == 7
+    assert [key for key in keys if cache.entry_path(key).exists()] == \
+        keys[-3:]
+
+
+def test_rescan_accounts_for_another_instances_writes(tmp_path):
+    """A second writer on the same root is invisible to the running
+    total until it next crosses the budget; the rescan then counts, and
+    evicts, the other instance's entries too."""
+    blob = bytes(1500)
+    root = tmp_path / "cache"
+    keys = [f"{i:02x}" + "6" * 62 for i in range(6)]
+    other = CompileCache(root)
+    other.store(keys[0], blob)
+    entry = _disk_bytes(root)
+    cache = CompileCache(root, max_bytes=3 * entry + entry // 2)
+
+    def store(instance, index):
+        instance.store(keys[index], blob)
+        os.utime(instance.entry_path(keys[index]),
+                 (1_000 + index, 1_000 + index))
+
+    os.utime(other.entry_path(keys[0]), (1_000, 1_000))
+    store(cache, 1)              # first write scans: two entries known
+    store(other, 2)
+    store(other, 3)              # four on disk, two known to ``cache``
+    store(cache, 4)              # three known: no rescan, no eviction
+    assert cache.evictions == 0
+    assert _disk_bytes(root) > cache.max_bytes
+    store(cache, 5)              # four known: rescan finds six
+    assert cache.evictions == 3
+    assert _disk_bytes(root) <= cache.max_bytes
+    assert [key for key in keys if cache.entry_path(key).exists()] == \
+        keys[-3:]
+    assert other.evictions == 0
+
+
+def test_stale_temp_files_are_swept_fresh_ones_kept(tmp_path):
+    """A writer killed between mkstemp and os.replace leaves a temp file
+    no glob of ``*.bin`` ever sees; the size scan unlinks it once it is
+    too old to belong to a live writer."""
+    cache = CompileCache(tmp_path)
+    key = "9a" + "7" * 62
+    shard = cache.entry_path(key).parent
+    shard.mkdir(parents=True)
+    stale = shard / ".9a777777.dead.tmp"
+    fresh = shard / ".9a777777.live.tmp"
+    stale.write_bytes(bytes(4096))
+    fresh.write_bytes(bytes(4096))
+    long_ago = time.time() - 2 * 3600
+    os.utime(stale, (long_ago, long_ago))
+    with warnings_as_errors():
+        cache.store(key, {"payload": 1})
+    assert not stale.exists()
+    assert fresh.exists()
+    assert cache.lookup(key) == {"payload": 1}
 
 
 # -- concurrency ------------------------------------------------------------
@@ -427,14 +542,11 @@ def test_unannotated_entries_reject_any_expectation(tmp_path):
 def test_pipeline_pps_stamps_and_filters_by_degree(tmp_path):
     module = compile_module(STANDARD_PPS)
     cache = CompileCache(tmp_path / "cache")
-    result = pipeline_pps(module, "worker", 2, cache=cache)
-    assert result.cache_key is not None
-    # The stored envelope is degree-stamped (unverified until the
-    # supervisor re-stamps it).
-    assert cache.lookup(result.cache_key,
-                        expect={"degree": 2}) is not None
-    assert cache.lookup(result.cache_key,
-                        expect={"degree": 4}) is None
+    pipeline_pps(module, "worker", 2, cache=cache)
+    key = _key(module, degree=2)
+    # The stored envelope is degree-stamped.
+    assert cache.lookup(key, expect={"degree": 2}) is not None
+    assert cache.lookup(key, expect={"degree": 4}) is None
     # A warm second partition is a (degree-gated) hit.
     before = cache.hits
     again = pipeline_pps(module, "worker", 2, cache=cache)

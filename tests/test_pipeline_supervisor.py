@@ -7,8 +7,9 @@ The ISSUE 5 acceptance contract:
   degraded pipeline's observable behaviour is bit-identical to the
   sequential oracle;
 * every attempt (knob retries included) is recorded;
-* verified results are re-stamped in the compile cache, and a degraded
-  artifact is never served for a full-degree request.
+* a degraded artifact is never served for a full-degree request;
+* a miss is stored once, a hit writes nothing, and the verifier runs on
+  both.
 """
 
 from __future__ import annotations
@@ -138,7 +139,13 @@ def test_total_failure_returns_a_structured_outcome():
     assert outcome.as_dict()["ok"] is False
 
 
-# -- cache stamping -----------------------------------------------------------
+# -- cache interaction --------------------------------------------------------
+
+
+def _only_entry(cache):
+    """(key, path) of the single entry in ``cache``'s store."""
+    (path,) = (cache.root / "objects").glob("*/*.bin")
+    return path.stem, path
 
 
 def test_verified_result_is_stamped_in_the_cache(tmp_path):
@@ -146,11 +153,10 @@ def test_verified_result_is_stamped_in_the_cache(tmp_path):
     cache = CompileCache(tmp_path / "cache")
     outcome = supervise_partition(module, "worker", 3, cache=cache)
     assert outcome.ok
-    key = outcome.result.cache_key
-    assert key is not None
-    assert cache.lookup(key, expect={"degree": 3, "verified": True})
-    # An unverified-full-degree expectation mismatch is a rejection, not
-    # a hit — the entry stays on disk for its rightful consumers.
+    key, _ = _only_entry(cache)
+    assert cache.lookup(key, expect={"degree": 3}) is not None
+    # A full-degree expectation mismatch is a rejection, not a hit — the
+    # entry stays on disk for its rightful consumers.
     assert cache.lookup(key, expect={"degree": 4}) is None
     assert cache.rejected == 1
     assert cache.lookup(key, expect={"degree": 3}) is not None
@@ -162,17 +168,50 @@ def test_degraded_artifact_never_serves_a_full_degree_request(tmp_path):
     outcome = supervise_partition(module, "worker", 4, cache=cache,
                                   partition=_failing_above(2))
     assert outcome.degraded and outcome.achieved_degree == 2
-    stamped = cache.lookup(outcome.result.cache_key,
-                           expect={"degree": 2, "verified": True})
-    assert stamped is not None
+    degraded_key, degraded_path = _only_entry(cache)
+    assert cache.lookup(degraded_key, expect={"degree": 2}) is not None
 
     # Acceptance: a later full-degree request recomputes; it never sees
     # the degraded degree-2 artifact (distinct key AND stamped degree).
+    misses = cache.misses
     fresh = pipeline_pps(module, "worker", 4, cache=cache)
     assert fresh.degree == 4
-    assert fresh.cache_key != outcome.result.cache_key
-    assert cache.lookup(outcome.result.cache_key,
-                        expect={"degree": 4}) is None
+    assert cache.misses == misses + 1
+    assert degraded_path.exists()
+    assert len(list((cache.root / "objects").glob("*/*.bin"))) == 2
+    assert cache.lookup(degraded_key, expect={"degree": 4}) is None
+    assert cache.rejected == 1
+
+
+def _counting_verifier():
+    calls = []
+
+    def verifier(result, **kwargs):
+        calls.append(result.degree)
+        return verify_partition(result, **kwargs)
+
+    return verifier, calls
+
+
+def test_a_miss_stores_once_and_a_hit_writes_nothing(tmp_path):
+    """The cache's cost is one write per miss; the verifier still runs
+    once per attempt, on the hit exactly as on the miss."""
+    cold = CompileCache(tmp_path / "cache")
+    verifier, calls = _counting_verifier()
+    outcome = supervise_partition(_module(), "worker", 3, cache=cold,
+                                  verifier=verifier)
+    assert outcome.ok and calls == [3]
+    assert (cold.misses, cold.stores, cold.hits) == (1, 1, 0)
+    _, path = _only_entry(cold)
+    stored = path.read_bytes()
+
+    warm = CompileCache(tmp_path / "cache")
+    verifier, calls = _counting_verifier()
+    again = supervise_partition(_module(), "worker", 3, cache=warm,
+                                verifier=verifier)
+    assert again.ok and again.verdict.ok and calls == [3]
+    assert (warm.misses, warm.stores, warm.hits) == (0, 0, 1)
+    assert path.read_bytes() == stored
 
 
 def test_outcome_as_dict_round_trips_to_json():
