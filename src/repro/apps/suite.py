@@ -67,7 +67,8 @@ IPV6_PREFIXES = [
 def build_ipv4_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``(rt_l1, rt_nodes)`` for :data:`IPV4_PREFIXES`.  Built once per
     process and shared by every caller, hence tuples: ``load_region``
-    copies them into a machine state, nothing can write through them."""
+    adopts or copies them into a machine state, nothing can write through
+    them."""
     table = Ipv4RouteTable()
     for index, (prefix, plen) in enumerate(IPV4_PREFIXES):
         table.add_route(prefix, plen, port=index % 4, next_hop=100 + index)
@@ -161,8 +162,9 @@ def _compile(source: str) -> Module:
 
 
 def _load_common_tables(state: MachineState) -> None:
-    """Copy the (process-wide, immutable) tables into ``state``: the only
-    per-feed cost is the copy, never the construction."""
+    """Load the (process-wide, immutable) tables into ``state``: a table
+    that fills a readonly region is shared by reference, the rest are
+    copied; the construction is never paid per feed."""
     if "rt_l1" in state.regions:
         level1, nodes = build_ipv4_tables()
         state.load_region("rt_l1", level1)

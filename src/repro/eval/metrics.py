@@ -307,7 +307,9 @@ def bench_headline(*, packets: int = 60, seed: int = 7,
     * **build** — compiling the PPS-C application to IR,
     * **partition** — profiling, min-cut pipelining and stage realization
       for every degree,
-    * **compile** — threaded-code compilation, measured cold,
+    * **compile** — function-level set-up of the generated-code
+      interpreter, measured cold (a block's code is generated by its
+      first execution, so that cost lands in **simulate**),
     * **simulate** — the degree sweep itself, every pipelined run checked
       observationally equivalent to the sequential one.
 

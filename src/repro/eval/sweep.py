@@ -225,15 +225,16 @@ def _score_partition(task: SweepTask, cache):
 
 
 def _score_bench(task: SweepTask, cache):
-    """Partition, compile to threaded code, then simulate every degree
-    against the sequential baseline (equivalence-checked)."""
+    """Partition, set up the interpreter's programs, then simulate every
+    degree against the sequential baseline (equivalence-checked)."""
     from repro.eval.metrics import measure_pipeline, measure_sequential
     from repro.runtime.compile import compile_function
 
     app, transforms, fields, timing = _partition_row(task, cache)
 
     # Cold by construction: the app and every stage function are fresh
-    # objects, and the threaded-code cache is keyed per Function object.
+    # objects, and the compilation cache is keyed per Function object.
+    # Blocks are generated on first execution, inside the simulation.
     start = perf_counter()
     for transform in transforms.values():
         for stage in transform.stages:

@@ -44,8 +44,10 @@ def _mod32(lhs: int, rhs: int) -> int:
 #: Binary operator -> implementation over wrapped 32-bit signed values.
 #: Division/modulo follow C semantics (truncation toward zero); division by
 #: zero raises ``ZeroDivisionError`` (the interpreter turns it into a trap).
-#: Shift counts are masked to 5 bits, as on the IXP ALU.  The compiled
-#: interpreter binds these functions directly into per-instruction closures.
+#: Shift counts are masked to 5 bits, as on the IXP ALU.  The interpreter
+#: generates the same arithmetic inline (``runtime/compile.py``, held to
+#: these functions by ``tests/test_runtime_compile.py``) and calls only
+#: division and modulo.
 BINARY_FUNCS: dict = {
     "+": lambda lhs, rhs: wrap32(lhs + rhs),
     "-": lambda lhs, rhs: wrap32(lhs - rhs),
@@ -79,14 +81,6 @@ def binary_func(op: str):
     func = BINARY_FUNCS.get(op)
     if func is None:
         raise ValueError(f"unknown binary operator {op!r}")
-    return func
-
-
-def unary_func(op: str):
-    """The implementation function of a unary operator (for compilers)."""
-    func = UNARY_FUNCS.get(op)
-    if func is None:
-        raise ValueError(f"unknown unary operator {op!r}")
     return func
 
 

@@ -8,9 +8,10 @@ scheduler interleave stages.  Instruction-count weights are accumulated
 per interpreter — the evaluation metric of the paper ("the number of
 instructions required for processing a minimum sized packet").
 
-Dispatch is threaded code: :meth:`Interpreter.run` drives the
-per-instruction closures that :mod:`repro.runtime.compile` builds once
-per function, with operands pre-resolved.  While blocked, the driver
+Dispatch is generated code: :meth:`Interpreter.run` drives the step
+functions that :mod:`repro.runtime.compile` writes for each basic block
+the first time the block runs — one call per straight-line segment, with
+operands pre-resolved.  While blocked, the driver
 publishes the resource it waits for in ``wait_key`` (``("recv", pipe)``,
 ``("send", pipe)``, ``("rbuf", port)``, ``("seq", resource)``, or
 ``None`` for a voluntary per-iteration yield), which the scheduler uses
@@ -123,15 +124,17 @@ class Interpreter:
                 raise self._fuel_exhausted()
             for step in block.steps:
                 wait = step(self)
-                if wait is not None:
-                    while wait is not None:
-                        stats.blocked += 1
-                        self.wait_key = wait
-                        yield
-                        self.wait_key = None
-                        wait = step(self)
+                while wait is not None:
+                    stats.blocked += 1
+                    self.wait_key = wait
+                    yield
+                    self.wait_key = None
+                    wait = step(self)
+            # The trailing segment runs the block's phis when nothing in
+            # the block blocks, so ``prev_block`` must still name the
+            # predecessor while it executes.
+            next_name = block.last(self)
             self.prev_block = name
-            next_name = block.term(self)
             if next_name is None:
                 self.finished = True
                 return

@@ -138,7 +138,7 @@ class MachineState:
         self.module = module
         self.pipe_capacity = pipe_capacity
         self.wake_hub = WakeHub()
-        self.regions: dict[str, list[int]] = {
+        self.regions: dict[str, list[int] | tuple[int, ...]] = {
             name: [0] * region.size for name, region in module.regions.items()
         }
         self._region_readonly = {name: region.readonly
@@ -176,7 +176,7 @@ class MachineState:
         self.sequencers[resource] = value
         self.wake_hub.notify(("seq", resource))
 
-    def region(self, name: str) -> list[int]:
+    def region(self, name: str) -> list[int] | tuple[int, ...]:
         region = self.regions.get(name)
         if region is None:
             raise TrapError(f"unknown memory region {name!r}")
@@ -206,9 +206,19 @@ class MachineState:
     def load_region(self, name: str,
                     values: dict[int, int] | Sequence[int]) -> None:
         """Populate a region before a run (route tables etc.); readonly
-        regions may only be written through this host-side call.  The
-        values are copied in, so a shared table may be loaded many times."""
+        regions may only be written through this host-side call.  A tuple
+        that fills a readonly region exactly is adopted by reference — no
+        guest can write it (``region_write`` traps first), so a shared
+        table costs nothing per load.  Every other load copies the values
+        in, after giving a region that holds an adopted tuple a private
+        list."""
         region = self.region(name)
+        if (isinstance(values, tuple) and len(values) == len(region)
+                and self._region_readonly.get(name)):
+            self.regions[name] = values
+            return
+        if isinstance(region, tuple):
+            region = self.regions[name] = list(region)
         if isinstance(values, dict):
             for addr, value in values.items():
                 region[addr] = value

@@ -1,13 +1,13 @@
 """The differential tests' oracle: an ``isinstance`` evaluator under a
 round-robin polling loop.
 
-:mod:`repro.runtime` has one execution core — threaded code
+:mod:`repro.runtime` has one execution core — generated code
 (:mod:`repro.runtime.compile`) driven by a ready-deque scheduler.  This
 module is the independent second opinion it is tested against: it walks
 the IR instruction by instruction, re-resolving every operand, and steps
 every live interpreter each round until a full round makes no progress.
-It shares no closure, segment or wake-up logic with the production core,
-so a wrong intrinsic closure, a mis-summed segment or a lost wakeup shows
+It shares no generator, segment or wake-up logic with the production core,
+so a wrongly emitted intrinsic, a mis-summed segment or a lost wakeup shows
 as a difference in statistics or observable state
 (``tests/test_runtime_compiled_differential.py``).
 

@@ -161,14 +161,18 @@ def test_benchmark_tables_are_memoised_and_cannot_be_written_through():
     for table in (level1, nodes, nodes6):
         with pytest.raises(TypeError):
             table[0] = 0xBAD
-    # A machine state gets a copy: scribbling on it leaves the shared
-    # table, and the next state loaded from it, untouched.
+    # A readonly region the table fills exactly holds the tuple itself,
+    # which refuses the scribble; a partly filled one gets a copy, and
+    # scribbling on that leaves the shared table, and the next state
+    # loaded from it, untouched.
     app = build_app("ip_v4", packets=4)
     state, _ = app.fresh_state()
-    state.regions["rt_l1"][0] = 0xBAD
+    assert state.regions["rt_l1"] is level1
+    with pytest.raises(TypeError):
+        state.regions["rt_l1"][0] = 0xBAD
     state.regions["rt6_nodes"][0] = 0xBAD
-    assert build_ipv4_tables()[0][0] != 0xBAD
+    assert build_ipv6_tables()[0] != 0xBAD
     other = MachineState(app.module)
     app.feed(other, app.stream())
-    assert other.regions["rt_l1"] == list(level1)
+    assert other.regions["rt_l1"] is level1
     assert other.regions["rt6_nodes"][:len(nodes6)] == list(nodes6)

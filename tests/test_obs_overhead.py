@@ -85,7 +85,7 @@ def test_disabled_tracing_under_two_percent():
             sweep()
         return perf_counter() - start
 
-    sweep()  # warm caches (threaded-code compilation) outside the clock
+    sweep()  # warm caches (block code generation) outside the clock
     for attempt in range(4):
         absent, disabled = [], []
         for _ in range(5):

@@ -1,11 +1,31 @@
-"""Unit tests for the threaded-code interpreter and ready-deque scheduler.
+"""Unit tests for the generated-code interpreter and ready-deque scheduler.
 
 The differential suite (``test_runtime_compiled_differential.py``) proves
 the execution core agrees with the reference oracle on random programs;
-these tests pin the mechanisms themselves: compilation caching, the
-wait-key protocol, and the wake hub.
+these tests pin the mechanisms themselves: lazy block generation and its
+memoisation, the wait-key protocol, and the wake hub.
 """
 
+import gc
+import os
+import subprocess
+import sys
+import weakref
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.ir.function import Function, Module
+from repro.ir.instructions import Assign, BinOp, Return, UnOp
+from repro.ir.types import (
+    BINARY_OPS,
+    INT_MAX,
+    INT_MIN,
+    UNARY_OPS,
+    eval_binary,
+    eval_unary,
+)
+from repro.ir.values import Const
 from repro.runtime import (
     Interpreter,
     MachineState,
@@ -13,7 +33,6 @@ from repro.runtime import (
     compile_function,
     run_group,
 )
-from repro.runtime.compile import clear_cache, invalidate
 from repro.testing import reference
 
 from helpers import STANDARD_PPS, compile_module, standard_setup
@@ -30,7 +49,7 @@ def run_worker(module, state, *, count, run_group=run_group):
     return interp
 
 
-# -- compilation cache -------------------------------------------------------
+# -- compilation cache and generated code ------------------------------------
 
 
 def test_compile_function_is_cached():
@@ -38,30 +57,166 @@ def test_compile_function_is_cached():
     function = module.pps("worker")
     first = compile_function(function)
     assert compile_function(function) is first
-    invalidate(function)
-    assert compile_function(function) is not first
+    assert first.entry == function.entry
+    assert "in_q" in first.pipe_names
+    assert "out_q" in first.pipe_names
 
 
-def test_clear_cache():
-    module = compile_module(STANDARD_PPS)
-    function = module.pps("worker")
-    first = compile_function(function)
-    clear_cache()
-    assert compile_function(function) is not first
-
-
-def test_compiled_blocks_expose_per_instruction_ops():
+def test_blocks_are_generated_when_the_driver_reaches_them():
     module = compile_module(STANDARD_PPS)
     function = module.pps("worker")
     compiled = compile_function(function)
-    assert compiled.entry == function.entry
+    assert not compiled.blocks  # set-up generates nothing
+    state = MachineState(module)
+    count = standard_setup(state, 3)
+    run_worker(module, state, count=count)
+    assert compiled.blocks
+    assert set(compiled.blocks) <= set(function.blocks)
     for name, block in compiled.blocks.items():
-        source = function.block(name)
-        assert len(block.ops) == len(source.instructions)
-        assert all(callable(op) for op in block.ops)
-        assert callable(block.term)
-    assert "in_q" in compiled.pipe_names
-    assert "out_q" in compiled.pipe_names
+        assert block.name == name
+        assert block.cost == len(function.block(name).instructions) + 1
+        assert callable(block.last)
+        assert all(callable(step) for step in block.steps)
+        compile(block.source, "<test>", "exec")  # the kept text is valid
+
+
+def test_equal_source_text_shares_one_code_object():
+    # Two compilations of one program are distinct Function objects with
+    # distinct VRegs, yet every step of theirs has the same text.
+    compiled = []
+    for _ in range(2):
+        module = compile_module(STANDARD_PPS)
+        state = MachineState(module)
+        count = standard_setup(state, 3)
+        run_worker(module, state, count=count)
+        compiled.append(compile_function(module.pps("worker")))
+    first, second = compiled
+    assert set(first.blocks) == set(second.blocks)
+    for name, block in first.blocks.items():
+        twin = second.blocks[name]
+        assert block.source == twin.source
+        assert block.last is not twin.last
+        assert block.last.__code__ is twin.last.__code__
+        assert block.last.__globals__ is not twin.last.__globals__
+
+
+def test_generated_text_does_not_depend_on_the_hash_seed():
+    script = (
+        "import hashlib\n"
+        "from repro.apps.suite import build_app\n"
+        "from repro.runtime.compile import compile_function\n"
+        "app = build_app('ipv4', packets=4)\n"
+        "function = app.module.pps(app.pps_name)\n"
+        "blocks = compile_function(function).blocks\n"
+        "text = ''.join(blocks[name].source for name in function.block_order)\n"
+        "print(len(text), hashlib.sha256(text.encode()).hexdigest())\n"
+    )
+    digests = set()
+    for seed in ("0", "random", "random"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        digests.add(result.stdout)
+    assert len(digests) == 1, digests
+
+
+def test_executed_function_dies_with_its_module():
+    # The lazily generating program must not hold its Function strongly,
+    # or the weak-keyed compilation cache never lets a module die.
+    module = compile_module(STANDARD_PPS)
+    state = MachineState(module)
+    count = standard_setup(state, 3)
+    interp = run_worker(module, state, count=count)
+    assert compile_function(module.pps("worker")).blocks
+    function = weakref.ref(module.pps("worker"))
+    del module, state, interp
+    gc.collect()
+    assert function() is None
+
+
+# -- generated arithmetic ----------------------------------------------------
+
+#: Edge operands: the range ends, the sign change, and shift counts
+#: around the 5-bit mask.
+OPERANDS = (INT_MIN, INT_MIN + 1, -1, 0, 1, 31, 32, 33, INT_MAX)
+
+
+class OneBlock:
+    """A one-block function under construction: operands enter as
+    constants or through registers assigned in the block itself."""
+
+    def __init__(self):
+        self.function = Function("f")
+        self.block = self.function.new_block("entry")
+        self.expected = {}
+
+    def operand(self, value, as_const):
+        if as_const:
+            return Const(value)
+        reg = self.function.new_reg()
+        self.block.append(Assign(reg, Const(value)))
+        return reg
+
+    def expect(self, make, value):
+        dest = self.function.new_reg()
+        self.block.append(make(dest))
+        self.expected[dest] = value
+
+    def check(self):
+        self.block.set_terminator(Return())
+        interp = Interpreter(self.function, MachineState(Module()))
+        for _ in interp.run():
+            pass
+        assert interp.finished
+        assert not compile_function(self.function).blocks["entry0"].steps
+        assert {dest: interp.regs[dest]
+                for dest in self.expected} == self.expected
+
+
+def binary_case(case, op, lhs, rhs, lhs_const, rhs_const):
+    left = case.operand(lhs, lhs_const)
+    right = case.operand(rhs, rhs_const)
+    case.expect(lambda dest: BinOp(dest, op, left, right),
+                eval_binary(op, lhs, rhs))
+
+
+@pytest.mark.parametrize("rhs_const", [False, True])
+@pytest.mark.parametrize("lhs_const", [False, True])
+@pytest.mark.parametrize("op", sorted(BINARY_OPS))
+def test_generated_binary_ops_match_eval_binary(op, lhs_const, rhs_const):
+    case = OneBlock()
+    for lhs in OPERANDS:
+        for rhs in OPERANDS:
+            if not (op in "/%" and rhs == 0):  # traps: see the differential
+                binary_case(case, op, lhs, rhs, lhs_const, rhs_const)
+    case.check()
+
+
+@pytest.mark.parametrize("as_const", [False, True])
+@pytest.mark.parametrize("op", sorted(UNARY_OPS))
+def test_generated_unary_ops_match_eval_unary(op, as_const):
+    case = OneBlock()
+    for value in OPERANDS:
+        operand = case.operand(value, as_const)
+        case.expect(lambda dest, operand=operand: UnOp(dest, op, operand),
+                    eval_unary(op, value))
+    case.check()
+
+
+words = st.integers(INT_MIN, INT_MAX)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(BINARY_OPS)), words, words,
+                          st.booleans(), st.booleans()),
+                min_size=1, max_size=12))
+def test_generated_binary_ops_property(cases):
+    case = OneBlock()
+    for op, lhs, rhs, lhs_const, rhs_const in cases:
+        if not (op in "/%" and rhs == 0):
+            binary_case(case, op, lhs, rhs, lhs_const, rhs_const)
+    case.check()
 
 
 # -- wait keys ---------------------------------------------------------------

@@ -132,6 +132,40 @@ def test_readonly_region_write_traps():
         state.region_write("r", 0, 1)
 
 
+def test_readonly_region_adopts_a_full_tuple_by_reference():
+    from repro.ir.values import RegionRef
+
+    module = compile_module("""
+        memory r[4]; memory w[4];
+        pps p { for (;;) { mem_write(r, 1, 9); } }
+    """)
+    # Sema rejects a guest write to a readonly region, so the region is
+    # made readonly after compiling the write.
+    module.regions["r"] = RegionRef("r", 4, readonly=True)
+    table = (5, 6, 7, 8)
+    first, second = MachineState(module), MachineState(module)
+    for state in (first, second):
+        state.load_region("r", table[:2])    # partial: copied
+        assert state.regions["r"] == [5, 6, 0, 0]
+        state.load_region("w", table)        # writable: copied
+        state.load_region("r", table)
+    assert first.regions["r"] is table and second.regions["r"] is table
+    assert first.regions["w"] == list(table)
+    assert first.regions["w"] is not second.regions["w"]
+    # A later host-side write takes a private list first.
+    first.load_region("r", {2: 70})
+    assert first.regions["r"] == [5, 6, 70, 8]
+    assert second.regions["r"] is table and table == (5, 6, 7, 8)
+    second.load_region("r", [1, 2])
+    assert second.regions["r"] == [1, 2, 7, 8] and table == (5, 6, 7, 8)
+    # The guest still cannot write it.
+    state = MachineState(module)
+    state.load_region("r", table)
+    with pytest.raises(RuntimeError_, match="^write to readonly region 'r'$"):
+        run_sequential(module.pps("p"), state, iterations=1)
+    assert state.regions["r"] is table
+
+
 def test_pipe_blocking_and_iteration_budget():
     module = compile_module("""
         pipe q;
