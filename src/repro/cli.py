@@ -17,9 +17,7 @@ Usage (also via ``python -m repro``)::
     repro chaos --sweep -j 4                 # parallel multi-app chaos sweep
     repro serve --shards 4 \\
         --faults worker-kill                 # supervised sharded serving
-    repro figures [--packets 60]             # regenerate the paper figures
-    repro bench [--quick] [-j N] [-o FILE]   # performance regression harness
-    repro bench --profile                    # + partition-phase table
+    repro figures [-j N] [-o FILE]           # the paper's Figures 19-22
     repro plan -j 4                          # pre-partition matrix into cache
     repro fuzz [--seeds 50] [--out DIR]      # progen fuzz of the partitioner
     repro fuzz -j 4                          # parallel fuzz campaign
@@ -32,7 +30,7 @@ PPS-C files conventionally use the ``.ppc`` extension.
 (:mod:`repro.pipeline.verify`), and on partitioner faults or verifier
 rejection the requested degree degrades down a D → ⌈D/2⌉ → … → 1 ladder
 rather than failing outright.  ``--keep-going`` on the sweep
-commands (``bench``, ``plan``, ``explore``, ``chaos --sweep``) likewise
+commands (``plan``, ``explore``, ``chaos --sweep``) likewise
 trades fail-fast for per-cell failure records; a failed cell reports its
 seed and a reproduce one-liner identically at every ``-j``.
 
@@ -604,73 +602,40 @@ def cmd_trace(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    from repro.eval.experiments import (
-        ExperimentConfig,
-        figure19,
-        figure20,
-        figure21,
-        figure22,
-        headline_speedups,
-    )
+    """``repro figures``: print Figures 19–22 and the headline from one
+    :func:`~repro.eval.experiments.figures_record`; ``-o`` writes it."""
+    from repro.eval.experiments import figures_record
     from repro.eval.report import render_figure
 
-    config = ExperimentConfig(packets=args.packets,
-                              cache=_open_cache(args))
-    print(render_figure("Figure 19: speedup, IPv4 forwarding PPSes",
-                        figure19(config)))
-    print()
-    print(render_figure("Figure 20: speedup, IP forwarding PPSes",
-                        figure20(config)))
-    print()
-    print(render_figure("Figure 21: live-set overhead, IPv4 forwarding",
-                        figure21(config), value_format="{:6.3f}"))
-    print()
-    print(render_figure("Figure 22: live-set overhead, IP forwarding",
-                        figure22(config), value_format="{:6.3f}"))
-    print()
-    print("Headline (9-stage pipeline):")
-    for name, value in headline_speedups(config).items():
-        print(f"  {name:8s} {value:5.2f}x")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from repro.eval.metrics import bench_headline
-
-    degrees = list(range(1, 5)) if args.quick else None
-    result = bench_headline(packets=args.packets,
-                            degrees=degrees,
-                            jobs=args.jobs,
-                            cache=_open_cache(args),
-                            keep_going=args.keep_going)
-    _write_json(args.output, result)
-
-    print(f"bench: packets={args.packets} "
-          f"degrees={result['config']['degrees']} jobs={args.jobs}")
-    print(f"  build     {result['build_seconds']:8.3f}s")
-    print(f"  partition {result['partition_seconds']:8.3f}s")
-    print(f"  compile   {result['compile_seconds']:8.3f}s")
-    for figure, entry in result["figures"].items():
-        rate = entry["instructions_per_second"]
-        line = (f"  {figure}: {entry['wall_seconds']:.3f}s simulation, "
-                f"{entry['simulated_instructions']} instructions "
-                f"({rate / 1e6:.2f} Minstr/s)" if rate else
-                f"  {figure}: {entry['wall_seconds']:.3f}s simulation")
-        print(line)
-    if args.profile and result.get("partition_breakdown"):
-        print(_partition_profile_table(result["partition_breakdown"]))
-    if "cache" in result:
-        counters = result["cache"]
-        print(f"  cache     {counters['hits']} hits, "
-              f"{counters['misses']} misses, {counters['stores']} stores, "
-              f"{counters['evictions']} evicted")
-    _print_failures(result.get("failures", []))
-    print(f"wrote {args.output}")
-    return EXIT_FAILURE if result.get("failures") else EXIT_OK
+    record = figures_record(
+        packets=args.packets, jobs=args.jobs,
+        degrees=_parse_list("--degrees", args.degrees, int))
+    # Figures 21/22 plot the overhead of Figure 19/20's applications.
+    for application, metric, title, value_format in (
+            ("figure19", "speedup_by_degree",
+             "Figure 19: speedup, IPv4 forwarding PPSes", "{:6.2f}"),
+            ("figure20", "speedup_by_degree",
+             "Figure 20: speedup, IP forwarding PPSes", "{:6.2f}"),
+            ("figure19", "overhead_by_degree",
+             "Figure 21: live-set overhead, IPv4 forwarding", "{:6.3f}"),
+            ("figure20", "overhead_by_degree",
+             "Figure 22: live-set overhead, IP forwarding", "{:6.3f}")):
+        print(render_figure(title, record["figures"][application][metric],
+                            value_format=value_format))
+        print()
+    top = record["config"]["degrees"][-1]
+    print(f"Headline ({top}-stage pipeline):")
+    for name in ("ipv4", "ip_v4", "ip_v6"):
+        print(f"  {name:8s} "
+              f"{record[f'headline_speedup_degree{top}'][name]:5.2f}x")
+    if args.output:
+        _write_json(args.output, record)
+        print(f"wrote {args.output}")
+    return EXIT_OK
 
 
 def _partition_profile_table(breakdown: dict) -> str:
-    """The ``repro bench --profile`` partition-phase table.
+    """The ``repro plan`` partition-phase table.
 
     One row per (app, degree): wall seconds, balanced-cut collapse
     iterations, push-relabel discharges, and how many of the degree's
@@ -928,27 +893,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=cmd_trace)
 
     p_fig = sub.add_parser("figures", help="regenerate the paper's figures")
-    _add_workload_flags(p_fig, packets=60)
-    _add_cache_flags(p_fig)
+    _add_workload_flags(p_fig, packets=60, degrees="1,2,3,4,5,6,7,8,9")
+    _add_sweep_flags(p_fig, keep_going=False)
+    p_fig.add_argument("-o", "--output", default=None,
+                       help="write the record as JSON (the committed "
+                            "BENCH_headline.json is this file at the "
+                            "default packets and degrees)")
     p_fig.set_defaults(func=cmd_figures)
-
-    p_bench = sub.add_parser(
-        "bench", help="run the performance regression harness")
-    _add_workload_flags(p_bench, packets=60)
-    p_bench.add_argument("-o", "--output",
-                         default="bench-out/BENCH_headline.json",
-                         help="report path (default: "
-                              "bench-out/BENCH_headline.json; the "
-                              "committed baseline stays untouched)")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="small degree sweep (1-4) for smoke runs")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="print the partition-phase table (per app x "
-                              "degree: seconds, cut iterations, pr work, "
-                              "warm-start hits)")
-    _add_sweep_flags(p_bench)
-    _add_cache_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
 
     p_plan = sub.add_parser(
         "plan", help="pre-partition the benchmark matrix into the cache")

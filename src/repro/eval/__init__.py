@@ -6,15 +6,7 @@ from repro.eval.metrics import (
     measure_pipeline,
     measure_sequential,
 )
-from repro.eval.experiments import (
-    app_statistics,
-    figure19,
-    figure20,
-    figure21,
-    figure22,
-    headline_speedups,
-    speedup_series,
-)
+from repro.eval.experiments import app_statistics, figures_record
 from repro.eval.explore import (
     SearchSpace,
     Weights,
@@ -35,14 +27,9 @@ __all__ = [
     "explore",
     "pareto_flags",
     "app_statistics",
-    "figure19",
-    "figure20",
-    "figure21",
-    "figure22",
+    "figures_record",
     "format_series_table",
-    "headline_speedups",
     "measure_pipeline",
     "measure_sequential",
     "render_figure",
-    "speedup_series",
 ]

@@ -286,117 +286,3 @@ def measure_replication(app: AppInstance, ways: int, *,
         serial_sections={resource: weight / max(1, iterations)
                          for resource, weight in sections.items()},
     )
-
-
-# -- performance regression harness ------------------------------------------
-
-
-def bench_headline(*, packets: int = 60, seed: int = 7,
-                   degrees: list[int] | None = None,
-                   jobs: int = 1, cache=None,
-                   keep_going: bool = False) -> dict:
-    """Run the headline performance benchmark (``repro bench``).
-
-    Sweeps every app of Figures 19 and 20 over ``degrees`` as one
-    ``bench`` cell per *distinct* app (:mod:`repro.eval.sweep`; ``rx``
-    and ``tx`` sit in both figures but are partitioned and simulated
-    once), at any ``jobs`` level, and assembles the figures from the
-    cells.  Each cell times its phases separately so a regression names
-    its layer:
-
-    * **build** — compiling the PPS-C application to IR,
-    * **partition** — profiling, min-cut pipelining and stage realization
-      for every degree,
-    * **compile** — function-level set-up of the generated-code
-      interpreter, measured cold (a block's code is generated by its
-      first execution, so that cost lands in **simulate**),
-    * **simulate** — the degree sweep itself, every pipelined run checked
-      observationally equivalent to the sequential one.
-
-    The ``*_seconds`` totals and ``phase_seconds`` sum those phases over
-    the cells (worker CPU time when ``jobs > 1``);
-    ``phase_seconds["sweep"]`` is the wall clock of the whole sweep.  The
-    speedup series are deterministic and identical under any ``jobs``
-    level.  ``cache`` (a :class:`repro.cache.CompileCache`) memoizes
-    every partition by content address; its hit/miss counters land in
-    the result's ``cache`` section.  ``keep_going`` records failed cells
-    under a ``failures`` key instead of aborting the whole sweep on the
-    first :class:`~repro.eval.sweep.SweepError`.
-
-    Returns a JSON-serializable dict; ``repro bench`` writes it to
-    ``bench-out/BENCH_headline.json``.
-    """
-    import sys
-
-    from repro.eval.experiments import FIGURE19_APPS, FIGURE20_APPS
-    from repro.eval.sweep import app_tasks, run_sweep
-    from repro.obs import PhaseTimer
-
-    degrees = sorted(set(degrees)) if degrees else list(range(1, 10))
-    figure_apps = {"figure19": list(FIGURE19_APPS),
-                   "figure20": list(FIGURE20_APPS)}
-    distinct = list(dict.fromkeys(
-        name for names in figure_apps.values() for name in names))
-    tasks = app_tasks("bench", distinct, degrees, packets=packets,
-                      seed=seed)
-
-    phases = PhaseTimer()
-    with phases.phase("sweep", jobs=jobs, tasks=len(tasks)):
-        results = run_sweep(tasks, jobs=jobs, keep_going=keep_going,
-                            cache=cache)
-
-    # keep_going sweeps carry failure placeholders; aggregate only the
-    # cells that completed, and report the rest under "failures".
-    failures = [entry for entry in results if entry.get("failed")]
-    cells = {entry["app"]: entry for entry in results
-             if not entry.get("failed")}
-
-    def seconds(phase: str, entries=None) -> float:
-        entries = cells.values() if entries is None else entries
-        return sum(entry["timing"][f"{phase}_seconds"] for entry in entries)
-
-    figures: dict[str, dict] = {}
-    for figure, names in figure_apps.items():
-        entries = [cells[name] for name in names if name in cells]
-        wall = seconds("simulate", entries)
-        instructions = sum(entry["simulated_instructions"]
-                           for entry in entries)
-        figures[figure] = {
-            "apps": names,
-            "wall_seconds": round(wall, 4),
-            "simulated_instructions": instructions,
-            "instructions_per_second": (round(instructions / wall)
-                                        if wall else None),
-            "speedup_by_degree": {entry["app"]: entry["speedup_by_degree"]
-                                  for entry in entries},
-        }
-
-    top = max(degrees)
-    result = {
-        "config": {
-            "packets": packets,
-            "seed": seed,
-            "degrees": degrees,
-            "jobs": jobs,
-            "python": sys.version.split()[0],
-        },
-        "build_seconds": round(seconds("build"), 4),
-        "partition_seconds": round(seconds("partition"), 4),
-        "compile_seconds": round(seconds("compile"), 4),
-        "phase_seconds": {
-            "sweep": round(phases["sweep"], 4),
-            **{phase: round(seconds(phase), 4)
-               for phase in ("build", "partition", "compile", "simulate")},
-        },
-        "partition_breakdown": {name: entry["partition_breakdown"]
-                                for name, entry in cells.items()},
-        "figures": figures,
-        f"headline_speedup_degree{top}": {
-            name: entry["speedup_by_degree"][top]
-            for name, entry in cells.items()},
-    }
-    if failures:
-        result["failures"] = failures
-    if cache is not None:
-        result["cache"] = cache.counters()
-    return result

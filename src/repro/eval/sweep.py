@@ -3,7 +3,7 @@
 Fig-19-style sweeps re-partition the same four NPF apps over and over;
 each (app, D) cell is independent, deterministic given its seed, and
 dominated by the balanced-cut search — an embarrassingly parallel
-workload.  :func:`run_sweep` is the one multi-cell path: ``repro bench``,
+workload.  :func:`run_sweep` is the one multi-cell path: ``repro figures``,
 ``plan``, ``explore``, ``chaos --sweep`` and ``fuzz`` all describe their
 work as :class:`SweepTask` cells and run them here, inline or on a
 ``concurrent.futures.ProcessPoolExecutor`` (``-j N`` on the CLI), with:
@@ -99,9 +99,9 @@ class SweepTask:
                     f"--incremental {inc} "
                     f"--max-block-instructions {self.max_block_instructions} "
                     f"--packets {self.packets} --seed {self.seed} -j 1")
-        return (f"repro bench --packets {self.packets} -j 1  "
-                f"# cell: app={self.app} degrees={degrees} "
-                f"seed={self.seed}")
+        return (f"repro figures --packets {self.packets} "
+                f"--degrees {degrees} -j 1  "
+                f"# cell: app={self.app} seed={self.seed}")
 
     def detail(self) -> str:
         """The failure context every SweepError message must carry:
@@ -126,7 +126,7 @@ def derive_seed(base: int, *parts) -> int:
 
 def app_tasks(kind: str, apps: list[str], degrees, *, packets: int,
               seed: int) -> list[SweepTask]:
-    """``bench`` / ``partition`` cells: one per app, in the given app
+    """``figures`` / ``partition`` cells: one per app, in the given app
     order, covering its whole degree row.
 
     A cell keeps all of an app's degrees together so the worker shares
@@ -207,58 +207,47 @@ def _partition_row(task: SweepTask, cache):
     from repro.apps.suite import build_app
     from repro.eval.metrics import partition_app
 
-    app, build_seconds = _timed(build_app, task.app, packets=task.packets,
-                                seed=task.seed)
-    (transforms, breakdown), partition_seconds = _timed(
-        partition_app, app, task.degrees, cache=cache)
-    return (app, transforms, {"partition_breakdown": breakdown},
-            {"build_seconds": build_seconds,
-             "partition_seconds": partition_seconds})
+    app = build_app(task.app, packets=task.packets, seed=task.seed)
+    transforms, breakdown = partition_app(app, task.degrees, cache=cache)
+    return app, transforms, breakdown
 
 
 def _score_partition(task: SweepTask, cache):
     """The planner cell: the results land in the shared compile cache,
-    so a following bench / fuzz / run phase gets pure cache hits; the
+    so a following explore / chaos / run phase gets pure cache hits; the
     record carries the per-degree breakdown for profiling output."""
-    _, _, fields, timing = _partition_row(task, cache)
-    return fields, timing
+    _, _, breakdown = _partition_row(task, cache)
+    return {"partition_breakdown": breakdown}, {}
 
 
-def _score_bench(task: SweepTask, cache):
-    """Partition, set up the interpreter's programs, then simulate every
-    degree against the sequential baseline (equivalence-checked)."""
+def _score_figures(task: SweepTask, cache):
+    """The paper's numbers for one app: partition the degree row, then
+    simulate every degree against the sequential baseline
+    (equivalence-checked).  Every field is a pure function of the task
+    when ``cache`` is ``None`` — a cached artifact carries the work
+    counters of whichever command solved it first."""
     from repro.eval.metrics import measure_pipeline, measure_sequential
-    from repro.runtime.compile import compile_function
 
-    app, transforms, fields, timing = _partition_row(task, cache)
-
-    # Cold by construction: the app and every stage function are fresh
-    # objects, and the compilation cache is keyed per Function object.
-    # Blocks are generated on first execution, inside the simulation.
-    start = perf_counter()
-    for transform in transforms.values():
-        for stage in transform.stages:
-            compile_function(stage.function)
-    compile_function(app.module.pps(app.pps_name))
-    timing["compile_seconds"] = perf_counter() - start
-
-    series: dict[int, float] = {}
-    start = perf_counter()
+    app, transforms, breakdown = _partition_row(task, cache)
     baseline = measure_sequential(app)
     instructions = baseline.total_instructions
+    speedups: dict[int, float] = {}
+    overheads: dict[int, float] = {}
     for degree in sorted(task.degrees):
-        if degree == 1:
-            series[1] = 1.0
-            continue
         measured = measure_pipeline(app, degree, baseline=baseline,
-                                    transform=transforms[degree])
+                                    transform=transforms.get(degree))
         instructions += measured.total_instructions
-        series[degree] = round(measured.speedup, 4)
-    timing["simulate_seconds"] = perf_counter() - start
-
-    fields["speedup_by_degree"] = series
-    fields["simulated_instructions"] = instructions
-    return fields, timing
+        speedups[degree] = round(measured.speedup, 4)
+        # Six places: the figures print three, and four would round
+        # twice (0.33149 -> 0.3315 -> "0.332").
+        overheads[degree] = round(measured.overhead_ratio, 6)
+    work = {degree: {key: value for key, value in cell.items()
+                     if key != "seconds"}
+            for degree, cell in breakdown.items()}
+    return {"partition_breakdown": work,
+            "speedup_by_degree": speedups,
+            "overhead_by_degree": overheads,
+            "simulated_instructions": instructions}, {}
 
 
 def _score_explore(task: SweepTask, cache):
@@ -413,9 +402,9 @@ def _score_fuzz(task: SweepTask, cache):
 
 
 _SCORERS = {
-    "bench": _score_bench,
     "chaos": _score_chaos,
     "explore": _score_explore,
+    "figures": _score_figures,
     "fuzz": _score_fuzz,
     "partition": _score_partition,
 }
@@ -431,8 +420,8 @@ def plan_partitions(apps: list[str], degrees, *, packets: int, seed: int,
 
     Fans one ``partition`` cell per app over the sweep runner (``jobs``
     worker processes) with all results stored through the shared on-disk
-    compile ``cache`` — after planning, a cold ``repro bench`` / ``repro
-    fuzz`` / ``repro run`` gets pure cache hits for every partition it
+    compile ``cache`` — after planning, a cold ``repro explore`` / ``repro
+    chaos`` / ``repro run`` gets pure cache hits for every partition it
     needs.  Within each cell the worker shares one analysis context and
     warm-start cache across the degree row, so the parallel plan
     produces partitions bit-identical to a serial sweep (and to cold,

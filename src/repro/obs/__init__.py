@@ -1,8 +1,7 @@
 """Observability: phase tracing, runtime counters, structured reports.
 
 * :mod:`repro.obs.tracer` — Chrome-trace span/event tracer with a
-  zero-overhead disabled path, plus the :class:`PhaseTimer` the bench
-  harness uses for its phase breakdown;
+  zero-overhead disabled path;
 * :mod:`repro.obs.report` — per-stage / per-pipe / scheduler counter
   reports assembled after a run.
 
@@ -15,7 +14,6 @@ See ``docs/observability.md`` for the trace format and counter glossary.
 from repro.obs.tracer import (
     TID_COMPILE,
     TID_RUNTIME,
-    PhaseTimer,
     Tracer,
     active,
     counter,
@@ -32,7 +30,6 @@ from repro.obs.report import (
 )
 
 __all__ = [
-    "PhaseTimer",
     "PipeCounters",
     "RuntimeReport",
     "StageCounters",

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from time import perf_counter, perf_counter_ns
+from time import perf_counter_ns
 
 #: Synthetic process id for every event (one simulated machine).
 TRACE_PID = 1
@@ -219,30 +219,3 @@ def counter(name: str, values: dict, *, cat: str = "counters",
     """Emit a counter sample on the installed tracer (no-op when off)."""
     if _ACTIVE is not None:
         _ACTIVE.counter(name, values, cat=cat, tid=tid)
-
-
-class PhaseTimer:
-    """Named wall-clock phases, tracer-backed.
-
-    Replaces the ad-hoc ``t0 = perf_counter(); ...; x = perf_counter()-t0``
-    boilerplate: each :meth:`phase` block accumulates its wall seconds
-    under its name *and* records a span when a tracer is installed, so
-    ``repro bench`` phase breakdowns and trace files come from the same
-    clock.
-    """
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-
-    @contextmanager
-    def phase(self, name: str, **args):
-        with span(name, cat="bench", **args):
-            start = perf_counter()
-            try:
-                yield
-            finally:
-                self.seconds[name] = (self.seconds.get(name, 0.0)
-                                      + perf_counter() - start)
-
-    def __getitem__(self, name: str) -> float:
-        return self.seconds[name]

@@ -480,19 +480,20 @@ def test_warm_partition_skips_search_phases(tmp_path):
     assert [e["args"]["outcome"] for e in lookups] == ["hit"]
 
 
-def test_warm_bench_headline_all_hits(tmp_path):
-    """Second bench run over the same cache: every partition is a hit."""
-    from repro.eval.metrics import bench_headline
+def test_warm_plan_all_hits_and_writes_nothing(tmp_path):
+    """Second sweep over the same cache directory: every partition is a
+    hit, and a hit writes nothing."""
+    from repro.eval.sweep import plan_partitions
 
     cold = CompileCache(tmp_path / "cache")
-    bench_headline(packets=4, degrees=[1, 2], cache=cold)
+    plan_partitions(["rx", "tx"], [2, 3], packets=4, seed=7, cache=cold)
     assert cold.misses > 0 and cold.stores == cold.misses
 
     warm = CompileCache(tmp_path / "cache")
-    result = bench_headline(packets=4, degrees=[1, 2], cache=warm)
+    plan_partitions(["rx", "tx"], [2, 3], packets=4, seed=7, cache=warm)
     assert warm.hits > 0
     assert warm.misses == 0
-    assert result["cache"] == warm.counters()
+    assert warm.stores == 0
 
 
 # -- policy -----------------------------------------------------------------

@@ -226,23 +226,41 @@ def test_keep_going_flags_parse():
     assert parser.parse_args(["chaos", "--sweep",
                               "--keep-going"]).keep_going is True
     assert parser.parse_args(["chaos", "--sweep"]).keep_going is False
-    assert parser.parse_args(["bench", "-j", "2",
+    assert parser.parse_args(["plan", "-j", "2",
                               "--keep-going"]).keep_going is True
-    assert parser.parse_args(["bench"]).keep_going is False
+    assert parser.parse_args(["plan"]).keep_going is False
 
 
-def test_bench_writes_report(tmp_path, capsys):
-    output = tmp_path / "bench.json"
-    assert main(["bench", "--quick", "--packets", "8",
-                 "-o", str(output)]) == 0
-    out = capsys.readouterr().out
-    assert "figure19" in out
-    assert str(output) in out
-
+def test_figures_writes_record(tmp_path, capsys):
+    """``figures`` prints the four figures and the headline; ``-o`` writes
+    the library function's record, the same bytes at every ``-j``."""
     import json
 
-    report = json.loads(output.read_text())
-    assert report["config"]["packets"] == 8
-    assert report["config"]["degrees"] == [1, 2, 3, 4]
-    assert report["figures"]["figure19"]["simulated_instructions"] > 0
-    assert len(report["partition_breakdown"]) == 7  # one per distinct app
+    from repro.eval.experiments import figures_record
+
+    outputs = []
+    for jobs in ("1", "2"):
+        output = tmp_path / f"record-j{jobs}.json"
+        assert main(["figures", "--packets", "8", "--degrees", "1,2",
+                     "-j", jobs, "-o", str(output)]) == 0
+        out = capsys.readouterr().out
+        for line in ("Figure 19: speedup, IPv4 forwarding PPSes",
+                     "Figure 20: speedup, IP forwarding PPSes",
+                     "Figure 21: live-set overhead, IPv4 forwarding",
+                     "Figure 22: live-set overhead, IP forwarding",
+                     "Headline (2-stage pipeline):",
+                     f"wrote {output}"):
+            assert line in out
+        outputs.append(output.read_bytes())
+    assert outputs[0] == outputs[1]
+    record = figures_record(packets=8, degrees=[1, 2])
+    assert json.loads(outputs[0]) == json.loads(json.dumps(record))
+    assert len(record["partition_breakdown"]) == 7  # one per distinct app
+    assert record["figures"]["figure19"]["simulated_instructions"] > 0
+
+
+def test_bench_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.apps.suite import build_app
-from repro.eval.experiments import ExperimentConfig, speedup_series
 from repro.eval.metrics import (
     measure_pipeline,
     measure_sequential,
 )
 from repro.eval.report import format_series_table, render_figure
+from repro.eval.sweep import app_tasks, run_sweep
 from repro.machine.costs import SCRATCH_RING
 from repro.pipeline.liveset import Strategy
 
@@ -77,10 +77,12 @@ def test_unified_message_never_smaller_than_packed(ipv4_app, ipv4_baseline):
 
 
 def test_speedup_series_structure():
-    config = ExperimentConfig(packets=24, degrees=[1, 2])
-    series = speedup_series("tx", config)
-    assert set(series) == {1, 2}
-    assert series[1] == 1.0
+    [cell] = run_sweep(app_tasks("figures", ["tx"], [1, 2], packets=24,
+                                 seed=7))
+    for series, identity in ((cell["speedup_by_degree"], 1.0),
+                             (cell["overhead_by_degree"], 0.0)):
+        assert set(series) == {1, 2}
+        assert series[1] == identity
 
 
 def test_report_rendering():

@@ -11,16 +11,15 @@ The contract under test:
   rule stops at the first score plateau (the paper's "levels off" knee),
   and every passed-over cell carries a provenance note;
 * a search space with clashing cost tables or malformed knobs is
-  rejected before anything runs;
-* the ``bench_delta.py`` frontier gate fails on a changed picked degree
-  or an over-budget picked-cell speedup drop.
+  rejected before anything runs.
+
+That the default grid still regenerates the committed
+``EXPLORE_frontier.json`` byte for byte is ``tests/test_paper_numbers.py``.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,12 +35,6 @@ from repro.eval.explore import (
     pareto_flags,
     render_markdown,
 )
-
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_delta",
-    Path(__file__).resolve().parents[1] / "scripts" / "bench_delta.py")
-bench_delta = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_delta)
 
 
 # -- Pareto filter vs brute force -------------------------------------------
@@ -334,39 +327,3 @@ def test_deterministic_report_strips_wall_clock_fields():
     # ... without mutating the full report.
     assert all("timing" in cell
                for cell in report["apps"]["rx"]["cells"])
-
-
-# -- the frontier gate (scripts/bench_delta.py) ------------------------------
-
-
-def _frontier(picks):
-    return {"apps": {app: {"pick": None if entry is None else {
-        "id": f"{app}/nn-ring/d{entry[0]}/e0.0625/inc/b12",
-        "config": {"degree": entry[0]},
-        "metrics": {"speedup": entry[1]},
-    }} for app, entry in picks.items()}}
-
-
-def test_frontier_gate_passes_when_picks_hold():
-    rows = bench_delta.frontier_delta(
-        _frontier({"rx": (5, 2.27), "ipv4": (9, 4.25)}),
-        _frontier({"rx": (5, 2.20), "ipv4": (9, 4.25)}), 0.25)
-    assert [bad for _, _, bad in rows] == [False, False]
-
-
-def test_frontier_gate_fails_on_changed_degree_or_speedup_drop():
-    rows = bench_delta.frontier_delta(
-        _frontier({"rx": (5, 2.27), "ipv4": (9, 4.25)}),
-        _frontier({"rx": (7, 2.92), "ipv4": (9, 3.0)}), 0.25)
-    verdicts = {app: (detail, bad) for app, detail, bad in rows}
-    assert verdicts["rx"][1] and "DEGREE CHANGED" in verdicts["rx"][0]
-    assert verdicts["ipv4"][1] and "DROPPED" in verdicts["ipv4"][0]
-
-
-def test_frontier_gate_handles_missing_picks():
-    rows = bench_delta.frontier_delta(
-        _frontier({"rx": (5, 2.27), "qm": None}),
-        _frontier({"rx": None, "qm": (2, 1.5)}), 0.25)
-    verdicts = {app: (detail, bad) for app, detail, bad in rows}
-    assert verdicts["rx"][1] and "PICK LOST" in verdicts["rx"][0]
-    assert not verdicts["qm"][1] and "new pick" in verdicts["qm"][0]

@@ -7,7 +7,6 @@ import pytest
 from repro.obs import (
     TID_COMPILE,
     TID_RUNTIME,
-    PhaseTimer,
     Tracer,
     active,
     runtime_report,
@@ -108,32 +107,6 @@ def test_to_chrome_sorted_with_thread_names(tmp_path):
     path = tmp_path / "trace.json"
     tracer.write(str(path))
     assert json.loads(path.read_text()) == doc
-
-
-# -- PhaseTimer ---------------------------------------------------------------
-
-
-def test_phase_timer_accumulates():
-    timer = PhaseTimer()
-    with timer.phase("build"):
-        pass
-    first = timer["build"]
-    with timer.phase("build"):
-        pass
-    assert timer["build"] >= first  # repeats accumulate, never reset
-    assert set(timer.seconds) == {"build"}
-
-
-def test_phase_timer_spans_only_when_tracing():
-    timer = PhaseTimer()
-    with timer.phase("quiet"):
-        pass
-    with tracing() as tracer:
-        with timer.phase("loud", packets=8):
-            pass
-    assert [event["name"] for event in tracer.events] == ["loud"]
-    assert tracer.events[0]["cat"] == "bench"
-    assert tracer.events[0]["args"] == {"packets": 8}
 
 
 # -- runtime counters and report ---------------------------------------------

@@ -51,9 +51,9 @@ def test_chaos_tasks_thread_derived_seeds_in_sorted_order():
 
 
 def test_app_tasks_preserve_app_order():
-    tasks = app_tasks("bench", ["tx", "rx"], [1, 2], packets=8, seed=7)
+    tasks = app_tasks("figures", ["tx", "rx"], [1, 2], packets=8, seed=7)
     assert [task.app for task in tasks] == ["tx", "rx"]
-    assert all(task.kind == "bench" and task.degrees == (1, 2)
+    assert all(task.kind == "figures" and task.degrees == (1, 2)
                for task in tasks)
 
 
@@ -83,7 +83,7 @@ def _crashing_worker(task: SweepTask) -> dict:
 
 
 def _tasks(apps):
-    return [SweepTask(kind="bench", app=app, degrees=(1,), packets=1,
+    return [SweepTask(kind="figures", app=app, degrees=(1,), packets=1,
                       seed=index) for index, app in enumerate(apps)]
 
 
@@ -160,6 +160,34 @@ def test_chaos_repro_command_is_a_chaos_one_liner():
     assert "--plans drop-light" in command
 
 
+def test_every_repro_command_parses_and_round_trips_the_cell():
+    """Whatever the kind, the one-liner is a real command line: it parses
+    and names the failing cell's packets, degrees and (where the command
+    takes one) seed — not a wider sweep than the cell that failed."""
+    import shlex
+
+    from repro.cli import build_parser
+    from repro.eval.sweep import _SCORERS
+
+    parser = build_parser()
+    knobs = {"chaos": {"plans": ("drop-light",)},
+             "explore": {"ring": "nn-ring", "epsilon": 0.0625,
+                         "incremental": True, "max_block_instructions": 12}}
+    seed_attribute = {"fuzz": "start_seed", "figures": None}
+    for kind in _SCORERS:
+        degrees = (3,) if kind == "fuzz" else (2, 3)
+        task = SweepTask(kind=kind, app="rx", degrees=degrees, packets=8,
+                         seed=1234, **knobs.get(kind, {}))
+        program, *argv = shlex.split(task.repro_command(), comments=True)
+        assert program == "repro"
+        args = parser.parse_args(argv)
+        assert args.packets == 8, kind
+        assert tuple(map(int, args.degrees.split(","))) == degrees, kind
+        attribute = seed_attribute.get(kind, "seed")
+        if attribute is not None:
+            assert getattr(args, attribute) == 1234, kind
+
+
 # -- keep_going ---------------------------------------------------------------
 
 
@@ -204,7 +232,7 @@ def test_unknown_chaos_plan_rejected():
 
 
 def test_bench_sweep_parallel_identical_to_inline(tmp_path):
-    tasks = app_tasks("bench", ["rx", "tx"], [1, 2], packets=4, seed=7)
+    tasks = app_tasks("figures", ["rx", "tx"], [1, 2], packets=4, seed=7)
     inline = run_sweep(tasks, jobs=1,
                        cache=CompileCache(tmp_path / "inline-cache"))
     fanned = run_sweep(tasks, jobs=4,
@@ -227,34 +255,23 @@ def test_chaos_sweep_parallel_identical_to_inline(tmp_path):
     assert inline[0]["seed"] == derive_seed(7, "chaos", "rx")
 
 
-def test_bench_headline_is_one_path_at_every_jobs_level():
-    """``repro bench``: same cells, same report shape, and each distinct
-    app partitioned once, whether inline or fanned out."""
-    from repro.eval.metrics import bench_headline
+def test_figures_record_is_one_path_at_every_jobs_level():
+    """``repro figures``: the same record — every field of it — and each
+    distinct app partitioned once, whether inline or fanned out."""
+    from repro.eval.experiments import figures_record
 
-    def cells(report):
-        return json.dumps({
-            "figures": {figure: {key: entry[key] for key in (
-                "apps", "speedup_by_degree", "simulated_instructions")}
-                for figure, entry in report["figures"].items()},
-            "headline": report["headline_speedup_degree2"],
-            "work": {app: {degree: {key: value
-                                    for key, value in cell.items()
-                                    if key != "seconds"}
-                           for degree, cell in per_app.items()}
-                     for app, per_app in report["partition_breakdown"].items()},
-        }, sort_keys=True)
-
-    inline = bench_headline(packets=4, degrees=[1, 2], jobs=1)
-    fanned = bench_headline(packets=4, degrees=[1, 2], jobs=2)
-    assert cells(inline) == cells(fanned)
-    assert set(inline) == set(fanned)
-    assert set(inline["phase_seconds"]) == set(fanned["phase_seconds"]) == \
-        {"sweep", "build", "partition", "compile", "simulate"}
-    for report in (inline, fanned):
-        assert sorted(report["partition_breakdown"]) == \
-            ["ip_v4", "ip_v6", "ipv4", "qm", "rx", "scheduler", "tx"]
-        assert set(report["figures"]["figure20"]["speedup_by_degree"]) == \
+    inline = figures_record(packets=4, degrees=[1, 2], jobs=1)
+    fanned = figures_record(packets=4, degrees=[1, 2], jobs=2)
+    assert json.dumps(inline) == json.dumps(fanned)
+    assert list(inline) == ["config", "partition_breakdown", "figures",
+                            "headline_speedup_degree2"]
+    assert inline["config"] == {"packets": 4, "seed": 7, "degrees": [1, 2]}
+    assert sorted(inline["partition_breakdown"]) == \
+        ["ip_v4", "ip_v6", "ipv4", "qm", "rx", "scheduler", "tx"]
+    assert set(inline["partition_breakdown"]["rx"]["2"]) == \
+        {"cut_iterations", "pr_work", "warm_hits"}
+    for metric in ("speedup_by_degree", "overhead_by_degree"):
+        assert set(inline["figures"]["figure20"][metric]) == \
             {"rx", "ip_v4", "ip_v6", "tx"}
 
 
