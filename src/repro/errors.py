@@ -21,10 +21,6 @@ distinct exit codes (see :mod:`repro.cli`):
   ``repro.serve.supervise``).  Like exit 4, not an exception family:
   the command returns the code after a one-line stderr warning.
 
-``TrapError`` is the new name of the interpreter's historical
-``RuntimeError_``; the old name remains importable from
-``repro.runtime.state`` as a deprecated alias.
-
 This module must stay dependency-free: it is imported by the lowest
 layers (state, devices, packets) and by the front end.
 """
@@ -46,7 +42,7 @@ class ReproError(Exception):
 
 class TrapError(ReproError):
     """A trap raised by the interpreter (bad memory access, injected
-    fault, out-of-fuel, ...).  Formerly named ``RuntimeError_``."""
+    fault, out-of-fuel, ...)."""
 
 
 class FaultPlanError(ReproError):

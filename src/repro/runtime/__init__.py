@@ -29,7 +29,7 @@ from repro.runtime.faults import (
 from repro.runtime.interp import Interpreter, InterpStats
 from repro.runtime.packets import PacketError, PacketStore
 from repro.runtime.scheduler import RunResult, run_group, run_pipeline, run_sequential
-from repro.runtime.state import MachineState, Pipe, RuntimeError_, WakeHub
+from repro.runtime.state import MachineState, Pipe, WakeHub
 from repro.runtime.watchdog import Watchdog
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "PacketStore",
     "Pipe",
     "RunResult",
-    "RuntimeError_",
     "TrapError",
     "TxRecord",
     "WakeHub",

@@ -3,30 +3,42 @@
 Walking the IR means an ``isinstance`` chain and an operand re-resolution
 on every executed instruction, and one closure per instruction still pays
 a Python call per instruction.  This module instead writes *Python source*
-for each basic block and compiles it: a run of non-blocking instructions
-(a *segment*) becomes one function in which register operands are read
-once into locals and written through to ``interp.regs``, constants are
-literals, the 32-bit wrap is an inline expression, bounds checks and
-their trap messages are inline, and intrinsics are direct method calls
-on the machine state.  The block's trailing segment also evaluates the
-terminator and returns the successor's name (``None`` for return), so a
-block with no blocking instruction executes in one call.
+and compiles it.  The unit is the *region* (an extended basic block): a
+block's trailing run of instructions plus, inline in the same function,
+every successor that has exactly one predecessor, cannot block, and is
+not a block the driver must see (the entry, an interpreter's
+``loop_start``) — a ``Jump`` falls through, a ``Branch`` is an ``if``
+whose nested side ends in ``return`` — up to :data:`_MAX_INSTRUCTIONS`
+and :data:`_MAX_DEPTH`, no block twice.  Inside a region a register
+lives in a Python local: loaded from ``interp.regs`` at most once per
+path, written back only where control leaves the region and only if it
+is live on that edge (a trap drops the rest: quarantine zeroes ``regs``
+and an aborting trap never reads them).  Constants are literals, the
+32-bit wrap is an inline expression, bounds checks and their trap
+messages are inline, and intrinsics are direct method calls on the
+machine state.  A region returns the name of the block the driver runs
+next (``None`` for return).
 
-Statistics accounting is per segment: the instruction count and weight
-of a segment (and of the terminator, on the trailing one) are pre-summed
-and charged before its first instruction executes.  Instructions that
-can block (pipe in/out, ``pipe_recv``/``pipe_send``/``rbuf_next``, the
-replication sequencer waits) are steps of their own and account for
-themselves only once they succeed, exactly like the
-instruction-by-instruction oracle in :mod:`repro.testing.reference`, so
-completed runs produce bit-identical statistics (same counters, same
-traps, same message formats); the differential tests in
+Statistics accounting is per *run* of non-blocking instructions: its
+instruction count and weight (and the terminator's, on a block's
+trailing run) are pre-summed and charged before its first instruction
+executes.  An inlined block first does what the driver does for a block
+it sees — ``prev_block``, ``block_counts``, the ``fuel`` charge and
+test — so counters, traps and injected-trap firing points stay where
+the instruction-by-instruction oracle in :mod:`repro.testing.reference`
+puts them.  Instructions that can block (pipe in/out,
+``pipe_recv``/``pipe_send``/``rbuf_next``, the replication sequencer
+waits) account for themselves only once they succeed, exactly like the
+oracle, so completed runs produce bit-identical statistics (same
+counters, same traps, same message formats); the differential tests in
 ``tests/test_runtime_compiled_differential.py`` enforce this over
 randomized programs.
 
-Blocking is expressed without generators: a step that cannot proceed
-returns the *wait key* of the resource it needs — ``("recv", pipe)``,
-``("send", pipe)``, ``("rbuf", port)``, ``("seq", resource)`` — and the
+Blocking is expressed without generators: a blocking instruction heads
+the step of the run behind it, and a step that cannot proceed returns
+the *wait key* of the resource it needs — ``("recv", pipe)``,
+``("send", pipe)``, ``("rbuf", port)``, ``("seq", resource)`` — having
+consumed and accounted nothing, so calling it again is idempotent; the
 interpreter driver yields to the scheduler, which parks the interpreter
 on that key until the resource is notified (see
 :class:`repro.runtime.state.WakeHub`).
@@ -34,19 +46,23 @@ on that key until the resource is notified (see
 ``compile()`` is several times dearer than building closures, so it is
 paid lazily and shared: :func:`compile_function` only collects the
 function's registers and pipes (cached weakly per
-:class:`~repro.ir.function.Function` object), a block is generated the
-first time the driver looks it up, and code objects are memoised by
-source text — registers and switch tables enter through each step's
-globals, so the many blocks that realize copies unchanged into stages
-share one code object.  ``CompiledBlock.source`` keeps the text
-for debugging.
+:class:`~repro.ir.function.Function` object), predecessors and liveness
+are taken at the function's first block lookup, a region is generated
+the first time the driver looks up its root, and code objects are
+memoised by source text — registers and switch tables enter through
+each step's globals, so the many blocks that realize copies unchanged
+into stages share one code object.  ``CompiledBlock.source`` keeps the
+text, and each function is named after its block, which is what a
+profile or a traceback shows.
 """
 
 from __future__ import annotations
 
+import re
 import weakref
 from functools import lru_cache
 
+from repro.analysis.liveness import Liveness
 from repro.errors import TrapError
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import (
@@ -67,44 +83,83 @@ from repro.ir.instructions import (
 from repro.ir.types import COMPARISON_OPS, binary_func, wrap32
 from repro.ir.values import Const, PipeRef, RegionRef, VReg
 
+#: A region stops growing at this many IR instructions and nested ``if``s
+#: (well inside CPython's limits on indentation and nested blocks).
+_MAX_INSTRUCTIONS, _MAX_DEPTH = 400, 12
+
 
 class CompiledBlock:
     """One basic block as generated step functions.
 
-    ``steps`` are the segments and blocking instructions before the
-    trailing segment: each takes the interpreter and returns ``None``
-    (executed) or a wait key (blocked, nothing consumed, nothing
-    accounted).  ``last`` is the trailing segment; it returns the next
-    block's name, or ``None`` for function return.  ``cost`` is the fuel
-    charged per execution of the block and ``source`` the generated text.
+    Each of ``steps`` takes the interpreter and runs up to the next
+    blocking instruction; it returns the wait key (a tuple) of the one at
+    its own head while that cannot proceed — nothing consumed, nothing
+    accounted — and otherwise ``None``, except the last: that is the
+    region (the block's trailing run, then the blocks of ``region``
+    after the first, inline) and returns the next block's name, ``None``
+    for function return.  ``cost`` is the fuel the driver charges per
+    execution of the block and ``source`` the generated text.
     """
 
-    __slots__ = ("name", "steps", "last", "cost", "source")
+    __slots__ = ("name", "steps", "cost", "source", "region")
 
-    def __init__(self, name: str, steps, last, cost: int, source: str):
+    def __init__(self, name: str, steps, cost: int, source: str, region):
         self.name = name
         self.steps = tuple(steps)
-        self.last = last
         self.cost = cost
         self.source = source
+        self.region = tuple(region)
 
 
 class _LazyBlocks(dict):
     """``name -> CompiledBlock``, each generated on its first lookup.
+    The first of all also takes what regions need of the whole function:
+    the blocks that may run inline (``inlinable``) and the registers live
+    into each block, as ``int`` masks (bit ``index[reg]``) — a
+    :class:`Liveness` kept per function was a tenth of a simulation's
+    memory.
 
     The function is held weakly: the running interpreter owns it, and a
     strong reference from here would keep every key of the weak-keyed
     compilation cache alive.
     """
 
-    __slots__ = ("_function",)
+    __slots__ = ("_function", "_registers", "pinned", "index", "inlinable",
+                 "_live_in")
 
-    def __init__(self, function: Function):
+    def __init__(self, function: Function, registers: tuple):
         self._function = weakref.ref(function)
+        self._registers = registers
+        self.pinned: set = set()  # loop starts: the driver must see them
+        self.index = None
 
     def __missing__(self, name: str) -> CompiledBlock:
-        block = self[name] = _compile_block(self._function().block(name))
+        function = self._function()
+        if self.index is None:
+            self.index = {reg: number
+                          for number, reg in enumerate(self._registers)}
+            self._live_in = {
+                block: sum(1 << self.index[reg] for reg in live)
+                for block, live in Liveness(function).live_in.items()}
+            self.inlinable = frozenset(
+                block for block, preds in function.predecessors().items()
+                if len(preds) == 1 and block != function.entry
+                and not any(map(_own_step,
+                                function.block(block).instructions)))
+        block = self[name] = _compile_block(self, function,
+                                            function.block(name))
         return block
+
+    def live_on(self, block: BasicBlock, targets) -> int:
+        """The registers live on the edges from ``block`` to ``targets``."""
+        live = 0
+        for target in targets:
+            live |= self._live_in[target]
+            for phi in self._function().block(target).phis():
+                value = phi.incomings.get(block.name)
+                if isinstance(value, VReg):
+                    live |= 1 << self.index[value]
+        return live
 
 
 class CompiledFunction:
@@ -116,12 +171,20 @@ class CompiledFunction:
     def __init__(self, function: Function):
         assert function.entry is not None
         self.entry = function.entry
-        self.blocks = _LazyBlocks(function)
         self.pipe_names = tuple(_collect_pipe_names(function))
         # Every VReg the function reads or writes. The driver seeds them
         # all to 0 before running, so generated code can use plain
         # subscripts instead of ``regs.get(reg, 0)`` on every read.
         self.registers = tuple(_collect_registers(function))
+        self.blocks = _LazyBlocks(function, self.registers)
+
+    def pin(self, name: str | None) -> None:
+        """Keep ``name`` out of every region: the driver counts an
+        iteration each time it sees it (regions that inlined it are
+        generated again)."""
+        if name not in self.blocks.pinned:
+            self.blocks.pinned.add(name)
+            self.blocks.clear()
 
 
 _CACHE: "weakref.WeakKeyDictionary[Function, CompiledFunction]" = (
@@ -168,13 +231,17 @@ def _collect_pipe_names(function: Function):
 #: ``wrap32`` of an expression, inline.
 _WRAP = "((%s) + 0x80000000 & 0xFFFFFFFF) - 0x80000000"
 
-#: Locals a step binds before its first line, when it uses them.
+#: Locals a step binds before its first line, when its text names them.
 _PROLOGUE = {
     "regs": "interp.regs",
     "state": "interp.state",
     "packets": "interp.state.packets",
     "devices": "interp.state.devices",
+    "stats": "interp.stats",
+    "counts": "interp.stats.block_counts",
 }
+#: ... found by name (a hit inside a trap message only binds one too many).
+_NAMED = re.compile(r"(?<![.\w])(%s)\b" % "|".join(_PROLOGUE))
 
 
 @lru_cache(maxsize=4096)
@@ -197,26 +264,37 @@ class _Step:
     is global ``Kn`` (the :class:`VReg` key into ``interp.regs``) and,
     once read or written, local ``rn``.  Register values are always
     wrapped 32-bit words — every write below stores one — which is why
-    ``& | ^ >> ~`` need no wrap of their own.
+    ``& | ^ >> ~`` need no wrap of their own.  ``loaded`` and ``dirty``
+    describe the path being written: a nested ``if`` side ends in
+    ``return``, so whoever opens one restores both (and ``indent``)
+    behind it.
     """
 
-    def __init__(self):
+    def __init__(self, blocks: _LazyBlocks, function: Function, root: str):
+        self.blocks, self.function = blocks, function
         self.lines: list[str] = []
         self.env: dict = {"TrapError": TrapError}
-        self.slots: dict[VReg, int] = {}  # registers that live in a local
-        self.prologue: dict[str, None] = {}
+        self.slots: dict[VReg, int] = {}
+        self.indent = "    "
+        self.loaded: set[int] = set()  # slots whose local is current
+        self.dirty: set[int] = set()   # ... and newer than interp.regs
+        self.region = [root]           # the blocks written so far
+        self.size = 0                  # ... and their IR instructions
+        self.pred: str | None = None   # of the block being written, if inline
+
+    def emit(self, *lines: str) -> None:
+        self.lines += [self.indent + line for line in lines]
 
     def _slot(self, reg: VReg) -> int:
         slot = self.slots.get(reg)
         if slot is None:
             slot = self.slots[reg] = len(self.slots)
             self.env[f"K{slot}"] = reg
-            self.prologue["regs"] = None
         return slot
 
     def read(self, value) -> str:
         """The expression for one operand (loading a register's local
-        on its first use)."""
+        on its first use on this path)."""
         if isinstance(value, Const):
             word = wrap32(value.value)
             return str(word) if word >= 0 else f"({word})"
@@ -224,49 +302,62 @@ class _Step:
             return repr(value.name)
         if not isinstance(value, VReg):
             raise TrapError(f"cannot evaluate operand {value!r}")
-        fresh = value not in self.slots
         slot = self._slot(value)
-        if fresh:
-            self.lines.append(f"r{slot} = regs[K{slot}]")
+        if slot not in self.loaded:
+            self.loaded.add(slot)
+            self.emit(f"r{slot} = regs[K{slot}]")
         return f"r{slot}"
 
     def store(self, dest: VReg, expr: str) -> str:
         """The statement writing ``expr`` (a wrapped word) to ``dest``."""
         slot = self._slot(dest)
-        return f"regs[K{slot}] = r{slot} = {expr}"
+        self.loaded.add(slot)
+        self.dirty.add(slot)
+        return f"r{slot} = {expr}"
 
     def write(self, dest: VReg | None, expr: str) -> None:
         if dest is not None:
-            self.lines.append(self.store(dest, expr))
+            self.emit(self.store(dest, expr))
+
+    def flush(self, live: int = -1) -> None:
+        """Write back what this path changed and ``live`` (a mask; all
+        registers by default) holds."""
+        index, env = self.blocks.index, self.env
+        for slot in sorted(self.dirty):
+            if live >> index[env[f"K{slot}"]] & 1:
+                self.emit(f"regs[K{slot}] = r{slot}")
 
     def charge(self, instructions: int, weight: int, *,
                transmission: bool = False) -> None:
-        self.lines += ["stats = interp.stats",
-                       f"stats.instructions += {instructions}",
-                       f"stats.weight += {weight}"]
+        self.emit(f"stats.instructions += {instructions}",
+                  f"stats.weight += {weight}")
         if transmission:
-            self.lines.append(f"stats.transmission_weight += {weight}")
+            self.emit(f"stats.transmission_weight += {weight}")
 
     def pipe(self, name: str, kind: str) -> None:
         """Bind ``pipe``; return its wait key unless it is ready to
         ``kind`` (``"recv"`` or ``"send"``)."""
         ready = "pipe.queue" if kind == "recv" else "pipe.can_send()"
-        self.lines += [f"pipe = interp.pipes[{name!r}]",
-                       f"if not {ready}: return {(kind, name)!r}"]
+        self.emit(f"pipe = interp.pipes[{name!r}]",
+                  f"if not {ready}: return {(kind, name)!r}")
 
     def finish(self):
-        """Compile the text; returns ``(function, source)``."""
-        body = [f"{name} = {_PROLOGUE[name]}" for name in self.prologue]
-        source = "def step(interp):\n" + "".join(
-            f"    {line}\n" for line in body + self.lines)
+        """Compile the text as a function named after the root block;
+        returns ``(function, source)``."""
+        name = "at_" + re.sub(r"\W", "_", self.region[0])
+        text = "".join(line + "\n" for line in self.lines)
+        named = set(_NAMED.findall(text))
+        body = "".join(f"    {local} = {value}\n"
+                       for local, value in _PROLOGUE.items() if local in named)
+        source = f"def {name}(interp):\n{body}{text}"
         exec(_code(source), self.env)
-        return self.env.pop("step"), source
+        return self.env.pop(name), source
 
 
 # -- straight-line instructions ----------------------------------------------
 #
-# These never block; the enclosing segment has charged their statistics
-# before the first of them runs.
+# These never block; the enclosing run has charged their statistics
+# before the first of them executes.
 
 
 def _emit_assign(step: _Step, inst: Assign) -> None:
@@ -284,13 +375,13 @@ def _emit_binop(step: _Step, inst: BinOp) -> None:
     if op in ("/", "%"):
         func = "div32" if op == "/" else "mod32"
         step.env[func] = binary_func(op)
-        step.lines += [
+        step.emit(
             "try:",
             "    " + step.store(inst.dest, f"{func}({lhs}, {rhs})"),
             "except ZeroDivisionError as exc:",
             '    raise TrapError(f"{interp.function.name}: {exc} at %s") '
             "from exc" % _lit(str(inst.location)),
-        ]
+        )
     elif op in COMPARISON_OPS:
         step.write(inst.dest, f"1 if {lhs} {op} {rhs} else 0")
     elif op in ("+", "-", "*", "<<"):
@@ -315,12 +406,12 @@ def _emit_unop(step: _Step, inst: UnOp) -> None:
 
 def _emit_element(step: _Step, array, index: str) -> None:
     """Bind ``frame`` to the scratch array and bounds-check ``index``."""
-    step.lines += [
+    step.emit(
         f"frame = interp.arrays[{array.name!r}]",
         "if not 0 <= %s < len(frame): raise TrapError("
         'f"{interp.function.name}: %s[{%s}] out of bounds")'
         % (index, _lit(array.name), index),
-    ]
+    )
 
 
 def _emit_array_load(step: _Step, inst: ArrayLoad) -> None:
@@ -332,21 +423,27 @@ def _emit_array_load(step: _Step, inst: ArrayLoad) -> None:
 def _emit_array_store(step: _Step, inst: ArrayStore) -> None:
     index, value = step.read(inst.index), step.read(inst.value)
     _emit_element(step, inst.array, index)
-    step.lines.append(f"frame[{index}] = {value}")
+    step.emit(f"frame[{index}] = {value}")
 
 
 def _emit_phi(step: _Step, inst: Phi) -> None:
+    missing = ('raise TrapError(f"phi in {interp.function.name} has no '
+               'incoming for %s")')
+    if step.pred is not None:  # inline: the one predecessor is known
+        if step.pred in inst.incomings:
+            step.write(inst.dest, step.read(inst.incomings[step.pred]))
+        else:
+            step.emit(missing % _lit(step.pred))
+        return
     # Every incoming is read before the chain: a branch's store must not
     # pass for the load of a register a later branch reads.
     incomings = [(pred, step.read(value))
                  for pred, value in inst.incomings.items()]
-    step.lines.append("pred = interp.prev_block")
+    step.emit("pred = interp.prev_block")
     for number, (pred, value) in enumerate(incomings):
-        step.lines.append(f"{'elif' if number else 'if'} pred == {pred!r}: "
-                          + step.store(inst.dest, value))
-    step.lines.append(
-        f"{'else: ' if incomings else ''}raise TrapError("
-        'f"phi in {interp.function.name} has no incoming for {pred}")')
+        step.emit(f"{'elif' if number else 'if'} pred == {pred!r}: "
+                  + step.store(inst.dest, value))
+    step.emit(("else: " if incomings else "") + missing % "{pred}")
 
 
 #: Non-blocking intrinsics that are one method call on the machine state
@@ -377,7 +474,7 @@ _METHODS = {
 def _emit_call(step: _Step, inst: Call) -> None:
     name, dest = inst.callee, inst.dest
     if not inst.is_intrinsic:
-        step.lines.append(
+        step.emit(
             'raise TrapError(f"{interp.function.name}: user call %s reached '
             'the interpreter (inlining missed it)")' % _lit(repr(name)))
         return
@@ -385,10 +482,9 @@ def _emit_call(step: _Step, inst: Call) -> None:
             if not isinstance(arg, PipeRef)]
     method = _METHODS.get(name)
     if method is not None:
-        step.prologue[method.split(".")[0]] = None
         call = f"{method}({', '.join(args)})"
         if dest is None:
-            step.lines.append(call)
+            step.emit(call)
         else:
             step.write(dest, _WRAP % call)
     elif name == "pipe_empty":
@@ -400,44 +496,25 @@ def _emit_call(step: _Step, inst: Call) -> None:
         # The bounds protocol of MachineState.region_read, inlined (the
         # trap messages must match it exactly).
         region, addr = inst.args[0].name, args[1]
-        step.prologue["state"] = None
-        step.lines += [
+        step.emit(
             f"frame = state.regions.get({region!r})",
             "if frame is None: raise TrapError(%r)"
             % f"unknown memory region {region!r}",
             "if not 0 <= %s < len(frame): raise TrapError("
             'f"%s[{%s}] out of bounds ({len(frame)} words)")'
             % (addr, _lit(region), addr),
-        ]
+        )
         step.write(dest, _WRAP % f"frame[{addr}]")
     elif name == "mem_add":
         region, addr, delta = args
-        step.prologue["state"] = None
-        step.lines += [
+        step.emit(
             f"old = state.region_read({region}, {addr})",
             f"state.region_write({region}, {addr}, "
             + _WRAP % f"old + {delta}" + ")",
-        ]
+        )
         step.write(dest, _WRAP % "old")
     else:  # pragma: no cover - the verifier rejects earlier
-        step.lines.append("raise TrapError(%r)"
-                          % f"unimplemented intrinsic {name!r}")
-
-
-def _emit_terminator(step: _Step, term) -> None:
-    if isinstance(term, Jump):
-        step.lines.append(f"return {term.target!r}")
-    elif isinstance(term, Branch):
-        step.lines.append(f"return {term.if_true!r} if {step.read(term.cond)}"
-                          f" else {term.if_false!r}")
-    elif isinstance(term, SwitchTerm):
-        step.env["CASES"] = dict(term.cases)
-        step.lines.append(f"return CASES.get({step.read(term.value)}, "
-                          f"{term.default!r})")
-    elif isinstance(term, Return):
-        step.lines.append("return None")
-    else:
-        raise TrapError(f"unknown terminator {term}")
+        step.emit("raise TrapError(%r)" % f"unimplemented intrinsic {name!r}")
 
 
 _EMIT = {
@@ -451,97 +528,153 @@ _EMIT = {
 }
 
 
-def _segment(instructions, terminator=None):
-    """One non-blocking run of instructions (and the block's terminator,
-    on the trailing segment), accounted in a single charge."""
-    step = _Step()
+def _emit_run(step: _Step, instructions, terminator=None) -> None:
+    """One non-blocking run of instructions, accounted in a single
+    charge (with the block's terminator, on its trailing run)."""
     charged = instructions + ([terminator] if terminator is not None else [])
-    step.charge(len(charged), sum(inst.weight() for inst in charged))
+    if charged:
+        step.charge(len(charged), sum(inst.weight() for inst in charged))
     for inst in instructions:
         emit = _EMIT.get(type(inst))
         if emit is None:
-            step.lines.append("raise TrapError(%r)"
-                              % f"unknown instruction {inst}")
+            step.emit("raise TrapError(%r)" % f"unknown instruction {inst}")
         else:
             emit(step, inst)
-    if terminator is not None:
-        _emit_terminator(step, terminator)
-    return step.finish()
+
+
+# -- regions -----------------------------------------------------------------
+
+
+def _inlines(step: _Step, target: str, depth: int) -> bool:
+    """Whether ``target`` may run inline at this point of the region."""
+    return (target in step.blocks.inlinable
+            and target not in step.blocks.pinned
+            and target not in step.region and depth <= _MAX_DEPTH
+            and step.size + len(step.function.block(target).instructions)
+            < _MAX_INSTRUCTIONS)
+
+
+def _emit_exit(step: _Step, block: BasicBlock, targets, result: str) -> None:
+    """Leave the region from ``block`` for one of ``targets``."""
+    step.flush(step.blocks.live_on(block, targets))
+    step.emit(f"interp.prev_block = {block.name!r}", f"return {result}")
+
+
+def _emit_edge(step: _Step, block: BasicBlock, target: str,
+               depth: int) -> None:
+    """Control passes from ``block`` to ``target``: inline, after what
+    the driver does for a block it sees, or back to the driver."""
+    if not _inlines(step, target, depth):
+        _emit_exit(step, block, [target], repr(target))
+        return
+    successor = step.function.block(target)
+    step.region.append(target)
+    step.emit(f"interp.prev_block = {block.name!r}",
+              f"counts[{target!r}] = counts.get({target!r}, 0) + 1",
+              f"interp.fuel = fuel = interp.fuel - "
+              f"{len(successor.instructions) + 1}",
+              "if fuel <= 0: raise interp._fuel_exhausted()")
+    step.pred = block.name
+    _emit_block(step, successor, successor.instructions, depth)
+
+
+def _emit_block(step: _Step, block: BasicBlock, run, depth: int) -> None:
+    """``run`` (the trailing instructions of ``block``), its terminator
+    and everything that inlines behind it."""
+    term = block.terminator
+    step.size += len(run) + 1
+    _emit_run(step, run, term)
+    if isinstance(term, Jump):
+        _emit_edge(step, block, term.target, depth)
+    elif isinstance(term, Branch):
+        cond, nested, flat = step.read(term.cond), term.if_true, term.if_false
+        if _inlines(step, nested, depth + 1) and not _inlines(step, flat,
+                                                              depth):
+            # A guard: the side that leaves nests, the chain stays flat.
+            cond, nested, flat = f"not {cond}", flat, nested
+        saved = step.indent, set(step.loaded), set(step.dirty)
+        step.emit(f"if {cond}:")
+        step.indent += "    "
+        _emit_edge(step, block, nested, depth + 1)
+        step.indent, step.loaded, step.dirty = saved
+        _emit_edge(step, block, flat, depth)
+    elif isinstance(term, SwitchTerm):
+        cases = f"CASES{len(step.env)}"
+        step.env[cases] = dict(term.cases)
+        _emit_exit(step, block, term.successors(), f"{cases}.get("
+                   f"{step.read(term.value)}, {term.default!r})")
+    elif isinstance(term, Return):
+        _emit_exit(step, block, [], "None")
+    else:
+        raise TrapError(f"unknown terminator {term}")
 
 
 # -- blocking instructions ---------------------------------------------------
 #
-# Steps of their own: they return their wait key while the resource is
-# not ready and account for themselves only once they succeed (the
-# reference oracle does the same: a blocked instruction adds nothing
+# Each heads the step of the run behind it: it returns its wait key while
+# the resource is not ready and accounts for itself only once it succeeds
+# (the reference oracle does the same: a blocked instruction adds nothing
 # until it executes).
 
 
-def _pipe_in_step(inst: PipeIn):
-    step, count = _Step(), len(inst.dests)
+def _emit_pipe_in(step: _Step, inst: PipeIn) -> None:
+    count = len(inst.dests)
     step.pipe(inst.pipe.name, "recv")
-    step.lines += [
+    step.emit(
         "message = pipe.recv()",
         "if not isinstance(message, tuple): message = (message,)",
         "if len(message) != %d: raise TrapError(f\"{interp.function.name}: "
         'pipe_in expected %d words, got {len(message)}")' % (count, count),
-    ]
+    )
     step.charge(1, inst.weight(), transmission=True)
     words = [f"w{number}" for number in range(count)]
     if words:
-        step.lines.append(f"{', '.join(words)}, = message")
+        step.emit(f"{', '.join(words)}, = message")
     for dest, word in zip(inst.dests, words):
         step.write(dest, _WRAP % word)
-    return step.finish()
 
 
-def _pipe_out_step(inst: PipeOut):
-    step = _Step()
+def _emit_pipe_out(step: _Step, inst: PipeOut) -> None:
     step.pipe(inst.pipe.name, "send")
     step.charge(1, inst.weight(), transmission=True)
     words = [step.read(value) for value in inst.values]
-    step.lines.append(f"pipe.send(({''.join(word + ', ' for word in words)}))")
-    return step.finish()
+    step.emit(f"pipe.send(({''.join(word + ', ' for word in words)}))")
 
 
-def _pipe_recv_step(inst: Call):
-    step, name = _Step(), inst.args[0].name
+def _emit_pipe_recv(step: _Step, inst: Call) -> None:
+    name = inst.args[0].name
     step.pipe(name, "recv")
     step.charge(1, inst.weight())
-    step.lines += [
+    step.emit(
         "message = pipe.recv()",
         "if isinstance(message, tuple): raise TrapError(%r)"
         % f"pipe_recv on {name} found a multi-word message",
-    ]
+    )
     step.write(inst.dest, _WRAP % "message")
-    return step.finish()
 
 
-def _pipe_send_step(inst: Call):
-    step = _Step()
+def _emit_pipe_send(step: _Step, inst: Call) -> None:
     step.pipe(inst.args[0].name, "send")
     step.charge(1, inst.weight())
-    step.lines.append(f"pipe.send({step.read(inst.args[1])})")
-    return step.finish()
+    step.emit(f"pipe.send({step.read(inst.args[1])})")
 
 
-def _rbuf_next_step(inst: Call):
-    step = _Step()
+def _emit_rbuf_next(step: _Step, inst: Call) -> None:
     port = step.read(inst.args[0])
-    step.lines += [f"element = interp.state.devices.rbuf_next({port})",
-                   f"if element is None: return ('rbuf', {port})"]
+    step.emit(f"element = interp.state.devices.rbuf_next({port})",
+              f"if element is None: return ('rbuf', {port})")
     step.charge(1, inst.weight())
     step.write(inst.dest, _WRAP % "element")
-    return step.finish()
 
 
-# The replication pseudo-instructions stay closures: they read no
-# operand.  SeqAdvance never blocks but accounts for itself, because the
-# critical-section bookkeeping reads ``stats.weight`` and must see
-# exactly the weight the reference oracle would at the same point.
+# The replication pseudo-instructions stay closures, steps of their own
+# (what they return is that step): they read no operand.  SeqAdvance
+# never blocks but accounts for itself, because the critical-section
+# bookkeeping reads ``stats.weight`` and must see exactly the weight the
+# reference oracle would at the same point.
 
 
-def _seq_wait_step(inst):
+def _seq_wait_step(_, inst):
     resource, weight = inst.resource, inst.weight()
     wait = ("seq", resource)
 
@@ -558,7 +691,7 @@ def _seq_wait_step(inst):
     return step, f"# closure: {inst}\n"
 
 
-def _seq_advance_step(inst):
+def _seq_advance_step(_, inst):
     resource, weight = inst.resource, inst.weight()
 
     def step(interp):
@@ -586,19 +719,20 @@ def _seq_advance_step(inst):
 
 
 _BLOCKING_CALLS = {
-    "pipe_recv": _pipe_recv_step,
-    "pipe_send": _pipe_send_step,
-    "rbuf_next": _rbuf_next_step,
+    "pipe_recv": _emit_pipe_recv,
+    "pipe_send": _emit_pipe_send,
+    "rbuf_next": _emit_rbuf_next,
 }
 
 
 def _own_step(inst):
-    """The builder of the step ``inst`` forms on its own, or ``None``
-    for an instruction that rides in a segment."""
+    """``head`` when ``inst`` starts a step — ``head(step, inst)`` writes
+    it at the top of ``step``, or returns the finished step a closure
+    is on its own — and ``None`` for an instruction that rides in a run."""
     if isinstance(inst, PipeIn):
-        return _pipe_in_step
+        return _emit_pipe_in
     if isinstance(inst, PipeOut):
-        return _pipe_out_step
+        return _emit_pipe_out
     if isinstance(inst, Call):
         return _BLOCKING_CALLS.get(inst.callee) if inst.is_intrinsic else None
     if type(inst) in _EMIT:
@@ -614,22 +748,30 @@ def _own_step(inst):
     return None
 
 
-def _compile_block(block: BasicBlock) -> CompiledBlock:
+def _compile_block(blocks: _LazyBlocks, function: Function,
+                   block: BasicBlock) -> CompiledBlock:
     assert block.terminator is not None, block.name
     built, run = [], []
+    step = _Step(blocks, function, block.name)
     for inst in block.instructions:
-        own = _own_step(inst)
-        if own is None:
+        head = _own_step(inst)
+        if head is None:
             run.append(inst)
             continue
-        if run:
-            built.append(_segment(run))
-            run = []
-        built.append(own(inst))
-    # The terminator's statistics ride on the trailing segment (an
+        if run or step.lines:
+            # The step in front ends here, and the next reads interp.regs.
+            _emit_run(step, run)
+            step.flush()
+            built.append(step.finish())
+            step, run = _Step(blocks, function, block.name), []
+        alone = head(step, inst)
+        if alone is not None:
+            built.append(alone)
+    # The terminator's statistics ride on the trailing run (an
     # instruction-less one when the block ends with a blocking step).
-    last, last_source = _segment(run, block.terminator)
+    _emit_block(step, block, run, 0)
+    built.append(step.finish())
     return CompiledBlock(
-        block.name, [step for step, _ in built], last,
+        block.name, [function for function, _ in built],
         len(block.instructions) + 1,  # +1 guards empty-block cycles
-        "".join(source for _, source in built) + last_source)
+        "".join(text for _, text in built), step.region)

@@ -9,13 +9,14 @@ per interpreter — the evaluation metric of the paper ("the number of
 instructions required for processing a minimum sized packet").
 
 Dispatch is generated code: :meth:`Interpreter.run` drives the step
-functions that :mod:`repro.runtime.compile` writes for each basic block
-the first time the block runs — one call per straight-line segment, with
-operands pre-resolved.  While blocked, the driver
-publishes the resource it waits for in ``wait_key`` (``("recv", pipe)``,
-``("send", pipe)``, ``("rbuf", port)``, ``("seq", resource)``, or
-``None`` for a voluntary per-iteration yield), which the scheduler uses
-to park and wake interpreters.
+functions that :mod:`repro.runtime.compile` writes the first time a
+block runs — one call per region (a block and the single-predecessor
+successors inline behind it), with operands pre-resolved, registers in
+locals and ``prev_block`` kept by the generated code.  While blocked,
+the driver publishes the resource it waits for in ``wait_key``
+(``("recv", pipe)``, ``("send", pipe)``, ``("rbuf", port)``,
+``("seq", resource)``, or ``None`` for a voluntary per-iteration yield),
+which the scheduler uses to park and wake interpreters.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ class Interpreter:
         """Generator: executes until return / iteration budget / fuel, and
         yields whenever blocked on a pipe or device."""
         program = compile_function(self.function)
+        program.pin(self.loop_start)
         state = self.state
         self.pipes = {name: state.pipe(name) for name in program.pipe_names}
         regs = self.regs
@@ -123,22 +125,17 @@ class Interpreter:
             if self.fuel <= 0:
                 raise self._fuel_exhausted()
             for step in block.steps:
-                wait = step(self)
-                while wait is not None:
+                result = step(self)
+                while result.__class__ is tuple:  # a wait key: blocked
                     stats.blocked += 1
-                    self.wait_key = wait
+                    self.wait_key = result
                     yield
                     self.wait_key = None
-                    wait = step(self)
-            # The trailing segment runs the block's phis when nothing in
-            # the block blocks, so ``prev_block`` must still name the
-            # predecessor while it executes.
-            next_name = block.last(self)
-            self.prev_block = name
-            if next_name is None:
+                    result = step(self)
+            if result is None:  # the last step names the next block
                 self.finished = True
                 return
-            block = blocks[next_name]
+            block = blocks[result]
 
     # -- chaos hooks (fault injection + trap isolation) -------------------------
 

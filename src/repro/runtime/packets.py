@@ -71,32 +71,56 @@ class PacketStore:
     def length(self, handle: int) -> int:
         return len(self._get(handle).data)
 
+    # Each accessor looks the handle up once and checks the whole access
+    # once; one not wholly inside a live packet goes on through ``_get``
+    # and byte by byte, which names the failure (and leaves the bytes a
+    # multi-byte store wrote before it).
+
     def load(self, handle: int, offset: int) -> int:
+        packet = self._packets.get(handle)
+        if packet and not packet.freed and 0 <= offset < len(packet.data):
+            return packet.data[offset]
         data = self._get(handle).data
-        if not 0 <= offset < len(data):
-            raise PacketError(f"pkt_load: offset {offset} out of bounds "
-                              f"(length {len(data)})")
-        return data[offset]
+        raise PacketError(f"pkt_load: offset {offset} out of bounds "
+                          f"(length {len(data)})")
 
     def store(self, handle: int, offset: int, value: int) -> None:
+        packet = self._packets.get(handle)
+        if packet and not packet.freed and 0 <= offset < len(packet.data):
+            packet.data[offset] = value & 0xFF
+            return
         data = self._get(handle).data
-        if not 0 <= offset < len(data):
-            raise PacketError(f"pkt_store: offset {offset} out of bounds "
-                              f"(length {len(data)})")
-        data[offset] = value & 0xFF
+        raise PacketError(f"pkt_store: offset {offset} out of bounds "
+                          f"(length {len(data)})")
 
     def load_u16(self, handle: int, offset: int) -> int:
+        packet = self._packets.get(handle)
+        if packet and not packet.freed and 0 <= offset < len(packet.data) - 1:
+            return packet.data[offset] << 8 | packet.data[offset + 1]
         return (self.load(handle, offset) << 8) | self.load(handle, offset + 1)
 
     def store_u16(self, handle: int, offset: int, value: int) -> None:
+        packet = self._packets.get(handle)
+        if packet and not packet.freed and 0 <= offset < len(packet.data) - 1:
+            packet.data[offset:offset + 2] = value >> 8 & 0xFF, value & 0xFF
+            return
         self.store(handle, offset, (value >> 8) & 0xFF)
         self.store(handle, offset + 1, value & 0xFF)
 
     def load_u32(self, handle: int, offset: int) -> int:
+        packet = self._packets.get(handle)
+        if packet and not packet.freed and 0 <= offset < len(packet.data) - 3:
+            word = int.from_bytes(packet.data[offset:offset + 4], "big")
+            return wrap32(word)
         return wrap32((self.load_u16(handle, offset) << 16)
                       | self.load_u16(handle, offset + 2))
 
     def store_u32(self, handle: int, offset: int, value: int) -> None:
+        packet = self._packets.get(handle)
+        if packet and not packet.freed and 0 <= offset < len(packet.data) - 3:
+            packet.data[offset:offset + 4] = (value & 0xFFFFFFFF).to_bytes(
+                4, "big")
+            return
         self.store_u16(handle, offset, (value >> 16) & 0xFFFF)
         self.store_u16(handle, offset + 2, value & 0xFFFF)
 

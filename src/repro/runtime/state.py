@@ -11,10 +11,6 @@ from repro.ir.function import Module
 from repro.runtime.devices import DeviceModel
 from repro.runtime.packets import PacketStore
 
-#: Deprecated alias — the interpreter trap class now lives in
-#: :mod:`repro.errors` under its proper name.
-RuntimeError_ = TrapError
-
 
 class WakeHub:
     """Wait/wake sets for the event-driven scheduler.

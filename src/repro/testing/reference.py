@@ -6,10 +6,10 @@ round-robin polling loop.
 module is the independent second opinion it is tested against: it walks
 the IR instruction by instruction, re-resolving every operand, and steps
 every live interpreter each round until a full round makes no progress.
-It shares no generator, segment or wake-up logic with the production core,
-so a wrongly emitted intrinsic, a mis-summed segment or a lost wakeup shows
-as a difference in statistics or observable state
-(``tests/test_runtime_compiled_differential.py``).
+It shares no generator, region or wake-up logic with the production core,
+so a wrongly emitted intrinsic, a mis-summed run, a register a region did
+not write back or a lost wakeup shows as a difference in statistics or
+observable state (``tests/test_runtime_compiled_differential.py``).
 
 It is test equipment: nothing under ``src/repro/`` outside
 ``repro.testing`` imports it, and it carries no fault-injection,

@@ -13,7 +13,6 @@ from repro.lang.errors import FrontendError
 from repro.pipeline.transform import PipelineError
 from repro.runtime.devices import DeviceError
 from repro.runtime.packets import PacketError
-from repro.runtime.state import RuntimeError_
 
 
 def test_every_toolchain_error_derives_from_repro_error():
@@ -28,8 +27,11 @@ def test_device_and_packet_errors_are_traps():
     assert issubclass(PacketError, TrapError)
 
 
-def test_runtime_error_alias_still_importable():
-    assert RuntimeError_ is TrapError
+def test_runtime_error_alias_is_gone():
+    import repro.runtime
+
+    assert not hasattr(repro.runtime.state, "RuntimeError_")
+    assert "RuntimeError_" not in repro.runtime.__all__
 
 
 def test_deadlock_error_carries_structure():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir.function import Function, Module
-from repro.ir.instructions import Assign, BinOp, Return, UnOp
+from repro.ir.instructions import Assign, BinOp, Call, Return, UnOp
 from repro.ir.types import (
     BINARY_OPS,
     INT_MAX,
@@ -26,12 +26,14 @@ from repro.ir.types import (
     eval_unary,
 )
 from repro.ir.values import Const
+from repro.pipeline.transform import pipeline_pps
 from repro.runtime import (
     Interpreter,
     MachineState,
     WakeHub,
     compile_function,
     run_group,
+    run_pipeline,
 )
 from repro.testing import reference
 
@@ -75,9 +77,19 @@ def test_blocks_are_generated_when_the_driver_reaches_them():
     for name, block in compiled.blocks.items():
         assert block.name == name
         assert block.cost == len(function.block(name).instructions) + 1
-        assert callable(block.last)
-        assert all(callable(step) for step in block.steps)
+        assert block.steps and all(callable(step) for step in block.steps)
         compile(block.source, "<test>", "exec")  # the kept text is valid
+
+
+def assert_twins_share_code(first, second):
+    assert set(first.blocks) == set(second.blocks)
+    for name, block in first.blocks.items():
+        twin = second.blocks[name]
+        assert block.source == twin.source
+        for step, other in zip(block.steps, twin.steps, strict=True):
+            assert step is not other
+            assert step.__code__ is other.__code__
+            assert step.__globals__ is not other.__globals__
 
 
 def test_equal_source_text_shares_one_code_object():
@@ -90,25 +102,45 @@ def test_equal_source_text_shares_one_code_object():
         count = standard_setup(state, 3)
         run_worker(module, state, count=count)
         compiled.append(compile_function(module.pps("worker")))
-    first, second = compiled
-    assert set(first.blocks) == set(second.blocks)
-    for name, block in first.blocks.items():
-        twin = second.blocks[name]
-        assert block.source == twin.source
-        assert block.last is not twin.last
-        assert block.last.__code__ is twin.last.__code__
-        assert block.last.__globals__ is not twin.last.__globals__
+    assert_twins_share_code(*compiled)
+
+
+def test_realized_stages_share_code_objects_too():
+    # Regions, exit write-backs and fused pipe heads included: two
+    # realizations of one partition generate the same text stage by stage.
+    pipelines = []
+    for _ in range(2):
+        module = compile_module(STANDARD_PPS)
+        stages = pipeline_pps(module, "worker", 3).stages
+        state = MachineState(module)
+        run_pipeline(stages, state, iterations=standard_setup(state, 6))
+        pipelines.append([compile_function(stage.function)
+                          for stage in stages])
+    for first, second in zip(*pipelines, strict=True):
+        assert any(len(block.region) > 1 for block in first.blocks.values())
+        assert_twins_share_code(first, second)
+    # ... and each function is named after its block.
+    for name, block in pipelines[0][1].blocks.items():
+        assert {step.__name__ for step in block.steps} <= {f"at_{name}",
+                                                           "step"}
 
 
 def test_generated_text_does_not_depend_on_the_hash_seed():
+    # The sequential PPS and the four stages at D = 4: fused pipe heads
+    # and exit write-backs are derived from sets and must come out sorted.
     script = (
         "import hashlib\n"
         "from repro.apps.suite import build_app\n"
+        "from repro.pipeline.transform import pipeline_pps\n"
         "from repro.runtime.compile import compile_function\n"
         "app = build_app('ipv4', packets=4)\n"
-        "function = app.module.pps(app.pps_name)\n"
-        "blocks = compile_function(function).blocks\n"
-        "text = ''.join(blocks[name].source for name in function.block_order)\n"
+        "functions = [app.module.pps(app.pps_name)] + [\n"
+        "    stage.function for stage in\n"
+        "    pipeline_pps(app.module, app.pps_name, 4).stages]\n"
+        "assert len(functions) == 5\n"
+        "text = ''.join(compile_function(function).blocks[name].source\n"
+        "               for function in functions\n"
+        "               for name in function.block_order)\n"
         "print(len(text), hashlib.sha256(text.encode()).hexdigest())\n"
     )
     digests = set()
@@ -144,12 +176,14 @@ OPERANDS = (INT_MIN, INT_MIN + 1, -1, 0, 1, 31, 32, 33, INT_MAX)
 
 class OneBlock:
     """A one-block function under construction: operands enter as
-    constants or through registers assigned in the block itself."""
+    constants or through registers assigned in the block itself, and
+    each result leaves through ``trace`` — a destination is dead at the
+    ``Return``, so it never reaches ``interp.regs``."""
 
     def __init__(self):
         self.function = Function("f")
         self.block = self.function.new_block("entry")
-        self.expected = {}
+        self.expected = []
 
     def operand(self, value, as_const):
         if as_const:
@@ -161,17 +195,18 @@ class OneBlock:
     def expect(self, make, value):
         dest = self.function.new_reg()
         self.block.append(make(dest))
-        self.expected[dest] = value
+        self.block.append(Call(None, "trace", [Const(0), dest]))
+        self.expected.append(value)
 
     def check(self):
         self.block.set_terminator(Return())
-        interp = Interpreter(self.function, MachineState(Module()))
+        state = MachineState(Module())
+        interp = Interpreter(self.function, state)
         for _ in interp.run():
             pass
         assert interp.finished
-        assert not compile_function(self.function).blocks["entry0"].steps
-        assert {dest: interp.regs[dest]
-                for dest in self.expected} == self.expected
+        assert len(compile_function(self.function).blocks["entry0"].steps) == 1
+        assert state.traces.get(0, []) == self.expected
 
 
 def binary_case(case, op, lhs, rhs, lhs_const, rhs_const):

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.errors import TrapError
 from repro.runtime import MachineState, run_group, run_sequential
 from repro.runtime.interp import Interpreter
-from repro.runtime.state import RuntimeError_
 
 from helpers import compile_module
 
@@ -48,7 +48,7 @@ def test_division_by_zero_traps():
     """)
     state = MachineState(module)
     state.feed_pipe("q", [0])
-    with pytest.raises(RuntimeError_, match="division by zero"):
+    with pytest.raises(TrapError, match="division by zero"):
         run_sequential(module.pps("p"), state, iterations=1)
 
 
@@ -105,7 +105,7 @@ def test_array_out_of_bounds_traps():
     """)
     state = MachineState(module)
     state.feed_pipe("q", [9])
-    with pytest.raises(RuntimeError_, match="out of bounds"):
+    with pytest.raises(TrapError, match="out of bounds"):
         run_sequential(module.pps("p"), state, iterations=1)
 
 
@@ -128,7 +128,7 @@ def test_readonly_region_write_traps():
     # runtime guard directly through the state API.
     module = compile_module("readonly memory r[4]; pps p { for (;;) { trace(1, mem_read(r, 0)); } }")
     state = MachineState(module)
-    with pytest.raises(RuntimeError_, match="readonly"):
+    with pytest.raises(TrapError, match="readonly"):
         state.region_write("r", 0, 1)
 
 
@@ -161,7 +161,7 @@ def test_readonly_region_adopts_a_full_tuple_by_reference():
     # The guest still cannot write it.
     state = MachineState(module)
     state.load_region("r", table)
-    with pytest.raises(RuntimeError_, match="^write to readonly region 'r'$"):
+    with pytest.raises(TrapError, match="^write to readonly region 'r'$"):
         run_sequential(module.pps("p"), state, iterations=1)
     assert state.regions["r"] is table
 
@@ -219,5 +219,5 @@ def test_fuel_guard_stops_runaway():
     loop = find_pps_loop(module.pps("p"))
     interp = Interpreter(module.pps("p"), state, loop_start=loop.header,
                          max_iterations=5, fuel=10_000)
-    with pytest.raises(RuntimeError_, match="fuel"):
+    with pytest.raises(TrapError, match="fuel"):
         run_group({"p": interp})

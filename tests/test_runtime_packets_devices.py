@@ -77,6 +77,71 @@ def test_unknown_handle_rejected():
         store.load(12345, 0)
 
 
+class PerByteStore(PacketStore):
+    """Every accessor as a byte-at-a-time composition over ``_get``: what
+    the single-lookup paths fall through to, and must be
+    indistinguishable from."""
+
+    def load(self, handle, offset):
+        data = self._get(handle).data
+        if not 0 <= offset < len(data):
+            raise PacketError(f"pkt_load: offset {offset} out of bounds "
+                              f"(length {len(data)})")
+        return data[offset]
+
+    def store(self, handle, offset, value):
+        data = self._get(handle).data
+        if not 0 <= offset < len(data):
+            raise PacketError(f"pkt_store: offset {offset} out of bounds "
+                              f"(length {len(data)})")
+        data[offset] = value & 0xFF
+
+    def load_u16(self, handle, offset):
+        return (self.load(handle, offset) << 8) | self.load(handle, offset + 1)
+
+    def store_u16(self, handle, offset, value):
+        self.store(handle, offset, (value >> 8) & 0xFF)
+        self.store(handle, offset + 1, value & 0xFF)
+
+    def load_u32(self, handle, offset):
+        word = ((self.load_u16(handle, offset) << 16)
+                | self.load_u16(handle, offset + 2))
+        return word - ((word & 0x80000000) << 1)
+
+    def store_u32(self, handle, offset, value):
+        self.store_u16(handle, offset, (value >> 16) & 0xFFFF)
+        self.store_u16(handle, offset + 2, value & 0xFFFF)
+
+
+@pytest.mark.parametrize("handle_state", ["live", "freed", "unknown"])
+@pytest.mark.parametrize("accessor", ["load", "load_u16", "load_u32", "store",
+                                      "store_u16", "store_u32"])
+def test_accessors_match_the_per_byte_path(accessor, handle_state):
+    # Value, trap class and text (naming the first failing byte), and the
+    # bytes a failing multi-byte store wrote before it trapped.
+    length = 6
+    payload = bytes(range(0x7E, 0x7E + length))  # crosses the sign bit
+    for offset in range(-1, length + 1):
+        outcomes = []
+        for store in (PacketStore(), PerByteStore()):
+            handle = store.adopt(payload)
+            buffer = store.get(handle).data
+            if handle_state == "freed":
+                store.free(handle)
+            elif handle_state == "unknown":
+                handle += 1
+            args = (handle, offset) + ((0x89ABCDEF - (1 << 32),)
+                                       if accessor.startswith("store") else ())
+            try:
+                result = getattr(store, accessor)(*args)
+            except PacketError as exc:
+                result = type(exc), str(exc)
+            outcomes.append((result, bytes(buffer)))
+        assert outcomes[0] == outcomes[1], (offset, outcomes)
+        if handle_state != "live":
+            assert outcomes[0][0][0] is PacketError
+
+
 # -- devices -------------------------------------------------------------------
 
 
@@ -150,3 +215,18 @@ def test_tx_by_port_groups_records():
     grouped = device.tx_by_port()
     assert len(grouped[1]) == 2
     assert len(grouped[2]) == 1
+
+
+def test_rbuf_load_traps_name_the_element_before_the_offset():
+    devices = DeviceModel()
+    devices.feed_packet(0, b"abc")
+    element = devices.rbuf_next(0)
+    assert [devices.rbuf_load(element, offset) for offset in range(3)] \
+        == list(b"abc")
+    for offset in (-1, 3):
+        with pytest.raises(DeviceError,
+                           match=f"^rbuf_load: offset {offset} out of bounds$"):
+            devices.rbuf_load(element, offset)
+    for offset in (-1, 0, 3):
+        with pytest.raises(DeviceError, match="^unknown rbuf element 99$"):
+            devices.rbuf_load(99, offset)
