@@ -37,7 +37,8 @@ def main():
     print(f"{'channel':15s} {'speedup':>8s} {'overhead':>9s} "
           f"{'message words':>14s}")
     for costs in (repro.NN_RING, repro.SCRATCH_RING, repro.SRAM_RING, EXOTIC):
-        m = measure_pipeline(app, DEGREE, baseline=baseline, costs=costs)
+        m = measure_pipeline(app, DEGREE, baseline=baseline,
+                             knobs=repro.Knobs(costs=costs))
         print(f"{costs.name:15s} {m.speedup:7.2f}x {m.overhead_ratio:9.3f} "
               f"{str(m.message_words):>14s}")
 

@@ -44,6 +44,7 @@ from repro.obs import RuntimeReport, Tracer, runtime_report, tracing
 from repro.pipeline.liveset import Strategy
 from repro.pipeline.replicate import ReplicationResult, replicate_pps
 from repro.pipeline.transform import PipelineError, PipelineResult, pipeline_pps
+from repro.runspec import Knobs, RunSpec
 from repro.runtime.equivalence import assert_equivalent, compare, observe
 from repro.runtime.scheduler import (
     run_group,
@@ -71,6 +72,7 @@ __all__ = [
     "CostModel",
     "IXP2400",
     "IXP2800",
+    "Knobs",
     "MachineState",
     "Module",
     "NN_RING",
@@ -78,6 +80,7 @@ __all__ = [
     "PipelineError",
     "PipelineResult",
     "ReplicationResult",
+    "RunSpec",
     "RuntimeReport",
     "SCRATCH_RING",
     "SRAM_RING",

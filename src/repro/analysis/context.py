@@ -7,7 +7,7 @@ once more.  All of that is a pure function of the program text and the
 normalization knob, so :class:`AnalysisContext` computes it once and is
 shared across every degree of a sweep, every supervisor ladder rung
 (rungs that perturb ``max_block_instructions`` get their own context),
-and — unless the caller asks for a paranoid re-check — the verifier.
+and the verifier.
 
 The context never depends on the requested degree, the balance knobs, or
 the profiler's traffic classes (profiles are memoized per profiler
@@ -23,6 +23,7 @@ from repro.analysis.liveness import Liveness
 from repro.ir.clone import clone_function
 from repro.ir.function import Function, Module
 from repro.obs import tracer as obs
+from repro.runspec import Knobs
 from repro.ssa.construct import construct_ssa
 
 
@@ -39,8 +40,9 @@ class AnalysisContext:
         model: the :class:`LoopDependenceModel` over ``ssa``.
     """
 
-    def __init__(self, module: Module, pps_name: str,
-                 max_block_instructions: int = 12):
+    def __init__(
+            self, module: Module, pps_name: str,
+            max_block_instructions: int = Knobs.max_block_instructions):
         self.module = module
         self.pps_name = pps_name
         self.max_block_instructions = max_block_instructions

@@ -37,10 +37,6 @@ class Digraph:
             self._succs[src].append(dst)
             self._preds[dst].append(src)
 
-    def remove_edge(self, src: Node, dst: Node) -> None:
-        self._succs[src].remove(dst)
-        self._preds[dst].remove(src)
-
     # -- queries -------------------------------------------------------------
 
     @property
@@ -221,10 +217,6 @@ class Condensation:
                 self.graph.add_edge(src_cid, dst_cid)
         if graph.entry is not None:
             self.graph.entry = self.component_of[graph.entry]
-
-    def is_trivial(self, cid: int) -> bool:
-        """True if the component is a single node without a self-loop."""
-        return len(self.members[cid]) == 1
 
     def __len__(self) -> int:
         return len(self.members)

@@ -59,17 +59,6 @@ TAG_QM_DEQ = 81
 TAG_QM_DROP = 82
 
 
-def unrolled_copy_pkt_to_pkt(dst: str, src: str, count: int,
-                             dst_base: int = 0, src_base: int = 0,
-                             indent: str = "        ") -> str:
-    """PPS-C text: copy ``count`` bytes between packet buffers, unrolled."""
-    lines = [
-        f"{indent}pkt_store({dst}, {dst_base + i}, pkt_load({src}, {src_base + i}));"
-        for i in range(count)
-    ]
-    return "\n".join(lines)
-
-
 def unrolled_copy_rbuf_to_pkt(handle: str, elem: str, count: int,
                               indent: str = "        ") -> str:
     """PPS-C text: copy ``count`` bytes from an rbuf element to a packet."""

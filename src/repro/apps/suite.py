@@ -16,9 +16,10 @@ whole-application runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable
 
+from repro import compile_module
 from repro.apps import qm as qm_mod
 from repro.apps.common import (
     META_IN_PORT,
@@ -35,10 +36,6 @@ from repro.apps.tables import Ipv4RouteTable, Ipv6RouteTable
 from repro.apps.traffic import TrafficConfig, TrafficGenerator
 from repro.apps.tx import tx_source
 from repro.ir.function import Module
-from repro.ir.inline import inline_module
-from repro.ir.lowering import lower_program
-from repro.ir.optimize import optimize_module
-from repro.lang import compile_source
 from repro.runtime.state import MachineState
 
 #: Prefixes every benchmark route table covers (traffic draws from them).
@@ -143,22 +140,19 @@ class AppInstance:
         iterations = self.setup(state)
         return state, iterations
 
-    def fresh_state_with_stream(self, stream: list,
-                                **kwargs) -> tuple[MachineState, int]:
-        """Like :meth:`fresh_state` but feeding a caller-supplied (e.g.
-        fault-perturbed) packet stream; requires ``feed``."""
-        if self.feed is None:
-            raise ValueError(f"app {self.name!r} has no stream/feed split")
-        state = MachineState(self.module, **kwargs)
-        iterations = self.feed(state, stream)
-        return state, iterations
+    @cached_property
+    def profiler(self):
+        """The traffic-class profiler every partition of this app is
+        balanced with (``None`` for a single-class app): a value worked
+        out from the app, so no caller can forget or vary it."""
+        from repro.eval.metrics import make_profiler
+
+        return make_profiler(self)
 
 
 def _compile(source: str) -> Module:
-    module = lower_program(compile_source(source))
-    inline_module(module)
-    optimize_module(module)
-    return module
+    # The name trap locations carry: "<pps-c>:line:column".
+    return compile_module(source, "<pps-c>")
 
 
 def _load_common_tables(state: MachineState) -> None:

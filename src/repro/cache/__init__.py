@@ -10,7 +10,7 @@ partitioner config) — so its result is cacheable by content address:
   envelopes, corruption-checked reads, atomic writes, LRU eviction.
 
 ``pipeline_pps(cache=...)`` is the single hookpoint; ``repro
-run/bench/chaos/trace/pipeline/figures`` all thread a
+run/pipeline/chaos/serve/plan/explore`` all thread a
 :class:`CompileCache` through it (``--cache-dir`` / ``$REPRO_CACHE_DIR``
 / ``--no-cache``).  See ``docs/caching.md``.
 """

@@ -8,17 +8,17 @@ Usage (also via ``python -m repro``)::
     repro run file.ppc --pps NAME -d 4 \\
         --feed in_q=1,2,3 --iterations 3     # execute on the simulator
     repro run ... --profile                  # + runtime counter report
+    repro run ... --trace trace.json         # + Chrome trace of compile + run
     repro run ... --faults plan.json \\
         --watchdog-quantum 200000 \\
         --isolate-traps                      # chaos-hardened execution
-    repro trace file.ppc --pps NAME -d 4 \\
-        -o trace.json                        # Chrome-trace of compile + run
     repro chaos [--app ipv4] [--plans ...]   # chaos differential check
     repro chaos --sweep -j 4                 # parallel multi-app chaos sweep
     repro serve --shards 4 \\
         --faults worker-kill                 # supervised sharded serving
     repro figures [-j N] [-o FILE]           # the paper's Figures 19-22
     repro plan -j 4                          # pre-partition matrix into cache
+    repro explore [--auto-pick] [-o DIR]     # design-space Pareto frontier
     repro fuzz [--seeds 50] [--out DIR]      # progen fuzz of the partitioner
     repro fuzz -j 4                          # parallel fuzz campaign
     repro fuzz --self-test                   # verifier mutation self-test
@@ -36,7 +36,10 @@ seed and a reproduce one-liner identically at every ``-j``.
 
 Partition results are memoized in a content-addressed artifact cache
 (``--cache-dir DIR``, default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``;
-``--no-cache`` opts out) — see ``docs/caching.md``.
+``--no-cache`` opts out) — see ``docs/caching.md``.  ``plan``,
+``explore``, ``chaos`` and ``serve`` partition a suite app through one
+step (:func:`repro.runspec.app_pipeline`), so at equal packets, seed and
+knobs they share its artifacts.
 
 Exit codes (see :mod:`repro.errors`): 0 success, 1 compile/pipeline/IO
 failure (including sweep worker crashes), 2 usage error (unknown PPS,
@@ -73,10 +76,12 @@ from repro.ir.printer import format_function, format_module
 from repro.lang import FrontendError
 from repro.machine.costs import cost_table, cost_table_names
 from repro.pipeline.liveset import Strategy
-from repro.pipeline.transform import PipelineError, pipeline_pps
+from repro.pipeline.transform import PipelineError
+from repro.runspec import Knobs
 from repro.runtime.equivalence import assert_equivalent, observe
 from repro.runtime.scheduler import run_pipeline, run_sequential
 from repro.runtime.state import MachineState
+from repro.runtime.watchdog import DEFAULT_QUANTUM
 from repro.serve import ServeError
 
 
@@ -155,8 +160,7 @@ def _write_json(path: str, payload, *, sort_keys: bool = False) -> None:
 
 
 def _execution_setup(args, module: Module):
-    """The fault plan + feed -> ``MachineState`` set-up of ``run`` and
-    ``trace``.
+    """The fault plan + feed -> ``MachineState`` set-up of ``run``.
 
     Returns ``(plan, fresh, watchdog)``: the ``--faults`` plan (or
     ``None``), a factory for a fed — and, under a plan, armed — machine
@@ -255,13 +259,6 @@ def _add_sweep_flags(parser, *, keep_going: bool = True) -> None:
                                  "instead of failing fast")
 
 
-def _add_partition_flags(parser) -> None:
-    parser.add_argument("--paranoid-verify", action="store_true",
-                        help="make the verifier rebuild SSA/dependence/"
-                             "liveness from scratch instead of sharing "
-                             "the partitioner's analysis context")
-
-
 def _add_program_flags(parser, *, degree: int | None = None) -> None:
     """The PPS-C program a command works on and, when the command
     partitions it, the pipeline degree."""
@@ -283,15 +280,12 @@ def _add_fault_flags(parser, *, quantum: int | None = None) -> None:
                              "(default: %(default)s)")
 
 
-def _add_execution_flags(parser, *, degree: int) -> None:
-    """``run`` / ``trace``: one program executed on the simulator."""
-    _add_program_flags(parser, degree=degree)
-    parser.add_argument("--iterations", type=int, default=10)
-    parser.add_argument("--feed", action="append",
-                        help="pipe=v1,v2,... (repeatable)")
-    _add_fault_flags(parser)
-    parser.add_argument("--isolate-traps", action="store_true",
-                        help="quarantine trapped packets instead of aborting")
+def _add_report_flags(parser, *, what: str) -> None:
+    parser.add_argument("--profile", action="store_true",
+                        help=f"print {what} runtime counters")
+    parser.add_argument("--trace", metavar="FILE", default=None,
+                        help="write a Chrome trace of the run to FILE "
+                             "(load in chrome://tracing or Perfetto)")
 
 
 # -- subcommands ------------------------------------------------------------
@@ -322,12 +316,9 @@ def cmd_pipeline(args) -> int:
     pps_name = _resolve_pps(module, args.pps)
     outcome = supervise_partition(
         module, pps_name, args.degree,
-        costs=cost_table(args.ring),
-        epsilon=args.epsilon,
-        strategy=Strategy(args.strategy),
-        cache=_open_cache(args),
-        paranoid_verify=args.paranoid_verify,
-    )
+        knobs=Knobs(costs=cost_table(args.ring), epsilon=args.epsilon,
+                    strategy=Strategy(args.strategy)),
+        cache=_open_cache(args))
     if outcome.result is None:
         raise PipelineError(outcome.summary())
     result = outcome.result
@@ -358,6 +349,19 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_run(args) -> int:
+    """``repro run``: sequential baseline, supervised partition,
+    pipelined run, equivalence check — under a tracer with ``--trace``."""
+    from repro.obs import tracing
+
+    with tracing(enabled=bool(args.trace)) as tracer:
+        code = _run(args, tracer)
+    if tracer is not None:
+        tracer.write(args.trace)
+        print(f"wrote {args.trace}")
+    return code
+
+
+def _run(args, tracer) -> int:
     module = _load_module(args.file)
     pps_name = _resolve_pps(module, args.pps)
     plan, fresh, watchdog = _execution_setup(args, module)
@@ -378,8 +382,7 @@ def cmd_run(args) -> int:
         from repro.pipeline.supervisor import supervise_partition
 
         outcome = supervise_partition(module, pps_name, args.degree,
-                                      cache=cache,
-                                      paranoid_verify=args.paranoid_verify)
+                                      cache=cache)
         if outcome.result is None:
             raise PipelineError(outcome.summary())
         degree = outcome.achieved_degree
@@ -419,11 +422,15 @@ def cmd_run(args) -> int:
         _write_json(args.dead_letters,
                     [letter.as_dict() for letter in state.dead_letters])
         print(f"wrote {args.dead_letters}")
-    if args.profile:
-        from repro.obs import runtime_report
+    if args.profile or tracer is not None:
+        from repro.obs import emit_counter_events, runtime_report
 
-        print(runtime_report(run_stats, state, watchdog=run_watchdog,
-                             cache=cache, partition=outcome).render())
+        report = runtime_report(run_stats, state, watchdog=run_watchdog,
+                                cache=cache, partition=outcome)
+        if args.profile:
+            print(report.render())
+        if tracer is not None:
+            emit_counter_events(tracer, report)
     if outcome is not None and outcome.degraded:
         print(f"warning: {outcome.summary()}", file=sys.stderr)
         return EXIT_DEGRADED
@@ -525,6 +532,7 @@ def _load_serve_plan(spec: str):
 
 
 def cmd_serve(args) -> int:
+    from repro.obs import emit_counter_events, tracing
     from repro.serve import ServePolicy, ServeRuntime
 
     plan = _load_serve_plan(args.faults) if args.faults else None
@@ -540,14 +548,7 @@ def cmd_serve(args) -> int:
                            journal_dir=args.journal_dir,
                            watchdog_quantum=args.watchdog_quantum)
 
-    tracer = None
-    if args.trace:
-        from repro.obs import Tracer, tracing
-
-        tracer = Tracer()
-        with tracing(tracer):
-            report = runtime.run(install_sigterm=True)
-    else:
+    with tracing(enabled=bool(args.trace)) as tracer:
         report = runtime.run(install_sigterm=True)
 
     print(report.render())
@@ -557,48 +558,10 @@ def cmd_serve(args) -> int:
         _write_json(args.output, report.as_dict())
         print(f"wrote {args.output}")
     if tracer is not None:
-        from repro.obs import emit_counter_events
-
         emit_counter_events(tracer, report.runtime_report(cache=cache))
         tracer.write(args.trace)
         print(f"wrote {args.trace}")
     return report.exit_code()
-
-
-def cmd_trace(args) -> int:
-    from repro.obs import Tracer, emit_counter_events, runtime_report, tracing
-
-    tracer = Tracer()
-    with tracing(tracer):
-        module = _load_module(args.file)
-        pps_name = _resolve_pps(module, args.pps)
-        _, fresh, new_watchdog = _execution_setup(args, module)
-        state, watchdog = fresh(), new_watchdog()
-        cache = _open_cache(args) if args.degree > 1 else None
-        if args.degree > 1:
-            result = pipeline_pps(module, pps_name, args.degree, cache=cache)
-            run_stats = run_pipeline(result.stages, state,
-                                     iterations=args.iterations,
-                                     watchdog=watchdog,
-                                     isolate_traps=args.isolate_traps).stats
-        else:
-            stats = run_sequential(module.pps(pps_name), state,
-                                   iterations=args.iterations,
-                                   watchdog=watchdog,
-                                   isolate_traps=args.isolate_traps)
-            run_stats = {pps_name: stats}
-        report = runtime_report(run_stats, state, watchdog=watchdog,
-                                cache=cache)
-        emit_counter_events(tracer, report)
-    tracer.write(args.output)
-    spans = sum(1 for e in tracer.events if e.get("ph") == "X")
-    instants = sum(1 for e in tracer.events if e.get("ph") == "i")
-    counters = sum(1 for e in tracer.events if e.get("ph") == "C")
-    print(f"{pps_name}: traced compile + run at degree {args.degree}")
-    print(f"  {spans} spans, {instants} instants, {counters} counter samples")
-    print(report.render())
-    print(f"wrote {args.output} (load in chrome://tracing or Perfetto)")
-    return 0
 
 
 def cmd_figures(args) -> int:
@@ -806,22 +769,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_program_flags(p_pipe, degree=2)
     p_pipe.add_argument("--ring", default="nn",
                         choices=cost_table_names(aliases=True))
-    p_pipe.add_argument("--epsilon", type=float, default=1.0 / 16.0)
+    p_pipe.add_argument("--epsilon", type=float, default=Knobs.epsilon)
     p_pipe.add_argument("--strategy", default="packed",
                         choices=[s.value for s in Strategy])
     p_pipe.add_argument("--emit", action="store_true",
                         help="print the realized stage IR")
-    _add_partition_flags(p_pipe)
     _add_cache_flags(p_pipe)
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_run = sub.add_parser("run", help="execute on the simulator")
-    _add_execution_flags(p_run, degree=1)
-    p_run.add_argument("--profile", action="store_true",
-                       help="print per-stage/per-pipe runtime counters")
+    _add_program_flags(p_run, degree=1)
+    p_run.add_argument("--iterations", type=int, default=10)
+    p_run.add_argument("--feed", action="append",
+                       help="pipe=v1,v2,... (repeatable)")
+    _add_fault_flags(p_run)
+    p_run.add_argument("--isolate-traps", action="store_true",
+                       help="quarantine trapped packets instead of aborting")
+    _add_report_flags(p_run, what="per-stage/per-pipe")
     p_run.add_argument("--dead-letters", metavar="FILE",
                        help="write quarantined-packet records as JSON")
-    _add_partition_flags(p_run)
     _add_cache_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -859,7 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--batch", type=int, default=4,
                          help="packets per journaled batch (the commit "
                               "and replay unit)")
-    _add_fault_flags(p_serve, quantum=200_000)
+    _add_fault_flags(p_serve, quantum=DEFAULT_QUANTUM)
     p_serve.add_argument("--max-restarts", type=int, default=3,
                          help="per-shard restart budget before the "
                               "circuit breaker re-shards (default: 3)")
@@ -875,22 +841,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--journal-dir", metavar="DIR", default=None,
                          help="persist per-shard journals as JSONL "
                               "under DIR")
-    p_serve.add_argument("--profile", action="store_true",
-                         help="print per-shard runtime counters")
-    p_serve.add_argument("--trace", metavar="FILE", default=None,
-                         help="write a Chrome trace of shard lifecycle "
-                              "events to FILE")
+    _add_report_flags(p_serve, what="per-shard")
     p_serve.add_argument("-o", "--output", default=None,
                          help="write the serve report as JSON")
     _add_cache_flags(p_serve)
     p_serve.set_defaults(func=cmd_serve)
-
-    p_trace = sub.add_parser(
-        "trace", help="emit a Chrome-trace JSON of compile + run")
-    _add_execution_flags(p_trace, degree=2)
-    p_trace.add_argument("-o", "--output", default="trace.json")
-    _add_cache_flags(p_trace)
-    p_trace.set_defaults(func=cmd_trace)
 
     p_fig = sub.add_parser("figures", help="regenerate the paper's figures")
     _add_workload_flags(p_fig, packets=60, degrees="1,2,3,4,5,6,7,8,9")
@@ -914,16 +869,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="cost-aware design-space exploration with a Pareto frontier")
     _add_workload_flags(p_explore, packets=60, seed=7,
                         degrees="1,2,3,4,5,6,7,8,9", apps=True)
-    p_explore.add_argument("--rings", default="nn-ring",
+    p_explore.add_argument("--rings", default=Knobs.costs.name,
                            help="comma-separated cost-table names "
                                 "(see repro.machine.costs registry, e.g. "
                                 "nn-ring,scratch-ring)")
-    p_explore.add_argument("--epsilons", default="0.0625",
+    p_explore.add_argument("--epsilons", default=f"{Knobs.epsilon:g}",
                            help="comma-separated balance-slack values")
     p_explore.add_argument("--incremental", default="on",
                            choices=["on", "off", "both"],
                            help="incremental-restart partitioner knob")
-    p_explore.add_argument("--max-block-instructions", default="12",
+    p_explore.add_argument("--max-block-instructions",
+                           default=str(Knobs.max_block_instructions),
                            help="comma-separated block-split thresholds")
     p_explore.add_argument("--weights", default=None,
                            help="objective weights, e.g. "

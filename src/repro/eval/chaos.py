@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.apps.suite import build_app
-from repro.pipeline.transform import pipeline_pps
+from repro.runspec import app_pipeline
 from repro.runtime.equivalence import compare, observe
 from repro.runtime.faults import FaultInjector, FaultPlan, builtin_plans
 from repro.runtime.scheduler import run_pipeline, run_sequential
-from repro.runtime.watchdog import Watchdog
+from repro.runtime.watchdog import DEFAULT_QUANTUM, Watchdog
 
 DEFAULT_DEGREES = (1, 2, 4)
 
@@ -130,16 +130,17 @@ def chaos_differential(app_name: str = "ipv4", *,
                        plans: dict[str, FaultPlan] | None = None,
                        degrees: tuple = DEFAULT_DEGREES,
                        packets: int = 40, seed: int = 7,
-                       watchdog_quantum: int | None = 200_000,
+                       watchdog_quantum: int | None = DEFAULT_QUANTUM,
                        collect_letters: list | None = None,
                        cache=None) -> ChaosReport:
     """Run the chaos differential for ``app_name`` across fault plans.
 
     ``collect_letters``, when given, receives every dead-letter record
     (as dicts, tagged with plan and degree) — the CI job uploads them as
-    an artifact on failure.  ``cache`` (a
-    :class:`repro.cache.CompileCache`) memoizes the per-degree partition,
-    which every plan otherwise recomputes.
+    an artifact on failure.  Each degree is partitioned once, through
+    :func:`~repro.runspec.app_pipeline` (``cache``, a
+    :class:`repro.cache.CompileCache`, memoizes it), and every plan runs
+    the same stages.
     """
     if plans is None:
         plans = builtin_plans()
@@ -147,18 +148,20 @@ def chaos_differential(app_name: str = "ipv4", *,
     if app.stream is None:
         raise ValueError(f"app {app_name!r} cannot drive the chaos "
                          f"differential (no stream/feed split)")
+    pipelines = {degree: app_pipeline(app, degree, cache=cache).stages
+                 for degree in degrees}
     report = ChaosReport(app=app_name, packets=packets)
     for plan_name, plan in plans.items():
         report.outcomes.append(_run_plan(
-            app, plan_name, plan, degrees=degrees,
+            app, plan_name, plan, pipelines=pipelines,
             watchdog_quantum=watchdog_quantum,
-            collect_letters=collect_letters, cache=cache))
+            collect_letters=collect_letters))
     return report
 
 
-def _run_plan(app, plan_name: str, plan: FaultPlan, *, degrees: tuple,
+def _run_plan(app, plan_name: str, plan: FaultPlan, *, pipelines: dict,
               watchdog_quantum: int | None,
-              collect_letters: list | None, cache=None) -> PlanOutcome:
+              collect_letters: list | None) -> PlanOutcome:
     # Perturb the stream ONCE; every run below shares it.
     stream_injector = FaultInjector(plan)
     stream = stream_injector.perturb(app.pps_name, app.stream())
@@ -179,10 +182,9 @@ def _run_plan(app, plan_name: str, plan: FaultPlan, *, degrees: tuple,
     outcome.baseline_dead_letters = len(baseline_state.dead_letters)
     _collect(collect_letters, baseline_state, plan_name, degree=0)
 
-    for degree in degrees:
-        result = pipeline_pps(app.module, app.pps_name, degree, cache=cache)
+    for degree, stages in pipelines.items():
         state, iterations = _armed_state(app, plan, stream)
-        run = run_pipeline(result.stages, state, iterations=iterations,
+        run = run_pipeline(stages, state, iterations=iterations,
                            watchdog=Watchdog(watchdog_quantum),
                            isolate_traps=True)
         degree_outcome = DegreeOutcome(degree=degree)
@@ -200,132 +202,6 @@ def _run_plan(app, plan_name: str, plan: FaultPlan, *, degrees: tuple,
             degree_outcome.ok = degree_outcome.dead_letters >= min(1, armed)
         outcome.degrees.append(degree_outcome)
     return outcome
-
-
-DEFAULT_SHARD_COUNTS = (2, 4, 8)
-
-
-@dataclass
-class ServeShardOutcome:
-    """One serving run of one shard count under a worker-fault plan."""
-
-    shards: int
-    restarts: int = 0
-    replays: int = 0
-    redeliveries: int = 0
-    resharded: int = 0
-    committed: int = 0
-    batches: int = 0
-    kills_observed: bool = False
-    mismatches: list = field(default_factory=list)
-    ok: bool = True
-
-    def as_dict(self) -> dict:
-        return {
-            "shards": self.shards,
-            "restarts": self.restarts,
-            "replays": self.replays,
-            "redeliveries": self.redeliveries,
-            "resharded": self.resharded,
-            "committed": self.committed,
-            "batches": self.batches,
-            "kills_observed": self.kills_observed,
-            "mismatches": list(self.mismatches),
-            "ok": self.ok,
-        }
-
-
-@dataclass
-class ServeChaosReport:
-    """The worker-kill serve differential across shard counts."""
-
-    app: str
-    plan: str
-    packets: int
-    degree: int
-    outcomes: list[ServeShardOutcome] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes)
-
-    def as_dict(self) -> dict:
-        return {
-            "app": self.app,
-            "plan": self.plan,
-            "packets": self.packets,
-            "degree": self.degree,
-            "ok": self.ok,
-            "shard_counts": [outcome.shards for outcome in self.outcomes],
-            "outcomes": [outcome.as_dict() for outcome in self.outcomes],
-        }
-
-    def render(self) -> str:
-        lines = [f"serve chaos differential: app {self.app}, "
-                 f"plan {self.plan}, {self.packets} packets, "
-                 f"degree {self.degree}"]
-        for outcome in self.outcomes:
-            verdict = "ok" if outcome.ok else "FAIL"
-            lines.append(
-                f"  shards {outcome.shards}: {verdict} — "
-                f"{outcome.restarts} restarts, {outcome.replays} replays, "
-                f"{outcome.redeliveries} redeliveries, "
-                f"{outcome.committed}/{outcome.batches} batches"
-                + (f", {len(outcome.mismatches)} mismatches"
-                   if outcome.mismatches else ""))
-        lines.append(f"  overall: {'ok' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def serve_differential(app_name: str = "ipv4", *,
-                       plan: FaultPlan | None = None,
-                       shard_counts: tuple = DEFAULT_SHARD_COUNTS,
-                       degree: int = 1, packets: int = 48, seed: int = 7,
-                       batch: int = 2,
-                       watchdog_quantum: int | None = 200_000,
-                       cache=None, policy=None) -> ServeChaosReport:
-    """The worker-kill fault kind of the chaos suite: serve the stream
-    through the sharded runtime while the plan kills workers mid-run,
-    and require the committed output to stay bit-identical per flow to
-    the sequential oracle at every shard count.
-
-    The default plan is ``worker-kill`` (every worker murdered once at
-    a batch boundary), so every serving run must restart at least one
-    worker and replay its journal — ``kills_observed`` asserts the run
-    was not vacuously clean.  The small default batch size keeps every
-    shard at 2+ batches even at 8 shards, which is what arms the
-    kill-after-one-commit fault on every worker.
-    """
-    from repro.runtime.faults import serve_plans
-    from repro.serve.supervise import ServeRuntime
-
-    if plan is None:
-        plan = serve_plans()["worker-kill"]
-    report = ServeChaosReport(app=app_name, plan=plan.name or "anonymous",
-                              packets=packets, degree=degree)
-    expects_kills = bool(plan.workers)
-    for shards in shard_counts:
-        runtime = ServeRuntime(
-            app_name, shards=shards, degree=degree, packets=packets,
-            seed=seed, batch=batch, plan=plan, cache=cache, policy=policy,
-            watchdog_quantum=watchdog_quantum, verify=True)
-        serve_report = runtime.run()
-        counters = serve_report.counters
-        outcome = ServeShardOutcome(
-            shards=shards,
-            restarts=counters.get("restarts", 0),
-            replays=counters.get("replays", 0),
-            redeliveries=counters.get("redeliveries", 0),
-            resharded=counters.get("resharded", 0),
-            committed=counters.get("committed", 0),
-            batches=counters.get("batches", 0),
-            kills_observed=counters.get("restarts", 0) > 0,
-            mismatches=list(serve_report.mismatches))
-        outcome.ok = (not outcome.mismatches
-                      and counters.get("pending", 0) == 0
-                      and (outcome.kills_observed or not expects_kills))
-        report.outcomes.append(outcome)
-    return report
 
 
 def _armed_state(app, plan: FaultPlan, stream: list):

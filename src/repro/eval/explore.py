@@ -48,6 +48,7 @@ import json
 from dataclasses import dataclass
 
 from repro.errors import ReproError
+from repro.runspec import Knobs
 
 #: Version of the frontier-report schema; bump on layout changes, with
 #: the regenerated ``EXPLORE_frontier.json`` in the same commit.
@@ -76,10 +77,10 @@ class SearchSpace:
 
     apps: tuple
     degrees: tuple
-    rings: tuple = ("nn-ring",)
-    epsilons: tuple = (1.0 / 16.0,)
-    incremental: tuple = (True,)
-    max_block_instructions: tuple = (12,)
+    rings: tuple = (Knobs.costs.name,)
+    epsilons: tuple = (Knobs.epsilon,)
+    incremental: tuple = (Knobs.incremental,)
+    max_block_instructions: tuple = (Knobs.max_block_instructions,)
     packets: int = 60
     seed: int = 7
 
@@ -128,19 +129,23 @@ class SearchSpace:
             identities[identity] = table.name
         return self
 
-    def combos(self) -> list[tuple]:
-        """Deterministic (ring, epsilon, incremental, mbi) combinations.
+    def combos(self) -> list[Knobs]:
+        """Deterministic ring x epsilon x incremental x block-split
+        :class:`~repro.runspec.Knobs` combinations.
 
         Ring order follows the caller's ``rings`` tuple (canonicalized);
         the numeric knobs are sorted so the same space always enumerates
         in the same order regardless of how it was written down.
         """
-        return list(itertools.product(
-            self.canonical_rings(),
-            sorted(set(self.epsilons)),
-            sorted(set(self.incremental), reverse=True),
-            sorted(set(self.max_block_instructions)),
-        ))
+        from repro.machine.costs import cost_table
+
+        return [Knobs(costs=cost_table(ring), epsilon=epsilon,
+                      incremental=incremental, max_block_instructions=mbi)
+                for ring, epsilon, incremental, mbi in itertools.product(
+                    self.canonical_rings(),
+                    sorted(set(self.epsilons)),
+                    sorted(set(self.incremental), reverse=True),
+                    sorted(set(self.max_block_instructions)))]
 
     def cell_count(self) -> int:
         return len(self.apps) * len(set(self.degrees)) * len(self.combos())
@@ -526,8 +531,8 @@ def deterministic_report(report: dict) -> dict:
     cell); everything left is a pure function of the search space, so
     repeated runs — at any ``-j`` level, cold or cached — produce the
     same bytes.  This is what ``repro explore`` writes to
-    ``frontier.json`` and what the CI determinism diff and the
-    ``--frontier-budget`` gate consume.
+    ``frontier.json``, what the CI determinism diff compares and what
+    tier-1 holds ``EXPLORE_frontier.json`` to.
     """
     clean = {key: value for key, value in report.items()
              if key not in ("timing", "cache")}

@@ -23,13 +23,10 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
+from repro import compile_module
 from repro.analysis.context import AnalysisContext
 from repro.errors import ReproError
 from repro.ir.function import Module
-from repro.ir.inline import inline_module
-from repro.ir.lowering import lower_program
-from repro.ir.optimize import optimize_module
-from repro.lang import compile_source
 from repro.pipeline.transform import pipeline_pps
 from repro.pipeline.verify import verify_partition
 from repro.runtime.equivalence import assert_equivalent, observe
@@ -55,14 +52,6 @@ class CheckFailure(ReproError):
         return (self.phase, type(self.cause).__name__)
 
 
-def compile_progen(source: str):
-    """Compile generated PPS-C text the way the CLI compiles files."""
-    module = lower_program(compile_source(source, "<fuzz>"), "<fuzz>")
-    inline_module(module)
-    optimize_module(module)
-    return module
-
-
 def fuzz_state(module, seed: int, packets: int) -> MachineState:
     """A deterministic machine state for one fuzz case."""
     state = MachineState(module)
@@ -78,7 +67,7 @@ def check_program(source: str, degree: int, *, packets: int = 24,
                   seed: int = 0) -> None:
     """Run one program through the whole contract; raise CheckFailure."""
     try:
-        module = compile_progen(source)
+        module = compile_module(source, "<fuzz>")
     except Exception as exc:
         raise CheckFailure("frontend", exc) from exc
     pps_name = next(iter(module.ppses))
@@ -296,12 +285,13 @@ def run_fuzz(seeds: int = 50, *, start_seed: int = 0,
     :class:`~repro.eval.sweep.SweepError` naming the seed.
     """
     from repro.eval.sweep import SweepTask, run_sweep
+    from repro.runspec import RunSpec
 
     report = FuzzReport(seeds=seeds, start_seed=start_seed,
                         degrees=tuple(degrees), packets=packets)
-    tasks = [SweepTask(kind="fuzz", app="progen",
-                       degrees=(report.degrees[index % len(report.degrees)],),
-                       packets=packets, seed=start_seed + index,
+    tasks = [SweepTask("fuzz",
+                       RunSpec("progen", packets, start_seed + index,
+                               (report.degrees[index % len(report.degrees)],)),
                        shrink_tests=max_shrink_tests if shrink else 0)
              for index in range(seeds)]
     for result in run_sweep(tasks, jobs=jobs):
@@ -456,7 +446,7 @@ def self_test(degree: int = 3) -> dict:
     """Corrupt a known-good partition each way; the verifier must catch
     every defect.  Returns ``{"missed": [...], "caught": {name: checks}}``.
     """
-    module = compile_progen(SELF_TEST_PPS)
+    module = compile_module(SELF_TEST_PPS, "<fuzz>")
     result = pipeline_pps(module, "selfcheck", degree)
     verify_partition(result).raise_if_rejected()  # precondition: clean
     caught: dict[str, list[str]] = {}

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 from repro.apps.suite import AppInstance
 from repro.ir.function import Function
-from repro.machine.costs import NN_RING, CostModel
-from repro.pipeline.liveset import Strategy
-from repro.pipeline.transform import PipelineResult, pipeline_pps
+from repro.pipeline.transform import PipelineResult
+from repro.runspec import Knobs, app_pipeline
 from repro.runtime.equivalence import Observation, assert_equivalent, observe
 from repro.runtime.scheduler import run_pipeline, run_sequential
 from repro.runtime.state import MachineState
@@ -83,7 +82,8 @@ def make_profiler(app: AppInstance):
     Runs the normalized PPS once per traffic class of the app and returns
     per-class block execution frequencies (executions per iteration), or
     ``None`` when the app has a single class (static weights suffice, as
-    in the paper).
+    in the paper).  Inside ``src/`` the one caller is
+    :attr:`AppInstance.profiler <repro.apps.suite.AppInstance.profiler>`.
     """
     setups = app.profile_setups
     if not setups or len(setups) < 2:
@@ -105,12 +105,7 @@ def make_profiler(app: AppInstance):
 
 
 def partition_app(app: AppInstance, degrees, *, cache=None,
-                  warm_start: bool = True,
-                  costs: CostModel = NN_RING,
-                  strategy: Strategy = Strategy.PACKED,
-                  epsilon: float = 1.0 / 16.0,
-                  incremental: bool = True,
-                  interference: str = "exact"):
+                  warm_start: bool = True, knobs: Knobs = Knobs()):
     """Partition ``app`` at every degree > 1, sharing analyses and warm
     starts across the sweep.
 
@@ -131,8 +126,8 @@ def partition_app(app: AppInstance, degrees, *, cache=None,
     from repro.analysis.context import AnalysisContext
     from repro.flownet.warmstart import WarmStartCache
 
-    profiler = make_profiler(app)
-    context = AnalysisContext(app.module, app.pps_name)
+    context = AnalysisContext(app.module, app.pps_name,
+                              knobs.max_block_instructions)
     warm = WarmStartCache() if warm_start else None
     transforms: dict[int, PipelineResult] = {}
     breakdown: dict[str, dict] = {}
@@ -140,11 +135,7 @@ def partition_app(app: AppInstance, degrees, *, cache=None,
         if degree <= 1:
             continue
         start = perf_counter()
-        result = pipeline_pps(app.module, app.pps_name, degree,
-                              costs=costs, strategy=strategy,
-                              epsilon=epsilon, incremental=incremental,
-                              interference=interference,
-                              profiler=profiler, cache=cache,
+        result = app_pipeline(app, degree, knobs=knobs, cache=cache,
                               context=context, warm=warm)
         seconds = perf_counter() - start
         diagnostics = result.assignment.diagnostics
@@ -160,21 +151,15 @@ def partition_app(app: AppInstance, degrees, *, cache=None,
 
 def measure_pipeline(app: AppInstance, degree: int, *,
                      baseline: SequentialMeasurement | None = None,
-                     costs: CostModel = NN_RING,
-                     strategy: Strategy = Strategy.PACKED,
-                     epsilon: float = 1.0 / 16.0,
-                     incremental: bool = True,
-                     interference: str = "exact",
-                     check_equivalence: bool = True,
-                     use_profiles: bool = True,
+                     knobs: Knobs = Knobs(),
                      transform: PipelineResult | None = None,
                      cache=None) -> PipelineMeasurement:
     """Pipeline ``app`` at ``degree`` and measure the paper's metrics.
 
-    ``use_profiles`` activates profile-dimensioned balancing for apps that
-    declare multiple traffic classes (the combined IP PPS).  ``cache``
-    (a :class:`repro.cache.CompileCache`) memoizes the partition when
-    ``transform`` is not supplied.
+    ``transform`` is the partition to measure; without one the app is
+    partitioned here under ``knobs`` (``cache``, a
+    :class:`repro.cache.CompileCache`, memoizes that).  The run is
+    always checked observationally equivalent to the sequential one.
     """
     if baseline is None:
         baseline = measure_sequential(app)
@@ -188,18 +173,10 @@ def measure_pipeline(app: AppInstance, degree: int, *,
             message_words=[], balanced=[True],
         )
     if transform is None:
-        profiler = make_profiler(app) if use_profiles else None
-        transform = pipeline_pps(app.module, app.pps_name, degree,
-                                 costs=costs, strategy=strategy,
-                                 epsilon=epsilon, incremental=incremental,
-                                 interference=interference,
-                                 profiler=profiler, cache=cache)
+        transform = app_pipeline(app, degree, knobs=knobs, cache=cache)
     state, iterations = app.fresh_state()
     run = run_pipeline(transform.stages, state, iterations=iterations)
-
-    equivalent = True
-    if check_equivalence:
-        assert_equivalent(baseline.observation, observe(state))
+    assert_equivalent(baseline.observation, observe(state))
 
     per_stage = []
     per_stage_tx = []
@@ -219,9 +196,9 @@ def measure_pipeline(app: AppInstance, degree: int, *,
         longest_stage=longest,
         speedup=baseline.per_packet / longest if longest else float("inf"),
         overhead_ratio=(transmission / processing) if processing else 0.0,
-        message_words=[layout.words(strategy) for layout in transform.layouts],
+        message_words=[layout.words(transform.strategy)
+                       for layout in transform.layouts],
         balanced=[diag.balanced for diag in transform.assignment.diagnostics],
-        equivalent=equivalent,
         total_instructions=sum(run.stats[stage.function.name].instructions
                                for stage in transform.stages),
     )
@@ -251,7 +228,7 @@ class ReplicationMeasurement:
 
 def measure_replication(app: AppInstance, ways: int, *,
                         baseline: SequentialMeasurement | None = None,
-                        check_equivalence: bool = True) -> ReplicationMeasurement:
+                        ) -> ReplicationMeasurement:
     """Replicate ``app`` ``ways`` times and measure the §5 tradeoff."""
     from repro.pipeline.replicate import replicate_pps
     from repro.runtime.scheduler import run_replicas
@@ -261,8 +238,7 @@ def measure_replication(app: AppInstance, ways: int, *,
     replication = replicate_pps(app.module, app.pps_name, ways)
     state, iterations = app.fresh_state()
     run = run_replicas(replication.replicas, state, iterations=iterations)
-    if check_equivalence:
-        assert_equivalent(baseline.observation, observe(state))
+    assert_equivalent(baseline.observation, observe(state))
 
     total_weight = sum(stats.weight for stats in run.stats.values())
     per_engine = total_weight / ways / max(1, iterations)

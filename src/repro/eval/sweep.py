@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 
 from repro.errors import ReproError
+from repro.runspec import RunSpec
 
 
 class SweepError(ReproError):
@@ -52,61 +53,55 @@ class SweepError(ReproError):
 
 @dataclass(frozen=True)
 class SweepTask:
-    """One self-contained sweep cell, picklable for worker dispatch."""
+    """One self-contained sweep cell, picklable for worker dispatch: the
+    :class:`~repro.runspec.RunSpec` it runs and what its kind adds."""
 
     kind: str                       # a key of _SCORERS
-    app: str
-    degrees: tuple                  # pipeline degrees to measure
-    packets: int
-    seed: int
+    spec: RunSpec
     plans: tuple | None = None      # chaos: builtin plan names (None = all)
-    cache_dir: str | None = None    # shared CompileCache root
-    ring: str | None = None         # explore: cost-table name
-    epsilon: float | None = None    # explore: balance slack knob
-    incremental: bool | None = None  # explore: incremental-restart knob
-    max_block_instructions: int | None = None  # explore: block-split knob
     keep_going: bool = False        # explore: record failed degree cells
     #                                 instead of failing the whole row
     shrink_tests: int = 0           # fuzz: shrink budget (0 = unshrunk)
 
     def describe(self) -> str:
-        knobs = ""
-        if self.kind == "explore":
-            knobs = (f" ring={self.ring} eps={self.epsilon:g} "
-                     f"inc={'on' if self.incremental else 'off'} "
-                     f"mbi={self.max_block_instructions}")
-        return (f"{self.kind} {self.app} D={','.join(map(str, self.degrees))}"
-                f"{knobs}")
+        spec, k = self.spec, self.spec.knobs
+        knobs = (f" ring={k.costs.name} eps={k.epsilon:g} "
+                 f"inc={'on' if k.incremental else 'off'} "
+                 f"mbi={k.max_block_instructions}"
+                 if self.kind == "explore" else "")
+        return (f"{self.kind} {spec.app} "
+                f"D={','.join(map(str, spec.degrees))}{knobs}")
 
     def repro_command(self) -> str:
         """A copy-paste one-liner that re-runs this exact cell inline."""
-        degrees = ",".join(map(str, self.degrees))
+        spec = self.spec
+        degrees = ",".join(map(str, spec.degrees))
         if self.kind == "chaos":
             plans = (" --plans " + " ".join(self.plans)
                      if self.plans else "")
-            return (f"repro chaos --app {self.app} --degrees {degrees} "
-                    f"--packets {self.packets} --seed {self.seed}{plans}")
+            return (f"repro chaos --app {spec.app} --degrees {degrees} "
+                    f"--packets {spec.packets} --seed {spec.seed}{plans}")
         if self.kind == "fuzz":
-            return (f"repro fuzz --seeds 1 --start-seed {self.seed} "
-                    f"--degrees {degrees} --packets {self.packets}")
+            return (f"repro fuzz --seeds 1 --start-seed {spec.seed} "
+                    f"--degrees {degrees} --packets {spec.packets}")
         if self.kind == "partition":
-            return (f"repro plan --apps {self.app} --degrees {degrees} "
-                    f"--packets {self.packets} --seed {self.seed} -j 1")
+            return (f"repro plan --apps {spec.app} --degrees {degrees} "
+                    f"--packets {spec.packets} --seed {spec.seed} -j 1")
         if self.kind == "explore":
-            inc = "on" if self.incremental else "off"
-            return (f"repro explore --apps {self.app} --degrees {degrees} "
-                    f"--rings {self.ring} --epsilons {self.epsilon:g} "
-                    f"--incremental {inc} "
-                    f"--max-block-instructions {self.max_block_instructions} "
-                    f"--packets {self.packets} --seed {self.seed} -j 1")
-        return (f"repro figures --packets {self.packets} "
+            k = spec.knobs
+            return (f"repro explore --apps {spec.app} --degrees {degrees} "
+                    f"--rings {k.costs.name} --epsilons {k.epsilon:g} "
+                    f"--incremental {'on' if k.incremental else 'off'} "
+                    f"--max-block-instructions {k.max_block_instructions} "
+                    f"--packets {spec.packets} --seed {spec.seed} -j 1")
+        return (f"repro figures --packets {spec.packets} "
                 f"--degrees {degrees} -j 1  "
-                f"# cell: app={self.app} seed={self.seed}")
+                f"# cell: app={spec.app} seed={spec.seed}")
 
     def detail(self) -> str:
         """The failure context every SweepError message must carry:
         the derived seed and the full argument tuple."""
-        return (f"seed={self.seed} args={self!r}; "
+        return (f"seed={self.spec.seed} args={self!r}; "
                 f"reproduce: {self.repro_command()}")
 
 
@@ -134,8 +129,7 @@ def app_tasks(kind: str, apps: list[str], degrees, *, packets: int,
     -start cache across the row — the cross-degree seeding the planner
     exists to exploit; parallelism comes from fanning the *apps*.
     """
-    return [SweepTask(kind=kind, app=app, degrees=tuple(degrees),
-                      packets=packets, seed=seed)
+    return [SweepTask(kind, RunSpec(app, packets, seed, tuple(degrees)))
             for app in apps]
 
 
@@ -148,19 +142,20 @@ def explore_tasks(space, *, keep_going: bool = False) -> list[SweepTask]:
     measurement across the row; parallelism fans the (app, combo) pairs.
     ``space`` is a :class:`repro.eval.explore.SearchSpace`.
     """
-    return [SweepTask(kind="explore", app=app, degrees=tuple(space.degrees),
-                      packets=space.packets, seed=space.seed,
-                      ring=ring, epsilon=epsilon, incremental=incremental,
-                      max_block_instructions=mbi, keep_going=keep_going)
+    return [SweepTask("explore",
+                      RunSpec(app, space.packets, space.seed,
+                              tuple(space.degrees), knobs),
+                      keep_going=keep_going)
             for app in space.apps
-            for ring, epsilon, incremental, mbi in space.combos()]
+            for knobs in space.combos()]
 
 
 def chaos_tasks(apps: list[str], degrees: tuple, *, packets: int, seed: int,
                 plans: tuple | None = None) -> list[SweepTask]:
     """Chaos cells ordered by app, each with its own derived seed."""
-    return [SweepTask(kind="chaos", app=app, degrees=tuple(degrees),
-                      packets=packets, seed=derive_seed(seed, "chaos", app),
+    return [SweepTask("chaos",
+                      RunSpec(app, packets, derive_seed(seed, "chaos", app),
+                              tuple(degrees)),
                       plans=plans)
             for app in sorted(apps)]
 
@@ -185,16 +180,12 @@ def _execute(task: SweepTask) -> dict:
     score = _SCORERS.get(task.kind)
     if score is None:
         raise SweepError(f"unknown sweep task kind {task.kind!r}")
-    cache = None
-    if task.cache_dir is not None:
-        from repro.cache import CompileCache
-
-        cache = CompileCache(task.cache_dir)
+    cache = task.spec.open_cache()
     fields, timing = score(task, cache)
     return {
         "kind": task.kind,
-        "app": task.app,
-        "seed": task.seed,
+        "app": task.spec.app,
+        "seed": task.spec.seed,
         **fields,
         "timing": timing,
         # A cache opened for this cell alone: its counters are the cell's.
@@ -204,18 +195,20 @@ def _execute(task: SweepTask) -> dict:
 
 def _partition_row(task: SweepTask, cache):
     """Build the task's app and partition its whole degree row."""
-    from repro.apps.suite import build_app
     from repro.eval.metrics import partition_app
 
-    app = build_app(task.app, packets=task.packets, seed=task.seed)
-    transforms, breakdown = partition_app(app, task.degrees, cache=cache)
+    app = task.spec.build()
+    transforms, breakdown = partition_app(app, task.spec.degrees,
+                                          cache=cache,
+                                          knobs=task.spec.knobs)
     return app, transforms, breakdown
 
 
 def _score_partition(task: SweepTask, cache):
     """The planner cell: the results land in the shared compile cache,
-    so a following explore / chaos / run phase gets pure cache hits; the
-    record carries the per-degree breakdown for profiling output."""
+    so a following explore / chaos / serve phase over the same apps,
+    traffic and knobs gets pure cache hits; the record carries the
+    per-degree breakdown for profiling output."""
     _, _, breakdown = _partition_row(task, cache)
     return {"partition_breakdown": breakdown}, {}
 
@@ -233,7 +226,7 @@ def _score_figures(task: SweepTask, cache):
     instructions = baseline.total_instructions
     speedups: dict[int, float] = {}
     overheads: dict[int, float] = {}
-    for degree in sorted(task.degrees):
+    for degree in sorted(task.spec.degrees):
         measured = measure_pipeline(app, degree, baseline=baseline,
                                     transform=transforms.get(degree))
         instructions += measured.total_instructions
@@ -261,46 +254,38 @@ def _score_explore(task: SweepTask, cache):
     key so the frontier artifact can strip them.
     """
     from repro.analysis.context import AnalysisContext
-    from repro.apps.suite import build_app
-    from repro.eval.metrics import (
-        make_profiler,
-        measure_pipeline,
-        measure_sequential,
-    )
-    from repro.machine.costs import cost_table
+    from repro.eval.metrics import measure_pipeline, measure_sequential
     from repro.pipeline.supervisor import supervise_partition
 
-    costs = cost_table(task.ring)
-    app, build_seconds = _timed(build_app, task.app, packets=task.packets,
-                                seed=task.seed)
+    spec, knobs = task.spec, task.spec.knobs
+    app, build_seconds = _timed(spec.build)
     baseline = measure_sequential(app)
-    profiler = make_profiler(app)
     context = AnalysisContext(app.module, app.pps_name,
-                              task.max_block_instructions)
+                              knobs.max_block_instructions)
 
     def cell_id(degree: int) -> str:
-        inc = "inc" if task.incremental else "noinc"
-        return (f"{task.app}/{costs.name}/d{degree}/e{task.epsilon:g}/"
-                f"{inc}/b{task.max_block_instructions}")
+        inc = "inc" if knobs.incremental else "noinc"
+        return (f"{spec.app}/{knobs.costs.name}/d{degree}/"
+                f"e{knobs.epsilon:g}/{inc}/b{knobs.max_block_instructions}")
 
     def config(degree: int) -> dict:
         return {
             "degree": degree,
-            "ring": costs.name,
-            "epsilon": task.epsilon,
-            "incremental": task.incremental,
-            "max_block_instructions": task.max_block_instructions,
+            "ring": knobs.costs.name,
+            "epsilon": knobs.epsilon,
+            "incremental": knobs.incremental,
+            "max_block_instructions": knobs.max_block_instructions,
         }
 
     cells = []
     cell_failures = []
     partition_total = 0.0
-    for degree in sorted(set(task.degrees)):
+    for degree in sorted(set(spec.degrees)):
         if degree <= 1:
             # The sequential "pipeline": always valid, nothing transmitted.
             cells.append({
                 "id": cell_id(1),
-                "app": task.app,
+                "app": spec.app,
                 "config": config(1),
                 "verified": True,
                 "degraded": False,
@@ -317,14 +302,12 @@ def _score_explore(task: SweepTask, cache):
         try:
             outcome, partition_seconds = _timed(
                 supervise_partition, app.module, app.pps_name, degree,
-                costs=costs, epsilon=task.epsilon,
-                incremental=task.incremental,
-                max_block_instructions=task.max_block_instructions,
-                profiler=profiler, cache=cache, context=context)
+                knobs=knobs, profiler=app.profiler, cache=cache,
+                context=context)
             partition_total += partition_seconds
             cell = {
                 "id": cell_id(degree),
-                "app": task.app,
+                "app": spec.app,
                 "config": config(degree),
                 "verified": outcome.ok,
                 "degraded": outcome.degraded,
@@ -337,7 +320,6 @@ def _score_explore(task: SweepTask, cache):
                 achieved = outcome.achieved_degree
                 measured = measure_pipeline(app, achieved,
                                             baseline=baseline,
-                                            costs=costs,
                                             transform=outcome.result)
                 cell["metrics"] = {
                     "speedup": round(measured.speedup, 4),
@@ -357,7 +339,7 @@ def _score_explore(task: SweepTask, cache):
             # one-liner instead.
             if not task.keep_going:
                 raise
-            cell_task = replace(task, degrees=(degree,))
+            cell_task = replace(task, spec=replace(spec, degrees=(degree,)))
             record = _failure_record(cell_task, _classify(cell_task, exc))
             record["cell"] = cell_id(degree)
             cell_failures.append(record)
@@ -380,10 +362,11 @@ def _score_chaos(task: SweepTask, cache):
                              f"{', '.join(unknown)}")
         plans = {name: available[name] for name in task.plans}
     letters: list = []
-    report, wall = _timed(chaos_differential, task.app, plans=plans,
-                          degrees=tuple(task.degrees),
-                          packets=task.packets, seed=task.seed,
-                          collect_letters=letters, cache=cache)
+    spec = task.spec
+    report, wall = _timed(chaos_differential, spec.app, plans=plans,
+                          degrees=spec.degrees, packets=spec.packets,
+                          seed=spec.seed, collect_letters=letters,
+                          cache=cache)
     return ({"ok": report.ok,
              "report": report.as_dict(),
              "dead_letters": letters,
@@ -392,12 +375,13 @@ def _score_chaos(task: SweepTask, cache):
 
 
 def _score_fuzz(task: SweepTask, cache):
-    """One generated program (``task.seed``) at one degree; the record's
+    """One generated program (``task.spec.seed``) at one degree; the record's
     ``failure`` is a :class:`~repro.eval.fuzz.FuzzFailure` or ``None``."""
     from repro.eval.fuzz import fuzz_case
 
-    [degree] = task.degrees
-    failure = fuzz_case(task.seed, degree, task.packets, task.shrink_tests)
+    [degree] = task.spec.degrees
+    failure = fuzz_case(task.spec.seed, degree, task.spec.packets,
+                        task.shrink_tests)
     return {"failure": failure}, {}
 
 
@@ -461,7 +445,9 @@ def run_sweep(tasks, *, jobs: int = 1, worker=None,
     """
     tasks = list(tasks)
     if cache is not None:
-        tasks = [replace(task, cache_dir=str(cache.root)) for task in tasks]
+        tasks = [replace(task, spec=replace(task.spec,
+                                            cache_dir=str(cache.root)))
+                 for task in tasks]
     worker = worker or _execute
     results: list = [None] * len(tasks)
 
@@ -531,8 +517,8 @@ def _failure_record(task: SweepTask, error: Exception) -> dict:
     failed cell."""
     return {
         "kind": task.kind,
-        "app": task.app,
-        "seed": task.seed,
+        "app": task.spec.app,
+        "seed": task.spec.seed,
         "ok": False,
         "failed": True,
         "error": str(error),

@@ -136,9 +136,6 @@ class FlowNetwork:
     def node_count(self) -> int:
         return len(self._keys)
 
-    def out_edges(self, node: int) -> list[Edge]:
-        return [self.edges[i] for i in self.adjacency[node]]
-
     def total_weight(self) -> int:
         return sum(self.weights)
 

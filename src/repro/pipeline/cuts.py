@@ -17,8 +17,9 @@ from repro.analysis.dependence_graph import LoopDependenceModel
 from repro.flownet.balanced_cut import BalancedCut
 from repro.flownet.model import build_cut_network
 from repro.flownet.warmstart import WarmStartCache
-from repro.machine.costs import NN_RING, CostModel
+from repro.machine.costs import CostModel
 from repro.obs import tracer as obs
+from repro.runspec import Knobs
 
 
 @dataclass
@@ -55,9 +56,6 @@ class StageAssignment:
     unit_stage: dict[int, int] = field(default_factory=dict)
     diagnostics: list[CutDiagnostics] = field(default_factory=list)
 
-    def blocks_of_stage(self, stage: int) -> list[str]:
-        return [name for name, s in self.block_stage.items() if s == stage]
-
     def stage_weights(self, model: LoopDependenceModel) -> dict[int, int]:
         weights = {stage: 0 for stage in range(1, self.degree + 1)}
         for unit, stage in self.unit_stage.items():
@@ -89,9 +87,9 @@ def unit_profile_dims(model: LoopDependenceModel,
 
 
 def select_stages(model: LoopDependenceModel, degree: int, *,
-                  costs: CostModel = NN_RING,
-                  epsilon: float = 1.0 / 16.0,
-                  incremental: bool = True,
+                  costs: CostModel = Knobs.costs,
+                  epsilon: float = Knobs.epsilon,
+                  incremental: bool = Knobs.incremental,
                   profiles: list[dict[str, float]] | None = None,
                   warm: WarmStartCache | None = None) -> StageAssignment:
     """Assign every dependence unit (and block) to one of ``degree`` stages.

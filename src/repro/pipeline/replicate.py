@@ -109,9 +109,6 @@ class ReplicationResult:
     held_to_latch: list = field(default_factory=list)
     shared_state_roots: list = field(default_factory=list)
 
-    def replica_functions(self) -> list[Function]:
-        return [replica.function for replica in self.replicas]
-
 
 def _serial_access_sites(function: Function, body: set[str]) -> dict:
     """Map serial resource -> list of (block, index) access sites."""

@@ -27,15 +27,19 @@ through the verifier here before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.context import AnalysisContext
 from repro.flownet.warmstart import WarmStartCache
 from repro.ir.function import Module
-from repro.machine.costs import NN_RING, CostModel
-from repro.pipeline.liveset import Strategy
 from repro.pipeline.transform import PipelineError, PipelineResult, pipeline_pps
 from repro.pipeline.verify import VerifyVerdict, verify_partition
+from repro.runspec import Knobs
+
+#: The knobs an attempt's JSON record reports (cost table and strategy
+#: are the caller's at every attempt).
+_REPORTED_KNOBS = ("epsilon", "incremental", "interference",
+                   "max_block_instructions")
 
 
 @dataclass
@@ -43,13 +47,15 @@ class AttemptRecord:
     """One rung of the degradation ladder: a partition+verify attempt."""
 
     degree: int
-    knobs: dict
+    knobs: Knobs
     outcome: str                 # "verified" | "partition-error" | "rejected"
     error: str | None = None     # partitioner exception text
     findings: list = field(default_factory=list)  # verifier findings
 
     def as_dict(self) -> dict:
-        record = {"degree": self.degree, "knobs": dict(self.knobs),
+        record = {"degree": self.degree,
+                  "knobs": {name: getattr(self.knobs, name)
+                            for name in _REPORTED_KNOBS},
                   "outcome": self.outcome}
         if self.error is not None:
             record["error"] = self.error
@@ -114,38 +120,28 @@ def degradation_ladder(degree: int) -> list[int]:
     return rungs
 
 
-def _knob_perturbations(base: dict, retries: int) -> list[dict]:
+def _knob_perturbations(base: Knobs, retries: int) -> list[Knobs]:
     """The knob sets tried at one degree: the caller's, then perturbed."""
-    variants = [dict(base)]
-    flipped = dict(base)
-    flipped["incremental"] = not base["incremental"]
-    variants.append(flipped)
-    widened = dict(base)
-    widened["epsilon"] = base["epsilon"] * 2
-    if base["max_block_instructions"] > 0:
-        widened["max_block_instructions"] = max(
-            4, base["max_block_instructions"] // 2)
-    variants.append(widened)
-    return variants[:1 + max(0, retries)]
+    flipped = replace(base, incremental=not base.incremental)
+    widened = replace(base, epsilon=base.epsilon * 2)
+    if base.max_block_instructions > 0:
+        widened = replace(widened, max_block_instructions=max(
+            4, base.max_block_instructions // 2))
+    return [base, flipped, widened][:1 + max(0, retries)]
 
 
 def supervise_partition(module: Module, pps_name: str, degree: int, *,
-                        costs: CostModel = NN_RING,
-                        epsilon: float = 1.0 / 16.0,
-                        strategy: Strategy = Strategy.PACKED,
-                        incremental: bool = True,
-                        interference: str = "exact",
-                        max_block_instructions: int = 12,
+                        knobs: Knobs = Knobs(),
                         profiler=None,
                         cache=None,
                         retries: int = 1,
                         partition=pipeline_pps,
                         verifier=verify_partition,
                         context: AnalysisContext | None = None,
-                        warm_start: bool = True,
-                        paranoid_verify: bool = False) -> PartitionOutcome:
+                        warm_start: bool = True) -> PartitionOutcome:
     """Partition ``pps_name`` at (up to) ``degree`` stages, verified.
 
+    ``knobs`` is the first attempt's :class:`~repro.runspec.Knobs`;
     ``retries`` is the number of *extra* knob-perturbed attempts per
     degree before degrading.  ``partition`` and ``verifier`` are test
     seams (fault injection into the partitioner, verifier doubles); they
@@ -155,9 +151,7 @@ def supervise_partition(module: Module, pps_name: str, degree: int, *,
     block-split setting (a caller-supplied ``context`` seeds the pool)
     and, when ``warm_start`` is on, one :class:`WarmStartCache`, so a
     retry pays only for cut selection, not re-analysis.  The shared
-    context is also handed to the verifier *unless* ``paranoid_verify``
-    is set, which forces the verifier to rebuild its ground truth from
-    scratch on every attempt (the pre-sharing behavior).
+    context is also handed to the verifier.
 
     Raises :class:`PipelineError` only for malformed *inputs* (unknown
     PPS, degree < 1) — the conditions no amount of degradation can fix.
@@ -168,46 +162,38 @@ def supervise_partition(module: Module, pps_name: str, degree: int, *,
     if degree < 1:
         raise PipelineError("pipelining degree must be >= 1")
 
-    base_knobs = {
-        "epsilon": epsilon,
-        "incremental": incremental,
-        "interference": interference,
-        "max_block_instructions": max_block_instructions,
-    }
     contexts: dict[int, AnalysisContext] = {}
-    if context is not None and context.matches(module, pps_name,
-                                              max_block_instructions):
-        contexts[max_block_instructions] = context
+    if context is not None and context.matches(
+            module, pps_name, knobs.max_block_instructions):
+        contexts[knobs.max_block_instructions] = context
     warm = WarmStartCache() if warm_start else None
     attempts: list[AttemptRecord] = []
     for rung in degradation_ladder(degree):
-        for knobs in _knob_perturbations(base_knobs, retries):
+        for tried in _knob_perturbations(knobs, retries):
             try:
                 # Built inside the try: an analysis crash on a malformed
                 # body must degrade down the ladder, not escape it.
-                mbi = knobs["max_block_instructions"]
+                mbi = tried.max_block_instructions
                 ctx = contexts.get(mbi)
                 if ctx is None:
                     ctx = contexts[mbi] = AnalysisContext(
                         module, pps_name, mbi)
                 result = partition(
-                    module, pps_name, rung,
-                    costs=costs, strategy=strategy, profiler=profiler,
-                    cache=cache, context=ctx, warm=warm, **knobs)
+                    module, pps_name, rung, knobs=tried, profiler=profiler,
+                    cache=cache, context=ctx, warm=warm)
             except Exception as exc:
                 attempts.append(AttemptRecord(
-                    degree=rung, knobs=knobs, outcome="partition-error",
+                    degree=rung, knobs=tried, outcome="partition-error",
                     error=f"{type(exc).__name__}: {exc}"))
                 continue
-            verdict = verifier(result, epsilon=knobs["epsilon"],
-                               context=contexts.get(mbi),
-                               paranoid=paranoid_verify)
+            verdict = verifier(result, epsilon=tried.epsilon,
+                               context=contexts.get(mbi))
             if not verdict.ok:
                 attempts.append(AttemptRecord(
-                    degree=rung, knobs=knobs, outcome="rejected",
+                    degree=rung, knobs=tried, outcome="rejected",
                     findings=list(verdict.findings)))
                 continue
-            attempts.append(AttemptRecord(degree=rung, knobs=knobs,
+            attempts.append(AttemptRecord(degree=rung, knobs=tried,
                                           outcome="verified"))
             return PartitionOutcome(
                 pps_name=pps_name, requested_degree=degree,

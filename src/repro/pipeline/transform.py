@@ -25,11 +25,12 @@ from repro.ir.function import Function, Module
 from repro.ir.instructions import Call
 from repro.ir.verify import verify_function
 from repro.lang.intrinsics import Effect, get_intrinsic
-from repro.machine.costs import NN_RING, CostModel
+from repro.machine.costs import CostModel
 from repro.obs import tracer as obs
 from repro.pipeline.cuts import StageAssignment, select_stages
 from repro.pipeline.liveset import CutLayout, Strategy, compute_cut_layouts
 from repro.pipeline.realize import StageProgram, realize_stages
+from repro.runspec import Knobs
 
 #: Prologue intrinsics that are safe to replicate into every stage.
 _REPLICABLE_EFFECTS = frozenset({Effect.PURE, Effect.MEM_READ})
@@ -66,17 +67,9 @@ class PipelineResult:
     #: not hold the static ε envelope against the result).
     profiled: bool = False
 
-    def stage_functions(self) -> list[Function]:
-        return [stage.function for stage in self.stages]
-
 
 def pipeline_pps(module: Module, pps_name: str, degree: int, *,
-                 costs: CostModel = NN_RING,
-                 epsilon: float = 1.0 / 16.0,
-                 strategy: Strategy = Strategy.PACKED,
-                 incremental: bool = True,
-                 interference: str = "exact",
-                 max_block_instructions: int = 12,
+                 knobs: Knobs = Knobs(),
                  profiler=None,
                  cut_strategy=None,
                  cache=None,
@@ -84,7 +77,9 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
                  warm=None) -> PipelineResult:
     """Partition PPS ``pps_name`` into a ``degree``-stage pipeline.
 
-    ``profiler`` (optional) is called with the normalized (block-split)
+    ``knobs`` holds the partitioner's other inputs — cost table, balance
+    slack, transmission strategy, block-split threshold (see
+    :class:`~repro.runspec.Knobs`).  ``profiler`` (optional) is called with the normalized (block-split)
     single-PPS function and must return one block-frequency map per traffic
     class; the balanced cuts then equalize every class's dynamic weight
     across stages (profile-dimensioned weight function).
@@ -120,10 +115,10 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
     _check_inlined(source)
 
     with obs.span("pipeline_pps", cat="compile", pps=pps_name, degree=degree):
-        if context is None or not context.matches(module, pps_name,
-                                                 max_block_instructions):
+        if context is None or not context.matches(
+                module, pps_name, knobs.max_block_instructions):
             context = AnalysisContext(module, pps_name,
-                                      max_block_instructions)
+                                      knobs.max_block_instructions)
         work = context.work
         loop = context.loop
         _check_prologue(work, loop)
@@ -134,12 +129,8 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
         if cache is not None and cut_strategy is None:
             from repro.cache import compile_key
 
-            key = compile_key(module, pps_name, degree, costs=costs,
-                              epsilon=epsilon, strategy=strategy,
-                              incremental=incremental,
-                              interference=interference,
-                              max_block_instructions=max_block_instructions,
-                              profiles=profiles)
+            key = compile_key(module, pps_name, degree, profiles=profiles,
+                              **vars(knobs))
             # The expectation rejects any mislabeled envelope: an artifact
             # stamped with a lower achieved degree (a degraded partition)
             # is never served for a full-degree request.
@@ -158,25 +149,26 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
             if cut_strategy is not None:
                 assignment = cut_strategy(model, degree)
             else:
-                assignment = select_stages(model, degree, costs=costs,
-                                           epsilon=epsilon,
-                                           incremental=incremental,
+                assignment = select_stages(model, degree, costs=knobs.costs,
+                                           epsilon=knobs.epsilon,
+                                           incremental=knobs.incremental,
                                            profiles=profiles,
                                            warm=warm)
         with obs.span("liveset_layout", cat="compile", pps=pps_name):
             layouts = compute_cut_layouts(work, loop.body,
                                           assignment.block_stage,
-                                          degree, interference=interference,
+                                          degree,
+                                          interference=knobs.interference,
                                           liveness=context.liveness)
         for layout in layouts:
             obs.instant("cut_layout", cat="compile",
                         cut=layout.cut_index,
                         live_values=len(layout.variables),
-                        words=layout.words(strategy),
+                        words=layout.words(knobs.strategy),
                         targets=len(layout.targets))
         with obs.span("realize", cat="compile", pps=pps_name):
             stages = realize_stages(work, loop, assignment, layouts, module,
-                                    costs, strategy, pps_name)
+                                    knobs.costs, knobs.strategy, pps_name)
         with obs.span("verify", cat="compile", pps=pps_name):
             for stage in stages:
                 verify_function(stage.function)
@@ -187,8 +179,8 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
         assignment=assignment,
         stage_weights=assignment.stage_weights(model),
         layouts=layouts,
-        strategy=strategy,
-        costs=costs,
+        strategy=knobs.strategy,
+        costs=knobs.costs,
         normalized=work,
         loop=loop,
         profiled=profiles is not None,

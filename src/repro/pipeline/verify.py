@@ -53,6 +53,7 @@ from repro.ir.verify import verify_function
 from repro.pipeline.liveset import Strategy
 from repro.pipeline.realize import stage_pipe_name
 from repro.pipeline.transform import PipelineError, PipelineResult
+from repro.runspec import Knobs
 from repro.ssa.construct import construct_ssa
 
 #: The checks ``verify_partition`` runs, in order.
@@ -150,8 +151,7 @@ class _Checker:
         # shared AnalysisContext over the same normalized function may
         # supply the (deterministic, input-identical) analyses, because
         # they are a pure function of ``result.normalized``.  Callers who
-        # want the rebuild anyway pass ``paranoid=True`` upstream, which
-        # arrives here as ``context=None``.
+        # want the rebuild anyway pass ``context=None``.
         if context is not None and context.work is self.work:
             self.model = context.model
             self.liveness = context.liveness
@@ -490,9 +490,8 @@ class _Checker:
 
 
 def verify_partition(result: PipelineResult, *,
-                     epsilon: float = 1.0 / 16.0,
-                     context=None,
-                     paranoid: bool = False) -> VerifyVerdict:
+                     epsilon: float = Knobs.epsilon,
+                     context=None) -> VerifyVerdict:
     """Independently verify one realized partition.
 
     ``epsilon`` must match the balance slack the partition was requested
@@ -506,13 +505,9 @@ def verify_partition(result: PipelineResult, *,
     dependence / liveness analyses instead of rebuilding them.  The
     analyses are a deterministic pure function of the normalized IR, so
     the checks are unchanged; what sharing gives up is only resilience
-    against a *memory-corrupting* bug inside the analyses themselves.
-    ``paranoid=True`` (the ``--paranoid-verify`` flag) ignores any
-    supplied context and rebuilds the ground truth from scratch, which is
-    the historical behavior.
+    against a *memory-corrupting* bug inside the analyses themselves;
+    without a context the ground truth is rebuilt from scratch.
     """
-    if paranoid:
-        context = None
     if result.degree == 1:
         # Sequential "pipelines" have no cuts: structural stage check only.
         verdict = VerifyVerdict(pps_name=result.pps_name, degree=1,

@@ -129,6 +129,3 @@ class PacketStore:
 
     def meta_set(self, handle: int, key: int, value: int) -> None:
         self._get(handle).meta[key] = wrap32(value)
-
-    def live_handles(self) -> list[int]:
-        return [h for h, p in self._packets.items() if not p.freed]

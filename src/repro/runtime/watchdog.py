@@ -49,6 +49,11 @@ from repro.ir.instructions import Call, PipeIn, PipeOut
 from repro.ir.values import PipeRef
 
 
+#: Scheduler steps between livelock checks wherever a watchdog is on by
+#: default (``repro serve``, the serve oracle, the chaos differential).
+DEFAULT_QUANTUM = 200_000
+
+
 class Watchdog:
     """Judges scheduler quiescence and instruction progress."""
 

@@ -31,7 +31,7 @@ from repro.serve.supervise import (
     serve,
     shard_oracle,
 )
-from repro.serve.worker import WorkerConfig, WorkerFaultSpec, worker_main
+from repro.serve.worker import worker_main
 
 __all__ = [
     "BatchRecord",
@@ -41,8 +41,6 @@ __all__ = [
     "ServeReport",
     "ServeRuntime",
     "ShardJournal",
-    "WorkerConfig",
-    "WorkerFaultSpec",
     "compare_deltas",
     "flow_key",
     "make_batches",

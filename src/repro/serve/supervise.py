@@ -28,10 +28,9 @@ also lands in the active Chrome trace as an instant event, and the
 counters fold into :class:`~repro.obs.report.RuntimeReport` via
 :meth:`ServeReport.runtime_report`.
 
-The correctness contract (checked by ``verify=True`` and the serve
-chaos differential): for every shard, the committed batch deltas are
-bit-identical to a sequential PPS fed the same batch sequence — the
-*sequential oracle*.  Batches are the comparison unit because feeding
+The correctness contract (checked by ``verify=True``): for every
+shard, the committed batch deltas are bit-identical to a sequential PPS
+fed the same batch sequence — the *sequential oracle*.  Batches are the comparison unit because feeding
 assigns per-batch sequence metadata; sharing the exact feed calls makes
 oracle and worker inputs identical by construction.
 
@@ -64,14 +63,11 @@ from repro.errors import (
     TrapError,
 )
 from repro.obs import TID_RUNTIME, instant, span
+from repro.runspec import RunSpec, app_pipeline
+from repro.runtime.watchdog import DEFAULT_QUANTUM
 from repro.serve.journal import Journal
 from repro.serve.shard import make_batches, shard_stream
-from repro.serve.worker import (
-    BatchRunner,
-    WorkerConfig,
-    WorkerFaultSpec,
-    worker_main,
-)
+from repro.serve.worker import BatchRunner, worker_main
 
 
 class ServeError(ReproError):
@@ -137,7 +133,7 @@ class ServeReport:
     #: ``packets_per_s`` (committed packets over ``wall_s``),
     #: ``first_commit_s`` and ``verify_tail_s`` (last commit to verdict).
     #: The only nondeterministic part of the report — anything that
-    #: compares two reports (``serve_differential``, tests) ignores it.
+    #: compares two reports ignores it.
     timings: dict = field(default_factory=dict)
 
     @property
@@ -238,7 +234,7 @@ class ServeReport:
 
 
 def oracle_deltas(app, batches: list[list], *,
-                  watchdog_quantum: int | None = 200_000):
+                  watchdog_quantum: int | None = DEFAULT_QUANTUM):
     """The sequential oracle for one shard, one batch per ``next()``:
     the plain PPS run over the identical batch sequence, yielding each
     batch's observable delta."""
@@ -248,7 +244,8 @@ def oracle_deltas(app, batches: list[list], *,
 
 
 def shard_oracle(app, batches: list[list], *,
-                 watchdog_quantum: int | None = 200_000) -> list[dict]:
+                 watchdog_quantum: int | None = DEFAULT_QUANTUM,
+                 ) -> list[dict]:
     """:func:`oracle_deltas` run to the end: one delta per batch."""
     return list(oracle_deltas(app, batches,
                               watchdog_quantum=watchdog_quantum))
@@ -375,15 +372,17 @@ class ServeRuntime:
                  packets: int = 40, seed: int = 7, batch: int = 8,
                  plan=None, policy: ServePolicy | None = None,
                  cache=None, journal_dir=None,
-                 watchdog_quantum: int | None = 200_000,
+                 watchdog_quantum: int | None = DEFAULT_QUANTUM,
                  verify: bool = True):
         if shards < 1:
             raise ServeError(f"need at least 1 shard, got {shards}")
-        self.app_name = app_name
+        #: The pipeline being served, as the supervisor's pre-partition
+        #: and every worker incarnation build it.
+        self.spec = RunSpec(app_name, packets, seed, (degree,),
+                            cache_dir=(str(cache.root)
+                                       if cache is not None else None))
         self.shards = shards
         self.degree = degree
-        self.packets = packets
-        self.seed = seed
         self.batch = batch
         self.plan = plan
         self.policy = policy or ServePolicy()
@@ -421,26 +420,22 @@ class ServeRuntime:
 
     def run(self, *, install_sigterm: bool = False) -> ServeReport:
         with span("serve", cat="serve", tid=TID_RUNTIME,
-                  app=self.app_name, shards=self.shards,
+                  app=self.spec.app, shards=self.shards,
                   degree=self.degree):
             return self._run(install_sigterm=install_sigterm)
 
     # -- setup ---------------------------------------------------------------
 
     def _run(self, *, install_sigterm: bool) -> ServeReport:
-        from repro.apps.suite import build_app
-
         self._started = time.monotonic()
-        app = build_app(self.app_name, packets=self.packets, seed=self.seed)
+        app = self.spec.build()
         if app.stream is None or app.feed is None:
-            raise ServeError(f"app {self.app_name!r} cannot be served "
+            raise ServeError(f"app {self.spec.app!r} cannot be served "
                              f"(no stream/feed split)")
         if self.degree > 1 and self.cache is not None:
             # Pre-partition once so every worker incarnation gets a
             # cache hit instead of racing on the same cut search.
-            from repro.pipeline.transform import pipeline_pps
-
-            pipeline_pps(app.module, app.pps_name, self.degree,
+            app_pipeline(app, self.degree, knobs=self.spec.knobs,
                          cache=self.cache)
 
         substreams = shard_stream(app.stream(), self.shards)
@@ -472,27 +467,12 @@ class ServeRuntime:
             self._kill_all()
         return self._assemble()
 
-    def _worker_config(self) -> WorkerConfig:
-        cache_dir = (str(self.cache.root)
-                     if self.cache is not None else None)
-        return WorkerConfig(app=self.app_name, packets=self.packets,
-                            seed=self.seed, degree=self.degree,
-                            cache_dir=cache_dir,
-                            watchdog_quantum=self.watchdog_quantum)
-
-    def _fault_spec(self, slot: _Slot,
-                    assignment: int) -> WorkerFaultSpec | None:
+    def _worker_faults(self, slot: _Slot, assignment: int):
         # Relief incarnations (adopted journals) run fault-free: the
         # plan's worker faults model the home worker's crashes.
         if self.plan is None or assignment != slot.shard:
             return None
-        spec = self.plan.worker_faults(f"shard-{assignment}")
-        if spec is None:
-            return None
-        return WorkerFaultSpec(
-            kill_after_batches=spec.kill_after_batches,
-            hang_after_batches=spec.hang_after_batches,
-            every_incarnation=spec.every_incarnation)
+        return self.plan.worker_faults(f"shard-{assignment}")
 
     # -- scheduling ----------------------------------------------------------
 
@@ -524,9 +504,9 @@ class ServeRuntime:
                    for record in self._journal[assignment].records]
         proc = self._ctx.Process(
             target=worker_main,
-            args=(self._worker_config(), assignment, incarnation, batches,
-                  child_conn, self._drain_event,
-                  self._fault_spec(slot, assignment)),
+            args=(self.spec, self.watchdog_quantum, assignment, incarnation,
+                  batches, child_conn, self._drain_event,
+                  self._worker_faults(slot, assignment)),
             name=f"serve-shard-{assignment}-i{incarnation}",
             daemon=True)
         proc.start()
@@ -762,8 +742,8 @@ class ServeRuntime:
     def _assemble(self) -> ServeReport:
         journal = self._journal
         report = ServeReport(
-            app=self.app_name, shards=self.shards, degree=self.degree,
-            batch=self.batch, packets=self.packets, seed=self.seed,
+            app=self.spec.app, shards=self.shards, degree=self.degree,
+            batch=self.batch, packets=self.spec.packets, seed=self.spec.seed,
             plan=self.plan.name if self.plan is not None else None)
         report.drained = self._drain_started is not None
         report.warnings = list(self._warnings)

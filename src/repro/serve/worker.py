@@ -30,44 +30,19 @@ import os
 import signal
 import sys
 import time
-from dataclasses import dataclass
 
 from repro.errors import DeadlockError, TrapError
+from repro.runspec import RunSpec, app_pipeline
+from repro.runtime.faults import WorkerFaults
 from repro.runtime.scheduler import run_pipeline, run_sequential
 from repro.runtime.state import MachineState
-from repro.runtime.watchdog import Watchdog
+from repro.runtime.watchdog import DEFAULT_QUANTUM, Watchdog
 
 #: Exit code a worker uses for classified (reported) failures.
 WORKER_FAILURE_EXIT = 3
 
 #: Seconds a hang-faulted worker sleeps per check (forever, in practice).
 _HANG_NAP = 0.05
-
-
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Everything a worker needs to rebuild its world, picklable."""
-
-    app: str
-    packets: int
-    seed: int
-    degree: int
-    cache_dir: str | None
-    watchdog_quantum: int | None = 200_000
-    isolate_traps: bool = False
-
-
-@dataclass(frozen=True)
-class WorkerFaultSpec:
-    """The injected-fault slice of a FaultPlan for one shard (plain
-    data; derived host-side from ``FaultPlan.worker_faults``)."""
-
-    kill_after_batches: int | None = None
-    hang_after_batches: int | None = None
-    every_incarnation: bool = False
-
-    def active(self, incarnation: int) -> bool:
-        return incarnation == 0 or self.every_incarnation
 
 
 class BatchRunner:
@@ -80,13 +55,11 @@ class BatchRunner:
     """
 
     def __init__(self, app, *, stages: list | None = None,
-                 watchdog_quantum: int | None = 200_000,
-                 isolate_traps: bool = False):
+                 watchdog_quantum: int | None = DEFAULT_QUANTUM):
         self._app = app
         self._function = app.module.pps(app.pps_name)
         self._stages = stages
         self._watchdog_quantum = watchdog_quantum
-        self._isolate_traps = isolate_traps
         self.state = MachineState(app.module)
         self._tx_seen = 0
         self._trace_seen: dict[int, int] = {}
@@ -101,14 +74,12 @@ class BatchRunner:
                     if self._watchdog_quantum is not None else None)
         if self._stages is None:
             stats = [run_sequential(self._function, state,
-                                    iterations=iterations, watchdog=watchdog,
-                                    isolate_traps=self._isolate_traps)]
+                                    iterations=iterations,
+                                    watchdog=watchdog)]
             iterations = stats[0].iterations
         else:
             stats = run_pipeline(self._stages, state, iterations=iterations,
-                                 watchdog=watchdog,
-                                 isolate_traps=self._isolate_traps
-                                 ).stats.values()
+                                 watchdog=watchdog).stats.values()
         counters = {"instructions": sum(s.instructions for s in stats),
                     "weight": sum(s.weight for s in stats),
                     "iterations": iterations,
@@ -130,36 +101,31 @@ class BatchRunner:
         return {"tx": tx, "traces": traces}
 
 
-def _build_runner(config: WorkerConfig) -> BatchRunner:
-    """Compile the app once per incarnation (degree 1 = the sequential
-    PPS, no partitioning) and wrap it in a fresh :class:`BatchRunner`."""
-    from repro.apps.suite import build_app
-
-    app = build_app(config.app, packets=config.packets, seed=config.seed)
+def _build_runner(spec: RunSpec,
+                  watchdog_quantum: int | None) -> BatchRunner:
+    """Compile the spec's app once per incarnation (degree 1 = the
+    sequential PPS, no partitioning) and wrap it in a fresh
+    :class:`BatchRunner`."""
+    app = spec.build()
     if app.feed is None:
-        raise ValueError(f"app {config.app!r} has no stream/feed split")
+        raise ValueError(f"app {spec.app!r} has no stream/feed split")
+    [degree] = spec.degrees
     stages = None
-    if config.degree > 1:
-        from repro.cache import CompileCache
-        from repro.pipeline.transform import pipeline_pps
-
-        cache = (CompileCache(config.cache_dir)
-                 if config.cache_dir is not None else None)
-        stages = pipeline_pps(app.module, app.pps_name, config.degree,
-                              cache=cache).stages
-    return BatchRunner(app, stages=stages,
-                       watchdog_quantum=config.watchdog_quantum,
-                       isolate_traps=config.isolate_traps)
+    if degree > 1:
+        stages = app_pipeline(app, degree, knobs=spec.knobs,
+                              cache=spec.open_cache()).stages
+    return BatchRunner(app, stages=stages, watchdog_quantum=watchdog_quantum)
 
 
-def worker_main(config: WorkerConfig, shard: int, incarnation: int,
-                batches: list[list], conn, drain_event,
-                fault: WorkerFaultSpec | None = None) -> None:
-    """Child-process body: replay ``batches``, streaming deltas up
-    ``conn``.  Never returns non-locally except by ``sys.exit``."""
+def worker_main(spec: RunSpec, watchdog_quantum: int | None, shard: int,
+                incarnation: int, batches: list[list], conn, drain_event,
+                fault: WorkerFaults | None = None) -> None:
+    """Child-process body: rebuild the pipeline ``spec`` names, replay
+    ``batches``, streaming deltas up ``conn``.  Never returns
+    non-locally except by ``sys.exit``."""
     try:
-        _worker_body(config, shard, incarnation, batches, conn,
-                     drain_event, fault)
+        _worker_body(spec, watchdog_quantum, shard, incarnation, batches,
+                     conn, drain_event, fault)
     except DeadlockError as exc:
         conn.send(("error", shard, incarnation, exc.kind, str(exc)))
         sys.exit(WORKER_FAILURE_EXIT)
@@ -174,15 +140,15 @@ def worker_main(config: WorkerConfig, shard: int, incarnation: int,
         conn.close()
 
 
-def _worker_body(config, shard, incarnation, batches, conn, drain_event,
-                 fault) -> None:
+def _worker_body(spec, watchdog_quantum, shard, incarnation, batches, conn,
+                 drain_event, fault) -> None:
     # The supervisor owns lifecycle signals; workers die by SIGKILL only.
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    runner = _build_runner(config)
+    runner = _build_runner(spec, watchdog_quantum)
     conn.send(("ready", shard, incarnation))
 
-    armed = fault if (fault is not None
-                      and fault.active(incarnation)) else None
+    armed = fault if (fault is not None and (
+        incarnation == 0 or fault.every_incarnation)) else None
     sent = 0
     for seq, packets in enumerate(batches, start=1):
         if drain_event.is_set():

@@ -9,6 +9,7 @@ from repro.ir.optimize import optimize_module
 from repro.lang import compile_source
 from repro.pipeline.liveset import Strategy
 from repro.pipeline.transform import PipelineResult, pipeline_pps
+from repro.runspec import Knobs
 from repro.runtime.equivalence import assert_equivalent, observe
 from repro.runtime.scheduler import run_pipeline, run_sequential
 from repro.runtime.state import MachineState
@@ -46,7 +47,8 @@ def check_pipeline_equivalence(module: Module, pps_name: str, degrees,
     for degree in degrees:
         for strategy in strategies:
             result = pipeline_pps(module, pps_name, degree,
-                                  strategy=strategy, **transform_kwargs)
+                                  knobs=Knobs(strategy=strategy),
+                                  **transform_kwargs)
             state = fresh()
             run_pipeline(result.stages, state, iterations=iterations)
             assert_equivalent(baseline, observe(state))

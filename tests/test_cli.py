@@ -264,3 +264,51 @@ def test_bench_subcommand_is_gone(capsys):
         main(["bench"])
     assert excinfo.value.code == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+#: Every (subcommand, option string) pair the CLI accepts.  A new flag,
+#: or a removed one, is a diff of this literal.
+CLI_SURFACE = {
+    "chaos": "--app --apps --cache-dir --dead-letters --degrees --jobs "
+             "--keep-going --no-cache --output --packets --plans --seed "
+             "--sweep -j -o",
+    "check": "file",
+    "explore": "--apps --auto-pick --cache-dir --degrees --epsilons "
+               "--incremental --jobs --keep-going --max-block-instructions "
+               "--min-gain --no-cache --out --packets --pick-rule --rings "
+               "--seed --weights -j -o",
+    "figures": "--degrees --jobs --output --packets -j -o",
+    "fuzz": "--degrees --jobs --out --packets --seeds --self-test "
+            "--start-seed -j",
+    "ir": "--pps file",
+    "pipeline": "--cache-dir --degree --emit --epsilon --no-cache --pps "
+                "--ring --strategy -d file",
+    "plan": "--apps --cache-dir --degrees --jobs --keep-going --no-cache "
+            "--packets --seed -j",
+    "run": "--cache-dir --dead-letters --degree --faults --feed "
+           "--isolate-traps --iterations --no-cache --pps --profile "
+           "--trace --watchdog-quantum -d file",
+    "serve": "--app --backoff --batch --cache-dir --degree --drain-grace "
+             "--faults --hang-timeout --journal-dir --max-restarts "
+             "--no-cache --output --packets --profile --seed --shards "
+             "--trace --watchdog-quantum -d -o",
+}
+
+
+def test_cli_surface():
+    import argparse
+
+    from repro.cli import build_parser
+
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    surface = {
+        name: " ".join(sorted(
+            option for action in parser._actions
+            for option in (action.option_strings or [action.dest])
+            if option not in ("-h", "--help")))
+        for name, parser in commands.choices.items()}
+    assert surface == CLI_SURFACE
+    long_options = {option for options in surface.values()
+                    for option in options.split() if option.startswith("--")}
+    assert (len(surface), len(long_options)) == (10, 45)

@@ -1,4 +1,5 @@
-"""Tests for ``repro trace``: schema, golden phase names, error paths."""
+"""Tests for ``repro run --trace``: schema, golden phase names, error
+paths."""
 
 import json
 from pathlib import Path
@@ -34,11 +35,13 @@ def demo_file(tmp_path):
 @pytest.fixture()
 def trace_doc(demo_file, tmp_path, capsys):
     output = tmp_path / "trace.json"
-    assert main(["trace", demo_file, "--pps", "demo", "-d", "2",
+    assert main(["run", demo_file, "--pps", "demo", "-d", "2",
                  "--feed", "in_q=1,2,5,9", "--iterations", "4",
-                 "-o", str(output)]) == 0
+                 "--profile", "--trace", str(output)]) == 0
     out = capsys.readouterr().out
-    assert "traced compile + run at degree 2" in out
+    # The traced run is the ordinary run: supervised, with its baseline
+    # and its equivalence check.
+    assert "pipelined x2" in out and "observationally equivalent" in out
     assert "runtime profile:" in out
     assert str(output) in out
     return json.loads(output.read_text())
@@ -99,8 +102,8 @@ def test_trace_emits_runtime_counters(trace_doc):
 
 def test_trace_sequential_degree_one(demo_file, tmp_path, capsys):
     output = tmp_path / "seq.json"
-    assert main(["trace", demo_file, "-d", "1", "--feed", "in_q=1,2",
-                 "--iterations", "2", "-o", str(output)]) == 0
+    assert main(["run", demo_file, "-d", "1", "--feed", "in_q=1,2",
+                 "--iterations", "2", "--trace", str(output)]) == 0
     doc = json.loads(output.read_text())
     names = {e["name"] for e in doc["traceEvents"]}
     assert "run_group" in names
@@ -110,23 +113,25 @@ def test_trace_sequential_degree_one(demo_file, tmp_path, capsys):
 
 
 def test_trace_unknown_pps_exits_2(demo_file, tmp_path, capsys):
-    assert main(["trace", demo_file, "--pps", "nope",
-                 "-o", str(tmp_path / "t.json")]) == 2
+    assert main(["run", demo_file, "--pps", "nope", "-d", "2",
+                 "--trace", str(tmp_path / "t.json")]) == 2
     err = capsys.readouterr().err
     assert "no pps named 'nope'" in err
     assert not (tmp_path / "t.json").exists()
 
 
 def test_trace_missing_file_exits_1(tmp_path, capsys):
-    assert main(["trace", "/nonexistent.ppc",
-                 "-o", str(tmp_path / "t.json")]) == 1
+    assert main(["run", "/nonexistent.ppc", "-d", "2",
+                 "--trace", str(tmp_path / "t.json")]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_trace_bad_feed_exits_2(demo_file, tmp_path, capsys):
-    assert main(["trace", demo_file, "--feed", "in_q=zap",
-                 "-o", str(tmp_path / "t.json")]) == 2
+    assert main(["run", demo_file, "-d", "2", "--feed", "in_q=zap",
+                 "--trace", str(tmp_path / "t.json")]) == 2
     assert "bad feed value" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_run_profile_prints_counters(demo_file, capsys):

@@ -11,6 +11,7 @@ from repro.eval.report import format_series_table, render_figure
 from repro.eval.sweep import app_tasks, run_sweep
 from repro.machine.costs import SCRATCH_RING
 from repro.pipeline.liveset import Strategy
+from repro.runspec import Knobs
 
 
 @pytest.fixture(scope="module")
@@ -63,15 +64,15 @@ def test_overhead_grows_with_degree(ipv4_app, ipv4_baseline):
 def test_scratch_ring_costs_more(ipv4_app, ipv4_baseline):
     nn = measure_pipeline(ipv4_app, 4, baseline=ipv4_baseline)
     scratch = measure_pipeline(ipv4_app, 4, baseline=ipv4_baseline,
-                               costs=SCRATCH_RING)
+                               knobs=Knobs(costs=SCRATCH_RING))
     assert scratch.overhead_ratio > nn.overhead_ratio
 
 
 def test_unified_message_never_smaller_than_packed(ipv4_app, ipv4_baseline):
     packed = measure_pipeline(ipv4_app, 4, baseline=ipv4_baseline,
-                              strategy=Strategy.PACKED)
+                              knobs=Knobs(strategy=Strategy.PACKED))
     unified = measure_pipeline(ipv4_app, 4, baseline=ipv4_baseline,
-                               strategy=Strategy.UNIFIED)
+                               knobs=Knobs(strategy=Strategy.UNIFIED))
     for p_words, u_words in zip(packed.message_words, unified.message_words):
         assert p_words <= u_words
 

@@ -35,6 +35,7 @@ from repro.eval.explore import (
     pareto_flags,
     render_markdown,
 )
+from repro.runspec import Knobs
 
 
 # -- Pareto filter vs brute force -------------------------------------------
@@ -240,8 +241,10 @@ def test_combos_are_deterministic_and_deduplicated():
     combos = space.combos()
     assert combos == space.combos()
     assert combos == [
-        ("nn-ring", 0.0625, True, 12), ("nn-ring", 0.0625, False, 12),
-        ("nn-ring", 0.25, True, 12), ("nn-ring", 0.25, False, 12),
+        Knobs(epsilon=0.0625, incremental=True),
+        Knobs(epsilon=0.0625, incremental=False),
+        Knobs(epsilon=0.25, incremental=True),
+        Knobs(epsilon=0.25, incremental=False),
     ]
     assert space.cell_count() == 4
 

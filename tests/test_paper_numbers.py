@@ -38,6 +38,7 @@ from repro.pipeline.baselines import greedy_weight_split, level_split
 from repro.pipeline.liveset import Strategy
 from repro.pipeline.replicate import replicate_pps
 from repro.pipeline.transform import pipeline_pps
+from repro.runspec import Knobs
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_HEADLINE = ROOT / "BENCH_headline.json"
@@ -243,7 +244,8 @@ def test_figure18_application_structure():
 def test_epsilon_sweep(apps, baselines):
     """§3.3: ε trades balance against cut cost (the paper picks 1/16)."""
     results = {eps: measure_pipeline(apps["ipv4"], 5,
-                                     baseline=baselines["ipv4"], epsilon=eps)
+                                     baseline=baselines["ipv4"],
+                                     knobs=Knobs(epsilon=eps))
                for eps in (1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2)}
     tight, paper, loose = results[1 / 32], results[1 / 16], results[1 / 2]
     assert paper.longest_stage <= loose.longest_stage * 1.3
@@ -258,7 +260,7 @@ def test_transmission_strategies(apps, baselines):
     ring overhead in the bottleneck stage; packing never widens a message."""
     results = {strategy: measure_pipeline(apps["ipv4"], 6,
                                           baseline=baselines["ipv4"],
-                                          strategy=strategy)
+                                          knobs=Knobs(strategy=strategy))
                for strategy in Strategy}
     packed = results[Strategy.PACKED]
     assert all(p <= u for p, u in zip(
@@ -272,9 +274,10 @@ def test_interference_precision():
     exclusive v4/v6 temporaries share slots; a pessimistic relation
     degenerates to one slot per live object."""
     app = build_app("ip_v4", packets=16)
-    exact = pipeline_pps(app.module, app.pps_name, 6, interference="exact")
+    exact = pipeline_pps(app.module, app.pps_name, 6,
+                         knobs=Knobs(interference="exact"))
     pessimistic = pipeline_pps(app.module, app.pps_name, 6,
-                               interference="pessimistic")
+                               knobs=Knobs(interference="pessimistic"))
     exact_slots = [layout.slot_count for layout in exact.layouts]
     worst_slots = [layout.slot_count for layout in pessimistic.layouts]
     assert worst_slots == [len(layout.variables)
@@ -287,7 +290,7 @@ def test_ring_cost_models(apps, baselines):
     the overhead — NN > scratch > SRAM."""
     nn, scratch, sram = (
         measure_pipeline(apps["ipv4"], 5, baseline=baselines["ipv4"],
-                         costs=costs)
+                         knobs=Knobs(costs=costs))
         for costs in (NN_RING, SCRATCH_RING, SRAM_RING))
     assert nn.speedup > scratch.speedup > sram.speedup * 0.98
     assert nn.overhead_ratio < scratch.overhead_ratio < sram.overhead_ratio

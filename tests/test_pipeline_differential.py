@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.pipeline.liveset import Strategy
 from repro.pipeline.transform import pipeline_pps
+from repro.runspec import Knobs
 from repro.runtime import (
     MachineState,
     assert_equivalent,
@@ -45,7 +46,7 @@ def check_seed(seed, degrees, strategies=(Strategy.PACKED,), **kwargs):
     for degree in degrees:
         for strategy in strategies:
             result = pipeline_pps(module, "generated", degree,
-                                  strategy=strategy)
+                                  knobs=Knobs(strategy=strategy))
             state = fresh_state(module, seed)
             run_pipeline(result.stages, state, iterations=ITERATIONS)
             assert_equivalent(baseline, observe(state))

@@ -3,6 +3,7 @@
 from repro.pipeline.coloring import color_graph
 from repro.pipeline.liveset import Strategy
 from repro.pipeline.transform import pipeline_pps
+from repro.runspec import Knobs
 
 from helpers import STANDARD_PPS, compile_module
 
@@ -108,9 +109,10 @@ def test_packing_shares_slots_of_exclusive_paths():
 
 def test_pessimistic_interference_degenerates_to_unified():
     module = compile_module(STANDARD_PPS)
-    exact = pipeline_pps(module, "worker", 3, interference="exact")
+    exact = pipeline_pps(module, "worker", 3,
+                         knobs=Knobs(interference="exact"))
     pessimistic = pipeline_pps(module, "worker", 3,
-                               interference="pessimistic")
+                               knobs=Knobs(interference="pessimistic"))
     for exact_layout, worst_layout in zip(exact.layouts, pessimistic.layouts):
         assert worst_layout.slot_count == len(worst_layout.variables)
         assert exact_layout.slot_count <= worst_layout.slot_count

@@ -7,6 +7,7 @@ from repro.ir.verify import verify_function
 from repro.pipeline.liveset import Strategy
 from repro.pipeline.realize import stage_pipe_name
 from repro.pipeline.transform import PipelineError, pipeline_pps
+from repro.runspec import Knobs
 
 from helpers import STANDARD_PPS, compile_module
 
@@ -117,7 +118,7 @@ def test_bad_degree_rejected():
 def test_conditionalized_strategy_uses_word_messages():
     module = compile_module(STANDARD_PPS)
     result = pipeline_pps(module, "worker", 2,
-                          strategy=Strategy.CONDITIONALIZED)
+                          knobs=Knobs(strategy=Strategy.CONDITIONALIZED))
     sender = result.stages[0].function
     outs = [inst for inst in sender.all_instructions()
             if isinstance(inst, PipeOut)]

@@ -89,7 +89,10 @@ def test_partitioner_fault_degrades_to_the_next_viable_rung():
     # Degree 4 was retried with perturbed knobs before degrading.
     failed = [a for a in outcome.attempts if a.outcome == "partition-error"]
     assert len(failed) == 2 and all(a.degree == 4 for a in failed)
-    assert failed[0].knobs["incremental"] != failed[1].knobs["incremental"]
+    assert failed[0].knobs.incremental != failed[1].knobs.incremental
+    assert failed[0].as_dict()["knobs"] == {
+        "epsilon": 0.0625, "incremental": True, "interference": "exact",
+        "max_block_instructions": 12}
     assert outcome.attempts[-1].outcome == "verified"
     assert "degraded to 2 stages" in outcome.summary()
 

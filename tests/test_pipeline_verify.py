@@ -119,7 +119,7 @@ def test_verdict_serializes_to_json():
     assert payload["degree"] == 3
 
 
-# -- shared analysis context vs paranoid rebuild (ISSUE 6) --------------------
+# -- shared analysis context vs from-scratch rebuild (ISSUE 6) ----------------
 
 
 def _partition_with_context(app_name="rx", degree=3):
@@ -131,7 +131,7 @@ def _partition_with_context(app_name="rx", degree=3):
     return context, result
 
 
-def test_shared_context_is_consumed_paranoid_rebuilds():
+def test_shared_context_is_consumed_and_none_rebuilds():
     from repro.pipeline.verify import _Checker
 
     context, result = _partition_with_context()
@@ -143,14 +143,14 @@ def test_shared_context_is_consumed_paranoid_rebuilds():
     assert rebuilt.liveness is not context.liveness
 
 
-def test_shared_context_verdict_matches_paranoid_verdict():
+def test_shared_context_verdict_matches_rebuilt_verdict():
     context, result = _partition_with_context()
     shared = verify_partition(result, context=context)
-    paranoid = verify_partition(result, context=context, paranoid=True)
-    assert shared.ok and paranoid.ok
-    assert shared.checks_run == paranoid.checks_run
+    rebuilt = verify_partition(result, context=None)
+    assert shared.ok and rebuilt.ok
+    assert shared.checks_run == rebuilt.checks_run
     assert [str(w) for w in shared.warnings] == \
-        [str(w) for w in paranoid.warnings]
+        [str(w) for w in rebuilt.warnings]
 
 
 def test_mismatched_context_is_ignored_not_trusted():

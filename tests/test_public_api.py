@@ -61,8 +61,9 @@ def test_strategies_and_cost_models_available():
         pps p { for (;;) { int v = pipe_recv(q); trace(1, v); trace(2, v+1); } }
     """)
     for strategy in repro.Strategy:
-        result = repro.pipeline_pps(module, "p", 2, strategy=strategy,
-                                    costs=repro.SCRATCH_RING)
+        result = repro.pipeline_pps(
+            module, "p", 2,
+            knobs=repro.Knobs(strategy=strategy, costs=repro.SCRATCH_RING))
         assert len(result.stages) == 2
 
 

@@ -397,26 +397,27 @@ def test_report_says_how_fast_it_was():
                for line in report.render().splitlines()) == 1
 
 
-# -- the serve chaos differential (the eval/chaos extension) ----------------
+# -- worker-kill chaos across shard counts ------------------------------------
 
 
 @pytest.mark.chaos
-def test_serve_differential_shard_sweep():
+def test_worker_kill_shard_sweep():
     """Worker-kill chaos at shard counts {2,4,8}: >= 1 worker killed
     mid-stream at every width, output bit-identical per flow to the
-    sequential oracle."""
-    from repro.eval.chaos import DEFAULT_SHARD_COUNTS, serve_differential
-
-    report = serve_differential(policy=FAST)
-    assert report.ok, report.render()
-    assert tuple(o.shards for o in report.outcomes) == DEFAULT_SHARD_COUNTS
-    for outcome in report.outcomes:
-        assert outcome.kills_observed, \
-            f"shards {outcome.shards}: no worker was killed mid-stream"
-        assert not outcome.mismatches
-        assert outcome.committed == outcome.batches
-    payload = report.as_dict()
-    assert payload["shard_counts"] == list(DEFAULT_SHARD_COUNTS)
+    sequential oracle.  The 2-packet batches keep every shard at 2+
+    batches even at 8 shards, which is what arms the
+    kill-after-one-commit fault on every worker."""
+    for shards in (2, 4, 8):
+        report = ServeRuntime(
+            "ipv4", shards=shards, degree=1, packets=48, seed=7, batch=2,
+            plan=serve_plans()["worker-kill"], policy=FAST,
+            verify=True).run()
+        assert report.ok, report.render()
+        assert report.counters["restarts"] > 0, \
+            f"shards {shards}: no worker was killed mid-stream"
+        assert not report.mismatches
+        assert report.counters["pending"] == 0
+        assert report.counters["committed"] == report.counters["batches"]
 
 
 # -- CLI --------------------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.eval.sweep import (
     deterministic_view,
     run_sweep,
 )
+from repro.runspec import Knobs, RunSpec
 
 
 # -- seeds ------------------------------------------------------------------
@@ -45,15 +46,15 @@ def test_derive_seed_stable_and_distinct():
 
 def test_chaos_tasks_thread_derived_seeds_in_sorted_order():
     tasks = chaos_tasks(["tx", "rx"], (1, 2), packets=8, seed=7)
-    assert [task.app for task in tasks] == ["rx", "tx"]
-    assert tasks[0].seed == derive_seed(7, "chaos", "rx")
-    assert tasks[1].seed == derive_seed(7, "chaos", "tx")
+    assert [task.spec.app for task in tasks] == ["rx", "tx"]
+    assert tasks[0].spec.seed == derive_seed(7, "chaos", "rx")
+    assert tasks[1].spec.seed == derive_seed(7, "chaos", "tx")
 
 
 def test_app_tasks_preserve_app_order():
     tasks = app_tasks("figures", ["tx", "rx"], [1, 2], packets=8, seed=7)
-    assert [task.app for task in tasks] == ["tx", "rx"]
-    assert all(task.kind == "figures" and task.degrees == (1, 2)
+    assert [task.spec.app for task in tasks] == ["tx", "rx"]
+    assert all(task.kind == "figures" and task.spec.degrees == (1, 2)
                for task in tasks)
 
 
@@ -65,17 +66,17 @@ def test_app_tasks_preserve_app_order():
 def _echo_worker(task: SweepTask) -> dict:
     # Later-submitted tasks finish first: exercises out-of-order
     # completion against the task-order merge.
-    time.sleep(0.05 * max(0, 3 - task.seed % 10))
-    return {"app": task.app, "seed": task.seed,
+    time.sleep(0.05 * max(0, 3 - task.spec.seed % 10))
+    return {"app": task.spec.app, "seed": task.spec.seed,
             "timing": {"wall_seconds": time.perf_counter()}}
 
 
 def _failing_worker(task: SweepTask) -> dict:
-    if task.app == "bad":
+    if task.spec.app == "bad":
         raise ValueError("synthetic task failure")
-    if task.app == "trap":
+    if task.spec.app == "trap":
         raise TrapError("synthetic trap")
-    return {"app": task.app}
+    return {"app": task.spec.app}
 
 
 def _crashing_worker(task: SweepTask) -> dict:
@@ -83,8 +84,8 @@ def _crashing_worker(task: SweepTask) -> dict:
 
 
 def _tasks(apps):
-    return [SweepTask(kind="figures", app=app, degrees=(1,), packets=1,
-                      seed=index) for index, app in enumerate(apps)]
+    return [SweepTask("figures", RunSpec(app, 1, index, (1,)))
+            for index, app in enumerate(apps)]
 
 
 def test_results_come_back_in_task_order_despite_completion_order():
@@ -118,7 +119,7 @@ def test_sweep_error_carries_seed_args_and_repro_command():
         message = str(excinfo.value)
         task = excinfo.value.task
         assert task is tasks[1] or task == tasks[1]
-        assert f"seed={tasks[1].seed}" in message      # derived seed
+        assert f"seed={tasks[1].spec.seed}" in message  # derived seed
         assert repr(tasks[1]) in message               # full arg tuple
         assert "reproduce:" in message                 # one-liner
         assert tasks[1].repro_command() in message
@@ -140,7 +141,7 @@ def test_failure_is_the_same_at_every_jobs_level(app):
                                   keep_going=True))
     assert raised[0] == raised[1]
     assert recorded[0] == recorded[1]
-    assert f"seed={tasks[1].seed}" in raised[0][1]
+    assert f"seed={tasks[1].spec.seed}" in raised[0][1]
     assert recorded[0][1]["failed"] and raised[0][1] == \
         recorded[0][1]["error"]
 
@@ -156,28 +157,32 @@ def test_chaos_repro_command_is_a_chaos_one_liner():
                          plans=("drop-light",))
     command = task.repro_command()
     assert command.startswith("repro chaos --app rx --degrees 1,2")
-    assert f"--seed {task.seed}" in command
+    assert f"--seed {task.spec.seed}" in command
     assert "--plans drop-light" in command
 
 
 def test_every_repro_command_parses_and_round_trips_the_cell():
     """Whatever the kind, the one-liner is a real command line: it parses
     and names the failing cell's packets, degrees and (where the command
-    takes one) seed — not a wider sweep than the cell that failed."""
+    takes one) seed — not a wider sweep than the cell that failed — and
+    an explore cell's one-liner names its four knob values."""
     import shlex
 
     from repro.cli import build_parser
     from repro.eval.sweep import _SCORERS
+    from repro.machine.costs import SCRATCH_RING
 
     parser = build_parser()
-    knobs = {"chaos": {"plans": ("drop-light",)},
-             "explore": {"ring": "nn-ring", "epsilon": 0.0625,
-                         "incremental": True, "max_block_instructions": 12}}
+    knobs = Knobs(costs=SCRATCH_RING, epsilon=0.125, incremental=False,
+                  max_block_instructions=8)
     seed_attribute = {"fuzz": "start_seed", "figures": None}
     for kind in _SCORERS:
         degrees = (3,) if kind == "fuzz" else (2, 3)
-        task = SweepTask(kind=kind, app="rx", degrees=degrees, packets=8,
-                         seed=1234, **knobs.get(kind, {}))
+        task = SweepTask(
+            kind,
+            RunSpec("rx", 8, 1234, degrees,
+                    knobs if kind == "explore" else Knobs()),
+            plans=("drop-light",) if kind == "chaos" else None)
         program, *argv = shlex.split(task.repro_command(), comments=True)
         assert program == "repro"
         args = parser.parse_args(argv)
@@ -186,6 +191,12 @@ def test_every_repro_command_parses_and_round_trips_the_cell():
         attribute = seed_attribute.get(kind, "seed")
         if attribute is not None:
             assert getattr(args, attribute) == 1234, kind
+        if kind == "explore":
+            assert (args.rings, float(args.epsilons), args.incremental,
+                    int(args.max_block_instructions)) == \
+                ("scratch-ring", 0.125, "off", 8)
+            assert "ring=scratch-ring eps=0.125 inc=off mbi=8" in \
+                task.describe()
 
 
 # -- keep_going ---------------------------------------------------------------
@@ -202,7 +213,7 @@ def test_keep_going_records_failures_and_keeps_sibling_results():
         assert results[2]["app"] == "also-good"
         record = results[1]
         assert record["ok"] is False
-        assert record["seed"] == tasks[1].seed
+        assert record["seed"] == tasks[1].spec.seed
         assert record["task"] == tasks[1].describe()
         assert record["repro"] == tasks[1].repro_command()
         assert "synthetic task failure" in record["error"]
@@ -215,15 +226,14 @@ def test_keep_going_default_stays_fail_fast():
 
 
 def test_unknown_task_kind_rejected():
-    task = SweepTask(kind="nonsense", app="x", degrees=(1,), packets=1,
-                     seed=0)
+    task = SweepTask("nonsense", RunSpec("x", 1, 0, (1,)))
     with pytest.raises(SweepError, match="nonsense"):
         run_sweep([task], jobs=1)
 
 
 def test_unknown_chaos_plan_rejected():
-    task = SweepTask(kind="chaos", app="rx", degrees=(1,), packets=4,
-                     seed=7, plans=("no-such-plan",))
+    task = SweepTask("chaos", RunSpec("rx", 4, 7, (1,)),
+                     plans=("no-such-plan",))
     with pytest.raises(SweepError, match="no-such-plan"):
         run_sweep([task], jobs=1)
 
