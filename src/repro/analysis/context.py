@@ -17,11 +17,14 @@ callable, keyed by identity): everything degree-specific stays in
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.analysis.cfg import PpsLoop, find_pps_loop, split_large_blocks
 from repro.analysis.dependence_graph import LoopDependenceModel
 from repro.analysis.liveness import Liveness
 from repro.ir.clone import clone_function
 from repro.ir.function import Function, Module
+from repro.ir.printer import format_function
 from repro.obs import tracer as obs
 from repro.runspec import Knobs
 from repro.ssa.construct import construct_ssa
@@ -38,6 +41,7 @@ class AnalysisContext:
         loop: the PPS loop of ``work``.
         ssa: an SSA-converted clone of ``work``.
         model: the :class:`LoopDependenceModel` over ``ssa``.
+        text: ``work`` as the IR printer renders it.
     """
 
     def __init__(
@@ -70,10 +74,18 @@ class AnalysisContext:
                 and self.pps_name == pps_name
                 and self.max_block_instructions == max_block_instructions)
 
+    @cached_property
+    def text(self) -> str:
+        """``work`` printed (once): how the verifier recognises a result
+        whose ``normalized`` is another object holding this program — a
+        compile-cache hit — and may therefore take :attr:`model`."""
+        return format_function(self.work)
+
     @property
     def ssa(self) -> Function:
-        """An SSA-converted clone of ``work`` (lazy: a compile-cache hit
-        must not pay for the analyses it exists to skip)."""
+        """An SSA-converted clone of ``work`` (lazy: ``pipeline_pps``
+        skips it on a compile-cache hit; the verifier then builds it,
+        once per program however many degrees hit)."""
         if self._ssa is None:
             with obs.span("ssa_construct", cat="compile",
                           pps=self.pps_name):

@@ -1,11 +1,20 @@
-"""Hand-written lexer for PPS-C.
+"""Pattern-driven lexer for PPS-C.
 
-The lexer is a single forward pass with one character of lookahead for
-multi-character operators.  It supports ``//`` and ``/* */`` comments,
-decimal, hexadecimal (``0x``), octal (leading ``0``) and character literals.
+One compiled pattern (``_TOKEN``) names every lexeme the good path can
+meet — a run of trivia (blanks, ``//`` and ``/* */`` comments), an
+identifier, a hexadecimal (``0x``), octal (leading ``0``) or decimal
+literal, an operator — and ``Lexer.tokenize`` is a single
+``_TOKEN.match(source, pos)`` loop over it.  Line and column come from a
+running ``line`` / ``line_start`` pair that only trivia can move.  The
+lexical grammar is ASCII: a non-ASCII character outside a comment is an
+``unexpected character`` error, never a digit or a letter.  Character
+literals and every diagnostic are rare and stay hand-written: they run
+only where the pattern finds no match.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.lang.errors import LexError, SourceLocation
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
@@ -67,6 +76,23 @@ _OPERATORS = [
     (">", TokenKind.GT),
 ]
 
+_OPERATOR_KINDS = dict(_OPERATORS)
+_RADIX = {"hex": 16, "oct": 8, "dec": 10}
+
+# A literal must not run into a letter, digit or underscore (``123abc``,
+# ``09``): the lookaheads make such text match nothing, which sends it to
+# ``Lexer._diagnose``.  ``/*`` never lexes as ``/`` then ``*``: when the
+# trivia alternative did not take it, the comment has no end.
+_TOKEN = re.compile(
+    r"(?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<hex>0[xX][0-9a-fA-F]+(?![A-Za-z0-9_]))"
+    r"|(?P<oct>0[0-7]*(?![A-Za-z0-9_]))"
+    r"|(?P<dec>[1-9][0-9]*(?![A-Za-z0-9_]))"
+    r"|(?P<op>(?!/\*)(?:"
+    + "|".join(re.escape(text) for text, _ in _OPERATORS) + "))")
+_BAD_NUMBER = re.compile(r"(0[xX][0-9a-fA-F]*|[0-9]+)[A-Za-z_]?")
+
 
 class Lexer:
     """Converts PPS-C source text into a token stream."""
@@ -74,129 +100,81 @@ class Lexer:
     def __init__(self, source: str, filename: str = "<pps-c>"):
         self._source = source
         self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._column = 1
 
     def tokenize(self) -> list[Token]:
         """Lex the whole buffer, returning tokens ending with an EOF token."""
+        source, filename = self._source, self._filename
+        match = _TOKEN.match
         tokens = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
+        pos, line, line_start = 0, 1, 0
+        while pos < len(source):
+            found = match(source, pos)
+            if found is None:
+                token = self._lex_char(pos, SourceLocation(
+                    filename, line, pos - line_start + 1))
+                tokens.append(token)
+                pos += len(token.text)
+                continue
+            group = found.lastgroup
+            end = found.end()
+            if group == "trivia":
+                newlines = source.count("\n", pos, end)
+                if newlines:
+                    line += newlines
+                    line_start = source.rindex("\n", pos, end) + 1
+            else:
+                location = SourceLocation(filename, line, pos - line_start + 1)
+                text = found.group()
+                if group == "ident":
+                    token = Token(KEYWORDS.get(text, TokenKind.IDENT), text,
+                                  location)
+                elif group == "op":
+                    token = Token(_OPERATOR_KINDS[text], text, location)
+                else:
+                    token = Token(TokenKind.INT_LIT, text, location,
+                                  value=int(text, _RADIX[group]))
+                tokens.append(token)
+            pos = end
+        tokens.append(Token(TokenKind.EOF, "", SourceLocation(
+            filename, line, pos - line_start + 1)))
+        return tokens
 
     # ------------------------------------------------------------------
 
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._filename, self._line, self._column)
+    def _diagnose(self, pos: int, location: SourceLocation) -> LexError:
+        """The error for text at ``pos`` that is no token."""
+        if self._source.startswith("/*", pos):
+            return LexError("unterminated block comment", location)
+        number = _BAD_NUMBER.match(self._source, pos)
+        if number is None:
+            return LexError(f"unexpected character {self._source[pos]!r}",
+                            location)
+        if number.group(1) in ("0x", "0X"):
+            return LexError("malformed hexadecimal literal", location)
+        return LexError(f"malformed number {number.group()!r}", location)
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._source):
-            return self._source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            if self._source[self._pos] == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-            self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments."""
-        while True:
-            char = self._peek()
-            if char and char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if not self._peek():
-                        raise LexError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        location = self._location()
-        char = self._peek()
-        if not char:
-            return Token(TokenKind.EOF, "", location)
-        if char.isalpha() or char == "_":
-            return self._lex_identifier(location)
-        if char.isdigit():
-            return self._lex_number(location)
-        if char == "'":
-            return self._lex_char(location)
-        for text, kind in _OPERATORS:
-            if self._source.startswith(text, self._pos):
-                self._advance(len(text))
-                return Token(kind, text, location)
-        raise LexError(f"unexpected character {char!r}", location)
-
-    def _lex_identifier(self, location: SourceLocation) -> Token:
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._source[start : self._pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, location)
-
-    def _lex_number(self, location: SourceLocation) -> Token:
-        start = self._pos
-        if self._peek() == "0" and self._peek(1) and self._peek(1) in "xX":
-            self._advance(2)
-            if not self._is_hex_digit(self._peek()):
-                raise LexError("malformed hexadecimal literal", location)
-            while self._is_hex_digit(self._peek()):
-                self._advance()
-            text = self._source[start : self._pos]
-            value = int(text, 16)
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            text = self._source[start : self._pos]
-            value = int(text, 8) if text.startswith("0") and len(text) > 1 else int(text)
-        if self._peek().isalpha() or self._peek() == "_":
-            raise LexError(f"malformed number {text + self._peek()!r}", location)
-        return Token(TokenKind.INT_LIT, text, location, value=value)
-
-    def _lex_char(self, location: SourceLocation) -> Token:
-        self._advance()  # opening quote
-        char = self._peek()
+    def _lex_char(self, pos: int, location: SourceLocation) -> Token:
+        """The character literal at ``pos``; anything else there is an
+        error (the pattern matched nothing)."""
+        source = self._source
+        if source[pos] != "'":
+            raise self._diagnose(pos, location)
+        char = source[pos + 1 : pos + 2]
         if not char or char == "\n":
             raise LexError("unterminated character literal", location)
+        close = pos + 2
         if char == "\\":
-            self._advance()
-            escape = self._peek()
+            escape = source[close : close + 1]
             if escape not in _SIMPLE_ESCAPES:
                 raise LexError(f"unknown escape \\{escape}", location)
             value = _SIMPLE_ESCAPES[escape]
-            self._advance()
+            close += 1
         else:
             value = ord(char)
-            self._advance()
-        if self._peek() != "'":
+        if source[close : close + 1] != "'":
             raise LexError("unterminated character literal", location)
-        self._advance()
-        return Token(TokenKind.INT_LIT, f"'{char}'", location, value=value)
-
-    @staticmethod
-    def _is_hex_digit(char: str) -> bool:
-        return bool(char) and char in "0123456789abcdefABCDEF"
+        return Token(TokenKind.INT_LIT, source[pos : close + 1], location,
+                     value=value)
 
 
 def tokenize(source: str, filename: str = "<pps-c>") -> list[Token]:

@@ -4,8 +4,9 @@
 everything the transformation promised and checks the realized stages
 against it:
 
-* **dependence** — the dependence graph is rebuilt from scratch (fresh
-  SSA construction, fresh :class:`LoopDependenceModel`) and every flow,
+* **dependence** — the dependence graph is rebuilt from the normalized
+  PPS (fresh SSA construction, fresh :class:`LoopDependenceModel` — or
+  those of a shared context that holds the same program) and every flow,
   anti/output/memory-ordering, and control dependence must point at an
   equal-or-later stage; loop-carried (colocation) endpoints must share a
   stage.  The summarized CFG edges must point forward too (a stage is a
@@ -48,6 +49,7 @@ from repro.analysis.dependence_graph import DepKind, LoopDependenceModel
 from repro.analysis.liveness import Liveness
 from repro.ir.clone import clone_function
 from repro.ir.instructions import PipeIn, PipeOut, SwitchTerm
+from repro.ir.printer import format_function
 from repro.ir.values import Const
 from repro.ir.verify import verify_function
 from repro.pipeline.liveset import Strategy
@@ -145,16 +147,23 @@ class _Checker:
         self.stage_of = result.assignment.block_stage
         self.findings: list[VerifyFinding] = []
         self.warnings: list[str] = []
-        # Ground truth: fresh SSA, fresh dependence model, fresh liveness
-        # over the *normalized* PPS.  Nothing below reuses the model the
-        # partitioner built during *this* result's cut selection — but a
-        # shared AnalysisContext over the same normalized function may
-        # supply the (deterministic, input-identical) analyses, because
-        # they are a pure function of ``result.normalized``.  Callers who
-        # want the rebuild anyway pass ``context=None``.
+        # Ground truth: SSA, dependence model and liveness over the
+        # *normalized* PPS, never the model this result's cuts were
+        # selected on.  They are a pure function of the program, so a
+        # shared AnalysisContext may supply them when it holds the same
+        # program: the same object (a fresh result) or, for a
+        # cache-restored copy, the same printed text — the text
+        # ``compile_key`` names the program by.  The checks read the
+        # model by block name, node and unit number only; registers are
+        # identities, so liveness is taken over the copy the layouts
+        # name.  No context, or another program's: rebuild everything.
         if context is not None and context.work is self.work:
             self.model = context.model
             self.liveness = context.liveness
+        elif context is not None \
+                and format_function(self.work) == context.text:
+            self.model = context.model
+            self.liveness = Liveness(self.work)
         else:
             ssa = clone_function(self.work)
             construct_ssa(ssa)
@@ -500,13 +509,19 @@ def verify_partition(result: PipelineResult, *,
     via :meth:`VerifyVerdict.raise_if_rejected`.
 
     ``context`` (optional) is a shared
-    :class:`repro.analysis.context.AnalysisContext`: when its normalized
-    function *is* ``result.normalized``, the checker consumes its SSA /
-    dependence / liveness analyses instead of rebuilding them.  The
-    analyses are a deterministic pure function of the normalized IR, so
-    the checks are unchanged; what sharing gives up is only resilience
-    against a *memory-corrupting* bug inside the analyses themselves;
-    without a context the ground truth is rebuilt from scratch.
+    :class:`repro.analysis.context.AnalysisContext`.  When its normalized
+    function *is* ``result.normalized`` (a fresh result), the checker
+    consumes its SSA / dependence / liveness analyses instead of
+    rebuilding them; when ``result.normalized`` is another object that
+    prints the same text (a cache-restored result), it consumes the
+    dependence model and computes liveness over the result's own copy —
+    so a degree sweep of cache hits pays the analyses once per program,
+    and a restored artifact is checked against the program in hand.
+    The analyses are a deterministic pure function of the normalized
+    IR, so the checks are unchanged; what sharing gives up is only
+    resilience against a *memory-corrupting* bug inside the analyses
+    themselves.  Without a context, or with one for a different
+    program, the ground truth is rebuilt from scratch.
     """
     if result.degree == 1:
         # Sequential "pipelines" have no cuts: structural stage check only.

@@ -225,3 +225,73 @@ def test_outcome_as_dict_round_trips_to_json():
     assert payload["achieved_degree"] == 2
     assert payload["degraded"] is False
     assert isinstance(outcome, PartitionOutcome)
+
+
+# -- a warm row pays the analyses once per program (ISSUE 20) -----------------
+
+
+def _counting(monkeypatch, name):
+    """Count calls of ``name`` from both modules that build the ground
+    truth: the shared context and the checker's private rebuild."""
+    import repro.analysis.context as context_module
+    import repro.pipeline.verify as verify_module
+
+    calls = []
+    real = getattr(context_module, name)
+
+    def double(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(context_module, name, double)
+    monkeypatch.setattr(verify_module, name, double)
+    return calls
+
+
+def _row(app_name, degrees, cache, verifier=verify_partition):
+    """One program at every degree, as a sweep runs it: a new module, one
+    shared context, every cell supervised."""
+    from repro.analysis.context import AnalysisContext
+    from repro.apps.suite import build_app
+
+    app = build_app(app_name, packets=8)
+    context = AnalysisContext(app.module, app.pps_name)
+    return context, [
+        supervise_partition(app.module, app.pps_name, degree,
+                            profiler=app.profiler, cache=cache,
+                            context=context, verifier=verifier)
+        for degree in degrees]
+
+
+def test_a_warm_row_builds_the_analyses_once(tmp_path, monkeypatch):
+    degrees = (2, 3, 5, 9)
+    _row("ipv4", degrees, CompileCache(tmp_path / "cache"))
+
+    ssa = _counting(monkeypatch, "construct_ssa")
+    models = _counting(monkeypatch, "LoopDependenceModel")
+    warm = CompileCache(tmp_path / "cache")
+    verifier, verified = _counting_verifier()
+    context, outcomes = _row("ipv4", degrees, warm, verifier)
+    assert all(outcome.ok and outcome.verdict.ok and not outcome.degraded
+               for outcome in outcomes)
+    assert (warm.hits, warm.misses, warm.stores) == (4, 0, 0)
+    assert verified == list(degrees)
+    assert all(outcome.result.normalized is not context.work
+               for outcome in outcomes)
+    assert len(ssa) == len(models) == 1
+
+
+@pytest.mark.parametrize("app_name, degrees", [("ip_v4", (4,)),
+                                               ("ipv4", (1,))])
+def test_profiled_and_degree_one_hits_verify_as_a_miss_does(
+        tmp_path, app_name, degrees):
+    _, [cold] = _row(app_name, degrees, CompileCache(tmp_path / "cache"))
+    warm = CompileCache(tmp_path / "cache")
+    _, [hit] = _row(app_name, degrees, warm)
+    assert (warm.hits, warm.misses, warm.stores) == (1, 0, 0)
+    assert hit.ok and not hit.degraded
+    assert hit.result.profiled == cold.result.profiled \
+        == (app_name == "ip_v4")
+    assert hit.verdict.as_dict() == cold.verdict.as_dict()
+    assert [a.as_dict() for a in hit.attempts] == \
+        [a.as_dict() for a in cold.attempts]

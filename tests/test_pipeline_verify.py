@@ -15,6 +15,7 @@ The ISSUE 5 acceptance contract:
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -153,42 +154,107 @@ def test_shared_context_verdict_matches_rebuilt_verdict():
         [str(w) for w in rebuilt.warnings]
 
 
+def _restored(result):
+    """``result`` as a compile-cache hit hands it back: equal content,
+    no object shared with the context."""
+    return pickle.loads(pickle.dumps(result))
+
+
 def test_mismatched_context_is_ignored_not_trusted():
     """A context for a *different* normalized function must never supply
     the ground truth — the checker falls back to a fresh rebuild."""
     from repro.analysis.context import AnalysisContext
+    from repro.ir.instructions import BinOp
+    from repro.ir.values import Const
     from repro.pipeline.verify import _Checker
 
-    _, result = _partition_with_context("rx")
+    context, result = _partition_with_context("rx")
     other_app = build_app("tx", packets=8)
     stranger = AnalysisContext(other_app.module, other_app.pps_name)
     checker = _Checker(result, 1.0 / 16.0, context=stranger)
     assert checker.model is not stranger.model
     assert checker.work is result.normalized
 
+    # The near miss: the right program but for one constant.  One token
+    # of printed text differs, so the restored copy is a stranger too.
+    near = _restored(result)
+    assert _Checker(near, 1.0 / 16.0, context=context).model is context.model
+    binop = next(inst for inst in near.normalized.all_instructions()
+                 if isinstance(inst, BinOp) and isinstance(inst.rhs, Const))
+    binop.rhs = Const(binop.rhs.value + 1)
+    assert _Checker(near, 1.0 / 16.0, context=context).model \
+        is not context.model
+
 
 def test_shared_context_still_rejects_every_seeded_defect():
     """The independent-verifier guarantee survives analysis sharing: the
     analyses are a pure function of the normalized IR, so a corrupted
-    *partition* is still checked against untainted ground truth."""
+    *partition* is still checked against untainted ground truth — with
+    the verdict a from-scratch rebuild gives, finding for finding."""
     from repro.analysis.context import AnalysisContext
+    from repro.pipeline.verify import _Checker
 
     module = compile_module(STANDARD_PPS)
     context = AnalysisContext(module, "worker")
     result = pipeline_pps(module, "worker", 3, context=context)
     assert verify_partition(result, context=context).ok
-    caught = {}
-    for name, mutant in seeded_defects(result):
-        # seeded_defects deep-copies, which would break the normalized
-        # -function identity and make the checker rebuild; restore it so
-        # this really drives the sharing path (the defects live in the
-        # assignment/layout/stage claims, not the normalized IR).
-        mutant.normalized = result.normalized
-        verdict = verify_partition(mutant, context=context)
-        assert not verdict.ok, \
-            f"defect {name} slipped past the context-sharing verifier"
-        caught[name] = sorted({finding.check
-                               for finding in verdict.findings})
-    assert set(caught) == set(DEFECT_MUTATORS)
-    for name, expected in EXPECTED_CHECK.items():
-        assert expected in caught[name], (name, caught[name])
+    # seeded_defects deep-copies, so every mutant's ``normalized`` is
+    # another object with the context's text: the share-by-text path, on
+    # the fresh result and on a cache-restored one alike.
+    for base in (result, _restored(result)):
+        caught = {}
+        for name, mutant in seeded_defects(base):
+            checker = _Checker(mutant, 1.0 / 16.0, context=context)
+            assert checker.model is context.model
+            assert checker.liveness.function is mutant.normalized
+            shared = checker.run()
+            rebuilt = verify_partition(mutant, context=None)
+            assert not shared.ok, \
+                f"defect {name} slipped past the context-sharing verifier"
+            assert [str(f) for f in shared.findings] == \
+                [str(f) for f in rebuilt.findings], name
+            assert shared.warnings == rebuilt.warnings, name
+            caught[name] = sorted({finding.check
+                                   for finding in shared.findings})
+        assert set(caught) == set(DEFECT_MUTATORS)
+        for name, expected in EXPECTED_CHECK.items():
+            assert expected in caught[name], (name, caught[name])
+        # Each defect is caught by its own check, not by collateral.
+        assert caught["break-control-object"] == ["reconstruction"]
+
+
+# -- a cache hit shares by program text (ISSUE 20) -----------------------------
+
+
+@pytest.mark.parametrize("app_name", SUITE_APPS)
+def test_restored_result_shares_the_model_and_keeps_the_verdict(app_name):
+    from repro.analysis.context import AnalysisContext
+    from repro.pipeline.verify import _Checker
+
+    app = build_app(app_name, packets=8)
+    context = AnalysisContext(app.module, app.pps_name)
+    for degree in (2, 5, 9):
+        result = _restored(pipeline_pps(app.module, app.pps_name, degree,
+                                        profiler=app.profiler,
+                                        context=context))
+        assert result.normalized is not context.work
+        checker = _Checker(result, 1.0 / 16.0, context=context)
+        assert checker.model is context.model
+        assert checker.liveness.function is result.normalized
+        shared = checker.run()
+        rebuilt = verify_partition(result, context=None)
+        assert shared.ok, shared.summary()
+        assert shared.findings == rebuilt.findings
+        assert shared.warnings == rebuilt.warnings
+        assert shared.checks_run == rebuilt.checks_run
+
+
+def test_restored_degree_one_result_needs_no_analyses():
+    from repro.analysis.context import AnalysisContext
+
+    _, result = _partition_with_context(degree=1)
+    app = build_app("rx", packets=8)
+    context = AnalysisContext(app.module, app.pps_name)  # as a hit finds it
+    verdict = verify_partition(_restored(result), context=context)
+    assert verdict.ok and verdict.checks_run == ("reconstruction",)
+    assert context._ssa is None and context._model is None
