@@ -403,9 +403,11 @@ def _run(args, tracer) -> int:
                   f"(fault plan is not semantics-preserving)")
         state = pipelined
         run_stats = run.stats
+        functions = [stage.function for stage in outcome.result.stages]
     else:
         state = sequential
         run_stats = {pps_name: stats}
+        functions = [module.pps(pps_name)]
 
     for name, pipe in sorted(state.pipes.items()):
         if pipe.queue and ".xfer" not in name:
@@ -425,8 +427,9 @@ def _run(args, tracer) -> int:
     if args.profile or tracer is not None:
         from repro.obs import emit_counter_events, runtime_report
 
-        report = runtime_report(run_stats, state, watchdog=run_watchdog,
-                                cache=cache, partition=outcome)
+        report = runtime_report(run_stats, state, functions=functions,
+                                watchdog=run_watchdog, cache=cache,
+                                partition=outcome)
         if args.profile:
             print(report.render())
         if tracer is not None:

@@ -8,7 +8,7 @@ tallies on :class:`~repro.runtime.state.WakeHub` — into one structured,
 JSON-serializable report.  Nothing here touches the hot loops: the report
 is a pure read-out, which is how tracing stays free when disabled.
 
-``repro run --profile`` renders the report as text; ``repro trace``
+``repro run --profile`` renders the report as text; ``repro run --trace``
 additionally folds it into the Chrome trace as counter events
 (:func:`emit_counter_events`).
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.obs.tracer import TID_COMPILE, TID_RUNTIME, Tracer
+from repro.runtime.compile import compile_function
 from repro.runtime.state import MachineState
 
 
@@ -31,6 +32,10 @@ class StageCounters:
     iterations: int
     transmission_weight: int
     blocked: int
+    #: Driver round trips into generated code (``None`` when the caller
+    #: did not say which functions ran): the executions of the region
+    #: roots, read off ``InterpStats.block_counts`` after the run.
+    dispatches: int | None = None
 
 
 @dataclass
@@ -104,12 +109,15 @@ class RuntimeReport:
         lines = ["runtime profile:"]
         if self.stages:
             lines.append("  stage                        instrs   cycles "
-                         "  iters  tx-cycles  blocked")
+                         "  iters  tx-cycles  blocked  dispatches")
             for stage in self.stages:
+                dispatches = "-" if stage.dispatches is None \
+                    else stage.dispatches
                 lines.append(
                     f"  {stage.name:26s} {stage.instructions:8d} "
                     f"{stage.weight:8d} {stage.iterations:7d} "
-                    f"{stage.transmission_weight:10d} {stage.blocked:8d}")
+                    f"{stage.transmission_weight:10d} {stage.blocked:8d} "
+                    f"{dispatches:>11}")
         if self.pipes:
             lines.append("  pipe                           sent recvd "
                          "high-water residual")
@@ -169,14 +177,16 @@ class RuntimeReport:
         return "\n".join(lines)
 
 
-def runtime_report(stats: dict, state: MachineState, *,
+def runtime_report(stats: dict, state: MachineState, *, functions=(),
                    watchdog=None, cache=None,
                    partition=None) -> RuntimeReport:
     """Assemble the report for one finished run.
 
     ``stats`` maps interpreter name -> ``InterpStats`` (e.g.
     ``RunResult.stats``); ``state`` is the machine the run executed on;
-    ``watchdog`` optionally contributes its check counters; ``cache``
+    ``functions`` are the IR functions those interpreters ran (matched by
+    name), from whose compiled regions each stage's ``dispatches`` is
+    derived; ``watchdog`` optionally contributes its check counters; ``cache``
     (a :class:`repro.cache.CompileCache`) contributes hit/miss/evict
     counters when compilation went through the artifact cache;
     ``partition`` (a :class:`repro.pipeline.PartitionOutcome`)
@@ -184,6 +194,8 @@ def runtime_report(stats: dict, state: MachineState, *,
     partitioning went through the supervisor.
     """
     report = RuntimeReport()
+    compiled = {function.name: compile_function(function)
+                for function in functions}
     for name in sorted(stats):
         entry = stats[name]
         report.stages.append(StageCounters(
@@ -193,6 +205,8 @@ def runtime_report(stats: dict, state: MachineState, *,
             iterations=entry.iterations,
             transmission_weight=entry.transmission_weight,
             blocked=entry.blocked,
+            dispatches=compiled[name].dispatches(entry.block_counts)
+            if name in compiled else None,
         ))
     for name in sorted(state.pipes):
         pipe = state.pipes[name]
@@ -232,6 +246,8 @@ def emit_counter_events(tracer: Tracer, report: RuntimeReport) -> None:
             "iterations": stage.iterations,
             "tx_cycles": stage.transmission_weight,
             "blocked": stage.blocked,
+            **({} if stage.dispatches is None
+               else {"dispatches": stage.dispatches}),
         }, cat="stage", tid=TID_RUNTIME)
     for pipe in report.pipes:
         tracer.counter(f"pipe {pipe.name}", {

@@ -3,21 +3,32 @@
 Walking the IR means an ``isinstance`` chain and an operand re-resolution
 on every executed instruction, and one closure per instruction still pays
 a Python call per instruction.  This module instead writes *Python source*
-and compiles it.  The unit is the *region* (an extended basic block): a
-block's trailing run of instructions plus, inline in the same function,
-every successor that has exactly one predecessor, cannot block, and is
-not a block the driver must see (the entry, an interpreter's
-``loop_start``) — a ``Jump`` falls through, a ``Branch`` is an ``if``
-whose nested side ends in ``return`` — up to :data:`_MAX_INSTRUCTIONS`
-and :data:`_MAX_DEPTH`, no block twice.  Inside a region a register
-lives in a Python local: loaded from ``interp.regs`` at most once per
-path, written back only where control leaves the region and only if it
-is live on that edge (a trap drops the rest: quarantine zeroes ``regs``
-and an aborting trap never reads them).  Constants are literals, the
-32-bit wrap is an inline expression, bounds checks and their trap
-messages are inline, and intrinsics are direct method calls on the
-machine state.  A region returns the name of the block the driver runs
-next (``None`` for return).
+and compiles it.  The unit is the *region*: a root block and, inline in
+the same function, every block all of whose predecessors are in the
+region already — a single-entry, acyclic piece of the CFG, typically a
+whole loop body, written as structured code.  A ``Jump`` falls through; a
+``Branch`` is an ``if`` whose nested side ends in ``return`` while the
+other stays flat, or an ``if``/``else`` when both sides meet again; a
+``SwitchTerm`` is an ``if``/``elif`` chain; and a *join* — a block with
+several predecessors — is written once, behind the construct of the
+nearest block that dominates them all, where its paths fall out to (if
+paths bound for different joins fall out together, each sets a local
+``nxt`` and a join sits under ``if nxt == n``).  Regions are planned for
+the whole function before any text is written (:meth:`_LazyBlocks._plan`,
+within :data:`_MAX_INSTRUCTIONS` and :data:`_MAX_DEPTH`), so no block is
+in two; the entry, an interpreter's ``loop_start``, loop headers and
+blocks that wait on a device or a sequencer are always roots.
+
+Inside a region a register lives in a Python local: loaded from
+``interp.regs`` at most once per path, written back only where control
+leaves the region and only if it is live on that edge (a trap drops the
+rest: quarantine zeroes ``regs`` and an aborting trap never reads them).
+At a join a local survives iff it is current on every incoming path; what
+only some paths changed and the join still needs is written back where
+those paths end.  Constants are literals, the 32-bit wrap, bounds checks
+and trap messages are inline, and intrinsics are direct method calls on
+the machine state.  A region returns the name of the block the driver
+runs next (``None`` for return).
 
 Statistics accounting is per *run* of non-blocking instructions: its
 instruction count and weight (and the terminator's, on a block's
@@ -26,42 +37,42 @@ executes.  An inlined block first does what the driver does for a block
 it sees — ``prev_block``, ``block_counts``, the ``fuel`` charge and
 test — so counters, traps and injected-trap firing points stay where
 the instruction-by-instruction oracle in :mod:`repro.testing.reference`
-puts them.  Instructions that can block (pipe in/out,
-``pipe_recv``/``pipe_send``/``rbuf_next``, the replication sequencer
-waits) account for themselves only once they succeed, exactly like the
-oracle, so completed runs produce bit-identical statistics (same
-counters, same traps, same message formats); the differential tests in
-``tests/test_runtime_compiled_differential.py`` enforce this over
+puts them.  Instructions that can block account for themselves only once
+they succeed, exactly like the oracle, so completed runs produce
+bit-identical statistics, traps and messages;
+``tests/test_runtime_compiled_differential.py`` enforces this over
 randomized programs.
 
-Blocking is expressed without generators: a blocking instruction heads
-the step of the run behind it, and a step that cannot proceed returns
-the *wait key* of the resource it needs — ``("recv", pipe)``,
-``("send", pipe)``, ``("rbuf", port)``, ``("seq", resource)`` — having
-consumed and accounted nothing, so calling it again is idempotent; the
-interpreter driver yields to the scheduler, which parks the interpreter
-on that key until the resource is notified (see
-:class:`repro.runtime.state.WakeHub`).
+Blocking is expressed without generators: in a root, a blocking
+instruction heads the step of the run behind it, and a step that cannot
+proceed returns the *wait key* of the resource it needs —
+``("recv", pipe)``, ``("send", pipe)``, ``("rbuf", port)``,
+``("seq", resource)`` — having consumed and accounted nothing, so calling
+it again is idempotent; the driver yields to the scheduler, which parks
+the interpreter on that key until the resource is notified
+(:class:`repro.runtime.state.WakeHub`).  A block that waits on pipes only
+may still run inline: its pipes are tested, without side effect, before
+anything of it is accounted, and if one is not ready the region exits to
+that block — generated then, alone, as a root, where the driver blocks.
 
 ``compile()`` is several times dearer than building closures, so it is
-paid lazily and shared: :func:`compile_function` only collects the
-function's registers and pipes (cached weakly per
-:class:`~repro.ir.function.Function` object), predecessors and liveness
+paid lazily and shared: :func:`compile_function` only collects registers
+and pipes (cached weakly per ``Function`` object), liveness and the plan
 are taken at the function's first block lookup, a region is generated
-the first time the driver looks up its root, and code objects are
-memoised by source text — registers and switch tables enter through
-each step's globals, so the many blocks that realize copies unchanged
-into stages share one code object.  ``CompiledBlock.source`` keeps the
-text, and each function is named after its block, which is what a
-profile or a traceback shows.
+when the driver first looks up its root, and code objects are memoised by
+source text (registers enter through each step's globals).
+``CompiledBlock.source`` keeps the text, and each function is named after
+its block, which is what a profile or a traceback shows.
 """
 
 from __future__ import annotations
 
 import re
 import weakref
+from contextlib import contextmanager
 from functools import lru_cache
 
+from repro.analysis.cfg import cfg_of
 from repro.analysis.liveness import Liveness
 from repro.errors import TrapError
 from repro.ir.function import BasicBlock, Function
@@ -83,23 +94,22 @@ from repro.ir.instructions import (
 from repro.ir.types import COMPARISON_OPS, binary_func, wrap32
 from repro.ir.values import Const, PipeRef, RegionRef, VReg
 
-#: A region stops growing at this many IR instructions and nested ``if``s
-#: (well inside CPython's limits on indentation and nested blocks).
-_MAX_INSTRUCTIONS, _MAX_DEPTH = 400, 12
+#: A region stops growing at this many IR instructions (`compile()` of a
+#: longer function is what `peak_rss_mb` sees) and this many nested ``if``s.
+_MAX_INSTRUCTIONS, _MAX_DEPTH = 250, 12
 
 
 class CompiledBlock:
-    """One basic block as generated step functions.
+    """One region root as generated step functions.
 
     Each of ``steps`` takes the interpreter and runs up to the next
     blocking instruction; it returns the wait key (a tuple) of the one at
     its own head while that cannot proceed — nothing consumed, nothing
     accounted — and otherwise ``None``, except the last: that is the
-    region (the block's trailing run, then the blocks of ``region``
-    after the first, inline) and returns the next block's name, ``None``
-    for function return.  ``cost`` is the fuel the driver charges per
-    execution of the block and ``source`` the generated text.
-    """
+    region (the block's trailing run, then the rest of ``region``,
+    inline) and returns the next block's name, ``None`` for return.
+    ``cost`` is the fuel the driver charges per execution of the block
+    and ``source`` the generated text."""
 
     __slots__ = ("name", "steps", "cost", "source", "region")
 
@@ -114,18 +124,14 @@ class CompiledBlock:
 class _LazyBlocks(dict):
     """``name -> CompiledBlock``, each generated on its first lookup.
     The first of all also takes what regions need of the whole function:
-    the blocks that may run inline (``inlinable``) and the registers live
-    into each block, as ``int`` masks (bit ``index[reg]``) — a
-    :class:`Liveness` kept per function was a tenth of a simulation's
-    memory.
+    the plan, and the registers ``live`` into each block as ``int`` masks
+    (bit ``index[reg]``) — a :class:`Liveness` kept per function was a
+    tenth of a simulation's memory.  The function is held weakly: the
+    running interpreter owns it, and a strong reference from here would
+    keep every key of the weak-keyed compilation cache alive."""
 
-    The function is held weakly: the running interpreter owns it, and a
-    strong reference from here would keep every key of the weak-keyed
-    compilation cache alive.
-    """
-
-    __slots__ = ("_function", "_registers", "pinned", "index", "inlinable",
-                 "_live_in")
+    __slots__ = ("_function", "_registers", "pinned", "index", "live",
+                 "owner", "parent", "joins", "merges", "arms", "tagged")
 
     def __init__(self, function: Function, registers: tuple):
         self._function = weakref.ref(function)
@@ -136,30 +142,111 @@ class _LazyBlocks(dict):
     def __missing__(self, name: str) -> CompiledBlock:
         function = self._function()
         if self.index is None:
-            self.index = {reg: number
-                          for number, reg in enumerate(self._registers)}
-            self._live_in = {
-                block: sum(1 << self.index[reg] for reg in live)
-                for block, live in Liveness(function).live_in.items()}
-            self.inlinable = frozenset(
-                block for block, preds in function.predecessors().items()
-                if len(preds) == 1 and block != function.entry
-                and not any(map(_own_step,
-                                function.block(block).instructions)))
+            self._plan(function)
+            index = self.index = {reg: number for number, reg
+                                  in enumerate(self._registers)}
+            self.live = {}
+            for block, live in Liveness(function).live_in.items():
+                # ... and what its phis read, whichever edge is taken.
+                live = set(live).union(
+                    value for phi in function.block(block).phis()
+                    for value in phi.incomings.values()
+                    if isinstance(value, VReg))
+                self.live[block] = sum(1 << index[reg] for reg in live)
         block = self[name] = _compile_block(self, function,
                                             function.block(name))
         return block
 
-    def live_on(self, block: BasicBlock, targets) -> int:
-        """The registers live on the edges from ``block`` to ``targets``."""
-        live = 0
-        for target in targets:
-            live |= self._live_in[target]
-            for phi in self._function().block(target).phis():
-                value = phi.incomings.get(block.name)
-                if isinstance(value, VReg):
-                    live |= 1 << self.index[value]
-        return live
+    def _plan(self, function: Function) -> None:
+        """Decide every region of ``function`` before any is written, in
+        reverse postorder (nothing here depends on hashing).  A block is
+        a root when it must be (the entry, pinned, waits on more than
+        pipes, a loop header), when its predecessors sit in different
+        regions or theirs is full; otherwise ``owner`` is their region's
+        root and ``parent`` their nearest common dominator, whose
+        ``joins`` it is one of when they are several (``merges``: all of
+        those).  Bottom-up, ``falls`` holds the joins control may fall
+        out to from a block's text and all it dominates; where several
+        are awaited at once all are ``tagged`` — every edge to one sets
+        ``nxt``, and it is written under ``if nxt == n`` — and ``arms``
+        says how a ``Branch`` is written, ``(nested, other, flat)``: the
+        side that cannot fall out nests under the ``if`` (of two such, one
+        that leaves the region) and ``other`` follows at the ``if``'s
+        level, or under ``else`` when both fall out.  A block that would
+        nest deeper than ``_MAX_DEPTH`` becomes a root: plan again."""
+        blocks, graph = function.blocks, cfg_of(function)
+        order = graph.reverse_postorder()
+        number = {name: position for position, name in enumerate(order)}
+        roots = {function.entry, *self.pinned}.union(
+            name for name in order if not _may_inline(blocks[name]))
+        while True:
+            owner, parent, joins, size = {}, {}, {}, {}
+            falls, tagged, arms = {}, set(), {}
+            self.owner, self.parent, self.joins = owner, parent, joins
+            self.tagged, self.arms = tagged, arms
+            for name in order:
+                sources = graph.preds(name)
+                size[name] = cost = len(blocks[name].instructions) + 1
+                home = owner.get(sources[0], sources[0]) if sources else name
+                if (name in roots
+                        or size.get(home, cost) + cost >= _MAX_INSTRUCTIONS
+                        or any(owner.get(source, source) != home
+                               or number.get(source, number[name])
+                               >= number[name] for source in sources)):
+                    continue
+                owner[name] = home
+                size[home] += cost
+                above = sources[0]
+                for other in sources[1:]:
+                    while above != other:
+                        if number[above] > number[other]:
+                            above = parent[above]
+                        else:
+                            other = parent[other]
+                parent[name] = above
+                if len(sources) > 1:
+                    joins.setdefault(above, []).append(name)
+            merges = self.merges = {join for below in joins.values()
+                                    for join in below}
+            for name in reversed(order):
+                home, pending, keys = owner.get(name, name), set(), []
+                sides = blocks[name].successors()
+                for side in sides:
+                    stays = self.inline(home, side)
+                    fall = () if not stays else {side} if side in merges \
+                        else falls.get(side, ())
+                    pending.update(fall)
+                    keys.append((bool(fall), stays))
+                for join in joins.get(name, ()):
+                    if len(pending) > 1:
+                        tagged |= pending
+                    pending = pending - {join} | falls.get(join, set())
+                if pending:
+                    falls[name] = pending
+                if isinstance(blocks[name].terminator, Branch):
+                    if keys[1] < keys[0]:
+                        sides.reverse()
+                    arms[name] = *sides, not (keys[0][0] and keys[1][0])
+            depth, deep = {}, set()
+            for name in order:
+                above = parent.get(name)
+                if above is None:
+                    depth[name] = 0
+                    continue
+                nests = name in tagged if name in merges else (
+                    not isinstance(blocks[above].terminator, Jump)
+                    and arms.get(above, ())[1:] != (name, True))
+                depth[name] = depth[above] + nests
+                if depth[name] > _MAX_DEPTH >= depth[above]:
+                    deep.add(name)
+            if not deep:
+                return
+            roots |= deep
+
+    def inline(self, home: str | None, target: str) -> bool:
+        """Whether ``target`` runs inline in the region of root ``home``
+        (``None``: a block on its own after a not-ready exit)."""
+        return home is not None and self.owner.get(target) == home
 
 
 class CompiledFunction:
@@ -171,20 +258,35 @@ class CompiledFunction:
     def __init__(self, function: Function):
         assert function.entry is not None
         self.entry = function.entry
-        self.pipe_names = tuple(_collect_pipe_names(function))
+        pipes = (inst.pipe if isinstance(inst, (PipeIn, PipeOut))
+                 else inst.args[0] for inst in function.all_instructions()
+                 if isinstance(inst, (PipeIn, PipeOut))
+                 or isinstance(inst, Call) and inst.args)
+        self.pipe_names = tuple(dict.fromkeys(
+            pipe.name for pipe in pipes if isinstance(pipe, PipeRef)))
         # Every VReg the function reads or writes. The driver seeds them
         # all to 0 before running, so generated code can use plain
         # subscripts instead of ``regs.get(reg, 0)`` on every read.
-        self.registers = tuple(_collect_registers(function))
+        self.registers = tuple(dict.fromkeys(
+            value for block in function.ordered_blocks()
+            for inst in block.all_instructions()
+            for value in (*inst.uses(), *inst.defs())
+            if isinstance(value, VReg)))
         self.blocks = _LazyBlocks(function, self.registers)
 
     def pin(self, name: str | None) -> None:
         """Keep ``name`` out of every region: the driver counts an
-        iteration each time it sees it (regions that inlined it are
-        generated again)."""
+        iteration each time it sees it (the plan is made again)."""
         if name not in self.blocks.pinned:
             self.blocks.pinned.add(name)
             self.blocks.clear()
+            self.blocks.index = None
+
+    def dispatches(self, counts: dict) -> int:
+        """The driver's round trips behind ``counts`` (a ``block_counts``):
+        the executions of the blocks it looked up.  Exact, unless a block
+        ran inline and, after a not-ready exit, as a root: an upper bound."""
+        return sum(counts.get(name, 0) for name in self.blocks)
 
 
 _CACHE: "weakref.WeakKeyDictionary[Function, CompiledFunction]" = (
@@ -200,33 +302,10 @@ def compile_function(function: Function) -> CompiledFunction:
     return compiled
 
 
-def _collect_registers(function: Function):
-    registers = []
-    seen = set()
-    for block in function.ordered_blocks():
-        for inst in block.all_instructions():
-            for value in list(inst.uses()) + list(inst.defs()):
-                if isinstance(value, VReg) and value not in seen:
-                    seen.add(value)
-                    registers.append(value)
-    return registers
-
-
-def _collect_pipe_names(function: Function):
-    names = []
-    for inst in function.all_instructions():
-        pipe = None
-        if isinstance(inst, (PipeIn, PipeOut)):
-            pipe = inst.pipe.name
-        elif (isinstance(inst, Call) and inst.args
-                and isinstance(inst.args[0], PipeRef)):
-            pipe = inst.args[0].name
-        if pipe is not None and pipe not in names:
-            names.append(pipe)
-    return names
-
-
 # -- the source writer -------------------------------------------------------
+
+#: One level of indentation (with four blanks, a fifth of the text).
+_INDENT = "\t"
 
 #: ``wrap32`` of an expression, inline.
 _WRAP = "((%s) + 0x80000000 & 0xFFFFFFFF) - 0x80000000"
@@ -244,7 +323,7 @@ _PROLOGUE = {
 _NAMED = re.compile(r"(?<![.\w])(%s)\b" % "|".join(_PROLOGUE))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1024)  # a region is a few blocks' text: was 4096 of those
 def _code(source: str):
     """The code object of one step's text, shared by every step that
     generates the same text."""
@@ -265,22 +344,24 @@ class _Step:
     once read or written, local ``rn``.  Register values are always
     wrapped 32-bit words — every write below stores one — which is why
     ``& | ^ >> ~`` need no wrap of their own.  ``loaded`` and ``dirty``
-    describe the path being written: a nested ``if`` side ends in
-    ``return``, so whoever opens one restores both (and ``indent``)
-    behind it.
-    """
+    describe the path being written: whoever opens a nested side
+    restores both (and ``indent``) behind it, and a join takes them from
+    the ``sites`` its incoming paths left — each a hole in ``lines`` for
+    that path's write-backs, its indentation, ``loaded`` and ``dirty``."""
 
     def __init__(self, blocks: _LazyBlocks, function: Function, root: str):
         self.blocks, self.function = blocks, function
-        self.lines: list[str] = []
+        self.lines: list = []          # text, and the holes of open sites
         self.env: dict = {"TrapError": TrapError}
         self.slots: dict[VReg, int] = {}
-        self.indent = "    "
+        self.indent = _INDENT
         self.loaded: set[int] = set()  # slots whose local is current
         self.dirty: set[int] = set()   # ... and newer than interp.regs
         self.region = [root]           # the blocks written so far
-        self.size = 0                  # ... and their IR instructions
-        self.pred: str | None = None   # of the block being written, if inline
+        self.home = None if root in blocks.owner else root
+        self.sites: dict[str, list] = {}  # join -> its paths so far
+        self.tags: dict[str, int] = {}    # join -> its value of ``nxt``
+        self.pred: str | None = None   # of the block being written, if known
 
     def emit(self, *lines: str) -> None:
         self.lines += [self.indent + line for line in lines]
@@ -319,13 +400,16 @@ class _Step:
         if dest is not None:
             self.emit(self.store(dest, expr))
 
-    def flush(self, live: int = -1) -> None:
-        """Write back what this path changed and ``live`` (a mask; all
-        registers by default) holds."""
+    def spills(self, slots, live: int) -> list[str]:
+        """The write-backs of those of ``slots`` that ``live`` (a mask)
+        holds."""
         index, env = self.blocks.index, self.env
-        for slot in sorted(self.dirty):
-            if live >> index[env[f"K{slot}"]] & 1:
-                self.emit(f"regs[K{slot}] = r{slot}")
+        return [f"regs[K{slot}] = r{slot}" for slot in sorted(slots)
+                if live >> index[env[f"K{slot}"]] & 1]
+
+    def flush(self, live: int = -1) -> None:
+        """Write back what this path changed and ``live`` holds."""
+        self.emit(*self.spills(self.dirty, live))
 
     def charge(self, instructions: int, weight: int, *,
                transmission: bool = False) -> None:
@@ -334,20 +418,24 @@ class _Step:
         if transmission:
             self.emit(f"stats.transmission_weight += {weight}")
 
-    def pipe(self, name: str, kind: str) -> None:
-        """Bind ``pipe``; return its wait key unless it is ready to
-        ``kind`` (``"recv"`` or ``"send"``)."""
-        ready = "pipe.queue" if kind == "recv" else "pipe.can_send()"
-        self.emit(f"pipe = interp.pipes[{name!r}]",
-                  f"if not {ready}: return {(kind, name)!r}")
+    @contextmanager
+    def side(self, test: str, state):
+        """A nested side, entered on ``test`` with the registers as
+        ``state`` (``loaded``, ``dirty``) has them."""
+        indent, self.loaded, self.dirty = self.indent, *map(set, state)
+        self.emit(test)
+        self.indent += _INDENT
+        yield
+        self.indent = indent
 
     def finish(self):
         """Compile the text as a function named after the root block;
         returns ``(function, source)``."""
         name = "at_" + re.sub(r"\W", "_", self.region[0])
-        text = "".join(line + "\n" for line in self.lines)
+        text = "".join(line + "\n" for entry in self.lines for line in
+                       ([entry] if entry.__class__ is str else entry))
         named = set(_NAMED.findall(text))
-        body = "".join(f"    {local} = {value}\n"
+        body = "".join(f"{_INDENT}{local} = {value}\n"
                        for local, value in _PROLOGUE.items() if local in named)
         source = f"def {name}(interp):\n{body}{text}"
         exec(_code(source), self.env)
@@ -377,9 +465,9 @@ def _emit_binop(step: _Step, inst: BinOp) -> None:
         step.env[func] = binary_func(op)
         step.emit(
             "try:",
-            "    " + step.store(inst.dest, f"{func}({lhs}, {rhs})"),
+            _INDENT + step.store(inst.dest, f"{func}({lhs}, {rhs})"),
             "except ZeroDivisionError as exc:",
-            '    raise TrapError(f"{interp.function.name}: {exc} at %s") '
+            _INDENT + 'raise TrapError(f"{interp.function.name}: {exc} at %s") '
             "from exc" % _lit(str(inst.location)),
         )
     elif op in COMPARISON_OPS:
@@ -545,81 +633,142 @@ def _emit_run(step: _Step, instructions, terminator=None) -> None:
 # -- regions -----------------------------------------------------------------
 
 
-def _inlines(step: _Step, target: str, depth: int) -> bool:
-    """Whether ``target`` may run inline at this point of the region."""
-    return (target in step.blocks.inlinable
-            and target not in step.blocks.pinned
-            and target not in step.region and depth <= _MAX_DEPTH
-            and step.size + len(step.function.block(target).instructions)
-            < _MAX_INSTRUCTIONS)
+def _emit_exit(step: _Step, block: BasicBlock, target: str | None) -> None:
+    """Leave the region from ``block`` for ``target`` (``None``: return)."""
+    step.flush(step.blocks.live.get(target, 0))
+    step.emit(f"interp.prev_block = {block.name!r}", f"return {target!r}")
 
 
-def _emit_exit(step: _Step, block: BasicBlock, targets, result: str) -> None:
-    """Leave the region from ``block`` for one of ``targets``."""
-    step.flush(step.blocks.live_on(block, targets))
-    step.emit(f"interp.prev_block = {block.name!r}", f"return {result}")
+def _emit_edge(step: _Step, block: BasicBlock, target: str) -> str | None:
+    """Control passes from ``block`` to ``target``: back to the driver,
+    out to a join written further down, or on into ``target``, which is
+    then returned for the caller to write at the level it chooses."""
+    plan = step.blocks
+    if not plan.inline(step.home, target):
+        return _emit_exit(step, block, target)
+    step.emit(f"interp.prev_block = {block.name!r}")
+    if target not in plan.merges:
+        return target
+    hole: list[str] = []
+    step.lines.append(hole)
+    step.sites.setdefault(target, []).append(
+        (hole, step.indent, set(step.loaded), set(step.dirty)))
+    if target in plan.tagged:
+        step.emit(f"nxt = {step.tags.setdefault(target, len(step.tags))}")
+    return None
 
 
-def _emit_edge(step: _Step, block: BasicBlock, target: str,
-               depth: int) -> None:
-    """Control passes from ``block`` to ``target``: inline, after what
-    the driver does for a block it sees, or back to the driver."""
-    if not _inlines(step, target, depth):
-        _emit_exit(step, block, [target], repr(target))
-        return
-    successor = step.function.block(target)
-    step.region.append(target)
-    step.emit(f"interp.prev_block = {block.name!r}",
-              f"counts[{target!r}] = counts.get({target!r}, 0) + 1",
-              f"interp.fuel = fuel = interp.fuel - "
-              f"{len(successor.instructions) + 1}",
-              "if fuel <= 0: raise interp._fuel_exhausted()")
-    step.pred = block.name
-    _emit_block(step, successor, successor.instructions, depth)
+def _emit_side(step: _Step, block: BasicBlock, target: str, test: str,
+               state) -> None:
+    """One nested side of ``block``'s terminator: the edge to ``target``
+    and, if that runs inline and has one predecessor, all of it."""
+    with step.side(test, state):
+        inner = _emit_edge(step, block, target)
+        if inner is not None:
+            _emit_nodes(step, inner)
 
 
-def _emit_block(step: _Step, block: BasicBlock, run, depth: int) -> None:
-    """``run`` (the trailing instructions of ``block``), its terminator
-    and everything that inlines behind it."""
-    term = block.terminator
-    step.size += len(run) + 1
-    _emit_run(step, run, term)
-    if isinstance(term, Jump):
-        _emit_edge(step, block, term.target, depth)
-    elif isinstance(term, Branch):
-        cond, nested, flat = step.read(term.cond), term.if_true, term.if_false
-        if _inlines(step, nested, depth + 1) and not _inlines(step, flat,
-                                                              depth):
-            # A guard: the side that leaves nests, the chain stays flat.
-            cond, nested, flat = f"not {cond}", flat, nested
-        saved = step.indent, set(step.loaded), set(step.dirty)
-        step.emit(f"if {cond}:")
-        step.indent += "    "
-        _emit_edge(step, block, nested, depth + 1)
-        step.indent, step.loaded, step.dirty = saved
-        _emit_edge(step, block, flat, depth)
+def _emit_block(step: _Step, block: BasicBlock, run) -> str | None:
+    """``run`` (instructions of ``block``; the pipes of those that wait
+    are ready), the terminator and the sides that nest under it; returns
+    the block, if any, that follows inline at this level."""
+    plan, term, ahead = step.blocks, block.terminator, []
+    for inst in run:
+        head = _own_step(inst)
+        if head is None:
+            ahead.append(inst)
+            continue
+        _emit_run(step, ahead)
+        step.emit(f"pipe = interp.pipes[{_pipe_wait(inst)[1]!r}]")
+        head(step, inst)
+        ahead = []
+    _emit_run(step, ahead, term)
+    state = set(step.loaded), set(step.dirty)
+    if isinstance(term, Branch) and term.if_true != term.if_false:
+        nested, other, flat = plan.arms[block.name]
+        test = step.read(term.cond)
+        _emit_side(step, block, nested, f"if {test}:" if nested
+                   == term.if_true else f"if not {test}:", state)
+        if flat:
+            step.loaded, step.dirty = state
+            return _emit_edge(step, block, other)
+        _emit_side(step, block, other, "else:", state)
+    elif isinstance(term, (Jump, Branch)):
+        return _emit_edge(step, block, term.successors()[0])
     elif isinstance(term, SwitchTerm):
-        cases = f"CASES{len(step.env)}"
-        step.env[cases] = dict(term.cases)
-        _emit_exit(step, block, term.successors(), f"{cases}.get("
-                   f"{step.read(term.value)}, {term.default!r})")
+        value, sides = step.read(term.value), {}
+        for case, target in term.cases.items():
+            if target != term.default:
+                sides.setdefault(target, []).append(case)
+        if not sides:
+            return _emit_edge(step, block, term.default)
+        for number, (target, cases) in enumerate(sides.items()):
+            test = f"== {cases[0]}" if len(cases) == 1 else f"in {tuple(cases)}"
+            _emit_side(step, block, target, f"{'el' if number else ''}if "
+                       f"{value} {test}:", state)
+        _emit_side(step, block, term.default, "else:", state)
     elif isinstance(term, Return):
-        _emit_exit(step, block, [], "None")
+        _emit_exit(step, block, None)
     else:
         raise TrapError(f"unknown terminator {term}")
+    return None
+
+
+def _emit_nodes(step: _Step, name: str, run=None) -> None:
+    """Block ``name`` and all it dominates in the region, at this level;
+    ``run`` is what is left of a root, which the driver has entered."""
+    plan, todo = step.blocks, [name]
+    while todo:
+        name = todo.pop()
+        if name is None:  # the end of a guarded join
+            step.indent = step.indent[:-1]
+            continue
+        block = step.function.block(name)
+        if run is None:
+            step.region.append(name)
+            step.pred = plan.parent[name]
+            sites = step.sites.pop(name, None)
+            if sites:  # they meet: what survives, what is written back
+                step.pred, live = None, plan.live[name]
+                step.loaded = set.intersection(*(site[2] for site in sites))
+                step.dirty = step.loaded.intersection(
+                    slot for site in sites for slot in site[3])
+                for hole, indent, _, dirty in sites:
+                    hole += [indent + line for line
+                             in step.spills(dirty - step.loaded, live)]
+                if name in plan.tagged:
+                    step.emit(f"if nxt == {step.tags[name]}:")
+                    step.indent += _INDENT
+                    todo.append(None)
+            # What the driver does for a block it sees, pipes ready.
+            waits = [_READY[kind] % f"interp.pipes[{pipe!r}]" for kind, pipe
+                     in filter(None, map(_pipe_wait, block.instructions))]
+            if waits:
+                with step.side(f"if not ({' and '.join(waits)}):",
+                               (step.loaded, step.dirty)):
+                    step.flush(plan.live[name])
+                    step.emit(f"return {name!r}")
+            step.emit(f"counts[{name!r}] = counts.get({name!r}, 0) + 1",
+                      f"interp.fuel = fuel = interp.fuel - "
+                      f"{len(block.instructions) + 1}",
+                      "if fuel <= 0: raise interp._fuel_exhausted()")
+            run = block.instructions
+        follows, run = _emit_block(step, block, run), None
+        if step.home is not None:
+            todo += reversed(plan.joins.get(name, ()))
+        if follows is not None:
+            todo.append(follows)
 
 
 # -- blocking instructions ---------------------------------------------------
 #
-# Each heads the step of the run behind it: it returns its wait key while
-# the resource is not ready and accounts for itself only once it succeeds
-# (the reference oracle does the same: a blocked instruction adds nothing
-# until it executes).
+# In a root each heads the step of the run behind it: it returns its wait
+# key while the resource is not ready and accounts for itself only once it
+# succeeds (as the reference oracle does).
 
 
 def _emit_pipe_in(step: _Step, inst: PipeIn) -> None:
     count = len(inst.dests)
-    step.pipe(inst.pipe.name, "recv")
     step.emit(
         "message = pipe.recv()",
         "if not isinstance(message, tuple): message = (message,)",
@@ -635,7 +784,6 @@ def _emit_pipe_in(step: _Step, inst: PipeIn) -> None:
 
 
 def _emit_pipe_out(step: _Step, inst: PipeOut) -> None:
-    step.pipe(inst.pipe.name, "send")
     step.charge(1, inst.weight(), transmission=True)
     words = [step.read(value) for value in inst.values]
     step.emit(f"pipe.send(({''.join(word + ', ' for word in words)}))")
@@ -643,7 +791,6 @@ def _emit_pipe_out(step: _Step, inst: PipeOut) -> None:
 
 def _emit_pipe_recv(step: _Step, inst: Call) -> None:
     name = inst.args[0].name
-    step.pipe(name, "recv")
     step.charge(1, inst.weight())
     step.emit(
         "message = pipe.recv()",
@@ -654,7 +801,6 @@ def _emit_pipe_recv(step: _Step, inst: Call) -> None:
 
 
 def _emit_pipe_send(step: _Step, inst: Call) -> None:
-    step.pipe(inst.args[0].name, "send")
     step.charge(1, inst.weight())
     step.emit(f"pipe.send({step.read(inst.args[1])})")
 
@@ -667,55 +813,41 @@ def _emit_rbuf_next(step: _Step, inst: Call) -> None:
     step.write(inst.dest, _WRAP % "element")
 
 
-# The replication pseudo-instructions stay closures, steps of their own
-# (what they return is that step): they read no operand.  SeqAdvance
-# never blocks but accounts for itself, because the critical-section
-# bookkeeping reads ``stats.weight`` and must see exactly the weight the
-# reference oracle would at the same point.
+# The replication pseudo-instructions: their resource enters through the
+# step's globals.  SeqAdvance never blocks but accounts for itself: the
+# critical-section bookkeeping reads ``stats.weight`` and must see exactly
+# the weight the reference oracle would at the same point.
+
+#: The value of a resource's sequencer at this interpreter's turn.
+_TURN = "(stats.iterations - 1) * interp.seq_stride + interp.seq_offset"
 
 
-def _seq_wait_step(_, inst):
-    resource, weight = inst.resource, inst.weight()
-    wait = ("seq", resource)
-
-    def step(interp):
-        target = (interp.stats.iterations - 1) * interp.seq_stride \
-            + interp.seq_offset
-        if interp.state.sequencers.get(resource, 0) != target:
-            return wait
-        stats = interp.stats
-        stats.instructions += 1
-        stats.weight += weight
-        # First wait of the iteration acquires the resource.
-        interp._held.setdefault(resource, stats.weight)
-    return step, f"# closure: {inst}\n"
+def _emit_seq_wait(step: _Step, inst) -> None:
+    resource = f"RES{len(step.env)}"
+    step.env[resource] = inst.resource
+    step.emit(f"if state.sequencers.get({resource}, 0) != {_TURN}: "
+              f"return ('seq', {resource})")
+    step.charge(1, inst.weight())
+    # First wait of the iteration acquires the resource.
+    step.emit(f"interp._held.setdefault({resource}, stats.weight)")
 
 
-def _seq_advance_step(_, inst):
-    resource, weight = inst.resource, inst.weight()
-
-    def step(interp):
-        stats = interp.stats
-        stats.instructions += 1
-        stats.weight += weight
-        state = interp.state
-        current = state.sequencers.get(resource, 0)
-        expected = (stats.iterations - 1) * interp.seq_stride \
-            + interp.seq_offset
-        if current != expected:
-            raise TrapError(
-                f"{interp.function.name}: sequencer for {resource} "
-                f"advanced out of order ({current} != {expected})"
-            )
-        state.advance_sequencer(resource, current + 1)
-        start = interp._held.pop(resource, None)
-        if start is not None:
-            section = stats.weight - start
-            stats.serial_weight[resource] = (
-                stats.serial_weight.get(resource, 0) + section)
-            stats.serial_sections[resource] = (
-                stats.serial_sections.get(resource, 0) + 1)
-    return step, f"# closure: {inst}\n"
+def _emit_seq_advance(step: _Step, inst) -> None:
+    resource = f"RES{len(step.env)}"
+    step.env[resource] = inst.resource
+    step.charge(1, inst.weight())
+    step.emit(
+        f"current, expected = state.sequencers.get({resource}, 0), {_TURN}",
+        'if current != expected: raise TrapError(f"{interp.function.name}: '
+        "sequencer for {%s} advanced out of order ({current} != {expected})"
+        '")' % resource,
+        f"state.advance_sequencer({resource}, current + 1)",
+        f"start = interp._held.pop({resource}, None)",
+        "if start is not None:",
+        f"{_INDENT}stats.serial_weight[{resource}] = stats.serial_weight"
+        f".get({resource}, 0) + stats.weight - start",
+        f"{_INDENT}stats.serial_sections[{resource}] = stats.serial_sections"
+        f".get({resource}, 0) + 1")
 
 
 _BLOCKING_CALLS = {
@@ -724,11 +856,32 @@ _BLOCKING_CALLS = {
     "rbuf_next": _emit_rbuf_next,
 }
 
+#: Whether ``%s``, a pipe, is ready for either kind of wait.
+_READY = {"recv": "%s.queue", "send": "%s.can_send()"}
+
+
+def _pipe_wait(inst):
+    """The wait key of a pipe instruction, ``None`` for any other."""
+    if isinstance(inst, (PipeIn, PipeOut)):
+        return ("recv" if isinstance(inst, PipeIn) else "send"), inst.pipe.name
+    if (isinstance(inst, Call) and inst.is_intrinsic
+            and inst.callee in ("pipe_recv", "pipe_send")):
+        return inst.callee[5:], inst.args[0].name
+    return None
+
+
+def _may_inline(block: BasicBlock) -> bool:
+    """Whether ``block`` can run inline: all that waits in it waits on a
+    pipe, each on one of its own — so one test at the block's head,
+    before anything is accounted, answers for all of them."""
+    heads = [inst for inst in block.instructions if _own_step(inst)]
+    pipes = {wait[1] for wait in map(_pipe_wait, heads) if wait}
+    return len(pipes) == len(heads)
+
 
 def _own_step(inst):
     """``head`` when ``inst`` starts a step — ``head(step, inst)`` writes
-    it at the top of ``step``, or returns the finished step a closure
-    is on its own — and ``None`` for an instruction that rides in a run."""
+    it at the top of ``step`` — and ``None`` for one that rides in a run."""
     if isinstance(inst, PipeIn):
         return _emit_pipe_in
     if isinstance(inst, PipeOut):
@@ -742,10 +895,8 @@ def _own_step(inst):
     from repro.pipeline.replicate import SeqAdvance, SeqWait
 
     if isinstance(inst, SeqWait):
-        return _seq_wait_step
-    if isinstance(inst, SeqAdvance):
-        return _seq_advance_step
-    return None
+        return _emit_seq_wait
+    return _emit_seq_advance if isinstance(inst, SeqAdvance) else None
 
 
 def _compile_block(blocks: _LazyBlocks, function: Function,
@@ -764,12 +915,14 @@ def _compile_block(blocks: _LazyBlocks, function: Function,
             step.flush()
             built.append(step.finish())
             step, run = _Step(blocks, function, block.name), []
-        alone = head(step, inst)
-        if alone is not None:
-            built.append(alone)
+        key = _pipe_wait(inst)
+        if key:  # bind ``pipe``; its wait key unless it is ready
+            step.emit(f"pipe = interp.pipes[{key[1]!r}]", "if not "
+                      f"{_READY[key[0]] % 'pipe'}: return {key!r}")
+        head(step, inst)
     # The terminator's statistics ride on the trailing run (an
     # instruction-less one when the block ends with a blocking step).
-    _emit_block(step, block, run, 0)
+    _emit_nodes(step, block.name, run)
     built.append(step.finish())
     return CompiledBlock(
         block.name, [function for function, _ in built],

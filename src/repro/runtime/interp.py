@@ -10,11 +10,11 @@ instructions required for processing a minimum sized packet").
 
 Dispatch is generated code: :meth:`Interpreter.run` drives the step
 functions that :mod:`repro.runtime.compile` writes the first time a
-block runs — one call per region (a block and the single-predecessor
-successors inline behind it), with operands pre-resolved, registers in
-locals and ``prev_block`` kept by the generated code.  While blocked,
-the driver publishes the resource it waits for in ``wait_key``
-(``("recv", pipe)``, ``("send", pipe)``, ``("rbuf", port)``,
+block runs — one call per region (a root block and every block whose
+predecessors are all inside: typically a whole loop body), operands
+pre-resolved, registers in locals, ``prev_block`` kept by the generated
+code.  While blocked, the driver publishes what it waits for in
+``wait_key`` (``("recv", pipe)``, ``("send", pipe)``, ``("rbuf", port)``,
 ``("seq", resource)``, or ``None`` for a voluntary per-iteration yield),
 which the scheduler uses to park and wake interpreters.
 """

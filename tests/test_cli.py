@@ -168,6 +168,15 @@ def test_run_profile_reports_partition_verdict(demo_file, capsys):
                  "--iterations", "3", "--profile"]) == 0
     out = capsys.readouterr().out
     assert "partition: verified at degree 2" in out
+    # Per stage, the driver's round trips into generated code: the entry
+    # and one per pass through the loop start — stage 2 comes back once
+    # more, to find its pipe empty.
+    table = [line.split() for line in out.splitlines()]
+    assert ["stage", "instrs", "cycles", "iters", "tx-cycles", "blocked",
+            "dispatches"] in table
+    assert {row[0]: (row[3], row[-1]) for row in table
+            if row and row[0].startswith("demo.s")} \
+        == {"demo.s1of2": ("4", "4"), "demo.s2of2": ("4", "5")}
 
 
 def test_fuzz_smoke(capsys):

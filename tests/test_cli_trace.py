@@ -95,6 +95,8 @@ def test_trace_emits_runtime_counters(trace_doc):
             "pipe in_q", "pipe out_q", "wake_hub"} <= names
     by_name = {e["name"]: e["args"] for e in counters}
     assert by_name["stage demo.s1of2"]["instructions"] > 0
+    assert by_name["stage demo.s1of2"]["dispatches"] \
+        == by_name["stage demo.s1of2"]["iterations"] == 5
     assert by_name["pipe in_q"]["sent"] == 4
     assert by_name["pipe in_q"]["high_water"] == 4
     assert {"parks", "notifies", "wakes"} <= set(by_name["wake_hub"])

@@ -157,6 +157,7 @@ def test_runtime_report_skips_untouched_pipes():
     report = runtime_report({"main": stats}, state)
     assert [pipe.name for pipe in report.pipes] == ["used"]
     assert report.stages[0].name == "main"
+    assert report.stages[0].dispatches is None  # no function was named
     payload = report.as_dict()
     assert payload["wake_hub"] == {"parks": 0, "notifies": 0, "wakes": 0,
                                    "stranded": 0}
@@ -164,3 +165,24 @@ def test_runtime_report_skips_untouched_pipes():
     text = report.render()
     assert "runtime profile:" in text
     assert "used" in text and "idle" not in text
+
+
+def test_runtime_report_derives_dispatches_from_region_roots():
+    from repro.runtime import run_sequential
+    from repro.runtime.compile import compile_function
+
+    from helpers import STANDARD_PPS, compile_module, standard_setup
+
+    module = compile_module(STANDARD_PPS)
+    function = module.pps("worker")
+    state = MachineState(module)
+    standard_setup(state, 10)
+    stats = run_sequential(function, state, iterations=10)
+    report = runtime_report({"worker": stats}, state, functions=[function])
+    roots = set(compile_function(function).blocks)
+    assert roots < set(stats.block_counts)  # most blocks ran inline
+    dispatches = sum(stats.block_counts[root] for root in roots)
+    assert report.stages[0].dispatches == dispatches
+    assert report.as_dict()["stages"][0]["dispatches"] == dispatches
+    assert 10 <= dispatches < sum(stats.block_counts.values())
+    assert f"{dispatches:>11}" in report.render().splitlines()[2]

@@ -1,17 +1,20 @@
-"""Directed tests for regions: the extended basic blocks that
+"""Directed tests for regions: the structured pieces of a CFG — a root
+block and everything whose predecessors are all inside — that
 ``repro.runtime.compile`` writes as one Python function.
 
 The differential suite runs random programs; these pin what inlining a
-block, keeping its registers in locals and fusing a blocking head could
-get wrong: where a trap is charged and what its dead letter names, where
-an injected trap fires, what survives a back edge, a phi whose
-predecessor is known at generation time, and which blocks may never run
-inline.  Behaviour is compared with ``repro.testing.reference``; what the
-oracle does not model (quarantine, the fuel gauge, ``prev_block``) is
-pinned as literals that the basic-block generator before regions also
-produced.
+block, keeping its registers in locals, meeting at a join and testing a
+pipe ahead of its block could get wrong: where a trap is charged and
+what its dead letter names, where an injected trap fires, what survives
+a join and a back edge, a phi at a block that runs inline, and which
+blocks may never run inline.  Behaviour is compared with
+``repro.testing.reference``; what the oracle does not model (quarantine,
+the fuel gauge, ``prev_block``) is pinned as literals that the
+basic-block generator before regions also produced, or derived from the
+blocks a packet is known to pass through.
 """
 
+import functools
 import re
 
 import pytest
@@ -26,14 +29,26 @@ from repro.ir.instructions import (
     Call,
     Jump,
     Phi,
+    PipeOut,
     Return,
+    SwitchTerm,
 )
 from repro.ir.values import Const, PipeRef, VReg
 from repro.pipeline.transform import pipeline_pps
-from repro.runtime import Interpreter, MachineState, run_group, run_pipeline
+from repro.runtime import (
+    Interpreter,
+    MachineState,
+    assert_equivalent,
+    observe,
+    run_group,
+)
 from repro.runtime import compile as codegen
 from repro.runtime.compile import compile_function
-from repro.runtime.scheduler import run_sequential
+from repro.runtime.scheduler import (
+    pipeline_interpreters,
+    run_sequential,
+    sequential_interpreter,
+)
 from repro.testing import reference
 
 from test_runtime_compiled_differential import SEMANTIC_FIELDS
@@ -123,7 +138,7 @@ def test_chain_runs_inline_and_matches_reference():
     function = chain()
     interpreter, state, oracle = assert_matches_reference(
         function, [5, 3, 4, 7], **CHAIN)
-    assert regions(function)["head"] == ("a", "b", "cold", "c3")
+    assert regions(function)["head"] == ("a", "b", "cold", "c3", "latch")
     assert state.traces == {1: [0, 10, 6, 8], 2: [20, 25, 14], 9: [4]}
     assert interpreter.stats.block_counts == {
         "entry": 1, "head": 4, "a": 4, "b": 4, "cold": 1, "c3": 3, "latch": 4}
@@ -207,13 +222,14 @@ def test_injected_trap_fires_at_the_block_entry_the_gauge_runs_out(budget):
 
 def test_register_written_mid_region_survives_the_back_edge():
     # ``carried`` is dead on every edge inside the region and live only
-    # around the loop: the exit to ``latch`` must still write it back.
+    # around the loop: it stays in its local through the join at
+    # ``latch``, whose exit to ``head`` must still write it back.
     function = chain()
     _, state, _ = assert_matches_reference(function, [1, 2, 4], **CHAIN)
     assert state.traces[1] == [0, 2, 4]
     head = compile_function(function).blocks["head"]
-    assert re.findall(r"^ +(regs\[K\d+\] = \w+)$", head.source, re.M) \
-        == ["regs[K1] = r1"] * 2  # that write-back and no other, both exits
+    assert re.findall(r"^\s+(regs\[K\d+\] = \w+)$", head.source, re.M) \
+        == ["regs[K1] = r1"]  # that write-back and no other, at the one exit
 
 
 # -- phis --------------------------------------------------------------------
@@ -249,7 +265,7 @@ def test_phi_without_an_incoming_traps_inline_with_the_same_text():
 # -- blocks that never run inline --------------------------------------------
 
 
-def test_branch_to_one_block_twice_leaves_it_to_the_driver():
+def test_branch_to_one_block_twice_falls_through_once():
     x, c = VReg("x"), VReg("c")
     function = function_of({
         "entry": ([], Jump("head")),
@@ -260,8 +276,10 @@ def test_branch_to_one_block_twice_leaves_it_to_the_driver():
     interpreter, state, _ = assert_matches_reference(
         function, [4, 5, 6], loop_start="head", max_iterations=3)
     assert state.traces == {1: [4, 5, 6]}
-    assert regions(function) == {"entry": (), "head": (), "both": ()}
+    assert regions(function) == {"entry": (), "head": ("both",)}
     assert interpreter.stats.block_counts["both"] == 3
+    source = compile_function(function).blocks["head"].source
+    assert "if r" not in source and "else:" not in source  # written as a jump
 
 
 def straight_line():
@@ -305,6 +323,214 @@ def test_naming_a_loop_start_regenerates_regions_that_inlined_it():
     assert regions(function) == {"entry": (), "body": ("tail",)}
 
 
+# -- joins, switches and pipes inside a region --------------------------------
+#
+# Each shape is a loop over ``head`` (a ``pipe_recv`` from ``q``) whose
+# whole body is one region; ``path(packet)`` lists the blocks a packet
+# passes through after ``head``, by hand.
+
+
+def looped(blocks):
+    return function_of({"entry": ([], Jump("head")), **blocks,
+                        "latch": ([], Jump("head"))})
+
+
+def diamond():
+    x, c, y = VReg("x"), VReg("c"), VReg("y")
+    return looped({
+        "head": ([Call(x, "pipe_recv", [PipeRef("q")]),
+                  BinOp(c, "&", x, Const(1))], Branch(c, "odd", "even")),
+        "odd": ([BinOp(y, "*", x, Const(3))], Jump("join")),
+        "even": ([BinOp(y, "+", x, Const(10)), trace(2, x)], Jump("join")),
+        "join": ([trace(1, y)], Jump("latch")),
+    }), lambda packet: ["odd" if packet & 1 else "even", "join", "latch"]
+
+
+def short_circuit():
+    # ``if (x & 1 && x & 2) trace(2, x);`` as the front end lowers it.
+    x, c, sc = VReg("x"), VReg("c"), VReg("sc")
+    return looped({
+        "head": ([Call(x, "pipe_recv", [PipeRef("q")]),
+                  BinOp(c, "&", x, Const(1)), Assign(sc, c)],
+                 Branch(c, "rhs", "done")),
+        "rhs": ([BinOp(c, "&", x, Const(2)), Assign(sc, c)], Jump("done")),
+        "done": ([], Branch(sc, "then", "join")),
+        "then": ([trace(2, x)], Jump("join")),
+        "join": ([trace(1, sc)], Jump("latch")),
+    }), lambda packet: (["rhs"] if packet & 1 else []) + ["done"] + (
+        ["then"] if packet & 3 == 3 else []) + ["join", "latch"]
+
+
+def switch():
+    # Arms ``a0`` and ``a1`` meet at ``mid``, ahead of ``tail`` where the
+    # third arm and the default meet them: two joins awaited at once.
+    x, v, y = VReg("x"), VReg("v"), VReg("y")
+    return looped({
+        "head": ([Call(x, "pipe_recv", [PipeRef("q")]),
+                  BinOp(v, "&", x, Const(7))],
+                 SwitchTerm(v, {0: "a0", 1: "a1", 2: "a2", 5: "a1"}, "other")),
+        "a0": ([Assign(y, Const(100))], Jump("mid")),
+        "a1": ([BinOp(y, "+", x, Const(1))], Jump("mid")),
+        "a2": ([Assign(y, Const(2)), trace(3, x)], Jump("tail")),
+        "other": ([BinOp(y, "-", Const(0), x)], Jump("tail")),
+        "mid": ([trace(2, y)], Jump("tail")),
+        "tail": ([trace(1, y)], Jump("latch")),
+    }), lambda packet: {0: ["a0", "mid"], 1: ["a1", "mid"], 5: ["a1", "mid"],
+                        2: ["a2"]}.get(packet & 7, ["other"]) + ["tail",
+                                                                 "latch"]
+
+
+def sender():
+    # A ``pipe_out`` and a ``pipe_send`` in the middle of the region.
+    x, y = VReg("x"), VReg("y")
+    return looped({
+        "head": ([Call(x, "pipe_recv", [PipeRef("q")])], Jump("pre")),
+        "pre": ([BinOp(y, "+", x, Const(1))], Jump("out")),
+        "out": ([trace(2, x), PipeOut([y, x], PipeRef("out")), trace(3, y),
+                 Call(None, "pipe_send", [PipeRef("log"), y])],
+                Branch(x, "post", "latch")),
+        "post": ([trace(1, y)], Jump("latch")),
+    }), lambda packet: ["pre", "out"] + (["post"] if packet else []) + ["latch"]
+
+
+def drain(pipe):
+    """A second interpreter's function: receives from ``pipe`` for ever."""
+    z = VReg("z")
+    function = function_of({
+        "entry": ([], Jump("head")),
+        "head": ([Call(z, "pipe_recv", [PipeRef(pipe)]), trace(7, z)],
+                 Jump("head")),
+    })
+    function.name = "drain_" + pipe
+    return function
+
+
+PACKETS = [5, 2, 0, 3, 8, 1, 6, 7]
+
+
+def run_shape(function, budget=None, capacity=0):
+    """``function`` over PACKETS, trap isolation on; with ``capacity``
+    every pipe is bounded and ``out`` starts full, so the first send
+    finds it not ready, and drains empty ``out`` and ``log``."""
+    state = MachineState(Module(), pipe_capacity=capacity)
+    state.feed_pipe("q", PACKETS)
+    interpreter = Interpreter(function, state, loop_start="head",
+                              max_iterations=len(PACKETS))
+    group = {"f": interpreter}
+    if capacity:
+        state.feed_pipe("out", [(0, 0)])
+        for pipe in ("out", "log"):
+            group[pipe] = Interpreter(drain(pipe), state, loop_start="head")
+    if budget is not None:
+        interpreter.arm_injected_trap(budget, "injected")
+    run_group(group, isolate_traps=True)
+    return interpreter, state
+
+
+@pytest.mark.parametrize("shape, capacity", [
+    (diamond, 0), (short_circuit, 0), (switch, 0), (sender, 0), (sender, 1)])
+def test_injected_trap_fires_at_the_same_block_entry_in_every_shape(
+        shape, capacity):
+    function, path = shape()
+    interpreter, state = run_shape(function, capacity=capacity)
+    assert regions(function)["head"] == tuple(
+        name for name in function.block_order if name not in ("entry", "head"))
+    oracle, _, _ = run(function, PACKETS, reference.run_group,
+                       loop_start="head", max_iterations=len(PACKETS))
+    assert interpreter.stats.block_counts == oracle.stats.block_counts
+    executed = ["entry"] + [block for packet in PACKETS
+                            for block in ["head"] + path(packet)]
+    assert {name: executed.count(name) for name in set(executed)} \
+        == oracle.stats.block_counts  # the hand-written paths are right
+    if capacity:  # the full pipe sent the region out, and the driver back in
+        assert interpreter.stats.blocked > 0
+        assert "out" in compile_function(function).blocks
+    cost = {name: len(block.instructions) + 1
+            for name, block in function.blocks.items()}
+    for budget in range(1, sum(cost[block] for block in executed) + 1):
+        paid, previous = 0, None
+        for block in executed:
+            if paid + cost[block] >= budget:
+                break
+            paid, previous = paid + cost[block], block
+        _, state = run_shape(function, budget, capacity)
+        letters = [letter for letter in state.dead_letters
+                   if letter.stage == "f"]
+        assert [(letter.instructions, letter.last_block, letter.detail)
+                for letter in letters] == [(paid, previous, "f: injected")]
+
+
+def test_nesting_past_the_depth_bound_starts_a_region_of_its_own():
+    # Twenty ``if``s inside one another, each meeting its ``else`` again:
+    # nothing can be written flat, so the plan cuts where the text would
+    # nest too deep, and the blocks below run from the driver.
+    depth = 20
+    x, c = VReg("x"), VReg("c")
+    blocks = {"head": ([Call(x, "pipe_recv", [PipeRef("q")])], Jump("b0"))}
+    for level in range(depth):
+        blocks[f"b{level}"] = (
+            [BinOp(c, ">", x, Const(level))],
+            Branch(c, f"b{level + 1}", f"j{level}"))
+    blocks[f"b{depth}"] = ([trace(1, x)], Jump(f"j{depth - 1}"))
+    for level in reversed(range(depth)):
+        blocks[f"j{level}"] = ([trace(2, Const(level))],
+                               Jump(f"j{level - 1}" if level else "latch"))
+    function = looped(blocks)
+    assert_matches_reference(function, [0, 25, 7, 13], loop_start="head",
+                             max_iterations=4)
+    generated = compile_function(function).blocks
+    assert len(generated["head"].region) > codegen._MAX_DEPTH
+    assert len(generated) > 3  # entry, head, and what the bound cut off
+    for block in generated.values():
+        assert max(len(line) - len(line.lstrip("\t"))
+                   for line in block.source.splitlines()) \
+            <= codegen._MAX_DEPTH + 3
+
+
+def test_phis_at_an_inlined_join_swap_like_the_reference():
+    # ``a, b = b, a`` down both paths: each phi reads what the path that
+    # was taken left, in order — what that is, the oracle says.
+    x, c, a, b = (VReg(name) for name in "xcab")
+    function = looped({
+        "head": ([Call(x, "pipe_recv", [PipeRef("q")]),
+                  BinOp(c, "&", x, Const(1))], Branch(c, "left", "right")),
+        "left": ([Assign(a, x), Assign(b, Const(1))], Jump("join")),
+        "right": ([Assign(a, Const(2)), BinOp(b, "*", x, Const(5))],
+                  Jump("join")),
+        "join": ([Phi(a, {"left": b, "right": b}),
+                  Phi(b, {"left": a, "right": a}),
+                  trace(1, a), trace(2, b)], Jump("latch")),
+    })
+    _, state, _ = assert_matches_reference(
+        function, PACKETS, loop_start="head", max_iterations=len(PACKETS))
+    assert regions(function)["head"] == ("left", "right", "join", "latch")
+    assert state.traces[1] == [1, 10, 0, 1, 40, 1, 30, 1]
+
+
+def test_bounded_pipes_send_a_stage_out_of_its_region_and_back():
+    app = build_app("ipv4", packets=24)
+    sequential = MachineState(app.module)
+    packets = app.feed(sequential, app.stream())
+    run_sequential(app.module.pps(app.pps_name), sequential,
+                   iterations=packets)
+    stages = pipeline_pps(app.module, app.pps_name, 4).stages
+    bounded = MachineState(app.module)
+    for name, pipe in bounded.pipes.items():
+        pipe.capacity = int(".xfer" in name)  # the stage pipes: one slot
+    app.feed(bounded, app.stream())
+    interpreters = pipeline_interpreters(stages, bounded, packets)
+    interpreters[stages[-1].function.name]._slow_yields = 3  # rings fill
+    result = run_group(interpreters)
+    assert_equivalent(observe(sequential), observe(bounded))
+    assert sum(stats.blocked for stats in result.stats.values()) > packets
+    # A block that ran inline and, a pipe being full, also as a root.
+    assert any(set(compiled.blocks) & {
+        block for generated in compiled.blocks.values()
+        for block in generated.region[1:]}
+        for compiled in (compile_function(stage.function)
+                         for stage in stages))
+
+
 # -- structure over the suite ------------------------------------------------
 
 SUITE = ("rx", "ipv4", "ip_v4", "ip_v6", "scheduler", "qm", "tx")
@@ -312,14 +538,22 @@ SUITE = ("rx", "ipv4", "ip_v4", "ip_v6", "scheduler", "qm", "tx")
 #: Generated lines per IR instruction, over the functions of one app:
 #: about two for an instruction and its operand loads, and a block of
 #: five instructions pays seven for its bookkeeping and one exit (the
-#: basic-block generator wrote 2.8 to 4.1, regions write 3.3 to 4.5).
+#: basic-block generator wrote 2.8 to 4.1, the extended basic block 3.3
+#: to 4.5, the structured region writes 2.9 to 4.3).
 LINES_PER_INSTRUCTION = 5
 
+#: Driver round trips per stage-iteration over the suite at 24 packets:
+#: 4 667 over 2 618, 1.78 (the extended basic block made 16 906, 6.46; an
+#: inner loop and a full region still end one).
+DISPATCHES_PER_ITERATION = 2.5
 
-@pytest.mark.parametrize("name", SUITE)
-def test_regions_of_the_suite_keep_their_rules(name):
+
+@functools.lru_cache(maxsize=None)
+def suite_run(name):
+    """``(function, its InterpStats)`` of app ``name`` run sequentially
+    and as 4- and 9-stage pipelines over 24 packets."""
     app = build_app(name, packets=24)
-    module, functions = app.module, [app.module.pps(app.pps_name)]
+    module = app.module
 
     def fed():
         state = MachineState(module)
@@ -328,34 +562,57 @@ def test_regions_of_the_suite_keep_their_rules(name):
         return state, app.feed(state, app.stream())
 
     state, packets = fed()
-    run_sequential(functions[0], state, iterations=packets)
+    groups = [{app.pps_name: sequential_interpreter(
+        module.pps(app.pps_name), state, packets)}]
     for degree in (4, 9):
-        stages = pipeline_pps(module, app.pps_name, degree).stages
         state, packets = fed()
-        run_pipeline(stages, state, iterations=packets)
-        functions += [stage.function for stage in stages]
+        groups.append(pipeline_interpreters(
+            pipeline_pps(module, app.pps_name, degree).stages, state,
+            packets))
+    for group in groups:
+        run_group(group)
+    return [(interpreter.function, interpreter.stats)
+            for group in groups for interpreter in group.values()]
+
+
+@pytest.mark.parametrize("name", SUITE)
+def test_regions_of_the_suite_keep_their_rules(name):
     lines = instructions = 0
-    for function in functions:
+    for function, _ in suite_run(name):
         compiled = compile_function(function)
         assert compiled.blocks, function.name
         predecessors = function.predecessors()
+        owner = {block: generated.name for generated
+                 in compiled.blocks.values() for block in generated.region}
         inlined = [block for region in regions(function).values()
                    for block in region]
         assert len(inlined) == len(set(inlined))  # no block twice
         assert not set(inlined) & set(compiled.blocks)  # nor as a root
         for block in inlined:
-            assert len(predecessors[block]) == 1, block
+            # Every way into it starts in its own region.
+            assert {owner.get(source) for source in predecessors[block]} \
+                == {owner[block]}, block
             assert block != function.entry
             assert block not in compiled.blocks.pinned
-            assert not any(map(codegen._own_step,
-                               function.block(block).instructions)), block
+            assert codegen._may_inline(function.block(block)), block
         for generated in compiled.blocks.values():
             sizes = [len(function.block(block).instructions) + 1
                      for block in generated.region]
             assert sum(sizes[1:]) < codegen._MAX_INSTRUCTIONS
             assert max(len(line) - len(line.lstrip())
                        for line in generated.source.splitlines()) \
-                <= 4 * (codegen._MAX_DEPTH + 3)  # def, if, try
+                <= codegen._MAX_DEPTH + 3  # def, if, try
             lines += generated.source.count("\n")
             instructions += sum(sizes)
     assert lines <= LINES_PER_INSTRUCTION * instructions
+
+
+def test_the_suite_stays_inside_its_dispatch_budget():
+    # Exact: a count of block executions, not a time.
+    dispatches = iterations = 0
+    for name in SUITE:
+        for function, stats in suite_run(name):
+            dispatches += compile_function(function) \
+                .dispatches(stats.block_counts)
+            iterations += stats.iterations
+    assert 0 < dispatches <= DISPATCHES_PER_ITERATION * iterations
