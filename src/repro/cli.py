@@ -18,7 +18,7 @@ Usage (also via ``python -m repro``)::
         --faults worker-kill                 # supervised sharded serving
     repro figures [-j N] [-o FILE]           # the paper's Figures 19-22
     repro plan -j 4                          # pre-partition matrix into cache
-    repro explore [--auto-pick] [-o DIR]     # design-space Pareto frontier
+    repro explore [-o DIR]                   # design-space Pareto frontier
     repro fuzz [--seeds 50] [--out DIR]      # progen fuzz of the partitioner
     repro fuzz -j 4                          # parallel fuzz campaign
     repro fuzz --self-test                   # verifier mutation self-test
@@ -664,15 +664,12 @@ def cmd_explore(args) -> int:
 
     apps = (_parse_list("--apps", args.apps) if args.apps
             else FIGURE19_APPS)
-    incremental = {"on": (True,), "off": (False,),
-                   "both": (True, False)}[args.incremental]
     try:
         space = SearchSpace(
             apps=tuple(apps),
             degrees=tuple(_parse_list("--degrees", args.degrees, int)),
             rings=tuple(_parse_list("--rings", args.rings)),
             epsilons=tuple(_parse_list("--epsilons", args.epsilons, float)),
-            incremental=incremental,
             max_block_instructions=tuple(_parse_list(
                 "--max-block-instructions", args.max_block_instructions,
                 int)),
@@ -705,17 +702,6 @@ def cmd_explore(args) -> int:
 
     print(render_summary(report))
     _print_failures(report.get("failures", []))
-    if args.auto_pick:
-        for app, entry in report["apps"].items():
-            pick = entry["pick"]
-            if pick is None:
-                print(f"pick {app}: none — no verified, non-degraded "
-                      f"cell in the space")
-                continue
-            print(f"pick {app}: {pick['id']} "
-                  f"(score {pick['score']:.4f}) — {pick['why']}")
-            if pick.get("tie_break"):
-                print(f"  tie-break: {pick['tie_break']}")
     print(f"wrote {frontier_path}")
     return EXIT_FAILURE if report.get("failures") else EXIT_OK
 
@@ -878,9 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "nn-ring,scratch-ring)")
     p_explore.add_argument("--epsilons", default=f"{Knobs.epsilon:g}",
                            help="comma-separated balance-slack values")
-    p_explore.add_argument("--incremental", default="on",
-                           choices=["on", "off", "both"],
-                           help="incremental-restart partitioner knob")
     p_explore.add_argument("--max-block-instructions",
                            default=str(Knobs.max_block_instructions),
                            help="comma-separated block-split thresholds")
@@ -895,9 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--min-gain", type=float, default=0.0,
                            help="marginal rule: minimum score gain to "
                                 "keep climbing (default: 0)")
-    p_explore.add_argument("--auto-pick", action="store_true",
-                           help="print the explained per-app pick "
-                                "(the pick is always in frontier.json)")
     p_explore.add_argument("-o", "--out", default="explore-out",
                            help="output directory (frontier.json, "
                                 "frontier.md, timings.json)")

@@ -6,9 +6,11 @@ stage-guarantee line shows that stage counts picked from a measured
 frontier beat fixed-k heuristics.  This module is that search for PPS-C:
 
 1. **enumerate** a declarative :class:`SearchSpace` per app — pipeline
-   degree D, balance slack ε, partitioner knobs (incremental restart,
-   ``max_block_instructions``), and named machine cost tables
-   (:mod:`repro.machine.costs` registry, e.g. NN vs scratch rings);
+   degree D, balance slack ε, the block-split threshold
+   (``max_block_instructions``), and named machine cost tables
+   (:mod:`repro.machine.costs` registry, e.g. NN vs scratch rings) —
+   only inputs that can move a partition; how the solver reaches a cut
+   (§3.3's resumed preflow, warm starts) is not a dimension;
 2. **evaluate** every cell through the cached, parallel,
    supervisor-verified pipeline (:mod:`repro.eval.sweep` fan-out): each
    cell is partitioned via :func:`~repro.pipeline.supervisor.supervise_partition`
@@ -52,7 +54,7 @@ from repro.runspec import Knobs
 
 #: Version of the frontier-report schema; bump on layout changes, with
 #: the regenerated ``EXPLORE_frontier.json`` in the same commit.
-EXPLORE_SCHEMA_VERSION = 1
+EXPLORE_SCHEMA_VERSION = 2
 
 #: Objective directions: maximize speedup, minimize words and stages.
 OBJECTIVES = ("speedup", "transmitted_words", "stages")
@@ -79,7 +81,6 @@ class SearchSpace:
     degrees: tuple
     rings: tuple = (Knobs.costs.name,)
     epsilons: tuple = (Knobs.epsilon,)
-    incremental: tuple = (Knobs.incremental,)
     max_block_instructions: tuple = (Knobs.max_block_instructions,)
     packets: int = 60
     seed: int = 7
@@ -130,7 +131,7 @@ class SearchSpace:
         return self
 
     def combos(self) -> list[Knobs]:
-        """Deterministic ring x epsilon x incremental x block-split
+        """Deterministic ring x epsilon x block-split
         :class:`~repro.runspec.Knobs` combinations.
 
         Ring order follows the caller's ``rings`` tuple (canonicalized);
@@ -140,11 +141,10 @@ class SearchSpace:
         from repro.machine.costs import cost_table
 
         return [Knobs(costs=cost_table(ring), epsilon=epsilon,
-                      incremental=incremental, max_block_instructions=mbi)
-                for ring, epsilon, incremental, mbi in itertools.product(
+                      max_block_instructions=mbi)
+                for ring, epsilon, mbi in itertools.product(
                     self.canonical_rings(),
                     sorted(set(self.epsilons)),
-                    sorted(set(self.incremental), reverse=True),
                     sorted(set(self.max_block_instructions)))]
 
     def cell_count(self) -> int:
@@ -166,7 +166,6 @@ class SearchSpace:
             "degrees": sorted(set(self.degrees)),
             "rings": self.canonical_rings(),
             "epsilons": sorted(set(self.epsilons)),
-            "incremental": sorted(set(self.incremental), reverse=True),
             "max_block_instructions": sorted(
                 set(self.max_block_instructions)),
             "packets": self.packets,
@@ -175,8 +174,7 @@ class SearchSpace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchSpace":
-        known = {"apps", "degrees", "rings", "epsilons", "incremental",
-                 "max_block_instructions", "packets", "seed"}
+        known = set(cls.__dataclass_fields__)
         unknown = sorted(set(data) - known)
         if unknown:
             raise ExploreError(f"unknown search-space keys: "
@@ -184,6 +182,33 @@ class SearchSpace:
         kwargs = {key: (tuple(value) if isinstance(value, list) else value)
                   for key, value in data.items()}
         return cls(**kwargs).validate()
+
+
+def cell_dims(knobs: Knobs) -> tuple:
+    """Which knobs name an explore cell, declared once: per search
+    dimension beside the degree, in id order, ``(config key, value, id
+    fragment, CLI spelling)``.  A cell's ``id`` and ``config``, the pick
+    ladders' grouping and a sweep task's description and reproduce
+    one-liner are all read off this, so a dimension is added or removed
+    here and as a :class:`SearchSpace` field, nowhere else."""
+    ring, eps = knobs.costs.name, f"{knobs.epsilon:g}"
+    mbi = knobs.max_block_instructions
+    return (
+        ("ring", ring, ring, f"--rings {ring}"),
+        ("epsilon", knobs.epsilon, f"e{eps}", f"--epsilons {eps}"),
+        ("max_block_instructions", mbi, f"b{mbi}",
+         f"--max-block-instructions {mbi}"),
+    )
+
+
+def cell_name(app: str, degree: int, knobs: Knobs) -> dict:
+    """The naming fields of a cell record: ``id``, ``app``, ``config``."""
+    dims = cell_dims(knobs)
+    ring, *rest = (fragment for _, _, fragment, _ in dims)
+    return {"id": "/".join([app, ring, f"d{degree}", *rest]),
+            "app": app,
+            "config": {"degree": degree,
+                       **{key: value for key, value, _, _ in dims}}}
 
 
 # -- the user-weighted objective ---------------------------------------------
@@ -304,9 +329,9 @@ def _dominator_id(cell: dict, cells: list[dict]) -> str | None:
 
 
 def _combo_key(cell: dict) -> tuple:
-    config = cell["config"]
-    return (config["ring"], config["epsilon"], config["incremental"],
-            config["max_block_instructions"])
+    """A cell's ladder: every ``config`` entry but the degree."""
+    return tuple(value for key, value in sorted(cell["config"].items())
+                 if key != "degree")
 
 
 def _tie_key(cell: dict, score: float) -> tuple:
@@ -616,7 +641,8 @@ def render_summary(report: dict) -> str:
     for app, entry in report["apps"].items():
         pick = entry["pick"]
         if pick is None:
-            lines.append(f"  {app:10s} no eligible configuration")
+            lines.append(f"  {app:10s} no eligible configuration (no "
+                         f"verified, non-degraded cell in the space)")
             continue
         metrics = pick["metrics"]
         lines.append(
@@ -624,6 +650,9 @@ def render_summary(report: dict) -> str:
             f"{pick['config']['ring']:12s} speedup {metrics['speedup']:5.2f}x "
             f"words {metrics['transmitted_words']:3d} "
             f"score {pick['score']:.4f}")
+        lines.append(f"    {pick['id']} — {pick['why']}")
+        if pick.get("tie_break"):
+            lines.append(f"    tie-break: {pick['tie_break']}")
     if report.get("failures"):
         lines.append(f"  {len(report['failures'])} cells FAILED")
     return "\n".join(lines)

@@ -205,7 +205,7 @@ class FuzzReport:
         return not self.failures
 
     def render(self) -> str:
-        lines = [f"fuzz: {self.cases} programs "
+        lines = [f"fuzz: {self.seeds} programs, {self.cases} cases "
                  f"(seeds {self.start_seed}.."
                  f"{self.start_seed + self.seeds - 1}, "
                  f"degrees {','.join(map(str, self.degrees))}, "
@@ -273,15 +273,15 @@ def run_fuzz(seeds: int = 50, *, start_seed: int = 0,
              jobs: int = 1) -> FuzzReport:
     """Fuzz ``seeds`` generated programs through the whole contract.
 
-    Every case gets a deterministic degree from ``degrees`` (round
-    robin) and a deterministic input stream, so a failing seed printed
-    by CI reproduces locally with the same flags.
+    A case is a (seed, degree) cell: every program runs at every one of
+    ``degrees`` over a deterministic input stream, so a failing cell
+    printed by CI reproduces locally with the same flags.
 
     The cases are ``fuzz`` cells of the sweep runner
     (:func:`repro.eval.sweep.run_sweep`; ``jobs`` is ``repro fuzz -j``).
-    Each case is a pure function of its seed, and results are merged in
-    seed order, so the report is identical at any parallelism level; a
-    crashed case or a dead worker is a
+    Each case is a pure function of its seed and degree, and results are
+    merged in (seed, degree) order, so the report is identical at any
+    parallelism level; a crashed case or a dead worker is a
     :class:`~repro.eval.sweep.SweepError` naming the seed.
     """
     from repro.eval.sweep import SweepTask, run_sweep
@@ -290,10 +290,10 @@ def run_fuzz(seeds: int = 50, *, start_seed: int = 0,
     report = FuzzReport(seeds=seeds, start_seed=start_seed,
                         degrees=tuple(degrees), packets=packets)
     tasks = [SweepTask("fuzz",
-                       RunSpec("progen", packets, start_seed + index,
-                               (report.degrees[index % len(report.degrees)],)),
+                       RunSpec("progen", packets, seed, (degree,)),
                        shrink_tests=max_shrink_tests if shrink else 0)
-             for index in range(seeds)]
+             for seed in range(start_seed, start_seed + seeds)
+             for degree in report.degrees]
     for result in run_sweep(tasks, jobs=jobs):
         report.cases += 1
         if result["failure"] is not None:

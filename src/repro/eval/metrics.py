@@ -105,16 +105,16 @@ def make_profiler(app: AppInstance):
 
 
 def partition_app(app: AppInstance, degrees, *, cache=None,
-                  warm_start: bool = True, knobs: Knobs = Knobs()):
+                  knobs: Knobs = Knobs()):
     """Partition ``app`` at every degree > 1, sharing analyses and warm
     starts across the sweep.
 
     One :class:`~repro.analysis.context.AnalysisContext` (normalize /
-    profile / SSA / dependence computed once) and, unless ``warm_start``
-    is off, one :class:`~repro.flownet.warmstart.WarmStartCache` (cut
-    *i* of degree D seeds cut *i* of degree D+1) serve the whole degree
-    sweep.  Returns ``(transforms, breakdown)`` where ``transforms``
-    maps degree -> :class:`PipelineResult` and ``breakdown`` maps
+    profile / SSA / dependence computed once) and one
+    :class:`~repro.flownet.warmstart.WarmStartCache` (cut *i* of degree
+    D seeds cut *i* of degree D+1) serve the whole degree sweep.
+    Returns ``(transforms, breakdown)`` where ``transforms`` maps
+    degree -> :class:`PipelineResult` and ``breakdown`` maps
     ``str(degree)`` to per-degree phase stats: wall ``seconds``,
     ``cut_iterations`` (balanced-cut collapse steps), ``pr_work``
     (push-relabel discharges), and ``warm_hits`` (cuts whose initial
@@ -128,7 +128,7 @@ def partition_app(app: AppInstance, degrees, *, cache=None,
 
     context = AnalysisContext(app.module, app.pps_name,
                               knobs.max_block_instructions)
-    warm = WarmStartCache() if warm_start else None
+    warm = WarmStartCache()
     transforms: dict[int, PipelineResult] = {}
     breakdown: dict[str, dict] = {}
     for degree in sorted(set(degrees)):

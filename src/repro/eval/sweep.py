@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 
 from repro.errors import ReproError
+from repro.eval.explore import cell_dims, cell_name
 from repro.runspec import RunSpec
 
 
@@ -64,10 +65,9 @@ class SweepTask:
     shrink_tests: int = 0           # fuzz: shrink budget (0 = unshrunk)
 
     def describe(self) -> str:
-        spec, k = self.spec, self.spec.knobs
-        knobs = (f" ring={k.costs.name} eps={k.epsilon:g} "
-                 f"inc={'on' if k.incremental else 'off'} "
-                 f"mbi={k.max_block_instructions}"
+        spec = self.spec
+        knobs = (" " + "/".join(fragment for _, _, fragment, _
+                                in cell_dims(spec.knobs))
                  if self.kind == "explore" else "")
         return (f"{self.kind} {spec.app} "
                 f"D={','.join(map(str, spec.degrees))}{knobs}")
@@ -88,12 +88,11 @@ class SweepTask:
             return (f"repro plan --apps {spec.app} --degrees {degrees} "
                     f"--packets {spec.packets} --seed {spec.seed} -j 1")
         if self.kind == "explore":
-            k = spec.knobs
+            knobs = " ".join(flag for _, _, _, flag
+                             in cell_dims(spec.knobs))
             return (f"repro explore --apps {spec.app} --degrees {degrees} "
-                    f"--rings {k.costs.name} --epsilons {k.epsilon:g} "
-                    f"--incremental {'on' if k.incremental else 'off'} "
-                    f"--max-block-instructions {k.max_block_instructions} "
-                    f"--packets {spec.packets} --seed {spec.seed} -j 1")
+                    f"{knobs} --packets {spec.packets} --seed {spec.seed} "
+                    f"-j 1")
         return (f"repro figures --packets {spec.packets} "
                 f"--degrees {degrees} -j 1  "
                 f"# cell: app={spec.app} seed={spec.seed}")
@@ -263,20 +262,6 @@ def _score_explore(task: SweepTask, cache):
     context = AnalysisContext(app.module, app.pps_name,
                               knobs.max_block_instructions)
 
-    def cell_id(degree: int) -> str:
-        inc = "inc" if knobs.incremental else "noinc"
-        return (f"{spec.app}/{knobs.costs.name}/d{degree}/"
-                f"e{knobs.epsilon:g}/{inc}/b{knobs.max_block_instructions}")
-
-    def config(degree: int) -> dict:
-        return {
-            "degree": degree,
-            "ring": knobs.costs.name,
-            "epsilon": knobs.epsilon,
-            "incremental": knobs.incremental,
-            "max_block_instructions": knobs.max_block_instructions,
-        }
-
     cells = []
     cell_failures = []
     partition_total = 0.0
@@ -284,9 +269,7 @@ def _score_explore(task: SweepTask, cache):
         if degree <= 1:
             # The sequential "pipeline": always valid, nothing transmitted.
             cells.append({
-                "id": cell_id(1),
-                "app": spec.app,
-                "config": config(1),
+                **cell_name(spec.app, 1, knobs),
                 "verified": True,
                 "degraded": False,
                 "achieved_degree": 1,
@@ -306,9 +289,7 @@ def _score_explore(task: SweepTask, cache):
                 context=context)
             partition_total += partition_seconds
             cell = {
-                "id": cell_id(degree),
-                "app": spec.app,
-                "config": config(degree),
+                **cell_name(spec.app, degree, knobs),
                 "verified": outcome.ok,
                 "degraded": outcome.degraded,
                 "achieved_degree": outcome.achieved_degree,
@@ -341,7 +322,7 @@ def _score_explore(task: SweepTask, cache):
                 raise
             cell_task = replace(task, spec=replace(spec, degrees=(degree,)))
             record = _failure_record(cell_task, _classify(cell_task, exc))
-            record["cell"] = cell_id(degree)
+            record["cell"] = cell_name(spec.app, degree, knobs)["id"]
             cell_failures.append(record)
 
     return ({"cells": cells, "cell_failures": cell_failures},

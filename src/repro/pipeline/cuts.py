@@ -89,7 +89,7 @@ def unit_profile_dims(model: LoopDependenceModel,
 def select_stages(model: LoopDependenceModel, degree: int, *,
                   costs: CostModel = Knobs.costs,
                   epsilon: float = Knobs.epsilon,
-                  incremental: bool = Knobs.incremental,
+                  incremental: bool = True,
                   profiles: list[dict[str, float]] | None = None,
                   warm: WarmStartCache | None = None) -> StageAssignment:
     """Assign every dependence unit (and block) to one of ``degree`` stages.
@@ -101,6 +101,10 @@ def select_stages(model: LoopDependenceModel, degree: int, *,
     degrees, supervisor rungs, or the previous cut); each cut then seeds
     its max flow from the closest recorded solve and records its own.
     The selected cuts are bit-identical with or without it.
+
+    ``incremental=False`` re-solves every ε-collapse step from a zero
+    flow — the §3.3 ablation's reference, selecting the same cuts with
+    more work; ``pipeline_pps`` never passes it.
     """
     if degree < 1:
         raise ValueError("pipelining degree must be >= 1")

@@ -5,9 +5,9 @@ in a staged graceful-degradation ladder:
 
 1. partition at the requested degree D and verify independently;
 2. on a partitioner exception *or* a verifier rejection, retry the same
-   degree with perturbed cut knobs (flip the incremental warm-restart,
-   widen the balance slack, split blocks finer) — a different search
-   trajectory often sidesteps a heuristic's bad corner;
+   degree once with the balance slack doubled and blocks split finer —
+   the perturbation that can move a cut (and so a verdict), and one
+   that also takes the solver down a different trajectory;
 3. when every attempt at a degree fails, degrade D → ⌈D/2⌉ → … → 1.
    The sequential "pipeline" (degree 1) is always valid, so supervised
    partitioning returns a usable program for any well-formed PPS.
@@ -38,8 +38,7 @@ from repro.runspec import Knobs
 
 #: The knobs an attempt's JSON record reports (cost table and strategy
 #: are the caller's at every attempt).
-_REPORTED_KNOBS = ("epsilon", "incremental", "interference",
-                   "max_block_instructions")
+_REPORTED_KNOBS = ("epsilon", "interference", "max_block_instructions")
 
 
 @dataclass
@@ -120,38 +119,36 @@ def degradation_ladder(degree: int) -> list[int]:
     return rungs
 
 
-def _knob_perturbations(base: Knobs, retries: int) -> list[Knobs]:
-    """The knob sets tried at one degree: the caller's, then perturbed."""
-    flipped = replace(base, incremental=not base.incremental)
+def _rung_knobs(base: Knobs) -> list[Knobs]:
+    """The knob sets tried at one degree: the caller's, then widened."""
     widened = replace(base, epsilon=base.epsilon * 2)
     if base.max_block_instructions > 0:
         widened = replace(widened, max_block_instructions=max(
             4, base.max_block_instructions // 2))
-    return [base, flipped, widened][:1 + max(0, retries)]
+    return [base, widened]
 
 
 def supervise_partition(module: Module, pps_name: str, degree: int, *,
                         knobs: Knobs = Knobs(),
                         profiler=None,
                         cache=None,
-                        retries: int = 1,
                         partition=pipeline_pps,
                         verifier=verify_partition,
-                        context: AnalysisContext | None = None,
-                        warm_start: bool = True) -> PartitionOutcome:
+                        context: AnalysisContext | None = None
+                        ) -> PartitionOutcome:
     """Partition ``pps_name`` at (up to) ``degree`` stages, verified.
 
-    ``knobs`` is the first attempt's :class:`~repro.runspec.Knobs`;
-    ``retries`` is the number of *extra* knob-perturbed attempts per
-    degree before degrading.  ``partition`` and ``verifier`` are test
-    seams (fault injection into the partitioner, verifier doubles); they
-    default to the real ``pipeline_pps`` / ``verify_partition``.
+    ``knobs`` is the first attempt's :class:`~repro.runspec.Knobs`; each
+    degree gets one more attempt, widened (:func:`_rung_knobs`), before
+    degrading.  ``partition`` and ``verifier`` are test seams (fault
+    injection into the partitioner, verifier doubles); they default to
+    the real ``pipeline_pps`` / ``verify_partition``.
 
     Every ladder rung shares one :class:`AnalysisContext` per
     block-split setting (a caller-supplied ``context`` seeds the pool)
-    and, when ``warm_start`` is on, one :class:`WarmStartCache`, so a
-    retry pays only for cut selection, not re-analysis.  The shared
-    context is also handed to the verifier.
+    and one :class:`WarmStartCache`, so a retry pays only for cut
+    selection, not re-analysis.  The shared context is also handed to
+    the verifier.
 
     Raises :class:`PipelineError` only for malformed *inputs* (unknown
     PPS, degree < 1) — the conditions no amount of degradation can fix.
@@ -166,10 +163,10 @@ def supervise_partition(module: Module, pps_name: str, degree: int, *,
     if context is not None and context.matches(
             module, pps_name, knobs.max_block_instructions):
         contexts[knobs.max_block_instructions] = context
-    warm = WarmStartCache() if warm_start else None
+    warm = WarmStartCache()
     attempts: list[AttemptRecord] = []
     for rung in degradation_ladder(degree):
-        for tried in _knob_perturbations(knobs, retries):
+        for tried in _rung_knobs(knobs):
             try:
                 # Built inside the try: an analysis crash on a malformed
                 # body must degrade down the ladder, not escape it.

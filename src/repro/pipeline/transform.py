@@ -151,7 +151,6 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
             else:
                 assignment = select_stages(model, degree, costs=knobs.costs,
                                            epsilon=knobs.epsilon,
-                                           incremental=knobs.incremental,
                                            profiles=profiles,
                                            warm=warm)
         with obs.span("liveset_layout", cat="compile", pps=pps_name):

@@ -28,14 +28,16 @@ from repro.pipeline.liveset import Strategy
 class Knobs:
     """The partitioner's inputs beside the program and the degree.
 
-    The field names are ``compile_key``'s keywords: two runs share a
-    cached partition exactly when their knobs (and profiles) are equal.
+    The field names are the keywords ``compile_key`` hashes: two runs
+    share a cached partition exactly when their knobs (and profiles) are
+    equal.  A field belongs here only if some partition changes with it;
+    how the solver reaches a cut (§3.3's resumed preflow, warm starts)
+    changes none and is not a knob.
     """
 
     costs: CostModel = NN_RING          # channel cost table (VCost / CCost)
     epsilon: float = 1.0 / 16.0         # balance variance (paper §3.3)
     strategy: Strategy = Strategy.PACKED    # live-set transmission layout
-    incremental: bool = True            # warm-restart the ε-collapse steps
     interference: str = "exact"         # live-set packing interference
     max_block_instructions: int = 12    # block-split threshold (0 = off)
 

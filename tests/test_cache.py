@@ -44,8 +44,8 @@ from repro.pipeline.transform import pipeline_pps
 from helpers import STANDARD_PPS, compile_module
 
 _KEY_KNOBS = dict(costs=NN_RING, epsilon=1.0 / 16.0,
-                  strategy=Strategy.PACKED, incremental=True,
-                  interference="exact", max_block_instructions=12)
+                  strategy=Strategy.PACKED, interference="exact",
+                  max_block_instructions=12)
 
 
 def _key(module, degree=2, **overrides):

@@ -282,10 +282,9 @@ CLI_SURFACE = {
              "--keep-going --no-cache --output --packets --plans --seed "
              "--sweep -j -o",
     "check": "file",
-    "explore": "--apps --auto-pick --cache-dir --degrees --epsilons "
-               "--incremental --jobs --keep-going --max-block-instructions "
-               "--min-gain --no-cache --out --packets --pick-rule --rings "
-               "--seed --weights -j -o",
+    "explore": "--apps --cache-dir --degrees --epsilons --jobs "
+               "--keep-going --max-block-instructions --min-gain --no-cache "
+               "--out --packets --pick-rule --rings --seed --weights -j -o",
     "figures": "--degrees --jobs --output --packets -j -o",
     "fuzz": "--degrees --jobs --out --packets --seeds --self-test "
             "--start-seed -j",
@@ -320,4 +319,4 @@ def test_cli_surface():
     assert surface == CLI_SURFACE
     long_options = {option for options in surface.values()
                     for option in options.split() if option.startswith("--")}
-    assert (len(surface), len(long_options)) == (10, 45)
+    assert (len(surface), len(long_options)) == (10, 43)

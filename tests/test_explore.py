@@ -82,13 +82,11 @@ def test_duplicate_metrics_all_stay_on_the_frontier():
 
 
 def _cell(degree, speedup, words, *, ring="nn-ring", verified=True,
-          degraded=False, epsilon=0.0625, incremental=True, mbi=12):
-    inc = "inc" if incremental else "noinc"
+          degraded=False, epsilon=0.0625, mbi=12):
     return {
-        "id": f"app/{ring}/d{degree}/e{epsilon:g}/{inc}/b{mbi}",
+        "id": f"app/{ring}/d{degree}/e{epsilon:g}/b{mbi}",
         "app": "app",
         "config": {"degree": degree, "ring": ring, "epsilon": epsilon,
-                   "incremental": incremental,
                    "max_block_instructions": mbi},
         "verified": verified,
         "degraded": degraded,
@@ -237,14 +235,14 @@ def test_combos_are_deterministic_and_deduplicated():
     space = SearchSpace(apps=("rx",), degrees=(2,),
                         rings=("nn", "nn-ring"),
                         epsilons=(0.25, 0.0625, 0.25),
-                        incremental=(False, True))
+                        max_block_instructions=(12, 6))
     combos = space.combos()
     assert combos == space.combos()
     assert combos == [
-        Knobs(epsilon=0.0625, incremental=True),
-        Knobs(epsilon=0.0625, incremental=False),
-        Knobs(epsilon=0.25, incremental=True),
-        Knobs(epsilon=0.25, incremental=False),
+        Knobs(epsilon=0.0625, max_block_instructions=6),
+        Knobs(epsilon=0.0625, max_block_instructions=12),
+        Knobs(epsilon=0.25, max_block_instructions=6),
+        Knobs(epsilon=0.25, max_block_instructions=12),
     ]
     assert space.cell_count() == 4
 

@@ -46,7 +46,7 @@ def test_fuzz_smoke_is_clean_and_deterministic():
     first = run_fuzz(6, packets=12)
     second = run_fuzz(6, packets=12)
     assert first.ok, first.render()
-    assert first.cases == 6
+    assert first.cases == 6 * 3         # a case is (seed, degree)
     assert first.as_dict() == second.as_dict()
     assert json.loads(json.dumps(first.as_dict()))["ok"] is True
 
@@ -110,7 +110,22 @@ def test_parallel_fuzz_report_is_identical_to_serial():
     serial = run_fuzz(seeds=4, packets=8, jobs=1)
     parallel = run_fuzz(seeds=4, packets=8, jobs=2)
     assert serial.as_dict() == parallel.as_dict()
-    assert parallel.cases == 4
+    assert parallel.cases == 4 * 3
+
+
+def test_every_seed_runs_at_every_requested_degree(monkeypatch):
+    """A fuzz cell is (seed, degree): no seed is given one degree round
+    robin, so a defect that shows only at D=6 is found whichever seed
+    carries it."""
+    import repro.eval.fuzz as fuzz_module
+
+    ran = []
+    monkeypatch.setattr(
+        fuzz_module, "fuzz_case",
+        lambda seed, degree, packets, shrink: ran.append((seed, degree)))
+    report = run_fuzz(3, start_seed=10, degrees=(2, 6))
+    assert ran == [(10, 2), (10, 6), (11, 2), (11, 6), (12, 2), (12, 6)]
+    assert report.cases == 6 and report.ok
 
 
 def _die(seed):

@@ -16,8 +16,10 @@ import random
 
 import pytest
 
+from repro.analysis.context import AnalysisContext
 from repro.apps.suite import build_app
 from repro.eval.metrics import partition_app
+from repro.runspec import app_pipeline
 
 from test_warm_start_equivalence import assignment_identity, identity_diff
 
@@ -45,9 +47,10 @@ def churn_heap(rng: random.Random) -> list:
 
 def cold_identities(name: str) -> dict:
     app = build_app(name, packets=8, seed=7)
-    transforms, _ = partition_app(app, DEGREES, warm_start=False)
-    return {degree: assignment_identity(result)
-            for degree, result in transforms.items()}
+    context = AnalysisContext(app.module, app.pps_name)
+    return {degree: assignment_identity(
+                app_pipeline(app, degree, context=context))
+            for degree in DEGREES}
 
 
 @pytest.mark.parametrize("name", ["ip_v4", "ip_v6"])
@@ -85,7 +88,7 @@ def test_refine_ignores_unit_stage_insertion_order(monkeypatch):
 
     monkeypatch.setattr(cuts, "refine_stages", capture)
     app = build_app("ip_v6", packets=8, seed=7)
-    partition_app(app, [8], warm_start=False)
+    partition_app(app, [8])
 
     def refined(order):
         assignment = StageAssignment(degree=captured["degree"])

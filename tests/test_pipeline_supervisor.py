@@ -6,7 +6,9 @@ The ISSUE 5 acceptance contract:
   supervisor degrades down the D → ⌈D/2⌉ → … → 1 ladder, and the
   degraded pipeline's observable behaviour is bit-identical to the
   sequential oracle;
-* every attempt (knob retries included) is recorded;
+* every attempt (each degree's widened retry included) is recorded;
+* a rejection the widened knobs cure is verified at the *requested*
+  degree, on attempt 2 (ISSUE 22);
 * a degraded artifact is never served for a full-degree request;
 * a miss is stored once, a hit writes nothing, and the verifier runs on
   both.
@@ -86,13 +88,15 @@ def test_partitioner_fault_degrades_to_the_next_viable_rung():
     assert outcome.ok and outcome.degraded
     assert outcome.requested_degree == 4
     assert outcome.achieved_degree == 2
-    # Degree 4 was retried with perturbed knobs before degrading.
+    # Degree 4 was retried with widened knobs before degrading.
     failed = [a for a in outcome.attempts if a.outcome == "partition-error"]
     assert len(failed) == 2 and all(a.degree == 4 for a in failed)
-    assert failed[0].knobs.incremental != failed[1].knobs.incremental
     assert failed[0].as_dict()["knobs"] == {
-        "epsilon": 0.0625, "incremental": True, "interference": "exact",
+        "epsilon": 0.0625, "interference": "exact",
         "max_block_instructions": 12}
+    assert failed[1].as_dict()["knobs"] == {
+        "epsilon": 0.125, "interference": "exact",
+        "max_block_instructions": 6}
     assert outcome.attempts[-1].outcome == "verified"
     assert "degraded to 2 stages" in outcome.summary()
 
@@ -128,11 +132,37 @@ def test_verifier_rejection_degrades_too():
     assert rejected and all(a.findings for a in rejected)
 
 
+def test_widened_retry_verifies_at_the_requested_degree():
+    """The rung's one retry can move a verdict: a verifier that rejects
+    the caller's ε = 1/16 and accepts ε = 1/8 ends at the requested
+    degree on attempt 2 — no degradation."""
+    from repro.pipeline.verify import VerifyFinding, VerifyVerdict
+
+    def tight_verifier(result, *, epsilon, **kwargs):
+        verdict = verify_partition(result, epsilon=epsilon, **kwargs)
+        if epsilon < 0.125:
+            return VerifyVerdict(
+                pps_name=result.pps_name, degree=result.degree,
+                findings=[VerifyFinding(check="balance",
+                                        detail="synthetic: slack too tight")],
+                warnings=[], checks_run=verdict.checks_run)
+        return verdict
+
+    outcome = supervise_partition(_module(), "worker", 4,
+                                  verifier=tight_verifier)
+    assert outcome.ok and not outcome.degraded
+    assert outcome.achieved_degree == outcome.result.degree == 4
+    assert [(a.degree, a.outcome, a.knobs.epsilon)
+            for a in outcome.attempts] == \
+        [(4, "rejected", 0.0625), (4, "verified", 0.125)]
+    assert outcome.verdict.ok
+
+
 def test_total_failure_returns_a_structured_outcome():
     def always_fails(module, pps_name, degree, **kwargs):
         raise RuntimeError("nothing works")
 
-    outcome = supervise_partition(_module(), "worker", 4, retries=1,
+    outcome = supervise_partition(_module(), "worker", 4,
                                   partition=always_fails)
     assert not outcome.ok and outcome.result is None
     assert outcome.achieved_degree == 0

@@ -96,3 +96,42 @@ def test_the_reference_oracle_is_test_equipment_only():
     assert not {"reference_mode", "reference_active"} & \
         set(repro.runtime.__all__)
     assert not (package / "runtime" / "mode.py").exists()
+
+
+# -- docs name only commands and flags that exist -----------------------------
+
+#: Long options the checked documents quote from other programs.
+_FOREIGN_FLAGS = {"--workload"}      # bench/run.py
+
+
+def test_docs_name_only_cli_commands_and_flags_that_exist():
+    """Every ``--long-flag`` and ``repro <subcommand>`` that README.md,
+    DESIGN.md, EXPERIMENTS.md and docs/*.md name is in ``build_parser()``
+    — a deleted flag cannot live on in prose.  Not checked: CHANGES.md,
+    ISSUE.md and ROADMAP.md (history and plans name what is gone or not
+    yet there), PAPER*.md and SNIPPETS.md (other people's text), and
+    bench/README.md (frozen with ``bench/``; it has its own CLI)."""
+    import re
+
+    # The parser's surface, which ``test_cli_surface`` holds to
+    # ``build_parser()`` option for option.
+    from test_cli import CLI_SURFACE
+
+    flags = {option for options in CLI_SURFACE.values()
+             for option in options.split()} | _FOREIGN_FLAGS
+    flag = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+    # A command is quoted: after a backtick or ``-m``, or opening a line
+    # of a code block — "its repro one-liner" is prose, not a command.
+    command = re.compile(r"(?:`|-m |^\s*)repro ([a-z][a-z_-]*)", re.M)
+    documents = [REPO / "README.md", REPO / "DESIGN.md",
+                 REPO / "EXPERIMENTS.md",
+                 *sorted((REPO / "docs").glob("*.md"))]
+    stale = []
+    for path in documents:
+        text = path.read_text(encoding="utf-8")
+        stale += [f"{path.name}: {name}" for name in flag.findall(text)
+                  if name not in flags]
+        stale += [f"{path.name}: repro {name}"
+                  for name in command.findall(text)
+                  if name not in CLI_SURFACE]
+    assert stale == []

@@ -165,7 +165,7 @@ def test_every_repro_command_parses_and_round_trips_the_cell():
     """Whatever the kind, the one-liner is a real command line: it parses
     and names the failing cell's packets, degrees and (where the command
     takes one) seed — not a wider sweep than the cell that failed — and
-    an explore cell's one-liner names its four knob values."""
+    an explore cell's one-liner names its three knob values."""
     import shlex
 
     from repro.cli import build_parser
@@ -173,7 +173,7 @@ def test_every_repro_command_parses_and_round_trips_the_cell():
     from repro.machine.costs import SCRATCH_RING
 
     parser = build_parser()
-    knobs = Knobs(costs=SCRATCH_RING, epsilon=0.125, incremental=False,
+    knobs = Knobs(costs=SCRATCH_RING, epsilon=0.125,
                   max_block_instructions=8)
     seed_attribute = {"fuzz": "start_seed", "figures": None}
     for kind in _SCORERS:
@@ -192,11 +192,11 @@ def test_every_repro_command_parses_and_round_trips_the_cell():
         if attribute is not None:
             assert getattr(args, attribute) == 1234, kind
         if kind == "explore":
-            assert (args.rings, float(args.epsilons), args.incremental,
+            assert (args.rings, float(args.epsilons),
                     int(args.max_block_instructions)) == \
-                ("scratch-ring", 0.125, "off", 8)
-            assert "ring=scratch-ring eps=0.125 inc=off mbi=8" in \
-                task.describe()
+                ("scratch-ring", 0.125, 8)
+            assert task.describe() == \
+                "explore rx D=2,3 scratch-ring/e0.125/b8"
 
 
 # -- keep_going ---------------------------------------------------------------
