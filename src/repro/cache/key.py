@@ -30,15 +30,17 @@ from repro.pipeline.realize import stage_pipe_name
 #: it orphans (and thereby invalidates) every previously stored artifact.
 #: v2: PipelineResult gained ``profiled``/``cache_key`` and the envelope
 #: header gained the ``annotations`` stamp (degree + verifier verdict).
-#: v3: CutDiagnostics gained the ``pr_work``/``warm_hit`` work-accounting
-#: fields; pre-v3 artifacts would deserialize with stale/absent work
-#: metrics, so they are invalidated wholesale.
+#: v3: CutDiagnostics gained the work-accounting fields (``pr_work`` and
+#: a warm-start flag); pre-v3 artifacts would deserialize with
+#: stale/absent work metrics, so they are invalidated wholesale.
 #: v4: PipelineResult lost ``model`` (the dependence model and its SSA
 #: clone, 60-80 % of every payload) and ``cache_key`` and gained
 #: ``stage_weights``; the envelope is stamped with ``degree`` only.
 #: v5: ``incremental`` left the hashed payload (a partition does not
 #: depend on it), so every artifact has one address instead of two.
-CACHE_SCHEMA_VERSION = 5
+#: v6: CutDiagnostics lost the warm-start flag and ``pr_work`` counts a
+#: cold first solve (the cross-solve warm start was deleted).
+CACHE_SCHEMA_VERSION = 6
 
 
 def canonical_pps_text(module: Module, pps_name: str) -> str:

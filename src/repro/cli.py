@@ -445,6 +445,11 @@ _CHAOS_SWEEP_APPS = ["ip_v4", "ip_v6", "ipv4", "rx"]
 
 
 def cmd_chaos(args) -> int:
+    # Each mode reads one app flag; the other one must not pass silently.
+    if args.sweep and args.app is not None:
+        raise CLIError("--sweep takes its apps from --apps, not --app")
+    if not args.sweep and args.apps is not None:
+        raise CLIError("--apps needs --sweep; one app is --app")
     degrees = tuple(_parse_list("--degrees", args.degrees, int))
     cache = _open_cache(args)
     letters: list = []
@@ -459,7 +464,8 @@ def cmd_chaos(args) -> int:
             for spec in args.plans:
                 plan = _load_fault_plan(spec)
                 plans[plan.name or spec] = plan
-        outcome = chaos_differential(args.app, plans=plans, degrees=degrees,
+        outcome = chaos_differential(args.app or "ipv4", plans=plans,
+                                     degrees=degrees,
                                      packets=args.packets, seed=args.seed,
                                      collect_letters=letters, cache=cache)
         print(outcome.render())
@@ -604,19 +610,17 @@ def _partition_profile_table(breakdown: dict) -> str:
     """The ``repro plan`` partition-phase table.
 
     One row per (app, degree): wall seconds, balanced-cut collapse
-    iterations, push-relabel discharges, and how many of the degree's
-    cuts started from a warm seed — enough to localize a partitioner
-    regression without loading a Chrome trace.
+    iterations and push-relabel discharges — enough to localize a
+    partitioner regression without loading a Chrome trace.
     """
     lines = ["  partition phases (per app x degree):",
-             "    app        D   seconds   cut_iters    pr_work  warm_hits"]
+             "    app        D   seconds   cut_iters    pr_work"]
     for app in sorted(breakdown):
         for degree in sorted(breakdown[app], key=int):
             cell = breakdown[app][degree]
             lines.append(
                 f"    {app:10s} {int(degree):d} {cell['seconds']:9.4f} "
-                f"{cell['cut_iterations']:11d} {cell['pr_work']:10d} "
-                f"{cell['warm_hits']:10d}")
+                f"{cell['cut_iterations']:11d} {cell['pr_work']:10d}")
     return "\n".join(lines)
 
 
@@ -782,8 +786,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chaos = sub.add_parser(
         "chaos", help="run the chaos differential (faults + pipelining)")
-    p_chaos.add_argument("--app", default="ipv4",
-                         help="benchmark app (default: ipv4)")
+    p_chaos.add_argument("--app", default=None,
+                         help="benchmark app, without --sweep "
+                              "(default: ipv4)")
     _add_workload_flags(p_chaos, packets=40, seed=7, degrees="1,2,4",
                         apps=True)
     p_chaos.add_argument("--plans", nargs="*",

@@ -46,8 +46,8 @@ def figures_record(*, packets: int = 60, seed: int = 7,
     the same record at any ``jobs`` level, on any host.
 
     Returns a JSON-serializable dict: ``config``, per-(app, degree)
-    ``partition_breakdown`` (``cut_iterations`` / ``pr_work`` /
-    ``warm_hits``), per figure the ``apps``, their summed
+    ``partition_breakdown`` (``cut_iterations`` / ``pr_work``), per
+    figure the ``apps``, their summed
     ``simulated_instructions`` and ``speedup_by_degree`` /
     ``overhead_by_degree`` series, and ``headline_speedup_degree<top>``.
     """

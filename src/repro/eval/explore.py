@@ -10,7 +10,7 @@ frontier beat fixed-k heuristics.  This module is that search for PPS-C:
    (``max_block_instructions``), and named machine cost tables
    (:mod:`repro.machine.costs` registry, e.g. NN vs scratch rings) —
    only inputs that can move a partition; how the solver reaches a cut
-   (§3.3's resumed preflow, warm starts) is not a dimension;
+   (§3.3's resumed preflow) is not a dimension;
 2. **evaluate** every cell through the cached, parallel,
    supervisor-verified pipeline (:mod:`repro.eval.sweep` fan-out): each
    cell is partitioned via :func:`~repro.pipeline.supervisor.supervise_partition`

@@ -106,29 +106,25 @@ def make_profiler(app: AppInstance):
 
 def partition_app(app: AppInstance, degrees, *, cache=None,
                   knobs: Knobs = Knobs()):
-    """Partition ``app`` at every degree > 1, sharing analyses and warm
-    starts across the sweep.
+    """Partition ``app`` at every degree > 1, sharing analyses across
+    the sweep.
 
     One :class:`~repro.analysis.context.AnalysisContext` (normalize /
-    profile / SSA / dependence computed once) and one
-    :class:`~repro.flownet.warmstart.WarmStartCache` (cut *i* of degree
-    D seeds cut *i* of degree D+1) serve the whole degree sweep.
+    profile / SSA / dependence computed once) serves the whole degree
+    sweep; every cut is solved cold.
     Returns ``(transforms, breakdown)`` where ``transforms`` maps
     degree -> :class:`PipelineResult` and ``breakdown`` maps
     ``str(degree)`` to per-degree phase stats: wall ``seconds``,
-    ``cut_iterations`` (balanced-cut collapse steps), ``pr_work``
-    (push-relabel discharges), and ``warm_hits`` (cuts whose initial
-    solve was seeded).  Cache hits report the stats recorded when the
-    artifact was first solved.
+    ``cut_iterations`` (balanced-cut collapse steps) and ``pr_work``
+    (push-relabel discharges).  Cache hits report the stats recorded
+    when the artifact was first solved.
     """
     from time import perf_counter
 
     from repro.analysis.context import AnalysisContext
-    from repro.flownet.warmstart import WarmStartCache
 
     context = AnalysisContext(app.module, app.pps_name,
                               knobs.max_block_instructions)
-    warm = WarmStartCache()
     transforms: dict[int, PipelineResult] = {}
     breakdown: dict[str, dict] = {}
     for degree in sorted(set(degrees)):
@@ -136,7 +132,7 @@ def partition_app(app: AppInstance, degrees, *, cache=None,
             continue
         start = perf_counter()
         result = app_pipeline(app, degree, knobs=knobs, cache=cache,
-                              context=context, warm=warm)
+                              context=context)
         seconds = perf_counter() - start
         diagnostics = result.assignment.diagnostics
         transforms[degree] = result
@@ -144,7 +140,6 @@ def partition_app(app: AppInstance, degrees, *, cache=None,
             "seconds": round(seconds, 4),
             "cut_iterations": sum(diag.iterations for diag in diagnostics),
             "pr_work": sum(diag.pr_work for diag in diagnostics),
-            "warm_hits": sum(1 for diag in diagnostics if diag.warm_hit),
         }
     return transforms, breakdown
 

@@ -124,9 +124,9 @@ def app_tasks(kind: str, apps: list[str], degrees, *, packets: int,
     order, covering its whole degree row.
 
     A cell keeps all of an app's degrees together so the worker shares
-    one :class:`~repro.analysis.context.AnalysisContext` and one warm
-    -start cache across the row — the cross-degree seeding the planner
-    exists to exploit; parallelism comes from fanning the *apps*.
+    one :class:`~repro.analysis.context.AnalysisContext` across the row
+    — normalize, profile, SSA and the dependence model once per app;
+    parallelism comes from fanning the *apps*.
     """
     return [SweepTask(kind, RunSpec(app, packets, seed, tuple(degrees)))
             for app in apps]
@@ -387,10 +387,10 @@ def plan_partitions(apps: list[str], degrees, *, packets: int, seed: int,
     worker processes) with all results stored through the shared on-disk
     compile ``cache`` — after planning, a cold ``repro explore`` / ``repro
     chaos`` / ``repro run`` gets pure cache hits for every partition it
-    needs.  Within each cell the worker shares one analysis context and
-    warm-start cache across the degree row, so the parallel plan
-    produces partitions bit-identical to a serial sweep (and to cold,
-    unseeded solves).
+    needs.  Within each cell the worker shares one analysis context
+    across the degree row; the parallel plan produces partitions
+    bit-identical to a serial sweep (and to each degree partitioned
+    alone).
 
     Returns the task-order list of worker records (app, per-degree
     breakdown, timings, cache counters).  ``cache`` may be ``None`` (the

@@ -54,7 +54,6 @@ class BalancedCutResult:
     dim_weights: tuple = ()
     dim_deviation: float = 0.0
     pr_work: int = 0        # push-relabel discharge operations expended
-    warm_seeded: int = 0    # edges seeded from a warm-start snapshot
 
 
 @dataclass
@@ -118,8 +117,7 @@ class BalancedCut:
 
     def find(self, network: FlowNetwork, target_weight: float, *,
              dims: dict[int, tuple] | None = None,
-             dim_targets: tuple | None = None,
-             warm_seed: dict[tuple, int] | None = None) -> BalancedCutResult:
+             dim_targets: tuple | None = None) -> BalancedCutResult:
         """Find a minimum cut whose source side weighs ≈ ``target_weight``.
 
         ``network`` is consumed (collapse edges are added); pass a clone if
@@ -130,13 +128,6 @@ class BalancedCut:
         vector (e.g. profiled per-traffic-class instruction counts) and,
         among the scalar-balanced cuts, the one minimizing the worst
         per-dimension deviation from ``dim_targets`` is chosen.
-
-        ``warm_seed`` optionally provides ``(src_key, dst_key) -> flow``
-        recorded from a related earlier solve (see
-        :mod:`repro.flownet.warmstart`); the initial max flow then starts
-        from the repaired seed preflow instead of zero.  The result is
-        bit-identical either way — the collapse trajectory depends only on
-        the canonical min-cut sides, which every maximum flow shares.
         """
         assert network.source is not None and network.sink is not None
         weights = network.weights
@@ -158,13 +149,7 @@ class BalancedCut:
         # at the original edge list.
         self._base_edge_count = len(network.forward_edges)
         solver = PushRelabel(network)
-        warm_seeded = 0
-        if warm_seed:
-            network.reset_flow()
-            warm_seeded = solver.seed_preflow(warm_seed)
-            solver.resume()
-        else:
-            solver.max_flow()
+        solver.max_flow()
         pr_work = 0
         all_nodes = frozenset(range(network.node_count))
         source_forced: set[int] = {network.source}
@@ -260,7 +245,6 @@ class BalancedCut:
                             if node not in (network.source, network.sink)}
         best.iterations = iterations
         best.pr_work = pr_work + solver.work
-        best.warm_seeded = warm_seeded
         return best
 
     # -- collapse steps ------------------------------------------------------

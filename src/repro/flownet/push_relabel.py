@@ -7,16 +7,6 @@ from the source), ``resume`` keeps the existing preflow, re-saturates the
 source edges, refreshes labels, and continues — the incremental scheme the
 paper describes in §3.3 (implemented with exact-distance relabeling, which
 keeps the labeling valid by construction).
-
-``seed_preflow`` generalizes the warm restart across *related* networks:
-flows recorded from an earlier solve (same cut index at the previous
-degree, or the previous cut of the same degree) are installed edge-by-edge
-wherever the key pair still exists, clipped to capacity, and repaired into
-a valid preflow; ``resume`` then completes it to a maximum flow.  Any
-valid preflow converges to *a* maximum flow, and the min-cut sides the
-balanced-cut driver reads (residual reachability) are the canonical
-minimal/maximal sides — identical for every maximum flow — so seeding
-never changes the resulting cut, only the work to find it.
 """
 
 from __future__ import annotations
@@ -102,39 +92,6 @@ class PushRelabel:
         self._discharge_loop()
         return self.flow_value()
 
-    def seed_preflow(self, flows: dict[tuple, int]) -> int:
-        """Install a best-effort preflow from ``(src_key, dst_key) -> flow``.
-
-        Flows are applied to whichever forward edges still exist in this
-        network, clipped to capacity, then *repaired* into a valid preflow
-        (no node except the source ships more than it receives) by backing
-        flow off over-drafted nodes.  Returns the number of seeded edges;
-        call :meth:`resume` afterwards to complete the preflow to a
-        maximum flow.
-        """
-        network = self.network
-        edges = network.edges
-        key_of = network.key_of
-        budget = dict(flows)
-        seeded = 0
-        for edge in network.forward_edges:
-            available = budget.get((key_of(edge.src), key_of(edge.dst)))
-            if not available:
-                continue
-            take = edge.cap if edge.cap < available else available
-            if take <= 0:
-                continue
-            edge.flow = take
-            edges[edge.rev].flow = -take
-            budget[(key_of(edge.src), key_of(edge.dst))] = available - take
-            seeded += 1
-        if seeded:
-            self._repair_preflow()
-        else:
-            self.excess = [0] * network.node_count
-        self._started = True
-        return seeded
-
     def flow_value(self) -> int:
         """Current net flow into the sink."""
         total = 0
@@ -164,53 +121,6 @@ class PushRelabel:
         if not self._in_queue[node]:
             self._in_queue[node] = True
             self._active.append(node)
-
-    def _repair_preflow(self) -> None:
-        """Recompute excess from the seeded flows and fix violations.
-
-        A node that ships more than it receives (negative excess) has its
-        outgoing flows reduced until it balances; reductions propagate
-        downstream through a worklist.  Total positive flow strictly
-        decreases at every step, so the repair terminates; the source is
-        exempt (it may emit arbitrarily)."""
-        network = self.network
-        edges = network.edges
-        adjacency_all = network.adjacency_edges
-        count = network.node_count
-        source = self.source
-        excess = [0] * count
-        for edge in network.forward_edges:
-            flow = edge.flow
-            if flow > 0:
-                excess[edge.dst] += flow
-                excess[edge.src] -= flow
-        pending = [node for node in range(count)
-                   if excess[node] < 0 and node != source]
-        head = 0
-        while head < len(pending):
-            node = pending[head]
-            head += 1
-            deficit = -excess[node]
-            if deficit <= 0:
-                continue
-            # Stubs never carry positive flow (seeds land on forward
-            # edges only), so the flow filter alone selects real
-            # outgoing flow.
-            for edge in adjacency_all[node]:
-                if edge.flow <= 0:
-                    continue
-                give = edge.flow if edge.flow < deficit else deficit
-                edge.flow -= give
-                edges[edge.rev].flow += give
-                deficit -= give
-                dst = edge.dst
-                excess[dst] -= give
-                if excess[dst] < 0 and dst != source:
-                    pending.append(dst)
-                if deficit <= 0:
-                    break
-            excess[node] = -deficit
-        self.excess = excess
 
     def _saturate_source(self) -> None:
         edges = self.network.edges

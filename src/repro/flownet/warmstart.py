@@ -1,74 +1,18 @@
-"""Cross-solve warm starts for the balanced-cut search.
+"""An empty name kept for the frozen benchmark.
 
-The D−1 successive cuts of one degree, and the same cut index across
-neighboring degrees (and supervisor retry rungs), solve closely related
-flow networks: the node keys are stable (units, variables, control
-nodes), only the SOURCE/SINK attachment and the remaining-unit subset
-shift.  :class:`WarmStartCache` records the final flows of every solved
-cut, keyed by cut index and addressed by ``(src_key, dst_key)`` pairs,
-so the next related solve can seed its preflow from them
-(:meth:`repro.flownet.push_relabel.PushRelabel.seed_preflow`).
-
-Seeding is *exact*: any valid preflow completes to a maximum flow, and
-the minimal/maximal min-cut sides the balanced-cut driver reads are
-invariant across maximum flows, so a warm-started search follows the
-identical collapse trajectory and returns a bit-identical cut — the
-property test in ``tests/test_warm_start_equivalence.py`` holds this
-line.  The cache only ever changes *how fast* a cut is found.
+Cuts are solved cold: each cut's first max flow starts from zero, and
+the only warm restart is the paper's own — ``PushRelabel.resume`` after
+each ε-collapse step (§3.3).  Seeding a cut from a related earlier
+solve added push-relabel work and saved none
+(``docs/performance.md`` "Why cuts are solved cold").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-from repro.flownet.network import FlowNetwork
-
-
-def snapshot_flows(network: FlowNetwork) -> dict[tuple, int]:
-    """The network's positive forward flows, addressed by node-key pair.
-
-    Parallel edges between the same key pair (e.g. an original source
-    edge plus a collapse edge) aggregate; the seeder re-distributes the
-    total over whatever edges the next network has, clipped to capacity.
-    """
-    flows: dict[tuple, int] = {}
-    edges = network.edges
-    key_of = network.key_of
-    for index in range(0, len(edges), 2):  # forward half-edges
-        edge = edges[index]
-        if edge.flow > 0:
-            pair = (key_of(edge.src), key_of(edge.dst))
-            flows[pair] = flows.get(pair, 0) + edge.flow
-    return flows
-
-
-@dataclass
 class WarmStartCache:
-    """Recorded flows per cut index, shared across degrees and rungs.
+    """Holds nothing and is read by nothing.
 
-    ``flows[i]`` holds the snapshot of the most recent solve of cut ``i``
-    (any degree).  A new solve of cut ``i`` prefers that slot — the same
-    cut of the neighboring degree sees an almost identical network — and
-    falls back to slot ``i − 1``, the previous cut of the current degree.
-    Counters feed the bench partition breakdown.
+    Vestige: ``bench/compiling.py`` still constructs one and passes it
+    as ``warm=``; it goes with ROADMAP item 5's benchmark refresh.
     """
-
-    flows: dict[int, dict[tuple, int]] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-    seeded_edges: int = 0
-
-    def seed_for(self, cut_index: int) -> dict[tuple, int] | None:
-        """The best available seed for ``cut_index`` (None = cold)."""
-        seed = self.flows.get(cut_index)
-        if seed is None:
-            seed = self.flows.get(cut_index - 1)
-        if seed is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return seed
-
-    def record(self, cut_index: int, network: FlowNetwork) -> None:
-        """Snapshot the solved network's flows into slot ``cut_index``."""
-        self.flows[cut_index] = snapshot_flows(network)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from repro.analysis.dependence_graph import LoopDependenceModel
 from repro.flownet.balanced_cut import BalancedCut
 from repro.flownet.model import build_cut_network
-from repro.flownet.warmstart import WarmStartCache
 from repro.machine.costs import CostModel
 from repro.obs import tracer as obs
 from repro.runspec import Knobs
@@ -32,12 +31,13 @@ class CutDiagnostics:
     cut_value: int
     balanced: bool
     iterations: int
-    #: Push-relabel discharge operations spent on this cut and whether
-    #: its solve was seeded from a warm-start snapshot.  Work metrics,
-    #: not part of the cut's identity: warm and cold solves of the same
-    #: cut agree on every field above but may differ here.
+    #: Push-relabel discharge operations spent on this cut: a work
+    #: metric, not part of the cut's identity (the §3.3 ablation's
+    #: from-scratch solve agrees on every field above, not on this one).
     pr_work: int = 0
-    warm_hit: bool = False
+    #: Vestige, not a field: the frozen ``bench/compiling.py`` still
+    #: reads it; it goes with ROADMAP item 5's benchmark refresh.
+    warm_hit = False
 
 
 @dataclass
@@ -91,16 +91,15 @@ def select_stages(model: LoopDependenceModel, degree: int, *,
                   epsilon: float = Knobs.epsilon,
                   incremental: bool = True,
                   profiles: list[dict[str, float]] | None = None,
-                  warm: WarmStartCache | None = None) -> StageAssignment:
+                  warm=None) -> StageAssignment:
     """Assign every dependence unit (and block) to one of ``degree`` stages.
 
     ``profiles`` optionally activates dimensional balance: one block-
     frequency map per traffic class (see :func:`unit_profile_dims`).
 
-    ``warm`` optionally carries flow snapshots from earlier solves (other
-    degrees, supervisor rungs, or the previous cut); each cut then seeds
-    its max flow from the closest recorded solve and records its own.
-    The selected cuts are bit-identical with or without it.
+    ``warm`` is accepted and ignored — a vestige the frozen
+    ``bench/compiling.py`` still passes; it goes with ROADMAP item 5's
+    benchmark refresh.
 
     ``incremental=False`` re-solves every ε-collapse step from a zero
     flow — the §3.3 ablation's reference, selecting the same cuts with
@@ -141,15 +140,10 @@ def select_stages(model: LoopDependenceModel, degree: int, *,
                 for index, value in enumerate(vector):
                     totals[index] += value
             dim_targets = tuple(value / stages_left for value in totals)
-        warm_seed = warm.seed_for(stage) if warm is not None else None
         with obs.span("balanced_cut", cat="compile", stage=stage,
                       target=round(target, 1), epsilon=epsilon):
             result = finder.find(cut_net.network, target, dims=dims,
-                                 dim_targets=dim_targets,
-                                 warm_seed=warm_seed)
-        if warm is not None:
-            warm.record(stage, cut_net.network)
-            warm.seeded_edges += result.warm_seeded
+                                 dim_targets=dim_targets)
         chosen = cut_net.units_of_cut(result.source_side) & remaining
         if not chosen and len(remaining) > 1:
             # Give the stage the lightest dependence-source unit so the
@@ -175,14 +169,13 @@ def select_stages(model: LoopDependenceModel, degree: int, *,
             balanced=result.balanced,
             iterations=result.iterations,
             pr_work=result.pr_work,
-            warm_hit=result.warm_seeded > 0,
         )
         assignment.diagnostics.append(diag)
         obs.instant("cut_selected", cat="compile", stage=stage,
                     target=round(target, 1), weight=diag.weight,
                     cut_value=diag.cut_value, balanced=diag.balanced,
                     iterations=diag.iterations, units=len(chosen),
-                    pr_work=diag.pr_work, warm_hit=diag.warm_hit)
+                    pr_work=diag.pr_work)
         if not remaining:
             break
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.analysis.context import AnalysisContext
-from repro.flownet.warmstart import WarmStartCache
 from repro.ir.function import Module
 from repro.pipeline.transform import PipelineError, PipelineResult, pipeline_pps
 from repro.pipeline.verify import VerifyVerdict, verify_partition
@@ -145,10 +144,9 @@ def supervise_partition(module: Module, pps_name: str, degree: int, *,
     the real ``pipeline_pps`` / ``verify_partition``.
 
     Every ladder rung shares one :class:`AnalysisContext` per
-    block-split setting (a caller-supplied ``context`` seeds the pool)
-    and one :class:`WarmStartCache`, so a retry pays only for cut
-    selection, not re-analysis.  The shared context is also handed to
-    the verifier.
+    block-split setting (a caller-supplied ``context`` seeds the pool),
+    so a retry pays only for cut selection, not re-analysis.  The shared
+    context is also handed to the verifier.
 
     Raises :class:`PipelineError` only for malformed *inputs* (unknown
     PPS, degree < 1) — the conditions no amount of degradation can fix.
@@ -163,7 +161,6 @@ def supervise_partition(module: Module, pps_name: str, degree: int, *,
     if context is not None and context.matches(
             module, pps_name, knobs.max_block_instructions):
         contexts[knobs.max_block_instructions] = context
-    warm = WarmStartCache()
     attempts: list[AttemptRecord] = []
     for rung in degradation_ladder(degree):
         for tried in _rung_knobs(knobs):
@@ -177,7 +174,7 @@ def supervise_partition(module: Module, pps_name: str, degree: int, *,
                         module, pps_name, mbi)
                 result = partition(
                     module, pps_name, rung, knobs=tried, profiler=profiler,
-                    cache=cache, context=ctx, warm=warm)
+                    cache=cache, context=ctx)
             except Exception as exc:
                 attempts.append(AttemptRecord(
                     degree=rung, knobs=tried, outcome="partition-error",

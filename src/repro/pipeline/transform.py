@@ -89,11 +89,9 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
     the normalize / profile / SSA / dependence phases reuse its results
     instead of recomputing them — the intended usage for degree sweeps
     and supervisor ladders.  A non-matching context is rebuilt, never
-    trusted.  ``warm`` (optional) is a
-    :class:`repro.flownet.warmstart.WarmStartCache` seeding each cut's
-    initial max-flow solve from the previous solve of the same cut; the
-    resulting partition is bit-identical to a cold solve (see
-    ``repro.flownet.push_relabel``).
+    trusted.  ``warm`` is accepted and ignored — a vestige the frozen
+    ``bench/compiling.py`` still passes; it goes with ROADMAP item 5's
+    benchmark refresh.
 
     ``cut_strategy`` (optional) replaces the balanced-min-cut stage
     selection with a custom ``(model, degree) -> StageAssignment`` — used
@@ -151,8 +149,7 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
             else:
                 assignment = select_stages(model, degree, costs=knobs.costs,
                                            epsilon=knobs.epsilon,
-                                           profiles=profiles,
-                                           warm=warm)
+                                           profiles=profiles)
         with obs.span("liveset_layout", cat="compile", pps=pps_name):
             layouts = compute_cut_layouts(work, loop.body,
                                           assignment.block_stage,

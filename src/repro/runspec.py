@@ -31,8 +31,8 @@ class Knobs:
     The field names are the keywords ``compile_key`` hashes: two runs
     share a cached partition exactly when their knobs (and profiles) are
     equal.  A field belongs here only if some partition changes with it;
-    how the solver reaches a cut (§3.3's resumed preflow, warm starts)
-    changes none and is not a knob.
+    how the solver reaches a cut (§3.3's resumed preflow) changes none
+    and is not a knob.
     """
 
     costs: CostModel = NN_RING          # channel cost table (VCost / CCost)
@@ -69,7 +69,7 @@ class RunSpec:
 
 
 def app_pipeline(app, degree: int, *, knobs: Knobs = Knobs(), cache=None,
-                 context=None, warm=None):
+                 context=None):
     """The app → stages step, the only one: ``app`` partitioned at
     ``degree`` under ``knobs``, balanced by the app's own traffic-class
     profiler (worked out from the app, never chosen by a caller)."""
@@ -77,4 +77,4 @@ def app_pipeline(app, degree: int, *, knobs: Knobs = Knobs(), cache=None,
 
     return pipeline_pps(app.module, app.pps_name, degree, knobs=knobs,
                         profiler=app.profiler, cache=cache,
-                        context=context, warm=warm)
+                        context=context)

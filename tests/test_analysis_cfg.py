@@ -26,6 +26,20 @@ def test_find_pps_loop_shape():
     assert loop.body[0] == loop.header
 
 
+def test_pps_loop_header_heads_a_natural_loop():
+    """On a real PPS the header ``find_pps_loop`` names heads a natural
+    loop of ``cfg_of``: latch → header is a back edge (the header
+    dominates the latch) and the header dominates the whole body."""
+    from repro.analysis.dominance import DominatorTree
+
+    pps = compile_module(STANDARD_PPS).pps("worker")
+    loop = find_pps_loop(pps)
+    graph = cfg_of(pps)
+    assert graph.has_edge(loop.latch, loop.header)
+    dominators = DominatorTree.compute(graph)
+    assert all(dominators.dominates(loop.header, name) for name in loop.body)
+
+
 def test_body_graph_excludes_back_edge():
     module = compile_module(STANDARD_PPS)
     loop = find_pps_loop(module.pps("worker"))

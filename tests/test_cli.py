@@ -210,6 +210,19 @@ def test_bad_list_flag_is_a_usage_error_on_every_command(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["chaos", "--apps", "rx", "--packets", "4"], "--apps needs --sweep"),
+    (["chaos", "--sweep", "--app", "rx", "--packets", "4"],
+     "--sweep takes its apps from --apps"),
+])
+def test_chaos_app_flag_of_the_other_mode_is_a_usage_error(argv, named,
+                                                          capsys):
+    """``chaos`` reads ``--app`` alone and ``--apps`` only with
+    ``--sweep``; the other mode's flag used to be silently ignored."""
+    assert main(argv) == 2
+    assert f"error: {named}" in capsys.readouterr().err
+
+
 def test_list_flags_take_commas_and_trailing_separators(tmp_path, capsys):
     """One list parser behind --apps/--degrees: ``chaos --sweep`` takes
     comma-separated apps like ``plan``/``explore`` do, and a trailing

@@ -1,14 +1,14 @@
-"""Warm-started cuts are bit-identical to cold solves (ISSUE 6 tentpole).
+"""A partition is a function of the program: how its cuts are reached
+does not change them.
 
-The warm-start machinery (:mod:`repro.flownet.warmstart`) seeds cut *i*
-of degree D+1 with the preflow recorded at cut *i* of degree D.  Any
-valid preflow converges to *a* maximum flow, and the min-cut sides the
-balanced-cut driver reads (residual reachability) are the canonical
-minimal/maximal sides — identical for every maximum flow — so seeding
-must never change a partition, only the work to find it.  These tests
-pin that contract across the whole benchmark suite and the supervisor
-ladder.  (That a *cold* solve is itself a function of its input is
-``tests/test_partition_determinism.py``'s business.)
+The balanced-cut driver reads only the canonical minimal/maximal
+min-cut sides (residual reachability), which every maximum flow shares,
+so neither the shared per-app analyses of a degree row nor the §3.3
+incremental restart may move a cut — only the work to find it.  These
+tests pin that contract across the whole benchmark suite, the
+supervisor ladder and generated programs.  (That a solve is itself a
+function of its input is ``tests/test_partition_determinism.py``'s
+business.)
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from repro.testing.progen import random_pps_source
 SUITE = sorted(set(FIGURE19_APPS) | set(FIGURE20_APPS))
 DEGREES = range(2, 10)
 
-#: The fields of one cut's identity.  ``pr_work`` / ``warm_hit`` are
-#: work metrics and legitimately differ between warm and cold solves.
+#: The fields of one cut's identity.  ``pr_work`` is a work metric and
+#: legitimately differs between solves that reach the same cut.
 IDENTITY_FIELDS = ("stage", "target", "weight", "cut_value", "balanced",
                    "iterations")
 
@@ -56,63 +56,51 @@ def assignment_identity(result):
     }
 
 
-def identity_diff(warm: dict, cold: dict) -> dict:
+def identity_diff(left: dict, right: dict) -> dict:
     """The fields on which two assignment identities disagree."""
-    return {key: {"warm": warm.get(key), "cold": cold.get(key)}
-            for key in warm.keys() | cold.keys()
-            if warm.get(key) != cold.get(key)}
+    return {key: {"left": left.get(key), "right": right.get(key)}
+            for key in left.keys() | right.keys()
+            if left.get(key) != right.get(key)}
 
 
 @pytest.mark.parametrize("name", SUITE)
-def test_warm_equals_cold_across_degree_sweep(name):
+def test_shared_context_row_equals_fresh_pipelines(name):
     app = build_app(name, packets=8, seed=7)
-    warm, _ = partition_app(app, DEGREES)
-    assert sorted(warm) == list(DEGREES)
+    row, _ = partition_app(app, DEGREES)
+    assert sorted(row) == list(DEGREES)
     for degree in DEGREES:
-        # The cold side is each degree partitioned alone: a new context,
-        # no warm-start cache, nothing shared with the row.
-        cold = app_pipeline(app, degree)
-        assert identity_diff(assignment_identity(warm[degree]),
-                             assignment_identity(cold)) == {}, degree
+        # The reference is each degree partitioned alone: a new context,
+        # nothing shared with the row.
+        fresh = app_pipeline(app, degree)
+        assert identity_diff(assignment_identity(row[degree]),
+                             assignment_identity(fresh)) == {}, degree
 
 
 def test_identity_diff_localizes_the_field():
-    warm = {"unit_stage": {"a": 0}, "layout_words": [4, 4]}
-    cold = {"unit_stage": {"a": 0}, "layout_words": [4, 5]}
-    diff = identity_diff(warm, cold)
+    left = {"unit_stage": {"a": 0}, "layout_words": [4, 4]}
+    right = {"unit_stage": {"a": 0}, "layout_words": [4, 5]}
+    diff = identity_diff(left, right)
     assert set(diff) == {"layout_words"}
-    assert diff["layout_words"] == {"warm": [4, 4], "cold": [4, 5]}
-    assert identity_diff(warm, dict(warm)) == {}
+    assert diff["layout_words"] == {"left": [4, 4], "right": [4, 5]}
+    assert identity_diff(left, dict(left)) == {}
 
 
-def test_warm_seeding_actually_fires():
-    """The equivalence sweep must not be vacuous: on a typical app the
-    cross-degree seeding really does kick in.  (Degenerate apps like
-    ``scheduler``, where one dependence SCC owns nearly all the weight,
-    legitimately never seed — their cuts are found without collapses.)"""
-    app = build_app("rx", packets=8, seed=7)
-    _, stats = partition_app(app, range(2, 5))
-    assert any(cell["warm_hits"] > 0 for cell in stats.values())
-    for degree in range(2, 5):
-        cold = app_pipeline(app, degree)
-        assert not any(diag.warm_hit for diag in cold.assignment.diagnostics)
-
-
-def test_supervisor_rungs_warm_equals_cold():
+def test_supervisor_result_equals_a_fresh_pipeline():
     app = build_app("ipv4", packets=8, seed=7)
-    warm = supervise_partition(app.module, app.pps_name, 5)
-    cold = pipeline_pps(app.module, app.pps_name, 5, warm=None)
-    assert warm.achieved_degree == 5 and warm.result is not None
-    assert assignment_identity(warm.result) == assignment_identity(cold)
+    supervised = supervise_partition(app.module, app.pps_name, 5)
+    fresh = pipeline_pps(app.module, app.pps_name, 5)
+    assert supervised.achieved_degree == 5 and supervised.result is not None
+    assert assignment_identity(supervised.result) == \
+        assignment_identity(fresh)
 
 
-# -- the paper's incremental restart (§3.3) is a speed device too -----------
+# -- the paper's incremental restart (§3.3) is a speed device ---------------
 #
 # ``select_stages(incremental=False)`` re-solves every ε-collapse step
 # from a zero flow instead of resuming the previous step's preflow.  The
 # side the balanced-cut driver reads is canonical, so both must select
 # the same cuts — which is why ``incremental`` is an ablation keyword of
-# ``select_stages`` and not a knob of a run (ISSUE 22).
+# ``select_stages`` and not a knob of a run.
 
 
 def incremental_diffs(model, degrees, profiles=None) -> dict:

@@ -6,8 +6,8 @@ depends on where the allocator happened to place the IR.  The
 partitioner must not let that order reach a decision: rebuilding the
 same app after the heap has been churned — which moves every fresh
 object to a different address — has to give the same assignment,
-cut for cut.  (This was the "warm ≠ cold" flake of
-``test_warm_start_equivalence.py``; it was cold ≠ cold.)
+cut for cut.  (This was once taken for a "warm-started ≠ cold" flake
+of ``tests/test_cut_identity.py``; it was cold ≠ cold.)
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.apps.suite import build_app
 from repro.eval.metrics import partition_app
 from repro.runspec import app_pipeline
 
-from test_warm_start_equivalence import assignment_identity, identity_diff
+from test_cut_identity import assignment_identity, identity_diff
 
 DEGREES = range(2, 10)
 REBUILDS = 4

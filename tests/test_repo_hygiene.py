@@ -98,19 +98,27 @@ def test_the_reference_oracle_is_test_equipment_only():
     assert not (package / "runtime" / "mode.py").exists()
 
 
-# -- docs name only commands and flags that exist -----------------------------
+# -- docs name only commands, flags, files and names that exist ---------------
+#
+# Checked: README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md.  Not
+# checked: CHANGES.md and ROADMAP.md (history and plans name
+# what is gone or not yet there), PAPER*.md and SNIPPETS.md (other
+# people's text), and bench/README.md (frozen with ``bench/``; it has
+# its own CLI).
 
 #: Long options the checked documents quote from other programs.
 _FOREIGN_FLAGS = {"--workload"}      # bench/run.py
 
 
+def _documents() -> list[Path]:
+    return [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
+            *sorted((REPO / "docs").glob("*.md"))]
+
+
 def test_docs_name_only_cli_commands_and_flags_that_exist():
-    """Every ``--long-flag`` and ``repro <subcommand>`` that README.md,
-    DESIGN.md, EXPERIMENTS.md and docs/*.md name is in ``build_parser()``
-    — a deleted flag cannot live on in prose.  Not checked: CHANGES.md,
-    ISSUE.md and ROADMAP.md (history and plans name what is gone or not
-    yet there), PAPER*.md and SNIPPETS.md (other people's text), and
-    bench/README.md (frozen with ``bench/``; it has its own CLI)."""
+    """Every ``--long-flag`` and ``repro <subcommand>`` the documents
+    name is in ``build_parser()`` — a deleted flag cannot live on in
+    prose."""
     import re
 
     # The parser's surface, which ``test_cli_surface`` holds to
@@ -123,15 +131,61 @@ def test_docs_name_only_cli_commands_and_flags_that_exist():
     # A command is quoted: after a backtick or ``-m``, or opening a line
     # of a code block — "its repro one-liner" is prose, not a command.
     command = re.compile(r"(?:`|-m |^\s*)repro ([a-z][a-z_-]*)", re.M)
-    documents = [REPO / "README.md", REPO / "DESIGN.md",
-                 REPO / "EXPERIMENTS.md",
-                 *sorted((REPO / "docs").glob("*.md"))]
     stale = []
-    for path in documents:
+    for path in _documents():
         text = path.read_text(encoding="utf-8")
         stale += [f"{path.name}: {name}" for name in flag.findall(text)
                   if name not in flags]
         stale += [f"{path.name}: repro {name}"
                   for name in command.findall(text)
                   if name not in CLI_SURFACE]
+    assert stale == []
+
+
+def _resolves(dotted: str) -> bool:
+    """``repro.a.b[.Attr…]`` imports as a module and its tail resolves
+    as attributes of it."""
+    import importlib
+
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def test_docs_name_only_files_and_names_that_exist():
+    """Every repo path under ``src/``, ``tests/``, ``bench/``,
+    ``examples/``, ``scripts/`` or ``docs/``, every bare ``test_*.py``
+    (under ``tests/``), every ``path::name`` (a ``def`` or ``class`` of
+    that file) and every back-ticked ``repro.a.b[.Attr]`` (imports and
+    resolves) that the documents name exists — a renamed test file or a
+    deleted module cannot live on in prose."""
+    import re
+
+    roots = "src|tests|bench|examples|scripts|docs"
+    path_ref = re.compile(
+        rf"(?<![\w./-])((?:{roots})/[\w./-]*\w|test_\w+\.py)(?:::(\w+))?")
+    module_ref = re.compile(r"`(repro(?:\.\w+)+)")
+    stale = []
+    for document in _documents():
+        text = document.read_text(encoding="utf-8")
+        for ref, name in path_ref.findall(text):
+            path = REPO / ref if "/" in ref else REPO / "tests" / ref
+            if not path.exists():
+                stale.append(f"{document.name}: {ref}")
+            elif name and not re.search(
+                    rf"^\s*(?:def|class) {name}\b",
+                    path.read_text(encoding="utf-8"), re.M):
+                stale.append(f"{document.name}: {ref}::{name}")
+        stale += [f"{document.name}: {dotted}"
+                  for dotted in module_ref.findall(text)
+                  if not _resolves(dotted)]
     assert stale == []

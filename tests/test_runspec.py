@@ -58,20 +58,20 @@ def test_plan_chaos_and_serve_share_one_pipeline_per_description(tmp_path):
 
 
 #: D = 4, packets 60, seed 7, default knobs (ip_v4's key hashes its
-#: traffic-class profiles).  Re-pinned at schema v5, when ``incremental``
-#: left the hashed payload.
+#: traffic-class profiles).  Re-pinned at schema v6, when the per-cut
+#: diagnostics lost the warm-start flag.
 PINNED_KEYS = {
-    "ipv4": "76f1a646351e5d0ff7d13a7d30c8dff5"
-            "efc8a68f960b65f459c39596b967f2e8",
-    "rx": "291f4b23151023a7c8bce4e4f4b43664"
-          "00e733cd9a67ce11991a8be12392e7c8",
-    "ip_v4": "9e43f9d7a7154bf3b88c5d86eff2a08a"
-             "197ec99747a6db793c66f6c8c0ca9cd1",
+    "ipv4": "ee9a47325d04409fa8f0f8df18d86c6a"
+            "fdaab709d0150e869ad86798131faa34",
+    "rx": "c6dc5aaf207aadbfa1a044b84c919d32"
+          "20931b62126f7a8406fe03751730a7a2",
+    "ip_v4": "bba87e9467a0f75d9db36b5abebb9854"
+             "8f3208012f626d9a9e599bab37111498",
 }
 
 
 def test_compile_keys_did_not_move(tmp_path):
-    assert CACHE_SCHEMA_VERSION == 5
+    assert CACHE_SCHEMA_VERSION == 6
     for name, digest in PINNED_KEYS.items():
         cache = CompileCache(tmp_path / name)
         app_pipeline(RunSpec(name, 60, 7).build(), 4, cache=cache)

@@ -279,7 +279,7 @@ def test_figures_record_is_one_path_at_every_jobs_level():
     assert sorted(inline["partition_breakdown"]) == \
         ["ip_v4", "ip_v6", "ipv4", "qm", "rx", "scheduler", "tx"]
     assert set(inline["partition_breakdown"]["rx"]["2"]) == \
-        {"cut_iterations", "pr_work", "warm_hits"}
+        {"cut_iterations", "pr_work"}
     for metric in ("speedup_by_degree", "overhead_by_degree"):
         assert set(inline["figures"]["figure20"][metric]) == \
             {"rx", "ip_v4", "ip_v6", "tx"}
