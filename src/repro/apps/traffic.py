@@ -9,7 +9,9 @@ application" (paper §4).
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.apps.common import (
     MIN_PACKET_BYTES,
@@ -19,14 +21,25 @@ from repro.apps.common import (
 )
 
 
+#: Version/IHL, TOS, total length, ident, flags/fragment, TTL, protocol,
+#: checksum, source, destination: the 20-byte IPv4 header in one pack.
+_IPV4_HEADER = struct.Struct(">BBHHHBBHII")
+_POS_IPV4 = bytes([0xFF, 0x03]) + PPP_IPV4.to_bytes(2, "big")
+_POS_IPV6 = bytes([0xFF, 0x03]) + PPP_IPV6.to_bytes(2, "big")
+
+
 def ipv4_checksum(header: bytes) -> int:
     """RFC 791 header checksum of ``header`` (checksum field zeroed)."""
-    total = 0
-    for i in range(0, len(header), 2):
-        total += (header[i] << 8) | header[i + 1]
+    total = sum(struct.unpack(f">{len(header) // 2}H", header))
     while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
+
+
+@lru_cache(maxsize=64)     # one entry per packet size in use
+def _payload(length: int, step: int, offset: int) -> bytes:
+    """The synthetic payload: byte ``i`` is ``(i * step + offset) & 0xFF``."""
+    return bytes((i * step + offset) & 0xFF for i in range(length))
 
 
 def make_ipv4_packet(src: int, dst: int, *, total_bytes: int = MIN_PACKET_BYTES,
@@ -36,23 +49,15 @@ def make_ipv4_packet(src: int, dst: int, *, total_bytes: int = MIN_PACKET_BYTES,
     ip_total = total_bytes - POS_HEADER_BYTES
     if ip_total < 20:
         raise ValueError("packet too small for an IPv4 header")
-    header = bytearray(20)
-    header[0] = 0x45  # version 4, IHL 5
-    header[1] = tos & 0xFF
-    header[2:4] = ip_total.to_bytes(2, "big")
-    header[4:6] = (ident & 0xFFFF).to_bytes(2, "big")
-    header[6:8] = (0).to_bytes(2, "big")  # no fragmentation
-    header[8] = ttl & 0xFF
-    header[9] = proto & 0xFF
-    header[12:16] = (src & 0xFFFFFFFF).to_bytes(4, "big")
-    header[16:20] = (dst & 0xFFFFFFFF).to_bytes(4, "big")
-    checksum = ipv4_checksum(bytes(header))
+    # Version 4 / IHL 5, no fragmentation, checksum zeroed until known.
+    fields = [0x45, tos & 0xFF, ip_total, ident & 0xFFFF, 0, ttl & 0xFF,
+              proto & 0xFF, 0, src & 0xFFFFFFFF, dst & 0xFFFFFFFF]
+    checksum = ipv4_checksum(_IPV4_HEADER.pack(*fields))
     if corrupt_checksum:
         checksum ^= 0x5555
-    header[10:12] = checksum.to_bytes(2, "big")
-    payload = bytes((i * 37 + 11) & 0xFF for i in range(ip_total - 20))
-    pos = bytes([0xFF, 0x03]) + PPP_IPV4.to_bytes(2, "big")
-    return pos + bytes(header) + payload
+    fields[7] = checksum
+    return (_POS_IPV4 + _IPV4_HEADER.pack(*fields)
+            + _payload(ip_total - 20, 37, 11))
 
 
 def make_ipv6_packet(src_top64: int, dst_top64: int, *,
@@ -74,9 +79,7 @@ def make_ipv6_packet(src_top64: int, dst_top64: int, *,
     header[16:24] = (0x1234_5678_9ABC_DEF0).to_bytes(8, "big")
     header[24:32] = (dst_top64 & ((1 << 64) - 1)).to_bytes(8, "big")
     header[32:40] = (0x0FED_CBA9_8765_4321).to_bytes(8, "big")
-    payload = bytes((i * 53 + 7) & 0xFF for i in range(payload_len))
-    pos = bytes([0xFF, 0x03]) + PPP_IPV6.to_bytes(2, "big")
-    return pos + bytes(header) + payload
+    return _POS_IPV6 + bytes(header) + _payload(payload_len, 53, 7)
 
 
 @dataclass

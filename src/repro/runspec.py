@@ -10,7 +10,7 @@ default in the tree (``select_stages``, ``verify_partition``,
 ``AnalysisContext``, ``SearchSpace``, the CLI) reads it from here.
 
 :class:`RunSpec` names a benchmark-suite pipeline — app, traffic,
-degrees, knobs, cache directory — in a form a worker process can be
+degrees, knobs, cache directory — in a form a sweep worker can be
 sent, and :func:`app_pipeline` is the one step from such an app to its
 stages, so ``figures``, ``plan``, ``explore``, ``chaos`` and ``serve``
 mean the same pipeline (and the same cache entry) by "ip_v4 at degree 4".
@@ -45,7 +45,8 @@ class Knobs:
 @dataclass(frozen=True)
 class RunSpec:
     """The picklable name of a suite pipeline: what ``run_sweep`` ships
-    to a sweep worker and ``ServeRuntime`` to a serve worker."""
+    to a sweep worker.  ``ServeRuntime`` builds from one once per run and
+    ships none: its workers are forks that inherit the built pipeline."""
 
     app: str
     packets: int

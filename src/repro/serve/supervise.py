@@ -1,9 +1,11 @@
 """The serving supervisor: keep serving while workers die.
 
 :class:`ServeRuntime` is the parent-side half of the sharded serving
-runtime.  It flow-hash-shards the app's packet stream (one journal per
-shard, written before any worker runs), spawns one worker process per
-non-empty shard, and then supervises:
+runtime.  It compiles the app and (at degree > 1) partitions it once,
+flow-hash-shards the app's packet stream (one journal per shard,
+written before any worker runs), forks one worker process per non-empty
+shard — each incarnation inherits the built app, stages and journal,
+so none rebuilds anything — and then supervises:
 
 * **liveness** — every worker message (ready / heartbeat / result)
   refreshes its activity clock; a live-but-silent worker past the hang
@@ -360,9 +362,13 @@ _SUMMED = ("instructions", "weight", "iterations")
 
 
 def _spawn_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else methods[0])
+    """Fork, the only start method: a worker is a copy of the supervisor
+    that already holds the built app and stages."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise ServeError("repro serve needs the fork start method (a worker "
+                         "is a fork of the built supervisor); this platform "
+                         "has none")
+    return multiprocessing.get_context("fork")
 
 
 class ServeRuntime:
@@ -376,11 +382,8 @@ class ServeRuntime:
                  verify: bool = True):
         if shards < 1:
             raise ServeError(f"need at least 1 shard, got {shards}")
-        #: The pipeline being served, as the supervisor's pre-partition
-        #: and every worker incarnation build it.
-        self.spec = RunSpec(app_name, packets, seed, (degree,),
-                            cache_dir=(str(cache.root)
-                                       if cache is not None else None))
+        #: The pipeline being served, built once per run by the supervisor.
+        self.spec = RunSpec(app_name, packets, seed, (degree,))
         self.shards = shards
         self.degree = degree
         self.batch = batch
@@ -392,13 +395,23 @@ class ServeRuntime:
         self.verify = verify
 
         self._ctx = _spawn_context()
+        self._reset()
+        #: Test seam: called after every fresh commit with (shard, seq).
+        self.on_commit = None
+
+    def _reset(self) -> None:
+        """Every piece of per-run state, fresh: a runtime may run again."""
+        self._app = None
+        self._stages: list | None = None            # None = degree 1
         self._drain_event = None
         self._drain_requested = False
         self._drain_started: float | None = None
-        self._slots: list[_Slot] = []
+        self._slots: list[_Slot] = [_Slot(shard=index)
+                                    for index in range(self.shards)]
         self._journal: Journal | None = None
         self._oracle: _OracleStream | None = None   # None = verify off
-        self._totals: list[dict[str, int]] = []     # per shard, see _handle
+        self._totals: list[dict[str, int]] = [      # per shard, see _handle
+            dict.fromkeys(_SUMMED, 0) for _ in range(self.shards)]
         self._started = 0.0
         self._first_commit: float | None = None
         self._last_commit: float | None = None
@@ -408,8 +421,6 @@ class ServeRuntime:
         self._heartbeats = 0
         self._spawned = 0
         self._hang_kills = 0
-        #: Test seam: called after every fresh commit with (shard, seq).
-        self.on_commit = None
 
     # -- public API ----------------------------------------------------------
 
@@ -427,23 +438,20 @@ class ServeRuntime:
     # -- setup ---------------------------------------------------------------
 
     def _run(self, *, install_sigterm: bool) -> ServeReport:
+        self._reset()
         self._started = time.monotonic()
-        app = self.spec.build()
+        # Built once; every worker incarnation is a fork that inherits it.
+        app = self._app = self.spec.build()
         if app.stream is None or app.feed is None:
             raise ServeError(f"app {self.spec.app!r} cannot be served "
                              f"(no stream/feed split)")
-        if self.degree > 1 and self.cache is not None:
-            # Pre-partition once so every worker incarnation gets a
-            # cache hit instead of racing on the same cut search.
-            app_pipeline(app, self.degree, knobs=self.spec.knobs,
-                         cache=self.cache)
+        if self.degree > 1:
+            self._stages = app_pipeline(app, self.degree,
+                                        knobs=self.spec.knobs,
+                                        cache=self.cache).stages
 
         substreams = shard_stream(app.stream(), self.shards)
         self._journal = Journal(self.shards, self.journal_dir)
-        self._totals = [dict.fromkeys(_SUMMED, 0)
-                        for _ in range(self.shards)]
-        self._slots = [_Slot(shard=index) for index in range(self.shards)]
-        self._attempts = {}
         for index, substream in enumerate(substreams):
             for packets in make_batches(substream, self.batch):
                 self._journal.append(index, packets)
@@ -504,8 +512,8 @@ class ServeRuntime:
                    for record in self._journal[assignment].records]
         proc = self._ctx.Process(
             target=worker_main,
-            args=(self.spec, self.watchdog_quantum, assignment, incarnation,
-                  batches, child_conn, self._drain_event,
+            args=(self._app, self._stages, self.watchdog_quantum, assignment,
+                  incarnation, batches, child_conn, self._drain_event,
                   self._worker_faults(slot, assignment)),
             name=f"serve-shard-{assignment}-i{incarnation}",
             daemon=True)

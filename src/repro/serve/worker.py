@@ -1,8 +1,9 @@
 """The serve worker: one process, one shard, deterministic batch loop.
 
-``worker_main`` is the child-process entry point the supervisor spawns
-(module-level and picklable, so it works under both fork and spawn
-start methods).  An incarnation always runs its shard's *entire*
+``worker_main`` is the body of a child the supervisor *forks* after it
+has compiled the app, partitioned it and journaled the stream: an
+incarnation inherits all of that and builds nothing — no compile, no
+cut search, no cache read.  It always runs its shard's *entire*
 journaled batch list from batch 1 on a fresh machine state: replay is
 how a restart rebuilds the exact machine its dead predecessor had, and
 the parent's commit watermark drops the re-delivered prefix (counting
@@ -32,7 +33,6 @@ import sys
 import time
 
 from repro.errors import DeadlockError, TrapError
-from repro.runspec import RunSpec, app_pipeline
 from repro.runtime.faults import WorkerFaults
 from repro.runtime.scheduler import run_pipeline, run_sequential
 from repro.runtime.state import MachineState
@@ -101,31 +101,15 @@ class BatchRunner:
         return {"tx": tx, "traces": traces}
 
 
-def _build_runner(spec: RunSpec,
-                  watchdog_quantum: int | None) -> BatchRunner:
-    """Compile the spec's app once per incarnation (degree 1 = the
-    sequential PPS, no partitioning) and wrap it in a fresh
-    :class:`BatchRunner`."""
-    app = spec.build()
-    if app.feed is None:
-        raise ValueError(f"app {spec.app!r} has no stream/feed split")
-    [degree] = spec.degrees
-    stages = None
-    if degree > 1:
-        stages = app_pipeline(app, degree, knobs=spec.knobs,
-                              cache=spec.open_cache()).stages
-    return BatchRunner(app, stages=stages, watchdog_quantum=watchdog_quantum)
-
-
-def worker_main(spec: RunSpec, watchdog_quantum: int | None, shard: int,
-                incarnation: int, batches: list[list], conn, drain_event,
-                fault: WorkerFaults | None = None) -> None:
-    """Child-process body: rebuild the pipeline ``spec`` names, replay
-    ``batches``, streaming deltas up ``conn``.  Never returns
-    non-locally except by ``sys.exit``."""
+def worker_main(app, stages: list | None, watchdog_quantum: int | None,
+                shard: int, incarnation: int, batches: list[list], conn,
+                drain_event, fault: WorkerFaults | None = None) -> None:
+    """Child-process body: replay ``batches`` through the inherited
+    ``app`` (``stages=None``: its sequential PPS), streaming deltas up
+    ``conn``.  Never returns non-locally except by ``sys.exit``."""
     try:
-        _worker_body(spec, watchdog_quantum, shard, incarnation, batches,
-                     conn, drain_event, fault)
+        _worker_body(app, stages, watchdog_quantum, shard, incarnation,
+                     batches, conn, drain_event, fault)
     except DeadlockError as exc:
         conn.send(("error", shard, incarnation, exc.kind, str(exc)))
         sys.exit(WORKER_FAILURE_EXIT)
@@ -140,11 +124,12 @@ def worker_main(spec: RunSpec, watchdog_quantum: int | None, shard: int,
         conn.close()
 
 
-def _worker_body(spec, watchdog_quantum, shard, incarnation, batches, conn,
-                 drain_event, fault) -> None:
+def _worker_body(app, stages, watchdog_quantum, shard, incarnation, batches,
+                 conn, drain_event, fault) -> None:
     # The supervisor owns lifecycle signals; workers die by SIGKILL only.
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    runner = _build_runner(spec, watchdog_quantum)
+    runner = BatchRunner(app, stages=stages,
+                         watchdog_quantum=watchdog_quantum)
     conn.send(("ready", shard, incarnation))
 
     armed = fault if (fault is not None and (

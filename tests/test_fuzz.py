@@ -19,6 +19,7 @@ import pytest
 from repro.eval.fuzz import (
     CheckFailure,
     check_program,
+    fuzz_case,
     run_fuzz,
     self_test,
     shrink_source,
@@ -40,6 +41,23 @@ pps fuzzed {
     }
 }
 """
+
+
+#: Cells (seed, degree) mis-pipelined by an array declared inside the
+#: loop (ROADMAP item 1): its fix flips every one of them to passing.
+ARRAY_HOLE_CELLS = [
+    (seed, degree) for degree, seeds in (
+        (3, (228, 249)),
+        (4, (249, 274, 581)),
+        (6, (196, 208, 220, 228, 249, 274, 581, 587)),
+        (8, (196, 220, 228, 249, 274, 581, 587)),
+    ) for seed in seeds]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("seed, degree", ARRAY_HOLE_CELLS)
+def test_array_hole_regression_list(seed, degree):
+    assert fuzz_case(seed, degree, 24, 0) is None
 
 
 def test_fuzz_smoke_is_clean_and_deterministic():

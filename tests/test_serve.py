@@ -327,8 +327,14 @@ def test_oracle_failure_mid_run_is_loud_and_leaves_no_orphans(
 
     monkeypatch.setattr(supervise, "oracle_deltas", failing)
     monkeypatch.setattr(ServeRuntime, "_kill_all", recording_kill_all)
+    # Both workers stop, alive, after their first batch and FAST's hang
+    # timeout (10 s) never fires: they are still serving, by construction,
+    # when the oracle fails on its second.
+    hold = FaultPlan.from_dict(
+        {"seed": 1, "workers": {"*": {"hang_after_batches": 1}}},
+        name="hold")
     runtime = ServeRuntime("ipv4", shards=2, packets=STREAM_PACKETS,
-                           batch=STREAM_BATCH, policy=FAST)
+                           batch=STREAM_BATCH, plan=hold, policy=FAST)
     with pytest.raises(TrapError if failure == "trap" else DeadlockError,
                        match="shard 0 batch 2: ") as caught:
         runtime.run()
@@ -345,6 +351,76 @@ def test_oracle_failure_mid_run_is_loud_and_leaves_no_orphans(
     assert code == EXIT_RUNTIME
     assert "shard 0 batch 2: " in capsys.readouterr().err
     assert not multiprocessing.active_children()
+
+
+def supervisor_only(monkeypatch, owner, name, calls):
+    """Wrap ``owner.name`` so that it counts its calls and fails loudly in
+    any process but this one (the supervisor)."""
+    import os
+
+    real, supervisor = getattr(owner, name), os.getpid()
+
+    def guarded(*args, **kwargs):
+        if os.getpid() != supervisor:
+            raise AssertionError(f"{name} ran in worker pid {os.getpid()}")
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, guarded)
+
+
+def test_no_incarnation_builds_anything(monkeypatch, tmp_path):
+    """Compile, partition and cache read happen once, in the supervisor:
+    every incarnation, restarted ones included, is a fork that only runs."""
+    import repro.apps.suite
+    import repro.pipeline.transform
+    from repro.cache import CompileCache
+
+    calls = {}
+    for owner, name in ((repro.apps.suite, "build_app"),
+                        (repro.pipeline.transform, "pipeline_pps"),
+                        (CompileCache, "lookup")):
+        supervisor_only(monkeypatch, owner, name, calls)
+    plan = FaultPlan.from_dict(
+        {"seed": 2, "workers": {"*": {"kill_after_batches": 1}}},
+        name="kill-each")
+    report = run_serve(degree=2, plan=plan, cache=CompileCache(tmp_path))
+    assert report.ok and report.verified is True, report.render()
+    assert report.counters["restarts"] == report.shards == 2
+    assert calls == {"build_app": 1, "pipeline_pps": 1, "lookup": 1}
+
+
+def test_uncached_pipeline_is_cut_once(monkeypatch):
+    """Without a cache, D > 1 still runs one cut search per run, not one
+    per incarnation."""
+    import repro.pipeline.transform
+
+    calls = {}
+    supervisor_only(monkeypatch, repro.pipeline.transform, "select_stages",
+                    calls)
+    report = run_serve(degree=4, cache=None)
+    assert report.ok and report.verified is True
+    assert calls == {"select_stages": 1}
+
+
+def test_a_runtime_runs_twice_with_the_same_numbers():
+    runtime = ServeRuntime("ipv4", shards=2, packets=64, batch=BATCH,
+                           policy=FAST)
+    first, second = runtime.run(), runtime.run()
+    assert second.ok and second.verified is True
+    assert second.counters == first.counters
+    assert second.counters["workers_spawned"] == 2
+    assert second.shard_stats == first.shard_stats
+    assert 0 <= second.timings["first_commit_s"] <= second.timings["wall_s"]
+
+
+def test_serving_without_fork_is_a_serve_error(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    with pytest.raises(ServeError, match="fork"):
+        ServeRuntime("ipv4", shards=2)
 
 
 def test_drain_verifies_the_committed_prefix_only(monkeypatch):
