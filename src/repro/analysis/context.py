@@ -17,14 +17,11 @@ callable, keyed by identity): everything degree-specific stays in
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from repro.analysis.cfg import PpsLoop, find_pps_loop, split_large_blocks
 from repro.analysis.dependence_graph import LoopDependenceModel
 from repro.analysis.liveness import Liveness
 from repro.ir.clone import clone_function
 from repro.ir.function import Function, Module
-from repro.ir.printer import format_function
 from repro.obs import tracer as obs
 from repro.runspec import Knobs
 from repro.ssa.construct import construct_ssa
@@ -37,11 +34,11 @@ class AnalysisContext:
         module / pps_name / max_block_instructions: the identity the
             context answers for (see :meth:`matches`).
         work: the normalized (block-split) working copy every degree
-            shares; stage realization only reads it.
+            shares; stage realization only reads it, and every result
+            (a compile-cache hit included) is realized from it.
         loop: the PPS loop of ``work``.
         ssa: an SSA-converted clone of ``work``.
         model: the :class:`LoopDependenceModel` over ``ssa``.
-        text: ``work`` as the IR printer renders it.
     """
 
     def __init__(
@@ -73,13 +70,6 @@ class AnalysisContext:
         return (self.module is module
                 and self.pps_name == pps_name
                 and self.max_block_instructions == max_block_instructions)
-
-    @cached_property
-    def text(self) -> str:
-        """``work`` printed (once): how the verifier recognises a result
-        whose ``normalized`` is another object holding this program — a
-        compile-cache hit — and may therefore take :attr:`model`."""
-        return format_function(self.work)
 
     @property
     def ssa(self) -> Function:

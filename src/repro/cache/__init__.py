@@ -2,7 +2,9 @@
 
 The balanced-cut search dominates the wall time of every sweep, and it
 is fully deterministic given (canonical source, degree, machine costs,
-partitioner config) — so its result is cacheable by content address:
+partitioner config) — so its decision, a stage for every body block, is
+cacheable by content address; realizing the stages from it is cheap and
+is redone on every hit:
 
 * :mod:`repro.cache.key` — SHA-256 keys over exactly the inputs that
   determine a partition result;

@@ -40,7 +40,10 @@ from repro.pipeline.realize import stage_pipe_name
 #: depend on it), so every artifact has one address instead of two.
 #: v6: CutDiagnostics lost the warm-start flag and ``pr_work`` counts a
 #: cold first solve (the cross-solve warm start was deleted).
-CACHE_SCHEMA_VERSION = 6
+#: v7: an entry is the partition decision in plain data (block and unit
+#: stages, per-cut diagnostics, stage weights), not a pickled
+#: PipelineResult; a hit realizes its stages again.
+CACHE_SCHEMA_VERSION = 7
 
 
 def canonical_pps_text(module: Module, pps_name: str) -> str:

@@ -16,6 +16,7 @@ pipes; the result carries everything the evaluation harness needs.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 from repro.analysis.cfg import PpsLoop
@@ -27,7 +28,7 @@ from repro.ir.verify import verify_function
 from repro.lang.intrinsics import Effect, get_intrinsic
 from repro.machine.costs import CostModel
 from repro.obs import tracer as obs
-from repro.pipeline.cuts import StageAssignment, select_stages
+from repro.pipeline.cuts import CutDiagnostics, StageAssignment, select_stages
 from repro.pipeline.liveset import CutLayout, Strategy, compute_cut_layouts
 from repro.pipeline.realize import StageProgram, realize_stages
 from repro.runspec import Knobs
@@ -44,10 +45,12 @@ class PipelineError(ReproError):
 class PipelineResult:
     """Everything produced by one pipelining transformation.
 
-    The result is also the cached artifact, so it holds what its readers
-    use and no analysis objects: the dependence model the cuts were
-    selected on stays in the :class:`AnalysisContext`; only the static
-    weight it gave each stage rides along.
+    It holds what its readers use and no analysis objects: the dependence
+    model the cuts were selected on stays in the :class:`AnalysisContext`;
+    only the static weight it gave each stage rides along.  Hit or miss,
+    ``normalized`` and ``loop`` are the context's own ``work`` and
+    ``loop``; the compile cache stores only ``assignment`` and
+    ``stage_weights`` and realizes the rest again on a hit.
     """
 
     pps_name: str
@@ -98,11 +101,15 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
     by the baseline-partitioner ablations.
 
     ``cache`` (optional) is a :class:`repro.cache.CompileCache`; the
-    partition result is looked up / stored by content address, keyed on
-    the canonical PPS text, ``degree``, the cost table, and every
-    partitioner knob (including the profiler's output).  A hit skips the
-    SSA / dependence / balanced-cut / layout / realize phases entirely
-    and is bit-identical to a fresh compile.  ``cut_strategy`` bypasses
+    partition *decision* — every body block's stage, the per-cut
+    diagnostics, the stage weights — is looked up / stored by content
+    address, keyed on the canonical PPS text, ``degree``, the cost table,
+    and every partitioner knob (including the profiler's output).  A hit
+    skips the SSA / dependence / balanced-cut phases and realizes its
+    stages from ``context.work`` on the layout / realize / verify path a
+    miss takes, so it is bit-identical to a fresh compile.  A record
+    that does not stage exactly this program's body blocks is stale: it
+    warns and is recomputed and overwritten.  ``cut_strategy`` bypasses
     the cache (a callback is not content-addressable).
     """
     if pps_name not in module.ppses:
@@ -123,7 +130,7 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
 
         profiles = context.profiles_for(profiler)
 
-        key = None
+        key = restored = None
         if cache is not None and cut_strategy is None:
             from repro.cache import compile_key
 
@@ -132,24 +139,33 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
             # The expectation rejects any mislabeled envelope: an artifact
             # stamped with a lower achieved degree (a degraded partition)
             # is never served for a full-degree request.
-            cached = cache.lookup(key, expect={"degree": degree})
+            record = cache.lookup(key, expect={"degree": degree})
+            if record is not None:
+                restored = _restore(record, degree, loop.body)
+                if restored is None:  # counted, and recomputed, as a miss
+                    cache.hits -= 1
+                    cache.misses += 1
+                    warnings.warn(f"stale cache record {key[:16]} for "
+                                  f"{pps_name} x{degree}: recomputing",
+                                  RuntimeWarning, stacklevel=2)
             obs.instant("cache_lookup", cat="cache", pps=pps_name,
                         degree=degree, key=key[:16],
-                        outcome="hit" if cached is not None else "miss")
-            if cached is not None:
-                _register_stage_pipes(module, cached)
-                return cached
+                        outcome="miss" if record is None
+                        else "stale" if restored is None else "hit")
 
-        model = context.model
-
-        with obs.span("select_stages", cat="compile", pps=pps_name,
-                      degree=degree):
-            if cut_strategy is not None:
-                assignment = cut_strategy(model, degree)
-            else:
-                assignment = select_stages(model, degree, costs=knobs.costs,
-                                           epsilon=knobs.epsilon,
-                                           profiles=profiles)
+        if restored is not None:
+            assignment, stage_weights = restored
+        else:
+            model = context.model
+            with obs.span("select_stages", cat="compile", pps=pps_name,
+                          degree=degree):
+                if cut_strategy is not None:
+                    assignment = cut_strategy(model, degree)
+                else:
+                    assignment = select_stages(
+                        model, degree, costs=knobs.costs,
+                        epsilon=knobs.epsilon, profiles=profiles)
+            stage_weights = assignment.stage_weights(model)
         with obs.span("liveset_layout", cat="compile", pps=pps_name):
             layouts = compute_cut_layouts(work, loop.body,
                                           assignment.block_stage,
@@ -173,7 +189,7 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
         degree=degree,
         stages=stages,
         assignment=assignment,
-        stage_weights=assignment.stage_weights(model),
+        stage_weights=stage_weights,
         layouts=layouts,
         strategy=knobs.strategy,
         costs=knobs.costs,
@@ -181,20 +197,34 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
         loop=loop,
         profiled=profiles is not None,
     )
-    if key is not None:
-        cache.store(key, result, annotations={"degree": degree})
+    if key is not None and restored is None:
+        # Plain data only: the partition decision, not the code.
+        record = {"block_stage": assignment.block_stage,
+                  "unit_stage": list(assignment.unit_stage.items()),
+                  "diagnostics": [vars(diag)
+                                  for diag in assignment.diagnostics],
+                  "stage_weights": stage_weights}
+        cache.store(key, record, annotations={"degree": degree})
     return result
 
 
-def _register_stage_pipes(module: Module, result: PipelineResult) -> None:
-    """Replicate :func:`realize_stages`' only module side effect for a
-    cache-restored result: register the inter-stage pipes."""
-    from repro.ir.values import PipeRef
-
-    for stage in result.stages:
-        for ref in (stage.in_pipe, stage.out_pipe):
-            if ref is not None:
-                module.pipes.setdefault(ref.name, PipeRef(ref.name))
+def _restore(record, degree: int, body: list[str]
+             ) -> tuple[StageAssignment, dict[int, int]] | None:
+    """``(assignment, stage_weights)`` from a cache record, or None when
+    the record does not give every body block exactly one stage in
+    ``1..degree`` (a record written for another program or layout)."""
+    try:
+        block_stage = dict(record["block_stage"])
+        if set(block_stage) != set(body) or not all(
+                stage in range(1, degree + 1)
+                for stage in block_stage.values()):
+            return None
+        assignment = StageAssignment(
+            degree, block_stage, dict(record["unit_stage"]),
+            [CutDiagnostics(**diag) for diag in record["diagnostics"]])
+        return assignment, dict(record["stage_weights"])
+    except (KeyError, TypeError, ValueError):  # not a record at all
+        return None
 
 
 def _check_inlined(function: Function) -> None:

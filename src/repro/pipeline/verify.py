@@ -6,7 +6,7 @@ against it:
 
 * **dependence** — the dependence graph is rebuilt from the normalized
   PPS (fresh SSA construction, fresh :class:`LoopDependenceModel` — or
-  those of a shared context that holds the same program) and every flow,
+  those of a shared context whose ``work`` it is) and every flow,
   anti/output/memory-ordering, and control dependence must point at an
   equal-or-later stage; loop-carried (colocation) endpoints must share a
   stage.  The summarized CFG edges must point forward too (a stage is a
@@ -49,7 +49,6 @@ from repro.analysis.dependence_graph import DepKind, LoopDependenceModel
 from repro.analysis.liveness import Liveness
 from repro.ir.clone import clone_function
 from repro.ir.instructions import PipeIn, PipeOut, SwitchTerm
-from repro.ir.printer import format_function
 from repro.ir.values import Const
 from repro.ir.verify import verify_function
 from repro.pipeline.liveset import Strategy
@@ -150,20 +149,13 @@ class _Checker:
         # Ground truth: SSA, dependence model and liveness over the
         # *normalized* PPS, never the model this result's cuts were
         # selected on.  They are a pure function of the program, so a
-        # shared AnalysisContext may supply them when it holds the same
-        # program: the same object (a fresh result) or, for a
-        # cache-restored copy, the same printed text — the text
-        # ``compile_key`` names the program by.  The checks read the
-        # model by block name, node and unit number only; registers are
-        # identities, so liveness is taken over the copy the layouts
-        # name.  No context, or another program's: rebuild everything.
+        # shared AnalysisContext supplies them when it holds this very
+        # program object — every result ``pipeline_pps`` returns, hit or
+        # miss, realizes its stages from ``context.work``.  Any other
+        # object (a copy, another program): rebuild everything.
         if context is not None and context.work is self.work:
             self.model = context.model
             self.liveness = context.liveness
-        elif context is not None \
-                and format_function(self.work) == context.text:
-            self.model = context.model
-            self.liveness = Liveness(self.work)
         else:
             ssa = clone_function(self.work)
             construct_ssa(ssa)
@@ -510,18 +502,16 @@ def verify_partition(result: PipelineResult, *,
 
     ``context`` (optional) is a shared
     :class:`repro.analysis.context.AnalysisContext`.  When its normalized
-    function *is* ``result.normalized`` (a fresh result), the checker
-    consumes its SSA / dependence / liveness analyses instead of
-    rebuilding them; when ``result.normalized`` is another object that
-    prints the same text (a cache-restored result), it consumes the
-    dependence model and computes liveness over the result's own copy —
-    so a degree sweep of cache hits pays the analyses once per program,
-    and a restored artifact is checked against the program in hand.
-    The analyses are a deterministic pure function of the normalized
-    IR, so the checks are unchanged; what sharing gives up is only
-    resilience against a *memory-corrupting* bug inside the analyses
-    themselves.  Without a context, or with one for a different
-    program, the ground truth is rebuilt from scratch.
+    function *is* ``result.normalized`` — true of every result
+    ``pipeline_pps`` returns with that context, a cache hit included —
+    the checker consumes its SSA / dependence / liveness analyses
+    instead of rebuilding them, so a degree sweep pays the analyses once
+    per program.  The analyses are a deterministic pure function of the
+    normalized IR, so the checks are unchanged; what sharing gives up is
+    only resilience against a *memory-corrupting* bug inside the
+    analyses themselves.  Without a context, or when ``result.normalized``
+    is any other object (a copy of the same program included), the
+    ground truth is rebuilt from scratch.
     """
     if result.degree == 1:
         # Sequential "pipelines" have no cuts: structural stage check only.

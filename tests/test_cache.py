@@ -10,7 +10,8 @@ Covers the ISSUE 4 acceptance contract:
   insertion-history order);
 * corruption — truncated / bit-flipped / wrong-schema / misfiled
   entries are discarded with a RuntimeWarning and counted, never
-  deserialized and never fatal;
+  deserialized and never fatal; a well-enveloped record that does not
+  stage exactly the program's body blocks is a warned, recomputed miss;
 * atomicity — concurrent writers racing on one key never expose a torn
   entry to a concurrent reader.
 """
@@ -200,39 +201,122 @@ def test_round_trip_preserves_pickle_payload(tmp_path):
     assert cache.counters()["hits"] == 1
 
 
-class _ModuleRecorder(pickle.Unpickler):
-    """Unpickles normally, recording the module of every class loaded."""
+class _ClassRecorder(pickle.Unpickler):
+    """Unpickles normally, recording every class the payload names."""
 
     def __init__(self, file):
         super().__init__(file)
-        self.modules: set[str] = set()
+        self.classes: list[str] = []
 
     def find_class(self, module, name):
-        self.modules.add(module)
+        self.classes.append(f"{module}.{name}")
         return super().find_class(module, name)
+
+
+def _payload(entry) -> bytes:
+    return entry.read_bytes().partition(b"\n")[2]
 
 
 @pytest.mark.parametrize("app_name", SUITE_APPS)
 def test_artifact_holds_no_analysis_objects(app_name, tmp_path):
-    """The dependence model (CFG summary, dependence graph, SSA clone)
-    stays in the AnalysisContext: nothing of it is pickled into an entry.
-    Structural, not a byte threshold — one stray reference drags the
-    whole model back in."""
+    """An entry is the partition decision in plain data — no IR, no
+    analysis object, no class of this package or any other: it unpickles
+    without a single ``find_class`` call."""
+    from repro.analysis.context import AnalysisContext
+
     cache = CompileCache(tmp_path / "cache")
     app = build_app(app_name, packets=4, seed=7)
-    pipeline_pps(app.module, app.pps_name, 9, cache=cache)
+    context = AnalysisContext(app.module, app.pps_name)
+    result = pipeline_pps(app.module, app.pps_name, 9, cache=cache,
+                          context=context)
     (entry,) = (tmp_path / "cache" / "objects").glob("*/*.bin")
-    _, _, payload = entry.read_bytes().partition(b"\n")
-    recorder = _ModuleRecorder(io.BytesIO(payload))
-    artifact = recorder.load()
-    assert artifact.degree == 9 and sum(artifact.stage_weights.values()) > 0
-    assert "repro.pipeline.transform" in recorder.modules
-    leaked = sorted(
-        module for module in recorder.modules
-        if module in ("repro.analysis.dependence_graph",
-                      "repro.analysis.graph")
-        or module == "repro.ssa" or module.startswith("repro.ssa."))
-    assert not leaked, f"{app_name}: artifact pickles {leaked}"
+    recorder = _ClassRecorder(io.BytesIO(_payload(entry)))
+    record = recorder.load()
+    assert recorder.classes == [], f"{app_name}: entry names classes"
+    assert record["block_stage"] == result.assignment.block_stage
+    assert set(record["block_stage"]) == set(context.loop.body)
+    assert record["unit_stage"] == list(result.assignment.unit_stage.items())
+    assert record["stage_weights"] == result.stage_weights
+    assert sum(record["stage_weights"].values()) > 0
+    assert len(record["diagnostics"]) == len(result.assignment.diagnostics)
+
+
+# -- a stale record is a miss, not a crash -----------------------------------
+
+
+def _stale(record: dict, case: str, degree: int) -> dict:
+    """``record`` broken the way a record from an older program or an
+    older block split would be."""
+    block_stage = dict(record["block_stage"])
+    name = next(iter(block_stage))
+    if case == "missing-block":
+        del block_stage[name]
+    elif case == "unknown-block":
+        block_stage["no_such_block"] = 1
+    else:  # "stage-past-degree"
+        block_stage[name] = degree + 1
+    return dict(record, block_stage=block_stage)
+
+
+@pytest.mark.parametrize("case", ["missing-block", "unknown-block",
+                                  "stage-past-degree"])
+def test_stale_record_is_recomputed_and_overwritten(case, tmp_path):
+    """A validly enveloped record that does not stage exactly this
+    program's body blocks warns, is counted as a miss, is recomputed —
+    bit-identical to a fresh compile — and is overwritten by the good
+    record.  Nothing raises out of layout or realize."""
+    cache = CompileCache(tmp_path / "cache")
+    fresh_app = build_app("rx", packets=4, seed=7)
+    fresh = pipeline_pps(fresh_app.module, fresh_app.pps_name, 3,
+                         cache=cache)
+    (entry,) = (tmp_path / "cache" / "objects").glob("*/*.bin")
+    good = pickle.loads(_payload(entry))
+    cache.store(entry.stem, _stale(good, case, 3),
+                annotations={"degree": 3})
+
+    again = CompileCache(tmp_path / "cache")
+    app = build_app("rx", packets=4, seed=7)
+    with pytest.warns(RuntimeWarning, match="stale cache record"):
+        result = pipeline_pps(app.module, app.pps_name, 3, cache=again)
+    assert canonical_artifact_bytes(result) == \
+        canonical_artifact_bytes(fresh)
+    assert (again.hits, again.misses, again.stores) == (0, 1, 1)
+    assert pickle.loads(_payload(entry)) == good
+
+
+def test_a_record_crosses_hash_seeds(tmp_path):
+    """Block names and unit ids are all a record carries from the
+    process that wrote it: one written under PYTHONHASHSEED=0 realizes
+    byte-identical stage text in a process with another hash seed."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import hashlib, sys\n"
+        "from repro.cache import CompileCache\n"
+        "from repro.ir.printer import format_function\n"
+        "from repro.runspec import RunSpec, app_pipeline\n"
+        "cache = CompileCache(sys.argv[1])\n"
+        "result = app_pipeline(RunSpec('ip_v4', 24, 7).build(), 4,"
+        " cache=cache)\n"
+        "text = '\\n'.join(format_function(s.function)"
+        " for s in result.stages)\n"
+        "print(cache.hits, cache.misses,"
+        " hashlib.sha256(text.encode()).hexdigest())\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def run(seed: str) -> list[str]:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "cache")],
+            env=env, capture_output=True, text=True, check=True)
+        return done.stdout.split()
+
+    writer = run("0")
+    reader = run("20050612")
+    assert writer[:2] == ["0", "1"] and reader[:2] == ["1", "0"]
+    assert reader[2] == writer[2]
 
 
 # -- corruption -------------------------------------------------------------
@@ -451,13 +535,14 @@ class warnings_as_errors:
 # -- warm path: the partition phases are skipped ----------------------------
 
 
-_PARTITION_PHASES = {"ssa_construct", "dependence_graph", "select_stages",
-                     "liveset_layout", "realize", "verify"}
+_SEARCH_PHASES = {"ssa_construct", "dependence_graph", "select_stages"}
+_REALIZE_PHASES = {"liveset_layout", "realize", "verify"}
 
 
 def test_warm_partition_skips_search_phases(tmp_path):
-    """A cache hit must bypass every partition phase (the point of the
-    cache): only normalize/profile — whose outputs feed the key — run."""
+    """A cache hit skips the cut search and what only it needs (SSA, the
+    dependence model) and realizes its stages on the path a miss takes:
+    layout, realize, structural verify."""
     from repro.obs import Tracer, tracing
 
     cache = CompileCache(tmp_path / "cache")
@@ -466,15 +551,16 @@ def test_warm_partition_skips_search_phases(tmp_path):
     with tracing(cold_tracer):
         pipeline_pps(app.module, app.pps_name, 3, cache=cache)
     cold_spans = {e["name"] for e in cold_tracer.events if e["ph"] == "X"}
-    assert _PARTITION_PHASES <= cold_spans
+    assert _SEARCH_PHASES | _REALIZE_PHASES <= cold_spans
 
     warm = build_app("rx", packets=4, seed=7)
     tracer = Tracer()
     with tracing(tracer):
         pipeline_pps(warm.module, warm.pps_name, 3, cache=cache)
     spans = {e["name"] for e in tracer.events if e["ph"] == "X"}
-    assert not (_PARTITION_PHASES & spans), \
-        f"cache hit still ran {_PARTITION_PHASES & spans}"
+    assert not (_SEARCH_PHASES & spans), \
+        f"cache hit still ran {_SEARCH_PHASES & spans}"
+    assert _REALIZE_PHASES <= spans
     lookups = [e for e in tracer.events
                if e["ph"] == "i" and e["name"] == "cache_lookup"]
     assert [e["args"]["outcome"] for e in lookups] == ["hit"]

@@ -11,7 +11,8 @@ The ISSUE 5 acceptance contract:
   degree, on attempt 2 (ISSUE 22);
 * a degraded artifact is never served for a full-degree request;
 * a miss is stored once, a hit writes nothing, and the verifier runs on
-  both.
+  both — so a forged cache record costs a rejected attempt, never an
+  unverified result.
 """
 
 from __future__ import annotations
@@ -247,6 +248,59 @@ def test_a_miss_stores_once_and_a_hit_writes_nothing(tmp_path):
     assert path.read_bytes() == stored
 
 
+#: Two sends on one pipe in exclusive arms: pipe order makes the arms a
+#: loop-carried pair that must share a stage.
+_TWO_SENDS_PPS = """
+pipe in_q;
+pipe out_q;
+
+pps split {
+    for (;;) {
+        int v = pipe_recv(in_q);
+        int a = (v * 3) ^ 21;
+        int b = (a + v) * 7;
+        int c = (b ^ a) + 5;
+        if (v > 9) {
+            pipe_send(out_q, c);
+        } else {
+            int d = (c * 9) ^ b;
+            int e = (d + a) * 3;
+            pipe_send(out_q, e + 1);
+        }
+    }
+}
+"""
+
+
+def test_forged_record_is_rejected_and_recomputed(tmp_path):
+    """A well-formed record can only yield a legal cut or nothing: one
+    that moves a block a stage earlier than a dependence allows realizes,
+    is rejected by the verifier on attempt 1, and the widened rung — a
+    different key, so a fresh cut search — is verified."""
+    import pickle
+
+    cache = CompileCache(tmp_path / "cache")
+    supervise_partition(compile_module(_TWO_SENDS_PPS), "split", 2,
+                        cache=cache)
+    key, path = _only_entry(cache)
+    record = pickle.loads(path.read_bytes().partition(b"\n")[2])
+    assert record["block_stage"]["if_then3"] == 2
+    record["block_stage"]["if_then3"] = 1
+    cache.store(key, record, annotations={"degree": 2})
+
+    warm = CompileCache(tmp_path / "cache")
+    outcome = supervise_partition(compile_module(_TWO_SENDS_PPS), "split", 2,
+                                  cache=warm)
+    first, second = outcome.attempts
+    assert first.outcome == "rejected" and warm.hits == 1
+    assert any(finding.check == "dependence"
+               and "colocated" in finding.detail
+               for finding in first.findings)
+    assert second.outcome == "verified" and second.knobs.epsilon == 0.125
+    assert outcome.ok and not outcome.degraded and outcome.verdict.ok
+    assert outcome.result.assignment.block_stage["if_then3"] == 2
+
+
 def test_outcome_as_dict_round_trips_to_json():
     import json
 
@@ -306,7 +360,9 @@ def test_a_warm_row_builds_the_analyses_once(tmp_path, monkeypatch):
                for outcome in outcomes)
     assert (warm.hits, warm.misses, warm.stores) == (4, 0, 0)
     assert verified == list(degrees)
-    assert all(outcome.result.normalized is not context.work
+    # Every hit is realized from the context's own program, so the
+    # verifier takes the context's analyses by identity.
+    assert all(outcome.result.normalized is context.work
                for outcome in outcomes)
     assert len(ssa) == len(models) == 1
 

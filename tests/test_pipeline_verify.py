@@ -155,17 +155,16 @@ def test_shared_context_verdict_matches_rebuilt_verdict():
 
 
 def _restored(result):
-    """``result`` as a compile-cache hit hands it back: equal content,
-    no object shared with the context."""
+    """``result`` holding another copy of its program: equal content, no
+    object shared with the context."""
     return pickle.loads(pickle.dumps(result))
 
 
 def test_mismatched_context_is_ignored_not_trusted():
-    """A context for a *different* normalized function must never supply
-    the ground truth — the checker falls back to a fresh rebuild."""
+    """A context whose ``work`` is not the result's ``normalized`` must
+    never supply the ground truth — another program, or a copy of this
+    one, gets a fresh rebuild and the verdict the context would give."""
     from repro.analysis.context import AnalysisContext
-    from repro.ir.instructions import BinOp
-    from repro.ir.values import Const
     from repro.pipeline.verify import _Checker
 
     context, result = _partition_with_context("rx")
@@ -175,22 +174,22 @@ def test_mismatched_context_is_ignored_not_trusted():
     assert checker.model is not stranger.model
     assert checker.work is result.normalized
 
-    # The near miss: the right program but for one constant.  One token
-    # of printed text differs, so the restored copy is a stranger too.
-    near = _restored(result)
-    assert _Checker(near, 1.0 / 16.0, context=context).model is context.model
-    binop = next(inst for inst in near.normalized.all_instructions()
-                 if isinstance(inst, BinOp) and isinstance(inst.rhs, Const))
-    binop.rhs = Const(binop.rhs.value + 1)
-    assert _Checker(near, 1.0 / 16.0, context=context).model \
-        is not context.model
+    twin = _restored(result)
+    checker = _Checker(twin, 1.0 / 16.0, context=context)
+    assert checker.model is not context.model
+    assert checker.liveness is not context.liveness
+    assert checker.liveness.function is twin.normalized
+    rebuilt = checker.run()
+    shared = verify_partition(result, context=context)
+    assert rebuilt.ok and shared.ok
+    assert rebuilt.warnings == shared.warnings
 
 
 def test_shared_context_still_rejects_every_seeded_defect():
-    """The independent-verifier guarantee survives analysis sharing: the
-    analyses are a pure function of the normalized IR, so a corrupted
-    *partition* is still checked against untainted ground truth — with
-    the verdict a from-scratch rebuild gives, finding for finding."""
+    """Passing a context never weakens the verifier: seeded_defects
+    deep-copies, so every mutant holds another copy of the program and
+    is checked against a full rebuild — with the verdict a context-free
+    run gives, finding for finding, on a fresh base and on a copy."""
     from repro.analysis.context import AnalysisContext
     from repro.pipeline.verify import _Checker
 
@@ -198,19 +197,16 @@ def test_shared_context_still_rejects_every_seeded_defect():
     context = AnalysisContext(module, "worker")
     result = pipeline_pps(module, "worker", 3, context=context)
     assert verify_partition(result, context=context).ok
-    # seeded_defects deep-copies, so every mutant's ``normalized`` is
-    # another object with the context's text: the share-by-text path, on
-    # the fresh result and on a cache-restored one alike.
     for base in (result, _restored(result)):
         caught = {}
         for name, mutant in seeded_defects(base):
             checker = _Checker(mutant, 1.0 / 16.0, context=context)
-            assert checker.model is context.model
+            assert checker.model is not context.model
             assert checker.liveness.function is mutant.normalized
             shared = checker.run()
             rebuilt = verify_partition(mutant, context=None)
             assert not shared.ok, \
-                f"defect {name} slipped past the context-sharing verifier"
+                f"defect {name} slipped past the verifier given a context"
             assert [str(f) for f in shared.findings] == \
                 [str(f) for f in rebuilt.findings], name
             assert shared.warnings == rebuilt.warnings, name
@@ -223,30 +219,43 @@ def test_shared_context_still_rejects_every_seeded_defect():
         assert caught["break-control-object"] == ["reconstruction"]
 
 
-# -- a cache hit shares by program text (ISSUE 20) -----------------------------
+# -- a cache hit is realized from the context's program ----------------------
 
 
 @pytest.mark.parametrize("app_name", SUITE_APPS)
-def test_restored_result_shares_the_model_and_keeps_the_verdict(app_name):
+def test_restored_result_shares_the_model_and_keeps_the_verdict(
+        app_name, tmp_path):
+    """A compile-cache hit realizes its stages from ``context.work``, so
+    the verifier shares the context's analyses by identity; a copy of
+    the same result is rebuilt from scratch and gets the same verdict."""
     from repro.analysis.context import AnalysisContext
+    from repro.cache import CompileCache
     from repro.pipeline.verify import _Checker
 
+    cache = CompileCache(tmp_path / "cache")
+    cold = build_app(app_name, packets=8)
+    for degree in (2, 5, 9):
+        pipeline_pps(cold.module, cold.pps_name, degree,
+                     profiler=cold.profiler, cache=cache)
     app = build_app(app_name, packets=8)
     context = AnalysisContext(app.module, app.pps_name)
     for degree in (2, 5, 9):
-        result = _restored(pipeline_pps(app.module, app.pps_name, degree,
-                                        profiler=app.profiler,
-                                        context=context))
-        assert result.normalized is not context.work
-        checker = _Checker(result, 1.0 / 16.0, context=context)
+        hit = pipeline_pps(app.module, app.pps_name, degree,
+                           profiler=app.profiler, context=context,
+                           cache=cache)
+        assert hit.normalized is context.work
+        checker = _Checker(hit, 1.0 / 16.0, context=context)
         assert checker.model is context.model
-        assert checker.liveness.function is result.normalized
+        assert checker.liveness is context.liveness
         shared = checker.run()
-        rebuilt = verify_partition(result, context=None)
+        twin = _Checker(_restored(hit), 1.0 / 16.0, context=context)
+        assert twin.model is not context.model
+        rebuilt = twin.run()
         assert shared.ok, shared.summary()
         assert shared.findings == rebuilt.findings
         assert shared.warnings == rebuilt.warnings
         assert shared.checks_run == rebuilt.checks_run
+    assert (cache.hits, cache.misses) == (3, 3)
 
 
 def test_restored_degree_one_result_needs_no_analyses():

@@ -58,20 +58,20 @@ def test_plan_chaos_and_serve_share_one_pipeline_per_description(tmp_path):
 
 
 #: D = 4, packets 60, seed 7, default knobs (ip_v4's key hashes its
-#: traffic-class profiles).  Re-pinned at schema v6, when the per-cut
-#: diagnostics lost the warm-start flag.
+#: traffic-class profiles).  Re-pinned at schema v7, when an entry
+#: became the partition decision instead of a pickled result.
 PINNED_KEYS = {
-    "ipv4": "ee9a47325d04409fa8f0f8df18d86c6a"
-            "fdaab709d0150e869ad86798131faa34",
-    "rx": "c6dc5aaf207aadbfa1a044b84c919d32"
-          "20931b62126f7a8406fe03751730a7a2",
-    "ip_v4": "bba87e9467a0f75d9db36b5abebb9854"
-             "8f3208012f626d9a9e599bab37111498",
+    "ipv4": "b470676577118f67d252c52dc2ba43cc"
+            "0c56d48cfc20517a3ac9f49741505899",
+    "rx": "1a30dafa9e2b21ff5e66d894f2d91766"
+          "f7b2efdf6b69bd032b416546e7adfb93",
+    "ip_v4": "b12c01e09b3481c32e1a7ef3d2fe63f1"
+             "73306ef5127e0cc12f0870b115674e81",
 }
 
 
 def test_compile_keys_did_not_move(tmp_path):
-    assert CACHE_SCHEMA_VERSION == 6
+    assert CACHE_SCHEMA_VERSION == 7
     for name, digest in PINNED_KEYS.items():
         cache = CompileCache(tmp_path / name)
         app_pipeline(RunSpec(name, 60, 7).build(), 4, cache=cache)
