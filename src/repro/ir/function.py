@@ -150,20 +150,26 @@ class Function:
                     stack.append(successor)
         return order
 
-    def remove_unreachable_blocks(self) -> list[str]:
-        """Delete unreachable blocks; returns the removed names."""
+    def remove_unreachable_blocks(self, preds=None) -> list[str]:
+        """Delete unreachable blocks; returns the removed names.
+
+        ``preds`` maps each block name to its predecessors' names, for a
+        caller that already keeps that map current; by default it is built.
+        """
+        if preds is None:
+            preds = self.predecessors()
         reachable = set(self.reachable_blocks())
         removed = [name for name in self.block_order if name not in reachable]
         for name in removed:
             del self.blocks[name]
         self.block_order = [name for name in self.block_order if name in reachable]
-        # Drop φ-incomings that referenced removed predecessors.
-        preds = self.predecessors()
+        # Drop φ-incomings that no reachable predecessor supplies.
         for block in self.ordered_blocks():
+            into = preds[block.name]
             for phi in block.phis():
                 phi.incomings = {
                     pred: value for pred, value in phi.incomings.items()
-                    if pred in preds[block.name]
+                    if pred in reachable and pred in into
                 }
         return removed
 

@@ -14,8 +14,8 @@ weights.
 
 from __future__ import annotations
 
-from repro.ir.function import Function, Module
-from repro.ir.instructions import Assign, BinOp, Jump, Phi, UnOp
+from repro.ir.function import BasicBlock, Function, Module
+from repro.ir.instructions import Assign, BinOp, Instruction, Jump, Phi, UnOp
 from repro.ir.types import eval_binary, eval_unary
 from repro.ir.values import Const, VReg
 
@@ -80,38 +80,44 @@ def simplify_cfg(function: Function) -> int:
     A block is collapsible when it has no instructions and ends in an
     unconditional jump to a *different* block with no φ-functions.  The
     entry block is preserved.
+
+    Collapsing a block retargets its predecessors onto its own target,
+    which has no φ-functions, and that never makes another block
+    collapsible: a jump into a φ block keeps its target (a φ block is not
+    empty, so it is never collapsed), and a jump that becomes a self-loop
+    only stops being collapsible.  One walk in block order therefore
+    removes what restarting after every removal would, with one
+    predecessor map kept up to date as it goes.
     """
+    preds = {name: dict.fromkeys(names)
+             for name, names in function.predecessors().items()}
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        preds = function.predecessors()
-        for name in list(function.block_order):
-            block = function.blocks.get(name)
-            if block is None or name == function.entry:
-                continue
-            if name.startswith(("pps_header", "pps_latch")):
-                continue  # the PPS loop skeleton must survive
-            if block.instructions:
-                continue
-            if not isinstance(block.terminator, Jump):
-                continue
-            target = block.terminator.target
-            if target == name:
-                continue
-            if function.block(target).phis():
-                continue
-            for pred_name in preds[name]:
-                pred = function.blocks.get(pred_name)
-                if pred is None or pred.terminator is None:
-                    continue
-                pred.terminator.retarget({name: target})
-            del function.blocks[name]
-            function.block_order.remove(name)
-            removed += 1
-            changed = True
-            break
-    function.remove_unreachable_blocks()
+    for name in list(function.block_order):
+        if name == function.entry:
+            continue
+        if name.startswith(("pps_header", "pps_latch")):
+            continue  # the PPS loop skeleton must survive
+        block = function.blocks[name]
+        if block.instructions:
+            continue
+        if not isinstance(block.terminator, Jump):
+            continue
+        target = block.terminator.target
+        if target == name:
+            continue
+        if function.block(target).phis():
+            continue
+        into_target = preds[target]
+        del into_target[name]
+        for pred_name in preds.pop(name):
+            function.blocks[pred_name].terminator.retarget({name: target})
+            into_target[pred_name] = None
+        del function.blocks[name]
+        removed += 1
+    if removed:
+        function.block_order = [name for name in function.block_order
+                                if name in function.blocks]
+    function.remove_unreachable_blocks(preds)
     return removed
 
 
@@ -121,8 +127,12 @@ def eliminate_dead_code(function: Function) -> int:
     Conservative and non-SSA-safe: a register is dead only if *no*
     instruction in the whole function reads it.  Only side-effect-free
     instructions are candidates (copies, ALU ops, array loads, pure
-    intrinsic calls, φs).  Iterates to a fixpoint so chains of dead
-    computation disappear.  Returns the number of removed instructions.
+    intrinsic calls, φs).  One scan counts every register's reads and
+    files each candidate under the registers it writes; removing an
+    instruction gives its reads back, and a register whose count reaches
+    zero puts its writers on the worklist, so chains of dead computation
+    disappear without another scan.  Returns the number of removed
+    instructions.
     """
     from repro.ir.instructions import ArrayLoad, Call
     from repro.lang.intrinsics import Effect, get_intrinsic
@@ -134,24 +144,37 @@ def eliminate_dead_code(function: Function) -> int:
             return get_intrinsic(inst.callee).effect is Effect.PURE
         return False
 
-    removed = 0
-    changed = True
-    while changed:
-        changed = False
-        used: set[VReg] = set(function.params)
-        for inst in function.all_instructions():
-            used.update(inst.used_regs())
-        for block in function.ordered_blocks():
-            kept = []
-            for inst in block.instructions:
-                defs = inst.defs()
-                if defs and is_pure(inst) and not any(d in used for d in defs):
-                    removed += 1
-                    changed = True
-                    continue
-                kept.append(inst)
-            block.instructions = kept
-    return removed
+    reads: dict[VReg, int] = dict.fromkeys(function.params, 1)  # always live
+    writers: dict[VReg, list[Instruction]] = {}
+    home: dict[Instruction, BasicBlock] = {}  # candidate -> its block
+    for block in function.ordered_blocks():
+        for inst in block.all_instructions():
+            for reg in inst.used_regs():
+                reads[reg] = reads.get(reg, 0) + 1
+            if is_pure(inst) and inst.defs():
+                home[inst] = block
+                for reg in inst.defs():
+                    writers.setdefault(reg, []).append(inst)
+
+    def dead(inst) -> bool:
+        return not any(reads.get(reg) for reg in inst.defs())
+
+    worklist = [inst for inst in home if dead(inst)]
+    removed: dict[Instruction, None] = {}
+    while worklist:
+        inst = worklist.pop()
+        if inst in removed:
+            continue
+        removed[inst] = None
+        for reg in inst.used_regs():
+            reads[reg] -= 1
+            if not reads[reg]:
+                worklist.extend(writer for writer in writers.get(reg, ())
+                                if writer not in removed and dead(writer))
+    for block in {home[inst]: None for inst in removed}:
+        block.instructions = [inst for inst in block.instructions
+                              if inst not in removed]
+    return len(removed)
 
 
 def optimize_function(function: Function) -> None:

@@ -7,14 +7,14 @@ offending token.  The location is rendered GNU-style (``file:line:col``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ReproError
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    """A position in a PPS-C source buffer.
+class SourceLocation(NamedTuple):
+    """A position in a PPS-C source buffer: an immutable, hashable tuple
+    (the lexer makes one per token).
 
     Attributes:
         filename: Name used in diagnostics (not necessarily a real file).

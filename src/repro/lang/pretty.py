@@ -8,24 +8,19 @@ uses as a round-trip property.
 from __future__ import annotations
 
 from repro.lang import ast
+from repro.lang.parser import BINARY_PRECEDENCE as _PRECEDENCE
 
 _INDENT = "    "
-
-# Mirror of the parser's precedence table, keyed by operator lexeme.
-_PRECEDENCE = {
-    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-    "==": 6, "!=": 6,
-    "<": 7, ">": 7, "<=": 7, ">=": 7,
-    "<<": 8, ">>": 8,
-    "+": 9, "-": 9,
-    "*": 10, "/": 10, "%": 10,
-}
 _UNARY_PRECEDENCE = 11
 
 
 def format_expr(expr: ast.Expr, parent_precedence: int = 0) -> str:
     """Render an expression, parenthesizing only where required."""
     if isinstance(expr, ast.IntLit):
+        # A negative literal value came from a word with the top bit set:
+        # spell that word, which lexes back to the same value.
+        if expr.value < 0:
+            return hex(expr.value & 0xFFFFFFFF)
         return str(expr.value)
     if isinstance(expr, ast.Name):
         return expr.ident

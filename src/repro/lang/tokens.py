@@ -16,7 +16,7 @@ the auto-partitioning programming model of the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.lang.errors import SourceLocation
 
@@ -119,30 +119,30 @@ KEYWORDS = {
     "goto": TokenKind.KW_GOTO,
 }
 
-# Compound assignment operator -> underlying binary operator lexeme.
+# Compound assignment lexeme -> underlying binary operator lexeme.
 COMPOUND_ASSIGN_OPS = {
-    TokenKind.PLUS_ASSIGN: "+",
-    TokenKind.MINUS_ASSIGN: "-",
-    TokenKind.STAR_ASSIGN: "*",
-    TokenKind.SLASH_ASSIGN: "/",
-    TokenKind.PERCENT_ASSIGN: "%",
-    TokenKind.AMP_ASSIGN: "&",
-    TokenKind.BAR_ASSIGN: "|",
-    TokenKind.CARET_ASSIGN: "^",
-    TokenKind.LSHIFT_ASSIGN: "<<",
-    TokenKind.RSHIFT_ASSIGN: ">>",
+    "+=": "+",
+    "-=": "-",
+    "*=": "*",
+    "/=": "/",
+    "%=": "%",
+    "&=": "&",
+    "|=": "|",
+    "^=": "^",
+    "<<=": "<<",
+    ">>=": ">>",
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    """A lexed PPS-C token.
+class Token(NamedTuple):
+    """A lexed PPS-C token: an immutable, hashable tuple.
 
     Attributes:
         kind: The token classification.
         text: The exact source lexeme.
         location: Where the token starts.
-        value: Decoded value for integer literals, else ``None``.
+        value: Decoded value for integer literals — the 32-bit word the
+            literal spells, read as signed — else ``None``.
     """
 
     kind: TokenKind

@@ -333,3 +333,17 @@ def test_cli_surface():
     long_options = {option for options in surface.values()
                     for option in options.split() if option.startswith("--")}
     assert (len(surface), len(long_options)) == (10, 43)
+
+
+@pytest.mark.parametrize("shape, size",
+                         [("sum", 5000), ("parens", 3000), ("blocks", 1500)])
+def test_check_reports_deep_nesting_as_a_frontend_error(shape, size, tmp_path,
+                                                        capsys):
+    from test_lang_parser import DEEP
+
+    deep = tmp_path / "deep.ppc"
+    deep.write_text(DEEP[shape](size))
+    assert main(["check", str(deep)]) == 1
+    err = capsys.readouterr().err
+    assert "deep.ppc:4:" in err and "nested more than" in err
+    assert "Traceback" not in err

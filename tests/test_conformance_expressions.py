@@ -115,3 +115,33 @@ def test_pretty_printer_roundtrip_on_generated_programs():
         printed = format_program(parse(source))
         # The printed form must itself re-parse and be print-stable.
         assert format_program(parse(printed)) == printed
+
+
+@pytest.mark.parametrize("literal", [
+    "0x80000000", "0xFFFFFFFF", "4294967295", "037777777777", "2147483648",
+    "0x7FFFFFFF", "1"])
+def test_a_literal_folds_to_the_word_the_run_time_computes(literal):
+    # trace 1/3 fold at compile time; trace 2/4 compute from the same bits
+    # received through a pipe.
+    word = wrap32(int(literal, 16 if literal.startswith("0x")
+                      else 8 if literal.startswith("0") else 10))
+    module = compile_module(f"""
+        pipe in_q;
+        pps p {{
+            for (;;) {{
+                int x = {literal};
+                int y = pipe_recv(in_q);
+                trace(1, x >> 31);
+                trace(2, y >> 31);
+                trace(3, x == -1);
+                trace(4, y == -1);
+                trace(5, x);
+            }}
+        }}
+    """, optimize=True)
+    state = MachineState(module)
+    state.feed_pipe("in_q", [word])
+    run_sequential(module.pps("p"), state, iterations=1)
+    assert state.traces[1] == state.traces[2] == [word >> 31]
+    assert state.traces[3] == state.traces[4] == [int(word == -1)]
+    assert state.traces[5] == [word]

@@ -151,6 +151,76 @@ def test_dce_keeps_side_effects():
     assert "mem_read" in callees, "shared-memory ops must survive DCE"
 
 
+def test_dce_keeps_registers_that_only_read_each_other():
+    # Non-SSA and conservative: a register is dead only if nothing reads
+    # it, so a cycle of otherwise unused copies stays.
+    from repro.ir.optimize import eliminate_dead_code
+
+    module = compile_module("""
+        pipe q;
+        pps p { int a = 0; int b = 0; for (;;) {
+            a = b + 1;
+            b = a + 1;
+            trace(1, pipe_recv(q));
+        } }
+    """)
+    assert eliminate_dead_code(module.pps("p")) == 0
+
+
+def _suite_functions():
+    """Every suite function and PPS body, lowered, inlined and folded:
+    what ``eliminate_dead_code`` meets inside ``optimize_function``."""
+    from repro.apps.suite import build_app
+
+    functions = []
+    for name in ("rx", "ipv4", "ip_v4", "ip_v6", "scheduler", "qm", "tx"):
+        module = compile_module(build_app(name, packets=8).source)
+        functions += [*module.functions.values(), *module.ppses.values()]
+    for function in functions:
+        fold_constants(function)
+    return functions
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_dce_scans_each_function_once(monkeypatch):
+    from repro.ir.function import Function
+    from repro.ir.optimize import eliminate_dead_code
+
+    functions = _suite_functions()
+    scans = _count_calls(monkeypatch, Function, "ordered_blocks")
+    removed = [eliminate_dead_code(function) for function in functions]
+    # Dead chains several links long (each link a rescan for a fixpoint
+    # loop), and still one walk over the blocks per call.
+    assert sum(removed) > 2 * len(functions)
+    assert len(scans) == len(functions)
+
+
+def test_simplify_cfg_builds_predecessors_once(monkeypatch):
+    from repro.ir.function import Function
+    from repro.ir.optimize import eliminate_dead_code
+
+    functions = _suite_functions()
+    for function in functions:
+        eliminate_dead_code(function)
+    builds = _count_calls(monkeypatch, Function, "predecessors")
+    removed = [simplify_cfg(function) for function in functions]
+    assert sum(removed) > 2 * len(functions)
+    assert len(builds) == len(functions)
+    for function in functions:
+        verify_function(function)
+
+
 def test_dce_respects_later_uses():
     from repro.ir.optimize import eliminate_dead_code
 

@@ -41,6 +41,24 @@ def test_decimal_hex_octal_literals():
     assert [t.value for t in tokens[:-1]] == [42, 31, 493, 0]
 
 
+def test_integer_literals_are_signed_32_bit_words():
+    tokens = tokenize("2147483647 2147483648 0x80000000 0xFFFFFFFF "
+                      "4294967295 037777777777 0x00000000FFFFFFFF")
+    assert [t.value for t in tokens[:-1]] == \
+        [2**31 - 1, -2**31, -2**31, -1, -1, -1, -1]
+
+
+def test_tokens_and_locations_are_plain_tuples():
+    token = tokenize("x")[0]
+    assert token == (TokenKind.IDENT, "x", ("<pps-c>", 1, 1), None)
+    assert hash(token) == hash(tuple(token))
+    assert repr(token) == "Token(IDENT, 'x', <pps-c>:1:1)"
+    assert repr(token.location) == \
+        "SourceLocation(filename='<pps-c>', line=1, column=1)"
+    with pytest.raises(AttributeError):
+        token.text = "y"
+
+
 def test_char_literals():
     tokens = tokenize(r"'a' '\n' '\\' '\0'")
     assert [t.value for t in tokens[:-1]] == [ord("a"), 10, 92, 0]
@@ -181,6 +199,10 @@ LEX_ERRORS = [
     ("x = 09;", "malformed number '09'", "1:5"),
     ("²", "unexpected character '²'", "1:1"),
     ("x = ²;", "unexpected character '²'", "1:5"),
+    ("x = 0x100000000;", "integer literal wider than 32 bits", "1:5"),
+    ("4294967296", "integer literal wider than 32 bits", "1:1"),
+    ("040000000000", "integer literal wider than 32 bits", "1:1"),
+    ("9" * 5000, "integer literal wider than 32 bits", "1:1"),
 ]
 
 

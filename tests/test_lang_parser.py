@@ -3,8 +3,9 @@
 import pytest
 
 from repro.lang import ast
+from repro.lang import parser as parser_module
 from repro.lang.errors import ParseError
-from repro.lang.parser import parse
+from repro.lang.parser import MAX_DEPTH, parse
 
 
 def first_stmt(source_body):
@@ -156,3 +157,125 @@ def test_empty_statement_is_empty_block():
 def test_garbage_toplevel_rejected():
     with pytest.raises(ParseError):
         parse("banana;")
+
+
+# -- nesting is bounded ------------------------------------------------------
+
+
+def tree_depth(node, level=1):
+    """The deepest level at or under ``node``, which sits at ``level``:
+    each statement and expression node is one level below its parent.
+    Parentheses leave no node, so this never exceeds the parser's count."""
+    children = []
+    for key, value in vars(node).items():
+        if key == "location":
+            continue
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, tuple):  # a switch case: (value, statements)
+                children += item[1]
+            elif isinstance(item, ast.Node):
+                children.append(item)
+    return max((tree_depth(child, level + 1) for child in children),
+               default=level)
+
+
+def program_depth(program):
+    bodies = [decl.body for decl in (*program.functions, *program.ppses)]
+    return max(tree_depth(body) for body in bodies)
+
+
+def _in_pps(statement):
+    return f"pipe q;\npps p {{\n  for (;;) {{\n    {statement}\n  }}\n}}\n"
+
+
+#: Programs nested ``size`` deep, one shape each: a left-leaning operator
+#: chain (built by a loop in the parser, but recursed into by every later
+#: pass), parentheses, and blocks.
+DEEP = {
+    "sum": lambda size: _in_pps(
+        "trace(1, " + " + ".join(["1"] * size) + ");"),
+    "parens": lambda size: _in_pps(
+        "trace(1, " + "(" * size + "1" + ")" * size + ");"),
+    "blocks": lambda size: _in_pps("{" * size + "}" * size),
+}
+
+
+@pytest.mark.parametrize("shape, size",
+                         [("sum", 5000), ("parens", 3000), ("blocks", 1500)])
+def test_deep_nesting_is_a_parse_error_at_its_place(shape, size):
+    with pytest.raises(ParseError) as excinfo:
+        parse(DEEP[shape](size), "deep.ppc")
+    assert excinfo.value.message == f"nested more than {MAX_DEPTH} levels deep"
+    assert excinfo.value.location.filename == "deep.ppc"
+    assert excinfo.value.location.line == 4
+
+
+@pytest.mark.parametrize("shape", DEEP)
+def test_the_deepest_accepted_tree_compiles(shape):
+    from repro import compile_module
+
+    size = next(size for size in range(MAX_DEPTH, 0, -1)
+                if _parses(DEEP[shape](size)))
+    assert size > MAX_DEPTH - 10
+    with pytest.raises(ParseError):
+        parse(DEEP[shape](size + 1))
+    compile_module(DEEP[shape](size))
+    if shape != "parens":  # no parentheses: the two counts agree
+        assert program_depth(parse(DEEP[shape](size))) == MAX_DEPTH
+
+
+def _parses(source):
+    try:
+        parse(source)
+    except ParseError:
+        return False
+    return True
+
+
+def test_operators_push_their_left_operand_down(monkeypatch):
+    # ((x + x + x) + x + x) ...: the parser recurses once per parenthesis,
+    # but each operator pushes its left operand one level further down,
+    # and the limit is on the tree.
+    monkeypatch.setattr(parser_module, "MAX_DEPTH", 12)
+
+    def source(levels):
+        expr = "x"
+        for _ in range(levels):
+            expr = f"({expr} + x + x)"
+        return f"void f(int x) {{ int y = {expr}; }}"
+
+    assert program_depth(parse(source(3))) <= 12
+    with pytest.raises(ParseError, match="nested more than 12 levels deep"):
+        parse(source(4))
+
+
+def _suite_and_example_sources():
+    import pathlib
+
+    from repro.apps.suite import build_app
+
+    examples = pathlib.Path(__file__).resolve().parent.parent / "examples"
+    return ([build_app(name, packets=8).source for name in
+             ("rx", "ipv4", "ip_v4", "ip_v6", "scheduler", "qm", "tx")]
+            + [path.read_text() for path in sorted(examples.glob("*.ppc"))])
+
+
+def test_real_programs_nest_far_below_the_limit(monkeypatch):
+    monkeypatch.setattr(parser_module, "MAX_DEPTH", MAX_DEPTH // 10)
+    for source in _suite_and_example_sources():
+        parse(source)
+
+
+def test_an_accepted_tree_is_never_deeper_than_the_limit(monkeypatch):
+    from repro.testing.progen import random_pps_source
+
+    monkeypatch.setattr(parser_module, "MAX_DEPTH", 9)
+    accepted = 0
+    for seed in range(200):
+        try:
+            program = parse(random_pps_source(seed))
+        except ParseError:
+            continue
+        accepted += 1
+        assert program_depth(program) <= 9
+    assert 0 < accepted < 200

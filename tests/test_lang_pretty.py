@@ -99,3 +99,11 @@ def test_precedence_preserved_through_roundtrip():
     source = "void f(void) { int x = a & b | c ^ d && e; }"
     tree = parse(source)
     assert strip(parse(format_program(tree))) == strip(tree)
+
+
+def test_top_bit_literals_print_as_their_word():
+    # Their value is negative; "-2147483648" would re-parse as a negation.
+    tree = parse("void f(void) { int x = 0x80000000 - 4294967295; }")
+    init = tree.functions[0].body.statements[0].init
+    assert format_expr(init) == "0x80000000 - 0xffffffff"
+    assert strip(parse(format_program(tree))) == strip(tree)
