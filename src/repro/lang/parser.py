@@ -368,7 +368,7 @@ class Parser:
         A left operand is parsed before the operator that takes it is
         seen, so each operator pushes the tree built so far one level
         down; ``deepest`` follows the deepest level the tree reaches
-        through those pushes.
+        through those pushes, and ``_deepest`` never exceeds it here.
         """
         outer = self._deepest
         self._deepest = 0
@@ -380,12 +380,10 @@ class Parser:
             precedence = BINARY_PRECEDENCE.get(text)
             if precedence is not None and precedence > min_precedence:
                 self._token = self._pull()
-                self._deepest = 0
                 rhs = self._parse_expression(depth + 1, precedence)
                 lhs = ast.Binary(op=text, lhs=lhs, rhs=rhs, location=token.location)
             elif text == "?" and min_precedence <= _TERNARY_PRECEDENCE:
                 self._token = self._pull()
-                self._deepest = 0
                 then = self._parse_expression(depth + 1)
                 self._expect(":")
                 other = self._parse_expression(depth + 1)
