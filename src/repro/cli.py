@@ -12,8 +12,7 @@ Usage (also via ``python -m repro``)::
     repro run ... --faults plan.json \\
         --watchdog-quantum 200000 \\
         --isolate-traps                      # chaos-hardened execution
-    repro chaos [--app ipv4] [--plans ...]   # chaos differential check
-    repro chaos --sweep -j 4                 # parallel multi-app chaos sweep
+    repro chaos [--apps ...] [--plans ...]   # chaos differential, -j N
     repro serve --shards 4 \\
         --faults worker-kill                 # supervised sharded serving
     repro figures [-j N] [-o FILE]           # the paper's Figures 19-22
@@ -30,7 +29,7 @@ PPS-C files conventionally use the ``.ppc`` extension.
 (:mod:`repro.pipeline.verify`), and on partitioner faults or verifier
 rejection the requested degree degrades down a D → ⌈D/2⌉ → … → 1 ladder
 rather than failing outright.  ``--keep-going`` on the sweep
-commands (``plan``, ``explore``, ``chaos --sweep``) likewise
+commands (``plan``, ``explore``, ``chaos``) likewise
 trades fail-fast for per-cell failure records; a failed cell reports its
 seed and a reproduce one-liner identically at every ``-j``.
 
@@ -39,16 +38,17 @@ Partition results are memoized in a content-addressed artifact cache
 ``--no-cache`` opts out) — see ``docs/caching.md``.  ``plan``,
 ``explore``, ``chaos`` and ``serve`` partition a suite app through one
 step (:func:`repro.runspec.app_pipeline`), so at equal packets, seed and
-knobs they share its artifacts.
+knobs they share its artifacts (every sweep cell runs at the ``--seed``
+as given).
 
 Exit codes (see :mod:`repro.errors`): 0 success, 1 compile/pipeline/IO
 failure (including sweep worker crashes), 2 usage error (unknown PPS,
-malformed ``--feed`` or fault plan), 3 runtime failure (interpreter
-trap, deadlock/livelock, serving pool collapse), 4 degraded success
-(the supervisor delivered a verified partition, but at a lower degree
-than requested), 5 degraded serving (``repro serve`` delivered every
-committed batch, but only by re-sharding a failed worker's flows onto
-survivors or by leaving a drained tail undelivered).
+malformed ``--feed``, unknown or malformed fault plan), 3 runtime
+failure (interpreter trap, deadlock/livelock, serving pool collapse), 4
+degraded success (the supervisor delivered a verified partition, but at
+a lower degree than requested), 5 degraded serving (``repro serve``
+delivered every committed batch, but only by re-sharding a failed
+worker's flows onto survivors or by leaving a drained tail undelivered).
 """
 
 from __future__ import annotations
@@ -138,16 +138,6 @@ def _parse_feed(specs: list[str]) -> dict[str, list[int]]:
     return feeds
 
 
-def _load_fault_plan(spec: str):
-    """Resolve ``--faults``: a builtin plan name or a JSON file path."""
-    from repro.runtime.faults import FaultPlan, builtin_plans
-
-    plans = builtin_plans()
-    if spec in plans:
-        return plans[spec]
-    return FaultPlan.load(spec)
-
-
 def _write_json(path: str, payload, *, sort_keys: bool = False) -> None:
     """Write one JSON artifact (indented, newline-terminated), creating
     its directory first."""
@@ -167,11 +157,11 @@ def _execution_setup(args, module: Module):
     state, and a factory for the run's watchdog (``None`` unless a
     quantum or a plan asks for one).
     """
-    from repro.runtime.faults import FaultInjector
+    from repro.runtime.faults import FaultInjector, resolve_plan
     from repro.runtime.watchdog import Watchdog
 
     feeds = _parse_feed(args.feed or [])
-    plan = _load_fault_plan(args.faults) if args.faults else None
+    plan = resolve_plan(args.faults) if args.faults else None
     if plan is not None:
         # Perturb the host-fed streams ONCE; every state shares them.
         stream_injector = FaultInjector(plan)
@@ -440,75 +430,32 @@ def _run(args, tracer) -> int:
     return EXIT_OK
 
 
-#: Apps with a stream/feed split — the ones the chaos sweep can drive.
-_CHAOS_SWEEP_APPS = ["ip_v4", "ip_v6", "ipv4", "rx"]
+#: Apps with a stream/feed split — the ones the chaos differential can drive.
+_CHAOS_APPS = ["ip_v4", "ip_v6", "ipv4", "rx"]
 
 
 def cmd_chaos(args) -> int:
-    # Each mode reads one app flag; the other one must not pass silently.
-    if args.sweep and args.app is not None:
-        raise CLIError("--sweep takes its apps from --apps, not --app")
-    if not args.sweep and args.apps is not None:
-        raise CLIError("--apps needs --sweep; one app is --app")
-    degrees = tuple(_parse_list("--degrees", args.degrees, int))
-    cache = _open_cache(args)
-    letters: list = []
-    if args.sweep:
-        ok, report = _chaos_sweep(args, degrees, cache, letters)
-    else:
-        from repro.eval.chaos import chaos_differential
-
-        plans = None
-        if args.plans:
-            plans = {}
-            for spec in args.plans:
-                plan = _load_fault_plan(spec)
-                plans[plan.name or spec] = plan
-        outcome = chaos_differential(args.app or "ipv4", plans=plans,
-                                     degrees=degrees,
-                                     packets=args.packets, seed=args.seed,
-                                     collect_letters=letters, cache=cache)
-        print(outcome.render())
-        ok, report = outcome.ok, outcome.as_dict()
-    if args.output:
-        _write_json(args.output, report)
-        print(f"wrote {args.output}")
-    if args.dead_letters:
-        _write_json(args.dead_letters, letters)
-        print(f"wrote {args.dead_letters}")
-    return 0 if ok else 1
-
-
-def _chaos_sweep(args, degrees: tuple, cache, letters: list):
-    """``repro chaos --sweep``: the multi-app differential, ``-j N``.
-    Returns ``(ok, merged report)`` and fills ``letters``."""
+    """``repro chaos``: the chaos differential, one sweep cell per app."""
     from repro.eval.sweep import chaos_tasks, run_sweep
-    from repro.runtime.faults import builtin_plans
+    from repro.runtime.faults import resolve_plan
 
-    apps = (_parse_list("--apps", args.apps) if args.apps
-            else _CHAOS_SWEEP_APPS)
-    plans = None
-    if args.plans:
-        available = builtin_plans()
-        unknown = [spec for spec in args.plans if spec not in available]
-        if unknown:
-            raise CLIError(
-                f"--sweep accepts builtin plan names only "
-                f"(unknown: {', '.join(unknown)}; "
-                f"available: {', '.join(sorted(available))})")
-        plans = tuple(args.plans)
-
+    degrees = tuple(_parse_list("--degrees", args.degrees, int))
+    apps = _parse_list("--apps", args.apps) if args.apps else _CHAOS_APPS
+    plans = tuple(args.plans) if args.plans else None
+    for spec in plans or ():
+        resolve_plan(spec)  # a usage error here, not a failed cell
     tasks = chaos_tasks(apps, degrees, packets=args.packets, seed=args.seed,
                         plans=plans)
     results = run_sweep(tasks, jobs=args.jobs, keep_going=args.keep_going,
-                        cache=cache)
+                        cache=_open_cache(args))
 
     failures = [result for result in results if result.get("failed")]
     ok = not failures
+    letters: list = []
     for result in results:
         if result.get("failed"):
             continue
-        print(f"[seed {result['seed']}] {result['rendered']}")
+        print(result["rendered"])
         ok = ok and result["ok"]
         letters.extend({**letter, "app": result["app"]}
                        for letter in result["dead_letters"])
@@ -517,34 +464,30 @@ def _chaos_sweep(args, degrees: tuple, cache, letters: list):
           f"{'ok' if ok else 'FAIL'}")
     _print_failures(failures)
 
-    merged = {
-        "sweep": True,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "ok": ok,
-        "apps": {result["app"]: result.get("report") for result in results},
-    }
-    if failures:
-        merged["failures"] = failures
-    return ok, merged
-
-
-def _load_serve_plan(spec: str):
-    """Resolve ``serve --faults``: a serve plan name, a builtin chaos
-    plan name, or a JSON file path."""
-    from repro.runtime.faults import serve_plans
-
-    plans = serve_plans()
-    if spec in plans:
-        return plans[spec]
-    return _load_fault_plan(spec)
+    if args.output:
+        report = {
+            "seed": args.seed,
+            "jobs": args.jobs,
+            "ok": ok,
+            "apps": {result["app"]: result.get("report")
+                     for result in results},
+        }
+        if failures:
+            report["failures"] = failures
+        _write_json(args.output, report)
+        print(f"wrote {args.output}")
+    if args.dead_letters:
+        _write_json(args.dead_letters, letters)
+        print(f"wrote {args.dead_letters}")
+    return EXIT_OK if ok else EXIT_FAILURE
 
 
 def cmd_serve(args) -> int:
     from repro.obs import emit_counter_events, tracing
+    from repro.runtime.faults import resolve_plan
     from repro.serve import ServePolicy, ServeRuntime
 
-    plan = _load_serve_plan(args.faults) if args.faults else None
+    plan = resolve_plan(args.faults, serve=True) if args.faults else None
     policy = ServePolicy(max_restarts=args.max_restarts,
                          backoff_base=args.backoff,
                          hang_timeout=args.hang_timeout,
@@ -659,7 +602,6 @@ def cmd_explore(args) -> int:
     from repro.eval.explore import (
         ExploreError,
         SearchSpace,
-        Weights,
         deterministic_report,
         explore,
         render_markdown,
@@ -680,14 +622,11 @@ def cmd_explore(args) -> int:
             packets=args.packets,
             seed=args.seed,
         ).validate()
-        weights = (Weights.parse(args.weights) if args.weights
-                   else Weights())
     except (ExploreError, ValueError) as exc:
         raise CLIError(str(exc)) from exc
 
     cache = _open_cache(args)
-    report = explore(space, weights=weights, rule=args.pick_rule,
-                     min_gain=args.min_gain, jobs=args.jobs, cache=cache,
+    report = explore(space, jobs=args.jobs, cache=cache,
                      keep_going=args.keep_going)
 
     frontier = deterministic_report(report)
@@ -786,9 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chaos = sub.add_parser(
         "chaos", help="run the chaos differential (faults + pipelining)")
-    p_chaos.add_argument("--app", default=None,
-                         help="benchmark app, without --sweep "
-                              "(default: ipv4)")
     _add_workload_flags(p_chaos, packets=40, seed=7, degrees="1,2,4",
                         apps=True)
     p_chaos.add_argument("--plans", nargs="*",
@@ -798,10 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the chaos report as JSON")
     p_chaos.add_argument("--dead-letters", metavar="FILE",
                          help="write all dead-letter records as JSON")
-    p_chaos.add_argument("--sweep", action="store_true",
-                         help="run the differential for several apps "
-                              "(see --apps; default: every stream-driven "
-                              "app) instead of one")
     _add_sweep_flags(p_chaos)
     _add_cache_flags(p_chaos)
     p_chaos.set_defaults(func=cmd_chaos)
@@ -872,17 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--max-block-instructions",
                            default=str(Knobs.max_block_instructions),
                            help="comma-separated block-split thresholds")
-    p_explore.add_argument("--weights", default=None,
-                           help="objective weights, e.g. "
-                                "speedup=1,words=0.005,stages=0.01")
-    p_explore.add_argument("--pick-rule", default="marginal",
-                           choices=["marginal", "score"],
-                           help="marginal: climb the degree ladder until "
-                                "the weighted score plateaus (the paper's "
-                                "'levels off' knee); score: plain argmax")
-    p_explore.add_argument("--min-gain", type=float, default=0.0,
-                           help="marginal rule: minimum score gain to "
-                                "keep climbing (default: 0)")
     p_explore.add_argument("-o", "--out", default="explore-out",
                            help="output directory (frontier.json, "
                                 "frontier.md, timings.json)")

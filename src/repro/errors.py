@@ -46,8 +46,8 @@ class TrapError(ReproError):
 
 
 class FaultPlanError(ReproError):
-    """A fault-injection plan is malformed (bad JSON, unknown fault kind,
-    out-of-range rate)."""
+    """A fault-injection plan is unknown (no such name or file) or
+    malformed (bad JSON, unknown fault kind, out-of-range rate)."""
 
 
 class DeadlockError(ReproError):

@@ -9,7 +9,6 @@ from repro.eval.metrics import (
 from repro.eval.experiments import app_statistics, figures_record
 from repro.eval.explore import (
     SearchSpace,
-    Weights,
     auto_pick,
     deterministic_report,
     explore,
@@ -21,7 +20,6 @@ __all__ = [
     "PipelineMeasurement",
     "SearchSpace",
     "SequentialMeasurement",
-    "Weights",
     "auto_pick",
     "deterministic_report",
     "explore",

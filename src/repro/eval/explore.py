@@ -20,9 +20,9 @@ frontier beat fixed-k heuristics.  This module is that search for PPS-C:
    sequential PPS, transmitted live-set words, realized stage count) and
    keep ``partition_seconds`` as nondeterministic context;
 4. **emit** a per-app Pareto frontier (JSON + markdown) and an
-   **auto-pick**: the best verified configuration per app under a
-   user-weighted objective, with dominated-by / plateau / tie-break
-   provenance for every cell it passed over.
+   **auto-pick**: the best verified configuration per app under one
+   fixed objective (:data:`WEIGHTS`), with dominated-by / plateau /
+   tie-break provenance for every cell it passed over.
 
 Determinism: the scored metrics are exactly the deterministic outputs of
 the partitioner + simulator, so the frontier artifact produced by
@@ -33,14 +33,15 @@ runs to hold that line, and tier-1 regenerates the default grid and
 requires the committed ``EXPLORE_frontier.json`` back byte for byte
 (``tests/test_paper_numbers.py``).
 
-Why the default pick rule is *marginal* (a knee finder): speedup curves
-in this domain flatten when per-stage live-set transmission stops
-shrinking while compute does (paper Fig. 19/21 — "the speedup of the RX
-and TX PPSes ... scales well up to pipelining degree 5, after which the
+Why the pick rule is *marginal* (a knee finder): speedup curves in this
+domain flatten when per-stage live-set transmission stops shrinking
+while compute does (paper Fig. 19/21 — "the speedup of the RX and TX
+PPSes ... scales well up to pipelining degree 5, after which the
 speedup levels off").  The marginal rule climbs an app's degree ladder
-and stops at the first degree whose *weighted* score does not improve —
-rx parks at 5 where its curve plateaus, while ipv4's monotone curve
-climbs to 9.  ``rule="score"`` is the plain argmax alternative.
+and stops at the first degree whose score does not improve — rx parks
+at 5 where its curve plateaus, while ipv4's monotone curve climbs to 9.
+It is the one rule: the search runs over one executable cost model
+(Kugelblitz, PAPERS.md), not a menu of objectives.
 """
 
 from __future__ import annotations
@@ -54,14 +55,14 @@ from repro.runspec import Knobs
 
 #: Version of the frontier-report schema; bump on layout changes, with
 #: the regenerated ``EXPLORE_frontier.json`` in the same commit.
-EXPLORE_SCHEMA_VERSION = 2
+EXPLORE_SCHEMA_VERSION = 3
 
 #: Objective directions: maximize speedup, minimize words and stages.
 OBJECTIVES = ("speedup", "transmitted_words", "stages")
 
 
 class ExploreError(ReproError):
-    """A malformed search space, weights spec, or exploration failure."""
+    """A malformed search space or an exploration failure."""
 
 
 # -- the declarative search space --------------------------------------------
@@ -172,17 +173,6 @@ class SearchSpace:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchSpace":
-        known = set(cls.__dataclass_fields__)
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ExploreError(f"unknown search-space keys: "
-                               f"{', '.join(unknown)}")
-        kwargs = {key: (tuple(value) if isinstance(value, list) else value)
-                  for key, value in data.items()}
-        return cls(**kwargs).validate()
-
 
 def cell_dims(knobs: Knobs) -> tuple:
     """Which knobs name an explore cell, declared once: per search
@@ -211,63 +201,24 @@ def cell_name(app: str, degree: int, knobs: Knobs) -> dict:
                        **{key: value for key, value, _, _ in dims}}}
 
 
-# -- the user-weighted objective ---------------------------------------------
+# -- the objective -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Weights:
-    """Scalarization weights over the deterministic cell metrics.
+#: The one objective, ``score = speedup - 0.005*words - 0.01*stages``:
+#: one transmitted live-set word is worth 0.005 speedup and one pipeline
+#: stage 0.01 — small enough that real speedup always wins, large enough
+#: that a flat curve stops paying for stages and ring traffic.
+#: ``partition_seconds`` is deliberately not scored: it is wall-clock
+#: noise, and weighting it would make auto-pick nondeterministic.
+WEIGHTS = {"speedup": 1.0, "words": 0.005, "stages": 0.01}
 
-    ``score = speedup*s - words*w - stages*d``.  The defaults make one
-    transmitted live-set word worth 0.005 speedup and one pipeline stage
-    worth 0.01 — small enough that real speedup always wins, large
-    enough that a flat curve stops paying for stages and ring traffic.
-    ``partition_seconds`` is deliberately not scorable: it is wall-clock
-    noise, and weighting it would make auto-pick nondeterministic.
-    """
 
-    speedup: float = 1.0
-    words: float = 0.005
-    stages: float = 0.01
-
-    def score(self, metrics: dict) -> float:
-        return round(
-            self.speedup * metrics["speedup"]
-            - self.words * metrics["transmitted_words"]
-            - self.stages * metrics["stages"], 6)
-
-    def as_dict(self) -> dict:
-        return {"speedup": self.speedup, "words": self.words,
-                "stages": self.stages}
-
-    @classmethod
-    def parse(cls, text: str) -> "Weights":
-        """Parse ``speedup=1,words=0.005,stages=0.01`` (any subset)."""
-        values = {}
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ExploreError(f"--weights expects name=value pairs "
-                                   f"(got {part!r})")
-            name, _, value = part.partition("=")
-            name = name.strip()
-            if name not in ("speedup", "words", "stages"):
-                raise ExploreError(f"unknown objective weight {name!r} "
-                                   f"(expected speedup, words, stages)")
-            try:
-                values[name] = float(value)
-            except ValueError as exc:
-                raise ExploreError(f"bad weight value in {part!r}: "
-                                   f"{exc}") from exc
-        weights = cls(**values)
-        if weights.speedup <= 0:
-            raise ExploreError("the speedup weight must be positive")
-        if weights.words < 0 or weights.stages < 0:
-            raise ExploreError("words/stages weights must be >= 0 "
-                               "(they are penalties)")
-        return weights
+def score(metrics: dict) -> float:
+    """A cell's objective value under :data:`WEIGHTS`."""
+    return round(
+        WEIGHTS["speedup"] * metrics["speedup"]
+        - WEIGHTS["words"] * metrics["transmitted_words"]
+        - WEIGHTS["stages"] * metrics["stages"], 6)
 
 
 # -- Pareto dominance --------------------------------------------------------
@@ -334,29 +285,24 @@ def _combo_key(cell: dict) -> tuple:
                  if key != "degree")
 
 
-def _tie_key(cell: dict, score: float) -> tuple:
+def _tie_key(cell: dict, value: float) -> tuple:
     """Deterministic total order on candidates: higher score first, then
     fewer stages, fewer words, higher speedup, and finally the id."""
     metrics = cell["metrics"]
-    return (-score, metrics["stages"], metrics["transmitted_words"],
+    return (-value, metrics["stages"], metrics["transmitted_words"],
             -metrics["speedup"], cell["id"])
 
 
-def auto_pick(cells: list[dict], weights: Weights, *,
-              rule: str = "marginal", min_gain: float = 0.0) -> dict | None:
+def auto_pick(cells: list[dict]) -> dict | None:
     """Select the best verified configuration among one app's cells.
 
-    ``rule="marginal"`` (default) climbs each knob combo's degree ladder
-    and keeps the last degree whose weighted score improved by more than
-    ``min_gain`` — the first plateau ends the climb (the paper's "levels
-    off" knee).  ``rule="score"`` is the plain argmax over all cells.
-    Degraded or unverified cells are never picked; annotates every cell
-    with a ``pick`` provenance note and returns the pick record (or
-    ``None`` when no cell qualifies).
+    The marginal rule: climb each knob combo's degree ladder and keep
+    the last degree whose score improved — the first plateau ends the
+    climb (the paper's "levels off" knee) — then rank the ladders' picks
+    by score.  Degraded or unverified cells are never picked; annotates
+    every cell with a ``pick`` provenance note and returns the pick
+    record (or ``None`` when no cell qualifies).
     """
-    if rule not in ("marginal", "score"):
-        raise ExploreError(f"unknown pick rule {rule!r} "
-                           f"(expected marginal or score)")
     eligible = []
     for cell in cells:
         if not cell["verified"]:
@@ -369,52 +315,41 @@ def auto_pick(cells: list[dict], weights: Weights, *,
             eligible.append(cell)
     if not eligible:
         return None
-    scores = {cell["id"]: weights.score(cell["metrics"])
-              for cell in eligible}
+    scores = {cell["id"]: score(cell["metrics"]) for cell in eligible}
 
-    if rule == "score":
-        candidates = {cell["id"]: cell for cell in eligible}
-        ladders: dict[tuple, list] = {}
-    else:
-        candidates = {}
-        ladders = {}
-        combos: dict[tuple, list] = {}
-        for cell in eligible:
-            combos.setdefault(_combo_key(cell), []).append(cell)
-        for combo, row in combos.items():
-            row.sort(key=lambda cell: cell["config"]["degree"])
-            incumbent = row[0]
-            trace = [{"id": incumbent["id"],
-                      "degree": incumbent["config"]["degree"],
-                      "score": scores[incumbent["id"]],
-                      "decision": "start"}]
-            for cell in row[1:]:
-                gain = round(scores[cell["id"]]
-                             - scores[incumbent["id"]], 6)
-                if gain > min_gain:
-                    trace.append({"id": cell["id"],
-                                  "degree": cell["config"]["degree"],
-                                  "score": scores[cell["id"]],
-                                  "gain": gain, "decision": "accept"})
-                    incumbent = cell
-                else:
-                    trace.append({"id": cell["id"],
-                                  "degree": cell["config"]["degree"],
-                                  "score": scores[cell["id"]],
-                                  "gain": gain, "decision": "stop"})
-                    cell["pick"] = (
-                        f"plateau: score gain {gain:+.4f} <= "
-                        f"{min_gain:g} over {incumbent['id']} — the "
-                        f"ladder stopped at degree "
-                        f"{incumbent['config']['degree']}")
-                    for later in row[row.index(cell) + 1:]:
-                        later["pick"] = (
-                            f"beyond the plateau at degree "
-                            f"{cell['config']['degree']} (ladder stopped "
-                            f"at {incumbent['id']})")
-                    break
-            candidates[incumbent["id"]] = incumbent
-            ladders[combo] = trace
+    candidates = {}
+    ladders = {}
+    combos: dict[tuple, list] = {}
+    for cell in eligible:
+        combos.setdefault(_combo_key(cell), []).append(cell)
+    for combo, row in combos.items():
+        row.sort(key=lambda cell: cell["config"]["degree"])
+        incumbent = row[0]
+        trace = [{"id": incumbent["id"],
+                  "degree": incumbent["config"]["degree"],
+                  "score": scores[incumbent["id"]],
+                  "decision": "start"}]
+        for cell in row[1:]:
+            gain = round(scores[cell["id"]] - scores[incumbent["id"]], 6)
+            step = {"id": cell["id"], "degree": cell["config"]["degree"],
+                    "score": scores[cell["id"]], "gain": gain}
+            if gain > 0:
+                trace.append({**step, "decision": "accept"})
+                incumbent = cell
+                continue
+            trace.append({**step, "decision": "stop"})
+            cell["pick"] = (
+                f"plateau: score gain {gain:+.4f} <= 0 over "
+                f"{incumbent['id']} — the ladder stopped at degree "
+                f"{incumbent['config']['degree']}")
+            for later in row[row.index(cell) + 1:]:
+                later["pick"] = (
+                    f"beyond the plateau at degree "
+                    f"{cell['config']['degree']} (ladder stopped "
+                    f"at {incumbent['id']})")
+            break
+        candidates[incumbent["id"]] = incumbent
+        ladders[combo] = trace
 
     ranked = sorted(candidates.values(),
                     key=lambda cell: _tie_key(cell, scores[cell["id"]]))
@@ -441,39 +376,29 @@ def auto_pick(cells: list[dict], weights: Weights, *,
         "config": dict(picked["config"]),
         "metrics": dict(picked["metrics"]),
         "score": scores[picked["id"]],
-        "rule": rule,
-        "why": _explain_pick(picked, scores, ladders, ranked, rule),
+        "why": _explain_pick(ladders[_combo_key(picked)], scores, ranked),
+        "ladder": ladders[_combo_key(picked)],
     }
     if tie_break:
         pick["tie_break"] = tie_break
-    if ladders:
-        pick["ladder"] = ladders[_combo_key(picked)]
     if runner_up is not None:
         pick["runner_up"] = {"id": runner_up["id"],
                              "score": scores[runner_up["id"]]}
     return pick
 
 
-def _explain_pick(picked: dict, scores: dict, ladders: dict,
-                  ranked: list, rule: str) -> str:
-    parts = []
-    if rule == "marginal":
-        trace = ladders[_combo_key(picked)]
-        climbed = [str(step["degree"]) for step in trace
-                   if step["decision"] in ("start", "accept")]
-        parts.append(f"climbed degree {' -> '.join(climbed)}")
-        stopped = [step for step in trace if step["decision"] == "stop"]
-        if stopped:
-            step = stopped[0]
-            parts.append(f"stopped: degree {step['degree']} gained "
-                         f"{step['gain']:+.4f}")
-        else:
-            parts.append("reached the top of the degree grid still "
-                         "improving")
+def _explain_pick(trace: list, scores: dict, ranked: list) -> str:
+    climbed = [str(step["degree"]) for step in trace
+               if step["decision"] in ("start", "accept")]
+    parts = [f"climbed degree {' -> '.join(climbed)}"]
+    stopped = [step for step in trace if step["decision"] == "stop"]
+    if stopped:
+        step = stopped[0]
+        parts.append(f"stopped: degree {step['degree']} gained "
+                     f"{step['gain']:+.4f}")
     else:
-        parts.append(f"argmax weighted score over "
-                     f"{len(scores)} eligible cells")
-    others = [cell for cell in ranked[1:]]
+        parts.append("reached the top of the degree grid still improving")
+    others = ranked[1:]
     if others:
         best = others[0]
         parts.append(f"beat {len(others)} other candidate(s), next: "
@@ -484,9 +409,7 @@ def _explain_pick(picked: dict, scores: dict, ladders: dict,
 # -- the exploration driver --------------------------------------------------
 
 
-def explore(space: SearchSpace, *, weights: Weights | None = None,
-            rule: str = "marginal", min_gain: float = 0.0,
-            jobs: int = 1, cache=None,
+def explore(space: SearchSpace, *, jobs: int = 1, cache=None,
             keep_going: bool = False) -> dict:
     """Evaluate ``space`` and return the full exploration report.
 
@@ -499,7 +422,6 @@ def explore(space: SearchSpace, *, weights: Weights | None = None,
     from repro.eval.sweep import explore_tasks, run_sweep
 
     space.validate()
-    weights = weights or Weights()
     tasks = explore_tasks(space, keep_going=keep_going)
     results = run_sweep(tasks, jobs=jobs, keep_going=keep_going,
                         cache=cache)
@@ -526,7 +448,7 @@ def explore(space: SearchSpace, *, weights: Weights | None = None,
             cell["pareto"] = on_front
             if not on_front:
                 cell["dominated_by"] = _dominator_id(cell, scored)
-        pick = auto_pick(cells, weights, rule=rule, min_gain=min_gain)
+        pick = auto_pick(cells)
         apps[app] = {
             "cells": cells,
             "frontier": [cell["id"] for cell in scored if cell["pareto"]],
@@ -536,9 +458,7 @@ def explore(space: SearchSpace, *, weights: Weights | None = None,
     report = {
         "schema": EXPLORE_SCHEMA_VERSION,
         "space": space.as_dict(),
-        "weights": weights.as_dict(),
-        "rule": rule,
-        "min_gain": min_gain,
+        "weights": dict(WEIGHTS),
         "apps": apps,
         "timing": {key: round(value, 4) for key, value in timing.items()},
     }
@@ -588,7 +508,7 @@ def render_markdown(report: dict) -> str:
     lines.append(
         f"Objective: {weights['speedup']:g}*speedup "
         f"- {weights['words']:g}*words - {weights['stages']:g}*stages "
-        f"(rule: {report['rule']})")
+        f"(marginal pick: each degree ladder stops at its first plateau)")
     lines.append("")
     for app, entry in report["apps"].items():
         pick = entry["pick"]

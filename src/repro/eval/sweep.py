@@ -4,7 +4,7 @@ Fig-19-style sweeps re-partition the same four NPF apps over and over;
 each (app, D) cell is independent, deterministic given its seed, and
 dominated by the balanced-cut search — an embarrassingly parallel
 workload.  :func:`run_sweep` is the one multi-cell path: ``repro figures``,
-``plan``, ``explore``, ``chaos --sweep`` and ``fuzz`` all describe their
+``plan``, ``explore``, ``chaos`` and ``fuzz`` all describe their
 work as :class:`SweepTask` cells and run them here, inline or on a
 ``concurrent.futures.ProcessPoolExecutor`` (``-j N`` on the CLI), with:
 
@@ -13,9 +13,9 @@ work as :class:`SweepTask` cells and run them here, inline or on a
   finishes first, so ``-j 4`` output is byte-identical to ``-j 1``
   modulo the explicitly nondeterministic ``timing`` / ``cache`` fields
   (strip them with :func:`deterministic_view`);
-* **per-task seed threading** — :func:`derive_seed` gives every cell a
-  stable seed derived from the base seed and the cell identity, so
-  chaos sweeps stay reproducible under any parallelism;
+* **one seed per sweep** — every cell runs at the seed the command was
+  given, so a cell reproduces inline under any parallelism and two
+  commands at equal packets, seed and knobs share cache entries;
 * **structured failure** — a worker exception or a hard worker crash
   (OOM-killed, segfault) surfaces as :class:`SweepError` (a
   :class:`~repro.errors.ReproError`, CLI exit 1), never a hang, and
@@ -27,7 +27,6 @@ work as :class:`SweepTask` cells and run them here, inline or on a
 
 from __future__ import annotations
 
-import hashlib
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -41,7 +40,7 @@ from repro.runspec import RunSpec
 class SweepError(ReproError):
     """A sweep task failed or its worker process died.
 
-    The message always carries the failing task's derived seed and its
+    The message always carries the failing task's seed and its
     full argument tuple plus a copy-paste reproduction command, so any
     sweep failure reproduces inline with a one-liner.  ``task`` holds
     the :class:`SweepTask` itself when one is attributable.
@@ -59,7 +58,8 @@ class SweepTask:
 
     kind: str                       # a key of _SCORERS
     spec: RunSpec
-    plans: tuple | None = None      # chaos: builtin plan names (None = all)
+    plans: tuple | None = None      # chaos: plan names or JSON files
+    #                                 (None = every builtin plan)
     keep_going: bool = False        # explore: record failed degree cells
     #                                 instead of failing the whole row
     shrink_tests: int = 0           # fuzz: shrink budget (0 = unshrunk)
@@ -79,7 +79,7 @@ class SweepTask:
         if self.kind == "chaos":
             plans = (" --plans " + " ".join(self.plans)
                      if self.plans else "")
-            return (f"repro chaos --app {spec.app} --degrees {degrees} "
+            return (f"repro chaos --apps {spec.app} --degrees {degrees} "
                     f"--packets {spec.packets} --seed {spec.seed}{plans}")
         if self.kind == "fuzz":
             return (f"repro fuzz --seeds 1 --start-seed {spec.seed} "
@@ -99,20 +99,9 @@ class SweepTask:
 
     def detail(self) -> str:
         """The failure context every SweepError message must carry:
-        the derived seed and the full argument tuple."""
+        the seed and the full argument tuple."""
         return (f"seed={self.spec.seed} args={self!r}; "
                 f"reproduce: {self.repro_command()}")
-
-
-def derive_seed(base: int, *parts) -> int:
-    """A stable per-task seed from the base seed and the task identity.
-
-    Pure function of its arguments (no global RNG state), so a sweep is
-    reproducible regardless of worker scheduling or ``-j`` level.
-    """
-    text = ":".join([str(base), *(str(part) for part in parts)])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 # -- task builders ----------------------------------------------------------
@@ -151,10 +140,8 @@ def explore_tasks(space, *, keep_going: bool = False) -> list[SweepTask]:
 
 def chaos_tasks(apps: list[str], degrees: tuple, *, packets: int, seed: int,
                 plans: tuple | None = None) -> list[SweepTask]:
-    """Chaos cells ordered by app, each with its own derived seed."""
-    return [SweepTask("chaos",
-                      RunSpec(app, packets, derive_seed(seed, "chaos", app),
-                              tuple(degrees)),
+    """Chaos cells ordered by app, each at the base seed."""
+    return [SweepTask("chaos", RunSpec(app, packets, seed, tuple(degrees)),
                       plans=plans)
             for app in sorted(apps)]
 
@@ -332,16 +319,10 @@ def _score_explore(task: SweepTask, cache):
 
 def _score_chaos(task: SweepTask, cache):
     from repro.eval.chaos import chaos_differential
-    from repro.runtime.faults import builtin_plans
+    from repro.runtime.faults import resolve_plan
 
-    plans = None
-    if task.plans is not None:
-        available = builtin_plans()
-        unknown = [name for name in task.plans if name not in available]
-        if unknown:
-            raise SweepError(f"unknown builtin fault plans: "
-                             f"{', '.join(unknown)}")
-        plans = {name: available[name] for name in task.plans}
+    plans = (None if task.plans is None
+             else {spec: resolve_plan(spec) for spec in task.plans})
     letters: list = []
     spec = task.spec
     report, wall = _timed(chaos_differential, spec.app, plans=plans,

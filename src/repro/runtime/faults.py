@@ -531,3 +531,20 @@ def serve_plans() -> dict[str, FaultPlan]:
                                     "every_incarnation": True}},
         }, name="worker-storm"),
     }
+
+
+def resolve_plan(spec: str, *, serve: bool = False) -> FaultPlan:
+    """The one fault-plan resolver (``run --faults``, ``chaos --plans``,
+    ``serve --faults``): a builtin plan name — with ``serve``, also a
+    :func:`serve_plans` name — or a JSON plan file.  Anything else is a
+    :class:`FaultPlanError` (CLI exit 2) naming the plans available."""
+    named = {**builtin_plans(), **(serve_plans() if serve else {})}
+    if spec in named:
+        return named[spec]
+    try:
+        return FaultPlan.load(spec)
+    except OSError as exc:
+        raise FaultPlanError(
+            f"no fault plan {spec!r}: not a plan name and not a readable "
+            f"JSON file ({exc.strerror}); available plans: "
+            f"{', '.join(sorted(named))}") from exc

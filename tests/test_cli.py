@@ -210,24 +210,52 @@ def test_bad_list_flag_is_a_usage_error_on_every_command(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, named", [
-    (["chaos", "--apps", "rx", "--packets", "4"], "--apps needs --sweep"),
-    (["chaos", "--sweep", "--app", "rx", "--packets", "4"],
-     "--sweep takes its apps from --apps"),
+#: What every fault-plan flag resolves a name against, sorted.
+CHAOS_PLANS = "delay-stall, drop-light, mixed-loss, trap-storm"
+
+
+@pytest.mark.parametrize("argv, available", [
+    (["run", "DEMO", "--feed", "in_q=1", "--faults", "drop-lite"],
+     CHAOS_PLANS),
+    (["chaos", "--apps", "rx", "--packets", "4", "--no-cache",
+      "--plans", "drop-light", "worker-kill"], CHAOS_PLANS),
+    (["serve", "--packets", "4", "--no-cache", "--faults", "worker-kil"],
+     CHAOS_PLANS + ", worker-kill, worker-storm"),
 ])
-def test_chaos_app_flag_of_the_other_mode_is_a_usage_error(argv, named,
-                                                          capsys):
-    """``chaos`` reads ``--app`` alone and ``--apps`` only with
-    ``--sweep``; the other mode's flag used to be silently ignored."""
+def test_unknown_fault_plan_is_a_usage_error_naming_the_plans(
+        argv, available, demo_file, capsys):
+    """``run --faults``, ``chaos --plans`` and ``serve --faults`` share
+    one resolver: a name that is neither a plan nor a file exits 2 and
+    lists the plans the command accepts (serve adds its worker plans)."""
+    argv = [demo_file if arg == "DEMO" else arg for arg in argv]
     assert main(argv) == 2
-    assert f"error: {named}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: no fault plan {argv[-1]!r}" in err
+    assert f"available plans: {available}" in err
+
+
+def test_chaos_runs_a_json_plan_file_at_any_jobs(tmp_path, capsys):
+    import json
+
+    plan = tmp_path / "lossy.json"
+    plan.write_text('{"seed": 5, "inputs": {"*": {"drop": 0.2}}}')
+    for jobs in ("1", "2"):
+        output = tmp_path / f"chaos-j{jobs}.json"
+        assert main(["chaos", "--apps", "rx", "--degrees", "1,2",
+                     "--packets", "8", "--plans", str(plan), "drop-light",
+                     "--no-cache", "-j", jobs, "-o", str(output)]) == 0
+        report = json.loads(output.read_text())
+        assert report["ok"] is True
+        assert [entry["plan"] for entry in report["apps"]["rx"]["plans"]] \
+            == [str(plan), "drop-light"]
+    assert "sweep: 1 apps x degrees 1,2 (-j 2): ok" in capsys.readouterr().out
 
 
 def test_list_flags_take_commas_and_trailing_separators(tmp_path, capsys):
-    """One list parser behind --apps/--degrees: ``chaos --sweep`` takes
+    """One list parser behind --apps/--degrees: ``chaos`` takes
     comma-separated apps like ``plan``/``explore`` do, and a trailing
     comma is ignored everywhere, not only by ``explore``."""
-    assert main(["chaos", "--sweep", "--apps", "rx,ipv4", "--degrees",
+    assert main(["chaos", "--apps", "rx,ipv4", "--degrees",
                  "1,2,", "--packets", "4", "--plans", "drop-light",
                  "--no-cache", "-o", str(tmp_path / "chaos.json")]) == 0
     out = capsys.readouterr().out
@@ -245,9 +273,9 @@ def test_keep_going_flags_parse():
     from repro.cli import build_parser
 
     parser = build_parser()
-    assert parser.parse_args(["chaos", "--sweep",
+    assert parser.parse_args(["chaos",
                               "--keep-going"]).keep_going is True
-    assert parser.parse_args(["chaos", "--sweep"]).keep_going is False
+    assert parser.parse_args(["chaos"]).keep_going is False
     assert parser.parse_args(["plan", "-j", "2",
                               "--keep-going"]).keep_going is True
     assert parser.parse_args(["plan"]).keep_going is False
@@ -291,13 +319,13 @@ def test_bench_subcommand_is_gone(capsys):
 #: Every (subcommand, option string) pair the CLI accepts.  A new flag,
 #: or a removed one, is a diff of this literal.
 CLI_SURFACE = {
-    "chaos": "--app --apps --cache-dir --dead-letters --degrees --jobs "
+    "chaos": "--apps --cache-dir --dead-letters --degrees --jobs "
              "--keep-going --no-cache --output --packets --plans --seed "
-             "--sweep -j -o",
+             "-j -o",
     "check": "file",
     "explore": "--apps --cache-dir --degrees --epsilons --jobs "
-               "--keep-going --max-block-instructions --min-gain --no-cache "
-               "--out --packets --pick-rule --rings --seed --weights -j -o",
+               "--keep-going --max-block-instructions --no-cache "
+               "--out --packets --rings --seed -j -o",
     "figures": "--degrees --jobs --output --packets -j -o",
     "fuzz": "--degrees --jobs --out --packets --seeds --self-test "
             "--start-seed -j",
@@ -332,7 +360,7 @@ def test_cli_surface():
     assert surface == CLI_SURFACE
     long_options = {option for options in surface.values()
                     for option in options.split() if option.startswith("--")}
-    assert (len(surface), len(long_options)) == (10, 43)
+    assert (len(surface), len(long_options)) == (10, 39)
 
 
 @pytest.mark.parametrize("shape, size",

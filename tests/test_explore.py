@@ -7,9 +7,10 @@ The contract under test:
 * ``explore(jobs=4)`` equals ``explore(jobs=1)`` cell for cell once the
   explicitly nondeterministic timing/cache fields are stripped
   (:func:`deterministic_report`);
-* ``auto_pick`` never picks a degraded or unverified cell, the marginal
-  rule stops at the first score plateau (the paper's "levels off" knee),
-  and every passed-over cell carries a provenance note;
+* ``auto_pick`` never picks a degraded or unverified cell, its one
+  rule — the marginal rule — stops at the first score plateau (the
+  paper's "levels off" knee), and every passed-over cell carries a
+  provenance note;
 * a search space with clashing cost tables or malformed knobs is
   rejected before anything runs.
 
@@ -27,7 +28,6 @@ from hypothesis import given, settings, strategies as st
 from repro.eval.explore import (
     ExploreError,
     SearchSpace,
-    Weights,
     auto_pick,
     deterministic_report,
     dominates,
@@ -103,7 +103,7 @@ def test_marginal_rule_stops_at_the_plateau():
     cells = [_cell(1, 1.0, 0), _cell(2, 1.5, 8), _cell(3, 1.6, 16),
              _cell(4, 2.1, 24), _cell(5, 2.3, 29), _cell(6, 2.3, 36),
              _cell(7, 2.9, 46)]
-    pick = auto_pick(cells, Weights(), rule="marginal")
+    pick = auto_pick(cells)
     assert pick["config"]["degree"] == 5
     assert "stopped" in pick["why"]
     beyond = next(c for c in cells if c["config"]["degree"] == 7)
@@ -112,7 +112,7 @@ def test_marginal_rule_stops_at_the_plateau():
 
 def test_marginal_rule_climbs_a_monotone_curve_to_the_top():
     cells = [_cell(d, 1.0 + 0.5 * d, 8 * d) for d in range(1, 6)]
-    pick = auto_pick(cells, Weights(), rule="marginal")
+    pick = auto_pick(cells)
     assert pick["config"]["degree"] == 5
     assert "still improving" in pick["why"]
     assert [step["decision"] for step in pick["ladder"]] == \
@@ -123,7 +123,7 @@ def test_degraded_and_unverified_cells_are_never_picked():
     cells = [_cell(1, 1.0, 0),
              _cell(2, 9.9, 0, degraded=True),
              _cell(3, 9.9, 0, verified=False)]
-    pick = auto_pick(cells, Weights(), rule="marginal")
+    pick = auto_pick(cells)
     assert pick["config"]["degree"] == 1
     notes = {c["config"]["degree"]: c.get("pick") for c in cells}
     assert "degraded" in notes[2]
@@ -132,58 +132,31 @@ def test_degraded_and_unverified_cells_are_never_picked():
 
 def test_no_eligible_cell_returns_none():
     cells = [_cell(2, 2.0, 8, verified=False)]
-    assert auto_pick(cells, Weights(), rule="marginal") is None
-
-
-def test_score_rule_is_a_plain_argmax():
-    cells = [_cell(1, 1.0, 0), _cell(2, 1.5, 8), _cell(3, 1.5, 8),
-             _cell(4, 2.0, 40)]
-    pick = auto_pick(cells, Weights(speedup=1.0, words=0.0, stages=0.0),
-                     rule="score")
-    assert pick["config"]["degree"] == 4
-    assert "argmax" in pick["why"]
+    assert auto_pick(cells) is None
 
 
 def test_tied_candidates_break_toward_fewer_stages():
     nn = _cell(3, 2.0, 10)
     scratch = _cell(4, 2.0 + 0.01, 10, ring="scratch-ring")
-    # scratch's extra stage cancels its extra speedup: identical scores.
-    pick = auto_pick([nn, scratch], Weights(speedup=1.0, words=0.0,
-                                            stages=0.01), rule="score")
+    # scratch's extra stage cancels its extra speedup: identical scores
+    # at the top of two one-rung ladders.
+    pick = auto_pick([nn, scratch])
     assert pick["id"] == nn["id"]
     assert "tie_break" in pick
     assert "fewer stages" in pick["tie_break"]
 
 
-def test_min_gain_raises_the_bar_for_climbing():
-    cells = [_cell(1, 1.0, 0), _cell(2, 1.05, 2)]
-    eager = auto_pick([dict(c) for c in cells],
-                      Weights(speedup=1.0, words=0.0, stages=0.0),
-                      rule="marginal")
-    assert eager["config"]["degree"] == 2
-    picky = auto_pick([dict(c) for c in cells],
-                      Weights(speedup=1.0, words=0.0, stages=0.0),
-                      rule="marginal", min_gain=0.1)
-    assert picky["config"]["degree"] == 1
+def test_a_zero_gain_does_not_climb():
+    # A rung that only holds the score is a plateau, not progress.
+    cells = [_cell(1, 1.0, 0), _cell(2, 1.01, 0)]
+    pick = auto_pick(cells)
+    assert pick["config"]["degree"] == 1
+    assert [step["decision"] for step in pick["ladder"]] == \
+        ["start", "stop"]
+    assert "plateau: score gain +0.0000 <= 0" in cells[1]["pick"]
 
 
-def test_unknown_pick_rule_is_rejected():
-    with pytest.raises(ExploreError, match="unknown pick rule"):
-        auto_pick([_cell(1, 1.0, 0)], Weights(), rule="best")
-
-
-# -- weights and the search space -------------------------------------------
-
-
-def test_weights_parse_roundtrip_and_validation():
-    weights = Weights.parse("speedup=2, words=0.01")
-    assert weights == Weights(speedup=2.0, words=0.01, stages=0.01)
-    with pytest.raises(ExploreError, match="unknown objective weight"):
-        Weights.parse("latency=1")
-    with pytest.raises(ExploreError, match="name=value"):
-        Weights.parse("speedup")
-    with pytest.raises(ExploreError, match="must be positive"):
-        Weights.parse("speedup=0")
+# -- the search space -------------------------------------------------------
 
 
 def test_search_space_rejects_bad_knobs():
@@ -219,16 +192,14 @@ def test_search_space_rejects_parameter_identical_cost_tables():
 
 
 def test_search_space_dict_roundtrip_canonicalizes():
+    """``as_dict`` is the report's ``space``: canonical, and unchanged
+    by the JSON round trip into ``frontier.json``."""
     space = SearchSpace(apps=("rx",), degrees=(4, 2, 2),
                         rings=("nn", "nn-ring", "scratch"))
     data = space.as_dict()
     assert data["degrees"] == [2, 4]
     assert data["rings"] == ["nn-ring", "scratch-ring"]
-    again = SearchSpace.from_dict(json.loads(json.dumps(data)))
-    assert again.as_dict() == data
-    with pytest.raises(ExploreError, match="unknown search-space keys"):
-        SearchSpace.from_dict({"apps": ["rx"], "degrees": [2],
-                               "budget": 1})
+    assert json.loads(json.dumps(data)) == data
 
 
 def test_combos_are_deterministic_and_deduplicated():

@@ -57,6 +57,22 @@ def test_plan_chaos_and_serve_share_one_pipeline_per_description(tmp_path):
     assert serve_cache.counters()["misses"] == 0
 
 
+def test_plan_then_chaos_through_the_cli_stores_nothing_new(tmp_path):
+    """``repro chaos`` runs every cell at the ``--seed`` as given, so after
+    ``repro plan`` at the same packets, seed and degrees it looks up the
+    plan's entries and solves nothing."""
+    from repro.cli import main
+
+    root = tmp_path / "cache"
+    shared = ["--apps", "ip_v4", "--degrees", "2,4", "--packets",
+              str(PACKETS), "--seed", str(SEED), "--cache-dir", str(root)]
+    assert main(["plan", *shared]) == 0
+    stored = _objects(CompileCache(root))
+    assert stored == 2
+    assert main(["chaos", *shared]) == 0
+    assert _objects(CompileCache(root)) == stored
+
+
 #: D = 4, packets 60, seed 7, default knobs (ip_v4's key hashes its
 #: traffic-class profiles).  Re-pinned at schema v7, when an entry
 #: became the partition decision instead of a pickled result.

@@ -8,8 +8,8 @@ The contract under test:
 * a worker exception or a hard worker crash surfaces as
   :class:`SweepError` — a structured failure, never a hang, and the
   same failure at every ``-j`` level;
-* per-task seeds derive deterministically from the base seed and the
-  task identity, so chaos sweeps reproduce under any parallelism.
+* every cell runs at the sweep's base seed, as given, so a chaos cell
+  reproduces inline under any parallelism.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.eval.sweep import (
     SweepTask,
     app_tasks,
     chaos_tasks,
-    derive_seed,
     deterministic_view,
     run_sweep,
 )
@@ -37,18 +36,10 @@ from repro.runspec import Knobs, RunSpec
 # -- seeds ------------------------------------------------------------------
 
 
-def test_derive_seed_stable_and_distinct():
-    assert derive_seed(7, "chaos", "rx") == derive_seed(7, "chaos", "rx")
-    assert derive_seed(7, "chaos", "rx") != derive_seed(7, "chaos", "tx")
-    assert derive_seed(7, "chaos", "rx") != derive_seed(8, "chaos", "rx")
-    assert 0 <= derive_seed(7, "chaos", "rx") < 2**32
-
-
-def test_chaos_tasks_thread_derived_seeds_in_sorted_order():
+def test_chaos_tasks_carry_the_base_seed_in_sorted_order():
     tasks = chaos_tasks(["tx", "rx"], (1, 2), packets=8, seed=7)
     assert [task.spec.app for task in tasks] == ["rx", "tx"]
-    assert tasks[0].spec.seed == derive_seed(7, "chaos", "rx")
-    assert tasks[1].spec.seed == derive_seed(7, "chaos", "tx")
+    assert [task.spec.seed for task in tasks] == [7, 7]
 
 
 def test_app_tasks_preserve_app_order():
@@ -156,7 +147,7 @@ def test_chaos_repro_command_is_a_chaos_one_liner():
     [task] = chaos_tasks(["rx"], (1, 2), packets=8, seed=7,
                          plans=("drop-light",))
     command = task.repro_command()
-    assert command.startswith("repro chaos --app rx --degrees 1,2")
+    assert command.startswith("repro chaos --apps rx --degrees 1,2")
     assert f"--seed {task.spec.seed}" in command
     assert "--plans drop-light" in command
 
@@ -262,7 +253,7 @@ def test_chaos_sweep_parallel_identical_to_inline(tmp_path):
     assert json.dumps(deterministic_view(fanned), sort_keys=True) == \
         json.dumps(deterministic_view(inline), sort_keys=True)
     assert inline[0]["ok"] is True
-    assert inline[0]["seed"] == derive_seed(7, "chaos", "rx")
+    assert inline[0]["seed"] == 7
 
 
 def test_figures_record_is_one_path_at_every_jobs_level():
