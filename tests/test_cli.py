@@ -210,7 +210,7 @@ def test_bad_list_flag_is_a_usage_error_on_every_command(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-#: What every fault-plan flag resolves a name against, sorted.
+#: The builtin plan names, sorted: what every fault-plan flag accepts.
 CHAOS_PLANS = "delay-stall, drop-light, mixed-loss, trap-storm"
 
 
@@ -273,8 +273,7 @@ def test_keep_going_flags_parse():
     from repro.cli import build_parser
 
     parser = build_parser()
-    assert parser.parse_args(["chaos",
-                              "--keep-going"]).keep_going is True
+    assert parser.parse_args(["chaos", "--keep-going"]).keep_going is True
     assert parser.parse_args(["chaos"]).keep_going is False
     assert parser.parse_args(["plan", "-j", "2",
                               "--keep-going"]).keep_going is True
