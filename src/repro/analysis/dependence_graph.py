@@ -238,9 +238,6 @@ class LoopDependenceModel:
     def unit_of_node(self, node: int) -> int:
         return self.units.component_of[node]
 
-    def unit_of_block(self, block_name: str) -> int:
-        return self.unit_of_node(self.node_of_block(block_name))
-
     def unit_blocks(self, unit: int) -> list[str]:
         blocks: list[str] = []
         for node in self.units.members[unit]:

@@ -89,9 +89,6 @@ class DominatorTree:
                 return False
             node = parent
 
-    def strictly_dominates(self, a: Node, b: Node) -> bool:
-        return a != b and self.dominates(a, b)
-
     def immediate_dominator(self, node: Node) -> Node | None:
         parent = self.idom.get(node)
         if parent is None or parent == node:

@@ -132,13 +132,6 @@ class Digraph:
             raise ValueError("graph is cyclic")
         return order
 
-    def is_acyclic(self) -> bool:
-        try:
-            self.topological_order()
-        except ValueError:
-            return False
-        return True
-
 
 def strongly_connected_components(graph: Digraph) -> list[list[Node]]:
     """Tarjan's algorithm (iterative).  Components are returned in reverse

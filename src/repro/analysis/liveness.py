@@ -4,10 +4,9 @@ Works on both SSA and non-SSA form.  φ-functions are handled edge-wise:
 the value incoming from predecessor ``p`` is live-out of ``p`` (not live-in
 of the φ's block), which is the standard convention.
 
-``Liveness`` exposes block-level ``live_in`` / ``live_out`` plus
-``live_at_edge`` and per-instruction iteration, which the live-set
-computation of the pipelining transformation uses (the paper's "data that
-are alive at the cut ... the contents of live registers").
+``Liveness`` exposes block-level ``live_in`` / ``live_out``, which the
+live-set computation of the pipelining transformation uses (the paper's
+"data that are alive at the cut ... the contents of live registers").
 """
 
 from __future__ import annotations
@@ -76,36 +75,3 @@ class Liveness:
                     changed = True
         self.live_in = {name: frozenset(values) for name, values in live_in.items()}
         self.live_out = {name: frozenset(values) for name, values in live_out.items()}
-
-    def live_at_edge(self, pred: str, succ: str) -> frozenset[VReg]:
-        """Registers live on the CFG edge ``pred -> succ``.
-
-        This is live-in of ``succ`` plus the φ operands consumed on the
-        edge, minus φ destinations of ``succ`` (defined after the edge).
-        """
-        succ_block = self.function.block(succ)
-        result = set(self.live_in[succ])
-        for phi in succ_block.phis():
-            result.discard(phi.dest)
-            value = phi.incomings.get(pred)
-            if isinstance(value, VReg):
-                result.add(value)
-        return frozenset(result)
-
-    def live_after(self, block_name: str, index: int) -> frozenset[VReg]:
-        """Registers live immediately after instruction ``index`` of a block.
-
-        ``index`` counts over ``all_instructions()`` (terminator included).
-        """
-        block = self.function.block(block_name)
-        instructions = block.all_instructions()
-        live = set(self.live_out[block_name])
-        for inst in reversed(instructions[index + 1 :]):
-            if isinstance(inst, Phi):
-                live.discard(inst.dest)
-                continue
-            for reg in inst.defs():
-                live.discard(reg)
-            for reg in inst.used_regs():
-                live.add(reg)
-        return frozenset(live)

@@ -8,8 +8,11 @@ dependence-graph builder turns conflicting accesses into ordering edges:
   behave like the paper's shared flow state: *all* accesses conflict, and
   the conflicts are PPS-loop-carried, so every access to one such resource
   must land in the same pipeline stage (the QM/Scheduler effect).
-* non-serial resources (packet store, per-iteration local arrays) order
-  reads after writes *within* one iteration only.
+* local arrays live as long as the PPS, like read-write memory: a write
+  conflicts with every other access of its array, across iterations, but
+  two reads do not conflict.
+* the remaining non-serial resources (packet store, rbuf/tbuf elements)
+  order reads after writes *within* one iteration only.
 * ``readonly`` memory regions produce no conflicts at all (route tables).
 """
 
@@ -43,14 +46,10 @@ class Access:
 
 def accesses_of(inst: Instruction) -> list[Access]:
     """Summarize the resource accesses of one instruction."""
-    if isinstance(inst, ArrayLoad):
-        return [Access(("array", inst.array.name), is_write=False,
-                       loop_carried=inst.array.loop_carried,
-                       serial=False)]
-    if isinstance(inst, ArrayStore):
-        return [Access(("array", inst.array.name), is_write=True,
-                       loop_carried=inst.array.loop_carried,
-                       serial=False)]
+    if isinstance(inst, (ArrayLoad, ArrayStore)):
+        return [Access(("array", inst.array.name),
+                       is_write=isinstance(inst, ArrayStore),
+                       loop_carried=True)]
     if not isinstance(inst, Call) or not inst.is_intrinsic:
         return []
     intrinsic = get_intrinsic(inst.callee)

@@ -43,7 +43,9 @@ from repro.pipeline.realize import stage_pipe_name
 #: v7: an entry is the partition decision in plain data (block and unit
 #: stages, per-cut diagnostics, stage weights), not a pickled
 #: PipelineResult; a hit realizes its stages again.
-CACHE_SCHEMA_VERSION = 7
+#: v8: every array access is loop-carried, so a cut stored for a program
+#: with an array declared inside the PPS loop may split its storage.
+CACHE_SCHEMA_VERSION = 8
 
 
 def canonical_pps_text(module: Module, pps_name: str) -> str:

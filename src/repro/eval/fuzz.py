@@ -12,10 +12,11 @@ signature (phase + exception type) reproduces, so the artifact a CI
 failure uploads is close to minimal.
 
 ``self_test`` closes the loop on the verifier itself: it corrupts a
-known-good partition four ways — drop a transmitted live variable, flip
+known-good partition five ways — drop a transmitted live variable, flip
 a cut edge backwards, unbalance a stage, break the control-object
-dispatch — and checks the verifier rejects every seeded defect.  A
-verifier that silently passes a corrupted partition is worse than none.
+dispatch, split an array's accesses across stages — and checks the
+verifier rejects every seeded defect.  A verifier that silently passes
+a corrupted partition is worse than none.
 """
 
 from __future__ import annotations
@@ -25,8 +26,11 @@ from dataclasses import dataclass, field
 
 from repro import compile_module
 from repro.analysis.context import AnalysisContext
+from repro.analysis.dependence_graph import DepKind
 from repro.errors import ReproError
 from repro.ir.function import Module
+from repro.pipeline.liveset import compute_cut_layouts
+from repro.pipeline.realize import realize_stages
 from repro.pipeline.transform import pipeline_pps
 from repro.pipeline.verify import verify_partition
 from repro.runtime.equivalence import assert_equivalent, observe
@@ -303,7 +307,8 @@ def run_fuzz(seeds: int = 50, *, start_seed: int = 0,
 
 # -- verifier self-test: seeded defects --------------------------------------
 
-#: A fixed, hand-written PPS with branches, table state, and live values
+#: A fixed, hand-written PPS with branches, table state, an array that
+#: one branch arm writes and a later iteration reads, and live values
 #: crossing every cut — the substrate the mutation self-tests corrupt.
 SELF_TEST_PPS = """
 pipe in_q;
@@ -313,18 +318,20 @@ readonly memory tbl[16];
 pps selfcheck {
     for (;;) {
         int x = pipe_recv(in_q);
+        int seen[4];
         int a = (x * 7) & 255;
         int b = mem_read(tbl, x & 15);
         int c = 0;
         if (a > b) {
             c = (a - b) & 255;
+            seen[x & 3] = c;
             trace(1, c);
         }
         else {
             c = (a + b) & 255;
             trace(2, c);
         }
-        int d = ((c ^ b) + a) & 1023;
+        int d = ((c ^ b) + a + seen[a & 3]) & 1023;
         trace(3, d & 7);
         pipe_send(out_q, d);
     }
@@ -366,15 +373,20 @@ def _mutate_flip_cut_edge(result):
     return mutated
 
 
+def _model_of(result):
+    """The dependence model rebuilt from the normalized function, as the
+    verifier rebuilds its own: node and unit numbering are a function of
+    the program alone."""
+    return AnalysisContext(
+        Module(ppses={result.pps_name: result.normalized}),
+        result.pps_name, max_block_instructions=0).model
+
+
 def _mutate_unbalance_stage(result):
     """Move the heaviest movable unit one stage later and claim every
     cut balanced — a >ε imbalance hiding behind a clean diagnostic."""
     mutated = copy.deepcopy(result)
-    # Rebuilt from the normalized function, as the verifier rebuilds its
-    # own: unit numbering is a function of the program alone.
-    model = AnalysisContext(
-        Module(ppses={mutated.pps_name: mutated.normalized}),
-        mutated.pps_name, max_block_instructions=0).model
+    model = _model_of(mutated)
     assignment = mutated.assignment
     # Unit successors under both dependence and CFG constraints.
     succs: dict[int, set[int]] = {unit: set()
@@ -424,12 +436,52 @@ def _mutate_break_control(result):
     return None
 
 
+def _mutate_split_array_state(result):
+    """Move one access of an array, with every node of its stage that
+    reaches it, one stage before the array's other accesses, and realize
+    the stages again.  Control flow and every other dependence still
+    point forward: the one fault is the array's storage, which each
+    stage keeps for itself, split across stages."""
+    model = _model_of(result)
+    stage = {node: result.assignment.block_stage[model.blocks_of_node(node)[0]]
+             for node in model.sgraph.nodes}
+    sites: dict[tuple, set[int]] = {}
+    for edge in model.edges:
+        if isinstance(edge.payload, tuple) and edge.payload[0] == "array":
+            sites.setdefault(edge.payload, set()).update((edge.src, edge.dst))
+    reverse = model.sgraph.reversed()
+    for array, nodes in sorted(sites.items()):
+        for victim in sorted(nodes):
+            moved = {node for node in reverse.reachable_from(victim)
+                     if stage[node] == stage[victim]}
+            after = {**stage, **dict.fromkeys(moved, stage[victim] - 1)}
+            if stage[victim] == 1 or nodes <= moved or any(
+                    after[edge.src] != after[edge.dst] for edge in model.edges
+                    if edge.kind is DepKind.COLOCATE and edge.payload != array):
+                continue
+            mutated = copy.deepcopy(result)
+            block_stage = mutated.assignment.block_stage
+            for node in moved:
+                for name in model.blocks_of_node(node):
+                    block_stage[name] -= 1
+            mutated.layouts = compute_cut_layouts(
+                mutated.normalized, mutated.loop.body, block_stage,
+                mutated.degree)
+            mutated.stages = realize_stages(
+                mutated.normalized, mutated.loop, mutated.assignment,
+                mutated.layouts, Module(), mutated.costs, mutated.strategy,
+                mutated.pps_name)
+            return mutated
+    return None
+
+
 #: The seeded-defect catalogue: name -> mutator(result) -> mutated | None.
 DEFECT_MUTATORS = {
     "drop-live-var": _mutate_drop_live_var,
     "flip-cut-edge": _mutate_flip_cut_edge,
     "unbalance-stage": _mutate_unbalance_stage,
     "break-control-object": _mutate_break_control,
+    "split-array-state": _mutate_split_array_state,
 }
 
 

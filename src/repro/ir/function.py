@@ -106,13 +106,13 @@ class Function:
         self._next_reg += 1
         return VReg(name, base=base)
 
-    def new_array(self, name: str, size: int, loop_carried: bool = False) -> ArrayRef:
+    def new_array(self, name: str, size: int) -> ArrayRef:
         unique = name
         counter = 0
         while unique in self.arrays:
             counter += 1
             unique = f"{name}.{counter}"
-        array = ArrayRef(unique, size, loop_carried)
+        array = ArrayRef(unique, size)
         self.arrays[unique] = array
         return array
 

@@ -56,8 +56,7 @@ class _Cloner:
     def map_array(self, array: ArrayRef) -> ArrayRef:
         if array not in self.array_map:
             self.array_map[array] = self.caller.new_array(
-                f"{self.tag}.{array.name}", array.size, loop_carried=False
-            )
+                f"{self.tag}.{array.name}", array.size)
         return self.array_map[array]
 
     def clone_blocks(self) -> None:

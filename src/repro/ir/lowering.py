@@ -82,7 +82,6 @@ class Lowerer:
         self.current = self.function.new_block("entry")
         self.scope = _Scope()
         self.loop_stack: list[_LoopContext] = []
-        self.in_pps_prologue = False
         for param in params:
             reg = self.function.new_reg(param)
             self.function.params.append(reg)
@@ -272,8 +271,7 @@ class Lowerer:
 
     def _lower_decl(self, stmt: ast.DeclStmt) -> None:
         if stmt.array_size is not None:
-            array = self.function.new_array(stmt.name, stmt.array_size,
-                                            loop_carried=self.in_pps_prologue)
+            array = self.function.new_array(stmt.name, stmt.array_size)
             self.scope.declare(stmt.name, array)
             return
         reg = self.function.new_reg(stmt.name)
@@ -441,10 +439,8 @@ def _lower_pps(module: Module, decl: ast.PpsDecl) -> Function:
     lowerer = Lowerer(module, decl.name, returns_value=False, params=[])
     lowerer._push_scope()
     statements = decl.body.statements
-    lowerer.in_pps_prologue = True
     for stmt in statements[:-1]:
         lowerer.lower_stmt(stmt)
-    lowerer.in_pps_prologue = False
     pps_loop = statements[-1]
     # For `for(init; ; step)` loops, init belongs to the prologue and step
     # to the end of each iteration.
@@ -452,9 +448,7 @@ def _lower_pps(module: Module, decl: ast.PpsDecl) -> Function:
     if isinstance(pps_loop, ast.For):
         lowerer._push_scope()
         if pps_loop.init is not None:
-            lowerer.in_pps_prologue = True
             lowerer.lower_stmt(pps_loop.init)
-            lowerer.in_pps_prologue = False
         step = pps_loop.step
         body = pps_loop.body
     else:

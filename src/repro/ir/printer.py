@@ -11,8 +11,7 @@ def format_function(function: Function) -> str:
     kind = "int" if function.returns_value else "void"
     lines = [f"{kind} {function.name}({params}) {{"]
     for array in function.arrays.values():
-        carried = " loop_carried" if array.loop_carried else ""
-        lines.append(f"  array {array.name}[{array.size}]{carried}")
+        lines.append(f"  array {array.name}[{array.size}]")
     for block in function.ordered_blocks():
         entry_mark = " (entry)" if block.name == function.entry else ""
         lines.append(f"{block.name}:{entry_mark}")

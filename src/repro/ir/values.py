@@ -83,18 +83,15 @@ class PipeRef(Value):
 class ArrayRef(Value):
     """A function-local fixed-size array (its own little memory frame).
 
-    Identity equality: every declared array is a distinct frame.  Arrays
-    declared *outside* the PPS loop persist across iterations and therefore
-    behave like read-write state (``loop_carried=True``); arrays declared
-    inside the loop are fresh per packet.
+    Identity equality: every declared array is a distinct frame.  Its
+    storage lives as long as the PPS, wherever it is declared.
     """
 
-    __slots__ = ("name", "size", "loop_carried")
+    __slots__ = ("name", "size")
 
-    def __init__(self, name: str, size: int, loop_carried: bool = False):
+    def __init__(self, name: str, size: int):
         self.name = name
         self.size = size
-        self.loop_carried = loop_carried
 
     def __repr__(self) -> str:
         return f"&{self.name}"

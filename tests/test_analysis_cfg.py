@@ -46,7 +46,8 @@ def test_body_graph_excludes_back_edge():
     graph = loop.body_graph()
     assert not graph.has_edge(loop.latch, loop.header)
     # Inner while loop remains cyclic.
-    assert not graph.is_acyclic()
+    with pytest.raises(ValueError, match="cyclic"):
+        graph.topological_order()
 
 
 def test_split_large_blocks_bounds_block_size():

@@ -27,8 +27,9 @@ def test_diamond_dominators():
     assert dom.immediate_dominator("j") == "e"
     assert dom.dominates("e", "j")
     assert not dom.dominates("a", "j")
-    assert dom.strictly_dominates("e", "a")
-    assert not dom.strictly_dominates("e", "e")
+    assert dom.dominates("e", "a") and dom.immediate_dominator("a") == "e"
+    assert dom.dominates("e", "e")  # reflexive, but no strict dominator
+    assert dom.immediate_dominator("e") is None
 
 
 def test_loop_dominators():

@@ -1,6 +1,6 @@
 """Tests for live-variable analysis."""
 
-from repro.analysis.cfg import find_pps_loop
+from repro.analysis.cfg import find_pps_loop, split_large_blocks
 from repro.analysis.liveness import Liveness
 from repro.ir.clone import clone_function
 from repro.ssa import construct_ssa
@@ -20,8 +20,9 @@ def test_straightline_liveness():
     pps = module.pps("p")
     liveness = Liveness(pps)
     loop = find_pps_loop(pps)
-    # Nothing is live around the back edge (all per-iteration temporaries).
-    carried = liveness.live_at_edge(loop.latch, loop.header)
+    # Nothing is live around the back edge (all per-iteration temporaries);
+    # the latch's one successor is the header.
+    carried = liveness.live_out[loop.latch]
     assert not regs_named(carried, "a") and not regs_named(carried, "b")
 
 
@@ -29,7 +30,7 @@ def test_loop_carried_variable_live_on_back_edge():
     module = compile_module("pps p { int n = 0; for (;;) { n = n + 1; trace(1, n); } }")
     pps = module.pps("p")
     loop = find_pps_loop(pps)
-    carried = Liveness(pps).live_at_edge(loop.latch, loop.header)
+    carried = Liveness(pps).live_out[loop.latch]
     assert regs_named(carried, "n")
 
 
@@ -64,15 +65,16 @@ def test_phi_operands_live_on_their_edges_only():
     liveness = Liveness(ssa)
     join = next(n for n in ssa.block_order if n.startswith("if_join"))
     phi = ssa.block(join).phis()[0]
+    # Each arm has the join as its one successor, so what leaves the arm
+    # is what its edge carries: its own φ operand and no other.
     for pred, value in phi.incomings.items():
-        live = liveness.live_at_edge(pred, join)
+        live = liveness.live_out[pred]
         assert value in live
         others = [v for p, v in phi.incomings.items() if p != pred]
         for other in others:
             assert other not in live
-    # The phi dest itself is not live on incoming edges.
-    for pred in phi.incomings:
-        assert phi.dest not in liveness.live_at_edge(pred, join)
+    # The phi dest itself is defined at the join, not live into it.
+    assert phi.dest not in liveness.live_in[join]
 
 
 def test_live_after_tracks_instruction_granularity():
@@ -82,19 +84,16 @@ def test_live_after_tracks_instruction_granularity():
                            trace(1, a); trace(2, b); } }
     """)
     pps = module.pps("p")
+    # One instruction per block, as a cut between any two sees it.
+    split_large_blocks(pps, 1)
     liveness = Liveness(pps)
-    # Find the block with the traces.
     block_name = next(
         name for name in pps.block_order
         if any(getattr(inst, "callee", None) == "trace"
+               and inst.args[0].value == 1
                for inst in pps.block(name).instructions)
     )
-    block = pps.block(block_name)
-    instructions = block.all_instructions()
-    trace1_index = next(i for i, inst in enumerate(instructions)
-                        if getattr(inst, "callee", None) == "trace"
-                        and inst.args[0].value == 1)
-    live = liveness.live_after(block_name, trace1_index)
+    live = liveness.live_out[block_name]
     assert regs_named(live, "b")
     assert not regs_named(live, "a")  # a is dead after its last use
 

@@ -81,13 +81,13 @@ def test_trace_tags_are_distinct_resources():
     assert conflicts(dynamic, dynamic)  # unknown tags share one resource
 
 
-def test_array_accesses_respect_loop_carried_flag():
-    persistent = ArrayRef("cfg", 4, loop_carried=True)
-    scratch = ArrayRef("tmp", 4, loop_carried=False)
-    p_store = accesses_of(ArrayStore(persistent, Const(0), Const(1)))[0]
-    s_store = accesses_of(ArrayStore(scratch, Const(0), Const(1)))[0]
-    s_load = accesses_of(ArrayLoad(VReg("d"), scratch, Const(0)))[0]
-    assert p_store.loop_carried
-    assert not s_store.loop_carried
-    assert conflicts(s_store, s_load)
-    assert not conflicts(s_load, s_load)
+def test_every_array_access_is_loop_carried():
+    seen = ArrayRef("seen", 4)
+    store = accesses_of(ArrayStore(seen, Const(0), Const(1)))[0]
+    load = accesses_of(ArrayLoad(VReg("d"), seen, Const(0)))[0]
+    other = accesses_of(ArrayStore(ArrayRef("tmp", 4), Const(0), Const(1)))[0]
+    assert store.loop_carried and load.loop_carried
+    assert not store.serial and not load.serial
+    assert conflicts(store, load)
+    assert not conflicts(load, load)    # two reads never conflict
+    assert not conflicts(store, other)  # one resource per array

@@ -43,8 +43,9 @@ pps fuzzed {
 """
 
 
-#: Cells (seed, degree) mis-pipelined by an array declared inside the
-#: loop (ROADMAP item 1): its fix flips every one of them to passing.
+#: Cells (seed, degree) whose program writes an array declared inside the
+#: PPS loop and reads the value a previous iteration left there: the
+#: pipelined run must keep every access of that array in one stage.
 ARRAY_HOLE_CELLS = [
     (seed, degree) for degree, seeds in (
         (3, (228, 249)),
@@ -54,7 +55,6 @@ ARRAY_HOLE_CELLS = [
     ) for seed in seeds]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 @pytest.mark.parametrize("seed, degree", ARRAY_HOLE_CELLS)
 def test_array_hole_regression_list(seed, degree):
     assert fuzz_case(seed, degree, 24, 0) is None
@@ -115,11 +115,12 @@ def test_self_test_catches_every_seeded_defect():
     assert outcome["missed"] == []
     assert set(outcome["caught"]) == {
         "drop-live-var", "flip-cut-edge", "unbalance-stage",
-        "break-control-object",
+        "break-control-object", "split-array-state",
     }
     assert "liveness" in outcome["caught"]["drop-live-var"]
     assert "balance" in outcome["caught"]["unbalance-stage"]
     assert "reconstruction" in outcome["caught"]["break-control-object"]
+    assert "dependence" in outcome["caught"]["split-array-state"]
 
 
 def test_parallel_fuzz_report_is_identical_to_serial():

@@ -1,6 +1,11 @@
 """Tests for AST -> IR lowering."""
 
+import pytest
+
+from repro import compile_module
 from repro.analysis.cfg import find_pps_loop
+from repro.analysis.context import AnalysisContext
+from repro.analysis.dependence_graph import DepKind
 from repro.ir.function import Module
 from repro.ir.instructions import (
     ArrayLoad,
@@ -111,21 +116,43 @@ def test_array_ops_lowered():
     assert loads[0].array is stores[0].array
 
 
-def test_prologue_array_is_loop_carried():
-    module = lower("""
-        pps p { int cfg[4]; for (;;) { cfg[0] = 1; int y = cfg[0]; trace(1, y); } }
-    """)
-    pps = module.pps("p")
-    array = next(iter(pps.arrays.values()))
-    assert array.loop_carried
+#: One array, written in a branch arm and read after the join, declared
+#: in the PPS prologue, in the loop body, and in an inlined callee.
+ARRAY_PLACES = {
+    "prologue": """
+        pipe q;
+        pps p { int seen[4]; for (;;) { int v = pipe_recv(q);
+            if (v > 3) { seen[v & 3] = v; }
+            trace(1, seen[0]); } }
+    """,
+    "loop-body": """
+        pipe q;
+        pps p { for (;;) { int v = pipe_recv(q); int seen[4];
+            if (v > 3) { seen[v & 3] = v; }
+            trace(1, seen[0]); } }
+    """,
+    "callee": """
+        pipe q;
+        int note(int v) { int seen[4]; if (v > 3) { seen[v & 3] = v; }
+            return seen[0]; }
+        pps p { for (;;) { int v = pipe_recv(q); trace(1, note(v)); } }
+    """,
+}
 
 
-def test_loop_body_array_is_not_loop_carried():
-    module = lower("""
-        pps p { for (;;) { int tmp[4]; tmp[0] = 1; trace(1, tmp[0]); } }
-    """)
-    array = next(iter(module.pps("p").arrays.values()))
-    assert not array.loop_carried
+@pytest.mark.parametrize("place", sorted(ARRAY_PLACES))
+def test_every_array_is_loop_carried(place):
+    """An array is storage for the PPS's lifetime wherever it is declared:
+    the dependence model colocates its write with its read, so no stage
+    reads a value another stage wrote in an earlier iteration."""
+    model = AnalysisContext(compile_module(ARRAY_PLACES[place]), "p").model
+    nodes = {model.node_of_block(name) for name in model.loop.body
+             if any(isinstance(inst, (ArrayLoad, ArrayStore))
+                    for inst in model.ssa.block(name).instructions)}
+    assert len(nodes) == 2  # the write's arm and the read's join
+    assert len({model.unit_of_node(node) for node in nodes}) == 1
+    assert any(edge.kind is DepKind.COLOCATE and {edge.src, edge.dst} == nodes
+               for edge in model.edges)
 
 
 def test_intrinsic_resource_operands():

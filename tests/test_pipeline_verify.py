@@ -6,8 +6,8 @@ The ISSUE 5 acceptance contract:
   rejections (warnings are allowed: reported-unbalanced cuts and
   profile-refined stages downgrade to warnings by design);
 * every seeded defect class — dropped live variable, flipped cut edge,
-  unbalanced stage, broken control object — is rejected, each by the
-  check family that owns it;
+  unbalanced stage, broken control object, array accesses split across
+  stages — is rejected, each by the check family that owns it;
 * the verifier recomputes its ground truth from the *normalized*
   function, never trusting the partitioner's own diagnostics.
 """
@@ -20,7 +20,7 @@ import pickle
 import pytest
 
 from repro.apps.suite import build_app
-from repro.eval.fuzz import DEFECT_MUTATORS, seeded_defects
+from repro.eval.fuzz import DEFECT_MUTATORS, SELF_TEST_PPS, seeded_defects
 from repro.pipeline.transform import pipeline_pps
 from repro.pipeline.verify import (
     CHECKS,
@@ -38,7 +38,15 @@ EXPECTED_CHECK = {
     "flip-cut-edge": "dependence",
     "unbalance-stage": "balance",
     "break-control-object": "reconstruction",
+    "split-array-state": "dependence",
 }
+
+#: The programs the seeded defects corrupt: (source, PPS, the defects
+#: that apply).  STANDARD_PPS declares no array, so nothing splits one.
+DEFECT_SUBSTRATES = [
+    (STANDARD_PPS, "worker", set(DEFECT_MUTATORS) - {"split-array-state"}),
+    (SELF_TEST_PPS, "selfcheck", set(DEFECT_MUTATORS)),
+]
 
 
 # -- clean partitions verify --------------------------------------------------
@@ -86,18 +94,19 @@ def test_profiled_partition_verifies():
 
 
 def test_every_seeded_defect_is_rejected():
-    module = compile_module(STANDARD_PPS)
-    result = pipeline_pps(module, "worker", 3)
-    assert verify_partition(result).ok  # mutants start from a clean base
-    caught = {}
-    for name, mutant in seeded_defects(result):
-        verdict = verify_partition(mutant)
-        assert not verdict.ok, f"defect {name} slipped past the verifier"
-        caught[name] = sorted({finding.check
-                               for finding in verdict.findings})
-    assert set(caught) == set(DEFECT_MUTATORS)
-    for name, expected in EXPECTED_CHECK.items():
-        assert expected in caught[name], (name, caught[name])
+    for source, pps_name, applies in DEFECT_SUBSTRATES:
+        module = compile_module(source)
+        result = pipeline_pps(module, pps_name, 3)
+        assert verify_partition(result).ok  # mutants start from a clean base
+        caught = {}
+        for name, mutant in seeded_defects(result):
+            verdict = verify_partition(mutant)
+            assert not verdict.ok, f"defect {name} slipped past the verifier"
+            caught[name] = sorted({finding.check
+                                   for finding in verdict.findings})
+        assert set(caught) == applies, pps_name
+        for name in applies:
+            assert EXPECTED_CHECK[name] in caught[name], (name, caught[name])
 
 
 def test_rejection_raises_a_structured_verify_error():
@@ -193,30 +202,32 @@ def test_shared_context_still_rejects_every_seeded_defect():
     from repro.analysis.context import AnalysisContext
     from repro.pipeline.verify import _Checker
 
-    module = compile_module(STANDARD_PPS)
-    context = AnalysisContext(module, "worker")
-    result = pipeline_pps(module, "worker", 3, context=context)
-    assert verify_partition(result, context=context).ok
-    for base in (result, _restored(result)):
-        caught = {}
-        for name, mutant in seeded_defects(base):
-            checker = _Checker(mutant, 1.0 / 16.0, context=context)
-            assert checker.model is not context.model
-            assert checker.liveness.function is mutant.normalized
-            shared = checker.run()
-            rebuilt = verify_partition(mutant, context=None)
-            assert not shared.ok, \
-                f"defect {name} slipped past the verifier given a context"
-            assert [str(f) for f in shared.findings] == \
-                [str(f) for f in rebuilt.findings], name
-            assert shared.warnings == rebuilt.warnings, name
-            caught[name] = sorted({finding.check
-                                   for finding in shared.findings})
-        assert set(caught) == set(DEFECT_MUTATORS)
-        for name, expected in EXPECTED_CHECK.items():
-            assert expected in caught[name], (name, caught[name])
-        # Each defect is caught by its own check, not by collateral.
-        assert caught["break-control-object"] == ["reconstruction"]
+    for source, pps_name, applies in DEFECT_SUBSTRATES:
+        module = compile_module(source)
+        context = AnalysisContext(module, pps_name)
+        result = pipeline_pps(module, pps_name, 3, context=context)
+        assert verify_partition(result, context=context).ok
+        for base in (result, _restored(result)):
+            caught = {}
+            for name, mutant in seeded_defects(base):
+                checker = _Checker(mutant, 1.0 / 16.0, context=context)
+                assert checker.model is not context.model
+                assert checker.liveness.function is mutant.normalized
+                shared = checker.run()
+                rebuilt = verify_partition(mutant, context=None)
+                assert not shared.ok, \
+                    f"defect {name} slipped past the verifier given a context"
+                assert [str(f) for f in shared.findings] == \
+                    [str(f) for f in rebuilt.findings], name
+                assert shared.warnings == rebuilt.warnings, name
+                caught[name] = sorted({finding.check
+                                       for finding in shared.findings})
+            assert set(caught) == applies, pps_name
+            for name in applies:
+                assert EXPECTED_CHECK[name] in caught[name], \
+                    (name, caught[name])
+            # Each defect is caught by its own check, not by collateral.
+            assert caught["break-control-object"] == ["reconstruction"]
 
 
 # -- a cache hit is realized from the context's program ----------------------

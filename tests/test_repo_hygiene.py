@@ -189,3 +189,47 @@ def test_docs_name_only_files_and_names_that_exist():
                   for dotted in module_ref.findall(text)
                   if not _resolves(dotted)]
     assert stale == []
+
+
+# -- every public analysis function has a caller in src/ ----------------------
+
+
+def _public_definitions(path: Path) -> list[str]:
+    """Public module-level functions and class methods of one file, as
+    ``name`` or ``Class.name`` (dunders and ``_private`` names excluded)."""
+    import ast
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, functions):
+            names.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, functions)]
+    return [name for name in names
+            if not name.rpartition(".")[2].startswith("_")]
+
+
+def test_every_public_analysis_function_has_a_caller_in_src():
+    """A function or method of ``repro.analysis`` that only tests reach
+    is dead weight: give it a shipped caller or delete it.  A reference
+    is a name read or an attribute access anywhere under ``src/``
+    (imports and ``__all__`` strings do not count); the check is by name,
+    so a method shares references with any same-named attribute."""
+    import ast
+
+    package = REPO / "src" / "repro"
+    referenced = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = [
+        f"{path.name}: {name}"
+        for path in sorted((package / "analysis").glob("*.py"))
+        for name in _public_definitions(path)
+        if name.rpartition(".")[2] not in referenced]
+    assert unreferenced == []
