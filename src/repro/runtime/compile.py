@@ -56,11 +56,13 @@ anything of it is accounted, and if one is not ready the region exits to
 that block — generated then, alone, as a root, where the driver blocks.
 
 ``compile()`` is several times dearer than building closures, so it is
-paid lazily and shared: :func:`compile_function` only collects registers
-and pipes (cached weakly per ``Function`` object), liveness and the plan
-are taken at the function's first block lookup, a region is generated
-when the driver first looks up its root, and code objects are memoised by
-source text (registers enter through each step's globals).
+paid lazily and shared: :func:`compile_function` (cached weakly per
+``Function`` object) walks nothing up front; the registers, the pipes
+with their directions, the loop header and the zero register file are
+found on first use, liveness and the plan are taken at the function's
+first block lookup, a region is generated when the driver first looks
+up its root, and code objects are memoised by source text (registers
+enter through each step's globals).
 ``CompiledBlock.source`` keeps the text, and each function is named after
 its block, which is what a profile or a traceback shows.
 """
@@ -72,7 +74,7 @@ import weakref
 from contextlib import contextmanager
 from functools import lru_cache
 
-from repro.analysis.cfg import cfg_of
+from repro.analysis.cfg import cfg_of, pps_loop_header
 from repro.analysis.liveness import Liveness
 from repro.errors import TrapError
 from repro.ir.function import BasicBlock, Function
@@ -130,12 +132,12 @@ class _LazyBlocks(dict):
     running interpreter owns it, and a strong reference from here would
     keep every key of the weak-keyed compilation cache alive."""
 
-    __slots__ = ("_function", "_registers", "pinned", "index", "live",
+    __slots__ = ("_function", "_compiled", "pinned", "index", "live",
                  "owner", "parent", "joins", "merges", "arms", "tagged")
 
-    def __init__(self, function: Function, registers: tuple):
+    def __init__(self, function: Function, compiled: "CompiledFunction"):
         self._function = weakref.ref(function)
-        self._registers = registers
+        self._compiled = weakref.ref(compiled)  # its owner: no cycle
         self.pinned: set = set()  # loop starts: the driver must see them
         self.index = None
 
@@ -144,7 +146,7 @@ class _LazyBlocks(dict):
         if self.index is None:
             self._plan(function)
             index = self.index = {reg: number for number, reg
-                                  in enumerate(self._registers)}
+                                  in enumerate(self._compiled().registers)}
             self.live = {}
             for block, live in Liveness(function).live_in.items():
                 # ... and what its phis read, whichever edge is taken.
@@ -251,28 +253,58 @@ class _LazyBlocks(dict):
 
 class CompiledFunction:
     """The lazily generated blocks of one function, plus what the driver
-    needs before the first of them runs."""
+    and the watchdog need before the first of them runs: facts of the
+    program alone, each found on its first use, then kept for every run.
 
-    __slots__ = ("entry", "blocks", "pipe_names", "registers")
+    ``registers`` is every VReg the function reads or writes, and
+    ``pipe_names`` / ``pipe_reads`` / ``pipe_writes`` are
+    :func:`pipe_directions`; the first read of any of them walks the
+    function once for all four, so building one walks nothing."""
+
+    __slots__ = ("entry", "blocks", "pipe_names", "pipe_reads",
+                 "pipe_writes", "registers", "_function", "_loop_header",
+                 "_zeros", "__weakref__")
 
     def __init__(self, function: Function):
         assert function.entry is not None
         self.entry = function.entry
-        pipes = (inst.pipe if isinstance(inst, (PipeIn, PipeOut))
-                 else inst.args[0] for inst in function.all_instructions()
-                 if isinstance(inst, (PipeIn, PipeOut))
-                 or isinstance(inst, Call) and inst.args)
-        self.pipe_names = tuple(dict.fromkeys(
-            pipe.name for pipe in pipes if isinstance(pipe, PipeRef)))
-        # Every VReg the function reads or writes. The driver seeds them
-        # all to 0 before running, so generated code can use plain
-        # subscripts instead of ``regs.get(reg, 0)`` on every read.
+        self.blocks = _LazyBlocks(function, self)
+        self._function = weakref.ref(function)  # weakly: see _LazyBlocks
+        self._loop_header: str | None = None
+        self._zeros: dict | None = None
+
+    def __getattr__(self, name: str):
+        # Only an unset slot gets here: the walk runs once.
+        if name not in ("registers", "pipe_names", "pipe_reads",
+                        "pipe_writes"):
+            raise AttributeError(name)
+        function = self._function()
+        self.pipe_names, self.pipe_reads, self.pipe_writes = \
+            pipe_directions(function)
         self.registers = tuple(dict.fromkeys(
             value for block in function.ordered_blocks()
             for inst in block.all_instructions()
             for value in (*inst.uses(), *inst.defs())
             if isinstance(value, VReg)))
-        self.blocks = _LazyBlocks(function, self.registers)
+        return getattr(self, name)
+
+    @property
+    def loop_header(self) -> str:
+        """The PPS loop header (:func:`pps_loop_header`), where the driver
+        counts an iteration; looked up on first use."""
+        if self._loop_header is None:
+            self._loop_header = pps_loop_header(self._function())
+        return self._loop_header
+
+    def zero_registers(self) -> dict:
+        """A fresh register file: the parameters, then every register,
+        all 0, so generated code can use plain subscripts instead of
+        ``regs.get(reg, 0)`` on every read.  The template is built on
+        first use and copied after."""
+        if self._zeros is None:
+            self._zeros = dict.fromkeys(
+                (*self._function().params, *self.registers), 0)
+        return self._zeros.copy()
 
     def pin(self, name: str | None) -> None:
         """Keep ``name`` out of every region: the driver counts an
@@ -300,6 +332,28 @@ def compile_function(function: Function) -> CompiledFunction:
     if compiled is None:
         compiled = _CACHE[function] = CompiledFunction(function)
     return compiled
+
+
+def pipe_directions(function: Function) -> tuple[tuple, frozenset, frozenset]:
+    """The pipes ``function`` names (first use first), and the ones it can
+    read and write: ``PipeIn``, ``pipe_recv`` and ``pipe_empty`` read,
+    ``PipeOut`` and ``pipe_send`` write."""
+    names, reads, writes = {}, set(), set()
+    for inst in function.all_instructions():
+        if isinstance(inst, (PipeIn, PipeOut)):
+            pipe, callee = inst.pipe, None
+        elif isinstance(inst, Call) and inst.args:
+            pipe, callee = inst.args[0], inst.callee
+        else:
+            continue
+        if not isinstance(pipe, PipeRef):
+            continue
+        names[pipe.name] = None
+        if isinstance(inst, PipeIn) or callee in ("pipe_recv", "pipe_empty"):
+            reads.add(pipe.name)
+        elif isinstance(inst, PipeOut) or callee == "pipe_send":
+            writes.add(pipe.name)
+    return tuple(names), frozenset(reads), frozenset(writes)
 
 
 # -- the source writer -------------------------------------------------------

@@ -179,11 +179,3 @@ class DeviceModel:
             eop=status_eop(status),
             data=bytes(buffer[:length]),
         ))
-
-    # -- observables ----------------------------------------------------------------
-
-    def tx_by_port(self) -> dict[int, list[TxRecord]]:
-        result: dict[int, list[TxRecord]] = {}
-        for record in self.tx_records:
-            result.setdefault(record.port, []).append(record)
-        return result

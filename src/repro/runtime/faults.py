@@ -73,7 +73,7 @@ class WorkerFaults:
 
     A worker SIGKILLs itself after committing ``kill_after_batches``
     batches (0 = die before the first commit), or falls silent after
-    ``hang_after_batches`` so the supervisor's heartbeat timeout must
+    ``hang_after_batches`` so the supervisor's hang timeout must
     catch it.  Both fire on incarnation 0 only unless
     ``every_incarnation`` — the every-incarnation form is how the chaos
     suite exhausts a restart budget deterministically.  Worker faults are
@@ -153,27 +153,6 @@ class FaultPlan:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
         return cls.from_json(text, name=str(path))
-
-    def to_dict(self) -> dict:
-        result: dict = {"seed": self.seed}
-        if self.name:
-            result["name"] = self.name
-        if self.inputs:
-            result["inputs"] = {key: _trim(vars(spec).copy())
-                                for key, spec in self.inputs.items()}
-        if self.pipes:
-            result["pipes"] = {key: _trim(vars(spec).copy())
-                               for key, spec in self.pipes.items()}
-        if self.stages:
-            result["stages"] = {key: _trim(vars(spec).copy())
-                                for key, spec in self.stages.items()}
-        if self.workers:
-            result["workers"] = {
-                key: {field: value
-                      for field, value in vars(spec).items()
-                      if value is not None and value is not False}
-                for key, spec in self.workers.items()}
-        return result
 
     def worker_faults(self, shard_name: str) -> "WorkerFaults | None":
         """The worker fault spec matching ``shard-<index>``, if any."""
@@ -267,11 +246,6 @@ def _parse_worker_faults(key: str, spec: dict) -> WorkerFaults:
             f"got {every!r}")
     return WorkerFaults(kill_after_batches=kill, hang_after_batches=hang,
                         every_incarnation=every)
-
-
-def _trim(spec: dict) -> dict:
-    """Drop default-valued fields so serialized plans stay readable."""
-    return {key: value for key, value in spec.items() if value}
 
 
 @dataclass

@@ -61,7 +61,10 @@ class Interpreter:
         self.state = state
         self.seq_offset = seq_offset
         self.seq_stride = seq_stride
-        self.regs: dict[VReg, int] = {}
+        # Params first, then every register, all 0: generated code reads
+        # ``regs[reg]`` without a default.  A caller may preload values.
+        self.regs: dict[VReg, int] = \
+            compile_function(function).zero_registers()
         self.arrays: dict[str, list[int]] = {
             name: [0] * array.size for name, array in function.arrays.items()
         }
@@ -82,8 +85,6 @@ class Interpreter:
         self._fault_trap: str | None = None
         self._fault_restore_fuel = 0
         self._resume_block: str | None = None
-        for param in function.params:
-            self.regs[param] = 0
 
     # -- driver -----------------------------------------------------------------
 
@@ -94,10 +95,6 @@ class Interpreter:
         program.pin(self.loop_start)
         state = self.state
         self.pipes = {name: state.pipe(name) for name in program.pipe_names}
-        regs = self.regs
-        for reg in program.registers:
-            if reg not in regs:  # keep params / caller-preloaded values
-                regs[reg] = 0
         blocks = program.blocks
         stats = self.stats
         counts = stats.block_counts

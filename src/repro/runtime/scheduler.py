@@ -18,10 +18,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.analysis.cfg import pps_loop_header
 from repro.errors import TrapError
 from repro.ir.function import Function
 from repro.obs import tracer as obs
+from repro.runtime.compile import compile_function
 from repro.runtime.faults import DeadLetter
 from repro.runtime.interp import Interpreter, InterpStats
 from repro.runtime.state import MachineState
@@ -167,7 +167,7 @@ def sequential_interpreter(function: Function, state: MachineState,
                            iterations: int) -> Interpreter:
     """The interpreter :func:`run_sequential` runs."""
     return Interpreter(function, state,
-                       loop_start=pps_loop_header(function),
+                       loop_start=compile_function(function).loop_header,
                        max_iterations=iterations)
 
 
@@ -215,7 +215,8 @@ def replica_interpreters(replicas: list, state: MachineState,
         function = replica.function
         own = (iterations - (replica.index - 1) + ways - 1) // ways
         interpreters[function.name] = Interpreter(
-            function, state, loop_start=pps_loop_header(function),
+            function, state,
+            loop_start=compile_function(function).loop_header,
             max_iterations=max(0, own),
             seq_offset=replica.index - 1, seq_stride=ways,
         )
@@ -233,5 +234,5 @@ def run_replicas(replicas: list, state: MachineState, *,
 def _stage_loop_start(stage) -> str:
     if stage.in_pipe is None:
         # Stage 1 starts iterations at the original PPS header.
-        return pps_loop_header(stage.function)
+        return compile_function(stage.function).loop_header
     return "stage_recv"

@@ -24,6 +24,9 @@ end-of-run condition), seeded with the finished interpreters:
 * parked on ``("seq", resource)`` → never done: a replication sequencer
   only advances when a peer runs.
 
+A function's static readers and writers are the pipe directions its
+compilation records once (:func:`repro.runtime.compile.pipe_directions`).
+
 Everything still parked but not done at the fixpoint — wait cycles,
 starved stages, sequencer waits — is an offender, as is any *lost
 wakeup*: a waiter parked on a resource that is actually ready (messages
@@ -45,8 +48,7 @@ hang is diagnosable post-mortem instead of being a silent wrong answer.
 from __future__ import annotations
 
 from repro.errors import DeadlockError
-from repro.ir.instructions import Call, PipeIn, PipeOut
-from repro.ir.values import PipeRef
+from repro.runtime.compile import compile_function
 
 
 #: Scheduler steps between livelock checks wherever a watchdog is on by
@@ -109,9 +111,10 @@ class Watchdog:
         readers: dict[str, set[str]] = {}
         writers: dict[str, set[str]] = {}
         for name, interp in interpreters.items():
-            for pipe_name in _pipe_reads(interp.function):
+            program = compile_function(interp.function)
+            for pipe_name in program.pipe_reads:
                 readers.setdefault(pipe_name, set()).add(name)
-            for pipe_name in _pipe_writes(interp.function):
+            for pipe_name in program.pipe_writes:
                 writers.setdefault(pipe_name, set()).add(name)
         offenders: dict[str, tuple] = {}
         reasons: list[str] = []
@@ -228,31 +231,3 @@ def _build_report(interpreters: dict):
     stats = {name: interp.stats for name, interp in interpreters.items()}
     return runtime_report(stats, state)
 
-
-def _pipe_reads(function) -> set[str]:
-    """Pipe names ``function`` can consume from (static scan)."""
-    names: set[str] = set()
-    for block in function.blocks.values():
-        for inst in block.instructions:
-            if isinstance(inst, PipeIn):
-                names.add(inst.pipe.name)
-            elif isinstance(inst, Call) and inst.callee in (
-                    "pipe_recv", "pipe_empty"):
-                ref = inst.args[0]
-                if isinstance(ref, PipeRef):
-                    names.add(ref.name)
-    return names
-
-
-def _pipe_writes(function) -> set[str]:
-    """Pipe names ``function`` can produce into (static scan)."""
-    names: set[str] = set()
-    for block in function.blocks.values():
-        for inst in block.instructions:
-            if isinstance(inst, PipeOut):
-                names.add(inst.pipe.name)
-            elif isinstance(inst, Call) and inst.callee == "pipe_send":
-                ref = inst.args[0]
-                if isinstance(ref, PipeRef):
-                    names.add(ref.name)
-    return names

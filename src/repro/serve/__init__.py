@@ -7,7 +7,7 @@
 * :mod:`repro.serve.worker` — the child-process batch loop (compiled
   pipeline per worker, watchdog failure classification, deterministic
   fault injection) and the batch runner it shares with the oracle;
-* :mod:`repro.serve.supervise` — the supervisor: heartbeats, crash
+* :mod:`repro.serve.supervise` — the supervisor: liveness, crash
   recovery with exponential backoff, the restart-budget circuit
   breaker, re-sharding onto survivors, graceful drain, and the
   sequential oracle it steps in its idle time.

@@ -7,11 +7,12 @@ written before any worker runs), forks one worker process per non-empty
 shard — each incarnation inherits the built app, stages and journal,
 so none rebuilds anything — and then supervises:
 
-* **liveness** — every worker message (ready / heartbeat / result)
-  refreshes its activity clock; a live-but-silent worker past the hang
-  timeout is SIGKILLed and classified ``hang`` (the in-interpreter
-  stall cases — deadlock / livelock — classify themselves through the
-  PR 3 watchdog before the heartbeat clock ever fires);
+* **liveness** — every worker message (ready / result / error / done /
+  drained) refreshes its activity clock, so each batch's result is also
+  its worker's heartbeat; a live-but-silent worker past the hang timeout
+  is SIGKILLed and classified ``hang`` (the in-interpreter stall cases
+  — deadlock / livelock — classify themselves through the runtime
+  watchdog before the hang clock ever fires);
 * **crash recovery** — a dead worker is respawned with exponential
   backoff; the new incarnation replays the shard's journal from batch 1
   and the commit watermark drops the re-delivered prefix, so committed
@@ -418,7 +419,6 @@ class ServeRuntime:
         self._attempts: dict[int, int] = {}
         self._resharded: dict[int, int] = {}
         self._warnings: list[str] = []
-        self._heartbeats = 0
         self._spawned = 0
         self._hang_kills = 0
 
@@ -594,9 +594,7 @@ class ServeRuntime:
     def _handle(self, slot: _Slot, message: tuple, now: float) -> None:
         slot.last_activity = now
         kind = message[0]
-        if kind == "heartbeat":
-            self._heartbeats += 1
-        elif kind == "result":
+        if kind == "result":
             _, shard, _incarnation, seq, delta = message
             if self._journal.accept(shard, seq):
                 if self._first_commit is None:
@@ -778,7 +776,6 @@ class ServeRuntime:
         counters.update({
             "workers_spawned": self._spawned,
             "restarts": restarts_total,
-            "heartbeats": self._heartbeats,
             "hang_kills": self._hang_kills,
             "resharded": len(self._resharded),
             "drained": report.drained,

