@@ -21,11 +21,6 @@ def wrap32(value: int) -> int:
     return value
 
 
-def to_unsigned(value: int) -> int:
-    """View a signed 32-bit value as unsigned (for shifts and printing)."""
-    return value & WORD_MASK
-
-
 def _div32(lhs: int, rhs: int) -> int:
     if rhs == 0:
         raise ZeroDivisionError("division by zero")

@@ -57,11 +57,6 @@ class CostModel:
         """Definition-edge capacity for a ``words``-wide variable."""
         return self.vcost_per_word * words
 
-    def message_cost(self, words: int) -> int:
-        """Total send+receive instruction overhead for one message."""
-        return (self.send_fixed + self.recv_fixed
-                + words * (self.send_per_word + self.recv_per_word))
-
 
 # -- named cost-table registry ----------------------------------------------
 #

@@ -34,12 +34,18 @@ Statistics accounting is per *run* of non-blocking instructions: its
 instruction count and weight (and the terminator's, on a block's
 trailing run) are pre-summed and charged before its first instruction
 executes.  An inlined block first does what the driver does for a block
-it sees — ``prev_block``, ``block_counts``, the ``fuel`` charge and
-test — so counters, traps and injected-trap firing points stay where
+it sees — ``prev_block``, its hit in ``block_hits``, the ``fuel`` charge
+and test — so counters, traps and injected-trap firing points stay where
 the instruction-by-instruction oracle in :mod:`repro.testing.reference`
-puts them.  Instructions that can block account for themselves only once
-they succeed, exactly like the oracle, so completed runs produce
-bit-identical statistics, traps and messages;
+puts them.  A step keeps these books in locals — ``ni`` / ``nw`` for the
+instruction count and weight, ``fuel``, ``prev`` for ``prev_block`` —
+and one ``finally`` settles them into the interpreter, so a return, a
+wait key or a trap leaves exactly what a write at every charge would;
+code that reads them mid-step reads the locals (``stats.weight + nw``).
+A block's hits are ``hits[k] += 1``, ``k`` its number in
+:attr:`CompiledFunction.block_names`.  Instructions that can block
+account for themselves only once they succeed, exactly like the oracle,
+so completed runs produce bit-identical statistics, traps and messages;
 ``tests/test_runtime_compiled_differential.py`` enforces this over
 randomized programs.
 
@@ -110,13 +116,16 @@ class CompiledBlock:
     accounted — and otherwise ``None``, except the last: that is the
     region (the block's trailing run, then the rest of ``region``,
     inline) and returns the next block's name, ``None`` for return.
-    ``cost`` is the fuel the driver charges per execution of the block
-    and ``source`` the generated text."""
+    ``cost`` is the fuel the driver charges per execution of the block,
+    ``number`` its index into ``block_hits`` and ``source`` the
+    generated text."""
 
-    __slots__ = ("name", "steps", "cost", "source", "region")
+    __slots__ = ("name", "number", "steps", "cost", "source", "region")
 
-    def __init__(self, name: str, steps, cost: int, source: str, region):
+    def __init__(self, name: str, number: int, steps, cost: int,
+                 source: str, region):
         self.name = name
+        self.number = number
         self.steps = tuple(steps)
         self.cost = cost
         self.source = source
@@ -256,14 +265,16 @@ class CompiledFunction:
     and the watchdog need before the first of them runs: facts of the
     program alone, each found on its first use, then kept for every run.
 
-    ``registers`` is every VReg the function reads or writes, and
-    ``pipe_names`` / ``pipe_reads`` / ``pipe_writes`` are
-    :func:`pipe_directions`; the first read of any of them walks the
-    function once for all four, so building one walks nothing."""
+    ``registers`` is every VReg the function reads or writes,
+    ``block_names`` numbers its blocks (name -> index into
+    ``InterpStats.block_hits``, in block order), and ``pipe_names`` /
+    ``pipe_reads`` / ``pipe_writes`` are :func:`pipe_directions`; the
+    first read of any of them walks the function once for all five, so
+    building one walks nothing."""
 
     __slots__ = ("entry", "blocks", "pipe_names", "pipe_reads",
-                 "pipe_writes", "registers", "_function", "_loop_header",
-                 "_zeros", "__weakref__")
+                 "pipe_writes", "registers", "block_names", "_function",
+                 "_loop_header", "_zeros", "__weakref__")
 
     def __init__(self, function: Function):
         assert function.entry is not None
@@ -275,14 +286,17 @@ class CompiledFunction:
 
     def __getattr__(self, name: str):
         # Only an unset slot gets here: the walk runs once.
-        if name not in ("registers", "pipe_names", "pipe_reads",
-                        "pipe_writes"):
+        if name not in ("registers", "block_names", "pipe_names",
+                        "pipe_reads", "pipe_writes"):
             raise AttributeError(name)
         function = self._function()
         self.pipe_names, self.pipe_reads, self.pipe_writes = \
             pipe_directions(function)
+        blocks = function.ordered_blocks()
+        self.block_names = {block.name: number
+                            for number, block in enumerate(blocks)}
         self.registers = tuple(dict.fromkeys(
-            value for block in function.ordered_blocks()
+            value for block in blocks
             for inst in block.all_instructions()
             for value in (*inst.uses(), *inst.defs())
             if isinstance(value, VReg)))
@@ -371,10 +385,18 @@ _PROLOGUE = {
     "packets": "interp.state.packets",
     "devices": "interp.state.devices",
     "stats": "interp.stats",
-    "counts": "interp.stats.block_counts",
+    "hits": "interp.stats.block_hits",
 }
-#: ... found by name (a hit inside a trap message only binds one too many).
-_NAMED = re.compile(r"(?<![.\w])(%s)\b" % "|".join(_PROLOGUE))
+#: A step's books: locals loaded like those, and settled into the
+#: interpreter once, by a ``finally`` around the step, however it ends.
+_BOOKS = {
+    "ni": ("0", "stats.instructions += ni"),
+    "nw": ("0", "stats.weight += nw"),
+    "fuel": ("interp.fuel", "interp.fuel = fuel"),
+    "prev": ("interp.prev_block", "interp.prev_block = prev"),
+}
+#: ... all found by name (a hit inside a trap message binds one too many).
+_NAMED = re.compile(r"(?<![.\w])(%s)\b" % "|".join((*_PROLOGUE, *_BOOKS)))
 
 
 @lru_cache(maxsize=1024)  # a region is a few blocks' text: was 4096 of those
@@ -416,6 +438,7 @@ class _Step:
         self.sites: dict[str, list] = {}  # join -> its paths so far
         self.tags: dict[str, int] = {}    # join -> its value of ``nxt``
         self.pred: str | None = None   # of the block being written, if known
+        self.numbers = blocks._compiled().block_names
 
     def emit(self, *lines: str) -> None:
         self.lines += [self.indent + line for line in lines]
@@ -467,8 +490,7 @@ class _Step:
 
     def charge(self, instructions: int, weight: int, *,
                transmission: bool = False) -> None:
-        self.emit(f"stats.instructions += {instructions}",
-                  f"stats.weight += {weight}")
+        self.emit(f"ni += {instructions}", f"nw += {weight}")
         if transmission:
             self.emit(f"stats.transmission_weight += {weight}")
 
@@ -484,14 +506,24 @@ class _Step:
 
     def finish(self):
         """Compile the text as a function named after the root block;
-        returns ``(function, source)``."""
+        returns ``(function, source)``.  Every step charges, so every
+        step keeps books."""
         name = "at_" + re.sub(r"\W", "_", self.region[0])
-        text = "".join(line + "\n" for entry in self.lines for line in
-                       ([entry] if entry.__class__ is str else entry))
-        named = set(_NAMED.findall(text))
-        body = "".join(f"{_INDENT}{local} = {value}\n"
-                       for local, value in _PROLOGUE.items() if local in named)
-        source = f"def {name}(interp):\n{body}{text}"
+        lines = [line for entry in self.lines for line in
+                 ([entry] if entry.__class__ is str else entry)]
+        named = set(_NAMED.findall("\n".join(lines)))
+        books = [book for book in _BOOKS if book in named]
+        settle = "; ".join(_BOOKS[book][1] for book in books)
+        named.update(_NAMED.findall(settle))
+        source = "".join((
+            f"def {name}(interp):\n",
+            *(f"{_INDENT}{local} = {value}\n"
+              for local, value in _PROLOGUE.items() if local in named),
+            _INDENT + "; ".join(f"{book} = {_BOOKS[book][0]}"
+                                for book in books),
+            f"\n{_INDENT}try:\n",
+            *(f"{_INDENT}{line}\n" for line in lines),
+            f"{_INDENT}finally:\n{_INDENT * 2}{settle}\n"))
         exec(_code(source), self.env)
         return self.env.pop(name), source
 
@@ -581,11 +613,10 @@ def _emit_phi(step: _Step, inst: Phi) -> None:
     # pass for the load of a register a later branch reads.
     incomings = [(pred, step.read(value))
                  for pred, value in inst.incomings.items()]
-    step.emit("pred = interp.prev_block")
     for number, (pred, value) in enumerate(incomings):
-        step.emit(f"{'elif' if number else 'if'} pred == {pred!r}: "
+        step.emit(f"{'elif' if number else 'if'} prev == {pred!r}: "
                   + step.store(inst.dest, value))
-    step.emit(("else: " if incomings else "") + missing % "{pred}")
+    step.emit(("else: " if incomings else "") + missing % "{prev}")
 
 
 #: Non-blocking intrinsics that are one method call on the machine state
@@ -690,7 +721,7 @@ def _emit_run(step: _Step, instructions, terminator=None) -> None:
 def _emit_exit(step: _Step, block: BasicBlock, target: str | None) -> None:
     """Leave the region from ``block`` for ``target`` (``None``: return)."""
     step.flush(step.blocks.live.get(target, 0))
-    step.emit(f"interp.prev_block = {block.name!r}", f"return {target!r}")
+    step.emit(f"prev = {block.name!r}", f"return {target!r}")
 
 
 def _emit_edge(step: _Step, block: BasicBlock, target: str) -> str | None:
@@ -700,7 +731,7 @@ def _emit_edge(step: _Step, block: BasicBlock, target: str) -> str | None:
     plan = step.blocks
     if not plan.inline(step.home, target):
         return _emit_exit(step, block, target)
-    step.emit(f"interp.prev_block = {block.name!r}")
+    step.emit(f"prev = {block.name!r}")
     if target not in plan.merges:
         return target
     hole: list[str] = []
@@ -802,9 +833,8 @@ def _emit_nodes(step: _Step, name: str, run=None) -> None:
                                (step.loaded, step.dirty)):
                     step.flush(plan.live[name])
                     step.emit(f"return {name!r}")
-            step.emit(f"counts[{name!r}] = counts.get({name!r}, 0) + 1",
-                      f"interp.fuel = fuel = interp.fuel - "
-                      f"{len(block.instructions) + 1}",
+            step.emit(f"hits[{step.numbers[name]}] += 1",
+                      f"fuel -= {len(block.instructions) + 1}",
                       "if fuel <= 0: raise interp._fuel_exhausted()")
             run = block.instructions
         follows, run = _emit_block(step, block, run), None
@@ -869,8 +899,8 @@ def _emit_rbuf_next(step: _Step, inst: Call) -> None:
 
 # The replication pseudo-instructions: their resource enters through the
 # step's globals.  SeqAdvance never blocks but accounts for itself: the
-# critical-section bookkeeping reads ``stats.weight`` and must see exactly
-# the weight the reference oracle would at the same point.
+# critical-section bookkeeping reads the weight (``stats.weight + nw``)
+# and must see exactly what the reference oracle would at the same point.
 
 #: The value of a resource's sequencer at this interpreter's turn.
 _TURN = "(stats.iterations - 1) * interp.seq_stride + interp.seq_offset"
@@ -883,7 +913,7 @@ def _emit_seq_wait(step: _Step, inst) -> None:
               f"return ('seq', {resource})")
     step.charge(1, inst.weight())
     # First wait of the iteration acquires the resource.
-    step.emit(f"interp._held.setdefault({resource}, stats.weight)")
+    step.emit(f"interp._held.setdefault({resource}, stats.weight + nw)")
 
 
 def _emit_seq_advance(step: _Step, inst) -> None:
@@ -899,7 +929,7 @@ def _emit_seq_advance(step: _Step, inst) -> None:
         f"start = interp._held.pop({resource}, None)",
         "if start is not None:",
         f"{_INDENT}stats.serial_weight[{resource}] = stats.serial_weight"
-        f".get({resource}, 0) + stats.weight - start",
+        f".get({resource}, 0) + stats.weight + nw - start",
         f"{_INDENT}stats.serial_sections[{resource}] = stats.serial_sections"
         f".get({resource}, 0) + 1")
 
@@ -979,6 +1009,7 @@ def _compile_block(blocks: _LazyBlocks, function: Function,
     _emit_nodes(step, block.name, run)
     built.append(step.finish())
     return CompiledBlock(
-        block.name, [function for function, _ in built],
+        block.name, step.numbers[block.name],
+        [function for function, _ in built],
         len(block.instructions) + 1,  # +1 guards empty-block cycles
         "".join(text for _, text in built), step.region)

@@ -33,7 +33,12 @@ from repro.runtime.state import MachineState
 
 @dataclass(slots=True)
 class InterpStats:
-    """Execution counters for one interpreter."""
+    """Execution counters for one interpreter.
+
+    ``block_hits[k]`` counts the executions of the block that
+    ``block_names`` (its :class:`CompiledFunction`'s) numbers ``k``;
+    ``block_counts`` reads them as ``name -> executions`` of the blocks
+    that ran, in block order (the order of ``block_names``)."""
 
     instructions: int = 0          # raw instruction count
     weight: int = 0                # machine-model weighted count
@@ -41,11 +46,17 @@ class InterpStats:
     transmission_weight: int = 0   # weight spent in PipeIn/PipeOut pseudo-ops
     blocked: int = 0               # times the interpreter had to wait
     traps: int = 0                 # quarantined traps (scheduler isolation)
-    block_counts: dict = field(default_factory=dict)  # block name -> executions
+    block_names: dict = field(default_factory=dict)  # block name -> number
+    block_hits: list = field(default_factory=list)   # number -> executions
     # Replication: accumulated weight spent while holding each serially
     # ordered resource (critical-section size), and the section count.
     serial_weight: dict = field(default_factory=dict)
     serial_sections: dict = field(default_factory=dict)
+
+    @property
+    def block_counts(self) -> dict:
+        return {name: hits for name, hits
+                in zip(self.block_names, self.block_hits) if hits}
 
 
 class Interpreter:
@@ -63,12 +74,13 @@ class Interpreter:
         self.seq_stride = seq_stride
         # Params first, then every register, all 0: generated code reads
         # ``regs[reg]`` without a default.  A caller may preload values.
-        self.regs: dict[VReg, int] = \
-            compile_function(function).zero_registers()
+        program = compile_function(function)
+        self.regs: dict[VReg, int] = program.zero_registers()
         self.arrays: dict[str, list[int]] = {
             name: [0] * array.size for name, array in function.arrays.items()
         }
-        self.stats = InterpStats()
+        self.stats = InterpStats(block_names=program.block_names,
+                                 block_hits=[0] * len(program.block_names))
         self.loop_start = loop_start
         self.max_iterations = max_iterations
         self.fuel = fuel
@@ -97,15 +109,14 @@ class Interpreter:
         self.pipes = {name: state.pipe(name) for name in program.pipe_names}
         blocks = program.blocks
         stats = self.stats
-        counts = stats.block_counts
+        hits = stats.block_hits
         loop_start = self.loop_start
         max_iterations = self.max_iterations
         start = self._resume_block or program.entry
         self._resume_block = None
         block = blocks[start]
         while True:
-            name = block.name
-            if name == loop_start:
+            if block.name == loop_start:
                 stats.iterations += 1
                 if (max_iterations is not None
                         and stats.iterations > max_iterations):
@@ -117,7 +128,7 @@ class Interpreter:
                     # slot a few extra times per iteration.
                     for _ in range(self._slow_yields):
                         yield
-            counts[name] = counts.get(name, 0) + 1
+            hits[block.number] += 1
             self.fuel -= block.cost
             if self.fuel <= 0:
                 raise self._fuel_exhausted()

@@ -103,7 +103,7 @@ class ReferenceInterpreter:
         yields once per loop iteration and whenever blocked."""
         block_name = self.function.entry
         prev_name: str | None = None
-        counts = self.stats.block_counts
+        number, hits = self.stats.block_names, self.stats.block_hits
         while True:
             if block_name == self.loop_start:
                 self.stats.iterations += 1
@@ -112,7 +112,7 @@ class ReferenceInterpreter:
                     return
                 yield
             block = self.function.block(block_name)
-            counts[block_name] = counts.get(block_name, 0) + 1
+            hits[number[block_name]] += 1
             for inst in block.instructions:
                 if self.fuel <= 0:
                     raise TrapError(

@@ -191,7 +191,7 @@ def test_docs_name_only_files_and_names_that_exist():
     assert stale == []
 
 
-# -- every public analysis function has a caller in src/ ----------------------
+# -- every public function of a core layer has a caller in src/ -------------
 
 
 def _public_definitions(path: Path) -> list[str]:
@@ -212,12 +212,13 @@ def _public_definitions(path: Path) -> list[str]:
 
 
 def test_every_public_analysis_function_has_a_caller_in_src():
-    """A function or method of ``repro.analysis`` or ``repro.runtime``
-    that only tests reach is dead weight: give it a shipped caller or
-    delete it.  A reference is a name read or an attribute access
-    anywhere under ``src/`` (imports and ``__all__`` strings do not
-    count); the check is by name, so a method shares references with any
-    same-named attribute.  ``repro.serve`` is not held to it:
+    """A function or method of a core layer (``repro.analysis``,
+    ``cache``, ``flownet``, ``ir``, ``obs`` or ``runtime``) that only
+    tests reach is dead weight: give it a shipped caller or delete it.
+    A reference is a name read or an attribute access anywhere under
+    ``src/`` (imports and ``__all__`` strings do not count); the check
+    is by name, so a method shares references with any same-named
+    attribute.  ``repro.serve`` is not held to it:
     ``shard_oracle`` and ``Journal.load_records`` are reached from the
     benchmark (``bench/``) and tests, not from ``src/``."""
     import ast
@@ -232,7 +233,8 @@ def test_every_public_analysis_function_has_a_caller_in_src():
                 referenced.add(node.attr)
     unreferenced = [
         f"{layer}/{path.name}: {name}"
-        for layer in ("analysis", "runtime")
+        for layer in ("analysis", "cache", "flownet", "ir", "obs",
+                      "runtime")
         for path in sorted((package / layer).glob("*.py"))
         for name in _public_definitions(path)
         if name.rpartition(".")[2] not in referenced]

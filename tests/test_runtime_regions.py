@@ -44,6 +44,7 @@ from repro.runtime import (
 )
 from repro.runtime import compile as codegen
 from repro.runtime.compile import compile_function
+from repro.runtime.interp import InterpStats
 from repro.runtime.scheduler import (
     pipeline_interpreters,
     run_sequential,
@@ -616,3 +617,31 @@ def test_the_suite_stays_inside_its_dispatch_budget():
                 .dispatches(stats.block_counts)
             iterations += stats.iterations
     assert 0 < dispatches <= DISPATCHES_PER_ITERATION * iterations
+
+
+#: A write to one of the interpreter's books in generated text.
+BOOK_WRITE = re.compile(r"(stats\.instructions|stats\.weight|interp\.fuel"
+                        r"|interp\.prev_block) [-+]?= ")
+
+
+@pytest.mark.parametrize("name", SUITE)
+def test_a_step_settles_its_books_once(name):
+    # Charges, the fuel gauge and ``prev_block`` live in locals; the one
+    # line under the step's ``finally`` writes each back at most once.
+    for function, stats in suite_run(name):
+        for generated in compile_function(function).blocks.values():
+            for step in re.split(r"^def ", generated.source, flags=re.M)[1:]:
+                lines = step.splitlines()
+                writes = [(book, number) for number, line in enumerate(lines)
+                          for book in BOOK_WRITE.findall(line)]
+                assert len(writes) == len(set(writes)) == len(
+                    {book for book, _ in writes}), writes
+                assert {number for _, number in writes} <= {
+                    number + 1 for number, line in enumerate(lines)
+                    if line.strip() == "finally:"}
+                assert "block_counts" not in step
+                assert not re.search(r"\.get\([^()]*, 0\) \+ 1", step)
+        counts = stats.block_counts
+        assert counts and 0 not in counts.values()
+        assert sum(counts.values()) == sum(stats.block_hits)
+    assert InterpStats().block_counts == {}
