@@ -27,8 +27,9 @@ def main():
     for degree in range(1, 10):
         m = measure_pipeline(app, degree, baseline=baseline)
         stages = " ".join(f"{v:.0f}" for v in m.per_stage)
+        bottleneck = m.per_stage.index(max(m.per_stage)) + 1
         print(f"{degree:6d} {m.longest_stage:8.0f} {m.speedup:7.2f}x "
-              f"{m.overhead_ratio:9.3f} {m.bottleneck_stage:11d}  [{stages}]")
+              f"{m.overhead_ratio:9.3f} {bottleneck:11d}  [{stages}]")
 
     nine = measure_pipeline(app, 9, baseline=baseline)
     print(f"\nheadline check: {nine.speedup:.2f}x at a 9-stage pipeline "

