@@ -320,7 +320,9 @@ def build_app(name: str, *, packets: int = 200, seed: int = 7) -> AppInstance:
     raise ValueError(f"unknown app {name!r}")
 
 
-#: All PPSes of the two benchmarks, in paper order.
+#: The PPSes of the two benchmark applications, in paper order: the
+#: series of Figures 19/21 and of Figures 20/22 (``ip`` as its IPv4 and
+#: IPv6 traffic variants).
 IPV4_FORWARDING_PPSES = ["rx", "ipv4", "scheduler", "qm", "tx"]
 IP_FORWARDING_PPSES = ["rx", "ip_v4", "ip_v6", "tx"]
 
@@ -336,12 +338,3 @@ def full_ipv4_source() -> str:
         tx_source(in_pipe="tx_in"),
     )
 
-
-def full_ip_source() -> str:
-    """The whole IP forwarding application (paper Figure 18b):
-    RX -> IP (v4 + v6 paths) -> TX."""
-    return combine_sources(
-        rx_source(out_pipe="rx2ip"),
-        ip_source(in_pipe="rx2ip", out_pipe="tx_in"),
-        tx_source(in_pipe="tx_in"),
-    )

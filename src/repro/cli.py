@@ -36,10 +36,11 @@ seed and a reproduce one-liner identically at every ``-j``.
 Partition results are memoized in a content-addressed artifact cache
 (``--cache-dir DIR``, default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``;
 ``--no-cache`` opts out) — see ``docs/caching.md``.  ``plan``,
-``explore``, ``chaos`` and ``serve`` partition a suite app through one
-step (:func:`repro.runspec.app_pipeline`), so at equal packets, seed and
-knobs they share its artifacts (every sweep cell runs at the ``--seed``
-as given).
+``explore``, ``chaos`` and ``serve`` partition a suite app the one way
+:func:`repro.runspec.app_pipeline` does — its own profiler, the run's
+knobs; ``plan`` and ``explore`` add the supervisor's verification — so
+at equal packets, seed and knobs they share its artifacts (every sweep
+cell runs at the ``--seed`` as given).
 
 Exit codes (see :mod:`repro.errors`): 0 success, 1 compile/pipeline/IO
 failure (including sweep worker crashes), 2 usage error (unknown PPS,
@@ -549,32 +550,39 @@ def cmd_figures(args) -> int:
     return EXIT_OK
 
 
-def _partition_profile_table(breakdown: dict) -> str:
+def _partition_profile_table(rows: list[dict]) -> str:
     """The ``repro plan`` partition-phase table.
 
     One row per (app, degree): wall seconds, balanced-cut collapse
     iterations and push-relabel discharges — enough to localize a
-    partitioner regression without loading a Chrome trace.
+    partitioner regression without loading a Chrome trace — and the
+    verdict of any cell the supervisor did not verify as asked.
     """
     lines = ["  partition phases (per app x degree):",
              "    app        D   seconds   cut_iters    pr_work"]
-    for app in sorted(breakdown):
-        for degree in sorted(breakdown[app], key=int):
-            cell = breakdown[app][degree]
-            lines.append(
-                f"    {app:10s} {int(degree):d} {cell['seconds']:9.4f} "
-                f"{cell['cut_iterations']:11d} {cell['pr_work']:10d}")
+    for row in rows:
+        for cell in row["cells"]:
+            degree = cell["config"]["degree"]
+            work = cell["metrics"] or {"cut_iterations": 0, "pr_work": 0}
+            line = (f"    {row['app']:10s} {degree:d} "
+                    f"{cell['timing']['partition_seconds']:9.4f} "
+                    f"{work['cut_iterations']:11d} {work['pr_work']:10d}")
+            if not cell["verified"]:
+                line += f"  {cell['error']}"
+            elif cell["achieved_degree"] != degree:
+                line += f"  degraded to {cell['achieved_degree']} stages"
+            lines.append(line)
     return "\n".join(lines)
 
 
 def cmd_plan(args) -> int:
     """``repro plan``: pre-partition the (app x degree) matrix in parallel."""
-    from repro.eval.experiments import FIGURE19_APPS, FIGURE20_APPS
+    from repro.apps.suite import IP_FORWARDING_PPSES, IPV4_FORWARDING_PPSES
     from repro.eval.sweep import plan_partitions
 
     degrees = _parse_list("--degrees", args.degrees, int)
     apps = (_parse_list("--apps", args.apps) if args.apps
-            else sorted(set(FIGURE19_APPS) | set(FIGURE20_APPS)))
+            else IPV4_FORWARDING_PPSES + IP_FORWARDING_PPSES)
     cache = _open_cache(args)
     if cache is None and args.jobs > 1:
         print("warning: --no-cache with -j > 1 plans in parallel but "
@@ -583,22 +591,20 @@ def cmd_plan(args) -> int:
                               seed=args.seed, jobs=args.jobs, cache=cache,
                               keep_going=args.keep_going)
     failures = [entry for entry in results if entry.get("failed")]
-    breakdown = {entry["app"]: entry["partition_breakdown"]
-                 for entry in results if not entry.get("failed")}
-    total = sum(cell["seconds"] for per_app in breakdown.values()
-                for cell in per_app.values())
-    print(f"plan: {len(breakdown)}/{len(results)} apps x degrees "
+    rows = [entry for entry in results if not entry.get("failed")]
+    total = sum(row["timing"]["partition_seconds"] for row in rows)
+    print(f"plan: {len(rows)}/{len(results)} apps x degrees "
           f"{args.degrees} (-j {args.jobs}): "
           f"{total:.3f}s partition work"
           + ("" if cache is None else f", cached under {cache.root}"))
-    print(_partition_profile_table(breakdown))
+    print(_partition_profile_table(rows))
     _print_failures(failures)
     return EXIT_FAILURE if failures else EXIT_OK
 
 
 def cmd_explore(args) -> int:
     """``repro explore``: cost-aware design-space exploration."""
-    from repro.eval.experiments import FIGURE19_APPS
+    from repro.apps.suite import IPV4_FORWARDING_PPSES
     from repro.eval.explore import (
         ExploreError,
         SearchSpace,
@@ -609,7 +615,7 @@ def cmd_explore(args) -> int:
     )
 
     apps = (_parse_list("--apps", args.apps) if args.apps
-            else FIGURE19_APPS)
+            else IPV4_FORWARDING_PPSES)
     try:
         space = SearchSpace(
             apps=tuple(apps),

@@ -15,10 +15,13 @@ frontier beat fixed-k heuristics.  This module is that search for PPS-C:
    supervisor-verified pipeline (:mod:`repro.eval.sweep` fan-out): each
    cell is partitioned via :func:`~repro.pipeline.supervisor.supervise_partition`
    (independent verification + graceful degradation) and simulated with
-   the observational-equivalence check on;
+   the observational-equivalence check on — the same row function
+   ``repro figures`` projects its default-knob slice from;
 3. **score** each cell on (simulated throughput — the speedup over the
-   sequential PPS, transmitted live-set words, realized stage count) and
-   keep ``partition_seconds`` as nondeterministic context;
+   sequential PPS, transmitted live-set words, realized stage count);
+   the cell also records the live-set overhead and the partition and
+   simulation work, and keeps ``partition_seconds`` as nondeterministic
+   context;
 4. **emit** a per-app Pareto frontier (JSON + markdown) and an
    **auto-pick**: the best verified configuration per app under one
    fixed objective (:data:`WEIGHTS`), with dominated-by / plateau /
@@ -55,7 +58,10 @@ from repro.runspec import Knobs
 
 #: Version of the frontier-report schema; bump on layout changes, with
 #: the regenerated ``EXPLORE_frontier.json`` in the same commit.
-EXPLORE_SCHEMA_VERSION = 3
+#: v4: a cell's ``metrics`` also carry what ``repro figures`` reads off
+#: it — ``overhead``, ``cut_iterations``, ``pr_work`` and
+#: ``simulated_instructions``.
+EXPLORE_SCHEMA_VERSION = 4
 
 #: Objective directions: maximize speedup, minimize words and stages.
 OBJECTIVES = ("speedup", "transmitted_words", "stages")

@@ -99,46 +99,6 @@ def make_profiler(app: AppInstance):
     return profiler
 
 
-def partition_app(app: AppInstance, degrees, *, cache=None,
-                  knobs: Knobs = Knobs()):
-    """Partition ``app`` at every degree > 1, sharing analyses across
-    the sweep.
-
-    One :class:`~repro.analysis.context.AnalysisContext` (normalize /
-    profile / SSA / dependence computed once) serves the whole degree
-    sweep; every cut is solved cold.
-    Returns ``(transforms, breakdown)`` where ``transforms`` maps
-    degree -> :class:`PipelineResult` and ``breakdown`` maps
-    ``str(degree)`` to per-degree phase stats: wall ``seconds``,
-    ``cut_iterations`` (balanced-cut collapse steps) and ``pr_work``
-    (push-relabel discharges).  Cache hits report the stats recorded
-    when the artifact was first solved.
-    """
-    from time import perf_counter
-
-    from repro.analysis.context import AnalysisContext
-
-    context = AnalysisContext(app.module, app.pps_name,
-                              knobs.max_block_instructions)
-    transforms: dict[int, PipelineResult] = {}
-    breakdown: dict[str, dict] = {}
-    for degree in sorted(set(degrees)):
-        if degree <= 1:
-            continue
-        start = perf_counter()
-        result = app_pipeline(app, degree, knobs=knobs, cache=cache,
-                              context=context)
-        seconds = perf_counter() - start
-        diagnostics = result.assignment.diagnostics
-        transforms[degree] = result
-        breakdown[str(degree)] = {
-            "seconds": round(seconds, 4),
-            "cut_iterations": sum(diag.iterations for diag in diagnostics),
-            "pr_work": sum(diag.pr_work for diag in diagnostics),
-        }
-    return transforms, breakdown
-
-
 def measure_pipeline(app: AppInstance, degree: int, *,
                      baseline: SequentialMeasurement | None = None,
                      knobs: Knobs = Knobs(),

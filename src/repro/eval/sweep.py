@@ -6,13 +6,16 @@ dominated by the balanced-cut search — an embarrassingly parallel
 workload.  :func:`run_sweep` is the one multi-cell path: ``repro figures``,
 ``plan``, ``explore``, ``chaos`` and ``fuzz`` all describe their
 work as :class:`SweepTask` cells and run them here, inline or on a
-``concurrent.futures.ProcessPoolExecutor`` (``-j N`` on the CLI), with:
+``concurrent.futures.ProcessPoolExecutor`` (``-j N`` on the CLI).  The
+paper's cost model has one row function, :func:`_score_cells` —
+supervised partition, then simulation checked for equivalence — which
+``explore`` runs over its search space and ``figures`` over the
+default-knob slice; ``plan`` runs its partition half alone.  With:
 
 * **deterministic merge** — results are returned in *task order* (the
   builders emit tasks ordered by (app, D)) no matter which worker
   finishes first, so ``-j 4`` output is byte-identical to ``-j 1``
-  modulo the explicitly nondeterministic ``timing`` / ``cache`` fields
-  (strip them with :func:`deterministic_view`);
+  modulo the explicitly nondeterministic ``timing`` / ``cache`` fields;
 * **one seed per sweep** — every cell runs at the seed the command was
   given, so a cell reproduces inline under any parallelism and two
   commands at equal packets, seed and knobs share cache entries;
@@ -84,18 +87,12 @@ class SweepTask:
         if self.kind == "fuzz":
             return (f"repro fuzz --seeds 1 --start-seed {spec.seed} "
                     f"--degrees {degrees} --packets {spec.packets}")
-        if self.kind == "partition":
+        if self.kind == "plan":
             return (f"repro plan --apps {spec.app} --degrees {degrees} "
                     f"--packets {spec.packets} --seed {spec.seed} -j 1")
-        if self.kind == "explore":
-            knobs = " ".join(flag for _, _, _, flag
-                             in cell_dims(spec.knobs))
-            return (f"repro explore --apps {spec.app} --degrees {degrees} "
-                    f"{knobs} --packets {spec.packets} --seed {spec.seed} "
-                    f"-j 1")
-        return (f"repro figures --packets {spec.packets} "
-                f"--degrees {degrees} -j 1  "
-                f"# cell: app={spec.app} seed={spec.seed}")
+        knobs = " ".join(flag for _, _, _, flag in cell_dims(spec.knobs))
+        return (f"repro explore --apps {spec.app} --degrees {degrees} "
+                f"{knobs} --packets {spec.packets} --seed {spec.seed} -j 1")
 
     def detail(self) -> str:
         """The failure context every SweepError message must carry:
@@ -107,28 +104,14 @@ class SweepTask:
 # -- task builders ----------------------------------------------------------
 
 
-def app_tasks(kind: str, apps: list[str], degrees, *, packets: int,
-              seed: int) -> list[SweepTask]:
-    """``figures`` / ``partition`` cells: one per app, in the given app
-    order, covering its whole degree row.
-
-    A cell keeps all of an app's degrees together so the worker shares
-    one :class:`~repro.analysis.context.AnalysisContext` across the row
-    — normalize, profile, SSA and the dependence model once per app;
-    parallelism comes from fanning the *apps*.
-    """
-    return [SweepTask(kind, RunSpec(app, packets, seed, tuple(degrees)))
-            for app in apps]
-
-
 def explore_tasks(space, *, keep_going: bool = False) -> list[SweepTask]:
     """Explore cells: one task per (app, knob combo), covering the whole
     degree row.
 
-    Like :func:`app_tasks`, a task keeps all of a combo's degrees
-    together so the worker shares one analysis context and one baseline
-    measurement across the row; parallelism fans the (app, combo) pairs.
-    ``space`` is a :class:`repro.eval.explore.SearchSpace`.
+    A task keeps all of a combo's degrees together so the worker shares
+    one analysis context and one baseline measurement across the row;
+    parallelism fans the (app, combo) pairs.  ``space`` is a
+    :class:`repro.eval.explore.SearchSpace`.
     """
     return [SweepTask("explore",
                       RunSpec(app, space.packets, space.seed,
@@ -179,126 +162,108 @@ def _execute(task: SweepTask) -> dict:
     }
 
 
-def _partition_row(task: SweepTask, cache):
-    """Build the task's app and partition its whole degree row."""
-    from repro.eval.metrics import partition_app
-
-    app = task.spec.build()
-    transforms, breakdown = partition_app(app, task.spec.degrees,
-                                          cache=cache,
-                                          knobs=task.spec.knobs)
-    return app, transforms, breakdown
-
-
-def _score_partition(task: SweepTask, cache):
-    """The planner cell: the results land in the shared compile cache,
-    so a following explore / chaos / serve phase over the same apps,
-    traffic and knobs gets pure cache hits; the record carries the
-    per-degree breakdown for profiling output."""
-    _, _, breakdown = _partition_row(task, cache)
-    return {"partition_breakdown": breakdown}, {}
-
-
-def _score_figures(task: SweepTask, cache):
-    """The paper's numbers for one app: partition the degree row, then
-    simulate every degree against the sequential baseline
-    (equivalence-checked).  Every field is a pure function of the task
-    when ``cache`` is ``None`` — a cached artifact carries the work
-    counters of whichever command solved it first."""
-    from repro.eval.metrics import measure_pipeline, measure_sequential
-
-    app, transforms, breakdown = _partition_row(task, cache)
-    baseline = measure_sequential(app)
-    instructions = baseline.total_instructions
-    speedups: dict[int, float] = {}
-    overheads: dict[int, float] = {}
-    for degree in sorted(task.spec.degrees):
-        measured = measure_pipeline(app, degree, baseline=baseline,
-                                    transform=transforms.get(degree))
-        instructions += measured.total_instructions
-        speedups[degree] = round(measured.speedup, 4)
-        # Six places: the figures print three, and four would round
-        # twice (0.33149 -> 0.3315 -> "0.332").
-        overheads[degree] = round(measured.overhead_ratio, 6)
-    work = {degree: {key: value for key, value in cell.items()
-                     if key != "seconds"}
-            for degree, cell in breakdown.items()}
-    return {"partition_breakdown": work,
-            "speedup_by_degree": speedups,
-            "overhead_by_degree": overheads,
-            "simulated_instructions": instructions}, {}
-
-
-def _score_explore(task: SweepTask, cache):
-    """Evaluate one (app, knob combo) row of a design-space exploration.
-
-    Every degree of the row goes through the *supervised* pipeline —
-    partition, independent verification, graceful degradation — and is
-    then simulated with the observational-equivalence check on.  The
-    record carries one cell dict per degree; the nondeterministic
-    numbers (partition wall seconds) live under each cell's ``timing``
-    key so the frontier artifact can strip them.
-    """
-    from repro.analysis.context import AnalysisContext
-    from repro.eval.metrics import measure_pipeline, measure_sequential
+def _partition_cell(task: SweepTask, app, context, degree: int, cache):
+    """One degree of the task's row through the supervisor: the cell's
+    record — name, verdict, partition work under ``metrics``, wall
+    seconds under ``timing`` — and the outcome behind it (``None`` at
+    degree 1, the sequential "pipeline": always valid, nothing cut)."""
     from repro.pipeline.supervisor import supervise_partition
 
-    spec, knobs = task.spec, task.spec.knobs
-    app, build_seconds = _timed(spec.build)
-    baseline = measure_sequential(app)
+    spec = task.spec
+    cell = cell_name(spec.app, degree, spec.knobs)
+    if degree <= 1:
+        return {**cell, "verified": True, "degraded": False,
+                "achieved_degree": 1,
+                "metrics": {"stages": 1, "cut_iterations": 0, "pr_work": 0},
+                "timing": {"partition_seconds": 0.0}}, None
+    outcome, seconds = _timed(
+        supervise_partition, app.module, app.pps_name, degree,
+        knobs=spec.knobs, profiler=app.profiler, cache=cache,
+        context=context)
+    cell.update(verified=outcome.ok, degraded=outcome.degraded,
+                achieved_degree=outcome.achieved_degree)
+    if outcome.ok:
+        diagnostics = outcome.result.assignment.diagnostics
+        cell["metrics"] = {
+            "stages": outcome.achieved_degree,
+            "cut_iterations": sum(diag.iterations for diag in diagnostics),
+            "pr_work": sum(diag.pr_work for diag in diagnostics),
+        }
+    else:
+        cell["error"] = outcome.summary()
+        cell["metrics"] = None
+    if len(outcome.attempts) > 1:
+        cell["attempts"] = len(outcome.attempts)
+    cell["timing"] = {"partition_seconds": round(seconds, 4)}
+    return cell, outcome
+
+
+def _row(task: SweepTask):
+    """Build the task's app and the one analysis context its degree row
+    shares (normalize, profile, SSA and the dependence model once)."""
+    from repro.analysis.context import AnalysisContext
+
+    app, build_seconds = _timed(task.spec.build)
     context = AnalysisContext(app.module, app.pps_name,
-                              knobs.max_block_instructions)
+                              task.spec.knobs.max_block_instructions)
+    return app, context, build_seconds
+
+
+def _row_timing(build_seconds: float, cells: list[dict]) -> dict:
+    return {"build_seconds": round(build_seconds, 4),
+            "partition_seconds": round(sum(
+                cell["timing"]["partition_seconds"] for cell in cells), 4)}
+
+
+def _score_plan(task: SweepTask, cache):
+    """The planner row (``repro plan``): :func:`_score_cells` without
+    the simulation step.  The results land in the shared compile cache,
+    so a following explore / chaos / serve phase over the same apps,
+    traffic and knobs gets pure cache hits."""
+    app, context, build_seconds = _row(task)
+    cells = [_partition_cell(task, app, context, degree, cache)[0]
+             for degree in sorted(set(task.spec.degrees))]
+    return {"cells": cells}, _row_timing(build_seconds, cells)
+
+
+def _score_cells(task: SweepTask, cache):
+    """The one (app, knobs) degree row of the paper's cost model, behind
+    ``repro explore`` and ``repro figures`` alike.
+
+    Every degree is partitioned through the *supervisor* — independent
+    verification, graceful degradation — sharing one analysis context,
+    then simulated against the row's sequential baseline with the
+    observational-equivalence check on.  The record carries one cell
+    dict per degree; its ``metrics`` are pure functions of the task,
+    and the nondeterministic partition wall seconds live under each
+    cell's ``timing``.  ``sequential_instructions`` is what the shared
+    baseline run executed (no cell counts it).
+    """
+    from repro.eval.metrics import measure_pipeline, measure_sequential
+
+    spec = task.spec
+    app, context, build_seconds = _row(task)
+    baseline = measure_sequential(app)
 
     cells = []
     cell_failures = []
-    partition_total = 0.0
     for degree in sorted(set(spec.degrees)):
-        if degree <= 1:
-            # The sequential "pipeline": always valid, nothing transmitted.
-            cells.append({
-                **cell_name(spec.app, 1, knobs),
-                "verified": True,
-                "degraded": False,
-                "achieved_degree": 1,
-                "metrics": {
-                    "speedup": 1.0,
-                    "transmitted_words": 0,
-                    "stages": 1,
-                    "longest_stage": round(baseline.per_packet, 4),
-                },
-                "timing": {"partition_seconds": 0.0},
-            })
-            continue
         try:
-            outcome, partition_seconds = _timed(
-                supervise_partition, app.module, app.pps_name, degree,
-                knobs=knobs, profiler=app.profiler, cache=cache,
-                context=context)
-            partition_total += partition_seconds
-            cell = {
-                **cell_name(spec.app, degree, knobs),
-                "verified": outcome.ok,
-                "degraded": outcome.degraded,
-                "achieved_degree": outcome.achieved_degree,
-            }
-            if not outcome.ok:
-                cell["error"] = outcome.summary()
-                cell["metrics"] = None
-            else:
-                achieved = outcome.achieved_degree
-                measured = measure_pipeline(app, achieved,
-                                            baseline=baseline,
-                                            transform=outcome.result)
-                cell["metrics"] = {
+            cell, outcome = _partition_cell(task, app, context, degree,
+                                            cache)
+            if cell["metrics"] is not None:
+                measured = measure_pipeline(
+                    app, cell["achieved_degree"], baseline=baseline,
+                    transform=outcome.result if outcome else None)
+                cell["metrics"].update({
                     "speedup": round(measured.speedup, 4),
+                    # Six places: the figures print three, and four
+                    # would round twice (0.33149 -> 0.3315 -> "0.332").
+                    "overhead": round(measured.overhead_ratio, 6),
                     "transmitted_words": sum(measured.message_words),
-                    "stages": achieved,
                     "longest_stage": round(measured.longest_stage, 4),
-                }
-            if len(outcome.attempts) > 1:
-                cell["attempts"] = len(outcome.attempts)
-            cell["timing"] = {
-                "partition_seconds": round(partition_seconds, 4)}
+                    "simulated_instructions": measured.total_instructions,
+                })
             cells.append(cell)
         except Exception as exc:
             # A single grid cell crashing (partitioner bug, measurement
@@ -309,12 +274,12 @@ def _score_explore(task: SweepTask, cache):
                 raise
             cell_task = replace(task, spec=replace(spec, degrees=(degree,)))
             record = _failure_record(cell_task, _classify(cell_task, exc))
-            record["cell"] = cell_name(spec.app, degree, knobs)["id"]
+            record["cell"] = cell_name(spec.app, degree, spec.knobs)["id"]
             cell_failures.append(record)
 
-    return ({"cells": cells, "cell_failures": cell_failures},
-            {"build_seconds": round(build_seconds, 4),
-             "partition_seconds": round(partition_total, 4)})
+    return ({"cells": cells, "cell_failures": cell_failures,
+             "sequential_instructions": baseline.total_instructions},
+            _row_timing(build_seconds, cells))
 
 
 def _score_chaos(task: SweepTask, cache):
@@ -349,10 +314,9 @@ def _score_fuzz(task: SweepTask, cache):
 
 _SCORERS = {
     "chaos": _score_chaos,
-    "explore": _score_explore,
-    "figures": _score_figures,
+    "explore": _score_cells,
     "fuzz": _score_fuzz,
-    "partition": _score_partition,
+    "plan": _score_plan,
 }
 
 
@@ -364,22 +328,22 @@ def plan_partitions(apps: list[str], degrees, *, packets: int, seed: int,
                     keep_going: bool = False) -> list[dict]:
     """Partition the whole (app x degree) matrix up front, in parallel.
 
-    Fans one ``partition`` cell per app over the sweep runner (``jobs``
+    Fans one ``plan`` row per app over the sweep runner (``jobs``
     worker processes) with all results stored through the shared on-disk
     compile ``cache`` — after planning, a cold ``repro explore`` / ``repro
     chaos`` / ``repro run`` gets pure cache hits for every partition it
-    needs.  Within each cell the worker shares one analysis context
-    across the degree row; the parallel plan produces partitions
-    bit-identical to a serial sweep (and to each degree partitioned
-    alone).
+    needs.  Each row is the partition half of :func:`_score_cells`:
+    every degree supervised and verified, one analysis context shared
+    across the row; the parallel plan produces partitions bit-identical
+    to a serial sweep (and to each degree partitioned alone).
 
     Returns the task-order list of worker records (app, per-degree
-    breakdown, timings, cache counters).  ``cache`` may be ``None`` (the
-    plan then only returns the breakdown — nothing persists), but that
+    ``cells``, timings, cache counters).  ``cache`` may be ``None`` (the
+    plan then only returns the cells — nothing persists), but that
     defeats the point when ``jobs > 1``.
     """
-    tasks = app_tasks("partition", sorted(set(apps)), degrees,
-                      packets=packets, seed=seed)
+    tasks = [SweepTask("plan", RunSpec(app, packets, seed, tuple(degrees)))
+             for app in sorted(set(apps))]
     return run_sweep(tasks, jobs=jobs, keep_going=keep_going, cache=cache)
 
 
@@ -488,11 +452,3 @@ def _failure_record(task: SweepTask, error: Exception) -> dict:
         "repro": task.repro_command(),
     }
 
-
-def deterministic_view(results: list[dict]) -> list[dict]:
-    """Results with the nondeterministic fields (wall-clock timing,
-    cache hit patterns, the per-degree partition breakdown — it embeds
-    wall seconds) stripped — the byte-identical part of a sweep."""
-    return [{key: value for key, value in result.items()
-             if key not in ("timing", "cache", "partition_breakdown")}
-            for result in results]

@@ -17,16 +17,14 @@ import pytest
 
 from repro import compile_module
 from repro.analysis.context import AnalysisContext
-from repro.apps.suite import build_app
-from repro.eval.experiments import FIGURE19_APPS, FIGURE20_APPS
-from repro.eval.metrics import partition_app
+from repro.apps.suite import IP_FORWARDING_PPSES, IPV4_FORWARDING_PPSES, build_app
 from repro.pipeline.cuts import select_stages
 from repro.pipeline.supervisor import supervise_partition
 from repro.pipeline.transform import pipeline_pps
 from repro.runspec import app_pipeline
 from repro.testing.progen import random_pps_source
 
-SUITE = sorted(set(FIGURE19_APPS) | set(FIGURE20_APPS))
+SUITE = sorted(set(IPV4_FORWARDING_PPSES) | set(IP_FORWARDING_PPSES))
 DEGREES = range(2, 10)
 
 #: The fields of one cut's identity.  ``pr_work`` is a work metric and
@@ -65,14 +63,19 @@ def identity_diff(left: dict, right: dict) -> dict:
 
 @pytest.mark.parametrize("name", SUITE)
 def test_shared_context_row_equals_fresh_pipelines(name):
+    """A degree row as a sweep runs it — one shared context, every
+    degree supervised — partitions each degree as a lone pipeline does."""
     app = build_app(name, packets=8, seed=7)
-    row, _ = partition_app(app, DEGREES)
-    assert sorted(row) == list(DEGREES)
+    context = AnalysisContext(app.module, app.pps_name)
     for degree in DEGREES:
+        outcome = supervise_partition(app.module, app.pps_name, degree,
+                                      profiler=app.profiler,
+                                      context=context)
+        assert outcome.ok and len(outcome.attempts) == 1, degree
         # The reference is each degree partitioned alone: a new context,
         # nothing shared with the row.
         fresh = app_pipeline(app, degree)
-        assert identity_diff(assignment_identity(row[degree]),
+        assert identity_diff(assignment_identity(outcome.result),
                              assignment_identity(fresh)) == {}, degree
 
 

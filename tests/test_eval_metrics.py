@@ -3,12 +3,13 @@
 import pytest
 
 from repro.apps.suite import build_app
+from repro.eval.explore import SearchSpace
 from repro.eval.metrics import (
     measure_pipeline,
     measure_sequential,
 )
 from repro.eval.report import format_series_table, render_figure
-from repro.eval.sweep import app_tasks, run_sweep
+from repro.eval.sweep import explore_tasks, run_sweep
 from repro.machine.costs import SCRATCH_RING
 from repro.pipeline.liveset import Strategy
 from repro.runspec import Knobs
@@ -79,10 +80,11 @@ def test_unified_message_never_smaller_than_packed(ipv4_app, ipv4_baseline):
 
 
 def test_speedup_series_structure():
-    [cell] = run_sweep(app_tasks("figures", ["tx"], [1, 2], packets=24,
-                                 seed=7))
-    for series, identity in ((cell["speedup_by_degree"], 1.0),
-                             (cell["overhead_by_degree"], 0.0)):
+    [row] = run_sweep(explore_tasks(SearchSpace(apps=("tx",),
+                                                degrees=(1, 2), packets=24)))
+    for metric, identity in (("speedup", 1.0), ("overhead", 0.0)):
+        series = {cell["config"]["degree"]: cell["metrics"][metric]
+                  for cell in row["cells"]}
         assert set(series) == {1, 2}
         assert series[1] == identity
 

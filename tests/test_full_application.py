@@ -9,12 +9,16 @@ import pytest
 
 from repro.analysis.cfg import find_pps_loop
 from repro.apps.common import TAG_FWD, TAG_RX_OK, TAG_TX
+from repro.apps.ip import ip_source
+from repro.apps.rx import rx_source
 from repro.apps.suite import (
     IPV4_PREFIXES,
     build_ipv4_tables,
+    combine_sources,
     full_ipv4_source,
 )
 from repro.apps.traffic import TrafficConfig, TrafficGenerator
+from repro.apps.tx import tx_source
 from repro.pipeline.transform import pipeline_pps
 from repro.runtime import MachineState, observe, run_group
 from repro.runtime.interp import Interpreter
@@ -98,9 +102,19 @@ def test_application_with_pipelined_ipv4_is_equivalent(module):
     assert baseline.regions == pipelined.regions
 
 
+def full_ip_source() -> str:
+    """The whole IP forwarding application (paper Figure 18b):
+    RX -> IP (v4 + v6 paths) -> TX."""
+    return combine_sources(
+        rx_source(out_pipe="rx2ip"),
+        ip_source(in_pipe="rx2ip", out_pipe="tx_in"),
+        tx_source(in_pipe="tx_in"),
+    )
+
+
 def test_ip_forwarding_application_both_traffics():
     """Figure 18b: RX -> IP -> TX on mixed IPv4/IPv6 traffic."""
-    from repro.apps.suite import IPV6_PREFIXES, build_ipv6_tables, full_ip_source
+    from repro.apps.suite import IPV6_PREFIXES, build_ipv6_tables
     from repro.apps.common import TAG_FWD6
 
     module = compile_module(full_ip_source(), optimize=True)

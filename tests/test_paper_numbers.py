@@ -26,13 +26,14 @@ from repro.apps.suite import IPV4_FORWARDING_PPSES, build_app
 from repro.cli import main
 from repro.eval.allocation import CostCurves, allocate_engines
 from repro.eval.experiments import app_statistics
+from repro.eval.explore import SearchSpace
 from repro.eval.metrics import (
     make_profiler,
     measure_pipeline,
     measure_replication,
     measure_sequential,
 )
-from repro.eval.sweep import app_tasks, run_sweep
+from repro.eval.sweep import explore_tasks, run_sweep
 from repro.machine.costs import NN_RING, SCRATCH_RING, SRAM_RING
 from repro.pipeline.baselines import greedy_weight_split, level_split
 from repro.pipeline.liveset import Strategy
@@ -100,6 +101,33 @@ def test_explore_frontier_json_is_what_repro_explore_writes(tmp_path):
     assert main(["explore", "--no-cache", "-o", str(tmp_path)]) == 0
     _assert_regenerates(EXPLORE_FRONTIER, tmp_path / "frontier.json",
                         "repro explore --no-cache")
+
+
+def test_headline_and_frontier_agree_on_every_shared_cell():
+    """The two committed records are one sweep seen twice: ``repro
+    figures`` is the default-knob slice of the ``repro explore`` row, so
+    every (app, D) cell of the frontier carries exactly the record's
+    speedup and overhead.  A file regenerated by a path the other did
+    not take fails here.  Reads JSON only."""
+    headline = json.loads(BENCH_HEADLINE.read_text())
+    frontier = json.loads(EXPLORE_FRONTIER.read_text())
+    figures = {}
+    for figure in headline["figures"].values():
+        for metric in ("speedup_by_degree", "overhead_by_degree"):
+            for app, series in figure[metric].items():
+                for degree, value in series.items():
+                    figures.setdefault((app, int(degree)), {})[metric] = value
+    shared = 0
+    for app, entry in frontier["apps"].items():
+        for cell in entry["cells"]:
+            degree = cell["config"]["degree"]
+            assert (app, degree) in figures, cell["id"]
+            assert (cell["metrics"]["speedup"],
+                    cell["metrics"]["overhead"]) == (
+                figures[app, degree]["speedup_by_degree"],
+                figures[app, degree]["overhead_by_degree"]), cell["id"]
+            shared += 1
+    assert shared == 45  # 5 apps x D 1..9 at the default knobs
 
 
 # -- claims, read from the committed record -----------------------------------
@@ -196,12 +224,12 @@ def baselines(apps):
 def test_degree_ten_column(record):
     """The d=10 column of EXPERIMENTS.md's Figure 19–22 tables: the IPv4
     and IP PPSes keep scaling past the record's grid, RX/TX stay flat."""
-    cells = {cell["app"]: cell for cell in run_sweep(app_tasks(
-        "figures", ["rx", "tx", "ipv4", "ip_v4", "ip_v6"], [10],
-        packets=PACKETS, seed=7))}
-    speedup = {name: cell["speedup_by_degree"][10]
-               for name, cell in cells.items()}
-    overhead = {name: round(cell["overhead_by_degree"][10], 3)
+    cells = {row["app"]: row["cells"][0]["metrics"]
+             for row in run_sweep(explore_tasks(SearchSpace(
+                 apps=("rx", "tx", "ipv4", "ip_v4", "ip_v6"), degrees=(10,),
+                 packets=PACKETS)))}
+    speedup = {name: cell["speedup"] for name, cell in cells.items()}
+    overhead = {name: round(cell["overhead"], 3)
                 for name, cell in cells.items()}
     assert speedup == {"rx": 2.9197, "tx": 2.9163, "ipv4": 4.5838,
                        "ip_v4": 4.3917, "ip_v6": 4.0501}

@@ -18,7 +18,6 @@ import pytest
 
 from repro.analysis.context import AnalysisContext
 from repro.apps.suite import build_app
-from repro.eval.metrics import partition_app
 from repro.runspec import app_pipeline
 
 from test_cut_identity import assignment_identity, identity_diff
@@ -88,7 +87,7 @@ def test_refine_ignores_unit_stage_insertion_order(monkeypatch):
 
     monkeypatch.setattr(cuts, "refine_stages", capture)
     app = build_app("ip_v6", packets=8, seed=7)
-    partition_app(app, [8])
+    app_pipeline(app, 8)
 
     def refined(order):
         assignment = StageAssignment(degree=captured["degree"])

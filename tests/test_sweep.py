@@ -3,13 +3,15 @@
 The contract under test:
 
 * ``-j 4`` output is byte-identical to ``-j 1`` once the explicitly
-  nondeterministic ``timing`` / ``cache`` fields are stripped
-  (:func:`deterministic_view`), regardless of completion order;
+  nondeterministic ``timing`` / ``cache`` fields are stripped,
+  regardless of completion order;
 * a worker exception or a hard worker crash surfaces as
   :class:`SweepError` — a structured failure, never a hang, and the
   same failure at every ``-j`` level;
 * every cell runs at the sweep's base seed, as given, so a chaos cell
-  reproduces inline under any parallelism.
+  reproduces inline under any parallelism;
+* ``repro figures`` is the default-knob slice of the verified explore
+  row: a cell the verifier does not pass fails the record by name.
 """
 
 from __future__ import annotations
@@ -22,15 +24,31 @@ import pytest
 
 from repro.cache import CompileCache
 from repro.errors import TrapError
+from repro.eval.explore import SearchSpace
 from repro.eval.sweep import (
     SweepError,
     SweepTask,
-    app_tasks,
     chaos_tasks,
-    deterministic_view,
+    explore_tasks,
     run_sweep,
 )
 from repro.runspec import Knobs, RunSpec
+
+
+def without_clock(node):
+    """A sweep result minus its nondeterministic fields — wall-clock
+    ``timing`` and the ``cache`` counters, at every level (an explore
+    row times each cell too) — as JSON, so two runs compare byte for
+    byte."""
+
+    def strip(node):
+        if isinstance(node, dict):
+            return {key: strip(value) for key, value in node.items()
+                    if key not in ("timing", "cache")}
+        if isinstance(node, list):
+            return [strip(value) for value in node]
+        return node
+    return json.dumps(strip(node), sort_keys=True)
 
 
 # -- seeds ------------------------------------------------------------------
@@ -40,13 +58,6 @@ def test_chaos_tasks_carry_the_base_seed_in_sorted_order():
     tasks = chaos_tasks(["tx", "rx"], (1, 2), packets=8, seed=7)
     assert [task.spec.app for task in tasks] == ["rx", "tx"]
     assert [task.spec.seed for task in tasks] == [7, 7]
-
-
-def test_app_tasks_preserve_app_order():
-    tasks = app_tasks("figures", ["tx", "rx"], [1, 2], packets=8, seed=7)
-    assert [task.spec.app for task in tasks] == ["tx", "rx"]
-    assert all(task.kind == "figures" and task.spec.degrees == (1, 2)
-               for task in tasks)
 
 
 # -- deterministic merge ----------------------------------------------------
@@ -75,7 +86,7 @@ def _crashing_worker(task: SweepTask) -> dict:
 
 
 def _tasks(apps):
-    return [SweepTask("figures", RunSpec(app, 1, index, (1,)))
+    return [SweepTask("plan", RunSpec(app, 1, index, (1,)))
             for index, app in enumerate(apps)]
 
 
@@ -84,14 +95,7 @@ def test_results_come_back_in_task_order_despite_completion_order():
     inline = run_sweep(tasks, jobs=1, worker=_echo_worker)
     fanned = run_sweep(tasks, jobs=4, worker=_echo_worker)
     assert [r["app"] for r in fanned] == ["a", "b", "c", "d"]
-    assert json.dumps(deterministic_view(fanned), sort_keys=True) == \
-        json.dumps(deterministic_view(inline), sort_keys=True)
-
-
-def test_deterministic_view_strips_timing_and_cache():
-    view = deterministic_view([{"app": "x", "timing": {"wall_seconds": 1},
-                                "cache": {"hits": 3}, "ok": True}])
-    assert view == [{"app": "x", "ok": True}]
+    assert without_clock(fanned) == without_clock(inline)
 
 
 def test_worker_exception_is_a_structured_sweep_error():
@@ -166,7 +170,7 @@ def test_every_repro_command_parses_and_round_trips_the_cell():
     parser = build_parser()
     knobs = Knobs(costs=SCRATCH_RING, epsilon=0.125,
                   max_block_instructions=8)
-    seed_attribute = {"fuzz": "start_seed", "figures": None}
+    seed_attribute = {"fuzz": "start_seed"}
     for kind in _SCORERS:
         degrees = (3,) if kind == "fuzz" else (2, 3)
         task = SweepTask(
@@ -179,9 +183,7 @@ def test_every_repro_command_parses_and_round_trips_the_cell():
         args = parser.parse_args(argv)
         assert args.packets == 8, kind
         assert tuple(map(int, args.degrees.split(","))) == degrees, kind
-        attribute = seed_attribute.get(kind, "seed")
-        if attribute is not None:
-            assert getattr(args, attribute) == 1234, kind
+        assert getattr(args, seed_attribute.get(kind, "seed")) == 1234, kind
         if kind == "explore":
             assert (args.rings, float(args.epsilons),
                     int(args.max_block_instructions)) == \
@@ -233,15 +235,18 @@ def test_unknown_chaos_plan_rejected():
 
 
 def test_bench_sweep_parallel_identical_to_inline(tmp_path):
-    tasks = app_tasks("figures", ["rx", "tx"], [1, 2], packets=4, seed=7)
+    tasks = explore_tasks(SearchSpace(apps=("rx", "tx"), degrees=(1, 2),
+                                      packets=4))
     inline = run_sweep(tasks, jobs=1,
                        cache=CompileCache(tmp_path / "inline-cache"))
     fanned = run_sweep(tasks, jobs=4,
                        cache=CompileCache(tmp_path / "fanned-cache"))
-    assert json.dumps(deterministic_view(fanned), sort_keys=True) == \
-        json.dumps(deterministic_view(inline), sort_keys=True)
+    # Everything but the clock agrees, partition work included.
+    assert without_clock(fanned) == without_clock(inline)
     for result in inline:
-        assert set(result["speedup_by_degree"]) == {1, 2}
+        assert [cell["config"]["degree"] for cell in result["cells"]] == \
+            [1, 2]
+        assert result["cells"][1]["metrics"]["pr_work"] > 0
 
 
 def test_chaos_sweep_parallel_identical_to_inline(tmp_path):
@@ -250,8 +255,7 @@ def test_chaos_sweep_parallel_identical_to_inline(tmp_path):
     cache = CompileCache(tmp_path / "cache")
     inline = run_sweep(tasks, jobs=1, cache=cache)
     fanned = run_sweep(tasks, jobs=2, cache=cache)
-    assert json.dumps(deterministic_view(fanned), sort_keys=True) == \
-        json.dumps(deterministic_view(inline), sort_keys=True)
+    assert without_clock(fanned) == without_clock(inline)
     assert inline[0]["ok"] is True
     assert inline[0]["seed"] == 7
 
@@ -276,6 +280,43 @@ def test_figures_record_is_one_path_at_every_jobs_level():
             {"rx", "ip_v4", "ip_v6", "tx"}
 
 
+@pytest.mark.parametrize("rejects", ["every-attempt", "first-attempt"])
+def test_figures_record_names_a_cell_the_verifier_rejects(monkeypatch,
+                                                          rejects):
+    """Every figure cell goes through the supervisor.  A verifier that
+    rejects tx at D = 2 — on every attempt (the cell degrades to one
+    stage) or on the first only (a widened retry verifies it) — fails
+    the record loudly, naming the cell, instead of printing a degraded
+    or other-knob number for it."""
+    import repro.pipeline.supervisor as supervisor_mod
+    from repro.eval.experiments import figures_record
+    from repro.pipeline.verify import VerifyFinding, VerifyVerdict
+
+    real = supervisor_mod.supervise_partition
+
+    def verifier(result, *, epsilon, **kwargs):
+        if (result.pps_name, result.degree) == ("tx", 2) and (
+                rejects == "every-attempt" or epsilon == Knobs.epsilon):
+            return VerifyVerdict(
+                pps_name=result.pps_name, degree=result.degree,
+                findings=[VerifyFinding(check="liveness",
+                                        detail="synthetic rejection")])
+        return supervisor_mod.verify_partition(result, epsilon=epsilon,
+                                               **kwargs)
+
+    def supervised(*args, **kwargs):
+        return real(*args, verifier=verifier, **kwargs)
+
+    monkeypatch.setattr(supervisor_mod, "supervise_partition", supervised)
+    with pytest.raises(SweepError) as excinfo:
+        figures_record(packets=4, degrees=[1, 2])
+    message = str(excinfo.value)
+    assert "figures cell tx/nn-ring/d2/e0.0625/b12 is not verified" in message
+    assert ("achieved degree 1" if rejects == "every-attempt"
+            else "2 attempts") in message
+    assert "repro explore --apps tx --degrees 2 " in message
+
+
 # -- the partition planner ---------------------------------------------------
 
 
@@ -288,20 +329,18 @@ def test_plan_partitions_parallel_matches_serial(tmp_path):
                              jobs=1, cache=serial_cache)
     parallel = plan_partitions(["rx", "tx"], [2, 3], packets=8, seed=7,
                                jobs=2, cache=parallel_cache)
-    assert deterministic_view(serial) == deterministic_view(parallel)
-    # The identity-bearing part of the breakdown (everything but wall
-    # seconds) must agree too: same cuts, same work, under any -j.
-    def work_view(results):
-        return [{degree: {k: v for k, v in cell.items() if k != "seconds"}
-                 for degree, cell in entry["partition_breakdown"].items()}
-                for entry in results]
-    assert work_view(serial) == work_view(parallel)
+    # Same cuts, same verdicts, same work, under any -j.
+    assert without_clock(serial) == without_clock(parallel)
+    for row in serial:
+        assert all(cell["verified"] and not cell["degraded"]
+                   and cell["metrics"]["pr_work"] > 0
+                   for cell in row["cells"])
 
 
 def test_plan_partitions_prewarms_the_compile_cache(tmp_path):
     from repro.apps.suite import build_app
-    from repro.eval.metrics import partition_app
     from repro.eval.sweep import plan_partitions
+    from repro.runspec import app_pipeline
 
     cache = CompileCache(tmp_path / "cache")
     plan_partitions(["rx"], [2, 3], packets=8, seed=7, jobs=2, cache=cache)
@@ -309,6 +348,7 @@ def test_plan_partitions_prewarms_the_compile_cache(tmp_path):
     # A cold consumer following the plan gets pure hits.
     app = build_app("rx", packets=8, seed=7)
     before = cache.counters()["misses"]
-    partition_app(app, [2, 3], cache=cache)
+    for degree in (2, 3):
+        app_pipeline(app, degree, cache=cache)
     assert cache.counters()["misses"] == before
     assert cache.counters()["hits"] >= 2
