@@ -6,7 +6,7 @@ from repro.eval.metrics import (
     measure_pipeline,
     measure_sequential,
 )
-from repro.eval.experiments import app_statistics, figures_record
+from repro.eval.experiments import figures_record
 from repro.eval.explore import (
     SearchSpace,
     auto_pick,
@@ -24,7 +24,6 @@ __all__ = [
     "deterministic_report",
     "explore",
     "pareto_flags",
-    "app_statistics",
     "figures_record",
     "format_series_table",
     "measure_pipeline",

@@ -18,22 +18,13 @@ slice of the verified (app, degree) sweep that ``repro explore`` runs.
 tier-1 regenerates it and asserts equality
 (``tests/test_paper_numbers.py``).  Whether something got
 *slower* is ``bench/run.py``'s question, not this module's.
-
-:func:`app_statistics` is the Figure 18 sidebar (code size / blocks /
-loops of each PPS).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.analysis.cfg import cfg_of, find_pps_loop
-from repro.analysis.graph import strongly_connected_components
-from repro.apps.suite import (
-    IP_FORWARDING_PPSES,
-    IPV4_FORWARDING_PPSES,
-    build_app,
-)
+from repro.apps.suite import IP_FORWARDING_PPSES, IPV4_FORWARDING_PPSES
 
 
 def figures_record(*, packets: int = 60, seed: int = 7,
@@ -115,29 +106,3 @@ def figures_record(*, packets: int = 60, seed: int = 7,
             name: series(name, "speedup")[top] for name in rows},
     }
 
-
-def app_statistics(app_names: list[str] | None = None) -> dict[str, dict[str, int]]:
-    """Structural statistics of each PPS (the paper's Figure 18 text:
-    "~10K lines of codes, >600 basic blocks, ~100 routines, >20 loops")."""
-    names = app_names or ["rx", "ipv4", "ip_v4", "scheduler", "qm", "tx"]
-    stats: dict[str, dict[str, int]] = {}
-    for name in names:
-        app = build_app(name, packets=8)
-        pps = app.module.pps(app.pps_name)
-        graph = cfg_of(pps)
-        loops = sum(
-            1 for component in strongly_connected_components(graph)
-            if len(component) > 1
-        )
-        loop = find_pps_loop(pps)
-        stats[name] = {
-            "source_lines": len([line for line in app.source.splitlines()
-                                 if line.strip()]),
-            "basic_blocks": len(pps.blocks),
-            "body_blocks": len(loop.body),
-            "instructions": sum(len(b.all_instructions())
-                                for b in pps.ordered_blocks()),
-            "static_weight": pps.weight(),
-            "inner_loops": loops,
-        }
-    return stats

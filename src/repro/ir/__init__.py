@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.ir.function import BasicBlock, Function, Module, split_edge
+from repro.ir.function import BasicBlock, Function, Module
 from repro.ir.inline import inline_calls, inline_module
 from repro.ir.instructions import (
     ArrayLoad,
@@ -60,7 +60,6 @@ __all__ = [
     "inline_calls",
     "inline_module",
     "lower_program",
-    "split_edge",
     "verify_function",
     "wrap32",
 ]

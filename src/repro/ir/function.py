@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir.instructions import Instruction, Jump, Phi, Terminator
+from repro.ir.instructions import Instruction, Phi, Terminator
 from repro.ir.values import ArrayRef, PipeRef, RegionRef, VReg
 
 
@@ -45,9 +45,6 @@ class BasicBlock:
             else:
                 break
         return result
-
-    def non_phi_instructions(self) -> list[Instruction]:
-        return [inst for inst in self.instructions if not isinstance(inst, Phi)]
 
     def all_instructions(self) -> list[Instruction]:
         """Instructions including the terminator (if set)."""
@@ -203,26 +200,3 @@ class Module:
     def pps(self, name: str) -> Function:
         return self.ppses[name]
 
-
-def split_edge(function: Function, pred_name: str, succ_name: str) -> BasicBlock:
-    """Split the CFG edge ``pred -> succ`` with a fresh empty block.
-
-    φ-incomings in ``succ`` that named ``pred`` are retargeted to the new
-    block.  Returns the inserted block.
-    """
-    pred = function.block(pred_name)
-    middle = function.new_block(f"edge_{pred_name}_{succ_name}_")
-    middle.set_terminator(Jump(succ_name))
-    assert pred.terminator is not None
-    # Retarget only the edges into succ_name.
-    term = pred.terminator
-    for attr in ("target", "if_true", "if_false", "default"):
-        if hasattr(term, attr) and getattr(term, attr) == succ_name:
-            setattr(term, attr, middle.name)
-    if hasattr(term, "cases"):
-        term.cases = {key: (middle.name if target == succ_name else target)
-                      for key, target in term.cases.items()}
-    for phi in function.block(succ_name).phis():
-        if pred_name in phi.incomings:
-            phi.incomings[middle.name] = phi.incomings.pop(pred_name)
-    return middle

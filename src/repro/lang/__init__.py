@@ -1,4 +1,4 @@
-"""PPS-C frontend: lexer, parser, semantic checks, and pretty printer.
+"""PPS-C frontend: lexer, parser and semantic checks.
 
 The usual entry point is :func:`compile_source`, which lexes, parses, and
 semantically validates a PPS-C translation unit.
@@ -17,7 +17,6 @@ from repro.lang.errors import (
 from repro.lang.intrinsics import INTRINSICS, Effect, Intrinsic, get_intrinsic, is_intrinsic
 from repro.lang.lexer import Lexer, tokenize
 from repro.lang.parser import Parser, parse
-from repro.lang.pretty import format_expr, format_program
 from repro.lang.sema import SemanticChecker, check
 
 
@@ -41,8 +40,6 @@ __all__ = [
     "ast",
     "check",
     "compile_source",
-    "format_expr",
-    "format_program",
     "get_intrinsic",
     "is_intrinsic",
     "parse",

@@ -28,7 +28,7 @@ Nesting is bounded.  A statement, an operator (a call and an index
 included) and a pair of parentheses each open one level; a tree deeper
 than ``MAX_DEPTH`` levels is a ``ParseError`` at the token where it passes
 the limit, so neither the parser nor a later recursive pass (sema,
-lowering, the pretty-printer) can run out of interpreter stack.
+lowering) can run out of interpreter stack.
 """
 
 from __future__ import annotations

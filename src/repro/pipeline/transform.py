@@ -74,7 +74,6 @@ class PipelineResult:
 def pipeline_pps(module: Module, pps_name: str, degree: int, *,
                  knobs: Knobs = Knobs(),
                  profiler=None,
-                 cut_strategy=None,
                  cache=None,
                  context: AnalysisContext | None = None,
                  warm=None) -> PipelineResult:
@@ -96,10 +95,6 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
     ``bench/compiling.py`` still passes; it goes with ROADMAP item 5's
     benchmark refresh.
 
-    ``cut_strategy`` (optional) replaces the balanced-min-cut stage
-    selection with a custom ``(model, degree) -> StageAssignment`` — used
-    by the baseline-partitioner ablations.
-
     ``cache`` (optional) is a :class:`repro.cache.CompileCache`; the
     partition *decision* — every body block's stage, the per-cut
     diagnostics, the stage weights — is looked up / stored by content
@@ -109,8 +104,7 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
     stages from ``context.work`` on the layout / realize / verify path a
     miss takes, so it is bit-identical to a fresh compile.  A record
     that does not stage exactly this program's body blocks is stale: it
-    warns and is recomputed and overwritten.  ``cut_strategy`` bypasses
-    the cache (a callback is not content-addressable).
+    warns and is recomputed and overwritten.
     """
     if pps_name not in module.ppses:
         raise PipelineError(f"unknown pps {pps_name!r}")
@@ -131,7 +125,7 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
         profiles = context.profiles_for(profiler)
 
         key = restored = None
-        if cache is not None and cut_strategy is None:
+        if cache is not None:
             from repro.cache import compile_key
 
             key = compile_key(module, pps_name, degree, profiles=profiles,
@@ -159,12 +153,9 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
             model = context.model
             with obs.span("select_stages", cat="compile", pps=pps_name,
                           degree=degree):
-                if cut_strategy is not None:
-                    assignment = cut_strategy(model, degree)
-                else:
-                    assignment = select_stages(
-                        model, degree, costs=knobs.costs,
-                        epsilon=knobs.epsilon, profiles=profiles)
+                assignment = select_stages(
+                    model, degree, costs=knobs.costs,
+                    epsilon=knobs.epsilon, profiles=profiles)
             stage_weights = assignment.stage_weights(model)
         with obs.span("liveset_layout", cat="compile", pps=pps_name):
             layouts = compute_cut_layouts(work, loop.body,

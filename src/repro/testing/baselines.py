@@ -1,4 +1,4 @@
-"""Baseline partitioning strategies (for the ablation benchmarks).
+"""Naive partitioners: the baselines of the balanced-min-cut ablations.
 
 The paper's contribution is the *balanced minimum cut*: it both balances
 instruction counts and minimizes the live set.  These baselines isolate
@@ -14,6 +14,12 @@ the two claims:
 Both orders are consistent with every dependence and control-flow
 constraint, so the resulting assignments realize correctly — they are
 just worse, which is the point.
+
+Each takes (and ignores) :func:`repro.pipeline.cuts.select_stages`'
+keyword arguments, so a test swaps one in for the balanced min cut by
+patching ``repro.pipeline.transform.select_stages`` — and then calls
+``pipeline_pps`` without a cache, which would store the baseline's
+partition under the balanced cut's key.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ def _finish(model: LoopDependenceModel, assignment: StageAssignment) -> StageAss
     return assignment
 
 
-def level_split(model: LoopDependenceModel, degree: int) -> StageAssignment:
+def level_split(model: LoopDependenceModel, degree: int,
+                **_select_stages_keywords) -> StageAssignment:
     """Equal *unit-count* slices of the topological order."""
     order = _unit_topological_order(model)
     assignment = StageAssignment(degree=degree)
@@ -64,7 +71,8 @@ def level_split(model: LoopDependenceModel, degree: int) -> StageAssignment:
     return _finish(model, assignment)
 
 
-def greedy_weight_split(model: LoopDependenceModel, degree: int) -> StageAssignment:
+def greedy_weight_split(model: LoopDependenceModel, degree: int,
+                        **_select_stages_keywords) -> StageAssignment:
     """Equal *weight* slices of the topological order (no cut-cost
     awareness)."""
     order = _unit_topological_order(model)

@@ -1,9 +1,9 @@
-"""Tests for the IR verifier, printer, clone, and split_edge."""
+"""Tests for the IR verifier, printer and clone."""
 
 import pytest
 
 from repro.ir.clone import clone_function
-from repro.ir.function import Function, split_edge
+from repro.ir.function import Function
 from repro.ir.instructions import Assign, Branch, Jump, Phi, Return
 from repro.ir.printer import format_function, format_module
 from repro.ir.values import Const
@@ -90,17 +90,6 @@ def test_verify_ssa_rejects_use_before_def():
     block.set_terminator(Return())
     with pytest.raises(VerificationError):
         verify_function(fn, ssa=True)
-
-
-def test_split_edge_preserves_phis():
-    fn, entry, left, right, join = diamond()
-    reg = fn.new_reg("p")
-    phi = Phi(reg, {left.name: Const(1), right.name: Const(2)})
-    join.instructions = [phi]
-    middle = split_edge(fn, left.name, join.name)
-    verify_function(fn)
-    assert middle.name in phi.incomings
-    assert left.name not in phi.incomings
 
 
 def test_clone_is_deep_and_name_preserving():

@@ -22,10 +22,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.cfg import cfg_of, find_pps_loop
+from repro.analysis.graph import strongly_connected_components
 from repro.apps.suite import IPV4_FORWARDING_PPSES, build_app
 from repro.cli import main
 from repro.eval.allocation import CostCurves, allocate_engines
-from repro.eval.experiments import app_statistics
 from repro.eval.explore import SearchSpace
 from repro.eval.metrics import (
     make_profiler,
@@ -35,11 +36,12 @@ from repro.eval.metrics import (
 )
 from repro.eval.sweep import explore_tasks, run_sweep
 from repro.machine.costs import NN_RING, SCRATCH_RING, SRAM_RING
-from repro.pipeline.baselines import greedy_weight_split, level_split
+from repro.pipeline.cuts import select_stages
 from repro.pipeline.liveset import Strategy
 from repro.pipeline.replicate import replicate_pps
 from repro.pipeline.transform import pipeline_pps
 from repro.runspec import Knobs
+from repro.testing.baselines import greedy_weight_split, level_split
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_HEADLINE = ROOT / "BENCH_headline.json"
@@ -247,6 +249,32 @@ def test_degree_ten_column(record):
         assert speedup[name] >= committed[name][9] * 0.95
 
 
+def app_statistics(names: list[str]) -> dict[str, dict[str, int]]:
+    """Structural statistics of each PPS (the paper's Figure 18 text:
+    "~10K lines of codes, >600 basic blocks, ~100 routines, >20 loops")."""
+    stats: dict[str, dict[str, int]] = {}
+    for name in names:
+        app = build_app(name, packets=8)
+        pps = app.module.pps(app.pps_name)
+        graph = cfg_of(pps)
+        loops = sum(
+            1 for component in strongly_connected_components(graph)
+            if len(component) > 1
+        )
+        loop = find_pps_loop(pps)
+        stats[name] = {
+            "source_lines": len([line for line in app.source.splitlines()
+                                 if line.strip()]),
+            "basic_blocks": len(pps.blocks),
+            "body_blocks": len(loop.body),
+            "instructions": sum(len(b.all_instructions())
+                                for b in pps.ordered_blocks()),
+            "static_weight": pps.weight(),
+            "inner_loops": loops,
+        }
+    return stats
+
+
 def test_figure18_application_structure():
     """EXPERIMENTS.md "Figure 18": src lines, blocks, body blocks,
     instructions, static weight, inner loops."""
@@ -341,7 +369,8 @@ def test_profile_dimensioned_weights(apps, baselines):
     assert profiled > 4.0
 
 
-def test_balanced_min_cut_against_naive_partitioners(apps, baselines):
+def test_balanced_min_cut_against_naive_partitioners(apps, baselines,
+                                                      monkeypatch):
     """Over degrees 4–9 on the near-straight-line IPv4 PPS a
     weight-balanced topological split is a strong baseline on the dynamic
     metric: the balanced min cut stays at parity there and wins on its
@@ -349,13 +378,14 @@ def test_balanced_min_cut_against_naive_partitioners(apps, baselines):
     "Ablations": 3.58 vs 3.62, 294 vs 318 words)."""
     app, baseline = apps["ipv4"], baselines["ipv4"]
     summary = {}
-    for name, cut_strategy in (("level", level_split),
-                               ("greedy", greedy_weight_split),
-                               ("min-cut", None)):
+    for name, partitioner in (("level", level_split),
+                              ("greedy", greedy_weight_split),
+                              ("min-cut", select_stages)):
+        monkeypatch.setattr("repro.pipeline.transform.select_stages",
+                            partitioner)
         measured = [measure_pipeline(
             app, degree, baseline=baseline,
-            transform=pipeline_pps(app.module, app.pps_name, degree,
-                                   cut_strategy=cut_strategy))
+            transform=pipeline_pps(app.module, app.pps_name, degree))
             for degree in range(4, 10)]
         summary[name] = (
             round(sum(m.speedup for m in measured) / len(measured), 2),

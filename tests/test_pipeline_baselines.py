@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.cfg import find_pps_loop, split_large_blocks
 from repro.analysis.dependence_graph import LoopDependenceModel
 from repro.ir.clone import clone_function
-from repro.pipeline.baselines import greedy_weight_split, level_split
 from repro.pipeline.transform import pipeline_pps
 from repro.runtime import (
     MachineState,
@@ -15,6 +14,7 @@ from repro.runtime import (
     run_sequential,
 )
 from repro.ssa import construct_ssa
+from repro.testing.baselines import greedy_weight_split, level_split
 
 from helpers import STANDARD_PPS, compile_module, standard_setup
 
@@ -62,14 +62,15 @@ def test_greedy_split_balances_weight_better_than_level():
 
 
 @pytest.mark.parametrize("strategy", [level_split, greedy_weight_split])
-def test_baseline_partitions_run_equivalently(strategy):
+def test_baseline_partitions_run_equivalently(strategy, monkeypatch):
     module = compile_module(STANDARD_PPS)
     baseline_state = MachineState(module)
     standard_setup(baseline_state, 20)
     run_sequential(module.pps("worker"), baseline_state, iterations=20)
     expected = observe(baseline_state)
 
-    result = pipeline_pps(module, "worker", 4, cut_strategy=strategy)
+    monkeypatch.setattr("repro.pipeline.transform.select_stages", strategy)
+    result = pipeline_pps(module, "worker", 4)
     state = MachineState(module)
     standard_setup(state, 20)
     run_pipeline(result.stages, state, iterations=20)

@@ -191,51 +191,100 @@ def test_docs_name_only_files_and_names_that_exist():
     assert stale == []
 
 
-# -- every public function of a core layer has a caller in src/ -------------
+# -- every public function in src/ has a caller in src/ ----------------------
+
+#: The public names that may stand without a caller in ``src/``, each
+#: with the reader it has instead.
+_CALLER_EXEMPT = {
+    "shard_oracle": "bench/ runs it as the serving benchmarks' oracle",
+    "Journal.load_records": "the reader of the trail `repro serve "
+                            "--journal-dir` writes (payloads decoded)",
+    "TrafficGenerator.mixed_stream": "ROADMAP item 8 gives it a caller",
+    "allocate_engines": "ROADMAP item 11's application, until it decides",
+    "AllocationResult.engines_used": "ROADMAP item 11, as allocate_engines",
+    "NetworkProcessor.map_pipeline": "ROADMAP item 11, as allocate_engines",
+    "NetworkProcessor.channels_for_pipeline":
+        "ROADMAP item 11, as allocate_engines",
+    "full_ipv4_source": "ROADMAP item 11, as allocate_engines",
+}
 
 
-def _public_definitions(path: Path) -> list[str]:
-    """Public module-level functions and class methods of one file, as
-    ``name`` or ``Class.name`` (dunders and ``_private`` names excluded)."""
+def _references(node) -> list[str]:
     import ast
 
+    return [sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))]
+
+
+def _uncalled(package: Path) -> list[str]:
+    """Public module-level functions and class methods under ``package``
+    (its ``testing/`` subpackage aside) that nothing under ``package``
+    references, as ``path: name`` or ``path: Class.name``.
+
+    A reference is a name read or an attribute access anywhere under
+    ``package``, ``testing/`` included (imports and ``__all__`` strings
+    do not count); one inside the definition's own body — recursion —
+    does not count either.  The check is by name, so
+    a method shares references with any same-named attribute."""
+    import ast
+    from collections import Counter
+
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    names = []
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, functions):
-            names.append(node.name)
-        elif isinstance(node, ast.ClassDef):
-            names += [f"{node.name}.{item.name}" for item in node.body
-                      if isinstance(item, functions)]
-    return [name for name in names
-            if not name.rpartition(".")[2].startswith("_")]
+    referenced, recursive = Counter(), Counter()
+    definitions = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        referenced.update(_references(tree))
+        if package / "testing" in path.parents:
+            continue
+        for node in tree.body:
+            if isinstance(node, functions):
+                members, owner = [node], ""
+            elif isinstance(node, ast.ClassDef):
+                members = [item for item in node.body
+                           if isinstance(item, functions)]
+                owner = f"{node.name}."
+            else:
+                continue
+            for member in members:
+                recursive[member.name] += _references(member).count(
+                    member.name)
+                if not member.name.startswith("_"):
+                    definitions.append(
+                        (f"{path.relative_to(package)}: "
+                         f"{owner}{member.name}", member.name))
+    return [label for label, name in definitions
+            if referenced[name] == recursive[name]]
 
 
 def test_every_public_analysis_function_has_a_caller_in_src():
-    """A function or method of a core layer (``repro.analysis``,
-    ``cache``, ``flownet``, ``ir``, ``obs`` or ``runtime``) that only
-    tests reach is dead weight: give it a shipped caller or delete it.
-    A reference is a name read or an attribute access anywhere under
-    ``src/`` (imports and ``__all__`` strings do not count); the check
-    is by name, so a method shares references with any same-named
-    attribute.  ``repro.serve`` is not held to it:
-    ``shard_oracle`` and ``Journal.load_records`` are reached from the
-    benchmark (``bench/``) and tests, not from ``src/``."""
-    import ast
+    """A public function or method of any package but ``repro.testing``,
+    or of a top-level module, that only tests reach is dead weight: give
+    it a shipped caller, move it to its reader, or delete it.  The one
+    way out is :data:`_CALLER_EXEMPT`, whose every entry must still be
+    needed."""
+    uncalled = _uncalled(REPO / "src" / "repro")
+    assert [label for label in uncalled
+            if label.partition(": ")[2] not in _CALLER_EXEMPT] == []
+    assert sorted(label.partition(": ")[2] for label in uncalled) == \
+        sorted(_CALLER_EXEMPT)
 
-    package = REPO / "src" / "repro"
-    referenced = set()
-    for path in package.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    unreferenced = [
-        f"{layer}/{path.name}: {name}"
-        for layer in ("analysis", "cache", "flownet", "ir", "obs",
-                      "runtime")
-        for path in sorted((package / layer).glob("*.py"))
-        for name in _public_definitions(path)
-        if name.rpartition(".")[2] not in referenced]
-    assert unreferenced == []
+
+def test_the_caller_scan_flags_plain_and_recursive_orphans(tmp_path):
+    package = tmp_path / "pkg"
+    (package / "testing").mkdir(parents=True)
+    (package / "top.py").write_text(
+        "def used():\n    return 1\n\nVALUE = used()\n")
+    (package / "testing" / "kit.py").write_text(
+        "def helper():\n    return 2\n")
+    assert _uncalled(package) == []
+
+    (package / "sub").mkdir()
+    (package / "sub" / "mod.py").write_text(
+        "class Walker:\n"
+        "    def walk(self, node):\n"
+        "        return [self.walk(child) for child in node]\n\n"
+        "def orphan():\n    return used()\n")
+    assert _uncalled(package) == ["sub/mod.py: Walker.walk",
+                                  "sub/mod.py: orphan"]

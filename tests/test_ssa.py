@@ -1,13 +1,12 @@
-"""Tests for SSA construction and destruction."""
+"""Tests for SSA construction."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.ir.clone import clone_function
-from repro.ir.instructions import Phi
+from repro.eval.fuzz import fuzz_state
 from repro.ir.verify import verify_function
-from repro.runtime import MachineState, observe, run_sequential
-from repro.ssa import construct_ssa, destruct_ssa
-from repro.ssa.destruct import split_critical_edges
+from repro.runtime import MachineState, assert_equivalent, observe, run_sequential
+from repro.ssa import construct_ssa
 from repro.testing import random_pps_source
 
 from helpers import STANDARD_PPS, compile_module, standard_setup
@@ -69,19 +68,19 @@ def test_ssa_versions_point_at_roots():
     assert len({v.root() for v in versions}) == 1
 
 
-def test_destruct_removes_all_phis_and_verifies():
-    module, pps, ssa = ssa_of(STANDARD_PPS)
-    destruct_ssa(ssa)
-    assert not any(isinstance(i, Phi) for i in ssa.all_instructions())
-    verify_function(ssa)
+def _events(observation) -> int:
+    return (len(observation.tx)
+            + sum(len(events) for events in observation.traces.values())
+            + sum(len(messages) for messages in observation.pipes.values()))
 
 
-def test_destructed_ssa_is_semantically_identical():
+def test_ssa_form_runs_like_the_original():
+    """The runtime executes φ directly, so the SSA form of a PPS is itself
+    runnable, and it must observe exactly what the original does."""
     module = compile_module(STANDARD_PPS)
     pps = module.pps("worker")
     ssa = clone_function(pps)
     construct_ssa(ssa)
-    destruct_ssa(ssa)
 
     def run(function):
         state = MachineState(module)
@@ -90,16 +89,27 @@ def test_destructed_ssa_is_semantically_identical():
         return observe(state)
 
     base = run(pps)
-    roundtrip = run(ssa)
-    assert base.traces == roundtrip.traces
-    assert base.pipes == roundtrip.pipes
+    assert _events(base) > 0
+    assert_equivalent(base, run(ssa))
 
 
-def test_split_critical_edges_idempotent():
-    module, pps, ssa = ssa_of(STANDARD_PPS)
-    split_critical_edges(ssa)
-    assert split_critical_edges(ssa) == 0
-    verify_function(ssa, ssa=True)
+def test_ssa_form_of_random_programs_runs_like_the_original():
+    """The same on generated programs, fed as ``repro fuzz`` feeds them
+    (unfed, a generated program observes nothing and the check is
+    vacuous)."""
+    packets = 24
+    for seed in range(0, 401, 5):
+        module = compile_module(random_pps_source(seed))
+        pps = module.pps("generated")
+        ssa = clone_function(pps)
+        construct_ssa(ssa)
+        observed = []
+        for function in (pps, ssa):
+            state = fuzz_state(module, seed, packets)
+            run_sequential(function, state, iterations=packets)
+            observed.append(observe(state))
+        assert _events(observed[0]) > 0, seed
+        assert_equivalent(*observed)
 
 
 @settings(max_examples=15, deadline=None)
@@ -110,5 +120,3 @@ def test_ssa_construction_verifies_on_random_programs(seed):
     ssa = clone_function(pps)
     construct_ssa(ssa)
     verify_function(ssa, ssa=True)
-    destruct_ssa(ssa)
-    verify_function(ssa)
