@@ -26,9 +26,11 @@ rest: quarantine zeroes ``regs`` and an aborting trap never reads them).
 At a join a local survives iff it is current on every incoming path; what
 only some paths changed and the join still needs is written back where
 those paths end.  Constants are literals, the 32-bit wrap, bounds checks
-and trap messages are inline, and intrinsics are direct method calls on
-the machine state.  A region returns the name of the block the driver
-runs next (``None`` for return).
+and trap messages are inline, a packet, rbuf or region accessor is a
+subscript of the live buffer (found through a lookup bound per step) and
+a method call only where it traps (:data:`_ACCESSORS`), and the other
+intrinsics are method calls on the machine state.  A region returns the
+name of the block the driver runs next (``None`` for return).
 
 Statistics accounting is per *run* of non-blocking instructions: its
 instruction count and weight (and the terminator's, on a block's
@@ -68,9 +70,9 @@ with their directions, the loop header and the zero register file are
 found on first use, liveness and the plan are taken at the function's
 first block lookup, a region is generated when the driver first looks
 up its root, and code objects are memoised by source text (registers
-enter through each step's globals).
-``CompiledBlock.source`` keeps the text, and each function is named after
-its block, which is what a profile or a traceback shows.
+enter through each step's globals).  ``CompiledBlock.source`` keeps the
+text, and each function is named after its block, which is what a
+profile or a traceback shows.
 """
 
 from __future__ import annotations
@@ -386,6 +388,8 @@ _PROLOGUE = {
     "devices": "interp.state.devices",
     "stats": "interp.stats",
     "hits": "interp.stats.block_hits",
+    "pkt": "interp.state.packets._packets.get",
+    "elt": "interp.state.devices._elements.get",
 }
 #: A step's books: locals loaded like those, and settled into the
 #: interpreter once, by a ``finally`` around the step, however it ends.
@@ -439,9 +443,14 @@ class _Step:
         self.tags: dict[str, int] = {}    # join -> its value of ``nxt``
         self.pred: str | None = None   # of the block being written, if known
         self.numbers = blocks._compiled().block_names
+        self.frames: dict[str, str] = {}  # region -> its frame's local
 
     def emit(self, *lines: str) -> None:
         self.lines += [self.indent + line for line in lines]
+
+    def frame(self, region: str) -> str:
+        """The local the prologue binds ``region``'s frame (or None) to."""
+        return self.frames.setdefault(region, f"m{len(self.frames)}")
 
     def _slot(self, reg: VReg) -> int:
         slot = self.slots.get(reg)
@@ -519,6 +528,8 @@ class _Step:
             f"def {name}(interp):\n",
             *(f"{_INDENT}{local} = {value}\n"
               for local, value in _PROLOGUE.items() if local in named),
+            *(f"{_INDENT}{local} = interp.state.regions.get({region!r})\n"
+              for region, local in self.frames.items()),
             _INDENT + "; ".join(f"{book} = {_BOOKS[book][0]}"
                                 for book in books),
             f"\n{_INDENT}try:\n",
@@ -625,16 +636,7 @@ _METHODS = {
     "pkt_alloc": "packets.alloc",
     "pkt_free": "packets.free",
     "pkt_len": "packets.length",
-    "pkt_load": "packets.load",
-    "pkt_store": "packets.store",
-    "pkt_load_u16": "packets.load_u16",
-    "pkt_store_u16": "packets.store_u16",
-    "pkt_load_u32": "packets.load_u32",
-    "pkt_store_u32": "packets.store_u32",
-    "pkt_meta_get": "packets.meta_get",
-    "pkt_meta_set": "packets.meta_set",
     "rbuf_status": "devices.rbuf_status",
-    "rbuf_load": "devices.rbuf_load",
     "rbuf_free": "devices.rbuf_free",
     "tbuf_alloc": "devices.tbuf_alloc",
     "tbuf_store": "devices.tbuf_store",
@@ -642,6 +644,60 @@ _METHODS = {
     "mem_write": "state.region_write",
     "trace": "state.trace",
 }
+
+#: Accessors generated code does itself while the access lies wholly in a
+#: live packet (``pkt``), rbuf element (``elt``) or region frame (``mem``),
+#: calling the method otherwise, to trap as the reference oracle does:
+#: name -> (lookup, bytes reached, access, method).  The access reaches
+#: buffer ``d`` at ``{0}``, ``{1}``... (offset + 0, 1..., or the metadata
+#: key) and ``{v}`` is the value stored.
+_ACCESSORS = {
+    "pkt_load": ("pkt", 1, "d[{0}]", "packets.load"),
+    "pkt_load_u16": ("pkt", 2, "d[{0}] << 8 | d[{1}]", "packets.load_u16"),
+    "pkt_load_u32": ("pkt", 4, _WRAP % "d[{0}] << 24 | d[{1}] << 16 | "
+                     "d[{2}] << 8 | d[{3}]", "packets.load_u32"),
+    "pkt_store": ("pkt", 1, "d[{0}] = {v} & 0xFF", "packets.store"),
+    "pkt_store_u16": ("pkt", 2, "d[{0}] = {v} >> 8 & 0xFF; d[{1}] = {v} "
+                      "& 0xFF", "packets.store_u16"),
+    "pkt_store_u32": ("pkt", 4, "d[{0}] = {v} >> 24 & 0xFF; d[{1}] = {v} >> "
+                      "16 & 0xFF; d[{2}] = {v} >> 8 & 0xFF; d[{3}] = {v} & "
+                      "0xFF", "packets.store_u32"),
+    "pkt_meta_get": ("pkt", 0, _WRAP % "p.meta.get({0}, 0)",
+                     "packets.meta_get"),
+    "pkt_meta_set": ("pkt", 0, "p.meta[{0}] = {v}", "packets.meta_set"),
+    "rbuf_load": ("elt", 1, "d[{0}]", "devices.rbuf_load"),
+    "mem_read": ("mem", 1, _WRAP % "d[{0}]", "state.region_read"),
+}
+
+
+def _emit_access(step: _Step, inst: Call, args: list[str]) -> None:
+    """One of :data:`_ACCESSORS`: the access behind the test that it lies
+    inside, else the method (alone at a negative literal offset)."""
+    lookup, width, access, method = _ACCESSORS[inst.callee]
+    at, offset = args[1], inst.args[1]
+    fast = access.format(at, *(f"{at} + {k}" for k in range(1, width)),
+                         v=args[-1])
+    slow = f"{method}({', '.join(args)})"
+    if inst.dest is not None:
+        fast, slow = (step.store(inst.dest, fast),
+                      step.store(inst.dest, _WRAP % slow))
+    if isinstance(offset, Const) and wrap32(offset.value) < 0:
+        step.emit(slow)
+        return
+    if lookup == "mem":
+        test = f"(d := {step.frame(inst.args[0].name)}) is not None"
+        size = "len(d)"
+    else:
+        step.emit(f"p = {lookup}({args[0]})")
+        test = ("p is not None and not p.freed" if lookup == "pkt"
+                else "p is not None")
+        size = "len(d := p.data)"
+    if width and isinstance(offset, Const):  # folded: ``13 < len(d)``
+        test += f" and {at} + {width - 1} < {size}"
+    elif width:
+        test += f" and 0 <= {at} < {size}" + (f" - {width - 1}" if width > 1
+                                              else "")
+    step.emit(f"if {test}: {fast}", f"else: {slow}")
 
 
 def _emit_call(step: _Step, inst: Call) -> None:
@@ -654,7 +710,9 @@ def _emit_call(step: _Step, inst: Call) -> None:
     args = [step.read(arg) for arg in inst.args
             if not isinstance(arg, PipeRef)]
     method = _METHODS.get(name)
-    if method is not None:
+    if name in _ACCESSORS:
+        _emit_access(step, inst, args)
+    elif method is not None:
         call = f"{method}({', '.join(args)})"
         if dest is None:
             step.emit(call)
@@ -665,19 +723,6 @@ def _emit_call(step: _Step, inst: Call) -> None:
                          f"else 1")
     elif name == "hash32":
         step.write(dest, _WRAP % f"({args[0]} & 0xFFFFFFFF) * 2654435761")
-    elif name == "mem_read":
-        # The bounds protocol of MachineState.region_read, inlined (the
-        # trap messages must match it exactly).
-        region, addr = inst.args[0].name, args[1]
-        step.emit(
-            f"frame = state.regions.get({region!r})",
-            "if frame is None: raise TrapError(%r)"
-            % f"unknown memory region {region!r}",
-            "if not 0 <= %s < len(frame): raise TrapError("
-            'f"%s[{%s}] out of bounds ({len(frame)} words)")'
-            % (addr, _lit(region), addr),
-        )
-        step.write(dest, _WRAP % f"frame[{addr}]")
     elif name == "mem_add":
         region, addr, delta = args
         step.emit(

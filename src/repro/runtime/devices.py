@@ -135,11 +135,10 @@ class DeviceModel:
         return self._element(element).status
 
     def rbuf_load(self, element: int, offset: int) -> int:
-        mpacket = self._elements.get(element)
-        if mpacket is None or not 0 <= offset < len(mpacket.data):
-            self._element(element)  # an unknown element traps as that
+        data = self._element(element).data
+        if not 0 <= offset < len(data):
             raise DeviceError(f"rbuf_load: offset {offset} out of bounds")
-        return mpacket.data[offset]
+        return data[offset]
 
     def rbuf_free(self, element: int) -> None:
         if element not in self._elements:

@@ -50,26 +50,31 @@ def observe(state: MachineState) -> Observation:
             continue
         if not state.module.regions[name].readonly:
             snapshot.regions[name] = tuple(region)
-    handles: set[int] = set()
     for name, pipe in state.pipes.items():
-        if _STAGE_PIPE_MARKER in name:
-            continue
-        messages = tuple(pipe.queue)
-        snapshot.pipes[name] = messages
-        for message in messages:
-            words = message if isinstance(message, tuple) else (message,)
-            handles.update(word for word in words if word > 0)
-    for handle in sorted(handles):
-        try:
-            packet = state.packets.get(handle)
-        except Exception:
-            continue  # the word was not a packet handle
-        if not packet.freed:
-            snapshot.packets[handle] = (
-                bytes(packet.data),
-                tuple(sorted(packet.meta.items())),
-            )
+        if is_external(name):
+            snapshot.pipes[name] = tuple(pipe.queue)
+    snapshot.packets = packet_view(state, [
+        message for messages in snapshot.pipes.values()
+        for message in messages])
     return snapshot
+
+
+def is_external(pipe: str) -> bool:
+    """Whether ``pipe`` is the program's, not a realized stage ring."""
+    return _STAGE_PIPE_MARKER not in pipe
+
+
+def packet_view(state: MachineState, messages) -> dict[int, tuple]:
+    """``handle -> (payload, sorted metadata)`` of each live packet that a
+    word of ``messages`` (words or word tuples) names."""
+    view = {}
+    for message in messages:
+        for word in message if isinstance(message, tuple) else (message,):
+            packet = state.packets._packets.get(word)
+            if packet is not None and not packet.freed:
+                view[word] = (bytes(packet.data),
+                              tuple(sorted(packet.meta.items())))
+    return dict(sorted(view.items()))
 
 
 @dataclass
@@ -96,26 +101,15 @@ def compare(expected: Observation, actual: Observation) -> list[Mismatch]:
             got = actual.tx[index] if index < len(actual.tx) else None
             if want != got:
                 mismatches.append(Mismatch("tx", index, want, got))
-    for tag in sorted(set(expected.traces) | set(actual.traces)):
-        want = expected.traces.get(tag, ())
-        got = actual.traces.get(tag, ())
-        if want != got:
-            mismatches.append(Mismatch("trace", tag, want, got))
-    for name in sorted(set(expected.regions) | set(actual.regions)):
-        want = expected.regions.get(name)
-        got = actual.regions.get(name)
-        if want != got:
-            mismatches.append(Mismatch("region", name, want, got))
-    for name in sorted(set(expected.pipes) | set(actual.pipes)):
-        want = expected.pipes.get(name, ())
-        got = actual.pipes.get(name, ())
-        if want != got:
-            mismatches.append(Mismatch("pipe", name, want, got))
-    for handle in sorted(set(expected.packets) | set(actual.packets)):
-        want = expected.packets.get(handle)
-        got = actual.packets.get(handle)
-        if want != got:
-            mismatches.append(Mismatch("packet", handle, want, got))
+    for kind, field, missing in (("trace", "traces", ()),
+                                 ("region", "regions", None),
+                                 ("pipe", "pipes", ()),
+                                 ("packet", "packets", None)):
+        wants, gots = getattr(expected, field), getattr(actual, field)
+        for key in sorted(set(wants) | set(gots)):
+            want, got = wants.get(key, missing), gots.get(key, missing)
+            if want != got:
+                mismatches.append(Mismatch(kind, key, want, got))
     return mismatches
 
 

@@ -273,6 +273,9 @@ def compare_deltas(shard: int, expected: list[dict],
         if want["traces"] != got["traces"]:
             mismatches.append(
                 f"shard {shard} batch {seq}: traces diverged")
+        if want["forwarded"] != got["forwarded"]:
+            mismatches.append(
+                f"shard {shard} batch {seq}: forwarded messages diverged")
     return mismatches
 
 
@@ -298,6 +301,7 @@ class _OracleStream:
         self._shard = 0             # the shard being simulated
         self._done = 0              # batches of it simulated so far
         self._deltas = None         # its oracle_deltas generator
+        self.messages_compared = 0  # pipe messages held to the oracle's
 
     @property
     def exhausted(self) -> bool:
@@ -352,8 +356,10 @@ class _OracleStream:
     def _settle(self, shard: int, seq: int) -> None:
         expected, committed = self._expected[shard], self._committed[shard]
         if seq in expected and seq in committed:
-            lines = compare_deltas(shard, [expected.pop(seq)],
-                                   {seq: committed.pop(seq)}, first=seq)
+            want = expected.pop(seq)
+            self.messages_compared += want["forwarded"][0]
+            lines = compare_deltas(shard, [want], {seq: committed.pop(seq)},
+                                   first=seq)
             if lines:
                 self._mismatches[shard, seq] = lines
 
@@ -791,6 +797,7 @@ class ServeRuntime:
         if self._oracle is not None:
             report.mismatches = self._oracle.finish()
             report.verified = not report.mismatches
+            counters["messages_compared"] = self._oracle.messages_compared
         report.timings = self._timings(time.monotonic())
         return report
 

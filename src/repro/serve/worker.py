@@ -11,9 +11,11 @@ it, see :mod:`repro.serve.journal`).
 
 Per batch the worker feeds the packets, runs the compiled pipeline
 (degree 1 = the sequential PPS) under a fresh watchdog, and ships the
-*observable delta* — new TX records and trace events plus execution
-counters — up its private pipe.  One writer per pipe means a SIGKILL at
-any instant cannot corrupt a sibling's message stream.
+*observable delta* — new TX records and trace events, a digest of the
+messages forwarded on the program's own pipes (with the packets they
+name), and execution counters — up its private pipe.  One writer per
+pipe means a SIGKILL at any instant cannot corrupt a sibling's message
+stream.
 
 Failure reporting reuses the PR 3 watchdog classification: a
 :class:`~repro.errors.DeadlockError` surfaces with its ``kind``
@@ -35,6 +37,7 @@ import sys
 import time
 
 from repro.errors import DeadlockError, TrapError
+from repro.runtime.equivalence import is_external, packet_view
 from repro.runtime.faults import WorkerFaults
 from repro.runtime.scheduler import run_pipeline, run_sequential
 from repro.runtime.state import MachineState
@@ -65,11 +68,12 @@ class BatchRunner:
         self.state = MachineState(app.module)
         self._tx_seen = 0
         self._trace_seen: dict[int, int] = {}
+        self._sent_seen: dict[str, int] = {}
 
     def run(self, packets: list) -> tuple[dict, dict]:
         """Feed one batch, run it, and return ``(delta, counters)``: the
-        batch's new observables (TX records + trace events) and its
-        execution counters."""
+        batch's new observables (TX records, trace events, forwarded
+        messages) and its execution counters."""
         state = self.state
         iterations = self._app.feed(state, packets)
         watchdog = (Watchdog(self._watchdog_quantum)
@@ -100,7 +104,28 @@ class BatchRunner:
             if len(events) > seen:
                 traces[tag] = list(events[seen:])
                 self._trace_seen[tag] = len(events)
-        return {"tx": tx, "traces": traces}
+        return {"tx": tx, "traces": traces, "forwarded": self._forwarded()}
+
+    def _forwarded(self) -> tuple[int, int]:
+        """What the program forwarded since the previous call: the
+        messages sent on its own pipes and still queued, with the bytes
+        and metadata of the packets they name (ipv4 emits no TX record),
+        as their count and a digest.  Whole, they would cost microseconds
+        per packet to pickle, ship and compare.  The digest is ``hash``,
+        salted per interpreter: a worker is a fork of the supervisor,
+        whose oracle digests with the same salt."""
+        forwarded, count = [], 0
+        for name, pipe in sorted(self.state.pipes.items()):
+            queue, seen = pipe.queue, self._sent_seen.get(name, 0)
+            self._sent_seen[name] = pipe.sent
+            new = min(pipe.sent - seen, len(queue))
+            if new and is_external(name):
+                messages = tuple(queue[index] for index
+                                 in range(len(queue) - new, len(queue)))
+                view = packet_view(self.state, messages)
+                forwarded.append((name, messages, tuple(view.items())))
+                count += new
+        return count, hash(tuple(forwarded))
 
 
 def worker_main(app, stages: list | None, watchdog_quantum: int | None,

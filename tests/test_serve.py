@@ -49,6 +49,7 @@ def test_clean_run_delivers_and_verifies():
     assert report.counters["restarts"] == 0
     assert report.counters["redeliveries"] == 0
     assert report.counters["workers_spawned"] >= 1
+    assert report.counters["messages_compared"] > 0
 
 
 def test_worker_kill_replays_bit_identically():
@@ -246,6 +247,36 @@ def test_tampered_delta_is_named_whichever_side_arrives_first(
                 f"shard 1 batch {seq}: traces diverged")
     assert report.mismatches == [expected]
     assert "FAILED (1 mismatches)" in report.render()
+
+
+def test_a_flipped_forwarded_byte_is_a_mismatch():
+    """ipv4 emits no TX record: what it forwards is the handle it sends
+    on ``ipv4_out`` after the header rewrite.  A delta holds those
+    messages, with the bytes and metadata of the packets they name, so a
+    worker that forwarded one wrong byte diverges from the oracle."""
+    from repro.apps.suite import build_app
+    from repro.serve import compare_deltas, make_batches, shard_oracle
+    from repro.serve.worker import BatchRunner
+
+    class Flipping(BatchRunner):
+        seq = 0
+
+        def _take_delta(self):
+            self.seq += 1
+            if self.seq == 2:
+                handle = self.state.pipe("ipv4_out").queue[-1]
+                self.state.packets.get(handle).data[8] ^= 1  # the TTL
+            return super()._take_delta()
+
+    app = build_app("ipv4", packets=STREAM_PACKETS, seed=7)
+    batches = make_batches(app.stream(), STREAM_BATCH)
+    oracle = shard_oracle(app, batches)
+    assert all(delta["forwarded"][0] for delta in oracle)
+    worker = Flipping(app)
+    deltas = {seq: worker.run(packets)[0]
+              for seq, packets in enumerate(batches, start=1)}
+    assert compare_deltas(0, oracle, deltas) == [
+        "shard 0 batch 2: forwarded messages diverged"]
 
 
 def holds_observables(root) -> bool:
