@@ -325,6 +325,10 @@ def build_app(name: str, *, packets: int = 200, seed: int = 7) -> AppInstance:
 #: IPv6 traffic variants).
 IPV4_FORWARDING_PPSES = ["rx", "ipv4", "scheduler", "qm", "tx"]
 IP_FORWARDING_PPSES = ["rx", "ip_v4", "ip_v6", "tx"]
+#: Every distinct PPS the figures plot, in paper order: the apps of
+#: ``BENCH_headline.json`` and the default of ``repro plan`` / ``explore``.
+FIGURE_APPS = tuple(dict.fromkeys(IPV4_FORWARDING_PPSES
+                                  + IP_FORWARDING_PPSES))
 
 
 def full_ipv4_source() -> str:

@@ -520,32 +520,27 @@ def cmd_serve(args) -> int:
 def cmd_figures(args) -> int:
     """``repro figures``: print Figures 19–22 and the headline from one
     :func:`~repro.eval.experiments.figures_record`; ``-o`` writes it."""
-    from repro.eval.experiments import figures_record
+    from repro.eval.experiments import FIGURES, figure_series, figures_record
+    from repro.eval.explore import ExploreError
     from repro.eval.report import render_figure
 
-    record = figures_record(
-        packets=args.packets, jobs=args.jobs,
-        degrees=_parse_list("--degrees", args.degrees, int))
-    # Figures 21/22 plot the overhead of Figure 19/20's applications.
-    for application, metric, title, value_format in (
-            ("figure19", "speedup_by_degree",
-             "Figure 19: speedup, IPv4 forwarding PPSes", "{:6.2f}"),
-            ("figure20", "speedup_by_degree",
-             "Figure 20: speedup, IP forwarding PPSes", "{:6.2f}"),
-            ("figure19", "overhead_by_degree",
-             "Figure 21: live-set overhead, IPv4 forwarding", "{:6.3f}"),
-            ("figure20", "overhead_by_degree",
-             "Figure 22: live-set overhead, IP forwarding", "{:6.3f}")):
-        print(render_figure(title, record["figures"][application][metric],
+    try:
+        record = figures_record(
+            packets=args.packets, jobs=args.jobs,
+            degrees=_parse_list("--degrees", args.degrees, int))
+    except ExploreError as exc:
+        raise CLIError(str(exc)) from exc
+    for title, apps, metric, value_format in FIGURES:
+        print(render_figure(title, figure_series(record, apps, metric),
                             value_format=value_format))
         print()
-    top = record["config"]["degrees"][-1]
+    top = record["space"]["degrees"][-1]
     print(f"Headline ({top}-stage pipeline):")
-    for name in ("ipv4", "ip_v4", "ip_v6"):
-        print(f"  {name:8s} "
-              f"{record[f'headline_speedup_degree{top}'][name]:5.2f}x")
+    for name, curve in figure_series(record, ("ipv4", "ip_v4", "ip_v6"),
+                                     "speedup").items():
+        print(f"  {name:8s} {curve[top]:5.2f}x")
     if args.output:
-        _write_json(args.output, record)
+        _write_json(args.output, record, sort_keys=True)
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -577,12 +572,11 @@ def _partition_profile_table(rows: list[dict]) -> str:
 
 def cmd_plan(args) -> int:
     """``repro plan``: pre-partition the (app x degree) matrix in parallel."""
-    from repro.apps.suite import IP_FORWARDING_PPSES, IPV4_FORWARDING_PPSES
+    from repro.apps.suite import FIGURE_APPS
     from repro.eval.sweep import plan_partitions
 
     degrees = _parse_list("--degrees", args.degrees, int)
-    apps = (_parse_list("--apps", args.apps) if args.apps
-            else IPV4_FORWARDING_PPSES + IP_FORWARDING_PPSES)
+    apps = _parse_list("--apps", args.apps) if args.apps else FIGURE_APPS
     cache = _open_cache(args)
     if cache is None and args.jobs > 1:
         print("warning: --no-cache with -j > 1 plans in parallel but "
@@ -604,7 +598,7 @@ def cmd_plan(args) -> int:
 
 def cmd_explore(args) -> int:
     """``repro explore``: cost-aware design-space exploration."""
-    from repro.apps.suite import IPV4_FORWARDING_PPSES
+    from repro.apps.suite import FIGURE_APPS
     from repro.eval.explore import (
         ExploreError,
         SearchSpace,
@@ -614,8 +608,7 @@ def cmd_explore(args) -> int:
         render_summary,
     )
 
-    apps = (_parse_list("--apps", args.apps) if args.apps
-            else IPV4_FORWARDING_PPSES)
+    apps = _parse_list("--apps", args.apps) if args.apps else FIGURE_APPS
     try:
         space = SearchSpace(
             apps=tuple(apps),
@@ -785,7 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("-o", "--output", default=None,
                        help="write the record as JSON (the committed "
                             "BENCH_headline.json is this file at the "
-                            "default packets and degrees)")
+                            "default packets and degrees, and the "
+                            "frontier.json of a default repro explore)")
     p_fig.set_defaults(func=cmd_figures)
 
     p_plan = sub.add_parser(

@@ -15,8 +15,8 @@ frontier beat fixed-k heuristics.  This module is that search for PPS-C:
    supervisor-verified pipeline (:mod:`repro.eval.sweep` fan-out): each
    cell is partitioned via :func:`~repro.pipeline.supervisor.supervise_partition`
    (independent verification + graceful degradation) and simulated with
-   the observational-equivalence check on — the same row function
-   ``repro figures`` projects its default-knob slice from;
+   the observational-equivalence check on — over the figure PPSes at
+   the default knobs this *is* ``repro figures``;
 3. **score** each cell on (simulated throughput — the speedup over the
    sequential PPS, transmitted live-set words, realized stage count);
    the cell also records the live-set overhead and the partition and
@@ -31,10 +31,10 @@ Determinism: the scored metrics are exactly the deterministic outputs of
 the partitioner + simulator, so the frontier artifact produced by
 :func:`deterministic_report` is byte-identical across repeated runs and
 across ``-j`` levels (wall-clock timings and cache counters are confined
-to the separately written timings report).  CI diffs two back-to-back
-runs to hold that line, and tier-1 regenerates the default grid and
-requires the committed ``EXPLORE_frontier.json`` back byte for byte
-(``tests/test_paper_numbers.py``).
+to the separately written timings report).  The default space's report
+is the committed ``BENCH_headline.json``, which tier-1 regenerates
+through ``repro figures`` (``tests/test_paper_numbers.py``) and CI
+through a warm ``-j 2`` ``repro explore``, both byte for byte.
 
 Why the pick rule is *marginal* (a knee finder): speedup curves in this
 domain flatten when per-stage live-set transmission stops shrinking
@@ -57,11 +57,13 @@ from repro.errors import ReproError
 from repro.runspec import Knobs
 
 #: Version of the frontier-report schema; bump on layout changes, with
-#: the regenerated ``EXPLORE_frontier.json`` in the same commit.
+#: the regenerated ``BENCH_headline.json`` in the same commit.
 #: v4: a cell's ``metrics`` also carry what ``repro figures`` reads off
 #: it — ``overhead``, ``cut_iterations``, ``pr_work`` and
 #: ``simulated_instructions``.
-EXPLORE_SCHEMA_VERSION = 4
+#: v5: ``repro figures`` writes this report as ``BENCH_headline.json``
+#: (no projected layout), and a space's apps are de-duplicated.
+EXPLORE_SCHEMA_VERSION = 5
 
 #: Objective directions: maximize speedup, minimize words and stages.
 OBJECTIVES = ("speedup", "transmitted_words", "stages")
@@ -81,7 +83,8 @@ class SearchSpace:
     ``degrees`` should normally include 1: the sequential PPS is the
     always-valid floor every pipelined cell is judged against, and the
     auto-pick ladder starts from it (so apps that do not pipeline —
-    scheduler, qm — pick degree 1 instead of a losing cell).
+    scheduler, qm — pick degree 1 instead of a losing cell).  ``apps``
+    is de-duplicated in order: an app named twice is one row.
     """
 
     apps: tuple
@@ -91,6 +94,9 @@ class SearchSpace:
     max_block_instructions: tuple = (Knobs.max_block_instructions,)
     packets: int = 60
     seed: int = 7
+
+    def __post_init__(self):
+        object.__setattr__(self, "apps", tuple(dict.fromkeys(self.apps)))
 
     def validate(self) -> "SearchSpace":
         """Check the space is well-formed; returns self for chaining.
@@ -482,8 +488,7 @@ def deterministic_report(report: dict) -> dict:
     cell); everything left is a pure function of the search space, so
     repeated runs — at any ``-j`` level, cold or cached — produce the
     same bytes.  This is what ``repro explore`` writes to
-    ``frontier.json``, what the CI determinism diff compares and what
-    tier-1 holds ``EXPLORE_frontier.json`` to.
+    ``frontier.json`` and ``repro figures`` writes as the record.
     """
     clean = {key: value for key, value in report.items()
              if key not in ("timing", "cache")}

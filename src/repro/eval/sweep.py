@@ -9,8 +9,8 @@ work as :class:`SweepTask` cells and run them here, inline or on a
 ``concurrent.futures.ProcessPoolExecutor`` (``-j N`` on the CLI).  The
 paper's cost model has one row function, :func:`_score_cells` —
 supervised partition, then simulation checked for equivalence — which
-``explore`` runs over its search space and ``figures`` over the
-default-knob slice; ``plan`` runs its partition half alone.  With:
+``explore`` runs over its search space (``figures`` is ``explore`` over
+the figure PPSes); ``plan`` runs its partition half alone.  With:
 
 * **deterministic merge** — results are returned in *task order* (the
   builders emit tasks ordered by (app, D)) no matter which worker
@@ -236,8 +236,7 @@ def _score_cells(task: SweepTask, cache):
     observational-equivalence check on.  The record carries one cell
     dict per degree; its ``metrics`` are pure functions of the task,
     and the nondeterministic partition wall seconds live under each
-    cell's ``timing``.  ``sequential_instructions`` is what the shared
-    baseline run executed (no cell counts it).
+    cell's ``timing``.
     """
     from repro.eval.metrics import measure_pipeline, measure_sequential
 
@@ -277,8 +276,7 @@ def _score_cells(task: SweepTask, cache):
             record["cell"] = cell_name(spec.app, degree, spec.knobs)["id"]
             cell_failures.append(record)
 
-    return ({"cells": cells, "cell_failures": cell_failures,
-             "sequential_instructions": baseline.total_instructions},
+    return ({"cells": cells, "cell_failures": cell_failures},
             _row_timing(build_seconds, cells))
 
 

@@ -282,9 +282,12 @@ def test_keep_going_flags_parse():
 
 def test_figures_writes_record(tmp_path, capsys):
     """``figures`` prints the four figures and the headline; ``-o`` writes
-    the library function's record, the same bytes at every ``-j``."""
+    the library function's record, the same bytes at every ``-j`` — and
+    the same bytes as ``repro explore``'s frontier over the same space,
+    which is the default ``repro explore`` space."""
     import json
 
+    from repro.apps.suite import FIGURE_APPS
     from repro.eval.experiments import figures_record
 
     outputs = []
@@ -302,10 +305,24 @@ def test_figures_writes_record(tmp_path, capsys):
             assert line in out
         outputs.append(output.read_bytes())
     assert outputs[0] == outputs[1]
+    assert main(["explore", "--packets", "8", "--degrees", "1,2",
+                 "--no-cache", "-o", str(tmp_path / "explore")]) == 0
+    assert (tmp_path / "explore" / "frontier.json").read_bytes() == \
+        outputs[0]
     record = figures_record(packets=8, degrees=[1, 2])
     assert json.loads(outputs[0]) == json.loads(json.dumps(record))
-    assert len(record["partition_breakdown"]) == 7  # one per distinct app
-    assert record["figures"]["figure19"]["simulated_instructions"] > 0
+    assert sorted(record) == ["apps", "schema", "space", "weights"]
+    assert record["space"]["apps"] == list(FIGURE_APPS)
+    assert sorted(record["apps"]["rx"]["cells"][1]["metrics"]) == [
+        "cut_iterations", "longest_stage", "overhead", "pr_work",
+        "simulated_instructions", "speedup", "stages", "transmitted_words"]
+
+
+def test_figures_bad_degree_is_a_usage_error(capsys):
+    """``figures`` checks its space as ``explore`` does: degree 0 is a
+    usage error before anything runs, not a "d=0" column."""
+    assert main(["figures", "--degrees", "0,1"]) == 2
+    assert "error: bad degree 0" in capsys.readouterr().err
 
 
 def test_bench_subcommand_is_gone(capsys):

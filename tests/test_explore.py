@@ -15,7 +15,8 @@ The contract under test:
   rejected before anything runs.
 
 That the default grid still regenerates the committed
-``EXPLORE_frontier.json`` byte for byte is ``tests/test_paper_numbers.py``.
+``BENCH_headline.json`` byte for byte, picks included, is
+``tests/test_paper_numbers.py``.
 """
 
 from __future__ import annotations
@@ -216,6 +217,20 @@ def test_combos_are_deterministic_and_deduplicated():
         Knobs(epsilon=0.25, max_block_instructions=12),
     ]
     assert space.cell_count() == 4
+
+
+def test_an_app_named_twice_is_one_row():
+    """Apps are de-duplicated in order, as rings are: ``--apps rx,rx``
+    explores, scores and picks exactly what ``--apps rx`` does — a
+    duplicated row would tie each cell with its own copy and stop the
+    pick ladder at d1."""
+    twice = SearchSpace(apps=("rx", "tx", "rx"), degrees=(1, 2), packets=4)
+    once = SearchSpace(apps=("rx", "tx"), degrees=(1, 2), packets=4)
+    assert twice == once and twice.cell_count() == 4
+    assert (deterministic_report(explore(SearchSpace(
+        apps=("rx", "rx"), degrees=(1, 2), packets=4)))
+        == deterministic_report(explore(SearchSpace(
+            apps=("rx",), degrees=(1, 2), packets=4))))
 
 
 # -- the driver: parallel == sequential, cell for cell -----------------------

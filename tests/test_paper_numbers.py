@@ -1,12 +1,14 @@
 """The paper's numbers, pinned (EXPERIMENTS.md is the prose around them).
 
-* **Goldens** — ``BENCH_headline.json`` and ``EXPLORE_frontier.json`` are
-  regenerated, uncached, through the CLI that writes them and must come
-  back byte for byte: both are pure functions of the source, so any
-  difference is a changed partition (or cost model), listed cell by cell.
-* **Claims** — the shapes the paper reports for Figures 19–22 and its
-  ">4X at 9 stages" headline, read from the committed record (the golden
-  test is what ties that file to the code).
+* **Golden** — ``BENCH_headline.json``, the verified explore report over
+  the seven figure PPSes, is regenerated, uncached, through the CLI that
+  writes it and must come back byte for byte: it is a pure function of
+  the source, so any difference is a changed partition (or cost model),
+  listed cell by cell.
+* **Claims** — the shapes the paper reports for Figures 19–22, its
+  ">4X at 9 stages" headline and each app's auto-pick, read from the
+  committed record through the one figure view (the golden test is what
+  ties that file to the code).
 * **Experiments** — what the record does not hold: the d=10 column, the
   ablations, and the extension tables, each EXPERIMENTS.md table pinned
   to the digits it prints so the document cannot drift from the code.
@@ -24,9 +26,15 @@ import pytest
 
 from repro.analysis.cfg import cfg_of, find_pps_loop
 from repro.analysis.graph import strongly_connected_components
-from repro.apps.suite import IPV4_FORWARDING_PPSES, build_app
+from repro.apps.suite import (
+    FIGURE_APPS,
+    IP_FORWARDING_PPSES,
+    IPV4_FORWARDING_PPSES,
+    build_app,
+)
 from repro.cli import main
 from repro.eval.allocation import CostCurves, allocate_engines
+from repro.eval.experiments import figure_series
 from repro.eval.explore import SearchSpace
 from repro.eval.metrics import (
     make_profiler,
@@ -45,7 +53,6 @@ from repro.testing.baselines import greedy_weight_split, level_split
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_HEADLINE = ROOT / "BENCH_headline.json"
-EXPLORE_FRONTIER = ROOT / "EXPLORE_frontier.json"
 
 
 # -- goldens ------------------------------------------------------------------
@@ -99,39 +106,6 @@ def test_headline_record_is_what_repro_figures_writes(tmp_path):
     _assert_regenerates(BENCH_HEADLINE, fresh, "repro figures -o")
 
 
-def test_explore_frontier_json_is_what_repro_explore_writes(tmp_path):
-    assert main(["explore", "--no-cache", "-o", str(tmp_path)]) == 0
-    _assert_regenerates(EXPLORE_FRONTIER, tmp_path / "frontier.json",
-                        "repro explore --no-cache")
-
-
-def test_headline_and_frontier_agree_on_every_shared_cell():
-    """The two committed records are one sweep seen twice: ``repro
-    figures`` is the default-knob slice of the ``repro explore`` row, so
-    every (app, D) cell of the frontier carries exactly the record's
-    speedup and overhead.  A file regenerated by a path the other did
-    not take fails here.  Reads JSON only."""
-    headline = json.loads(BENCH_HEADLINE.read_text())
-    frontier = json.loads(EXPLORE_FRONTIER.read_text())
-    figures = {}
-    for figure in headline["figures"].values():
-        for metric in ("speedup_by_degree", "overhead_by_degree"):
-            for app, series in figure[metric].items():
-                for degree, value in series.items():
-                    figures.setdefault((app, int(degree)), {})[metric] = value
-    shared = 0
-    for app, entry in frontier["apps"].items():
-        for cell in entry["cells"]:
-            degree = cell["config"]["degree"]
-            assert (app, degree) in figures, cell["id"]
-            assert (cell["metrics"]["speedup"],
-                    cell["metrics"]["overhead"]) == (
-                figures[app, degree]["speedup_by_degree"],
-                figures[app, degree]["overhead_by_degree"]), cell["id"]
-            shared += 1
-    assert shared == 45  # 5 apps x D 1..9 at the default knobs
-
-
 # -- claims, read from the committed record -----------------------------------
 
 
@@ -140,23 +114,32 @@ def record():
     return json.loads(BENCH_HEADLINE.read_text())
 
 
-def _series(record, figure, metric):
-    """``{app: {degree: value}}`` of one figure, degrees as integers."""
-    return {app: {int(degree): value for degree, value in series.items()}
-            for app, series in record["figures"][figure][metric].items()}
-
-
 def test_headline_more_than_4x_at_nine_stages(record):
     """"For a 9-stage pipeline ... more than 4X speedup for the IPv4
     forwarding PPS and the IP forwarding PPS (for both the IPv4 traffic
     and IPv6 traffic)" (§4)."""
-    headline = record["headline_speedup_degree9"]
-    for name in ("ipv4", "ip_v4", "ip_v6"):
-        assert headline[name] > 4.0, f"{name} must exceed 4x at 9 stages"
+    assert record["space"]["degrees"][-1] == 9
+    for name, curve in figure_series(record, ("ipv4", "ip_v4", "ip_v6"),
+                                     "speedup").items():
+        assert curve[9] > 4.0, f"{name} must exceed 4x at 9 stages"
+
+
+def test_auto_picks_by_name(record):
+    """Each figure PPS's marginal pick (``repro explore``'s one rule):
+    RX and TX park where their curves level off, the IPv4 PPS and the IP
+    PPS on IPv6 traffic climb to the top of the grid, the IP PPS on IPv4
+    traffic stops at 5, and the unpipelinable Scheduler and QM stay
+    sequential."""
+    picks = {app: entry["pick"]["config"]["degree"]
+             for app, entry in record["apps"].items()}
+    assert picks == {"rx": 5, "ipv4": 9, "scheduler": 1, "qm": 1, "tx": 4,
+                     "ip_v4": 5, "ip_v6": 9}
+    for app, entry in record["apps"].items():
+        assert entry["pick"]["id"] in entry["frontier"], app
 
 
 def test_figure19_shapes(record):
-    curves = _series(record, "figure19", "speedup_by_degree")
+    curves = figure_series(record, IPV4_FORWARDING_PPSES, "speedup")
     # RX/TX scale early, then level off: the tail gains little.
     for name in ("rx", "tx"):
         assert curves[name][5] > 1.8, f"{name} must scale to mid degrees"
@@ -169,7 +152,7 @@ def test_figure19_shapes(record):
 
 
 def test_figure20_shapes(record):
-    curves = _series(record, "figure20", "speedup_by_degree")
+    curves = figure_series(record, IP_FORWARDING_PPSES, "speedup")
     for name in ("ip_v4", "ip_v6"):
         assert curves[name][5] > curves[name][2] > 1.2
         assert curves[name][9] > curves[name][5]
@@ -182,7 +165,7 @@ def _tail_mean(curve):
 
 
 def test_figure21_shapes(record):
-    overhead = _series(record, "figure19", "overhead_by_degree")
+    overhead = figure_series(record, IPV4_FORWARDING_PPSES, "overhead")
     assert all(curve[1] == 0.0 for curve in overhead.values())
     for name in ("rx", "ipv4", "tx"):
         assert overhead[name][9] > overhead[name][2] > 0.0, \
@@ -196,7 +179,7 @@ def test_figure21_shapes(record):
 
 
 def test_figure22_shapes(record):
-    overhead = _series(record, "figure20", "overhead_by_degree")
+    overhead = figure_series(record, IP_FORWARDING_PPSES, "overhead")
     for name, curve in overhead.items():
         assert curve[1] == 0.0
         assert curve[9] > 0.0, f"{name} must transmit at degree 9"
@@ -213,9 +196,7 @@ PACKETS = 60
 
 @pytest.fixture(scope="module")
 def apps():
-    return {name: build_app(name, packets=PACKETS)
-            for name in ("rx", "ipv4", "scheduler", "qm", "tx",
-                         "ip_v4", "ip_v6")}
+    return {name: build_app(name, packets=PACKETS) for name in FIGURE_APPS}
 
 
 @pytest.fixture(scope="module")
@@ -238,9 +219,7 @@ def test_degree_ten_column(record):
     assert overhead == {"rx": 0.294, "tx": 0.273, "ipv4": 0.376,
                         "ip_v4": 0.279, "ip_v6": 0.369}
 
-    committed = {
-        **_series(record, "figure19", "speedup_by_degree"),
-        **_series(record, "figure20", "speedup_by_degree")}
+    committed = figure_series(record, record["apps"], "speedup")
     assert speedup["ipv4"] >= committed["ipv4"][9]
     assert speedup["ipv4"] > max(speedup["rx"], speedup["tx"])
     for name in ("rx", "tx"):

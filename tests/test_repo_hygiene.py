@@ -109,6 +109,10 @@ def test_the_reference_oracle_is_test_equipment_only():
 #: Long options the checked documents quote from other programs.
 _FOREIGN_FLAGS = {"--workload"}      # bench/run.py
 
+#: Top-level file names the checked documents quote as outputs to write,
+#: not as files the repo holds.
+_WRITTEN_FILES = {"CHAOS_report.json"}   # the CI chaos job's -o
+
 
 def _documents() -> list[Path]:
     return [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
@@ -165,18 +169,24 @@ def test_docs_name_only_files_and_names_that_exist():
     """Every repo path under ``src/``, ``tests/``, ``bench/``,
     ``examples/``, ``scripts/`` or ``docs/``, every bare ``test_*.py``
     (under ``tests/``), every ``path::name`` (a ``def`` or ``class`` of
-    that file) and every back-ticked ``repro.a.b[.Attr]`` (imports and
-    resolves) that the documents name exists — a renamed test file or a
-    deleted module cannot live on in prose."""
+    that file), every top-level ``NAME.json`` / ``NAME.md`` (a committed
+    record such as ``BENCH_headline.json``) and every back-ticked
+    ``repro.a.b[.Attr]`` (imports and resolves) that the documents name
+    exists — a renamed test file, a deleted record or a deleted module
+    cannot live on in prose."""
     import re
 
     roots = "src|tests|bench|examples|scripts|docs"
     path_ref = re.compile(
         rf"(?<![\w./-])((?:{roots})/[\w./-]*\w|test_\w+\.py)(?:::(\w+))?")
+    top_ref = re.compile(r"(?<![\w./-])([A-Z][\w-]*\.(?:json|md))(?![\w/])")
     module_ref = re.compile(r"`(repro(?:\.\w+)+)")
     stale = []
     for document in _documents():
         text = document.read_text(encoding="utf-8")
+        stale += [f"{document.name}: {name}"
+                  for name in top_ref.findall(text)
+                  if name not in _WRITTEN_FILES and not (REPO / name).exists()]
         for ref, name in path_ref.findall(text):
             path = REPO / ref if "/" in ref else REPO / "tests" / ref
             if not path.exists():

@@ -262,22 +262,23 @@ def test_chaos_sweep_parallel_identical_to_inline(tmp_path):
 
 def test_figures_record_is_one_path_at_every_jobs_level():
     """``repro figures``: the same record — every field of it — and each
-    distinct app partitioned once, whether inline or fanned out."""
+    distinct app partitioned once, whether inline or fanned out; and
+    that record is the deterministic explore report over the figure
+    PPSes, cell for cell."""
+    from repro.apps.suite import FIGURE_APPS
     from repro.eval.experiments import figures_record
+    from repro.eval.explore import deterministic_report, explore
 
     inline = figures_record(packets=4, degrees=[1, 2], jobs=1)
     fanned = figures_record(packets=4, degrees=[1, 2], jobs=2)
     assert json.dumps(inline) == json.dumps(fanned)
-    assert list(inline) == ["config", "partition_breakdown", "figures",
-                            "headline_speedup_degree2"]
-    assert inline["config"] == {"packets": 4, "seed": 7, "degrees": [1, 2]}
-    assert sorted(inline["partition_breakdown"]) == \
-        ["ip_v4", "ip_v6", "ipv4", "qm", "rx", "scheduler", "tx"]
-    assert set(inline["partition_breakdown"]["rx"]["2"]) == \
-        {"cut_iterations", "pr_work"}
-    for metric in ("speedup_by_degree", "overhead_by_degree"):
-        assert set(inline["figures"]["figure20"][metric]) == \
-            {"rx", "ip_v4", "ip_v6", "tx"}
+    assert inline == deterministic_report(explore(SearchSpace(
+        apps=FIGURE_APPS, degrees=(1, 2), packets=4)))
+    assert list(inline["apps"]) == list(FIGURE_APPS)
+    for app, entry in inline["apps"].items():
+        assert [cell["id"] for cell in entry["cells"]] == [
+            f"{app}/nn-ring/d{degree}/e0.0625/b12" for degree in (1, 2)]
+        assert entry["pick"] is not None
 
 
 @pytest.mark.parametrize("rejects", ["every-attempt", "first-attempt"])
