@@ -190,12 +190,23 @@ def _adopt_stream(state: MachineState, packets: list[bytes],
         state.pipe(pipe).send(handle)
 
 
-def build_app(name: str, *, packets: int = 200, seed: int = 7) -> AppInstance:
-    """Build one benchmark PPS by name.
+#: The PPSes of the two benchmark applications, in paper order: the
+#: series of Figures 19/21 and of Figures 20/22 (``ip`` as its IPv4 and
+#: IPv6 traffic variants).
+IPV4_FORWARDING_PPSES = ["rx", "ipv4", "scheduler", "qm", "tx"]
+IP_FORWARDING_PPSES = ["rx", "ip_v4", "ip_v6", "tx"]
+#: Every app :func:`build_app` builds, in paper order.
+APPS = tuple(dict.fromkeys(IPV4_FORWARDING_PPSES + IP_FORWARDING_PPSES))
+#: Every distinct PPS the figures plot — all of them: the apps of
+#: ``BENCH_headline.json`` and the default of ``repro explore``.
+FIGURE_APPS = APPS
+#: The apps with a stream/feed split: the default of ``repro chaos`` and
+#: the only apps it and ``repro serve`` can drive.
+STREAM_APPS = ("rx", "ipv4", "ip_v4", "ip_v6")
 
-    Names: ``rx``, ``ipv4``, ``ip_v4``, ``ip_v6``, ``scheduler``, ``qm``,
-    ``tx``.
-    """
+
+def build_app(name: str, *, packets: int = 200, seed: int = 7) -> AppInstance:
+    """Build one benchmark PPS by name, one of :data:`APPS`."""
     if name == "rx":
         source = rx_source()
         module = _compile(source)
@@ -317,18 +328,7 @@ def build_app(name: str, *, packets: int = 200, seed: int = 7) -> AppInstance:
         return AppInstance(name, "tx", source, module, setup,
                            "packet transmit / segmentation")
 
-    raise ValueError(f"unknown app {name!r}")
-
-
-#: The PPSes of the two benchmark applications, in paper order: the
-#: series of Figures 19/21 and of Figures 20/22 (``ip`` as its IPv4 and
-#: IPv6 traffic variants).
-IPV4_FORWARDING_PPSES = ["rx", "ipv4", "scheduler", "qm", "tx"]
-IP_FORWARDING_PPSES = ["rx", "ip_v4", "ip_v6", "tx"]
-#: Every distinct PPS the figures plot, in paper order: the apps of
-#: ``BENCH_headline.json`` and the default of ``repro plan`` / ``explore``.
-FIGURE_APPS = tuple(dict.fromkeys(IPV4_FORWARDING_PPSES
-                                  + IP_FORWARDING_PPSES))
+    raise ValueError(f"unknown app {name!r} (apps: {', '.join(APPS)})")
 
 
 def full_ipv4_source() -> str:

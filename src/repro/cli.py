@@ -16,7 +16,6 @@ Usage (also via ``python -m repro``)::
     repro serve --shards 4 \\
         --faults worker-kill                 # supervised sharded serving
     repro figures [-j N] [-o FILE]           # the paper's Figures 19-22
-    repro plan -j 4                          # pre-partition matrix into cache
     repro explore [-o DIR]                   # design-space Pareto frontier
     repro fuzz [--seeds 50] [--out DIR]      # progen fuzz of the partitioner
     repro fuzz -j 4                          # parallel fuzz campaign
@@ -29,22 +28,23 @@ PPS-C files conventionally use the ``.ppc`` extension.
 (:mod:`repro.pipeline.verify`), and on partitioner faults or verifier
 rejection the requested degree degrades down a D → ⌈D/2⌉ → … → 1 ladder
 rather than failing outright.  ``--keep-going`` on the sweep
-commands (``plan``, ``explore``, ``chaos``) likewise
-trades fail-fast for per-cell failure records; a failed cell reports its
-seed and a reproduce one-liner identically at every ``-j``.
+commands (``explore``, ``chaos``) likewise trades fail-fast for
+per-cell failure records; a failed cell reports its seed and a
+reproduce one-liner identically at every ``-j``.
 
 Partition results are memoized in a content-addressed artifact cache
 (``--cache-dir DIR``, default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``;
-``--no-cache`` opts out) — see ``docs/caching.md``.  ``plan``,
-``explore``, ``chaos`` and ``serve`` partition a suite app the one way
+``--no-cache`` opts out) — see ``docs/caching.md``.  ``explore``,
+``chaos`` and ``serve`` partition a suite app the one way
 :func:`repro.runspec.app_pipeline` does — its own profiler, the run's
-knobs; ``plan`` and ``explore`` add the supervisor's verification — so
-at equal packets, seed and knobs they share its artifacts (every sweep
-cell runs at the ``--seed`` as given).
+knobs; ``explore`` adds the supervisor's verification — so at equal
+packets, seed and knobs they share its artifacts (every sweep cell runs
+at the ``--seed`` as given).
 
 Exit codes (see :mod:`repro.errors`): 0 success, 1 compile/pipeline/IO
-failure (including sweep worker crashes), 2 usage error (unknown PPS,
-malformed ``--feed``, unknown or malformed fault plan), 3 runtime
+failure (including sweep worker crashes), 2 usage error (unknown PPS or
+app, a count or degree below 1, malformed ``--feed``, unknown or
+malformed fault plan), 3 runtime
 failure (interpreter trap, deadlock/livelock, serving pool collapse), 4
 degraded success (the supervisor delivered a verified partition, but at
 a lower degree than requested), 5 degraded serving (``repro serve``
@@ -60,6 +60,7 @@ import os
 import sys
 
 from repro import compile_module
+from repro.apps.suite import FIGURE_APPS, STREAM_APPS
 from repro.errors import (
     EXIT_DEGRADED,
     EXIT_FAILURE,
@@ -107,6 +108,14 @@ def _resolve_pps(module: Module, name: str | None) -> str:
                    f"{', '.join(module.ppses)}")
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of every count flag (``--packets``, ``-j``,
+    ``-d``, …) and the convert of every ``--degrees`` item."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1")
+    return int(text)
+
+
 def _parse_list(flag: str, values, convert=str) -> list:
     """The one list-flag parser (``--degrees``, ``--apps``, ``--rings``, …).
 
@@ -116,11 +125,14 @@ def _parse_list(flag: str, values, convert=str) -> list:
     """
     if isinstance(values, str):
         values = [values]
-    try:
-        parts = [convert(part) for entry in values
-                 for part in entry.replace(",", " ").split()]
-    except ValueError as exc:
-        raise CLIError(f"bad {flag} {','.join(values)!r}: {exc}") from exc
+    parts = []
+    for part in " ".join(values).replace(",", " ").split():
+        try:
+            parts.append(convert(part))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            # Every list flag is a plural: "--degrees" -> "bad degree 0".
+            noun = flag.removeprefix("--").removesuffix("s")
+            raise CLIError(f"bad {noun} {part}: {exc}") from exc
     if not parts:
         raise CLIError(f"{flag} needs at least one value")
     return parts
@@ -222,7 +234,7 @@ def _add_workload_flags(parser, *, packets: int, seed: int | None = None,
                         degrees: str | None = None,
                         apps: bool = False) -> None:
     """The generated traffic and the (app x degree) matrix it drives."""
-    parser.add_argument("--packets", type=int, default=packets,
+    parser.add_argument("--packets", type=_positive_int, default=packets,
                         help="packets of generated traffic per run "
                              "(default: %(default)s)")
     if seed is not None:
@@ -240,7 +252,7 @@ def _add_workload_flags(parser, *, packets: int, seed: int | None = None,
 
 def _add_sweep_flags(parser, *, keep_going: bool = True) -> None:
     """How a command's cells are run (:func:`repro.eval.sweep.run_sweep`)."""
-    parser.add_argument("-j", "--jobs", type=int, default=1,
+    parser.add_argument("-j", "--jobs", type=_positive_int, default=1,
                         help="fan the cells over N worker processes "
                              "(default: 1; the output is identical at "
                              "any -j level)")
@@ -256,7 +268,8 @@ def _add_program_flags(parser, *, degree: int | None = None) -> None:
     parser.add_argument("file")
     parser.add_argument("--pps")
     if degree is not None:
-        parser.add_argument("-d", "--degree", type=int, default=degree)
+        parser.add_argument("-d", "--degree", type=_positive_int,
+                            default=degree)
 
 
 def _add_fault_flags(parser, *, quantum: int | None = None) -> None:
@@ -431,17 +444,17 @@ def _run(args, tracer) -> int:
     return EXIT_OK
 
 
-#: Apps with a stream/feed split — the ones the chaos differential can drive.
-_CHAOS_APPS = ["ip_v4", "ip_v6", "ipv4", "rx"]
-
-
 def cmd_chaos(args) -> int:
     """``repro chaos``: the chaos differential, one sweep cell per app."""
     from repro.eval.sweep import chaos_tasks, run_sweep
     from repro.runtime.faults import resolve_plan
 
-    degrees = tuple(_parse_list("--degrees", args.degrees, int))
-    apps = _parse_list("--apps", args.apps) if args.apps else _CHAOS_APPS
+    degrees = tuple(_parse_list("--degrees", args.degrees, _positive_int))
+    apps = _parse_list("--apps", args.apps) if args.apps else STREAM_APPS
+    bad = [app for app in apps if app not in STREAM_APPS]
+    if bad:
+        raise CLIError(f"bad app {', '.join(bad)}: choose from the apps "
+                       f"with a packet stream, {', '.join(STREAM_APPS)}")
     plans = tuple(args.plans) if args.plans else None
     for spec in plans or ():
         resolve_plan(spec)  # a usage error here, not a failed cell
@@ -527,7 +540,7 @@ def cmd_figures(args) -> int:
     try:
         record = figures_record(
             packets=args.packets, jobs=args.jobs,
-            degrees=_parse_list("--degrees", args.degrees, int))
+            degrees=_parse_list("--degrees", args.degrees, _positive_int))
     except ExploreError as exc:
         raise CLIError(str(exc)) from exc
     for title, apps, metric, value_format in FIGURES:
@@ -545,60 +558,8 @@ def cmd_figures(args) -> int:
     return EXIT_OK
 
 
-def _partition_profile_table(rows: list[dict]) -> str:
-    """The ``repro plan`` partition-phase table.
-
-    One row per (app, degree): wall seconds, balanced-cut collapse
-    iterations and push-relabel discharges — enough to localize a
-    partitioner regression without loading a Chrome trace — and the
-    verdict of any cell the supervisor did not verify as asked.
-    """
-    lines = ["  partition phases (per app x degree):",
-             "    app        D   seconds   cut_iters    pr_work"]
-    for row in rows:
-        for cell in row["cells"]:
-            degree = cell["config"]["degree"]
-            work = cell["metrics"] or {"cut_iterations": 0, "pr_work": 0}
-            line = (f"    {row['app']:10s} {degree:d} "
-                    f"{cell['timing']['partition_seconds']:9.4f} "
-                    f"{work['cut_iterations']:11d} {work['pr_work']:10d}")
-            if not cell["verified"]:
-                line += f"  {cell['error']}"
-            elif cell["achieved_degree"] != degree:
-                line += f"  degraded to {cell['achieved_degree']} stages"
-            lines.append(line)
-    return "\n".join(lines)
-
-
-def cmd_plan(args) -> int:
-    """``repro plan``: pre-partition the (app x degree) matrix in parallel."""
-    from repro.apps.suite import FIGURE_APPS
-    from repro.eval.sweep import plan_partitions
-
-    degrees = _parse_list("--degrees", args.degrees, int)
-    apps = _parse_list("--apps", args.apps) if args.apps else FIGURE_APPS
-    cache = _open_cache(args)
-    if cache is None and args.jobs > 1:
-        print("warning: --no-cache with -j > 1 plans in parallel but "
-              "persists nothing", file=sys.stderr)
-    results = plan_partitions(apps, degrees, packets=args.packets,
-                              seed=args.seed, jobs=args.jobs, cache=cache,
-                              keep_going=args.keep_going)
-    failures = [entry for entry in results if entry.get("failed")]
-    rows = [entry for entry in results if not entry.get("failed")]
-    total = sum(row["timing"]["partition_seconds"] for row in rows)
-    print(f"plan: {len(rows)}/{len(results)} apps x degrees "
-          f"{args.degrees} (-j {args.jobs}): "
-          f"{total:.3f}s partition work"
-          + ("" if cache is None else f", cached under {cache.root}"))
-    print(_partition_profile_table(rows))
-    _print_failures(failures)
-    return EXIT_FAILURE if failures else EXIT_OK
-
-
 def cmd_explore(args) -> int:
     """``repro explore``: cost-aware design-space exploration."""
-    from repro.apps.suite import FIGURE_APPS
     from repro.eval.explore import (
         ExploreError,
         SearchSpace,
@@ -612,7 +573,8 @@ def cmd_explore(args) -> int:
     try:
         space = SearchSpace(
             apps=tuple(apps),
-            degrees=tuple(_parse_list("--degrees", args.degrees, int)),
+            degrees=tuple(_parse_list("--degrees", args.degrees,
+                                      _positive_int)),
             rings=tuple(_parse_list("--rings", args.rings)),
             epsilons=tuple(_parse_list("--epsilons", args.epsilons, float)),
             max_block_instructions=tuple(_parse_list(
@@ -664,7 +626,7 @@ def cmd_fuzz(args) -> int:
 
     report = run_fuzz(args.seeds, start_seed=args.start_seed,
                       degrees=tuple(_parse_list("--degrees", args.degrees,
-                                                int)),
+                                                _positive_int)),
                       packets=args.packets, jobs=args.jobs)
     print(report.render())
     if args.out and report.failures:
@@ -740,14 +702,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="fault-tolerant sharded serving (supervised worker pool)")
-    p_serve.add_argument("--app", default="ipv4",
+    p_serve.add_argument("--app", default="ipv4", choices=STREAM_APPS,
                          help="benchmark app (default: ipv4)")
-    p_serve.add_argument("--shards", type=int, default=4,
+    p_serve.add_argument("--shards", type=_positive_int, default=4,
                          help="worker processes / flow shards (default: 4)")
-    p_serve.add_argument("-d", "--degree", type=int, default=1,
+    p_serve.add_argument("-d", "--degree", type=_positive_int, default=1,
                          help="pipeline degree inside each worker")
     _add_workload_flags(p_serve, packets=48, seed=7)
-    p_serve.add_argument("--batch", type=int, default=4,
+    p_serve.add_argument("--batch", type=_positive_int, default=4,
                          help="packets per journaled batch (the commit "
                               "and replay unit)")
     _add_fault_flags(p_serve, quantum=DEFAULT_QUANTUM)
@@ -782,14 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "frontier.json of a default repro explore)")
     p_fig.set_defaults(func=cmd_figures)
 
-    p_plan = sub.add_parser(
-        "plan", help="pre-partition the benchmark matrix into the cache")
-    _add_workload_flags(p_plan, packets=60, seed=7,
-                        degrees="1,2,3,4,5,6,7,8,9", apps=True)
-    _add_sweep_flags(p_plan)
-    _add_cache_flags(p_plan)
-    p_plan.set_defaults(func=cmd_plan)
-
     p_explore = sub.add_parser(
         "explore",
         help="cost-aware design-space exploration with a Pareto frontier")
@@ -813,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser(
         "fuzz", help="fuzz the partitioner with generated programs")
-    p_fuzz.add_argument("--seeds", type=int, default=50,
+    p_fuzz.add_argument("--seeds", type=_positive_int, default=50,
                         help="number of generated programs (default: 50)")
     p_fuzz.add_argument("--start-seed", type=int, default=0)
     _add_workload_flags(p_fuzz, packets=24, degrees="2,3,4")

@@ -106,11 +106,16 @@ class SearchSpace:
         the cache is salted with the full cost table, and this is where
         that invariant is checked before a search relies on it.
         """
+        from repro.apps.suite import APPS
         from repro.cache.key import cost_identity
         from repro.machine.costs import cost_table
 
         if not self.apps:
             raise ExploreError("search space has no apps")
+        for app in self.apps:
+            if app not in APPS:
+                raise ExploreError(f"unknown app {app!r} "
+                                   f"(apps: {', '.join(APPS)})")
         if not self.degrees:
             raise ExploreError("search space has no degrees")
         for degree in self.degrees:

@@ -4,13 +4,13 @@ Fig-19-style sweeps re-partition the same four NPF apps over and over;
 each (app, D) cell is independent, deterministic given its seed, and
 dominated by the balanced-cut search — an embarrassingly parallel
 workload.  :func:`run_sweep` is the one multi-cell path: ``repro figures``,
-``plan``, ``explore``, ``chaos`` and ``fuzz`` all describe their
-work as :class:`SweepTask` cells and run them here, inline or on a
+``explore``, ``chaos`` and ``fuzz`` all describe their work as
+:class:`SweepTask` cells and run them here, inline or on a
 ``concurrent.futures.ProcessPoolExecutor`` (``-j N`` on the CLI).  The
 paper's cost model has one row function, :func:`_score_cells` —
 supervised partition, then simulation checked for equivalence — which
 ``explore`` runs over its search space (``figures`` is ``explore`` over
-the figure PPSes); ``plan`` runs its partition half alone.  With:
+the figure PPSes).  With:
 
 * **deterministic merge** — results are returned in *task order* (the
   builders emit tasks ordered by (app, D)) no matter which worker
@@ -87,9 +87,6 @@ class SweepTask:
         if self.kind == "fuzz":
             return (f"repro fuzz --seeds 1 --start-seed {spec.seed} "
                     f"--degrees {degrees} --packets {spec.packets}")
-        if self.kind == "plan":
-            return (f"repro plan --apps {spec.app} --degrees {degrees} "
-                    f"--packets {spec.packets} --seed {spec.seed} -j 1")
         knobs = " ".join(flag for _, _, _, flag in cell_dims(spec.knobs))
         return (f"repro explore --apps {spec.app} --degrees {degrees} "
                 f"{knobs} --packets {spec.packets} --seed {spec.seed} -j 1")
@@ -198,34 +195,6 @@ def _partition_cell(task: SweepTask, app, context, degree: int, cache):
     return cell, outcome
 
 
-def _row(task: SweepTask):
-    """Build the task's app and the one analysis context its degree row
-    shares (normalize, profile, SSA and the dependence model once)."""
-    from repro.analysis.context import AnalysisContext
-
-    app, build_seconds = _timed(task.spec.build)
-    context = AnalysisContext(app.module, app.pps_name,
-                              task.spec.knobs.max_block_instructions)
-    return app, context, build_seconds
-
-
-def _row_timing(build_seconds: float, cells: list[dict]) -> dict:
-    return {"build_seconds": round(build_seconds, 4),
-            "partition_seconds": round(sum(
-                cell["timing"]["partition_seconds"] for cell in cells), 4)}
-
-
-def _score_plan(task: SweepTask, cache):
-    """The planner row (``repro plan``): :func:`_score_cells` without
-    the simulation step.  The results land in the shared compile cache,
-    so a following explore / chaos / serve phase over the same apps,
-    traffic and knobs gets pure cache hits."""
-    app, context, build_seconds = _row(task)
-    cells = [_partition_cell(task, app, context, degree, cache)[0]
-             for degree in sorted(set(task.spec.degrees))]
-    return {"cells": cells}, _row_timing(build_seconds, cells)
-
-
 def _score_cells(task: SweepTask, cache):
     """The one (app, knobs) degree row of the paper's cost model, behind
     ``repro explore`` and ``repro figures`` alike.
@@ -238,10 +207,14 @@ def _score_cells(task: SweepTask, cache):
     and the nondeterministic partition wall seconds live under each
     cell's ``timing``.
     """
+    from repro.analysis.context import AnalysisContext
     from repro.eval.metrics import measure_pipeline, measure_sequential
 
     spec = task.spec
-    app, context, build_seconds = _row(task)
+    app, build_seconds = _timed(spec.build)
+    # Normalize, profile, SSA and the dependence model once per row.
+    context = AnalysisContext(app.module, app.pps_name,
+                              spec.knobs.max_block_instructions)
     baseline = measure_sequential(app)
 
     cells = []
@@ -277,7 +250,9 @@ def _score_cells(task: SweepTask, cache):
             cell_failures.append(record)
 
     return ({"cells": cells, "cell_failures": cell_failures},
-            _row_timing(build_seconds, cells))
+            {"build_seconds": round(build_seconds, 4),
+             "partition_seconds": round(sum(
+                 cell["timing"]["partition_seconds"] for cell in cells), 4)})
 
 
 def _score_chaos(task: SweepTask, cache):
@@ -314,35 +289,7 @@ _SCORERS = {
     "chaos": _score_chaos,
     "explore": _score_cells,
     "fuzz": _score_fuzz,
-    "plan": _score_plan,
 }
-
-
-# -- the partition planner --------------------------------------------------
-
-
-def plan_partitions(apps: list[str], degrees, *, packets: int, seed: int,
-                    jobs: int = 1, cache=None,
-                    keep_going: bool = False) -> list[dict]:
-    """Partition the whole (app x degree) matrix up front, in parallel.
-
-    Fans one ``plan`` row per app over the sweep runner (``jobs``
-    worker processes) with all results stored through the shared on-disk
-    compile ``cache`` — after planning, a cold ``repro explore`` / ``repro
-    chaos`` / ``repro run`` gets pure cache hits for every partition it
-    needs.  Each row is the partition half of :func:`_score_cells`:
-    every degree supervised and verified, one analysis context shared
-    across the row; the parallel plan produces partitions bit-identical
-    to a serial sweep (and to each degree partitioned alone).
-
-    Returns the task-order list of worker records (app, per-degree
-    ``cells``, timings, cache counters).  ``cache`` may be ``None`` (the
-    plan then only returns the cells — nothing persists), but that
-    defeats the point when ``jobs > 1``.
-    """
-    tasks = [SweepTask("plan", RunSpec(app, packets, seed, tuple(degrees)))
-             for app in sorted(set(apps))]
-    return run_sweep(tasks, jobs=jobs, keep_going=keep_going, cache=cache)
 
 
 # -- the runner -------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.apps.common import (
     TAG_SCHED,
     TAG_TX,
 )
-from repro.apps.suite import build_app
+from repro.apps.suite import APPS, STREAM_APPS, build_app
 from repro.apps.traffic import make_ipv4_packet
 from repro.eval.metrics import make_profiler
 from repro.pipeline.transform import pipeline_pps
@@ -30,16 +30,22 @@ from repro.runtime import (
     run_sequential,
 )
 
-ALL_APPS = ["rx", "ipv4", "ip_v4", "ip_v6", "scheduler", "qm", "tx"]
 
-
-@pytest.mark.parametrize("name", ALL_APPS)
+@pytest.mark.parametrize("name", APPS)
 def test_app_compiles_and_runs(name):
     app = build_app(name, packets=24)
     state, iterations = app.fresh_state()
     stats = run_sequential(app.module.pps(app.pps_name), state,
                            iterations=iterations)
     assert stats.iterations >= iterations
+
+
+def test_stream_apps_are_exactly_the_apps_with_a_stream():
+    """``STREAM_APPS`` (what ``repro chaos`` and ``repro serve`` accept)
+    is declared, not derived, so hold it to what ``build_app`` builds."""
+    assert STREAM_APPS == tuple(name for name in APPS
+                                if build_app(name, packets=4).stream
+                                is not None)
 
 
 def test_rx_forwards_wellformed_packets():
@@ -147,7 +153,7 @@ def test_tx_output_matches_input_payload():
     assert transmitted == payloads
 
 
-@pytest.mark.parametrize("name", ALL_APPS)
+@pytest.mark.parametrize("name", APPS)
 @pytest.mark.parametrize("degree", [2, 5])
 def test_pipelined_apps_equivalent(name, degree):
     app = build_app(name, packets=24)

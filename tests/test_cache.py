@@ -567,16 +567,17 @@ def test_warm_partition_skips_search_phases(tmp_path):
 
 
 def test_warm_plan_all_hits_and_writes_nothing(tmp_path):
-    """Second sweep over the same cache directory: every partition is a
-    hit, and a hit writes nothing."""
-    from repro.eval.sweep import plan_partitions
+    """Second explore sweep over the same cache directory: every
+    partition is a hit, and a hit writes nothing."""
+    from repro.eval.explore import SearchSpace, explore
 
+    space = SearchSpace(apps=("rx", "tx"), degrees=(2, 3), packets=4)
     cold = CompileCache(tmp_path / "cache")
-    plan_partitions(["rx", "tx"], [2, 3], packets=4, seed=7, cache=cold)
+    explore(space, cache=cold)
     assert cold.misses > 0 and cold.stores == cold.misses
 
     warm = CompileCache(tmp_path / "cache")
-    plan_partitions(["rx", "tx"], [2, 3], packets=4, seed=7, cache=warm)
+    explore(space, cache=warm)
     assert warm.hits > 0
     assert warm.misses == 0
     assert warm.stores == 0

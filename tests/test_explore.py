@@ -163,6 +163,8 @@ def test_a_zero_gain_does_not_climb():
 def test_search_space_rejects_bad_knobs():
     with pytest.raises(ExploreError, match="no apps"):
         SearchSpace(apps=(), degrees=(1,)).validate()
+    with pytest.raises(ExploreError, match="unknown app 'nope'"):
+        SearchSpace(apps=("rx", "nope"), degrees=(1,)).validate()
     with pytest.raises(ExploreError, match="bad degree"):
         SearchSpace(apps=("rx",), degrees=(0,)).validate()
     with pytest.raises(ExploreError, match="bad epsilon"):

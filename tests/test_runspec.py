@@ -1,7 +1,7 @@
 """One description of a run (src/repro/runspec.py).
 
 * the same description names the same pipeline — and so the same cache
-  entry — whichever command partitions it (``plan``, ``chaos``,
+  entry — whichever command partitions it (``explore``, ``chaos``,
   ``serve``);
 * the compile key hashes exactly :class:`Knobs` and the profiles (the
   digests below are pinned; ``incremental`` is accepted, not hashed);
@@ -17,7 +17,7 @@ import pickle
 
 from repro.cache import CACHE_SCHEMA_VERSION, CompileCache, compile_key
 from repro.eval.chaos import chaos_differential
-from repro.eval.sweep import plan_partitions
+from repro.eval.explore import SearchSpace, explore
 from repro.pipeline.cuts import select_stages
 from repro.pipeline.verify import verify_partition
 from repro.runspec import Knobs, RunSpec, app_pipeline
@@ -32,11 +32,13 @@ def _objects(cache) -> int:
 
 def test_plan_chaos_and_serve_share_one_pipeline_per_description(tmp_path):
     """ip_v4 has two traffic classes: its partition is balanced by the
-    app's profiler everywhere, so what ``plan`` stored is what ``chaos``
-    and ``serve`` look up — no second pipeline under the same name."""
+    app's profiler everywhere, so what ``explore`` stored is what
+    ``chaos`` and ``serve`` look up — no second pipeline under the same
+    name."""
     root = tmp_path / "cache"
-    plan_partitions(["ip_v4"], [2, 4], packets=PACKETS, seed=SEED,
-                    cache=CompileCache(root))
+    explore(SearchSpace(apps=("ip_v4",), degrees=(2, 4), packets=PACKETS,
+                        seed=SEED), cache=CompileCache(root))
+    assert _objects(CompileCache(root)) == 2
 
     chaos_cache = CompileCache(root)
     report = chaos_differential("ip_v4", degrees=(2, 4), packets=PACKETS,
@@ -57,20 +59,31 @@ def test_plan_chaos_and_serve_share_one_pipeline_per_description(tmp_path):
     assert serve_cache.counters()["misses"] == 0
 
 
-def test_plan_then_chaos_through_the_cli_stores_nothing_new(tmp_path):
+def test_plan_then_chaos_through_the_cli_stores_nothing_new(tmp_path,
+                                                            monkeypatch):
     """``repro chaos`` runs every cell at the ``--seed`` as given, so after
-    ``repro plan`` at the same packets, seed and degrees it looks up the
-    plan's entries and solves nothing."""
-    from repro.cli import main
+    ``repro explore`` at the same packets, seed and degrees it looks up
+    the entries explore stored — 2 hits, 0 misses — and solves nothing."""
+    from repro import cli
 
+    opened = []     # the cache each command opened, counters and all
+    real_open_cache = cli._open_cache
+
+    def open_cache(args):
+        opened.append(real_open_cache(args))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "_open_cache", open_cache)
     root = tmp_path / "cache"
     shared = ["--apps", "ip_v4", "--degrees", "2,4", "--packets",
               str(PACKETS), "--seed", str(SEED), "--cache-dir", str(root)]
-    assert main(["plan", *shared]) == 0
+    assert cli.main(["explore", *shared, "-o", str(tmp_path / "out")]) == 0
     stored = _objects(CompileCache(root))
     assert stored == 2
-    assert main(["chaos", *shared]) == 0
+    assert cli.main(["chaos", *shared]) == 0
     assert _objects(CompileCache(root)) == stored
+    counters = opened[-1].counters()
+    assert (counters["hits"], counters["misses"]) == (2, 0)
 
 
 #: D = 4, packets 60, seed 7, default knobs (ip_v4's key hashes its

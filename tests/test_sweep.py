@@ -86,7 +86,7 @@ def _crashing_worker(task: SweepTask) -> dict:
 
 
 def _tasks(apps):
-    return [SweepTask("plan", RunSpec(app, 1, index, (1,)))
+    return [SweepTask("explore", RunSpec(app, 1, index, (1,)))
             for index, app in enumerate(apps)]
 
 
@@ -316,40 +316,3 @@ def test_figures_record_names_a_cell_the_verifier_rejects(monkeypatch,
     assert ("achieved degree 1" if rejects == "every-attempt"
             else "2 attempts") in message
     assert "repro explore --apps tx --degrees 2 " in message
-
-
-# -- the partition planner ---------------------------------------------------
-
-
-def test_plan_partitions_parallel_matches_serial(tmp_path):
-    from repro.eval.sweep import plan_partitions
-
-    serial_cache = CompileCache(tmp_path / "serial")
-    parallel_cache = CompileCache(tmp_path / "parallel")
-    serial = plan_partitions(["rx", "tx"], [2, 3], packets=8, seed=7,
-                             jobs=1, cache=serial_cache)
-    parallel = plan_partitions(["rx", "tx"], [2, 3], packets=8, seed=7,
-                               jobs=2, cache=parallel_cache)
-    # Same cuts, same verdicts, same work, under any -j.
-    assert without_clock(serial) == without_clock(parallel)
-    for row in serial:
-        assert all(cell["verified"] and not cell["degraded"]
-                   and cell["metrics"]["pr_work"] > 0
-                   for cell in row["cells"])
-
-
-def test_plan_partitions_prewarms_the_compile_cache(tmp_path):
-    from repro.apps.suite import build_app
-    from repro.eval.sweep import plan_partitions
-    from repro.runspec import app_pipeline
-
-    cache = CompileCache(tmp_path / "cache")
-    plan_partitions(["rx"], [2, 3], packets=8, seed=7, jobs=2, cache=cache)
-    assert cache.counters()["stores"] > 0
-    # A cold consumer following the plan gets pure hits.
-    app = build_app("rx", packets=8, seed=7)
-    before = cache.counters()["misses"]
-    for degree in (2, 3):
-        app_pipeline(app, degree, cache=cache)
-    assert cache.counters()["misses"] == before
-    assert cache.counters()["hits"] >= 2
