@@ -10,7 +10,6 @@ Usage (also via ``python -m repro``)::
     repro run ... --profile                  # + runtime counter report
     repro run ... --trace trace.json         # + Chrome trace of compile + run
     repro run ... --faults plan.json \\
-        --watchdog-quantum 200000 \\
         --isolate-traps                      # chaos-hardened execution
     repro chaos [--apps ...] [--plans ...]   # chaos differential, -j N
     repro serve --shards 4 \\
@@ -43,13 +42,14 @@ at the ``--seed`` as given).
 
 Exit codes (see :mod:`repro.errors`): 0 success, 1 compile/pipeline/IO
 failure (including sweep worker crashes), 2 usage error (unknown PPS or
-app, a count or degree below 1, malformed ``--feed``, unknown or
-malformed fault plan), 3 runtime
-failure (interpreter trap, deadlock/livelock, serving pool collapse), 4
-degraded success (the supervisor delivered a verified partition, but at
-a lower degree than requested), 5 degraded serving (``repro serve``
-delivered every committed batch, but only by re-sharding a failed
-worker's flows onto survivors or by leaving a drained tail undelivered).
+app, a count or degree below 1, a negative ``serve`` delay or budget,
+a hang timeout not above 0, malformed ``--feed``, unknown or malformed
+fault plan), 3 runtime failure (interpreter trap, deadlock/livelock,
+serving pool collapse), 4 degraded success (the supervisor delivered a
+verified partition, but at a lower degree than requested), 5 degraded
+serving (``repro serve`` delivered every committed batch, but only by
+re-sharding a failed worker's flows onto survivors or by leaving a
+drained tail undelivered).
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ from repro.runspec import Knobs
 from repro.runtime.equivalence import assert_equivalent, observe
 from repro.runtime.scheduler import run_pipeline, run_sequential
 from repro.runtime.state import MachineState
-from repro.runtime.watchdog import DEFAULT_QUANTUM
 from repro.serve import ServeError
 
 
@@ -110,10 +109,35 @@ def _resolve_pps(module: Module, name: str | None) -> str:
 
 def _positive_int(text: str) -> int:
     """The argparse type of every count flag (``--packets``, ``-j``,
-    ``-d``, …) and the convert of every ``--degrees`` item."""
+    ``-d``, ``--iterations``, …) and the convert of every ``--degrees``
+    item."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError("must be an integer >= 1")
     return int(text)
+
+
+def _non_negative_int(text: str) -> int:
+    """The argparse type of ``serve --max-restarts`` (0: no restart)."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError("must be an integer >= 0")
+    return int(text)
+
+
+def _seconds(text: str) -> float:
+    """The argparse type of ``serve --backoff`` and ``--drain-grace``."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError("must be a number of seconds >= 0")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """The argparse type of ``serve --hang-timeout``: a timeout of 0 or
+    less would judge every worker hung before its first batch."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be a number of seconds > 0")
+    return value
 
 
 def _parse_list(flag: str, values, convert=str) -> list:
@@ -165,13 +189,10 @@ def _write_json(path: str, payload, *, sort_keys: bool = False) -> None:
 def _execution_setup(args, module: Module):
     """The fault plan + feed -> ``MachineState`` set-up of ``run``.
 
-    Returns ``(plan, fresh, watchdog)``: the ``--faults`` plan (or
-    ``None``), a factory for a fed — and, under a plan, armed — machine
-    state, and a factory for the run's watchdog (``None`` unless a
-    quantum or a plan asks for one).
+    Returns ``(plan, fresh)``: the ``--faults`` plan (or ``None``) and a
+    factory for a fed — and, under a plan, armed — machine state.
     """
     from repro.runtime.faults import FaultInjector, resolve_plan
-    from repro.runtime.watchdog import Watchdog
 
     feeds = _parse_feed(args.feed or [])
     plan = resolve_plan(args.faults) if args.faults else None
@@ -191,12 +212,7 @@ def _execution_setup(args, module: Module):
             state.feed_pipe(pipe, values)
         return state
 
-    def watchdog():
-        if args.watchdog_quantum is None and plan is None:
-            return None
-        return Watchdog(args.watchdog_quantum)
-
-    return plan, fresh, watchdog
+    return plan, fresh
 
 
 def _open_cache(args):
@@ -272,16 +288,11 @@ def _add_program_flags(parser, *, degree: int | None = None) -> None:
                             default=degree)
 
 
-def _add_fault_flags(parser, *, quantum: int | None = None) -> None:
+def _add_fault_flags(parser) -> None:
     parser.add_argument("--faults", metavar="PLAN",
                         help="fault-injection plan: a builtin plan name "
                              "(serve: also worker-kill, worker-storm) or "
                              "a JSON file")
-    parser.add_argument("--watchdog-quantum", type=int, default=quantum,
-                        metavar="N",
-                        help="livelock check every N scheduler steps; "
-                             "enables the deadlock watchdog "
-                             "(default: %(default)s)")
 
 
 def _add_report_flags(parser, *, what: str) -> None:
@@ -368,18 +379,15 @@ def cmd_run(args) -> int:
 def _run(args, tracer) -> int:
     module = _load_module(args.file)
     pps_name = _resolve_pps(module, args.pps)
-    plan, fresh, watchdog = _execution_setup(args, module)
+    plan, fresh = _execution_setup(args, module)
 
     sequential = fresh()
-    seq_watchdog = watchdog()
     stats = run_sequential(module.pps(pps_name), sequential,
                            iterations=args.iterations,
-                           watchdog=seq_watchdog,
                            isolate_traps=args.isolate_traps)
     print(f"sequential: {stats.iterations - 1} iterations, "
           f"{stats.weight} weighted instructions")
 
-    run_watchdog = seq_watchdog
     cache = _open_cache(args) if args.degree > 1 else None
     outcome = None
     if args.degree > 1:
@@ -391,10 +399,8 @@ def _run(args, tracer) -> int:
             raise PipelineError(outcome.summary())
         degree = outcome.achieved_degree
         pipelined = fresh()
-        run_watchdog = watchdog()
         run = run_pipeline(outcome.result.stages, pipelined,
                            iterations=args.iterations,
-                           watchdog=run_watchdog,
                            isolate_traps=args.isolate_traps)
         longest = max(s.weight for s in run.stats.values())
         if plan is None or plan.semantics_preserving():
@@ -432,8 +438,7 @@ def _run(args, tracer) -> int:
         from repro.obs import emit_counter_events, runtime_report
 
         report = runtime_report(run_stats, state, functions=functions,
-                                watchdog=run_watchdog, cache=cache,
-                                partition=outcome)
+                                cache=cache, partition=outcome)
         if args.profile:
             print(report.render())
         if tracer is not None:
@@ -510,9 +515,7 @@ def cmd_serve(args) -> int:
     runtime = ServeRuntime(args.app, shards=args.shards,
                            degree=args.degree, packets=args.packets,
                            seed=args.seed, batch=args.batch, plan=plan,
-                           policy=policy, cache=cache,
-                           journal_dir=args.journal_dir,
-                           watchdog_quantum=args.watchdog_quantum)
+                           policy=policy, cache=cache)
 
     with tracing(enabled=bool(args.trace)) as tracer:
         report = runtime.run(install_sigterm=True)
@@ -672,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute on the simulator")
     _add_program_flags(p_run, degree=1)
-    p_run.add_argument("--iterations", type=int, default=10)
+    p_run.add_argument("--iterations", type=_positive_int, default=10)
     p_run.add_argument("--feed", action="append",
                        help="pipe=v1,v2,... (repeatable)")
     _add_fault_flags(p_run)
@@ -712,22 +715,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--batch", type=_positive_int, default=4,
                          help="packets per journaled batch (the commit "
                               "and replay unit)")
-    _add_fault_flags(p_serve, quantum=DEFAULT_QUANTUM)
-    p_serve.add_argument("--max-restarts", type=int, default=3,
+    _add_fault_flags(p_serve)
+    p_serve.add_argument("--max-restarts", type=_non_negative_int, default=3,
                          help="per-shard restart budget before the "
                               "circuit breaker re-shards (default: 3)")
-    p_serve.add_argument("--backoff", type=float, default=0.05,
+    p_serve.add_argument("--backoff", type=_seconds, default=0.05,
                          help="first restart delay, seconds; doubles per "
                               "restart (default: 0.05)")
-    p_serve.add_argument("--hang-timeout", type=float, default=10.0,
+    p_serve.add_argument("--hang-timeout", type=_positive_seconds,
+                         default=10.0,
                          help="seconds a live worker may stay silent "
                               "before a hang kill (default: 10)")
-    p_serve.add_argument("--drain-grace", type=float, default=2.0,
+    p_serve.add_argument("--drain-grace", type=_seconds, default=2.0,
                          help="seconds a SIGTERM drain waits before "
                               "killing stragglers (default: 2)")
-    p_serve.add_argument("--journal-dir", metavar="DIR", default=None,
-                         help="persist per-shard journals as JSONL "
-                              "under DIR")
     _add_report_flags(p_serve, what="per-shard")
     p_serve.add_argument("-o", "--output", default=None,
                          help="write the serve report as JSON")

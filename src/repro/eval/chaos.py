@@ -10,7 +10,7 @@ slow stages.  :func:`chaos_differential` checks exactly that:
 2. the sequential PPS runs on the perturbed stream → the oracle;
 3. every requested pipeline degree runs on the *same* perturbed stream,
    with a fresh injector arming the plan's pipe stalls / stage slowdowns
-   and the deadlock watchdog on;
+   (the scheduler's deadlock watchdog judges every run);
 4. for semantics-preserving plans (no corruption, no injected traps) the
    surviving packets' observables must be bit-identical to the oracle;
    for trap plans the check is instead that the run drains and every
@@ -30,7 +30,6 @@ from repro.runspec import app_pipeline
 from repro.runtime.equivalence import compare, observe
 from repro.runtime.faults import FaultInjector, FaultPlan, builtin_plans
 from repro.runtime.scheduler import run_pipeline, run_sequential
-from repro.runtime.watchdog import DEFAULT_QUANTUM, Watchdog
 
 DEFAULT_DEGREES = (1, 2, 4)
 
@@ -130,7 +129,6 @@ def chaos_differential(app_name: str = "ipv4", *,
                        plans: dict[str, FaultPlan] | None = None,
                        degrees: tuple = DEFAULT_DEGREES,
                        packets: int = 40, seed: int = 7,
-                       watchdog_quantum: int | None = DEFAULT_QUANTUM,
                        collect_letters: list | None = None,
                        cache=None) -> ChaosReport:
     """Run the chaos differential for ``app_name`` across fault plans.
@@ -154,13 +152,11 @@ def chaos_differential(app_name: str = "ipv4", *,
     for plan_name, plan in plans.items():
         report.outcomes.append(_run_plan(
             app, plan_name, plan, pipelines=pipelines,
-            watchdog_quantum=watchdog_quantum,
             collect_letters=collect_letters))
     return report
 
 
 def _run_plan(app, plan_name: str, plan: FaultPlan, *, pipelines: dict,
-              watchdog_quantum: int | None,
               collect_letters: list | None) -> PlanOutcome:
     # Perturb the stream ONCE; every run below shares it.
     stream_injector = FaultInjector(plan)
@@ -173,9 +169,7 @@ def _run_plan(app, plan_name: str, plan: FaultPlan, *, pipelines: dict,
     # here too, so trap plans exercise isolation in both shapes).
     baseline_state, iterations = _armed_state(app, plan, stream)
     run_sequential(app.module.pps(app.pps_name), baseline_state,
-                   iterations=iterations,
-                   watchdog=Watchdog(watchdog_quantum),
-                   isolate_traps=True)
+                   iterations=iterations, isolate_traps=True)
     baseline = observe(baseline_state)
     baseline_state.faults.absorb_stream(stream_injector)
     outcome.faults = baseline_state.faults.counters()
@@ -185,7 +179,6 @@ def _run_plan(app, plan_name: str, plan: FaultPlan, *, pipelines: dict,
     for degree, stages in pipelines.items():
         state, iterations = _armed_state(app, plan, stream)
         run = run_pipeline(stages, state, iterations=iterations,
-                           watchdog=Watchdog(watchdog_quantum),
                            isolate_traps=True)
         degree_outcome = DegreeOutcome(degree=degree)
         degree_outcome.dead_letters = len(state.dead_letters)

@@ -60,11 +60,9 @@ class RuntimeReport:
     wake_wakes: int = 0
     wake_stranded: int = 0
     #: Chaos sections — populated only when the corresponding feature ran
-    #: (``faults`` from an armed FaultInjector, ``watchdog`` from a
-    #: Watchdog, ``dead_letters`` from trap isolation); None/empty keeps
-    #: fault-free reports byte-compatible.
+    #: (``faults`` from an armed FaultInjector, ``dead_letters`` from trap
+    #: isolation); None/empty keeps fault-free reports byte-compatible.
     faults: dict | None = None
-    watchdog: dict | None = None
     dead_letters: list = field(default_factory=list)
     #: Compile-cache counters (hits/misses/stores/corrupt/evictions) —
     #: populated only when the run compiled through a CompileCache.
@@ -91,8 +89,6 @@ class RuntimeReport:
         }
         if self.faults is not None:
             result["faults"] = dict(self.faults)
-        if self.watchdog is not None:
-            result["watchdog"] = dict(self.watchdog)
         if self.dead_letters:
             result["dead_letters"] = [letter.as_dict()
                                       for letter in self.dead_letters]
@@ -137,11 +133,6 @@ class RuntimeReport:
             lines.append(f"  faults: plan {label} "
                          f"(seed {self.faults.get('seed')}) "
                          f"{pairs or 'no events'}")
-        if self.watchdog is not None:
-            lines.append(
-                f"  watchdog: {self.watchdog.get('quiescence_checks', 0)} "
-                f"quiescence checks, "
-                f"{self.watchdog.get('progress_checks', 0)} progress checks")
         if self.dead_letters:
             lines.append(f"  dead letters: {len(self.dead_letters)}")
             for letter in self.dead_letters:
@@ -178,17 +169,16 @@ class RuntimeReport:
 
 
 def runtime_report(stats: dict, state: MachineState, *, functions=(),
-                   watchdog=None, cache=None,
-                   partition=None) -> RuntimeReport:
+                   cache=None, partition=None) -> RuntimeReport:
     """Assemble the report for one finished run.
 
     ``stats`` maps interpreter name -> ``InterpStats`` (e.g.
     ``RunResult.stats``); ``state`` is the machine the run executed on;
     ``functions`` are the IR functions those interpreters ran (matched by
     name), from whose compiled regions each stage's ``dispatches`` is
-    derived; ``watchdog`` optionally contributes its check counters; ``cache``
-    (a :class:`repro.cache.CompileCache`) contributes hit/miss/evict
-    counters when compilation went through the artifact cache;
+    derived; ``cache`` (a :class:`repro.cache.CompileCache`) contributes
+    hit/miss/evict counters when compilation went through the artifact
+    cache;
     ``partition`` (a :class:`repro.pipeline.PartitionOutcome`)
     contributes the verifier verdict and achieved degree when
     partitioning went through the supervisor.
@@ -227,8 +217,6 @@ def runtime_report(stats: dict, state: MachineState, *, functions=(),
     faults = getattr(state, "faults", None)
     if faults is not None:
         report.faults = faults.counters()
-    if watchdog is not None:
-        report.watchdog = watchdog.as_dict()
     report.dead_letters = list(getattr(state, "dead_letters", ()))
     if cache is not None:
         report.cache = cache.counters()
@@ -267,11 +255,6 @@ def emit_counter_events(tracer: Tracer, report: RuntimeReport) -> None:
             key: value for key, value in report.faults.items()
             if isinstance(value, int) and key != "seed"
         }, cat="faults", tid=TID_RUNTIME)
-    if report.watchdog is not None:
-        tracer.counter("watchdog", {
-            key: value for key, value in report.watchdog.items()
-            if isinstance(value, int)
-        }, cat="scheduler", tid=TID_RUNTIME)
     if report.cache is not None:
         tracer.counter("compile_cache", {
             key: value for key, value in report.cache.items()

@@ -10,7 +10,10 @@ The scheduler keeps a ready deque and parks blocked interpreters on the
 :class:`~repro.runtime.state.WakeHub` key of the resource they are
 waiting for; a ``Pipe.send``/``recv``, ``feed_packet`` or sequencer
 advance wakes exactly the parked waiters.  Quiescence is simply "the
-ready deque is empty".
+ready deque is empty"; the run's own
+:class:`~repro.runtime.watchdog.Watchdog` then judges whether it
+drained or deadlocked, and it checks instruction progress every
+:data:`~repro.runtime.watchdog.QUANTUM` steps.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.runtime.compile import compile_function
 from repro.runtime.faults import DeadLetter
 from repro.runtime.interp import Interpreter, InterpStats
 from repro.runtime.state import MachineState
+from repro.runtime.watchdog import Watchdog
 
 #: Per-stage quarantine budget: a stage that traps more often than this
 #: is broken beyond isolation and the run aborts with the last trap.
@@ -65,15 +69,16 @@ def _quarantine(name: str, interp: Interpreter, exc: TrapError) -> bool:
 
 
 def run_group(interpreters: dict[str, Interpreter], *,
-              watchdog=None,
               isolate_traps: bool = False) -> RunResult:
     """Run interpreters together until everyone finishes or blocks.
 
-    ``watchdog`` (a :class:`repro.runtime.watchdog.Watchdog`) judges
-    quiescence and instruction progress; ``isolate_traps`` quarantines a
+    A stuck quiescence or a progress-free quantum raises
+    :class:`~repro.errors.DeadlockError`; ``isolate_traps`` quarantines a
     trapped packet iteration (dead-letter log on the machine state)
     instead of aborting the run.
     """
+    watchdog = Watchdog()
+    quantum = watchdog.quantum
     with obs.span("run_group", cat="runtime", tid=obs.TID_RUNTIME,
                   interpreters=sorted(interpreters)):
         generators = {name: interp.run()
@@ -107,8 +112,8 @@ def run_group(interpreters: dict[str, Interpreter], *,
                     if steps > MAX_STEPS:
                         raise TrapError(
                             "scheduler exceeded MAX_STEPS (livelock?)")
-                    if watchdog is not None:
-                        watchdog.step(interpreters)
+                    if not steps % quantum:
+                        watchdog.check_progress(interpreters)
                     name = ready.popleft()
                     queued.discard(name)
                     interp = interpreters[name]
@@ -142,8 +147,7 @@ def run_group(interpreters: dict[str, Interpreter], *,
                         advanced = True
                 if advanced:
                     continue
-                if watchdog is not None:
-                    watchdog.check_quiescence(interpreters)
+                watchdog.check_quiescence(interpreters)
                 break
         except BaseException:
             for hub in hubs.values():
@@ -172,12 +176,11 @@ def sequential_interpreter(function: Function, state: MachineState,
 
 
 def run_sequential(function: Function, state: MachineState, *,
-                   iterations: int, watchdog=None,
+                   iterations: int,
                    isolate_traps: bool = False) -> InterpStats:
     """Run one sequential PPS for ``iterations`` loop iterations."""
     interp = sequential_interpreter(function, state, iterations)
-    run_group({function.name: interp}, watchdog=watchdog,
-              isolate_traps=isolate_traps)
+    run_group({function.name: interp}, isolate_traps=isolate_traps)
     return interp.stats
 
 
@@ -195,11 +198,11 @@ def pipeline_interpreters(stages: list, state: MachineState,
 
 
 def run_pipeline(stages: list, state: MachineState, *,
-                 iterations: int, watchdog=None,
+                 iterations: int,
                  isolate_traps: bool = False) -> RunResult:
     """Run realized pipeline stages together."""
     return run_group(pipeline_interpreters(stages, state, iterations),
-                     watchdog=watchdog, isolate_traps=isolate_traps)
+                     isolate_traps=isolate_traps)
 
 
 def replica_interpreters(replicas: list, state: MachineState,
@@ -224,11 +227,11 @@ def replica_interpreters(replicas: list, state: MachineState,
 
 
 def run_replicas(replicas: list, state: MachineState, *,
-                 iterations: int, watchdog=None,
+                 iterations: int,
                  isolate_traps: bool = False) -> RunResult:
     """Run replicated PPS instances (see repro.pipeline.replicate)."""
     return run_group(replica_interpreters(replicas, state, iterations),
-                     watchdog=watchdog, isolate_traps=isolate_traps)
+                     isolate_traps=isolate_traps)
 
 
 def _stage_loop_start(stage) -> str:

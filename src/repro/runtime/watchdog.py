@@ -3,11 +3,13 @@
 The scheduler's notion of quiescence — "the ready deque is empty" — is
 deliberately permissive: a finished run, a drained pipeline waiting for
 more input, and a mis-wired pipeline deadlocked on a cyclic pipe wait
-all look the same.  The :class:`Watchdog` (opt-in: backpressure tests
-legitimately end with a producer parked on a full sink pipe) classifies
-the parked waiters at quiescence and raises a structured
-:class:`~repro.errors.DeadlockError` when at least one of them is
-*stuck*.
+all look the same.  Every :func:`~repro.runtime.scheduler.run_group`
+builds a :class:`Watchdog`, which classifies the parked waiters at
+quiescence and raises a structured :class:`~repro.errors.DeadlockError`
+when at least one of them is *stuck*.  Over blocking FIFOs a quiescent
+network is either drained or blocked whatever the schedule was, so the
+one judgement holds for every run: a producer parked on a full sink
+pipe, say, is done.
 
 Classification is a least fixpoint of "done" (its wait is a normal
 end-of-run condition), seeded with the finished interpreters:
@@ -33,13 +35,13 @@ wakeup*: a waiter parked on a resource that is actually ready (messages
 queued, pipe accepting, mpackets available).
 
 Livelock is the complementary failure: the scheduler keeps stepping but
-no interpreter retires instructions.  With a quantum configured,
-:meth:`Watchdog.step` samples total retired instructions every
-``quantum`` scheduler steps and raises ``DeadlockError(kind="livelock")``
-when a whole quantum passes without progress.  A step runs one
+no interpreter retires instructions.  Every :data:`QUANTUM` scheduler
+steps the scheduler calls :meth:`Watchdog.check_progress`, which samples
+total retired instructions and raises ``DeadlockError(kind="livelock")``
+when a whole quantum passed without progress.  A step runs one
 interpreter until it blocks or ends a burst (``interp.BURST`` loop
-iterations).  Keep the quantum comfortably above ``interpreters ×
-slowdown`` when fault plans inject slowdowns — those yield once per
+iterations).  The quantum stays far above ``interpreters × slowdown``
+for the builtin fault plans — an injected slowdown yields once per
 iteration without retiring instructions.
 
 The raised error carries the full parked inventory, the offending
@@ -53,33 +55,24 @@ from repro.errors import DeadlockError
 from repro.runtime.compile import compile_function
 
 
-#: Scheduler steps between livelock checks wherever a watchdog is on by
-#: default (``repro serve``, the serve oracle, the chaos differential).
-DEFAULT_QUANTUM = 200_000
+#: Scheduler steps between livelock checks (read when a run starts, so
+#: a test may patch it the way it patches ``interp.BURST``).
+QUANTUM = 200_000
 
 
 class Watchdog:
-    """Judges scheduler quiescence and instruction progress."""
+    """Judges one scheduler run's instruction progress and quiescence."""
 
-    def __init__(self, quantum: int | None = None):
-        #: Scheduler steps between livelock checks (None disables them;
-        #: quiescence classification stays active).
-        self.quantum = quantum
-        self.steps = 0
-        self.progress_checks = 0
-        self.quiescence_checks = 0
+    def __init__(self):
+        #: Scheduler steps between the run's livelock checks.
+        self.quantum = QUANTUM
         self._last_progress = -1
 
     # -- livelock --------------------------------------------------------------
 
-    def step(self, interpreters: dict) -> None:
-        """Account one scheduler step; raise on a progress-free quantum."""
-        if self.quantum is None:
-            return
-        self.steps += 1
-        if self.steps % self.quantum:
-            return
-        self.progress_checks += 1
+    def check_progress(self, interpreters: dict) -> None:
+        """Raise when no instruction retired since the previous check
+        (the scheduler calls this every :attr:`quantum` steps)."""
         progress = sum(interp.stats.instructions
                        for interp in interpreters.values())
         if progress == self._last_progress:
@@ -106,7 +99,6 @@ class Watchdog:
         parked but *not* done at the fixpoint — wait cycles, starved
         stages, sequencer waits, lost wakeups — is an offender.
         """
-        self.quiescence_checks += 1
         parked = _parked_inventory(interpreters)
         if not parked:
             return
@@ -203,14 +195,6 @@ class Watchdog:
             return (f"waiting on sequencer {target!r} that no running "
                     f"replica can advance")
         return f"parked on unknown wait key {key!r}"
-
-    def as_dict(self) -> dict:
-        return {
-            "quantum": self.quantum,
-            "steps": self.steps,
-            "progress_checks": self.progress_checks,
-            "quiescence_checks": self.quiescence_checks,
-        }
 
 
 def _parked_inventory(interpreters: dict) -> dict[str, tuple]:

@@ -28,7 +28,6 @@ from repro.serve.supervise import (
     ServeReport,
     ServeRuntime,
     compare_deltas,
-    serve,
     shard_oracle,
 )
 from repro.serve.worker import worker_main
@@ -44,7 +43,6 @@ __all__ = [
     "compare_deltas",
     "flow_key",
     "make_batches",
-    "serve",
     "shard_index",
     "shard_oracle",
     "shard_stream",

@@ -19,17 +19,12 @@ headline guarantee: every packet of every flow is delivered exactly
 once, in flow order, no matter how many times workers die (see
 ``tests/test_serve_property.py``).
 
-When given a directory the journal also persists itself as one JSONL
-file per shard (``shard-<i>.jsonl``: ``batch`` / ``commit`` / ``replay``
-records, packet payloads hex-encoded) so a crashed *supervisor* leaves
-an inspectable trail; :meth:`Journal.load_records` reads one back.
+The journal lives in the supervisor's memory only.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 
 @dataclass
@@ -82,35 +77,22 @@ class ShardJournal:
 
 
 class Journal:
-    """All shards' journals, optionally persisted to ``directory``."""
+    """All shards' journals."""
 
-    def __init__(self, shards: int, directory: str | Path | None = None):
+    def __init__(self, shards: int):
         self.shards = [ShardJournal(index) for index in range(shards)]
-        self._dir = Path(directory) if directory is not None else None
-        if self._dir is not None:
-            self._dir.mkdir(parents=True, exist_ok=True)
 
     def __getitem__(self, shard: int) -> ShardJournal:
         return self.shards[shard]
 
     def append(self, shard: int, packets: list) -> BatchRecord:
-        record = self.shards[shard].append(packets)
-        self._persist(shard, {"type": "batch", "shard": shard,
-                              "seq": record.seq,
-                              "packets": [_encode(p) for p in packets]})
-        return record
+        return self.shards[shard].append(packets)
 
     def accept(self, shard: int, seq: int) -> bool:
-        fresh = self.shards[shard].accept(seq)
-        if fresh:
-            self._persist(shard, {"type": "commit", "shard": shard,
-                                  "seq": seq})
-        return fresh
+        return self.shards[shard].accept(seq)
 
-    def note_replay(self, shard: int, incarnation: int) -> None:
+    def note_replay(self, shard: int) -> None:
         self.shards[shard].replays += 1
-        self._persist(shard, {"type": "replay", "shard": shard,
-                              "incarnation": incarnation})
 
     @property
     def done(self) -> bool:
@@ -124,38 +106,3 @@ class Journal:
             "replays": sum(j.replays for j in self.shards),
             "redeliveries": sum(j.redeliveries for j in self.shards),
         }
-
-    # -- persistence ---------------------------------------------------------
-
-    def _persist(self, shard: int, record: dict) -> None:
-        if self._dir is None:
-            return
-        path = self._dir / f"shard-{shard}.jsonl"
-        with open(path, "a", encoding="utf-8") as handle:
-            json.dump(record, handle, separators=(",", ":"))
-            handle.write("\n")
-
-    @staticmethod
-    def load_records(path: str | Path) -> list[dict]:
-        """Read one shard's JSONL trail back (payloads decoded)."""
-        records = []
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                record = json.loads(line)
-                if record.get("type") == "batch":
-                    record["packets"] = [_decode(p)
-                                         for p in record["packets"]]
-                records.append(record)
-        return records
-
-
-def _encode(packet):
-    if isinstance(packet, (bytes, bytearray)):
-        return {"hex": bytes(packet).hex()}
-    return packet
-
-
-def _decode(packet):
-    if isinstance(packet, dict) and "hex" in packet:
-        return bytes.fromhex(packet["hex"])
-    return packet

@@ -67,7 +67,6 @@ from repro.errors import (
 )
 from repro.obs import TID_RUNTIME, instant, span
 from repro.runspec import RunSpec, app_pipeline
-from repro.runtime.watchdog import DEFAULT_QUANTUM
 from repro.serve.journal import Journal
 from repro.serve.shard import make_batches, shard_stream
 from repro.serve.worker import BatchRunner, worker_main
@@ -236,22 +235,18 @@ class ServeReport:
         return report
 
 
-def oracle_deltas(app, batches: list[list], *,
-                  watchdog_quantum: int | None = DEFAULT_QUANTUM):
+def oracle_deltas(app, batches: list[list]):
     """The sequential oracle for one shard, one batch per ``next()``:
     the plain PPS run over the identical batch sequence, yielding each
     batch's observable delta."""
-    runner = BatchRunner(app, watchdog_quantum=watchdog_quantum)
+    runner = BatchRunner(app)
     for packets in batches:
         yield runner.run(packets)[0]
 
 
-def shard_oracle(app, batches: list[list], *,
-                 watchdog_quantum: int | None = DEFAULT_QUANTUM,
-                 ) -> list[dict]:
+def shard_oracle(app, batches: list[list]) -> list[dict]:
     """:func:`oracle_deltas` run to the end: one delta per batch."""
-    return list(oracle_deltas(app, batches,
-                              watchdog_quantum=watchdog_quantum))
+    return list(oracle_deltas(app, batches))
 
 
 def compare_deltas(shard: int, expected: list[dict],
@@ -289,11 +284,9 @@ class _OracleStream:
     what is retained is the verify lag, never the stream.
     """
 
-    def __init__(self, app, journal: Journal,
-                 watchdog_quantum: int | None):
+    def __init__(self, app, journal: Journal):
         self._app = app
         self._journal = journal
-        self._watchdog_quantum = watchdog_quantum
         shards = len(journal.shards)
         self._expected: list[dict[int, dict]] = [{} for _ in range(shards)]
         self._committed: list[dict[int, dict]] = [{} for _ in range(shards)]
@@ -323,8 +316,7 @@ class _OracleStream:
             if self._done < limit:
                 if self._deltas is None:
                     self._deltas = oracle_deltas(
-                        self._app, [r.packets for r in journal.records],
-                        watchdog_quantum=self._watchdog_quantum)
+                        self._app, [r.packets for r in journal.records])
                 seq = self._done + 1
                 try:
                     delta = next(self._deltas)
@@ -384,9 +376,7 @@ class ServeRuntime:
     def __init__(self, app_name: str, *, shards: int = 4, degree: int = 1,
                  packets: int = 40, seed: int = 7, batch: int = 8,
                  plan=None, policy: ServePolicy | None = None,
-                 cache=None, journal_dir=None,
-                 watchdog_quantum: int | None = DEFAULT_QUANTUM,
-                 verify: bool = True):
+                 cache=None, verify: bool = True):
         if shards < 1:
             raise ServeError(f"need at least 1 shard, got {shards}")
         #: The pipeline being served, built once per run by the supervisor.
@@ -397,8 +387,6 @@ class ServeRuntime:
         self.plan = plan
         self.policy = policy or ServePolicy()
         self.cache = cache
-        self.journal_dir = journal_dir
-        self.watchdog_quantum = watchdog_quantum
         self.verify = verify
 
         self._ctx = _spawn_context()
@@ -457,13 +445,12 @@ class ServeRuntime:
                                         cache=self.cache).stages
 
         substreams = shard_stream(app.stream(), self.shards)
-        self._journal = Journal(self.shards, self.journal_dir)
+        self._journal = Journal(self.shards)
         for index, substream in enumerate(substreams):
             for packets in make_batches(substream, self.batch):
                 self._journal.append(index, packets)
         if self.verify:
-            self._oracle = _OracleStream(app, self._journal,
-                                         self.watchdog_quantum)
+            self._oracle = _OracleStream(app, self._journal)
 
         self._drain_event = self._ctx.Event()
         previous = None
@@ -512,14 +499,14 @@ class ServeRuntime:
         incarnation = self._attempts.get(assignment, 0)
         self._attempts[assignment] = incarnation + 1
         if incarnation > 0 or assignment != slot.shard:
-            self._journal.note_replay(assignment, incarnation)
+            self._journal.note_replay(assignment)
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         batches = [record.packets
                    for record in self._journal[assignment].records]
         proc = self._ctx.Process(
             target=worker_main,
-            args=(self._app, self._stages, self.watchdog_quantum, assignment,
-                  incarnation, batches, child_conn, self._drain_event,
+            args=(self._app, self._stages, assignment, incarnation,
+                  batches, child_conn, self._drain_event,
                   self._worker_faults(slot, assignment)),
             name=f"serve-shard-{assignment}-i{incarnation}",
             daemon=True)
@@ -816,10 +803,3 @@ class ServeRuntime:
             "first_commit_s": first - self._started,
             "verify_tail_s": verdict - last,
         }
-
-
-def serve(app_name: str, **kwargs) -> ServeReport:
-    """Convenience wrapper: build a :class:`ServeRuntime` and run it."""
-    install_sigterm = kwargs.pop("install_sigterm", False)
-    runtime = ServeRuntime(app_name, **kwargs)
-    return runtime.run(install_sigterm=install_sigterm)

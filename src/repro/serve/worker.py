@@ -10,12 +10,11 @@ the parent's commit watermark drops the re-delivered prefix (counting
 it, see :mod:`repro.serve.journal`).
 
 Per batch the worker feeds the packets, runs the compiled pipeline
-(degree 1 = the sequential PPS) under a fresh watchdog, and ships the
-*observable delta* — new TX records and trace events, a digest of the
-messages forwarded on the program's own pipes (with the packets they
-name), and execution counters — up its private pipe.  One writer per
-pipe means a SIGKILL at any instant cannot corrupt a sibling's message
-stream.
+(degree 1 = the sequential PPS), and ships the *observable delta* —
+new TX records and trace events, a digest of the messages forwarded on
+the program's own pipes (with the packets they name), and execution
+counters — up its private pipe.  One writer per pipe means a SIGKILL
+at any instant cannot corrupt a sibling's message stream.
 
 Failure reporting reuses the PR 3 watchdog classification: a
 :class:`~repro.errors.DeadlockError` surfaces with its ``kind``
@@ -41,7 +40,6 @@ from repro.runtime.equivalence import is_external, packet_view
 from repro.runtime.faults import WorkerFaults
 from repro.runtime.scheduler import run_pipeline, run_sequential
 from repro.runtime.state import MachineState
-from repro.runtime.watchdog import DEFAULT_QUANTUM, Watchdog
 
 #: Exit code a worker uses for classified (reported) failures.
 WORKER_FAILURE_EXIT = 3
@@ -59,12 +57,10 @@ class BatchRunner:
     the oracle; otherwise the realized pipeline stages.
     """
 
-    def __init__(self, app, *, stages: list | None = None,
-                 watchdog_quantum: int | None = DEFAULT_QUANTUM):
+    def __init__(self, app, *, stages: list | None = None):
         self._app = app
         self._function = app.module.pps(app.pps_name)
         self._stages = stages
-        self._watchdog_quantum = watchdog_quantum
         self.state = MachineState(app.module)
         self._tx_seen = 0
         self._trace_seen: dict[int, int] = {}
@@ -76,16 +72,13 @@ class BatchRunner:
         messages) and its execution counters."""
         state = self.state
         iterations = self._app.feed(state, packets)
-        watchdog = (Watchdog(self._watchdog_quantum)
-                    if self._watchdog_quantum is not None else None)
         if self._stages is None:
             stats = [run_sequential(self._function, state,
-                                    iterations=iterations,
-                                    watchdog=watchdog)]
+                                    iterations=iterations)]
             iterations = stats[0].iterations
         else:
-            stats = run_pipeline(self._stages, state, iterations=iterations,
-                                 watchdog=watchdog).stats.values()
+            stats = run_pipeline(self._stages, state,
+                                 iterations=iterations).stats.values()
         counters = {"instructions": sum(s.instructions for s in stats),
                     "weight": sum(s.weight for s in stats),
                     "iterations": iterations,
@@ -128,15 +121,15 @@ class BatchRunner:
         return count, hash(tuple(forwarded))
 
 
-def worker_main(app, stages: list | None, watchdog_quantum: int | None,
-                shard: int, incarnation: int, batches: list[list], conn,
-                drain_event, fault: WorkerFaults | None = None) -> None:
+def worker_main(app, stages: list | None, shard: int, incarnation: int,
+                batches: list[list], conn, drain_event,
+                fault: WorkerFaults | None = None) -> None:
     """Child-process body: replay ``batches`` through the inherited
     ``app`` (``stages=None``: its sequential PPS), streaming deltas up
     ``conn``.  Never returns non-locally except by ``sys.exit``."""
     try:
-        _worker_body(app, stages, watchdog_quantum, shard, incarnation,
-                     batches, conn, drain_event, fault)
+        _worker_body(app, stages, shard, incarnation, batches, conn,
+                     drain_event, fault)
     except DeadlockError as exc:
         conn.send(("error", shard, incarnation, exc.kind, str(exc)))
         sys.exit(WORKER_FAILURE_EXIT)
@@ -151,12 +144,11 @@ def worker_main(app, stages: list | None, watchdog_quantum: int | None,
         conn.close()
 
 
-def _worker_body(app, stages, watchdog_quantum, shard, incarnation, batches,
-                 conn, drain_event, fault) -> None:
+def _worker_body(app, stages, shard, incarnation, batches, conn,
+                 drain_event, fault) -> None:
     # The supervisor owns lifecycle signals; workers die by SIGKILL only.
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    runner = BatchRunner(app, stages=stages,
-                         watchdog_quantum=watchdog_quantum)
+    runner = BatchRunner(app, stages=stages)
     conn.send(("ready", shard, incarnation))
 
     armed = fault if (fault is not None and (

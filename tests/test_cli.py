@@ -223,6 +223,17 @@ def test_fuzz_bad_degrees_is_usage_error(capsys):
     ["serve", "--batch", "0"],
     ["fuzz", "--seeds", "0"],
     ["explore", "-j", "0"],
+    ["run", "demo.ppc", "--iterations", "0"],
+    ["run", "demo.ppc", "--iterations", "-2"],
+    # A serve supervision value that would break supervision.
+    ["serve", "--hang-timeout", "0"],
+    ["serve", "--hang-timeout", "-1"],
+    ["serve", "--hang-timeout", "nan"],
+    ["serve", "--drain-grace", "-1"],
+    ["serve", "--backoff", "-0.5"],
+    ["serve", "--backoff", "soon"],
+    ["serve", "--max-restarts", "-1"],
+    ["serve", "--max-restarts", "1.5"],
 ])
 def test_bad_list_flag_is_a_usage_error_on_every_command(argv, capsys):
     """Checked in parsing: exit 2 with an ``error:`` line, whether
@@ -378,11 +389,10 @@ CLI_SURFACE = {
                 "--ring --strategy -d file",
     "run": "--cache-dir --dead-letters --degree --faults --feed "
            "--isolate-traps --iterations --no-cache --pps --profile "
-           "--trace --watchdog-quantum -d file",
+           "--trace -d file",
     "serve": "--app --backoff --batch --cache-dir --degree --drain-grace "
-             "--faults --hang-timeout --journal-dir --max-restarts "
-             "--no-cache --output --packets --profile --seed --shards "
-             "--trace --watchdog-quantum -d -o",
+             "--faults --hang-timeout --max-restarts --no-cache --output "
+             "--packets --profile --seed --shards --trace -d -o",
 }
 
 
@@ -402,7 +412,7 @@ def test_cli_surface():
     assert surface == CLI_SURFACE
     long_options = {option for options in surface.values()
                     for option in options.split() if option.startswith("--")}
-    assert (len(surface), len(long_options)) == (9, 39)
+    assert (len(surface), len(long_options)) == (9, 37)
 
 
 @pytest.mark.parametrize("shape, size",

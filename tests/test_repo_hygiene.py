@@ -207,8 +207,6 @@ def test_docs_name_only_files_and_names_that_exist():
 #: with the reader it has instead.
 _CALLER_EXEMPT = {
     "shard_oracle": "bench/ runs it as the serving benchmarks' oracle",
-    "Journal.load_records": "the reader of the trail `repro serve "
-                            "--journal-dir` writes (payloads decoded)",
     "TrafficGenerator.mixed_stream": "ROADMAP item 8 gives it a caller",
     "allocate_engines": "ROADMAP item 11's application, until it decides",
     "AllocationResult.engines_used": "ROADMAP item 11, as allocate_engines",

@@ -1,4 +1,5 @@
-"""The deadlock/livelock watchdog: adversarial pipelines and clean runs."""
+"""The deadlock/livelock watchdog every ``run_group`` builds:
+adversarial pipelines and clean runs."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.cfg import find_pps_loop
 from repro.errors import DeadlockError
 from repro.pipeline.transform import pipeline_pps
-from repro.runtime.interp import Interpreter, InterpStats
+from repro.runtime.interp import BURST, Interpreter, InterpStats
 from repro.runtime.scheduler import run_group, run_pipeline, run_sequential
 from repro.runtime.state import MachineState
 from repro.runtime.watchdog import Watchdog
@@ -24,7 +25,8 @@ def _interp(module, pps_name, state, **kwargs):
 # -- adversarial hand-wired pipelines -----------------------------------------
 
 
-def test_cyclic_pipe_wait_is_a_deadlock():
+def _pipe_wait_cycle() -> dict:
+    """alpha waits on beta's pipe, beta on alpha's: nothing ever moves."""
     module = compile_module("""
         pipe a2b; pipe b2a;
         pps alpha { for (;;) { int v = pipe_recv(b2a);
@@ -33,12 +35,26 @@ def test_cyclic_pipe_wait_is_a_deadlock():
                                pipe_send(b2a, v + 1); } }
     """)
     state = MachineState(module)
-    interpreters = {
-        "alpha": _interp(module, "alpha", state),
-        "beta": _interp(module, "beta", state),
-    }
+    return {"alpha": _interp(module, "alpha", state),
+            "beta": _interp(module, "beta", state)}
+
+
+def test_every_run_group_is_watched():
+    """No run opts out: ``run_group`` takes no watchdog to turn off, and
+    given nothing but the interpreters it judges the cycle a deadlock
+    instead of returning a short run."""
+    interpreters = _pipe_wait_cycle()
+    with pytest.raises(TypeError):
+        run_group(interpreters, watchdog=None)
     with pytest.raises(DeadlockError) as excinfo:
-        run_group(interpreters, watchdog=Watchdog())
+        run_group(interpreters)
+    assert excinfo.value.kind == "deadlock"
+
+
+def test_cyclic_pipe_wait_is_a_deadlock():
+    interpreters = _pipe_wait_cycle()
+    with pytest.raises(DeadlockError) as excinfo:
+        run_group(interpreters)
     exc = excinfo.value
     assert exc.kind == "deadlock"
     assert exc.parked == {"alpha": ("recv", "b2a"),
@@ -70,7 +86,7 @@ def test_bounded_capacity_cycle_is_a_deadlock():
         "consumer": _interp(module, "consumer", state),
     }
     with pytest.raises(DeadlockError) as excinfo:
-        run_group(interpreters, watchdog=Watchdog())
+        run_group(interpreters)
     exc = excinfo.value
     assert exc.parked["producer"] == ("send", "data")
     assert exc.parked["consumer"] == ("recv", "trigger")
@@ -96,7 +112,7 @@ def test_never_consuming_stage_deadlocks_its_upstream():
         "lazy": _interp(module, "lazy", state),
     }
     with pytest.raises(DeadlockError) as excinfo:
-        run_group(interpreters, watchdog=Watchdog())
+        run_group(interpreters)
     exc = excinfo.value
     assert set(exc.offenders) == {"producer", "lazy"}
     assert exc.parked["producer"] == ("send", "data")
@@ -130,12 +146,10 @@ def test_drained_pipeline_cascade_is_normal():
     result = pipeline_pps(module, "worker", 3)
     state = MachineState(module)
     iterations = standard_setup(state)
-    watchdog = Watchdog(quantum=100_000)
-    run_pipeline(result.stages, state, iterations=iterations,
-                 watchdog=watchdog)
+    run_pipeline(result.stages, state, iterations=iterations)
     # Downstream stages end parked on their drained input pipes; the
     # done-fixpoint must cascade past the finished stage 1.
-    assert watchdog.quiescence_checks == 1
+    assert state.pipe("out_q").sent == iterations
 
 
 def test_sink_backpressure_is_normal():
@@ -146,8 +160,7 @@ def test_sink_backpressure_is_normal():
     """)
     state = MachineState(module, pipe_capacity=2)
     state.feed_pipe("in_q", [1, 2, 3, 4, 5])
-    run_sequential(module.pps("producer"), state, iterations=5,
-                   watchdog=Watchdog())
+    run_sequential(module.pps("producer"), state, iterations=5)
     assert len(state.pipe("mid").queue) == 2  # quiesced full, no error
 
 
@@ -165,7 +178,7 @@ def test_exhausted_device_input_is_normal():
     state = MachineState(module)
     state.devices.feed_packet(0, b"ab")
     interpreters = {"rxlike": _interp(module, "rxlike", state)}
-    run_group(interpreters, watchdog=Watchdog())  # parks on idle port
+    run_group(interpreters)  # parks on idle port
 
 
 def test_zero_packet_run_is_classified_as_end_of_stream():
@@ -176,18 +189,13 @@ def test_zero_packet_run_is_classified_as_end_of_stream():
     module = compile_module(STANDARD_PPS)
     state = MachineState(module)
     state.load_region("tbl", [(i * 7 + 3) % 50 for i in range(64)])
-    watchdog = Watchdog(quantum=1000)
-    run_sequential(module.pps("worker"), state, iterations=5,
-                   watchdog=watchdog)
-    assert watchdog.quiescence_checks == 1
+    run_sequential(module.pps("worker"), state, iterations=5)
     assert state.pipe("out_q").sent == 0
 
     result = pipeline_pps(module, "worker", 3)
     state2 = MachineState(module)
     state2.load_region("tbl", [(i * 7 + 3) % 50 for i in range(64)])
-    watchdog2 = Watchdog(quantum=1000)
-    run_pipeline(result.stages, state2, iterations=5, watchdog=watchdog2)
-    assert watchdog2.quiescence_checks == 1
+    run_pipeline(result.stages, state2, iterations=5)
     assert state2.pipe("out_q").sent == 0
 
 
@@ -205,9 +213,8 @@ def test_detach_during_active_quarantine_reconciles_cleanly():
     state = MachineState(module)
     FaultInjector(plan).arm(state)
     iterations = standard_setup(state)
-    watchdog = Watchdog(quantum=100_000)
     run = run_pipeline(result.stages, state, iterations=iterations,
-                       watchdog=watchdog, isolate_traps=True)
+                       isolate_traps=True)
     assert sum(stats.traps for stats in run.stats.values()) >= 1
     assert state.dead_letters
     hub = state.wake_hub
@@ -231,29 +238,52 @@ class _SpinningInterp:
         self.stats = InterpStats()
         self.finished = False
         self.wait_key = None
+        self.resumes = 0
 
     def run(self):
         while True:
+            self.resumes += 1
             yield
 
 
-def test_livelock_raises_within_the_quantum():
+def test_livelock_raises_within_the_quantum(monkeypatch):
+    monkeypatch.setattr("repro.runtime.watchdog.QUANTUM", 50)
     module = compile_module(STANDARD_PPS)
     state = MachineState(module)
-    watchdog = Watchdog(quantum=50)
+    spinner = _SpinningInterp(state)
     with pytest.raises(DeadlockError) as excinfo:
-        run_group({"spinner": _SpinningInterp(state)}, watchdog=watchdog)
+        run_group({"spinner": spinner})
     assert excinfo.value.kind == "livelock"
-    assert watchdog.progress_checks >= 2
+    assert "no instruction progress in 50 scheduler steps" \
+        in str(excinfo.value)
+    # The first check records the baseline, the second finds no progress.
+    assert 50 < spinner.resumes < 2 * 50
 
 
-def test_progressing_run_never_trips_the_livelock_check():
+def test_spinner_beside_a_drained_stage_is_a_livelock(monkeypatch):
+    """Progress is summed over the group: the check stays quiet while
+    the real PPS retires instructions and fires once only the spinner
+    is left stepping."""
+    monkeypatch.setattr("repro.runtime.watchdog.QUANTUM", 8)
+    module = compile_module(STANDARD_PPS)
+    state = MachineState(module)
+    # 20 bursts of the worker, interleaved with the spinner: 5 quanta.
+    iterations = standard_setup(state, count=20 * BURST)
+    worker = _interp(module, "worker", state, max_iterations=iterations)
+    with pytest.raises(DeadlockError) as excinfo:
+        run_group({"worker": worker, "spinner": _SpinningInterp(state)})
+    assert excinfo.value.kind == "livelock"
+    assert worker.finished
+    assert state.pipe("out_q").sent == iterations
+
+
+def test_progressing_run_never_trips_the_livelock_check(monkeypatch):
+    # Tiny quantum: every check must still observe fresh progress.
+    monkeypatch.setattr("repro.runtime.watchdog.QUANTUM", 5)
     module = compile_module(STANDARD_PPS)
     state = MachineState(module)
     iterations = standard_setup(state)
-    # Tiny quantum: every check must still observe fresh progress.
-    run_sequential(module.pps("worker"), state, iterations=iterations,
-                   watchdog=Watchdog(quantum=5))
+    run_sequential(module.pps("worker"), state, iterations=iterations)
 
 
 # -- property: fault-free seeded runs never trip ------------------------------
@@ -271,8 +301,7 @@ def test_fault_free_runs_never_trip_the_watchdog(seed):
     if "flow_state" in state.regions:
         state.load_region("flow_state", [0] * 16)
     state.feed_pipe("in_q", [((i * 31 + seed) % 251) for i in range(20)])
-    run_sequential(module.pps("generated"), state, iterations=20,
-                   watchdog=Watchdog(quantum=100_000))
+    run_sequential(module.pps("generated"), state, iterations=20)
 
     result = pipeline_pps(module, "generated", 2)
     state2 = MachineState(module)
@@ -283,5 +312,4 @@ def test_fault_free_runs_never_trip_the_watchdog(seed):
     if "flow_state" in state2.regions:
         state2.load_region("flow_state", [0] * 16)
     state2.feed_pipe("in_q", [((i * 31 + seed) % 251) for i in range(20)])
-    run_pipeline(result.stages, state2, iterations=20,
-                 watchdog=Watchdog(quantum=100_000))
+    run_pipeline(result.stages, state2, iterations=20)

@@ -144,22 +144,6 @@ def test_empty_shards_are_not_spawned():
     assert report.counters["workers_spawned"] == 8 - len(empty)
 
 
-def test_journal_dir_persists_a_replayable_trail(tmp_path):
-    from repro.serve import Journal
-
-    report = run_serve(plan=serve_plans()["worker-kill"],
-                       journal_dir=str(tmp_path))
-    assert report.ok
-    trails = sorted(tmp_path.glob("shard-*.jsonl"))
-    assert trails
-    records = Journal.load_records(trails[0])
-    kinds = {record["type"] for record in records}
-    assert "batch" in kinds and "commit" in kinds and "replay" in kinds
-    batches = [r for r in records if r["type"] == "batch"]
-    assert all(isinstance(p, bytes)
-               for r in batches for p in r["packets"])
-
-
 def test_runtime_report_carries_serve_counters():
     report = run_serve()
     runtime_report = report.runtime_report()
@@ -506,13 +490,13 @@ def test_drain_verifies_the_committed_prefix_only(monkeypatch):
     simulated = []
     real = supervise.oracle_deltas
 
-    def counting(app, batches, **kwargs):
-        for delta in real(app, batches, **kwargs):
+    def counting(app, batches):
+        for delta in real(app, batches):
             simulated.append(delta)
             yield delta
 
     monkeypatch.setattr(supervise, "oracle_deltas", counting)
-    stream = supervise._OracleStream(app, journal, 200_000)
+    stream = supervise._OracleStream(app, journal)
     watermarks = {0: 2, 1: 1}
     for shard, committed in watermarks.items():
         deltas = shard_oracle(

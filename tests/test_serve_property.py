@@ -60,7 +60,7 @@ def run_with_kills(stream, shards, batch, kill_plan):
         incarnations = list(kill_plan.get(index, ())) + [len(records)]
         for incarnation, reports in enumerate(incarnations):
             if incarnation > 0:
-                journal.note_replay(index, incarnation)
+                journal.note_replay(index)
             # Every incarnation replays from batch 1; the watermark
             # drops the re-delivered prefix.
             for record in records[:reports]:
