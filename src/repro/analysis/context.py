@@ -5,9 +5,7 @@ SSA form, the dependence model, and the profile runs for every
 ``(program, degree)`` request — and ``verify_partition`` rebuilt them
 once more.  All of that is a pure function of the program text and the
 normalization knob, so :class:`AnalysisContext` computes it once and is
-shared across every degree of a sweep, every supervisor ladder rung
-(rungs that perturb ``max_block_instructions`` get their own context),
-and the verifier.
+shared across every degree of a sweep and the verifier.
 
 The context never depends on the requested degree, the balance knobs, or
 the profiler's traffic classes (profiles are memoized per profiler

@@ -12,9 +12,9 @@ degree there); :meth:`CompileCache.lookup` re-verifies all of them, so
 a truncated, bit-rotted, or wrong-schema entry is discarded (with a
 warning and a ``corrupt`` counter tick) instead of being deserialized.
 A lookup may additionally pass ``expect={...}``: an entry whose
-annotations contradict the expectation — e.g. a degraded artifact asked
-for at full degree — is *rejected* (counted, left on disk) and the
-lookup misses.
+annotations contradict the expectation — e.g. an artifact stamped with
+another degree than the one asked for — is *rejected* (counted, left on
+disk) and the lookup misses.
 
 Writes go to a temporary file in the destination directory followed by
 ``os.replace`` — atomic on POSIX — so concurrent writers (the parallel
@@ -100,8 +100,8 @@ class CompileCache:
 
         ``expect`` optionally constrains the envelope annotations: every
         ``expect[k]`` must equal the stored annotation ``k``.  A
-        contradicting entry (e.g. stamped with a lower achieved degree
-        than requested) is rejected — counted in ``rejected``, kept on
+        contradicting entry (e.g. stamped with another degree than the
+        one requested) is rejected — counted in ``rejected``, kept on
         disk — and the lookup reports a miss.
         """
         path = self.entry_path(key)

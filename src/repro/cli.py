@@ -24,12 +24,11 @@ PPS-C files conventionally use the ``.ppc`` extension.
 
 ``repro pipeline`` / ``repro run`` partition through the supervisor
 (:mod:`repro.pipeline.supervisor`): the result is independently verified
-(:mod:`repro.pipeline.verify`), and on partitioner faults or verifier
-rejection the requested degree degrades down a D → ⌈D/2⌉ → … → 1 ladder
-rather than failing outright.  ``--keep-going`` on the sweep
-commands (``explore``, ``chaos``) likewise trades fail-fast for
-per-cell failure records; a failed cell reports its seed and a
-reproduce one-liner identically at every ``-j``.
+(:mod:`repro.pipeline.verify`), and a verifier rejection or a
+partitioner error fails the command with its own message.
+``--keep-going`` on the sweep commands (``explore``, ``chaos``) trades
+fail-fast for per-cell failure records; a failed cell reports its seed
+and a reproduce one-liner identically at every ``-j``.
 
 Partition results are memoized in a content-addressed artifact cache
 (``--cache-dir DIR``, default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``;
@@ -41,15 +40,14 @@ packets, seed and knobs they share its artifacts (every sweep cell runs
 at the ``--seed`` as given).
 
 Exit codes (see :mod:`repro.errors`): 0 success, 1 compile/pipeline/IO
-failure (including sweep worker crashes), 2 usage error (unknown PPS or
-app, a count or degree below 1, a negative ``serve`` delay or budget,
-a hang timeout not above 0, malformed ``--feed``, unknown or malformed
-fault plan), 3 runtime failure (interpreter trap, deadlock/livelock,
-serving pool collapse), 4 degraded success (the supervisor delivered a
-verified partition, but at a lower degree than requested), 5 degraded
-serving (``repro serve`` delivered every committed batch, but only by
-re-sharding a failed worker's flows onto survivors or by leaving a
-drained tail undelivered).
+failure (a verifier rejection and sweep worker crashes included), 2
+usage error (unknown PPS or app, a count or degree below 1, a knob its
+``Knobs`` or ``ServePolicy`` rejects, malformed ``--feed``, unknown or
+malformed fault plan), 3 runtime failure (interpreter trap,
+deadlock/livelock, serving pool collapse), 5 degraded serving (``repro
+serve`` delivered every committed batch, but only by re-sharding a
+failed worker's flows onto survivors or by leaving a drained tail
+undelivered).
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ import sys
 from repro import compile_module
 from repro.apps.suite import FIGURE_APPS, STREAM_APPS
 from repro.errors import (
-    EXIT_DEGRADED,
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_RUNTIME,
@@ -114,30 +111,6 @@ def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError("must be an integer >= 1")
     return int(text)
-
-
-def _non_negative_int(text: str) -> int:
-    """The argparse type of ``serve --max-restarts`` (0: no restart)."""
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError("must be an integer >= 0")
-    return int(text)
-
-
-def _seconds(text: str) -> float:
-    """The argparse type of ``serve --backoff`` and ``--drain-grace``."""
-    value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError("must be a number of seconds >= 0")
-    return value
-
-
-def _positive_seconds(text: str) -> float:
-    """The argparse type of ``serve --hang-timeout``: a timeout of 0 or
-    less would judge every worker hung before its first batch."""
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be a number of seconds > 0")
-    return value
 
 
 def _parse_list(flag: str, values, convert=str) -> list:
@@ -327,17 +300,17 @@ def cmd_ir(args) -> int:
 def cmd_pipeline(args) -> int:
     from repro.pipeline.supervisor import supervise_partition
 
+    try:
+        knobs = Knobs(costs=cost_table(args.ring), epsilon=args.epsilon,
+                      strategy=Strategy(args.strategy))
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
     module = _load_module(args.file)
     pps_name = _resolve_pps(module, args.pps)
-    outcome = supervise_partition(
-        module, pps_name, args.degree,
-        knobs=Knobs(costs=cost_table(args.ring), epsilon=args.epsilon,
-                    strategy=Strategy(args.strategy)),
-        cache=_open_cache(args))
-    if outcome.result is None:
-        raise PipelineError(outcome.summary())
+    outcome = supervise_partition(module, pps_name, args.degree,
+                                  knobs=knobs, cache=_open_cache(args))
     result = outcome.result
-    print(f"{pps_name}: {outcome.achieved_degree} stages over {args.ring} "
+    print(f"{pps_name}: {result.degree} stages over {args.ring} "
           f"rings (epsilon={args.epsilon}, {args.strategy} transmission)")
     weights = result.stage_weights
     for stage in result.stages:
@@ -351,15 +324,11 @@ def cmd_pipeline(args) -> int:
         print(f"  cut {diag.stage}: target={diag.target:.1f} "
               f"got={diag.weight} cost={diag.cut_value} "
               f"balanced={diag.balanced}")
-    if outcome.verdict is not None:
-        print(f"  verify: {outcome.verdict.summary()}")
+    print(f"  verify: {outcome.verdict.summary()}")
     if args.emit:
         for stage in result.stages:
             print()
             print(format_function(stage.function))
-    if outcome.degraded:
-        print(f"warning: {outcome.summary()}", file=sys.stderr)
-        return EXIT_DEGRADED
     return EXIT_OK
 
 
@@ -395,9 +364,6 @@ def _run(args, tracer) -> int:
 
         outcome = supervise_partition(module, pps_name, args.degree,
                                       cache=cache)
-        if outcome.result is None:
-            raise PipelineError(outcome.summary())
-        degree = outcome.achieved_degree
         pipelined = fresh()
         run = run_pipeline(outcome.result.stages, pipelined,
                            iterations=args.iterations,
@@ -405,10 +371,10 @@ def _run(args, tracer) -> int:
         longest = max(s.weight for s in run.stats.values())
         if plan is None or plan.semantics_preserving():
             assert_equivalent(observe(sequential), observe(pipelined))
-            print(f"pipelined x{degree}: longest stage {longest} "
+            print(f"pipelined x{args.degree}: longest stage {longest} "
                   f"weighted instructions; observationally equivalent ✔")
         else:
-            print(f"pipelined x{degree}: longest stage {longest} "
+            print(f"pipelined x{args.degree}: longest stage {longest} "
                   f"weighted instructions; equivalence skipped "
                   f"(fault plan is not semantics-preserving)")
         state = pipelined
@@ -443,9 +409,6 @@ def _run(args, tracer) -> int:
             print(report.render())
         if tracer is not None:
             emit_counter_events(tracer, report)
-    if outcome is not None and outcome.degraded:
-        print(f"warning: {outcome.summary()}", file=sys.stderr)
-        return EXIT_DEGRADED
     return EXIT_OK
 
 
@@ -507,10 +470,13 @@ def cmd_serve(args) -> int:
     from repro.serve import ServePolicy, ServeRuntime
 
     plan = resolve_plan(args.faults, serve=True) if args.faults else None
-    policy = ServePolicy(max_restarts=args.max_restarts,
-                         backoff_base=args.backoff,
-                         hang_timeout=args.hang_timeout,
-                         drain_grace=args.drain_grace)
+    try:
+        policy = ServePolicy(max_restarts=args.max_restarts,
+                             backoff_base=args.backoff,
+                             hang_timeout=args.hang_timeout,
+                             drain_grace=args.drain_grace)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
     cache = _open_cache(args)
     runtime = ServeRuntime(args.app, shards=args.shards,
                            degree=args.degree, packets=args.packets,
@@ -716,17 +682,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="packets per journaled batch (the commit "
                               "and replay unit)")
     _add_fault_flags(p_serve)
-    p_serve.add_argument("--max-restarts", type=_non_negative_int, default=3,
+    p_serve.add_argument("--max-restarts", type=int, default=3,
                          help="per-shard restart budget before the "
                               "circuit breaker re-shards (default: 3)")
-    p_serve.add_argument("--backoff", type=_seconds, default=0.05,
+    p_serve.add_argument("--backoff", type=float, default=0.05,
                          help="first restart delay, seconds; doubles per "
                               "restart (default: 0.05)")
-    p_serve.add_argument("--hang-timeout", type=_positive_seconds,
-                         default=10.0,
+    p_serve.add_argument("--hang-timeout", type=float, default=10.0,
                          help="seconds a live worker may stay silent "
                               "before a hang kill (default: 10)")
-    p_serve.add_argument("--drain-grace", type=_seconds, default=2.0,
+    p_serve.add_argument("--drain-grace", type=float, default=2.0,
                          help="seconds a SIGTERM drain waits before "
                               "killing stragglers (default: 2)")
     _add_report_flags(p_serve, what="per-shard")

@@ -5,21 +5,16 @@ so embedders can catch one base class, and the CLI can map families to
 distinct exit codes (see :mod:`repro.cli`):
 
 * usage errors (``CLIError``, ``FaultPlanError``) — exit 2;
-* compile/partition failures (``FrontendError``, ``PipelineError``) —
-  exit 1;
+* compile/partition failures, a verifier rejection included
+  (``FrontendError``, ``PipelineError``) — exit 1;
 * runtime traps and scheduler hangs (``TrapError`` and its device/packet
   subclasses, ``DeadlockError``) — exit 3;
-* degraded success (``EXIT_DEGRADED``) — exit 4: the run *completed*,
-  but the partition supervisor had to degrade to a lower pipelining
-  degree than requested (see ``repro.pipeline.supervisor``).  Not an
-  exception family: commands return the code after printing a one-line
-  warning.
 * degraded serving (``EXIT_DEGRADED_SERVE``) — exit 5: a ``repro
   serve`` run *delivered every committed batch*, but only by degrading
   the pool — a shard exhausted its restart budget and was re-sharded
   onto survivors, or a drain left undelivered batches behind (see
-  ``repro.serve.supervise``).  Like exit 4, not an exception family:
-  the command returns the code after a one-line stderr warning.
+  ``repro.serve.supervise``).  Not an exception family: the command
+  returns the code after a one-line stderr warning.
 
 This module must stay dependency-free: it is imported by the lowest
 layers (state, devices, packets) and by the front end.
@@ -32,7 +27,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1        # compile / partition / IO / sweep failure
 EXIT_USAGE = 2          # bad flag value, unknown PPS, malformed plan
 EXIT_RUNTIME = 3        # interpreter trap, deadlock / livelock
-EXIT_DEGRADED = 4       # success at a lower pipelining degree than asked
 EXIT_DEGRADED_SERVE = 5  # serve completed, but resharded or part-drained
 
 

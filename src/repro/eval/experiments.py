@@ -50,34 +50,19 @@ def figures_record(*, packets: int = 60, seed: int = 7,
     Exactly :func:`~repro.eval.explore.deterministic_report` of
     :func:`~repro.eval.explore.explore`: one row per *distinct* app,
     every cell verified by the supervisor, every pipelined run checked
-    observationally equivalent to the sequential one.  A cell not
-    verified at its degree on the first attempt is a :class:`SweepError`
-    naming it, never a degraded number.  Always solved cold: a cached
+    observationally equivalent to the sequential one.  A cell the
+    verifier rejects is a :class:`~repro.eval.sweep.SweepError` naming
+    it, never a number.  Always solved cold: a cached
     artifact carries the work counters of whichever command solved it
     first, so only an uncached run is a pure function of the source —
     the same record at any ``jobs`` level, on any host.
     """
     from repro.eval.explore import SearchSpace, deterministic_report, explore
-    from repro.eval.sweep import SweepError, explore_tasks
 
     space = SearchSpace(apps=FIGURE_APPS,
                         degrees=tuple(degrees or range(1, 10)),
                         packets=packets, seed=seed)
-    record = deterministic_report(explore(space, jobs=jobs))
-    for app, entry in record["apps"].items():
-        for cell in entry["cells"]:
-            if not cell["verified"] or cell["degraded"] or "attempts" in cell:
-                degree = cell["config"]["degree"]
-                [task] = explore_tasks(SearchSpace(
-                    apps=(app,), degrees=(degree,), packets=packets,
-                    seed=seed))
-                raise SweepError(
-                    f"figures cell {cell['id']} is not verified at degree "
-                    f"{degree} on the first attempt (achieved degree "
-                    f"{cell['achieved_degree']}, "
-                    f"{cell.get('attempts', 1)} attempts); "
-                    f"{task.detail()}", task=task)
-    return record
+    return deterministic_report(explore(space, jobs=jobs))
 
 
 def figure_series(record: dict, apps, metric: str) -> dict:

@@ -14,9 +14,9 @@ frontier beat fixed-k heuristics.  This module is that search for PPS-C:
 2. **evaluate** every cell through the cached, parallel,
    supervisor-verified pipeline (:mod:`repro.eval.sweep` fan-out): each
    cell is partitioned via :func:`~repro.pipeline.supervisor.supervise_partition`
-   (independent verification + graceful degradation) and simulated with
-   the observational-equivalence check on — over the figure PPSes at
-   the default knobs this *is* ``repro figures``;
+   (one partition, independently verified; a rejection fails the cell)
+   and simulated with the observational-equivalence check on — over
+   the figure PPSes at the default knobs this *is* ``repro figures``;
 3. **score** each cell on (simulated throughput — the speedup over the
    sequential PPS, transmitted live-set words, realized stage count);
    the cell also records the live-set overhead and the partition and
@@ -63,7 +63,9 @@ from repro.runspec import Knobs
 #: ``simulated_instructions``.
 #: v5: ``repro figures`` writes this report as ``BENCH_headline.json``
 #: (no projected layout), and a space's apps are de-duplicated.
-EXPLORE_SCHEMA_VERSION = 5
+#: v6: a cell loses its verdict and retry keys: every recorded cell is
+#: verified at its degree, and a rejected one is a failed cell.
+EXPLORE_SCHEMA_VERSION = 6
 
 #: Objective directions: maximize speedup, minimize words and stages.
 OBJECTIVES = ("speedup", "transmitted_words", "stages")
@@ -101,10 +103,13 @@ class SearchSpace:
     def validate(self) -> "SearchSpace":
         """Check the space is well-formed; returns self for chaining.
 
-        Also asserts that every selected cost table has a *distinct*
-        compile-cache identity (:func:`repro.cache.key.cost_identity`) —
-        the cache is salted with the full cost table, and this is where
-        that invariant is checked before a search relies on it.
+        A bad app or degree is an :class:`ExploreError`; a knob its
+        :class:`~repro.runspec.Knobs` rejects, or an unknown cost table,
+        a ``ValueError``.  Also asserts that every selected cost table
+        has a *distinct* compile-cache identity
+        (:func:`repro.cache.key.cost_identity`) — the cache is salted
+        with the full cost table, and this is where that invariant is
+        checked before a search relies on it.
         """
         from repro.apps.suite import APPS
         from repro.cache.key import cost_identity
@@ -122,15 +127,10 @@ class SearchSpace:
             if not isinstance(degree, int) or degree < 1:
                 raise ExploreError(f"bad degree {degree!r}: must be an "
                                    f"integer >= 1")
-        for epsilon in self.epsilons:
-            if not epsilon > 0:
-                raise ExploreError(f"bad epsilon {epsilon!r}: must be > 0")
-        for mbi in self.max_block_instructions:
-            if not isinstance(mbi, int) or mbi < 0:
-                raise ExploreError(f"bad max_block_instructions {mbi!r}")
+        self.combos()  # Knobs and cost_table raise ValueError on bad knobs
         identities: dict[str, str] = {}
         for ring in self.rings:
-            table = cost_table(ring)  # raises ValueError on unknown names
+            table = cost_table(ring)
             # Compare the cost *parameters* (identity minus the name):
             # two same-parameter tables are distinct cache addresses —
             # the key is salted with the name — but exploring both would
@@ -282,8 +282,7 @@ def _dominator_id(cell: dict, cells: list[dict]) -> str | None:
     """The id of the strongest cell dominating ``cell`` (deterministic:
     best (speedup, -words, -stages), then smallest id)."""
     dominators = [other for other in cells
-                  if other["metrics"] is not None
-                  and dominates(other["metrics"], cell["metrics"])]
+                  if dominates(other["metrics"], cell["metrics"])]
     if not dominators:
         return None
     best = min(dominators,
@@ -316,28 +315,18 @@ def auto_pick(cells: list[dict]) -> dict | None:
     The marginal rule: climb each knob combo's degree ladder and keep
     the last degree whose score improved — the first plateau ends the
     climb (the paper's "levels off" knee) — then rank the ladders' picks
-    by score.  Degraded or unverified cells are never picked; annotates
-    every cell with a ``pick`` provenance note and returns the pick
-    record (or ``None`` when no cell qualifies).
+    by score.  Annotates every cell with a ``pick`` provenance note and
+    returns the pick record (or ``None`` when there is no cell: every
+    one failed).
     """
-    eligible = []
-    for cell in cells:
-        if not cell["verified"]:
-            cell["pick"] = "ineligible: unverified (partitioning failed)"
-        elif cell["degraded"]:
-            cell["pick"] = (f"ineligible: degraded to "
-                            f"{cell['achieved_degree']} stages "
-                            f"(duplicates a lower-degree cell)")
-        else:
-            eligible.append(cell)
-    if not eligible:
+    if not cells:
         return None
-    scores = {cell["id"]: score(cell["metrics"]) for cell in eligible}
+    scores = {cell["id"]: score(cell["metrics"]) for cell in cells}
 
     candidates = {}
     ladders = {}
     combos: dict[tuple, list] = {}
-    for cell in eligible:
+    for cell in cells:
         combos.setdefault(_combo_key(cell), []).append(cell)
     for combo, row in combos.items():
         row.sort(key=lambda cell: cell["config"]["degree"])
@@ -371,7 +360,7 @@ def auto_pick(cells: list[dict]) -> dict | None:
     ranked = sorted(candidates.values(),
                     key=lambda cell: _tie_key(cell, scores[cell["id"]]))
     picked = ranked[0]
-    for cell in eligible:
+    for cell in cells:
         if cell["id"] == picked["id"]:
             continue
         if cell["id"] in candidates:
@@ -459,16 +448,15 @@ def explore(space: SearchSpace, *, jobs: int = 1, cache=None,
 
     apps: dict[str, dict] = {}
     for app, cells in by_app.items():
-        scored = [cell for cell in cells if cell["metrics"] is not None]
-        flags = pareto_flags([cell["metrics"] for cell in scored])
-        for cell, on_front in zip(scored, flags):
+        flags = pareto_flags([cell["metrics"] for cell in cells])
+        for cell, on_front in zip(cells, flags):
             cell["pareto"] = on_front
             if not on_front:
-                cell["dominated_by"] = _dominator_id(cell, scored)
+                cell["dominated_by"] = _dominator_id(cell, cells)
         pick = auto_pick(cells)
         apps[app] = {
             "cells": cells,
-            "frontier": [cell["id"] for cell in scored if cell["pareto"]],
+            "frontier": [cell["id"] for cell in cells if cell["pareto"]],
             "pick": pick,
         }
 
@@ -536,15 +524,10 @@ def render_markdown(report: dict) -> str:
         else:
             lines.append(f"## {app} — no eligible configuration")
         lines.append("")
-        lines.append("| cell | speedup | words | stages | verified "
-                     "| pareto | note |")
-        lines.append("|---|---|---|---|---|---|---|")
+        lines.append("| cell | speedup | words | stages | pareto | note |")
+        lines.append("|---|---|---|---|---|---|")
         for cell in entry["cells"]:
             metrics = cell["metrics"]
-            if metrics is None:
-                lines.append(f"| {cell['id']} | — | — | — | no | — "
-                             f"| {cell.get('error', 'failed')} |")
-                continue
             note = cell.get("pick", "")
             if not cell.get("pareto", False) and cell.get("dominated_by"):
                 note = (f"dominated by {cell['dominated_by']}"
@@ -552,7 +535,6 @@ def render_markdown(report: dict) -> str:
             lines.append(
                 f"| {cell['id']} | {metrics['speedup']:.4f} "
                 f"| {metrics['transmitted_words']} | {metrics['stages']} "
-                f"| {'yes' if cell['verified'] else 'no'} "
                 f"| {'yes' if cell.get('pareto') else 'no'} | {note} |")
         lines.append("")
     if report.get("failures"):
@@ -577,8 +559,8 @@ def render_summary(report: dict) -> str:
     for app, entry in report["apps"].items():
         pick = entry["pick"]
         if pick is None:
-            lines.append(f"  {app:10s} no eligible configuration (no "
-                         f"verified, non-degraded cell in the space)")
+            lines.append(f"  {app:10s} no eligible configuration (every "
+                         f"cell failed)")
             continue
         metrics = pick["metrics"]
         lines.append(

@@ -161,51 +161,42 @@ def _execute(task: SweepTask) -> dict:
 
 def _partition_cell(task: SweepTask, app, context, degree: int, cache):
     """One degree of the task's row through the supervisor: the cell's
-    record — name, verdict, partition work under ``metrics``, wall
-    seconds under ``timing`` — and the outcome behind it (``None`` at
-    degree 1, the sequential "pipeline": always valid, nothing cut)."""
+    record — name, partition work under ``metrics``, wall seconds under
+    ``timing`` — and the verified result behind it (``None`` at degree
+    1, the sequential "pipeline": always valid, nothing cut).  A
+    rejected partition raises, and the caller records a failed cell."""
     from repro.pipeline.supervisor import supervise_partition
 
     spec = task.spec
     cell = cell_name(spec.app, degree, spec.knobs)
     if degree <= 1:
-        return {**cell, "verified": True, "degraded": False,
-                "achieved_degree": 1,
+        return {**cell,
                 "metrics": {"stages": 1, "cut_iterations": 0, "pr_work": 0},
                 "timing": {"partition_seconds": 0.0}}, None
     outcome, seconds = _timed(
         supervise_partition, app.module, app.pps_name, degree,
         knobs=spec.knobs, profiler=app.profiler, cache=cache,
         context=context)
-    cell.update(verified=outcome.ok, degraded=outcome.degraded,
-                achieved_degree=outcome.achieved_degree)
-    if outcome.ok:
-        diagnostics = outcome.result.assignment.diagnostics
-        cell["metrics"] = {
-            "stages": outcome.achieved_degree,
-            "cut_iterations": sum(diag.iterations for diag in diagnostics),
-            "pr_work": sum(diag.pr_work for diag in diagnostics),
-        }
-    else:
-        cell["error"] = outcome.summary()
-        cell["metrics"] = None
-    if len(outcome.attempts) > 1:
-        cell["attempts"] = len(outcome.attempts)
+    diagnostics = outcome.result.assignment.diagnostics
+    cell["metrics"] = {
+        "stages": degree,
+        "cut_iterations": sum(diag.iterations for diag in diagnostics),
+        "pr_work": sum(diag.pr_work for diag in diagnostics),
+    }
     cell["timing"] = {"partition_seconds": round(seconds, 4)}
-    return cell, outcome
+    return cell, outcome.result
 
 
 def _score_cells(task: SweepTask, cache):
     """The one (app, knobs) degree row of the paper's cost model, behind
     ``repro explore`` and ``repro figures`` alike.
 
-    Every degree is partitioned through the *supervisor* — independent
-    verification, graceful degradation — sharing one analysis context,
-    then simulated against the row's sequential baseline with the
-    observational-equivalence check on.  The record carries one cell
-    dict per degree; its ``metrics`` are pure functions of the task,
-    and the nondeterministic partition wall seconds live under each
-    cell's ``timing``.
+    Every degree is partitioned and verified through the *supervisor*,
+    sharing one analysis context, then simulated against the row's
+    sequential baseline with the observational-equivalence check on.
+    The record carries one cell dict per degree; its ``metrics`` are
+    pure functions of the task, and the nondeterministic partition wall
+    seconds live under each cell's ``timing``.
     """
     from repro.analysis.context import AnalysisContext
     from repro.eval.metrics import measure_pipeline, measure_sequential
@@ -221,21 +212,19 @@ def _score_cells(task: SweepTask, cache):
     cell_failures = []
     for degree in sorted(set(spec.degrees)):
         try:
-            cell, outcome = _partition_cell(task, app, context, degree,
-                                            cache)
-            if cell["metrics"] is not None:
-                measured = measure_pipeline(
-                    app, cell["achieved_degree"], baseline=baseline,
-                    transform=outcome.result if outcome else None)
-                cell["metrics"].update({
-                    "speedup": round(measured.speedup, 4),
-                    # Six places: the figures print three, and four
-                    # would round twice (0.33149 -> 0.3315 -> "0.332").
-                    "overhead": round(measured.overhead_ratio, 6),
-                    "transmitted_words": sum(measured.message_words),
-                    "longest_stage": round(measured.longest_stage, 4),
-                    "simulated_instructions": measured.total_instructions,
-                })
+            cell, result = _partition_cell(task, app, context, degree,
+                                           cache)
+            measured = measure_pipeline(app, degree, baseline=baseline,
+                                        transform=result)
+            cell["metrics"].update({
+                "speedup": round(measured.speedup, 4),
+                # Six places: the figures print three, and four would
+                # round twice (0.33149 -> 0.3315 -> "0.332").
+                "overhead": round(measured.overhead_ratio, 6),
+                "transmitted_words": sum(measured.message_words),
+                "longest_stage": round(measured.longest_stage, 4),
+                "simulated_instructions": measured.total_instructions,
+            })
             cells.append(cell)
         except Exception as exc:
             # A single grid cell crashing (partitioner bug, measurement

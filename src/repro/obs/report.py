@@ -67,9 +67,8 @@ class RuntimeReport:
     #: Compile-cache counters (hits/misses/stores/corrupt/evictions) —
     #: populated only when the run compiled through a CompileCache.
     cache: dict | None = None
-    #: Supervised-partition outcome (verifier verdict, achieved vs
-    #: requested degree) — populated only when the run partitioned
-    #: through the supervisor.
+    #: The verifier's verdict on the partition — populated only when the
+    #: run partitioned through the supervisor.
     partition: dict | None = None
     #: Serving-supervisor counters (workers spawned, restarts, journal
     #: replays, redeliveries, re-shardings) — populated only when the
@@ -147,15 +146,8 @@ class RuntimeReport:
                 f"{self.cache.get('evictions', 0)} evicted, "
                 f"{self.cache.get('corrupt', 0)} corrupt")
         if self.partition is not None:
-            achieved = self.partition.get("achieved_degree")
-            requested = self.partition.get("requested_degree")
-            verdict = self.partition.get("verdict") or {}
-            status = "verified" if verdict.get("ok") else "unverified"
-            note = (f" (DEGRADED from {requested})"
-                    if self.partition.get("degraded") else "")
-            lines.append(f"  partition: {status} at degree {achieved}{note}, "
-                         f"{len(self.partition.get('attempts', []))} "
-                         f"attempts")
+            lines.append(f"  partition: verified at degree "
+                         f"{self.partition['degree']}")
         if self.serve is not None:
             lines.append(
                 f"  serve: {self.serve.get('workers_spawned', 0)} workers, "
@@ -180,8 +172,8 @@ def runtime_report(stats: dict, state: MachineState, *, functions=(),
     hit/miss/evict counters when compilation went through the artifact
     cache;
     ``partition`` (a :class:`repro.pipeline.PartitionOutcome`)
-    contributes the verifier verdict and achieved degree when
-    partitioning went through the supervisor.
+    contributes the verifier's verdict when partitioning went through
+    the supervisor.
     """
     report = RuntimeReport()
     compiled = {function.name: compile_function(function)
@@ -221,7 +213,7 @@ def runtime_report(stats: dict, state: MachineState, *, functions=(),
     if cache is not None:
         report.cache = cache.counters()
     if partition is not None:
-        report.partition = partition.as_dict()
+        report.partition = partition.verdict.as_dict()
     return report
 
 

@@ -2,12 +2,7 @@
 
 from repro.pipeline.cuts import CutDiagnostics, StageAssignment, select_stages
 from repro.pipeline.replicate import ReplicationResult, replicate_pps
-from repro.pipeline.supervisor import (
-    AttemptRecord,
-    PartitionOutcome,
-    degradation_ladder,
-    supervise_partition,
-)
+from repro.pipeline.supervisor import PartitionOutcome, supervise_partition
 from repro.pipeline.transform import PipelineError, PipelineResult, pipeline_pps
 from repro.pipeline.verify import (
     VerifyError,
@@ -17,7 +12,6 @@ from repro.pipeline.verify import (
 )
 
 __all__ = [
-    "AttemptRecord",
     "CutDiagnostics",
     "PartitionOutcome",
     "PipelineError",
@@ -27,7 +21,6 @@ __all__ = [
     "VerifyError",
     "VerifyFinding",
     "VerifyVerdict",
-    "degradation_ladder",
     "pipeline_pps",
     "replicate_pps",
     "select_stages",

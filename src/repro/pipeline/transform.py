@@ -90,7 +90,7 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
     matches this request (same module object, PPS, and block-split knob)
     the normalize / profile / SSA / dependence phases reuse its results
     instead of recomputing them — the intended usage for degree sweeps
-    and supervisor ladders.  A non-matching context is rebuilt, never
+    and the supervisor's verifier.  A non-matching context is rebuilt, never
     trusted.  ``warm`` is accepted and ignored — a vestige the frozen
     ``bench/compiling.py`` still passes; it goes with ROADMAP item 5's
     benchmark refresh.
@@ -131,8 +131,7 @@ def pipeline_pps(module: Module, pps_name: str, degree: int, *,
             key = compile_key(module, pps_name, degree, profiles=profiles,
                               **vars(knobs))
             # The expectation rejects any mislabeled envelope: an artifact
-            # stamped with a lower achieved degree (a degraded partition)
-            # is never served for a full-degree request.
+            # stamped with another degree is never served for this one.
             record = cache.lookup(key, expect={"degree": degree})
             if record is not None:
                 restored = _restore(record, degree, loop.body)

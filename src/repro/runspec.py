@@ -7,7 +7,10 @@ The paper's partitioner takes a program, a degree D, a balance variance
 ``pipeline_pps``, ``supervise_partition`` and the measurement functions
 take one, the compile key hashes exactly its fields, and every other
 default in the tree (``select_stages``, ``verify_partition``,
-``AnalysisContext``, ``SearchSpace``, the CLI) reads it from here.
+``AnalysisContext``, ``SearchSpace``, the CLI) reads it from here.  A
+``Knobs`` checks its own fields: ``SearchSpace.validate`` and the CLI
+build one and report its ``ValueError`` rather than check a value
+themselves.
 
 :class:`RunSpec` names a benchmark-suite pipeline — app, traffic,
 degrees, knobs, cache directory — in a form a sweep worker can be
@@ -18,6 +21,7 @@ the same pipeline (and the same cache entry) by "ip_v4 at degree 4".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.machine.costs import NN_RING, CostModel
@@ -40,6 +44,15 @@ class Knobs:
     strategy: Strategy = Strategy.PACKED    # live-set transmission layout
     interference: str = "exact"         # live-set packing interference
     max_block_instructions: int = 12    # block-split threshold (0 = off)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0 "
+                             f"(got {self.epsilon!r})")
+        mbi = self.max_block_instructions
+        if not isinstance(mbi, int) or mbi < 0:
+            raise ValueError(f"max_block_instructions must be an integer "
+                             f">= 0 (got {mbi!r})")
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,24 @@ class ServePolicy:
     drain_grace: float = 2.0    # seconds a drain waits before killing
     poll_interval: float = 0.05
 
+    def __post_init__(self):
+        for name in ("max_restarts", "relief_restarts"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0 "
+                                 f"(got {value!r})")
+        for name in ("backoff_base", "backoff_cap", "drain_grace",
+                     "poll_interval"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0 seconds "
+                                 f"(got {value!r})")
+        if not self.hang_timeout > 0:
+            # 0 or less would judge every worker hung before its first
+            # batch.
+            raise ValueError(f"hang_timeout must be > 0 seconds "
+                             f"(got {self.hang_timeout!r})")
+
     def backoff(self, restarts: int) -> float:
         return min(self.backoff_cap, self.backoff_base * (2 ** restarts))
 

@@ -124,43 +124,52 @@ def test_pipeline_prints_verifier_verdict(demo_file, capsys):
     assert "verified" in out
 
 
-def _flaky_supervisor(monkeypatch, threshold):
-    """Patch supervise_partition so the partitioner fails above
-    ``threshold`` — the supervisor must degrade, the CLI must exit 4."""
+def _rejecting_supervisor(monkeypatch):
+    """Patch supervise_partition with a verifier double that rejects
+    every partition above two stages with one synthetic finding; it
+    accepts degree 2, so a supervisor that quietly retried at a lower
+    degree would exit 0 instead."""
     import repro.pipeline.supervisor as supervisor_module
-    from repro.pipeline.transform import pipeline_pps
+    from repro.pipeline.verify import VerifyFinding, VerifyVerdict
 
     real = supervisor_module.supervise_partition
 
-    def failing(module, pps_name, degree, **kwargs):
-        if degree > threshold:
-            raise RuntimeError("injected partitioner fault")
-        return pipeline_pps(module, pps_name, degree, **kwargs)
+    def rejecting(result, **kwargs):
+        if result.degree <= 2:
+            return supervisor_module.verify_partition(result, **kwargs)
+        return VerifyVerdict(
+            pps_name=result.pps_name, degree=result.degree,
+            findings=[VerifyFinding(check="balance",
+                                    detail="synthetic rejection")])
 
-    def flaky(module, pps_name, degree, **kwargs):
-        kwargs["partition"] = failing
-        return real(module, pps_name, degree, **kwargs)
+    def supervised(module, pps_name, degree, **kwargs):
+        return real(module, pps_name, degree, verifier=rejecting, **kwargs)
 
-    monkeypatch.setattr(supervisor_module, "supervise_partition", flaky)
+    monkeypatch.setattr(supervisor_module, "supervise_partition", supervised)
 
 
-def test_run_degraded_partition_exits_4(demo_file, capsys, monkeypatch):
-    _flaky_supervisor(monkeypatch, threshold=2)
-    assert main(["run", demo_file, "-d", "4", "--feed", "in_q=1,2,5",
-                 "--iterations", "3"]) == 4
+@pytest.mark.parametrize("command", ["run", "pipeline"])
+def test_rejected_partition_exits_1_naming_the_finding(
+        demo_file, capsys, monkeypatch, command):
+    _rejecting_supervisor(monkeypatch)
+    assert main([command, demo_file, "-d", "4", "--no-cache"]) == 1
     captured = capsys.readouterr()
-    assert "pipelined x2" in captured.out          # ran at the degraded D
-    assert "pipe out_q: [3, 6, 15]" in captured.out  # output still right
-    assert "degraded to 2 stages" in captured.err
-    assert "warning:" in captured.err
+    assert "demo x4: REJECTED" in captured.err
+    assert "[balance] synthetic rejection" in captured.err
+    assert "pipelined" not in captured.out and "stages" not in captured.out
 
 
-def test_pipeline_degraded_partition_exits_4(demo_file, capsys, monkeypatch):
-    _flaky_supervisor(monkeypatch, threshold=2)
-    assert main(["pipeline", demo_file, "-d", "4"]) == 4
-    captured = capsys.readouterr()
-    assert "2 stages" in captured.out
-    assert "degraded to 2 stages" in captured.err
+@pytest.mark.parametrize("command", ["run", "pipeline"])
+def test_prologue_effect_exits_1_with_its_message(tmp_path, capsys,
+                                                  command):
+    """A PPS that sends before its loop cannot be pipelined: the
+    partitioner's own message reaches the user."""
+    path = tmp_path / "pro.ppc"
+    path.write_text(DEMO.replace("pps demo {",
+                                 "pps demo {\n    pipe_send(out_q, 7);"))
+    assert main([command, str(path), "-d", "3", "--no-cache"]) == 1
+    err = capsys.readouterr().err
+    assert "prologue intrinsic 'pipe_send'" in err
 
 
 def test_run_profile_reports_partition_verdict(demo_file, capsys):
@@ -234,6 +243,10 @@ def test_fuzz_bad_degrees_is_usage_error(capsys):
     ["serve", "--backoff", "soon"],
     ["serve", "--max-restarts", "-1"],
     ["serve", "--max-restarts", "1.5"],
+    # A partitioner knob its Knobs rejects.
+    ["pipeline", "demo.ppc", "--epsilon", "nan"],
+    ["pipeline", "demo.ppc", "--epsilon", "-1"],
+    ["explore", "--epsilons", "inf"],
 ])
 def test_bad_list_flag_is_a_usage_error_on_every_command(argv, capsys):
     """Checked in parsing: exit 2 with an ``error:`` line, whether

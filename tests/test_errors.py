@@ -113,7 +113,6 @@ def test_invalid_json_fault_plan_exits_2(trap_file, tmp_path):
 
 def test_exit_code_family_constants():
     from repro.errors import (
-        EXIT_DEGRADED,
         EXIT_DEGRADED_SERVE,
         EXIT_FAILURE,
         EXIT_OK,
@@ -122,7 +121,7 @@ def test_exit_code_family_constants():
     )
 
     assert (EXIT_OK, EXIT_FAILURE, EXIT_USAGE, EXIT_RUNTIME,
-            EXIT_DEGRADED, EXIT_DEGRADED_SERVE) == (0, 1, 2, 3, 4, 5)
+            EXIT_DEGRADED_SERVE) == (0, 1, 2, 3, 5)
 
 
 def test_serve_report_exit_code_mapping():

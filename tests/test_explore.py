@@ -7,10 +7,9 @@ The contract under test:
 * ``explore(jobs=4)`` equals ``explore(jobs=1)`` cell for cell once the
   explicitly nondeterministic timing/cache fields are stripped
   (:func:`deterministic_report`);
-* ``auto_pick`` never picks a degraded or unverified cell, its one
-  rule — the marginal rule — stops at the first score plateau (the
-  paper's "levels off" knee), and every passed-over cell carries a
-  provenance note;
+* ``auto_pick``'s one rule — the marginal rule — stops at the first
+  score plateau (the paper's "levels off" knee), and every passed-over
+  cell carries a provenance note;
 * a search space with clashing cost tables or malformed knobs is
   rejected before anything runs.
 
@@ -82,17 +81,14 @@ def test_duplicate_metrics_all_stay_on_the_frontier():
 # -- auto-pick --------------------------------------------------------------
 
 
-def _cell(degree, speedup, words, *, ring="nn-ring", verified=True,
-          degraded=False, epsilon=0.0625, mbi=12):
+def _cell(degree, speedup, words, *, ring="nn-ring", epsilon=0.0625,
+          mbi=12):
     return {
         "id": f"app/{ring}/d{degree}/e{epsilon:g}/b{mbi}",
         "app": "app",
         "config": {"degree": degree, "ring": ring, "epsilon": epsilon,
                    "max_block_instructions": mbi},
-        "verified": verified,
-        "degraded": degraded,
-        "achieved_degree": degree if not degraded else degree - 1,
-        "metrics": None if not verified else {
+        "metrics": {
             "speedup": speedup, "transmitted_words": words,
             "stages": degree, "longest_stage": 1.0},
     }
@@ -120,20 +116,9 @@ def test_marginal_rule_climbs_a_monotone_curve_to_the_top():
         ["start"] + ["accept"] * 4
 
 
-def test_degraded_and_unverified_cells_are_never_picked():
-    cells = [_cell(1, 1.0, 0),
-             _cell(2, 9.9, 0, degraded=True),
-             _cell(3, 9.9, 0, verified=False)]
-    pick = auto_pick(cells)
-    assert pick["config"]["degree"] == 1
-    notes = {c["config"]["degree"]: c.get("pick") for c in cells}
-    assert "degraded" in notes[2]
-    assert "unverified" in notes[3]
-
-
 def test_no_eligible_cell_returns_none():
-    cells = [_cell(2, 2.0, 8, verified=False)]
-    assert auto_pick(cells) is None
+    # Every cell of the row failed: a failed cell is not recorded.
+    assert auto_pick([]) is None
 
 
 def test_tied_candidates_break_toward_fewer_stages():
@@ -167,9 +152,14 @@ def test_search_space_rejects_bad_knobs():
         SearchSpace(apps=("rx", "nope"), degrees=(1,)).validate()
     with pytest.raises(ExploreError, match="bad degree"):
         SearchSpace(apps=("rx",), degrees=(0,)).validate()
-    with pytest.raises(ExploreError, match="bad epsilon"):
+    # A knob is checked by the Knobs the space builds per combo.
+    for epsilon in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            SearchSpace(apps=("rx",), degrees=(2,),
+                        epsilons=(epsilon,)).validate()
+    with pytest.raises(ValueError, match="max_block_instructions"):
         SearchSpace(apps=("rx",), degrees=(2,),
-                    epsilons=(0.0,)).validate()
+                    max_block_instructions=(-1,)).validate()
     with pytest.raises(ValueError, match="unknown cost table"):
         SearchSpace(apps=("rx",), degrees=(2,),
                     rings=("token-ring",)).validate()
@@ -248,7 +238,7 @@ def test_explore_parallel_equals_sequential_cell_for_cell():
             == json.dumps(deterministic_report(parallel), sort_keys=True))
     cells = sequential["apps"]["rx"]["cells"]
     assert [cell["config"]["degree"] for cell in cells] == [1, 2, 3]
-    assert all(cell["verified"] for cell in cells)
+    assert [cell["metrics"]["stages"] for cell in cells] == [1, 2, 3]
     pick = sequential["apps"]["rx"]["pick"]
     assert pick is not None and pick["metrics"]["speedup"] >= 1.0
     # The markdown renderer accepts the deterministic report verbatim.
@@ -284,7 +274,7 @@ def test_keep_going_records_failed_cell_with_degree_repro(monkeypatch):
     # The surviving degrees of the same row were still measured.
     cells = report["apps"]["rx"]["cells"]
     assert [cell["config"]["degree"] for cell in cells] == [1, 2]
-    assert all(cell["verified"] for cell in cells)
+    assert [cell["metrics"]["stages"] for cell in cells] == [1, 2]
 
     # The frontier artifact keeps the failures and renders the repro.
     clean = deterministic_report(report)

@@ -15,6 +15,8 @@ import dataclasses
 import inspect
 import pickle
 
+import pytest
+
 from repro.cache import CACHE_SCHEMA_VERSION, CompileCache, compile_key
 from repro.eval.chaos import chaos_differential
 from repro.eval.explore import SearchSpace, explore
@@ -140,3 +142,20 @@ def test_knobs_are_the_defaults_of_every_spelled_out_signature():
 def test_run_spec_round_trips_through_pickle():
     spec = RunSpec("rx", 8, 7, (2, 3), Knobs(epsilon=0.125), "/tmp/c")
     assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("epsilon", float("nan"), "epsilon must be finite and > 0"),
+    ("epsilon", float("inf"), "epsilon must be finite and > 0"),
+    ("epsilon", 0.0, "epsilon must be finite and > 0"),
+    ("epsilon", -1.0, "epsilon must be finite and > 0"),
+    ("max_block_instructions", -1, "max_block_instructions must be"),
+    ("max_block_instructions", 1.5, "max_block_instructions must be"),
+])
+def test_knobs_check_their_own_fields(field, value, message):
+    """A knob no partition can honour is refused where it is defined:
+    with a NaN ε, rx at degree 4 partitions into stage weights
+    [348, 0, 0, 1]."""
+    with pytest.raises(ValueError, match=message):
+        Knobs(**{field: value})
+    assert Knobs(max_block_instructions=0).max_block_instructions == 0

@@ -135,6 +135,21 @@ def test_graceful_drain_keeps_committed_prefix():
         assert report.exit_code() == EXIT_DEGRADED_SERVE
 
 
+@pytest.mark.parametrize("field, value", [
+    ("hang_timeout", 0.0), ("hang_timeout", -1.0),
+    ("hang_timeout", float("nan")),
+    ("backoff_base", -0.5), ("backoff_cap", -1.0),
+    ("drain_grace", -1.0), ("poll_interval", float("nan")),
+    ("max_restarts", -1), ("max_restarts", 1.5), ("relief_restarts", -1),
+])
+def test_serve_policy_checks_its_own_fields(field, value):
+    """A policy that would break supervision is refused where it is
+    defined: ``hang_timeout=-1`` would hang-kill every worker and end in
+    a ``ServeError``."""
+    with pytest.raises(ValueError, match=field):
+        ServePolicy(**{field: value})
+
+
 def test_empty_shards_are_not_spawned():
     """More shards than flows: empty journals never get a worker."""
     report = run_serve(shards=8, packets=8, batch=2)

@@ -284,11 +284,11 @@ def test_figures_record_is_one_path_at_every_jobs_level():
 @pytest.mark.parametrize("rejects", ["every-attempt", "first-attempt"])
 def test_figures_record_names_a_cell_the_verifier_rejects(monkeypatch,
                                                           rejects):
-    """Every figure cell goes through the supervisor.  A verifier that
-    rejects tx at D = 2 — on every attempt (the cell degrades to one
-    stage) or on the first only (a widened retry verifies it) — fails
-    the record loudly, naming the cell, instead of printing a degraded
-    or other-knob number for it."""
+    """Every figure cell goes through the supervisor, which verifies it
+    once.  A verifier that rejects tx at D = 2 — at every ε, or only at
+    the caller's (the ε a retry would have widened) — fails the record
+    loudly, naming the cell and the finding, instead of printing a
+    lower-degree or other-knob number for it."""
     import repro.pipeline.supervisor as supervisor_mod
     from repro.eval.experiments import figures_record
     from repro.pipeline.verify import VerifyFinding, VerifyVerdict
@@ -312,7 +312,6 @@ def test_figures_record_names_a_cell_the_verifier_rejects(monkeypatch,
     with pytest.raises(SweepError) as excinfo:
         figures_record(packets=4, degrees=[1, 2])
     message = str(excinfo.value)
-    assert "figures cell tx/nn-ring/d2/e0.0625/b12 is not verified" in message
-    assert ("achieved degree 1" if rejects == "every-attempt"
-            else "2 attempts") in message
-    assert "repro explore --apps tx --degrees 2 " in message
+    assert "tx x2: REJECTED" in message
+    assert "[liveness] synthetic rejection" in message
+    assert "repro explore --apps tx --degrees 1,2 " in message
