@@ -197,8 +197,9 @@ IPV4_FORWARDING_PPSES = ["rx", "ipv4", "scheduler", "qm", "tx"]
 IP_FORWARDING_PPSES = ["rx", "ip_v4", "ip_v6", "tx"]
 #: Every app :func:`build_app` builds, in paper order.
 APPS = tuple(dict.fromkeys(IPV4_FORWARDING_PPSES + IP_FORWARDING_PPSES))
-#: Every distinct PPS the figures plot — all of them: the apps of
-#: ``BENCH_headline.json`` and the default of ``repro explore``.
+#: Every distinct PPS the figures plot — all of them: the default apps
+#: of ``repro explore``, whose default report is ``BENCH_headline.json``
+#: and whose ``frontier.md`` draws the figures.
 FIGURE_APPS = APPS
 #: The apps with a stream/feed split: the default of ``repro chaos`` and
 #: the only apps it and ``repro serve`` can drive.

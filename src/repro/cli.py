@@ -14,8 +14,7 @@ Usage (also via ``python -m repro``)::
     repro chaos [--apps ...] [--plans ...]   # chaos differential, -j N
     repro serve --shards 4 \\
         --faults worker-kill                 # supervised sharded serving
-    repro figures [-j N] [-o FILE]           # the paper's Figures 19-22
-    repro explore [-o DIR]                   # design-space Pareto frontier
+    repro explore [-o DIR]                   # Pareto frontier, Figures 19-22
     repro fuzz [--seeds 50] [--out DIR]      # progen fuzz of the partitioner
     repro fuzz -j 4                          # parallel fuzz campaign
     repro fuzz --self-test                   # verifier mutation self-test
@@ -499,34 +498,6 @@ def cmd_serve(args) -> int:
     return report.exit_code()
 
 
-def cmd_figures(args) -> int:
-    """``repro figures``: print Figures 19–22 and the headline from one
-    :func:`~repro.eval.experiments.figures_record`; ``-o`` writes it."""
-    from repro.eval.experiments import FIGURES, figure_series, figures_record
-    from repro.eval.explore import ExploreError
-    from repro.eval.report import render_figure
-
-    try:
-        record = figures_record(
-            packets=args.packets, jobs=args.jobs,
-            degrees=_parse_list("--degrees", args.degrees, _positive_int))
-    except ExploreError as exc:
-        raise CLIError(str(exc)) from exc
-    for title, apps, metric, value_format in FIGURES:
-        print(render_figure(title, figure_series(record, apps, metric),
-                            value_format=value_format))
-        print()
-    top = record["space"]["degrees"][-1]
-    print(f"Headline ({top}-stage pipeline):")
-    for name, curve in figure_series(record, ("ipv4", "ip_v4", "ip_v6"),
-                                     "speedup").items():
-        print(f"  {name:8s} {curve[top]:5.2f}x")
-    if args.output:
-        _write_json(args.output, record, sort_keys=True)
-        print(f"wrote {args.output}")
-    return EXIT_OK
-
-
 def cmd_explore(args) -> int:
     """``repro explore``: cost-aware design-space exploration."""
     from repro.eval.explore import (
@@ -700,19 +671,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
-    p_fig = sub.add_parser("figures", help="regenerate the paper's figures")
-    _add_workload_flags(p_fig, packets=60, degrees="1,2,3,4,5,6,7,8,9")
-    _add_sweep_flags(p_fig, keep_going=False)
-    p_fig.add_argument("-o", "--output", default=None,
-                       help="write the record as JSON (the committed "
-                            "BENCH_headline.json is this file at the "
-                            "default packets and degrees, and the "
-                            "frontier.json of a default repro explore)")
-    p_fig.set_defaults(func=cmd_figures)
-
     p_explore = sub.add_parser(
         "explore",
-        help="cost-aware design-space exploration with a Pareto frontier")
+        help="cost-aware design-space exploration with a Pareto frontier "
+             "(at the defaults, the paper's Figures 19-22)")
     _add_workload_flags(p_explore, packets=60, seed=7,
                         degrees="1,2,3,4,5,6,7,8,9", apps=True)
     p_explore.add_argument("--rings", default=Knobs.costs.name,
@@ -725,8 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
                            default=str(Knobs.max_block_instructions),
                            help="comma-separated block-split thresholds")
     p_explore.add_argument("-o", "--out", default="explore-out",
-                           help="output directory (frontier.json, "
-                                "frontier.md, timings.json)")
+                           help="output directory: frontier.json (at "
+                                "the defaults, the committed "
+                                "BENCH_headline.json), frontier.md with "
+                                "the by-degree tables, timings.json")
     _add_sweep_flags(p_explore)
     _add_cache_flags(p_explore)
     p_explore.set_defaults(func=cmd_explore)

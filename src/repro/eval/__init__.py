@@ -1,4 +1,4 @@
-"""Evaluation harness: metrics, experiments (paper figures), reports."""
+"""Evaluation harness: metrics, design-space exploration, reports."""
 
 from repro.eval.metrics import (
     PipelineMeasurement,
@@ -6,7 +6,6 @@ from repro.eval.metrics import (
     measure_pipeline,
     measure_sequential,
 )
-from repro.eval.experiments import figures_record
 from repro.eval.explore import (
     SearchSpace,
     auto_pick,
@@ -24,7 +23,6 @@ __all__ = [
     "deterministic_report",
     "explore",
     "pareto_flags",
-    "figures_record",
     "format_series_table",
     "measure_pipeline",
     "measure_sequential",

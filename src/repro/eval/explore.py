@@ -15,17 +15,20 @@ frontier beat fixed-k heuristics.  This module is that search for PPS-C:
    supervisor-verified pipeline (:mod:`repro.eval.sweep` fan-out): each
    cell is partitioned via :func:`~repro.pipeline.supervisor.supervise_partition`
    (one partition, independently verified; a rejection fails the cell)
-   and simulated with the observational-equivalence check on — over
-   the figure PPSes at the default knobs this *is* ``repro figures``;
+   and simulated with the observational-equivalence check on;
 3. **score** each cell on (simulated throughput — the speedup over the
    sequential PPS, transmitted live-set words, realized stage count);
    the cell also records the live-set overhead and the partition and
    simulation work, and keeps ``partition_seconds`` as nondeterministic
    context;
-4. **emit** a per-app Pareto frontier (JSON + markdown) and an
-   **auto-pick**: the best verified configuration per app under one
-   fixed objective (:data:`WEIGHTS`), with dominated-by / plateau /
-   tie-break provenance for every cell it passed over.
+4. **emit** a per-app Pareto frontier (JSON + markdown, the markdown
+   with the speedup and live-set overhead of every app by degree — at
+   the default space, the paper's Figures 19–22 and its d=9 headline)
+   and an **auto-pick**: the best-scoring verified cell per app under
+   one fixed objective (:data:`WEIGHTS`), read off the whole grid, with
+   a dominated-by or outscored-by note for every cell it passed over.
+   It is the one rule: the search runs over one executable cost model
+   (Kugelblitz, PAPERS.md), not a menu of objectives.
 
 Determinism: the scored metrics are exactly the deterministic outputs of
 the partitioner + simulator, so the frontier artifact produced by
@@ -33,18 +36,8 @@ the partitioner + simulator, so the frontier artifact produced by
 across ``-j`` levels (wall-clock timings and cache counters are confined
 to the separately written timings report).  The default space's report
 is the committed ``BENCH_headline.json``, which tier-1 regenerates
-through ``repro figures`` (``tests/test_paper_numbers.py``) and CI
-through a warm ``-j 2`` ``repro explore``, both byte for byte.
-
-Why the pick rule is *marginal* (a knee finder): speedup curves in this
-domain flatten when per-stage live-set transmission stops shrinking
-while compute does (paper Fig. 19/21 — "the speedup of the RX and TX
-PPSes ... scales well up to pipelining degree 5, after which the
-speedup levels off").  The marginal rule climbs an app's degree ladder
-and stops at the first degree whose score does not improve — rx parks
-at 5 where its curve plateaus, while ipv4's monotone curve climbs to 9.
-It is the one rule: the search runs over one executable cost model
-(Kugelblitz, PAPERS.md), not a menu of objectives.
+through a cold ``repro explore`` (``tests/test_paper_numbers.py``) and
+CI through a warm ``-j 2`` one, both byte for byte.
 """
 
 from __future__ import annotations
@@ -58,14 +51,17 @@ from repro.runspec import Knobs
 
 #: Version of the frontier-report schema; bump on layout changes, with
 #: the regenerated ``BENCH_headline.json`` in the same commit.
-#: v4: a cell's ``metrics`` also carry what ``repro figures`` reads off
-#: it — ``overhead``, ``cut_iterations``, ``pr_work`` and
+#: v4: a cell's ``metrics`` also carry what the figures read off it —
+#: ``overhead``, ``cut_iterations``, ``pr_work`` and
 #: ``simulated_instructions``.
-#: v5: ``repro figures`` writes this report as ``BENCH_headline.json``
-#: (no projected layout), and a space's apps are de-duplicated.
+#: v5: this report is ``BENCH_headline.json`` (no projected layout), and
+#: a space's apps are de-duplicated.
 #: v6: a cell loses its verdict and retry keys: every recorded cell is
 #: verified at its degree, and a rejected one is a failed cell.
-EXPLORE_SCHEMA_VERSION = 6
+#: v7: the pick is the app's best-scoring cell (the per-combo degree
+#: climb and its trace key go), and a passed-over cell's note reads
+#: "outscored by" unless the cell is dominated.
+EXPLORE_SCHEMA_VERSION = 7
 
 #: Objective directions: maximize speedup, minimize words and stages.
 OBJECTIVES = ("speedup", "transmitted_words", "stages")
@@ -83,10 +79,10 @@ class SearchSpace:
     """One declarative (app x degree x knob x cost-table) search space.
 
     ``degrees`` should normally include 1: the sequential PPS is the
-    always-valid floor every pipelined cell is judged against, and the
-    auto-pick ladder starts from it (so apps that do not pipeline —
-    scheduler, qm — pick degree 1 instead of a losing cell).  ``apps``
-    is de-duplicated in order: an app named twice is one row.
+    always-valid floor every pipelined cell is judged against (so apps
+    that do not pipeline — scheduler, qm — pick degree 1 instead of a
+    losing cell).  ``apps`` is de-duplicated in order: an app named
+    twice is one row.
     """
 
     apps: tuple
@@ -194,8 +190,8 @@ class SearchSpace:
 def cell_dims(knobs: Knobs) -> tuple:
     """Which knobs name an explore cell, declared once: per search
     dimension beside the degree, in id order, ``(config key, value, id
-    fragment, CLI spelling)``.  A cell's ``id`` and ``config``, the pick
-    ladders' grouping and a sweep task's description and reproduce
+    fragment, CLI spelling)``.  A cell's ``id`` and ``config``, the
+    figure tables' grouping and a sweep task's description and reproduce
     one-liner are all read off this, so a dimension is added or removed
     here and as a :class:`SearchSpace` field, nowhere else."""
     ring, eps = knobs.costs.name, f"{knobs.epsilon:g}"
@@ -296,9 +292,10 @@ def _dominator_id(cell: dict, cells: list[dict]) -> str | None:
 
 
 def _combo_key(cell: dict) -> tuple:
-    """A cell's ladder: every ``config`` entry but the degree."""
-    return tuple(value for key, value in sorted(cell["config"].items())
-                 if key != "degree")
+    """A cell's knob combo: every ``config`` entry but the degree, as
+    sorted ``(key, value)`` pairs."""
+    return tuple(sorted((key, value) for key, value in cell["config"].items()
+                        if key != "degree"))
 
 
 def _tie_key(cell: dict, value: float) -> tuple:
@@ -312,104 +309,40 @@ def _tie_key(cell: dict, value: float) -> tuple:
 def auto_pick(cells: list[dict]) -> dict | None:
     """Select the best verified configuration among one app's cells.
 
-    The marginal rule: climb each knob combo's degree ladder and keep
-    the last degree whose score improved — the first plateau ends the
-    climb (the paper's "levels off" knee) — then rank the ladders' picks
-    by score.  Annotates every cell with a ``pick`` provenance note and
-    returns the pick record (or ``None`` when there is no cell: every
-    one failed).
+    The pick is the best-scoring cell of the whole grid, ties broken by
+    :func:`_tie_key`.  Annotates the pick and every passed-over cell
+    that is not dominated (a dominated cell's note is its dominator)
+    with a ``pick`` note, and returns the pick record (or ``None`` when
+    there is no cell: every one failed).
     """
     if not cells:
         return None
     scores = {cell["id"]: score(cell["metrics"]) for cell in cells}
-
-    candidates = {}
-    ladders = {}
-    combos: dict[tuple, list] = {}
-    for cell in cells:
-        combos.setdefault(_combo_key(cell), []).append(cell)
-    for combo, row in combos.items():
-        row.sort(key=lambda cell: cell["config"]["degree"])
-        incumbent = row[0]
-        trace = [{"id": incumbent["id"],
-                  "degree": incumbent["config"]["degree"],
-                  "score": scores[incumbent["id"]],
-                  "decision": "start"}]
-        for cell in row[1:]:
-            gain = round(scores[cell["id"]] - scores[incumbent["id"]], 6)
-            step = {"id": cell["id"], "degree": cell["config"]["degree"],
-                    "score": scores[cell["id"]], "gain": gain}
-            if gain > 0:
-                trace.append({**step, "decision": "accept"})
-                incumbent = cell
-                continue
-            trace.append({**step, "decision": "stop"})
-            cell["pick"] = (
-                f"plateau: score gain {gain:+.4f} <= 0 over "
-                f"{incumbent['id']} — the ladder stopped at degree "
-                f"{incumbent['config']['degree']}")
-            for later in row[row.index(cell) + 1:]:
-                later["pick"] = (
-                    f"beyond the plateau at degree "
-                    f"{cell['config']['degree']} (ladder stopped "
-                    f"at {incumbent['id']})")
-            break
-        candidates[incumbent["id"]] = incumbent
-        ladders[combo] = trace
-
-    ranked = sorted(candidates.values(),
-                    key=lambda cell: _tie_key(cell, scores[cell["id"]]))
-    picked = ranked[0]
-    for cell in cells:
-        if cell["id"] == picked["id"]:
-            continue
-        if cell["id"] in candidates:
-            cell["pick"] = (f"candidate (score "
-                            f"{scores[cell['id']]:.4f}) outscored by "
-                            f"{picked['id']} ({scores[picked['id']]:.4f})")
-        elif "pick" not in cell:
-            cell["pick"] = (f"below the pick on its ladder "
-                            f"(score {scores[cell['id']]:.4f})")
-    runner_up = ranked[1] if len(ranked) > 1 else None
-    tie_break = None
-    if (runner_up is not None
-            and scores[runner_up["id"]] == scores[picked["id"]]):
-        tie_break = (f"tied score with {runner_up['id']}; fewer stages, "
-                     f"then fewer words, then id order decided")
+    ranked = sorted(cells, key=lambda cell: _tie_key(cell, scores[cell["id"]]))
+    picked, others = ranked[0], ranked[1:]
+    outscored = f"outscored by {picked['id']} ({scores[picked['id']]:.4f})"
+    for cell in others:
+        if not cell.get("dominated_by"):
+            cell["pick"] = outscored
     picked["pick"] = f"picked (score {scores[picked['id']]:.4f})"
     pick = {
         "id": picked["id"],
         "config": dict(picked["config"]),
         "metrics": dict(picked["metrics"]),
         "score": scores[picked["id"]],
-        "why": _explain_pick(ladders[_combo_key(picked)], scores, ranked),
-        "ladder": ladders[_combo_key(picked)],
+        "why": f"best score of {len(cells)} cell(s)",
     }
-    if tie_break:
-        pick["tie_break"] = tie_break
-    if runner_up is not None:
+    if others:
+        runner_up = others[0]
+        pick["why"] += (f"; runner-up {runner_up['id']} "
+                        f"({scores[runner_up['id']]:.4f})")
         pick["runner_up"] = {"id": runner_up["id"],
                              "score": scores[runner_up["id"]]}
+        if scores[runner_up["id"]] == scores[picked["id"]]:
+            pick["tie_break"] = (f"tied score with {runner_up['id']}; fewer "
+                                 f"stages, then fewer words, then id order "
+                                 f"decided")
     return pick
-
-
-def _explain_pick(trace: list, scores: dict, ranked: list) -> str:
-    climbed = [str(step["degree"]) for step in trace
-               if step["decision"] in ("start", "accept")]
-    parts = [f"climbed degree {' -> '.join(climbed)}"]
-    stopped = [step for step in trace if step["decision"] == "stop"]
-    if stopped:
-        step = stopped[0]
-        parts.append(f"stopped: degree {step['degree']} gained "
-                     f"{step['gain']:+.4f}")
-    else:
-        parts.append("reached the top of the degree grid still improving")
-    others = ranked[1:]
-    if others:
-        best = others[0]
-        parts.append(f"beat {len(others)} other candidate(s), next: "
-                     f"{best['id']} ({scores[best['id']]:.4f})")
-    return "; ".join(parts)
 
 
 # -- the exploration driver --------------------------------------------------
@@ -481,7 +414,7 @@ def deterministic_report(report: dict) -> dict:
     cell); everything left is a pure function of the search space, so
     repeated runs — at any ``-j`` level, cold or cached — produce the
     same bytes.  This is what ``repro explore`` writes to
-    ``frontier.json`` and ``repro figures`` writes as the record.
+    ``frontier.json``.
     """
     clean = {key: value for key, value in report.items()
              if key not in ("timing", "cache")}
@@ -498,8 +431,28 @@ def deterministic_report(report: dict) -> dict:
 # -- rendering ---------------------------------------------------------------
 
 
+#: The by-degree tables of ``frontier.md`` as (title, cell metric, value
+#: format): at the default space, Figures 19/20 and 21/22.
+FIGURE_TABLES = (
+    ("Speedup by degree", "speedup", "{:6.2f}"),
+    ("Live-set overhead by degree", "overhead", "{:6.3f}"),
+)
+
+
+def figure_series(record: dict, apps, metric: str) -> dict:
+    """``{app: {degree: value}}`` of one cell metric over ``apps`` of a
+    one-combo record: a figure's curves, or the headline at the top
+    degree."""
+    return {app: {cell["config"]["degree"]: cell["metrics"][metric]
+                  for cell in record["apps"][app]["cells"]}
+            for app in apps}
+
+
 def render_markdown(report: dict) -> str:
-    """The frontier as a markdown document (one table per app)."""
+    """The frontier as a markdown document: one pair of by-degree tables
+    (:data:`FIGURE_TABLES`) per knob combo, then one table per app."""
+    from repro.eval.report import render_figure
+
     space = report["space"]
     weights = report["weights"]
     lines = ["# repro explore — Pareto frontier", ""]
@@ -512,8 +465,23 @@ def render_markdown(report: dict) -> str:
     lines.append(
         f"Objective: {weights['speedup']:g}*speedup "
         f"- {weights['words']:g}*words - {weights['stages']:g}*stages "
-        f"(marginal pick: each degree ladder stops at its first plateau)")
+        f"(pick: each app's best-scoring cell)")
     lines.append("")
+    combos = dict.fromkeys(_combo_key(cell)
+                           for entry in report["apps"].values()
+                           for cell in entry["cells"])
+    for combo in combos:
+        lines.append("## By degree: " + " ".join(
+            f"{key}={value}" for key, value in combo))
+        lines.append("")
+        view = {"apps": {app: {"cells": [cell for cell in entry["cells"]
+                                         if _combo_key(cell) == combo]}
+                         for app, entry in report["apps"].items()}}
+        for title, metric, value_format in FIGURE_TABLES:
+            series = figure_series(view, view["apps"], metric)
+            lines += ["```", render_figure(title, series,
+                                           value_format=value_format),
+                      "```", ""]
     for app, entry in report["apps"].items():
         pick = entry["pick"]
         if pick is not None:
@@ -528,10 +496,8 @@ def render_markdown(report: dict) -> str:
         lines.append("|---|---|---|---|---|---|")
         for cell in entry["cells"]:
             metrics = cell["metrics"]
-            note = cell.get("pick", "")
-            if not cell.get("pareto", False) and cell.get("dominated_by"):
-                note = (f"dominated by {cell['dominated_by']}"
-                        + (f"; {note}" if note else ""))
+            note = (f"dominated by {cell['dominated_by']}"
+                    if cell.get("dominated_by") else cell.get("pick", ""))
             lines.append(
                 f"| {cell['id']} | {metrics['speedup']:.4f} "
                 f"| {metrics['transmitted_words']} | {metrics['stages']} "

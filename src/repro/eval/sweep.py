@@ -3,14 +3,14 @@
 Fig-19-style sweeps re-partition the same four NPF apps over and over;
 each (app, D) cell is independent, deterministic given its seed, and
 dominated by the balanced-cut search — an embarrassingly parallel
-workload.  :func:`run_sweep` is the one multi-cell path: ``repro figures``,
-``explore``, ``chaos`` and ``fuzz`` all describe their work as
+workload.  :func:`run_sweep` is the one multi-cell path: ``repro
+explore``, ``chaos`` and ``fuzz`` all describe their work as
 :class:`SweepTask` cells and run them here, inline or on a
 ``concurrent.futures.ProcessPoolExecutor`` (``-j N`` on the CLI).  The
 paper's cost model has one row function, :func:`_score_cells` —
 supervised partition, then simulation checked for equivalence — which
-``explore`` runs over its search space (``figures`` is ``explore`` over
-the figure PPSes).  With:
+``explore`` runs over its search space (the paper's figures are its
+default space).  With:
 
 * **deterministic merge** — results are returned in *task order* (the
   builders emit tasks ordered by (app, D)) no matter which worker
@@ -189,14 +189,16 @@ def _partition_cell(task: SweepTask, app, context, degree: int, cache):
 
 def _score_cells(task: SweepTask, cache):
     """The one (app, knobs) degree row of the paper's cost model, behind
-    ``repro explore`` and ``repro figures`` alike.
+    ``repro explore``.
 
     Every degree is partitioned and verified through the *supervisor*,
     sharing one analysis context, then simulated against the row's
     sequential baseline with the observational-equivalence check on.
     The record carries one cell dict per degree; its ``metrics`` are
     pure functions of the task, and the nondeterministic partition wall
-    seconds live under each cell's ``timing``.
+    seconds live under each cell's ``timing``.  A failed degree is a
+    :class:`SweepError` naming that degree alone — raised, or recorded
+    under ``cell_failures`` when the sweep keeps going.
     """
     from repro.analysis.context import AnalysisContext
     from repro.eval.metrics import measure_pipeline, measure_sequential
@@ -218,7 +220,7 @@ def _score_cells(task: SweepTask, cache):
                                         transform=result)
             cell["metrics"].update({
                 "speedup": round(measured.speedup, 4),
-                # Six places: the figures print three, and four would
+                # Six places: frontier.md prints three, and four would
                 # round twice (0.33149 -> 0.3315 -> "0.332").
                 "overhead": round(measured.overhead_ratio, 6),
                 "transmitted_words": sum(measured.message_words),
@@ -227,14 +229,14 @@ def _score_cells(task: SweepTask, cache):
             })
             cells.append(cell)
         except Exception as exc:
-            # A single grid cell crashing (partitioner bug, measurement
-            # fault) must not take out the row's other degrees when the
-            # sweep runs keep-going; record it with a degree-exact repro
-            # one-liner instead.
-            if not task.keep_going:
-                raise
+            # A failed grid cell (partitioner bug, verifier rejection,
+            # measurement fault) is named by its own degree; keep-going
+            # records it and measures the row's other degrees.
             cell_task = replace(task, spec=replace(spec, degrees=(degree,)))
-            record = _failure_record(cell_task, _classify(cell_task, exc))
+            error = _classify(cell_task, exc)
+            if not task.keep_going:
+                raise error from exc
+            record = _failure_record(cell_task, error)
             record["cell"] = cell_name(spec.app, degree, spec.knobs)["id"]
             cell_failures.append(record)
 

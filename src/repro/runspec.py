@@ -15,8 +15,8 @@ themselves.
 :class:`RunSpec` names a benchmark-suite pipeline — app, traffic,
 degrees, knobs, cache directory — in a form a sweep worker can be
 sent, and :func:`app_pipeline` is the one step from such an app to its
-stages, so ``figures``, ``explore``, ``chaos`` and ``serve`` mean
-the same pipeline (and the same cache entry) by "ip_v4 at degree 4".
+stages, so ``explore``, ``chaos`` and ``serve`` mean the same
+pipeline (and the same cache entry) by "ip_v4 at degree 4".
 """
 
 from __future__ import annotations

@@ -223,7 +223,7 @@ def test_fuzz_bad_degrees_is_usage_error(capsys):
     # A count or degree below 1.
     ["explore", "--packets", "0"],
     ["explore", "--packets", "-3"],
-    ["figures", "--packets", "0"],
+    ["explore", "--degrees", "0,1"],
     ["chaos", "--degrees", "0"],
     ["fuzz", "--degrees", "0"],
     ["serve", "-d", "0"],
@@ -332,56 +332,12 @@ def test_keep_going_flags_parse():
     assert parser.parse_args(["explore"]).keep_going is False
 
 
-def test_figures_writes_record(tmp_path, capsys):
-    """``figures`` prints the four figures and the headline; ``-o`` writes
-    the library function's record, the same bytes at every ``-j`` — and
-    the same bytes as ``repro explore``'s frontier over the same space,
-    which is the default ``repro explore`` space."""
-    import json
-
-    from repro.apps.suite import FIGURE_APPS
-    from repro.eval.experiments import figures_record
-
-    outputs = []
-    for jobs in ("1", "2"):
-        output = tmp_path / f"record-j{jobs}.json"
-        assert main(["figures", "--packets", "8", "--degrees", "1,2",
-                     "-j", jobs, "-o", str(output)]) == 0
-        out = capsys.readouterr().out
-        for line in ("Figure 19: speedup, IPv4 forwarding PPSes",
-                     "Figure 20: speedup, IP forwarding PPSes",
-                     "Figure 21: live-set overhead, IPv4 forwarding",
-                     "Figure 22: live-set overhead, IP forwarding",
-                     "Headline (2-stage pipeline):",
-                     f"wrote {output}"):
-            assert line in out
-        outputs.append(output.read_bytes())
-    assert outputs[0] == outputs[1]
-    assert main(["explore", "--packets", "8", "--degrees", "1,2",
-                 "--no-cache", "-o", str(tmp_path / "explore")]) == 0
-    assert (tmp_path / "explore" / "frontier.json").read_bytes() == \
-        outputs[0]
-    record = figures_record(packets=8, degrees=[1, 2])
-    assert json.loads(outputs[0]) == json.loads(json.dumps(record))
-    assert sorted(record) == ["apps", "schema", "space", "weights"]
-    assert record["space"]["apps"] == list(FIGURE_APPS)
-    assert sorted(record["apps"]["rx"]["cells"][1]["metrics"]) == [
-        "cut_iterations", "longest_stage", "overhead", "pr_work",
-        "simulated_instructions", "speedup", "stages", "transmitted_words"]
-
-
-def test_figures_bad_degree_is_a_usage_error(capsys):
-    """``figures`` checks its space as ``explore`` does: degree 0 is a
-    usage error before anything runs, not a "d=0" column."""
-    assert main(["figures", "--degrees", "0,1"]) == 2
-    assert "error: bad degree 0" in capsys.readouterr().err
-
-
-def test_bench_subcommand_is_gone(capsys):
+@pytest.mark.parametrize("command", ["bench", "figures"])
+def test_bench_subcommand_is_gone(command, capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench"])
+        main([command])
     assert excinfo.value.code == 2
-    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 #: Every (subcommand, option string) pair the CLI accepts.  A new flag,
@@ -394,7 +350,6 @@ CLI_SURFACE = {
     "explore": "--apps --cache-dir --degrees --epsilons --jobs "
                "--keep-going --max-block-instructions --no-cache "
                "--out --packets --rings --seed -j -o",
-    "figures": "--degrees --jobs --output --packets -j -o",
     "fuzz": "--degrees --jobs --out --packets --seeds --self-test "
             "--start-seed -j",
     "ir": "--pps file",
@@ -425,7 +380,7 @@ def test_cli_surface():
     assert surface == CLI_SURFACE
     long_options = {option for options in surface.values()
                     for option in options.split() if option.startswith("--")}
-    assert (len(surface), len(long_options)) == (9, 37)
+    assert (len(surface), len(long_options)) == (8, 37)
 
 
 @pytest.mark.parametrize("shape, size",

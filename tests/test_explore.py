@@ -7,9 +7,10 @@ The contract under test:
 * ``explore(jobs=4)`` equals ``explore(jobs=1)`` cell for cell once the
   explicitly nondeterministic timing/cache fields are stripped
   (:func:`deterministic_report`);
-* ``auto_pick``'s one rule — the marginal rule — stops at the first
-  score plateau (the paper's "levels off" knee), and every passed-over
-  cell carries a provenance note;
+* ``auto_pick``'s one rule: the pick is the best-scoring cell of the
+  whole grid, on the frontier, and every passed-over cell carries a
+  provenance note (hypothesis);
+* ``frontier.md`` draws one pair of by-degree tables per knob combo;
 * a search space with clashing cost tables or malformed knobs is
   rejected before anything runs.
 
@@ -34,6 +35,7 @@ from repro.eval.explore import (
     explore,
     pareto_flags,
     render_markdown,
+    score,
 )
 from repro.runspec import Knobs
 
@@ -90,30 +92,25 @@ def _cell(degree, speedup, words, *, ring="nn-ring", epsilon=0.0625,
                    "max_block_instructions": mbi},
         "metrics": {
             "speedup": speedup, "transmitted_words": words,
-            "stages": degree, "longest_stage": 1.0},
+            "stages": degree, "longest_stage": 1.0,
+            "overhead": words / 100.0},
     }
 
 
-def test_marginal_rule_stops_at_the_plateau():
+def test_the_pick_reads_past_a_dip_to_the_best_score():
     # The rx shape: gains through d5, flat at d6, rising again at d7 —
-    # the ladder must stop at 5 and never see 7's higher raw speedup.
+    # the pick is d7, the best score of the row, dip or no dip.
     cells = [_cell(1, 1.0, 0), _cell(2, 1.5, 8), _cell(3, 1.6, 16),
              _cell(4, 2.1, 24), _cell(5, 2.3, 29), _cell(6, 2.3, 36),
              _cell(7, 2.9, 46)]
     pick = auto_pick(cells)
-    assert pick["config"]["degree"] == 5
-    assert "stopped" in pick["why"]
-    beyond = next(c for c in cells if c["config"]["degree"] == 7)
-    assert "beyond the plateau" in beyond["pick"]
-
-
-def test_marginal_rule_climbs_a_monotone_curve_to_the_top():
-    cells = [_cell(d, 1.0 + 0.5 * d, 8 * d) for d in range(1, 6)]
-    pick = auto_pick(cells)
-    assert pick["config"]["degree"] == 5
-    assert "still improving" in pick["why"]
-    assert [step["decision"] for step in pick["ladder"]] == \
-        ["start"] + ["accept"] * 4
+    assert pick["config"]["degree"] == 7
+    runner_up = cells[4]
+    assert pick["runner_up"] == {"id": runner_up["id"], "score": 2.105}
+    assert pick["why"] == (f"best score of 7 cell(s); runner-up "
+                           f"{runner_up['id']} (2.1050)")
+    assert "tie_break" not in pick
+    assert runner_up["pick"] == f"outscored by {pick['id']} (2.6000)"
 
 
 def test_no_eligible_cell_returns_none():
@@ -124,8 +121,7 @@ def test_no_eligible_cell_returns_none():
 def test_tied_candidates_break_toward_fewer_stages():
     nn = _cell(3, 2.0, 10)
     scratch = _cell(4, 2.0 + 0.01, 10, ring="scratch-ring")
-    # scratch's extra stage cancels its extra speedup: identical scores
-    # at the top of two one-rung ladders.
+    # scratch's extra stage cancels its extra speedup: identical scores.
     pick = auto_pick([nn, scratch])
     assert pick["id"] == nn["id"]
     assert "tie_break" in pick
@@ -133,13 +129,72 @@ def test_tied_candidates_break_toward_fewer_stages():
 
 
 def test_a_zero_gain_does_not_climb():
-    # A rung that only holds the score is a plateau, not progress.
+    # A rung that only holds the score ties with the rung below it, and
+    # the tie breaks toward fewer stages.
     cells = [_cell(1, 1.0, 0), _cell(2, 1.01, 0)]
     pick = auto_pick(cells)
     assert pick["config"]["degree"] == 1
-    assert [step["decision"] for step in pick["ladder"]] == \
-        ["start", "stop"]
-    assert "plateau: score gain +0.0000 <= 0" in cells[1]["pick"]
+    assert pick["score"] == pick["runner_up"]["score"] == 0.99
+    assert pick["tie_break"] == (f"tied score with {cells[1]['id']}; fewer "
+                                 f"stages, then fewer words, then id order "
+                                 f"decided")
+    assert cells[1]["pick"] == f"outscored by {cells[0]['id']} (0.9900)"
+
+
+cell_rows = st.lists(
+    st.tuples(st.integers(1, 9), st.integers(0, 40), st.integers(0, 60),
+              st.sampled_from(["nn-ring", "scratch-ring"])),
+    min_size=1, max_size=18,
+    unique_by=lambda row: (row[0], row[3]),
+).map(lambda rows: [_cell(degree, speedup / 10.0, words, ring=ring)
+                    for degree, speedup, words, ring in rows])
+
+
+@given(cell_rows)
+@settings(max_examples=200, deadline=None)
+def test_no_cell_outscores_the_pick_and_the_pick_is_on_the_frontier(cells):
+    flags = pareto_flags([cell["metrics"] for cell in cells])
+    pick = auto_pick(cells)
+    assert all(score(cell["metrics"]) <= pick["score"] for cell in cells)
+    [picked] = [cell for cell in cells if cell["id"] == pick["id"]]
+    assert flags[cells.index(picked)]
+    assert all("pick" in cell for cell in cells)
+
+
+def test_frontier_md_draws_one_table_pair_per_knob_combo():
+    """Two rings are two knob combos: each gets its own speedup and
+    overhead tables, so no ring's value overwrites the other's."""
+    from repro.eval.report import render_figure
+
+    nn = [_cell(1, 1.0, 0), _cell(2, 1.5, 8)]
+    scratch = [_cell(1, 1.0, 0, ring="scratch-ring"),
+               _cell(2, 1.25, 12, ring="scratch-ring")]
+    cells = nn + scratch
+    report = {
+        "space": {"apps": ["app"], "degrees": [1, 2],
+                  "rings": ["nn-ring", "scratch-ring"],
+                  "epsilons": [0.0625], "packets": 4, "seed": 7},
+        "weights": {"speedup": 1.0, "words": 0.005, "stages": 0.01},
+        "apps": {"app": {"cells": cells, "frontier": [],
+                         "pick": auto_pick(cells)}},
+    }
+    rendered = render_markdown(report)
+    expected = [
+        "## By degree: epsilon=0.0625 max_block_instructions=12 "
+        "ring=nn-ring",
+        render_figure("Speedup by degree", {"app": {1: 1.0, 2: 1.5}}),
+        render_figure("Live-set overhead by degree",
+                      {"app": {1: 0.0, 2: 0.08}}, value_format="{:6.3f}"),
+        "## By degree: epsilon=0.0625 max_block_instructions=12 "
+        "ring=scratch-ring",
+        render_figure("Speedup by degree", {"app": {1: 1.0, 2: 1.25}}),
+        render_figure("Live-set overhead by degree",
+                      {"app": {1: 0.0, 2: 0.12}}, value_format="{:6.3f}"),
+    ]
+    positions = [rendered.index(block) for block in expected]
+    assert positions == sorted(positions)
+    assert rendered.count("Speedup by degree") == 2
+    assert rendered.count("Live-set overhead by degree") == 2
 
 
 # -- the search space -------------------------------------------------------
@@ -214,8 +269,7 @@ def test_combos_are_deterministic_and_deduplicated():
 def test_an_app_named_twice_is_one_row():
     """Apps are de-duplicated in order, as rings are: ``--apps rx,rx``
     explores, scores and picks exactly what ``--apps rx`` does — a
-    duplicated row would tie each cell with its own copy and stop the
-    pick ladder at d1."""
+    duplicated row would tie each cell with its own copy."""
     twice = SearchSpace(apps=("rx", "tx", "rx"), degrees=(1, 2), packets=4)
     once = SearchSpace(apps=("rx", "tx"), degrees=(1, 2), packets=4)
     assert twice == once and twice.cell_count() == 4

@@ -34,8 +34,7 @@ from repro.apps.suite import (
 )
 from repro.cli import main
 from repro.eval.allocation import CostCurves, allocate_engines
-from repro.eval.experiments import figure_series
-from repro.eval.explore import SearchSpace
+from repro.eval.explore import SearchSpace, figure_series
 from repro.eval.metrics import (
     make_profiler,
     measure_pipeline,
@@ -100,10 +99,10 @@ def test_moved_cells_names_each_edited_value():
     assert moved_cells({"a": 1}, {}) == ["/a: 1 -> <absent>"]
 
 
-def test_headline_record_is_what_repro_figures_writes(tmp_path):
-    fresh = tmp_path / "record.json"
-    assert main(["figures", "-o", str(fresh)]) == 0
-    _assert_regenerates(BENCH_HEADLINE, fresh, "repro figures -o")
+def test_headline_record_is_what_a_cold_repro_explore_writes(tmp_path):
+    assert main(["explore", "--no-cache", "-o", str(tmp_path)]) == 0
+    _assert_regenerates(BENCH_HEADLINE, tmp_path / "frontier.json",
+                        "repro explore --no-cache")
 
 
 # -- claims, read from the committed record -----------------------------------
@@ -125,15 +124,15 @@ def test_headline_more_than_4x_at_nine_stages(record):
 
 
 def test_auto_picks_by_name(record):
-    """Each figure PPS's marginal pick (``repro explore``'s one rule):
-    RX and TX park where their curves level off, the IPv4 PPS and the IP
-    PPS on IPv6 traffic climb to the top of the grid, the IP PPS on IPv4
-    traffic stops at 5, and the unpipelinable Scheduler and QM stay
+    """Each figure PPS's pick, its best-scoring cell (``repro
+    explore``'s one rule): RX and TX where their levelled-off curves
+    last rise, the IPv4 PPS and the IP PPS on either traffic class at
+    the top of the grid, and the unpipelinable Scheduler and QM
     sequential."""
     picks = {app: entry["pick"]["config"]["degree"]
              for app, entry in record["apps"].items()}
-    assert picks == {"rx": 5, "ipv4": 9, "scheduler": 1, "qm": 1, "tx": 4,
-                     "ip_v4": 5, "ip_v6": 9}
+    assert picks == {"rx": 7, "ipv4": 9, "scheduler": 1, "qm": 1, "tx": 6,
+                     "ip_v4": 9, "ip_v6": 9}
     for app, entry in record["apps"].items():
         assert entry["pick"]["id"] in entry["frontier"], app
 

@@ -10,8 +10,8 @@ The contract under test:
   same failure at every ``-j`` level;
 * every cell runs at the sweep's base seed, as given, so a chaos cell
   reproduces inline under any parallelism;
-* ``repro figures`` is the default-knob slice of the verified explore
-  row: a cell the verifier does not pass fails the record by name.
+* the figure PPSes explore to one record at every ``-j`` level, and a
+  cell the verifier does not pass fails the sweep naming its degree.
 """
 
 from __future__ import annotations
@@ -260,20 +260,16 @@ def test_chaos_sweep_parallel_identical_to_inline(tmp_path):
     assert inline[0]["seed"] == 7
 
 
-def test_figures_record_is_one_path_at_every_jobs_level():
-    """``repro figures``: the same record — every field of it — and each
-    distinct app partitioned once, whether inline or fanned out; and
-    that record is the deterministic explore report over the figure
-    PPSes, cell for cell."""
+def test_figure_apps_explore_to_one_record_at_every_jobs_level():
+    """The figure PPSes explore to the same record — every field of it —
+    inline or fanned out, one row per distinct app."""
     from repro.apps.suite import FIGURE_APPS
-    from repro.eval.experiments import figures_record
     from repro.eval.explore import deterministic_report, explore
 
-    inline = figures_record(packets=4, degrees=[1, 2], jobs=1)
-    fanned = figures_record(packets=4, degrees=[1, 2], jobs=2)
+    space = SearchSpace(apps=FIGURE_APPS, degrees=(1, 2), packets=4)
+    inline = deterministic_report(explore(space, jobs=1))
+    fanned = deterministic_report(explore(space, jobs=2))
     assert json.dumps(inline) == json.dumps(fanned)
-    assert inline == deterministic_report(explore(SearchSpace(
-        apps=FIGURE_APPS, degrees=(1, 2), packets=4)))
     assert list(inline["apps"]) == list(FIGURE_APPS)
     for app, entry in inline["apps"].items():
         assert [cell["id"] for cell in entry["cells"]] == [
@@ -281,37 +277,34 @@ def test_figures_record_is_one_path_at_every_jobs_level():
         assert entry["pick"] is not None
 
 
-@pytest.mark.parametrize("rejects", ["every-attempt", "first-attempt"])
-def test_figures_record_names_a_cell_the_verifier_rejects(monkeypatch,
-                                                          rejects):
-    """Every figure cell goes through the supervisor, which verifies it
-    once.  A verifier that rejects tx at D = 2 — at every ε, or only at
-    the caller's (the ε a retry would have widened) — fails the record
-    loudly, naming the cell and the finding, instead of printing a
-    lower-degree or other-knob number for it."""
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_explore_names_the_degree_the_verifier_rejects(monkeypatch, jobs):
+    """Every explore cell goes through the supervisor, which verifies it
+    once.  A verifier that rejects tx at D = 2 fails the sweep loudly,
+    naming the cell, the finding and a one-liner for that degree alone,
+    instead of printing a number for it."""
     import repro.pipeline.supervisor as supervisor_mod
-    from repro.eval.experiments import figures_record
+    from repro.eval.explore import explore
     from repro.pipeline.verify import VerifyFinding, VerifyVerdict
 
     real = supervisor_mod.supervise_partition
 
-    def verifier(result, *, epsilon, **kwargs):
-        if (result.pps_name, result.degree) == ("tx", 2) and (
-                rejects == "every-attempt" or epsilon == Knobs.epsilon):
+    def verifier(result, **kwargs):
+        if (result.pps_name, result.degree) == ("tx", 2):
             return VerifyVerdict(
                 pps_name=result.pps_name, degree=result.degree,
                 findings=[VerifyFinding(check="liveness",
                                         detail="synthetic rejection")])
-        return supervisor_mod.verify_partition(result, epsilon=epsilon,
-                                               **kwargs)
+        return supervisor_mod.verify_partition(result, **kwargs)
 
     def supervised(*args, **kwargs):
         return real(*args, verifier=verifier, **kwargs)
 
     monkeypatch.setattr(supervisor_mod, "supervise_partition", supervised)
     with pytest.raises(SweepError) as excinfo:
-        figures_record(packets=4, degrees=[1, 2])
+        explore(SearchSpace(apps=("rx", "tx"), degrees=(1, 2), packets=4),
+                jobs=jobs)
     message = str(excinfo.value)
     assert "tx x2: REJECTED" in message
     assert "[liveness] synthetic rejection" in message
-    assert "repro explore --apps tx --degrees 1,2 " in message
+    assert "repro explore --apps tx --degrees 2 " in message
