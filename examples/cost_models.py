@@ -5,8 +5,7 @@ The paper's VCost/CCost (flow-network edge weights) come from the target
 channel: nearest-neighbor rings are nearly free, scratch rings cost an
 order of magnitude more per enqueue/dequeue.  This example pipelines the
 TX PPS over each channel kind — including a custom exotic one — and shows
-the speedup and transmission overhead reacting, plus where each stage of
-a mapped pipeline would land on an IXP2800.
+the speedup and transmission overhead reacting.
 
 Run:  python examples/cost_models.py
 """
@@ -41,13 +40,6 @@ def main():
                              knobs=repro.Knobs(costs=costs))
         print(f"{costs.name:15s} {m.speedup:7.2f}x {m.overhead_ratio:9.3f} "
               f"{str(m.message_words):>14s}")
-
-    print("\nMapping the 5-stage pipeline onto an IXP2800:")
-    engines = repro.IXP2800.map_pipeline(DEGREE, first_engine=6)
-    channels = repro.IXP2800.channels_for_pipeline(engines)
-    for (a, b), channel in zip(zip(engines, engines[1:]), channels):
-        print(f"  ME{a} -> ME{b}: {channel.name}"
-              f"{'  (cluster boundary)' if channel is not repro.NN_RING else ''}")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ PLDI 2005): a compiler that partitions a sequential packet processing
 stage (PPS) into balanced pipeline stages with minimized live-set
 transmission, plus the substrate it needs — a C-like frontend (PPS-C), a
 three-address IR with SSA, dependence analysis, push-relabel balanced
-minimum cuts, an IXP-style machine model, a functional simulator, and the
+minimum cuts, ring cost models, a functional simulator, and the
 NPF IPv4/IP forwarding benchmark applications.
 
 Quickstart::
@@ -39,7 +39,6 @@ from repro.ir.lowering import lower_program
 from repro.ir.optimize import optimize_module
 from repro.lang import compile_source
 from repro.machine.costs import NN_RING, SCRATCH_RING, SRAM_RING, CostModel
-from repro.machine.ixp import IXP2400, IXP2800, NetworkProcessor
 from repro.obs import RuntimeReport, Tracer, runtime_report, tracing
 from repro.pipeline.liveset import Strategy
 from repro.pipeline.replicate import ReplicationResult, replicate_pps
@@ -70,13 +69,10 @@ def compile_module(source: str, name: str = "<module>", *,
 
 __all__ = [
     "CostModel",
-    "IXP2400",
-    "IXP2800",
     "Knobs",
     "MachineState",
     "Module",
     "NN_RING",
-    "NetworkProcessor",
     "PipelineError",
     "PipelineResult",
     "ReplicationResult",

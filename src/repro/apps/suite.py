@@ -8,9 +8,8 @@ two NPF benchmarks:
 
 Each instance knows how to populate a fresh machine state with its input
 traffic and supporting tables, so the evaluation harness and the tests
-drive every PPS identically.  ``full_ipv4_source`` additionally assembles
-the five PPSes of the IPv4 forwarding application into one program for
-whole-application runs.
+drive every PPS identically.  ``tests/test_full_application.py`` chains
+them through their pipes into the whole applications.
 """
 
 from __future__ import annotations
@@ -92,25 +91,6 @@ _ACL_RULES = (
     0x7F000000, 0xFF000000, 1, 2,   # deny src loopback (redundant)
     0xC0A82A00, 0xFFFFFF00, 1, 3,   # remark src 192.168.42/24
 ) + (0,) * 48
-
-
-def combine_sources(*sources: str) -> str:
-    """Concatenate PPS-C sources, dropping duplicate one-line declarations
-    (shared pipes and memory regions are declared once)."""
-    seen: set[str] = set()
-    lines: list[str] = []
-    for source in sources:
-        for line in source.splitlines():
-            stripped = line.strip()
-            is_decl = (stripped.startswith(("pipe ", "memory ",
-                                            "readonly memory "))
-                       and stripped.endswith(";"))
-            if is_decl:
-                if stripped in seen:
-                    continue
-                seen.add(stripped)
-            lines.append(line)
-    return "\n".join(lines)
 
 
 @dataclass
@@ -330,16 +310,4 @@ def build_app(name: str, *, packets: int = 200, seed: int = 7) -> AppInstance:
                            "packet transmit / segmentation")
 
     raise ValueError(f"unknown app {name!r} (apps: {', '.join(APPS)})")
-
-
-def full_ipv4_source() -> str:
-    """The whole IPv4 forwarding application (five chained PPSes)."""
-    return combine_sources(
-        rx_source(out_pipe="rx2ip"),
-        ipv4_source(in_pipe="rx2ip", out_pipe="qm_enq"),
-        scheduler_source(out_pipe="qm_deq"),
-        qm_source(enq_pipe="qm_enq", deq_pipe="qm_deq", out_pipe="tx_in",
-                  declare_qlen=False),
-        tx_source(in_pipe="tx_in"),
-    )
 

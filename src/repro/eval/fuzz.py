@@ -50,6 +50,9 @@ class CheckFailure(ReproError):
         self.phase = phase
         self.cause = cause
 
+    def __reduce__(self):
+        return type(self), (self.phase, self.cause)
+
     @property
     def signature(self) -> tuple[str, str]:
         """What shrinking must preserve: the phase and exception type."""

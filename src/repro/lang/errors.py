@@ -41,6 +41,9 @@ class FrontendError(ReproError):
         self.message = message
         self.location = location
 
+    def __reduce__(self):
+        return type(self), (self.message, self.location)
+
 
 class LexError(FrontendError):
     """An unrecognised or malformed token."""

@@ -1,4 +1,4 @@
-"""Machine model: transmission cost parameters and the IXP2800 description."""
+"""Machine model: the transmission cost parameters of the inter-stage rings."""
 
 from repro.machine.costs import (
     NN_RING,
@@ -9,15 +9,10 @@ from repro.machine.costs import (
     cost_table_names,
     register_cost_table,
 )
-from repro.machine.ixp import IXP2800, IXP2400, ProcessingEngine, NetworkProcessor
 
 __all__ = [
     "CostModel",
-    "IXP2400",
-    "IXP2800",
     "NN_RING",
-    "NetworkProcessor",
-    "ProcessingEngine",
     "SCRATCH_RING",
     "SRAM_RING",
     "cost_table",

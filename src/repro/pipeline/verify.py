@@ -133,6 +133,9 @@ class VerifyError(PipelineError):
         super().__init__(f"{verdict.summary()}\n{details}")
         self.verdict = verdict
 
+    def __reduce__(self):
+        return type(self), (self.verdict,)
+
 
 class _Checker:
     """One verification pass over one :class:`PipelineResult`."""

@@ -1,5 +1,7 @@
 """The unified error hierarchy and the CLI's exit-code families."""
 
+import pickle
+
 import pytest
 
 from repro.cli import CLIError, main
@@ -9,8 +11,12 @@ from repro.errors import (
     ReproError,
     TrapError,
 )
-from repro.lang.errors import FrontendError
+from repro.eval.fuzz import CheckFailure
+from repro.eval.sweep import SweepError, SweepTask
+from repro.lang.errors import FrontendError, ParseError, SourceLocation
 from repro.pipeline.transform import PipelineError
+from repro.pipeline.verify import VerifyError, VerifyFinding, VerifyVerdict
+from repro.runspec import RunSpec
 from repro.runtime.devices import DeviceError
 from repro.runtime.packets import PacketError
 
@@ -43,6 +49,57 @@ def test_deadlock_error_carries_structure():
     assert exc.offenders == {"a": ("recv", "p")}
     assert exc.report is None
     assert isinstance(exc, ReproError)
+
+
+#: One instance of every ``ReproError`` subclass with its own
+#: ``__init__``, and the fields it carries beside its message.
+PICKLED = [
+    pytest.param(VerifyError(VerifyVerdict("tx", 2, [VerifyFinding(
+        "dependence", "x crosses backward", cut=1, subject="x")])),
+        ("verdict",), id="VerifyError"),
+    pytest.param(ParseError("expected ';'", SourceLocation("a.ppc", 3, 7)),
+                 ("message", "location"), id="ParseError"),
+    pytest.param(DeadlockError("stuck", kind="livelock",
+                               parked={"a": ("recv", "p")},
+                               offenders={"a": ("recv", "p")}),
+                 ("kind", "parked", "offenders", "report"),
+                 id="DeadlockError"),
+    pytest.param(SweepError("cell failed", task=SweepTask(
+        "explore", RunSpec("ipv4", packets=8, seed=7, degrees=(2,)))),
+        ("task",), id="SweepError"),
+    pytest.param(CheckFailure("verify", ValueError("boom")),
+                 ("phase", "cause"), id="CheckFailure"),
+]
+
+
+@pytest.mark.parametrize("error, fields", PICKLED)
+def test_errors_survive_pickling(error, fields):
+    # A sweep worker hands its failure back to the parent by pickle.
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert [repr(getattr(copy, name)) for name in fields] == \
+        [repr(getattr(error, name)) for name in fields]
+
+
+def test_every_error_with_its_own_init_is_pickle_tested():
+    import importlib
+    import pkgutil
+
+    import repro
+
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+    own_init, pending = set(), [ReproError]
+    while pending:
+        cls = pending.pop()
+        pending += cls.__subclasses__()
+        if "__init__" in vars(cls) and cls.__module__.startswith("repro."):
+            own_init.add(cls)
+    tested = [type(param.values[0]) for param in PICKLED]
+    assert [cls.__name__ for cls in own_init
+            if not any(issubclass(kind, cls) for kind in tested)] == []
 
 
 # -- CLI exit-code families ---------------------------------------------------

@@ -10,13 +10,11 @@ import pytest
 from repro.analysis.cfg import find_pps_loop
 from repro.apps.common import TAG_FWD, TAG_RX_OK, TAG_TX
 from repro.apps.ip import ip_source
+from repro.apps.ipv4 import ipv4_source
+from repro.apps.qm import qm_source
 from repro.apps.rx import rx_source
-from repro.apps.suite import (
-    IPV4_PREFIXES,
-    build_ipv4_tables,
-    combine_sources,
-    full_ipv4_source,
-)
+from repro.apps.scheduler import scheduler_source
+from repro.apps.suite import IPV4_PREFIXES, build_ipv4_tables
 from repro.apps.traffic import TrafficConfig, TrafficGenerator
 from repro.apps.tx import tx_source
 from repro.pipeline.transform import pipeline_pps
@@ -26,6 +24,38 @@ from repro.runtime.interp import Interpreter
 from helpers import compile_module
 
 PACKETS = 30
+
+
+def combine_sources(*sources: str) -> str:
+    """Concatenate PPS-C sources, dropping duplicate one-line declarations
+    (shared pipes and memory regions are declared once)."""
+    seen: set[str] = set()
+    lines: list[str] = []
+    for source in sources:
+        for line in source.splitlines():
+            stripped = line.strip()
+            is_decl = (stripped.startswith(("pipe ", "memory ",
+                                            "readonly memory "))
+                       and stripped.endswith(";"))
+            if is_decl:
+                if stripped in seen:
+                    continue
+                seen.add(stripped)
+            lines.append(line)
+    return "\n".join(lines)
+
+
+def full_ipv4_source() -> str:
+    """The whole IPv4 forwarding application (paper Figure 18a):
+    five chained PPSes."""
+    return combine_sources(
+        rx_source(out_pipe="rx2ip"),
+        ipv4_source(in_pipe="rx2ip", out_pipe="qm_enq"),
+        scheduler_source(out_pipe="qm_deq"),
+        qm_source(enq_pipe="qm_enq", deq_pipe="qm_deq", out_pipe="tx_in",
+                  declare_qlen=False),
+        tx_source(in_pipe="tx_in"),
+    )
 
 
 def make_state(module):

@@ -1,59 +1,8 @@
-"""Tests for the machine model (cost models and the IXP description)."""
+"""Tests for the machine model: the ring cost models and their registry."""
 
 import pytest
 
-from repro.machine import (
-    IXP2400,
-    IXP2800,
-    NN_RING,
-    SCRATCH_RING,
-    SRAM_RING,
-    CostModel,
-    NetworkProcessor,
-)
-
-
-def test_ixp2800_inventory():
-    assert IXP2800.engine_count == 16
-    assert IXP2400.engine_count == 8
-    clusters = {engine.cluster for engine in IXP2800.engines}
-    assert clusters == {0, 1}
-    assert all(engine.threads == 8 for engine in IXP2800.engines)
-
-
-def test_nn_rings_connect_adjacent_engines_within_cluster():
-    assert IXP2800.are_neighbors(0, 1)
-    assert IXP2800.are_neighbors(8, 9)
-    assert not IXP2800.are_neighbors(0, 2)
-    assert not IXP2800.are_neighbors(7, 8)  # cluster boundary
-
-
-def test_channel_selection():
-    assert IXP2800.channel_for(2, 3) is NN_RING
-    assert IXP2800.channel_for(2, 5) is SCRATCH_RING
-
-
-def test_map_pipeline_consecutive():
-    engines = IXP2800.map_pipeline(4, first_engine=2)
-    assert engines == [2, 3, 4, 5]
-    channels = IXP2800.channels_for_pipeline(engines)
-    assert len(channels) == 3
-    assert all(ch is NN_RING for ch in channels)
-
-
-def test_map_pipeline_across_cluster_uses_scratch():
-    engines = IXP2800.map_pipeline(4, first_engine=6)
-    channels = IXP2800.channels_for_pipeline(engines)
-    assert channels[0] is NN_RING       # 6 -> 7
-    assert channels[1] is SCRATCH_RING  # 7 -> 8 crosses clusters
-    assert channels[2] is NN_RING       # 8 -> 9
-
-
-def test_map_pipeline_capacity_check():
-    with pytest.raises(ValueError):
-        IXP2800.map_pipeline(17)
-    with pytest.raises(ValueError):
-        IXP2400.map_pipeline(5, first_engine=4)
+from repro.machine import NN_RING, SCRATCH_RING, SRAM_RING, CostModel
 
 
 def message_cost(model: CostModel, words: int) -> int:
@@ -76,14 +25,6 @@ def test_ring_cost_ordering():
         assert message_cost(NN_RING, words) \
             < message_cost(SCRATCH_RING, words) \
             < message_cost(SRAM_RING, words)
-
-
-def test_custom_processor():
-    tiny = NetworkProcessor.build("tiny", clusters=1, engines_per_cluster=3,
-                                  threads=4)
-    assert tiny.engine_count == 3
-    assert tiny.engines[0].threads == 4
-    assert tiny.are_neighbors(1, 2)
 
 
 def test_cost_table_registry_resolves_names_and_aliases():

@@ -33,7 +33,6 @@ from repro.apps.suite import (
     build_app,
 )
 from repro.cli import main
-from repro.eval.allocation import CostCurves, allocate_engines
 from repro.eval.explore import SearchSpace, figure_series
 from repro.eval.metrics import (
     make_profiler,
@@ -421,22 +420,49 @@ def test_code_size_implications(apps):
     assert pipelined < original * 4
 
 
+def _greedy_allocation(pps_names, engines, *, packets=40):
+    """Paper §2.2's product-compiler choice, as a greedy over the measured
+    curves: every PPS starts on one engine, and the unique bottleneck
+    takes one more while the cheaper of its two modes there lowers its
+    cost.  Returns ``{pps: (mode, engines, cost)}`` and the sequential
+    application cost."""
+    apps = {name: build_app(name, packets=packets) for name in pps_names}
+    base = {name: measure_sequential(app) for name, app in apps.items()}
+    chosen = {name: ("sequential", 1, base[name].per_packet)
+              for name in pps_names}
+    while sum(n for _, n, _ in chosen.values()) < engines:
+        name = max(chosen, key=lambda pps: chosen[pps][2])
+        _, n, cost = chosen[name]
+        if [c for _, _, c in chosen.values()].count(cost) > 1:
+            break  # a tied bottleneck: one more engine cannot lower the max
+        app = apps[name]
+        upgrade = min(
+            ("pipeline", n + 1, measure_pipeline(
+                app, n + 1, baseline=base[name]).longest_stage),
+            ("replicate", n + 1, measure_replication(
+                app, n + 1, baseline=base[name]).effective),
+            key=lambda option: option[2])
+        if upgrade[2] >= cost:
+            break
+        chosen[name] = upgrade
+    return chosen, max(m.per_packet for m in base.values())
+
+
 def test_ixp2800_allocation():
     """EXPERIMENTS.md "whole-application engine allocation" (§2.2): the
-    greedy allocator spends sixteen engines on the five-PPS application."""
-    curves = CostCurves(IPV4_FORWARDING_PPSES, packets=40)
-    result = allocate_engines(IPV4_FORWARDING_PPSES, 16, curves=curves)
-    assert {name: (option.label, round(option.cost))
-            for name, option in result.chosen.items()} == {
+    greedy spends an IXP2800's sixteen engines on the five-PPS
+    application, and stops when the bottleneck cannot improve rather
+    than spend engines for nothing."""
+    chosen, sequential = _greedy_allocation(IPV4_FORWARDING_PPSES, 16)
+    assert {name: ("sequential" if n == 1 else f"{mode} x{n}", round(cost))
+            for name, (mode, n, cost) in chosen.items()} == {
         "rx": ("pipeline x5", 113),      # cannot replicate: device order
         "ipv4": ("replicate x5", 105),
         "scheduler": ("sequential", 96),  # shared flow state
         "qm": ("sequential", 46),         # shared flow state
         "tx": ("replicate x3", 85),
     }
-    assert result.engines_used() == 15
-    assert (round(result.sequential_cost), round(result.application_cost),
-            round(result.speedup, 2)) == (501, 113, 4.43)
-    # Greedy stops when the bottleneck cannot improve, rather than
-    # spending engines for nothing.
-    assert result.history
+    assert sum(n for _, n, _ in chosen.values()) == 15
+    application = max(cost for _, _, cost in chosen.values())
+    assert (round(sequential), round(application),
+            round(sequential / application, 2)) == (501, 113, 4.43)

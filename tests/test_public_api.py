@@ -65,9 +65,3 @@ def test_strategies_and_cost_models_available():
             module, "p", 2,
             knobs=repro.Knobs(strategy=strategy, costs=repro.SCRATCH_RING))
         assert len(result.stages) == 2
-
-
-def test_ixp_models_available():
-    assert repro.IXP2800.engine_count == 16
-    engines = repro.IXP2800.map_pipeline(3)
-    assert len(repro.IXP2800.channels_for_pipeline(engines)) == 2

@@ -208,12 +208,10 @@ def test_docs_name_only_files_and_names_that_exist():
 _CALLER_EXEMPT = {
     "shard_oracle": "bench/ runs it as the serving benchmarks' oracle",
     "TrafficGenerator.mixed_stream": "ROADMAP item 8 gives it a caller",
-    "allocate_engines": "ROADMAP item 11's application, until it decides",
-    "AllocationResult.engines_used": "ROADMAP item 11, as allocate_engines",
-    "NetworkProcessor.map_pipeline": "ROADMAP item 11, as allocate_engines",
-    "NetworkProcessor.channels_for_pipeline":
-        "ROADMAP item 11, as allocate_engines",
-    "full_ipv4_source": "ROADMAP item 11, as allocate_engines",
+    "measure_replication": "examples/ and the §5 and §2.2 tables read it; "
+                           "ROADMAP item 18's replication fuzz leg gives "
+                           "it a caller",
+    "WarmStartCache": "bench/compiling.py reads it; ROADMAP item 5 deletes it",
 }
 
 
@@ -226,9 +224,9 @@ def _references(node) -> list[str]:
 
 
 def _uncalled(package: Path) -> list[str]:
-    """Public module-level functions and class methods under ``package``
-    (its ``testing/`` subpackage aside) that nothing under ``package``
-    references, as ``path: name`` or ``path: Class.name``.
+    """Public module-level functions, classes and class methods under
+    ``package`` (its ``testing/`` subpackage aside) that nothing under
+    ``package`` references, as ``path: name`` or ``path: Class.name``.
 
     A reference is a name read or an attribute access anywhere under
     ``package``, ``testing/`` included (imports and ``__all__`` strings
@@ -250,8 +248,8 @@ def _uncalled(package: Path) -> list[str]:
             if isinstance(node, functions):
                 members, owner = [node], ""
             elif isinstance(node, ast.ClassDef):
-                members = [item for item in node.body
-                           if isinstance(item, functions)]
+                members = [node] + [item for item in node.body
+                                    if isinstance(item, functions)]
                 owner = f"{node.name}."
             else:
                 continue
@@ -259,19 +257,21 @@ def _uncalled(package: Path) -> list[str]:
                 recursive[member.name] += _references(member).count(
                     member.name)
                 if not member.name.startswith("_"):
+                    qualified = (member.name if member is node
+                                 else f"{owner}{member.name}")
                     definitions.append(
-                        (f"{path.relative_to(package)}: "
-                         f"{owner}{member.name}", member.name))
+                        (f"{path.relative_to(package)}: {qualified}",
+                         member.name))
     return [label for label, name in definitions
             if referenced[name] == recursive[name]]
 
 
 def test_every_public_analysis_function_has_a_caller_in_src():
-    """A public function or method of any package but ``repro.testing``,
-    or of a top-level module, that only tests reach is dead weight: give
-    it a shipped caller, move it to its reader, or delete it.  The one
-    way out is :data:`_CALLER_EXEMPT`, whose every entry must still be
-    needed."""
+    """A public function, class or method of any package but
+    ``repro.testing``, or of a top-level module, that only tests reach is
+    dead weight: give it a shipped caller, move it to its reader, or
+    delete it.  The one way out is :data:`_CALLER_EXEMPT`, whose every
+    entry must still be needed."""
     uncalled = _uncalled(REPO / "src" / "repro")
     assert [label for label in uncalled
             if label.partition(": ")[2] not in _CALLER_EXEMPT] == []
@@ -293,6 +293,12 @@ def test_the_caller_scan_flags_plain_and_recursive_orphans(tmp_path):
         "class Walker:\n"
         "    def walk(self, node):\n"
         "        return [self.walk(child) for child in node]\n\n"
+        "WALKER = Walker()\n\n"
+        "class Leaf:\n"
+        "    def copy(self):\n"
+        "        return Leaf()\n\n"
         "def orphan():\n    return used()\n")
     assert _uncalled(package) == ["sub/mod.py: Walker.walk",
+                                  "sub/mod.py: Leaf",
+                                  "sub/mod.py: Leaf.copy",
                                   "sub/mod.py: orphan"]
