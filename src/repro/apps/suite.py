@@ -106,7 +106,7 @@ class AppInstance:
     #: Traffic-class setups for profile-dimensioned balancing (multi-path
     #: PPSes like the IP PPS provide one per code path).
     profile_setups: list = field(repr=False, default=None)
-    #: Chaos-harness split of ``setup``: ``stream()`` returns the input
+    #: Check-harness split of ``setup``: ``stream()`` returns the input
     #: packet list, ``feed(state, stream)`` loads tables and feeds an
     #: (optionally perturbed) stream.  Only stream-driven PPSes provide
     #: them; ``setup`` stays the single-call path everywhere else.
@@ -181,8 +181,8 @@ APPS = tuple(dict.fromkeys(IPV4_FORWARDING_PPSES + IP_FORWARDING_PPSES))
 #: of ``repro explore``, whose default report is ``BENCH_headline.json``
 #: and whose ``frontier.md`` draws the figures.
 FIGURE_APPS = APPS
-#: The apps with a stream/feed split: the default of ``repro chaos`` and
-#: the only apps it and ``repro serve`` can drive.
+#: The apps with a stream/feed split: the only apps ``repro fuzz --apps``
+#: and ``repro serve`` can drive.
 STREAM_APPS = ("rx", "ipv4", "ip_v4", "ip_v6")
 
 

@@ -12,7 +12,7 @@ is redone on every hit:
   envelopes, corruption-checked reads, atomic writes, LRU eviction.
 
 ``pipeline_pps(cache=...)`` is the single hookpoint; ``repro
-run/pipeline/chaos/serve/plan/explore`` all thread a
+run/pipeline/serve/explore`` all thread a
 :class:`CompileCache` through it (``--cache-dir`` / ``$REPRO_CACHE_DIR``
 / ``--no-cache``).  See ``docs/caching.md``.
 """

@@ -11,12 +11,12 @@ Usage (also via ``python -m repro``)::
     repro run ... --trace trace.json         # + Chrome trace of compile + run
     repro run ... --faults plan.json \\
         --isolate-traps                      # chaos-hardened execution
-    repro chaos [--apps ...] [--plans ...]   # chaos differential, -j N
     repro serve --shards 4 \\
         --faults worker-kill                 # supervised sharded serving
     repro explore [-o DIR]                   # Pareto frontier, Figures 19-22
     repro fuzz [--seeds 50] [--out DIR]      # progen fuzz of the partitioner
-    repro fuzz -j 4                          # parallel fuzz campaign
+    repro fuzz --apps rx,ipv4 --seeds 1      # the same checks on stream apps
+    repro fuzz --faults drop-light -j 4      # one fault plan, parallel
     repro fuzz --self-test                   # verifier mutation self-test
 
 PPS-C files conventionally use the ``.ppc`` extension.
@@ -25,18 +25,19 @@ PPS-C files conventionally use the ``.ppc`` extension.
 (:mod:`repro.pipeline.supervisor`): the result is independently verified
 (:mod:`repro.pipeline.verify`), and a verifier rejection or a
 partitioner error fails the command with its own message.
-``--keep-going`` on the sweep commands (``explore``, ``chaos``) trades
-fail-fast for per-cell failure records; a failed cell reports its seed
-and a reproduce one-liner identically at every ``-j``.
+``--keep-going`` on ``explore`` trades fail-fast for per-cell failure
+records; a failed cell reports its seed and a reproduce one-liner
+identically at every ``-j``.  ``fuzz`` runs every case through one
+table of check families (:mod:`repro.eval.fuzz`), uncached.
 
 Partition results are memoized in a content-addressed artifact cache
 (``--cache-dir DIR``, default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``;
-``--no-cache`` opts out) — see ``docs/caching.md``.  ``explore``,
-``chaos`` and ``serve`` partition a suite app the one way
+``--no-cache`` opts out) — see ``docs/caching.md``.  ``explore`` and
+``serve`` partition a suite app the one way
 :func:`repro.runspec.app_pipeline` does — its own profiler, the run's
 knobs; ``explore`` adds the supervisor's verification — so at equal
-packets, seed and knobs they share its artifacts (every sweep cell runs
-at the ``--seed`` as given).
+packets, seed and knobs they share its artifacts (every explore cell
+runs at the ``--seed`` as given).
 
 Exit codes (see :mod:`repro.errors`): 0 success, 1 compile/pipeline/IO
 failure (a verifier rejection and sweep worker crashes included), 2
@@ -194,15 +195,6 @@ def _open_cache(args):
     return resolve_cache(args.cache_dir, args.no_cache)
 
 
-def _print_failures(failures: list) -> None:
-    """A keep-going sweep's failed cells; each error carries the cell's
-    seed and reproduce one-liner, exactly as a fail-fast sweep raises it."""
-    if failures:
-        print(f"  {len(failures)} sweep cells FAILED:")
-        for failure in failures:
-            print(f"    {failure['task']}: {failure['error']}")
-
-
 # -- shared argument groups ---------------------------------------------------
 #
 # One ``add_argument`` call site per shared option string; per-command
@@ -220,8 +212,9 @@ def _add_cache_flags(parser) -> None:
 
 def _add_workload_flags(parser, *, packets: int, seed: int | None = None,
                         degrees: str | None = None,
-                        apps: bool = False) -> None:
-    """The generated traffic and the (app x degree) matrix it drives."""
+                        apps: str | None = None) -> None:
+    """The traffic and the (app x degree) matrix it drives; ``apps`` is
+    the help's name for the command's default programs."""
     parser.add_argument("--packets", type=_positive_int, default=packets,
                         help="packets of generated traffic per run "
                              "(default: %(default)s)")
@@ -234,8 +227,8 @@ def _add_workload_flags(parser, *, packets: int, seed: int | None = None,
                                  "(default: %(default)s)")
     if apps:
         parser.add_argument("--apps", nargs="*",
-                            help="apps to sweep, comma or space separated "
-                                 "(default: the command's whole suite)")
+                            help=f"apps to sweep, comma or space separated "
+                                 f"(default: {apps})")
 
 
 def _add_sweep_flags(parser, *, keep_going: bool = True) -> None:
@@ -264,7 +257,8 @@ def _add_fault_flags(parser) -> None:
     parser.add_argument("--faults", metavar="PLAN",
                         help="fault-injection plan: a builtin plan name "
                              "(serve: also worker-kill, worker-storm) or "
-                             "a JSON file")
+                             "a JSON file; fuzz takes a comma-separated "
+                             "list (default: every builtin plan)")
 
 
 def _add_report_flags(parser, *, what: str) -> None:
@@ -411,58 +405,6 @@ def _run(args, tracer) -> int:
     return EXIT_OK
 
 
-def cmd_chaos(args) -> int:
-    """``repro chaos``: the chaos differential, one sweep cell per app."""
-    from repro.eval.sweep import chaos_tasks, run_sweep
-    from repro.runtime.faults import resolve_plan
-
-    degrees = tuple(_parse_list("--degrees", args.degrees, _positive_int))
-    apps = _parse_list("--apps", args.apps) if args.apps else STREAM_APPS
-    bad = [app for app in apps if app not in STREAM_APPS]
-    if bad:
-        raise CLIError(f"bad app {', '.join(bad)}: choose from the apps "
-                       f"with a packet stream, {', '.join(STREAM_APPS)}")
-    plans = tuple(args.plans) if args.plans else None
-    for spec in plans or ():
-        resolve_plan(spec)  # a usage error here, not a failed cell
-    tasks = chaos_tasks(apps, degrees, packets=args.packets, seed=args.seed,
-                        plans=plans)
-    results = run_sweep(tasks, jobs=args.jobs, keep_going=args.keep_going,
-                        cache=_open_cache(args))
-
-    failures = [result for result in results if result.get("failed")]
-    ok = not failures
-    letters: list = []
-    for result in results:
-        if result.get("failed"):
-            continue
-        print(result["rendered"])
-        ok = ok and result["ok"]
-        letters.extend({**letter, "app": result["app"]}
-                       for letter in result["dead_letters"])
-    print(f"sweep: {len(results)} apps x degrees "
-          f"{','.join(str(d) for d in degrees)} (-j {args.jobs}): "
-          f"{'ok' if ok else 'FAIL'}")
-    _print_failures(failures)
-
-    if args.output:
-        report = {
-            "seed": args.seed,
-            "jobs": args.jobs,
-            "ok": ok,
-            "apps": {result["app"]: result.get("report")
-                     for result in results},
-        }
-        if failures:
-            report["failures"] = failures
-        _write_json(args.output, report)
-        print(f"wrote {args.output}")
-    if args.dead_letters:
-        _write_json(args.dead_letters, letters)
-        print(f"wrote {args.dead_letters}")
-    return EXIT_OK if ok else EXIT_FAILURE
-
-
 def cmd_serve(args) -> int:
     from repro.obs import emit_counter_events, tracing
     from repro.runtime.faults import resolve_plan
@@ -545,13 +487,18 @@ def cmd_explore(args) -> int:
                 sort_keys=True)
 
     print(render_summary(report))
-    _print_failures(report.get("failures", []))
+    failures = report.get("failures", [])
+    if failures:
+        print(f"  {len(failures)} sweep cells FAILED:")
+    for failure in failures:
+        print(f"    {failure['task']}: {failure['error']}")
     print(f"wrote {frontier_path}")
-    return EXIT_FAILURE if report.get("failures") else EXIT_OK
+    return EXIT_FAILURE if failures else EXIT_OK
 
 
 def cmd_fuzz(args) -> int:
-    from repro.eval.fuzz import run_fuzz, self_test
+    from repro.eval.fuzz import PROGEN, run_fuzz, self_test
+    from repro.runtime.faults import resolve_plan
 
     if args.self_test:
         outcome = self_test()
@@ -564,21 +511,32 @@ def cmd_fuzz(args) -> int:
         print("fuzz self-test: every seeded defect caught")
         return EXIT_OK
 
+    degrees = tuple(_parse_list("--degrees", args.degrees, _positive_int))
+    apps = _parse_list("--apps", args.apps) if args.apps else []
+    bad = [app for app in apps if app not in STREAM_APPS]
+    if bad:
+        raise CLIError(f"bad app {', '.join(bad)}: choose from the apps "
+                       f"with a packet stream, {', '.join(STREAM_APPS)}")
+    plans = args.faults and tuple(_parse_list("--faults", args.faults))
+    for spec in plans or ():
+        resolve_plan(spec)  # a usage error here, not a failed case
     report = run_fuzz(args.seeds, start_seed=args.start_seed,
-                      degrees=tuple(_parse_list("--degrees", args.degrees,
-                                                _positive_int)),
-                      packets=args.packets, jobs=args.jobs)
+                      degrees=degrees, packets=args.packets,
+                      programs=tuple(apps) or (PROGEN,), plans=plans,
+                      jobs=args.jobs)
     print(report.render())
-    if args.out and report.failures:
+    if args.out:
+        _write_json(os.path.join(args.out, "report.json"), report.as_dict())
         for failure in report.failures:
             stem = os.path.join(
-                args.out,
-                f"seed{failure.seed}_d{failure.degree}_{failure.phase}")
+                args.out, f"{failure.program}_seed{failure.seed}_"
+                          f"d{failure.degree}_{failure.phase}")
             _write_json(stem + ".json", failure.as_dict())
-            with open(stem + ".ppc", "w", encoding="utf-8") as handle:
-                handle.write(failure.artifact())
-        print(f"wrote {len(report.failures)} failing programs to "
-              f"{args.out}")
+            if failure.artifact():
+                with open(stem + ".ppc", "w", encoding="utf-8") as handle:
+                    handle.write(failure.artifact())
+        print(f"wrote {args.out}/report.json and "
+              f"{len(report.failures)} failing programs")
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
@@ -624,21 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_chaos = sub.add_parser(
-        "chaos", help="run the chaos differential (faults + pipelining)")
-    _add_workload_flags(p_chaos, packets=40, seed=7, degrees="1,2,4",
-                        apps=True)
-    p_chaos.add_argument("--plans", nargs="*",
-                         help="builtin plan names or JSON files "
-                              "(default: all builtin plans)")
-    p_chaos.add_argument("-o", "--output", default=None,
-                         help="write the chaos report as JSON")
-    p_chaos.add_argument("--dead-letters", metavar="FILE",
-                         help="write all dead-letter records as JSON")
-    _add_sweep_flags(p_chaos)
-    _add_cache_flags(p_chaos)
-    p_chaos.set_defaults(func=cmd_chaos)
-
     p_serve = sub.add_parser(
         "serve",
         help="fault-tolerant sharded serving (supervised worker pool)")
@@ -676,7 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cost-aware design-space exploration with a Pareto frontier "
              "(at the defaults, the paper's Figures 19-22)")
     _add_workload_flags(p_explore, packets=60, seed=7,
-                        degrees="1,2,3,4,5,6,7,8,9", apps=True)
+                        degrees="1,2,3,4,5,6,7,8,9",
+                        apps="the figure PPSes")
     p_explore.add_argument("--rings", default=Knobs.costs.name,
                            help="comma-separated cost-table names "
                                 "(see repro.machine.costs registry, e.g. "
@@ -700,14 +644,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--seeds", type=_positive_int, default=50,
                         help="number of generated programs (default: 50)")
     p_fuzz.add_argument("--start-seed", type=int, default=0)
-    _add_workload_flags(p_fuzz, packets=24, degrees="2,3,4")
+    _add_workload_flags(p_fuzz, packets=24, degrees="2,3,4",
+                        apps="generated programs")
+    _add_fault_flags(p_fuzz)
     _add_sweep_flags(p_fuzz, keep_going=False)
     p_fuzz.add_argument("--self-test", action="store_true",
                         help="seed known partition defects instead; the "
                              "verifier must catch every one")
     p_fuzz.add_argument("--out", metavar="DIR", default=None,
-                        help="write failing programs (shrunk) and their "
-                             "metadata into DIR")
+                        help="write report.json, and failing programs "
+                             "(shrunk) with their metadata, into DIR")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     return parser

@@ -1,15 +1,18 @@
-"""Progen fuzz harness: parse → partition → verify → differential.
+"""The check harness: one table of check families over every fuzz case.
 
-``run_fuzz`` drives randomly generated PPS-C programs
-(:mod:`repro.testing.progen`) through the whole contract the paper
-makes: the program must compile, partition at the chosen degree, pass
-the independent post-partition verifier, and execute pipelined with
-observations bit-identical to the sequential oracle.  Any failure is
-recorded with its phase (``frontend`` / ``partition`` / ``verify`` /
-``execution``) and automatically *shrunk*: a brace-aware delta-debugging
-pass removes statements and whole nested regions while the failure
-signature (phase + exception type) reproduces, so the artifact a CI
-failure uploads is close to minimal.
+The paper's transformation is correct only if the pipelined PPS observes
+what the sequential PPS observes.  ``run_fuzz`` asks that of every
+*case*, a (program, seed, degree) triple.  A program is a generated
+PPS-C program (:mod:`repro.testing.progen`; the seed draws it and its
+input) or a stream app of the suite (``repro fuzz --apps``; the seed
+draws its traffic), both an :class:`~repro.apps.suite.AppInstance` with
+a ``stream`` / ``feed`` pair.  A case builds its program (``frontend``,
+then ``partition``) and runs the rows of :data:`FAMILIES` in order; a
+failure names that step or family (its ``phase``).  A failing generated
+program is *shrunk*: a brace-aware delta-debugging pass removes
+statements and whole nested regions while the failure signature (phase
++ exception type) reproduces, so the artifact a CI failure uploads is
+close to minimal.
 
 ``self_test`` closes the loop on the verifier itself: it corrupts a
 known-good partition five ways — drop a transmitted live variable, flip
@@ -27,23 +30,30 @@ from dataclasses import dataclass, field
 from repro import compile_module
 from repro.analysis.context import AnalysisContext
 from repro.analysis.dependence_graph import DepKind
+from repro.apps.suite import STREAM_APPS, AppInstance, build_app
 from repro.errors import ReproError
 from repro.ir.function import Module
 from repro.pipeline.liveset import compute_cut_layouts
 from repro.pipeline.realize import realize_stages
-from repro.pipeline.transform import pipeline_pps
+from repro.pipeline.transform import PipelineResult, pipeline_pps
 from repro.pipeline.verify import verify_partition
-from repro.runtime.equivalence import assert_equivalent, observe
-from repro.runtime.scheduler import run_pipeline, run_sequential
+from repro.runspec import app_pipeline
+from repro.runtime.equivalence import assert_equivalent, compare, observe
+from repro.runtime.faults import FaultInjector, builtin_plans, resolve_plan
+from repro.runtime.scheduler import (
+    pipeline_interpreters,
+    run_group,
+    sequential_interpreter,
+)
 from repro.runtime.state import MachineState
 from repro.testing.progen import random_pps_source
 
-#: Pipeline phases a fuzz case can fail in, in execution order.
-PHASES = ("frontend", "partition", "verify", "execution")
+#: The program name of a generated case (an app case is named by its app).
+PROGEN = "progen"
 
 
 class CheckFailure(ReproError):
-    """One fuzz case broke the pipeline contract in ``phase``."""
+    """One fuzz case failed in ``phase``: a build step or a check family."""
 
     def __init__(self, phase: str, cause: BaseException):
         super().__init__(f"{phase}: {type(cause).__name__}: {cause}")
@@ -59,43 +69,145 @@ class CheckFailure(ReproError):
         return (self.phase, type(self.cause).__name__)
 
 
-def fuzz_state(module, seed: int, packets: int) -> MachineState:
-    """A deterministic machine state for one fuzz case."""
-    state = MachineState(module)
-    for name, words in state.regions.items():
-        if name.startswith("tab"):
-            state.load_region(name, [((i * 13 + seed) % 97)
-                                     for i in range(len(words))])
-    state.feed_pipe("in_q", [((i * 31 + seed) % 251) for i in range(packets)])
-    return state
+def generated_app(source: str, seed: int, packets: int) -> AppInstance:
+    """A generated program as a stream app: ``seed`` fills its ``tab*``
+    tables and draws the ``packets`` words of its ``in_q`` stream."""
+    module = compile_module(source, "<fuzz>")
+
+    def stream() -> list:
+        return [(i * 31 + seed) % 251 for i in range(packets)]
+
+    def feed(state: MachineState, stream: list) -> int:
+        for name, words in state.regions.items():
+            if name.startswith("tab"):
+                state.load_region(name, [(i * 13 + seed) % 97
+                                         for i in range(len(words))])
+        state.feed_pipe("in_q", stream)
+        return len(stream)
+
+    return AppInstance(PROGEN, next(iter(module.ppses)), source, module,
+                       stream=stream, feed=feed)
 
 
-def check_program(source: str, degree: int, *, packets: int = 24,
-                  seed: int = 0) -> None:
-    """Run one program through the whole contract; raise CheckFailure."""
+@dataclass
+class Case:
+    """A built program at one degree: what every check family takes."""
+
+    app: AppInstance
+    seed: int
+    result: PipelineResult          # the partition at the case's degree
+    plans: dict                     # the faults family's plans, by name
+
+
+def _run(app: AppInstance, stages, stream: list, plan=None):
+    """Run ``app`` on ``stream`` as ``stages`` (sequentially when None),
+    with ``plan``'s runtime faults armed and traps quarantined if a plan
+    is given: the final state and the number of traps that fired."""
+    state = MachineState(app.module)
+    if plan is not None:
+        FaultInjector(plan).arm(state)
+    iterations = app.feed(state, stream)
+    if stages is None:
+        function = app.module.pps(app.pps_name)
+        interpreters = {function.name: sequential_interpreter(
+            function, state, iterations)}
+    else:
+        interpreters = pipeline_interpreters(stages, state, iterations)
+    run = run_group(interpreters, isolate_traps=plan is not None)
+    return state, sum(stats.traps for stats in run.stats.values())
+
+
+def _verify(case: Case) -> list:
+    """The independent post-partition verifier passes."""
+    verify_partition(case.result).raise_if_rejected()
+    return []
+
+
+def _differential(case: Case) -> list:
+    """The pipelined run observes what the sequential run observes."""
+    stream = case.app.stream()
+    oracle, _ = _run(case.app, None, stream)
+    pipelined, _ = _run(case.app, case.result.stages, stream)
+    assert_equivalent(observe(oracle), observe(pipelined))
+    return []
+
+
+def _faults(case: Case) -> list[dict]:
+    """The same under each fault plan, a record per plan.  The plan
+    perturbs the stream once, and the sequential oracle and the pipeline
+    share it; its stalls and slowdowns only reorder the interleaving, so
+    the observables must still be equal.  A plan that injects traps voids
+    equality, and both runs must instead drain with one dead letter per
+    trap fired."""
+    app, degree = case.app, case.result.degree
+    records = []
+    for name, plan in case.plans.items():
+        stream_injector = FaultInjector(plan)
+        stream = stream_injector.perturb(app.pps_name, app.stream())
+        oracle, oracle_traps = _run(app, None, stream, plan)
+        oracle.faults.absorb_stream(stream_injector)
+        state, traps = _run(app, case.result.stages, stream, plan)
+        problems = [f"{run} fired {fired} traps but left {len(letters)} "
+                    f"dead letters" for run, letters, fired in (
+                        ("oracle", oracle.dead_letters, oracle_traps),
+                        (f"D={degree}", state.dead_letters, traps))
+                    if len(letters) != fired]
+        if plan.semantics_preserving():
+            problems += map(str, compare(observe(oracle), observe(state)))
+        if problems:
+            raise AssertionError(f"plan {name}: {len(problems)} problems, "
+                                 f"first {problems[0]}")
+        records.append({
+            "program": app.name, "seed": case.seed, "degree": degree,
+            "plan": name,
+            "semantics_preserving": plan.semantics_preserving(),
+            "fed": len(stream),
+            "faults": oracle.faults.counters(),
+            "oracle_dead_letters": len(oracle.dead_letters),
+            "traps": traps,
+            "dead_letters": len(state.dead_letters),
+            "letters": [{**letter.as_dict(), "program": app.name,
+                         "seed": case.seed, "plan": name,
+                         "pipeline_degree": degree}
+                        for letter in state.dead_letters],
+        })
+    return records
+
+
+#: The check families, in the order a case runs them.  Each takes the
+#: :class:`Case`, raises on a finding and returns its report records.
+FAMILIES = {
+    "verify": _verify,
+    "differential": _differential,
+    "faults": _faults,
+}
+
+#: What a case can fail in, in order: its build steps, then the families.
+PHASES = ("frontend", "partition", *FAMILIES)
+
+
+def check_program(program: str, degree: int, *, packets: int = 24,
+                  seed: int = 0, plans: tuple | None = None) -> list[dict]:
+    """Build ``program`` — the PPS-C source of a generated program, or the
+    name of a stream app — at ``degree`` and run every check family on
+    it, the ``faults`` family under ``plans`` (builtin plan names or JSON
+    files; default every builtin plan).  Returns the ``faults`` family's
+    records; a failure raises :class:`CheckFailure` naming its step or
+    family."""
+    plans = {spec: resolve_plan(spec) for spec in plans or builtin_plans()}
+    phase = "frontend"
     try:
-        module = compile_module(source, "<fuzz>")
+        app = (build_app(program, packets=packets, seed=seed)
+               if program in STREAM_APPS
+               else generated_app(program, seed, packets))
+        phase = "partition"
+        case = Case(app, seed, app_pipeline(app, degree), plans)
+        records = []
+        for phase, family in FAMILIES.items():
+            records += family(case)
+        return records
     except Exception as exc:
-        raise CheckFailure("frontend", exc) from exc
-    pps_name = next(iter(module.ppses))
-    try:
-        result = pipeline_pps(module, pps_name, degree)
-    except Exception as exc:
-        raise CheckFailure("partition", exc) from exc
-    try:
-        verify_partition(result).raise_if_rejected()
-    except Exception as exc:
-        raise CheckFailure("verify", exc) from exc
-    try:
-        baseline_state = fuzz_state(module, seed, packets)
-        run_sequential(module.pps(pps_name), baseline_state,
-                       iterations=packets)
-        baseline = observe(baseline_state)
-        state = fuzz_state(module, seed, packets)
-        run_pipeline(result.stages, state, iterations=packets)
-        assert_equivalent(baseline, observe(state))
-    except Exception as exc:
-        raise CheckFailure("execution", exc) from exc
+        raise CheckFailure(phase, exc) from exc
 
 
 # -- shrinking ---------------------------------------------------------------
@@ -171,25 +283,28 @@ def shrink_source(source: str, still_fails, *,
 class FuzzFailure:
     """One fuzz case that broke the contract."""
 
+    program: str
     seed: int
     degree: int
     phase: str
     error: str
-    source: str
+    source: str | None              # a generated program's source
     shrunk_source: str | None = None
     shrink_tests: int = 0
 
-    def artifact(self) -> str:
+    def artifact(self) -> str | None:
         """The program to ship (shrunk when shrinking succeeded)."""
         return self.shrunk_source or self.source
 
     def as_dict(self) -> dict:
         return {
+            "program": self.program,
             "seed": self.seed,
             "degree": self.degree,
             "phase": self.phase,
             "error": self.error,
-            "source_lines": len(self.source.splitlines()),
+            "source_lines": (len(self.source.splitlines())
+                             if self.source else None),
             "shrunk_lines": (len(self.shrunk_source.splitlines())
                              if self.shrunk_source else None),
             "shrink_tests": self.shrink_tests,
@@ -198,68 +313,89 @@ class FuzzFailure:
 
 @dataclass
 class FuzzReport:
-    """Outcome of one ``run_fuzz`` campaign."""
+    """One ``run_fuzz`` campaign: its failures and ``faults`` records."""
 
     seeds: int
     start_seed: int
     degrees: tuple
     packets: int
+    programs: tuple = (PROGEN,)
+    plans: tuple | None = None      # fault plan names or files (None: all)
     cases: int = 0
     failures: list[FuzzFailure] = field(default_factory=list)
+    runs: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
+    @property
+    def dead_letters(self) -> list[dict]:
+        """Every pipelined run's dead letters, each tagged with its
+        program, seed, plan and degree."""
+        return [letter for run in self.runs for letter in run["letters"]]
+
     def render(self) -> str:
-        lines = [f"fuzz: {self.seeds} programs, {self.cases} cases "
-                 f"(seeds {self.start_seed}.."
-                 f"{self.start_seed + self.seeds - 1}, "
+        lines = [f"fuzz: {len(self.programs) * self.seeds} programs, "
+                 f"{self.cases} cases ({', '.join(self.programs)}; seeds "
+                 f"{self.start_seed}..{self.start_seed + self.seeds - 1}, "
                  f"degrees {','.join(map(str, self.degrees))}, "
                  f"{self.packets} packets): "
-                 f"{'ok' if self.ok else 'FAIL'}"]
+                 f"{'ok' if self.ok else 'FAIL'}",
+                 f"  {'family':<13} {'cases':>6} {'failed':>7}"]
+        phases = [failure.phase for failure in self.failures]
+        for index, family in enumerate(FAMILIES, start=2):
+            reached = self.cases - sum(PHASES.index(phase) < index
+                                       for phase in phases)
+            lines.append(f"  {family:<13} {reached:>6} "
+                         f"{phases.count(family):>7}")
+        lines[-1] += (f"   {len(self.runs)} plan runs, "
+                      f"{sum(run['traps'] for run in self.runs)} traps "
+                      f"fired, {len(self.dead_letters)} dead letters")
         for failure in self.failures:
             shrunk = (f", shrunk {len(failure.source.splitlines())} -> "
                       f"{len(failure.shrunk_source.splitlines())} lines "
                       f"in {failure.shrink_tests} tests"
                       if failure.shrunk_source else "")
-            lines.append(f"  seed {failure.seed} D={failure.degree} "
-                         f"[{failure.phase}] {failure.error}{shrunk}")
+            lines.append(f"  {failure.program} seed {failure.seed} "
+                         f"D={failure.degree} [{failure.phase}] "
+                         f"{failure.error}{shrunk}")
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
-        return {
-            "seeds": self.seeds,
-            "start_seed": self.start_seed,
-            "degrees": list(self.degrees),
-            "packets": self.packets,
-            "cases": self.cases,
-            "ok": self.ok,
-            "failures": [failure.as_dict() for failure in self.failures],
-        }
+        return {**vars(self), "ok": self.ok,
+                "failures": [failure.as_dict() for failure in self.failures]}
 
 
-def fuzz_case(seed: int, degree: int, packets: int,
-              shrink_tests: int) -> FuzzFailure | None:
-    """Run (and, on failure, shrink within ``shrink_tests`` candidate
-    programs; 0 leaves it unshrunk) one fuzz case.
+def fuzz_case(seed: int, degree: int, packets: int, shrink_tests: int, *,
+              program: str = PROGEN, plans: tuple | None = None) -> dict:
+    """Run one case; a failing generated program is shrunk within
+    ``shrink_tests`` candidate programs (0 leaves it unshrunk).
 
-    Fully determined by its arguments, so any sweep worker produces the
-    same answer for the same seed.
+    ``plans`` names the ``faults`` family's plans (builtin names or JSON
+    files; None: every builtin plan).  Returns ``{"failure":
+    FuzzFailure | None, "runs": the faults family's records}``.  Fully
+    determined by its arguments, so any sweep worker produces the same
+    answer for the same case.
     """
-    source = random_pps_source(seed)
+    source = random_pps_source(seed) if program == PROGEN else None
+
+    def check(text: str) -> list[dict]:
+        return check_program(text, degree, packets=packets, seed=seed,
+                             plans=plans)
+
     try:
-        check_program(source, degree, packets=packets, seed=seed)
-        return None
+        return {"failure": None, "runs": check(source or program)}
     except CheckFailure as exc:
-        failure = FuzzFailure(seed=seed, degree=degree, phase=exc.phase,
-                              error=str(exc.cause), source=source)
-        if shrink_tests:
+        failure = FuzzFailure(program=program, seed=seed, degree=degree,
+                              phase=exc.phase, error=str(exc.cause),
+                              source=source)
+        if shrink_tests and source is not None:
             signature = exc.signature
 
             def still_fails(text: str) -> bool:
                 try:
-                    check_program(text, degree, packets=packets, seed=seed)
+                    check(text)
                 except CheckFailure as candidate:
                     return candidate.signature == signature
                 except Exception:
@@ -271,40 +407,39 @@ def fuzz_case(seed: int, degree: int, packets: int,
             failure.shrink_tests = tests
             if shrunk != source:
                 failure.shrunk_source = shrunk
-        return failure
+        return {"failure": failure, "runs": []}
 
 
 def run_fuzz(seeds: int = 50, *, start_seed: int = 0,
              degrees: tuple = (2, 3, 4), packets: int = 24,
+             programs: tuple = (PROGEN,), plans: tuple | None = None,
              shrink: bool = True, max_shrink_tests: int = 200,
              jobs: int = 1) -> FuzzReport:
-    """Fuzz ``seeds`` generated programs through the whole contract.
+    """Run every case of ``programs`` x ``seeds`` from ``start_seed`` x
+    ``degrees`` through the check families.
 
-    A case is a (seed, degree) cell: every program runs at every one of
-    ``degrees`` over a deterministic input stream, so a failing cell
-    printed by CI reproduces locally with the same flags.
-
-    The cases are ``fuzz`` cells of the sweep runner
+    ``programs`` holds :data:`PROGEN` (generated programs) and/or stream
+    app names.  The cases are ``fuzz`` cells of the sweep runner
     (:func:`repro.eval.sweep.run_sweep`; ``jobs`` is ``repro fuzz -j``).
-    Each case is a pure function of its seed and degree, and results are
-    merged in (seed, degree) order, so the report is identical at any
+    Each case is a pure function of its program, seed and degree, and
+    results are merged in that order, so the report is identical at any
     parallelism level; a crashed case or a dead worker is a
-    :class:`~repro.eval.sweep.SweepError` naming the seed.
+    :class:`~repro.eval.sweep.SweepError` naming the case.
     """
-    from repro.eval.sweep import SweepTask, run_sweep
-    from repro.runspec import RunSpec
+    from repro.eval.sweep import fuzz_tasks, run_sweep
 
     report = FuzzReport(seeds=seeds, start_seed=start_seed,
-                        degrees=tuple(degrees), packets=packets)
-    tasks = [SweepTask("fuzz",
-                       RunSpec("progen", packets, seed, (degree,)),
+                        degrees=tuple(degrees), packets=packets,
+                        programs=tuple(sorted(set(programs))), plans=plans)
+    tasks = fuzz_tasks(report.programs,
+                       range(start_seed, start_seed + seeds), report.degrees,
+                       packets=packets, plans=plans,
                        shrink_tests=max_shrink_tests if shrink else 0)
-             for seed in range(start_seed, start_seed + seeds)
-             for degree in report.degrees]
     for result in run_sweep(tasks, jobs=jobs):
         report.cases += 1
         if result["failure"] is not None:
             report.failures.append(result["failure"])
+        report.runs += result["runs"]
     return report
 
 

@@ -4,7 +4,7 @@ Fig-19-style sweeps re-partition the same four NPF apps over and over;
 each (app, D) cell is independent, deterministic given its seed, and
 dominated by the balanced-cut search — an embarrassingly parallel
 workload.  :func:`run_sweep` is the one multi-cell path: ``repro
-explore``, ``chaos`` and ``fuzz`` all describe their work as
+explore`` and ``repro fuzz`` both describe their work as
 :class:`SweepTask` cells and run them here, inline or on a
 ``concurrent.futures.ProcessPoolExecutor`` (``-j N`` on the CLI).  The
 paper's cost model has one row function, :func:`_score_cells` —
@@ -16,9 +16,10 @@ default space).  With:
   builders emit tasks ordered by (app, D)) no matter which worker
   finishes first, so ``-j 4`` output is byte-identical to ``-j 1``
   modulo the explicitly nondeterministic ``timing`` / ``cache`` fields;
-* **one seed per sweep** — every cell runs at the seed the command was
-  given, so a cell reproduces inline under any parallelism and two
-  commands at equal packets, seed and knobs share cache entries;
+* **seeds as given** — an explore cell runs at the seed the command was
+  given and a fuzz case at its own, so a cell reproduces inline under
+  any parallelism and two commands at equal packets, seed and knobs
+  share cache entries;
 * **structured failure** — a worker exception or a hard worker crash
   (OOM-killed, segfault) surfaces as :class:`SweepError` (a
   :class:`~repro.errors.ReproError`, CLI exit 1), never a hang, and
@@ -61,8 +62,8 @@ class SweepTask:
 
     kind: str                       # a key of _SCORERS
     spec: RunSpec
-    plans: tuple | None = None      # chaos: plan names or JSON files
-    #                                 (None = every builtin plan)
+    plans: tuple | None = None      # fuzz: fault plan names or JSON
+    #                                 files (None = every builtin plan)
     keep_going: bool = False        # explore: record failed degree cells
     #                                 instead of failing the whole row
     shrink_tests: int = 0           # fuzz: shrink budget (0 = unshrunk)
@@ -79,14 +80,14 @@ class SweepTask:
         """A copy-paste one-liner that re-runs this exact cell inline."""
         spec = self.spec
         degrees = ",".join(map(str, spec.degrees))
-        if self.kind == "chaos":
-            plans = (" --plans " + " ".join(self.plans)
-                     if self.plans else "")
-            return (f"repro chaos --apps {spec.app} --degrees {degrees} "
-                    f"--packets {spec.packets} --seed {spec.seed}{plans}")
         if self.kind == "fuzz":
-            return (f"repro fuzz --seeds 1 --start-seed {spec.seed} "
-                    f"--degrees {degrees} --packets {spec.packets}")
+            from repro.eval.fuzz import PROGEN
+
+            apps = "" if spec.app == PROGEN else f" --apps {spec.app}"
+            faults = (" --faults " + ",".join(self.plans)
+                      if self.plans else "")
+            return (f"repro fuzz{apps} --seeds 1 --start-seed {spec.seed} "
+                    f"--degrees {degrees} --packets {spec.packets}{faults}")
         knobs = " ".join(flag for _, _, _, flag in cell_dims(spec.knobs))
         return (f"repro explore --apps {spec.app} --degrees {degrees} "
                 f"{knobs} --packets {spec.packets} --seed {spec.seed} -j 1")
@@ -118,12 +119,16 @@ def explore_tasks(space, *, keep_going: bool = False) -> list[SweepTask]:
             for knobs in space.combos()]
 
 
-def chaos_tasks(apps: list[str], degrees: tuple, *, packets: int, seed: int,
-                plans: tuple | None = None) -> list[SweepTask]:
-    """Chaos cells ordered by app, each at the base seed."""
-    return [SweepTask("chaos", RunSpec(app, packets, seed, tuple(degrees)),
-                      plans=plans)
-            for app in sorted(apps)]
+def fuzz_tasks(programs, seeds, degrees, *, packets: int,
+               plans: tuple | None = None,
+               shrink_tests: int = 0) -> list[SweepTask]:
+    """Fuzz cases, one task per (program, seed, degree) in that order, the
+    programs (:data:`repro.eval.fuzz.PROGEN` or stream apps) sorted."""
+    return [SweepTask("fuzz", RunSpec(program, packets, seed, (degree,)),
+                      plans=plans, shrink_tests=shrink_tests)
+            for program in sorted(programs)
+            for seed in seeds
+            for degree in degrees]
 
 
 # -- workers ----------------------------------------------------------------
@@ -246,38 +251,18 @@ def _score_cells(task: SweepTask, cache):
                  cell["timing"]["partition_seconds"] for cell in cells), 4)})
 
 
-def _score_chaos(task: SweepTask, cache):
-    from repro.eval.chaos import chaos_differential
-    from repro.runtime.faults import resolve_plan
-
-    plans = (None if task.plans is None
-             else {spec: resolve_plan(spec) for spec in task.plans})
-    letters: list = []
-    spec = task.spec
-    report, wall = _timed(chaos_differential, spec.app, plans=plans,
-                          degrees=spec.degrees, packets=spec.packets,
-                          seed=spec.seed, collect_letters=letters,
-                          cache=cache)
-    return ({"ok": report.ok,
-             "report": report.as_dict(),
-             "dead_letters": letters,
-             "rendered": report.render()},
-            {"wall_seconds": wall})
-
-
 def _score_fuzz(task: SweepTask, cache):
-    """One generated program (``task.spec.seed``) at one degree; the record's
-    ``failure`` is a :class:`~repro.eval.fuzz.FuzzFailure` or ``None``."""
+    """One fuzz case: the program ``task.spec.app`` at its one degree; the
+    record is :func:`~repro.eval.fuzz.fuzz_case`'s."""
     from repro.eval.fuzz import fuzz_case
 
-    [degree] = task.spec.degrees
-    failure = fuzz_case(task.spec.seed, degree, task.spec.packets,
-                        task.shrink_tests)
-    return {"failure": failure}, {}
+    spec = task.spec
+    [degree] = spec.degrees
+    return fuzz_case(spec.seed, degree, spec.packets, task.shrink_tests,
+                     program=spec.app, plans=task.plans), {}
 
 
 _SCORERS = {
-    "chaos": _score_chaos,
     "explore": _score_cells,
     "fuzz": _score_fuzz,
 }

@@ -15,8 +15,9 @@ themselves.
 :class:`RunSpec` names a benchmark-suite pipeline — app, traffic,
 degrees, knobs, cache directory — in a form a sweep worker can be
 sent, and :func:`app_pipeline` is the one step from such an app to its
-stages, so ``explore``, ``chaos`` and ``serve`` mean the same
-pipeline (and the same cache entry) by "ip_v4 at degree 4".
+stages, so ``explore``, ``serve`` and ``fuzz --apps`` mean the same
+pipeline (and ``explore`` and ``serve`` the same cache entry) by "ip_v4
+at degree 4".
 """
 
 from __future__ import annotations

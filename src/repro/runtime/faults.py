@@ -334,7 +334,7 @@ class FaultInjector:
         Perturbation is applied *once*, host-side, before the run — every
         run sharing this perturbed stream (sequential oracle, each
         pipelined degree) sees identical inputs, which is what makes the
-        chaos differential sound.
+        ``faults`` check family of ``repro fuzz`` sound.
         """
         spec = self._match(self.plan.inputs, key)
         if spec is None:
@@ -459,7 +459,7 @@ class FaultInjector:
 
 
 def builtin_plans() -> dict[str, FaultPlan]:
-    """The seeded plans the chaos suite and CI run (3 drop/delay plans
+    """The seeded plans ``repro fuzz`` runs by default (3 drop/delay plans
     whose differential must hold, plus one trap plan for isolation)."""
     return {
         "drop-light": FaultPlan.from_dict({
@@ -486,8 +486,8 @@ def builtin_plans() -> dict[str, FaultPlan]:
 def serve_plans() -> dict[str, FaultPlan]:
     """Seeded plans for the sharded serving runtime (``repro serve``).
 
-    Kept out of :func:`builtin_plans` because the in-process chaos
-    differential has no worker pool — a ``workers``-only plan would run
+    Kept out of :func:`builtin_plans` because the in-process ``faults``
+    check family has no worker pool — a ``workers``-only plan would run
     there as a no-op.  ``worker-kill`` murders every worker once
     mid-stream (restart + journal replay must reproduce the oracle);
     ``worker-storm`` kills shard 0 on *every* incarnation, which is the
@@ -508,7 +508,7 @@ def serve_plans() -> dict[str, FaultPlan]:
 
 
 def resolve_plan(spec: str, *, serve: bool = False) -> FaultPlan:
-    """The one fault-plan resolver (``run --faults``, ``chaos --plans``,
+    """The one fault-plan resolver (``run --faults``, ``fuzz --faults``,
     ``serve --faults``): a builtin plan name — with ``serve``, also a
     :func:`serve_plans` name — or a JSON plan file.  Anything else is a
     :class:`FaultPlanError` (CLI exit 2) naming the plans available."""

@@ -41,7 +41,7 @@ def test_app_compiles_and_runs(name):
 
 
 def test_stream_apps_are_exactly_the_apps_with_a_stream():
-    """``STREAM_APPS`` (what ``repro chaos`` and ``repro serve`` accept)
+    """``STREAM_APPS`` (what ``repro fuzz --apps`` and ``repro serve`` accept)
     is declared, not derived, so hold it to what ``build_app`` builds."""
     assert STREAM_APPS == tuple(name for name in APPS
                                 if build_app(name, packets=4).stream

@@ -208,7 +208,7 @@ def test_fuzz_bad_degrees_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["chaos", "--degrees", "x,y"],
+    ["fuzz", "--apps", "rx", "--degrees", "x,y"],
     ["explore", "--degrees", "1,two"],
     ["explore", "--degrees", "x"],
     ["fuzz", "--degrees", ","],
@@ -216,15 +216,15 @@ def test_fuzz_bad_degrees_is_usage_error(capsys):
     # An app outside repro.apps.suite.APPS, or outside STREAM_APPS where
     # the command streams packets.
     ["explore", "--apps", "nope"],
-    ["chaos", "--apps", "nope"],
+    ["fuzz", "--apps", "nope"],
     ["serve", "--app", "nope"],
-    ["chaos", "--apps", "scheduler"],
+    ["fuzz", "--apps", "scheduler"],
     ["serve", "--app", "scheduler"],
     # A count or degree below 1.
     ["explore", "--packets", "0"],
     ["explore", "--packets", "-3"],
     ["explore", "--degrees", "0,1"],
-    ["chaos", "--degrees", "0"],
+    ["fuzz", "--apps", "rx", "--degrees", "0"],
     ["fuzz", "--degrees", "0"],
     ["serve", "-d", "0"],
     ["run", "demo.ppc", "-d", "0"],
@@ -269,14 +269,14 @@ CHAOS_PLANS = "delay-stall, drop-light, mixed-loss, trap-storm"
 @pytest.mark.parametrize("argv, available", [
     (["run", "DEMO", "--feed", "in_q=1", "--faults", "drop-lite"],
      CHAOS_PLANS),
-    (["chaos", "--apps", "rx", "--packets", "4", "--no-cache",
-      "--plans", "drop-light", "worker-kill"], CHAOS_PLANS),
+    (["fuzz", "--apps", "rx", "--packets", "4", "--faults", "drop-lite"],
+     CHAOS_PLANS),
     (["serve", "--packets", "4", "--no-cache", "--faults", "worker-kil"],
      CHAOS_PLANS + ", worker-kill, worker-storm"),
 ])
 def test_unknown_fault_plan_is_a_usage_error_naming_the_plans(
         argv, available, demo_file, capsys):
-    """``run --faults``, ``chaos --plans`` and ``serve --faults`` share
+    """``run --faults``, ``fuzz --faults`` and ``serve --faults`` share
     one resolver: a name that is neither a plan nor a file exits 2 and
     lists the plans the command accepts (serve adds its worker plans)."""
     argv = [demo_file if arg == "DEMO" else arg for arg in argv]
@@ -292,31 +292,37 @@ def test_chaos_runs_a_json_plan_file_at_any_jobs(tmp_path, capsys):
     plan = tmp_path / "lossy.json"
     plan.write_text('{"seed": 5, "inputs": {"*": {"drop": 0.2}}}')
     for jobs in ("1", "2"):
-        output = tmp_path / f"chaos-j{jobs}.json"
-        assert main(["chaos", "--apps", "rx", "--degrees", "1,2",
-                     "--packets", "8", "--plans", str(plan), "drop-light",
-                     "--no-cache", "-j", jobs, "-o", str(output)]) == 0
-        report = json.loads(output.read_text())
+        output = tmp_path / f"fuzz-j{jobs}"
+        assert main(["fuzz", "--apps", "rx", "--seeds", "1", "--degrees",
+                     "1,2", "--packets", "8", "--faults",
+                     f"{plan},drop-light", "-j", jobs,
+                     "--out", str(output)]) == 0
+        report = json.loads((output / "report.json").read_text())
         assert report["ok"] is True
-        assert [entry["plan"] for entry in report["apps"]["rx"]["plans"]] \
-            == [str(plan), "drop-light"]
-    assert "sweep: 1 apps x degrees 1,2 (-j 2): ok" in capsys.readouterr().out
+        assert [(run["program"], run["degree"], run["plan"])
+                for run in report["runs"]] == [
+            ("rx", degree, name) for degree in (1, 2)
+            for name in (str(plan), "drop-light")]
+    assert "fuzz: 1 programs, 2 cases (rx; seeds 0..0, degrees 1,2, " \
+        "8 packets): ok" in capsys.readouterr().out
 
 
 def test_list_flags_take_commas_and_trailing_separators(tmp_path, capsys):
-    """One list parser behind --apps/--degrees: ``chaos`` takes
+    """One list parser behind --apps/--degrees/--faults: ``fuzz`` takes
     comma-separated apps like ``explore`` does, and a trailing
     comma is ignored everywhere, not only by ``explore``."""
-    assert main(["chaos", "--apps", "rx,ipv4", "--degrees",
-                 "1,2,", "--packets", "4", "--plans", "drop-light",
-                 "--no-cache", "-o", str(tmp_path / "chaos.json")]) == 0
+    assert main(["fuzz", "--apps", "rx,ipv4", "--seeds", "1", "--degrees",
+                 "1,2,", "--packets", "4", "--faults", "drop-light,",
+                 "--out", str(tmp_path / "fuzz")]) == 0
     out = capsys.readouterr().out
-    assert "sweep: 2 apps x degrees 1,2 (-j 1): ok" in out
+    assert "fuzz: 2 programs, 4 cases (ipv4, rx; seeds 0..0, degrees 1,2, " \
+        "4 packets): ok" in out
 
     import json
 
-    assert sorted(json.loads((tmp_path / "chaos.json").read_text())["apps"]) \
-        == ["ipv4", "rx"]
+    report = json.loads((tmp_path / "fuzz" / "report.json").read_text())
+    assert report["programs"] == ["ipv4", "rx"]
+    assert report["plans"] == ["drop-light"]
     assert main(["fuzz", "--seeds", "2", "--packets", "8",
                  "--degrees", "2,3,"]) == 0
 
@@ -325,14 +331,12 @@ def test_keep_going_flags_parse():
     from repro.cli import build_parser
 
     parser = build_parser()
-    assert parser.parse_args(["chaos", "--keep-going"]).keep_going is True
-    assert parser.parse_args(["chaos"]).keep_going is False
     assert parser.parse_args(["explore", "-j", "2",
                               "--keep-going"]).keep_going is True
     assert parser.parse_args(["explore"]).keep_going is False
 
 
-@pytest.mark.parametrize("command", ["bench", "figures"])
+@pytest.mark.parametrize("command", ["bench", "figures", "chaos"])
 def test_bench_subcommand_is_gone(command, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([command])
@@ -343,15 +347,12 @@ def test_bench_subcommand_is_gone(command, capsys):
 #: Every (subcommand, option string) pair the CLI accepts.  A new flag,
 #: or a removed one, is a diff of this literal.
 CLI_SURFACE = {
-    "chaos": "--apps --cache-dir --dead-letters --degrees --jobs "
-             "--keep-going --no-cache --output --packets --plans --seed "
-             "-j -o",
     "check": "file",
     "explore": "--apps --cache-dir --degrees --epsilons --jobs "
                "--keep-going --max-block-instructions --no-cache "
                "--out --packets --rings --seed -j -o",
-    "fuzz": "--degrees --jobs --out --packets --seeds --self-test "
-            "--start-seed -j",
+    "fuzz": "--apps --degrees --faults --jobs --out --packets --seeds "
+            "--self-test --start-seed -j",
     "ir": "--pps file",
     "pipeline": "--cache-dir --degree --emit --epsilon --no-cache --pps "
                 "--ring --strategy -d file",
@@ -380,7 +381,7 @@ def test_cli_surface():
     assert surface == CLI_SURFACE
     long_options = {option for options in surface.values()
                     for option in options.split() if option.startswith("--")}
-    assert (len(surface), len(long_options)) == (8, 37)
+    assert (len(surface), len(long_options)) == (7, 36)
 
 
 @pytest.mark.parametrize("shape, size",

@@ -1,9 +1,10 @@
-"""The progen fuzz harness (src/repro/eval/fuzz.py).
+"""The check harness (src/repro/eval/fuzz.py).
 
 Three contracts:
 
 * the fuzz loop itself is deterministic and clean on generated
-  programs (frontend → partition → verify → differential execution);
+  programs (frontend → partition → the verify, differential and faults
+  families), and a failure names the family that found it;
 * the shrinker removes everything but the failure-relevant region while
   preserving the program scaffold and brace balance;
 * the mutation self-test seeds one defect per class into a clean
@@ -57,7 +58,7 @@ ARRAY_HOLE_CELLS = [
 
 @pytest.mark.parametrize("seed, degree", ARRAY_HOLE_CELLS)
 def test_array_hole_regression_list(seed, degree):
-    assert fuzz_case(seed, degree, 24, 0) is None
+    assert fuzz_case(seed, degree, 24, 0)["failure"] is None
 
 
 def test_fuzz_smoke_is_clean_and_deterministic():
@@ -65,6 +66,7 @@ def test_fuzz_smoke_is_clean_and_deterministic():
     second = run_fuzz(6, packets=12)
     assert first.ok, first.render()
     assert first.cases == 6 * 3         # a case is (seed, degree)
+    assert len(first.runs) == 6 * 3 * 4  # every builtin fault plan
     assert first.as_dict() == second.as_dict()
     assert json.loads(json.dumps(first.as_dict()))["ok"] is True
 
@@ -139,9 +141,11 @@ def test_every_seed_runs_at_every_requested_degree(monkeypatch):
     import repro.eval.fuzz as fuzz_module
 
     ran = []
-    monkeypatch.setattr(
-        fuzz_module, "fuzz_case",
-        lambda seed, degree, packets, shrink: ran.append((seed, degree)))
+    def case(seed, degree, packets, shrink, **kwargs):
+        ran.append((seed, degree))
+        return {"failure": None, "runs": []}
+
+    monkeypatch.setattr(fuzz_module, "fuzz_case", case)
     report = run_fuzz(3, start_seed=10, degrees=(2, 6))
     assert ran == [(10, 2), (10, 6), (11, 2), (11, 6), (12, 2), (12, 6)]
     assert report.cases == 6 and report.ok
@@ -165,3 +169,46 @@ def test_dead_fuzz_worker_is_a_sweep_error_and_cli_exit_1(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "sweep worker process died" in err
     assert "reproduce: repro fuzz --seeds 1 --start-seed" in err
+
+
+def test_trap_plan_passes_when_no_trap_fires(capsys):
+    """Seed 2 at D=2 arms a trap in the oracle and on both stages, but
+    none runs the 500 weighted units that fire it: no trap fires, no
+    dead letter is written, and the case passes."""
+    from repro.cli import main
+
+    assert main(["fuzz", "--seeds", "1", "--start-seed", "2",
+                 "--degrees", "2", "--faults", "trap-storm"]) == 0
+    [run] = run_fuzz(1, start_seed=2, degrees=(2,),
+                     plans=("trap-storm",)).runs
+    assert (run["faults"]["traps_armed"], run["traps"],
+            run["dead_letters"], run["oracle_dead_letters"]) == (1, 0, 0, 0)
+
+
+def test_a_mismatch_is_reported_by_the_differential_family(monkeypatch):
+    import repro.runtime.equivalence as equivalence
+    from repro.runtime.equivalence import Mismatch
+
+    monkeypatch.setattr(equivalence, "compare", lambda expected, actual:
+                        [Mismatch("trace", 1, (1,), (2,))])
+    with pytest.raises(CheckFailure) as excinfo:
+        check_program(SIMPLE, 3, packets=8)
+    assert excinfo.value.signature == ("differential", "AssertionError")
+    report = run_fuzz(1, degrees=(2,), packets=8, shrink=False)
+    [failure] = report.failures
+    assert failure.phase == "differential"
+    assert "[differential]" in report.render()
+
+
+def test_a_seeded_defect_is_reported_by_the_verify_family(monkeypatch):
+    import repro.eval.fuzz as fuzz_module
+    from repro.eval.fuzz import DEFECT_MUTATORS
+
+    real = fuzz_module.app_pipeline
+    monkeypatch.setattr(
+        fuzz_module, "app_pipeline", lambda app, degree:
+        DEFECT_MUTATORS["drop-live-var"](real(app, degree)))
+    with pytest.raises(CheckFailure) as excinfo:
+        check_program(SIMPLE, 3, packets=8)
+    assert excinfo.value.phase == "verify"
+    assert fuzz_case(0, 3, 8, 0, program="rx")["failure"].phase == "verify"

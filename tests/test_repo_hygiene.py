@@ -109,10 +109,6 @@ def test_the_reference_oracle_is_test_equipment_only():
 #: Long options the checked documents quote from other programs.
 _FOREIGN_FLAGS = {"--workload"}      # bench/run.py
 
-#: Top-level file names the checked documents quote as outputs to write,
-#: not as files the repo holds.
-_WRITTEN_FILES = {"CHAOS_report.json"}   # the CI chaos job's -o
-
 
 def _documents() -> list[Path]:
     return [REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md",
@@ -186,7 +182,7 @@ def test_docs_name_only_files_and_names_that_exist():
         text = document.read_text(encoding="utf-8")
         stale += [f"{document.name}: {name}"
                   for name in top_ref.findall(text)
-                  if name not in _WRITTEN_FILES and not (REPO / name).exists()]
+                  if not (REPO / name).exists()]
         for ref, name in path_ref.findall(text):
             path = REPO / ref if "/" in ref else REPO / "tests" / ref
             if not path.exists():

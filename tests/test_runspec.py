@@ -1,8 +1,7 @@
 """One description of a run (src/repro/runspec.py).
 
 * the same description names the same pipeline — and so the same cache
-  entry — whichever command partitions it (``explore``, ``chaos``,
-  ``serve``);
+  entry — whichever command partitions it (``explore``, ``serve``);
 * the compile key hashes exactly :class:`Knobs` and the profiles (the
   digests below are pinned; ``incremental`` is accepted, not hashed);
 * ``Knobs()`` *is* the default of every signature that still spells a
@@ -18,7 +17,6 @@ import pickle
 import pytest
 
 from repro.cache import CACHE_SCHEMA_VERSION, CompileCache, compile_key
-from repro.eval.chaos import chaos_differential
 from repro.eval.explore import SearchSpace, explore
 from repro.pipeline.cuts import select_stages
 from repro.pipeline.verify import verify_partition
@@ -35,18 +33,18 @@ def _objects(cache) -> int:
 def test_plan_chaos_and_serve_share_one_pipeline_per_description(tmp_path):
     """ip_v4 has two traffic classes: its partition is balanced by the
     app's profiler everywhere, so what ``explore`` stored is what
-    ``chaos`` and ``serve`` look up — no second pipeline under the same
-    name."""
+    ``app_pipeline`` and ``serve`` look up — no second pipeline under
+    the same name."""
     root = tmp_path / "cache"
     explore(SearchSpace(apps=("ip_v4",), degrees=(2, 4), packets=PACKETS,
                         seed=SEED), cache=CompileCache(root))
     assert _objects(CompileCache(root)) == 2
 
-    chaos_cache = CompileCache(root)
-    report = chaos_differential("ip_v4", degrees=(2, 4), packets=PACKETS,
-                                seed=SEED, cache=chaos_cache)
-    assert report.ok, report.render()
-    counters = chaos_cache.counters()
+    lookup_cache = CompileCache(root)
+    app = RunSpec("ip_v4", PACKETS, SEED).build()
+    for degree in (2, 4):
+        app_pipeline(app, degree, cache=lookup_cache)
+    counters = lookup_cache.counters()
     assert (counters["hits"], counters["misses"], counters["stores"]) == \
         (2, 0, 0)
 
@@ -63,9 +61,9 @@ def test_plan_chaos_and_serve_share_one_pipeline_per_description(tmp_path):
 
 def test_plan_then_chaos_through_the_cli_stores_nothing_new(tmp_path,
                                                             monkeypatch):
-    """``repro chaos`` runs every cell at the ``--seed`` as given, so after
-    ``repro explore`` at the same packets, seed and degrees it looks up
-    the entries explore stored — 2 hits, 0 misses — and solves nothing."""
+    """``repro explore`` runs every cell at the ``--seed`` as given, so
+    ``repro serve`` at the same packets, seed and degree looks up the
+    entry explore stored — 1 hit, 0 misses — and solves nothing."""
     from repro import cli
 
     opened = []     # the cache each command opened, counters and all
@@ -77,15 +75,17 @@ def test_plan_then_chaos_through_the_cli_stores_nothing_new(tmp_path,
 
     monkeypatch.setattr(cli, "_open_cache", open_cache)
     root = tmp_path / "cache"
-    shared = ["--apps", "ip_v4", "--degrees", "2,4", "--packets",
-              str(PACKETS), "--seed", str(SEED), "--cache-dir", str(root)]
-    assert cli.main(["explore", *shared, "-o", str(tmp_path / "out")]) == 0
+    shared = ["--packets", str(PACKETS), "--seed", str(SEED),
+              "--cache-dir", str(root)]
+    assert cli.main(["explore", "--apps", "ip_v4", "--degrees", "2,4",
+                     *shared, "-o", str(tmp_path / "out")]) == 0
     stored = _objects(CompileCache(root))
     assert stored == 2
-    assert cli.main(["chaos", *shared]) == 0
+    assert cli.main(["serve", "--app", "ip_v4", "-d", "2", "--shards", "2",
+                     "--backoff", "0.01", *shared]) == 0
     assert _objects(CompileCache(root)) == stored
     counters = opened[-1].counters()
-    assert (counters["hits"], counters["misses"]) == (2, 0)
+    assert (counters["hits"], counters["misses"]) == (1, 0)
 
 
 #: D = 4, packets 60, seed 7, default knobs (ip_v4's key hashes its

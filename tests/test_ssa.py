@@ -2,8 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.eval.fuzz import generated_app
 from repro.ir.clone import clone_function
-from repro.eval.fuzz import fuzz_state
 from repro.ir.verify import verify_function
 from repro.runtime import MachineState, assert_equivalent, observe, run_sequential
 from repro.ssa import construct_ssa
@@ -99,14 +99,15 @@ def test_ssa_form_of_random_programs_runs_like_the_original():
     vacuous)."""
     packets = 24
     for seed in range(0, 401, 5):
-        module = compile_module(random_pps_source(seed))
-        pps = module.pps("generated")
+        app = generated_app(random_pps_source(seed), seed, packets)
+        pps = app.module.pps("generated")
         ssa = clone_function(pps)
         construct_ssa(ssa)
         observed = []
         for function in (pps, ssa):
-            state = fuzz_state(module, seed, packets)
-            run_sequential(function, state, iterations=packets)
+            state = MachineState(app.module)
+            iterations = app.feed(state, app.stream())
+            run_sequential(function, state, iterations=iterations)
             observed.append(observe(state))
         assert _events(observed[0]) > 0, seed
         assert_equivalent(*observed)

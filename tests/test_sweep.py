@@ -8,7 +8,7 @@ The contract under test:
 * a worker exception or a hard worker crash surfaces as
   :class:`SweepError` — a structured failure, never a hang, and the
   same failure at every ``-j`` level;
-* every cell runs at the sweep's base seed, as given, so a chaos cell
+* every cell runs at its seed as given, so a fuzz case of a stream app
   reproduces inline under any parallelism;
 * the figure PPSes explore to one record at every ``-j`` level, and a
   cell the verifier does not pass fails the sweep naming its degree.
@@ -28,8 +28,8 @@ from repro.eval.explore import SearchSpace
 from repro.eval.sweep import (
     SweepError,
     SweepTask,
-    chaos_tasks,
     explore_tasks,
+    fuzz_tasks,
     run_sweep,
 )
 from repro.runspec import Knobs, RunSpec
@@ -54,10 +54,13 @@ def without_clock(node):
 # -- seeds ------------------------------------------------------------------
 
 
-def test_chaos_tasks_carry_the_base_seed_in_sorted_order():
-    tasks = chaos_tasks(["tx", "rx"], (1, 2), packets=8, seed=7)
-    assert [task.spec.app for task in tasks] == ["rx", "tx"]
-    assert [task.spec.seed for task in tasks] == [7, 7]
+def test_fuzz_tasks_carry_the_base_seed_in_sorted_order():
+    """Fuzz cases of stream apps: one task per (app, seed, degree), the
+    apps sorted, each at the seed as given."""
+    tasks = fuzz_tasks(["tx", "rx"], range(7, 8), (1, 2), packets=8)
+    assert [task.spec.app for task in tasks] == ["rx", "rx", "tx", "tx"]
+    assert [task.spec.seed for task in tasks] == [7, 7, 7, 7]
+    assert [task.spec.degrees for task in tasks] == [(1,), (2,)] * 2
 
 
 # -- deterministic merge ----------------------------------------------------
@@ -147,13 +150,15 @@ def test_worker_crash_is_a_sweep_error_not_a_hang():
         run_sweep(tasks, jobs=2, worker=_crashing_worker)
 
 
-def test_chaos_repro_command_is_a_chaos_one_liner():
-    [task] = chaos_tasks(["rx"], (1, 2), packets=8, seed=7,
-                         plans=("drop-light",))
+def test_fuzz_app_repro_command_is_a_fuzz_one_liner():
+    """A fuzz case of a stream app under named plans reproduces with a
+    ``repro fuzz --apps`` one-liner naming the app, seed and plans."""
+    [task] = fuzz_tasks(["rx"], range(7, 8), (2,), packets=8,
+                        plans=("drop-light", "trap-storm"))
     command = task.repro_command()
-    assert command.startswith("repro chaos --apps rx --degrees 1,2")
-    assert f"--seed {task.spec.seed}" in command
-    assert "--plans drop-light" in command
+    assert command.startswith("repro fuzz --apps rx --seeds 1 "
+                              "--start-seed 7 --degrees 2")
+    assert "--faults drop-light,trap-storm" in command
 
 
 def test_every_repro_command_parses_and_round_trips_the_cell():
@@ -177,13 +182,16 @@ def test_every_repro_command_parses_and_round_trips_the_cell():
             kind,
             RunSpec("rx", 8, 1234, degrees,
                     knobs if kind == "explore" else Knobs()),
-            plans=("drop-light",) if kind == "chaos" else None)
+            plans=("drop-light",) if kind == "fuzz" else None)
         program, *argv = shlex.split(task.repro_command(), comments=True)
         assert program == "repro"
         args = parser.parse_args(argv)
         assert args.packets == 8, kind
         assert tuple(map(int, args.degrees.split(","))) == degrees, kind
         assert getattr(args, seed_attribute.get(kind, "seed")) == 1234, kind
+        assert args.apps == ["rx"], kind
+        if kind == "fuzz":
+            assert (args.seeds, args.faults) == (1, "drop-light")
         if kind == "explore":
             assert (args.rings, float(args.epsilons),
                     int(args.max_block_instructions)) == \
@@ -225,7 +233,7 @@ def test_unknown_task_kind_rejected():
 
 
 def test_unknown_chaos_plan_rejected():
-    task = SweepTask("chaos", RunSpec("rx", 4, 7, (1,)),
+    task = SweepTask("fuzz", RunSpec("rx", 4, 7, (1,)),
                      plans=("no-such-plan",))
     with pytest.raises(SweepError, match="no-such-plan"):
         run_sweep([task], jobs=1)
@@ -249,15 +257,16 @@ def test_bench_sweep_parallel_identical_to_inline(tmp_path):
         assert result["cells"][1]["metrics"]["pr_work"] > 0
 
 
-def test_chaos_sweep_parallel_identical_to_inline(tmp_path):
-    tasks = chaos_tasks(["rx"], (1, 2), packets=8, seed=7,
-                        plans=("drop-light",))
-    cache = CompileCache(tmp_path / "cache")
-    inline = run_sweep(tasks, jobs=1, cache=cache)
-    fanned = run_sweep(tasks, jobs=2, cache=cache)
+def test_chaos_sweep_parallel_identical_to_inline():
+    tasks = fuzz_tasks(["rx"], range(7, 8), (1, 2), packets=8,
+                       plans=("drop-light",))
+    inline = run_sweep(tasks, jobs=1)
+    fanned = run_sweep(tasks, jobs=2)
     assert without_clock(fanned) == without_clock(inline)
-    assert inline[0]["ok"] is True
-    assert inline[0]["seed"] == 7
+    assert [result["failure"] for result in inline] == [None, None]
+    assert [result["seed"] for result in inline] == [7, 7]
+    assert [[run["plan"] for run in result["runs"]]
+            for result in inline] == [["drop-light"]] * 2
 
 
 def test_figure_apps_explore_to_one_record_at_every_jobs_level():
