@@ -27,7 +27,7 @@ from repro.pipeline.liveset import Strategy
 from repro.pipeline.realize import stage_pipe_name
 
 #: Version salt for both the key schema and the envelope layout; bumping
-#: it orphans (and thereby invalidates) every previously stored artifact.
+#: it strands (and thereby invalidates) every previously stored artifact.
 #: v2: PipelineResult gained ``profiled``/``cache_key`` and the envelope
 #: header gained the ``annotations`` stamp (degree + verifier verdict).
 #: v3: CutDiagnostics gained the work-accounting fields (``pr_work`` and

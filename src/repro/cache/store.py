@@ -249,7 +249,7 @@ class CompileCache:
 
     def _scan(self) -> list[tuple[float, int, Path]]:
         """``(mtime, size, path)`` of every entry on disk; unlinks temp
-        files old enough to be orphans on the way."""
+        files old enough to be abandoned on the way."""
         entries = []
         stale_before = time.time() - _STALE_TEMP_SECONDS
         for path in (self.root / "objects").glob("*/*"):

@@ -44,10 +44,9 @@ failure (a verifier rejection and sweep worker crashes included), 2
 usage error (unknown PPS or app, a count or degree below 1, a knob its
 ``Knobs`` or ``ServePolicy`` rejects, malformed ``--feed``, unknown or
 malformed fault plan), 3 runtime failure (interpreter trap,
-deadlock/livelock, serving pool collapse), 5 degraded serving (``repro
-serve`` delivered every committed batch, but only by re-sharding a
-failed worker's flows onto survivors or by leaving a drained tail
-undelivered).
+deadlock/livelock, a ``repro serve`` shard out of restarts).  A
+SIGTERM-drained ``serve`` exits 0 once its committed prefix verifies,
+after a stderr warning that counts the undelivered tail.
 """
 
 from __future__ import annotations
@@ -412,10 +411,7 @@ def cmd_serve(args) -> int:
 
     plan = resolve_plan(args.faults, serve=True) if args.faults else None
     try:
-        policy = ServePolicy(max_restarts=args.max_restarts,
-                             backoff_base=args.backoff,
-                             hang_timeout=args.hang_timeout,
-                             drain_grace=args.drain_grace)
+        policy = ServePolicy(hang_timeout=args.hang_timeout)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
     cache = _open_cache(args)
@@ -596,18 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="packets per journaled batch (the commit "
                               "and replay unit)")
     _add_fault_flags(p_serve)
-    p_serve.add_argument("--max-restarts", type=int, default=3,
-                         help="per-shard restart budget before the "
-                              "circuit breaker re-shards (default: 3)")
-    p_serve.add_argument("--backoff", type=float, default=0.05,
-                         help="first restart delay, seconds; doubles per "
-                              "restart (default: 0.05)")
     p_serve.add_argument("--hang-timeout", type=float, default=10.0,
                          help="seconds a live worker may stay silent "
                               "before a hang kill (default: 10)")
-    p_serve.add_argument("--drain-grace", type=float, default=2.0,
-                         help="seconds a SIGTERM drain waits before "
-                              "killing stragglers (default: 2)")
     _add_report_flags(p_serve, what="per-shard")
     p_serve.add_argument("-o", "--output", default=None,
                          help="write the serve report as JSON")

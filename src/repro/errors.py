@@ -8,13 +8,8 @@ distinct exit codes (see :mod:`repro.cli`):
 * compile/partition failures, a verifier rejection included
   (``FrontendError``, ``PipelineError``) — exit 1;
 * runtime traps and scheduler hangs (``TrapError`` and its device/packet
-  subclasses, ``DeadlockError``) — exit 3;
-* degraded serving (``EXIT_DEGRADED_SERVE``) — exit 5: a ``repro
-  serve`` run *delivered every committed batch*, but only by degrading
-  the pool — a shard exhausted its restart budget and was re-sharded
-  onto survivors, or a drain left undelivered batches behind (see
-  ``repro.serve.supervise``).  Not an exception family: the command
-  returns the code after a one-line stderr warning.
+  subclasses, ``DeadlockError``), and a ``repro serve`` shard that
+  exhausted its restart budget (``repro.serve.ServeError``) — exit 3.
 
 This module must stay dependency-free: it is imported by the lowest
 layers (state, devices, packets) and by the front end.
@@ -26,8 +21,7 @@ from __future__ import annotations
 EXIT_OK = 0
 EXIT_FAILURE = 1        # compile / partition / IO / sweep failure
 EXIT_USAGE = 2          # bad flag value, unknown PPS, malformed plan
-EXIT_RUNTIME = 3        # interpreter trap, deadlock / livelock
-EXIT_DEGRADED_SERVE = 5  # serve completed, but resharded or part-drained
+EXIT_RUNTIME = 3        # trap, deadlock / livelock, serve shard failed
 
 
 class ReproError(Exception):

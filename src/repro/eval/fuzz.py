@@ -102,7 +102,7 @@ class Case:
 def _run(app: AppInstance, stages, stream: list, plan=None):
     """Run ``app`` on ``stream`` as ``stages`` (sequentially when None),
     with ``plan``'s runtime faults armed and traps quarantined if a plan
-    is given: the final state and the number of traps that fired."""
+    is given: the final state (its ``faults`` counts what fired)."""
     state = MachineState(app.module)
     if plan is not None:
         FaultInjector(plan).arm(state)
@@ -113,8 +113,8 @@ def _run(app: AppInstance, stages, stream: list, plan=None):
             function, state, iterations)}
     else:
         interpreters = pipeline_interpreters(stages, state, iterations)
-    run = run_group(interpreters, isolate_traps=plan is not None)
-    return state, sum(stats.traps for stats in run.stats.values())
+    run_group(interpreters, isolate_traps=plan is not None)
+    return state
 
 
 def _verify(case: Case) -> list:
@@ -126,8 +126,8 @@ def _verify(case: Case) -> list:
 def _differential(case: Case) -> list:
     """The pipelined run observes what the sequential run observes."""
     stream = case.app.stream()
-    oracle, _ = _run(case.app, None, stream)
-    pipelined, _ = _run(case.app, case.result.stages, stream)
+    oracle = _run(case.app, None, stream)
+    pipelined = _run(case.app, case.result.stages, stream)
     assert_equivalent(observe(oracle), observe(pipelined))
     return []
 
@@ -138,19 +138,21 @@ def _faults(case: Case) -> list[dict]:
     share it; its stalls and slowdowns only reorder the interleaving, so
     the observables must still be equal.  A plan that injects traps voids
     equality, and both runs must instead drain with one dead letter per
-    trap fired."""
+    injected trap that fired, as the plan's injector counted it."""
     app, degree = case.app, case.result.degree
     records = []
     for name, plan in case.plans.items():
         stream_injector = FaultInjector(plan)
         stream = stream_injector.perturb(app.pps_name, app.stream())
-        oracle, oracle_traps = _run(app, None, stream, plan)
+        oracle = _run(app, None, stream, plan)
         oracle.faults.absorb_stream(stream_injector)
-        state, traps = _run(app, case.result.stages, stream, plan)
+        state = _run(app, case.result.stages, stream, plan)
         problems = [f"{run} fired {fired} traps but left {len(letters)} "
                     f"dead letters" for run, letters, fired in (
-                        ("oracle", oracle.dead_letters, oracle_traps),
-                        (f"D={degree}", state.dead_letters, traps))
+                        ("oracle", oracle.dead_letters,
+                         oracle.faults.traps_fired),
+                        (f"D={degree}", state.dead_letters,
+                         state.faults.traps_fired))
                     if len(letters) != fired]
         if plan.semantics_preserving():
             problems += map(str, compare(observe(oracle), observe(state)))
@@ -164,7 +166,7 @@ def _faults(case: Case) -> list[dict]:
             "fed": len(stream),
             "faults": oracle.faults.counters(),
             "oracle_dead_letters": len(oracle.dead_letters),
-            "traps": traps,
+            "traps": state.faults.traps_fired,
             "dead_letters": len(state.dead_letters),
             "letters": [{**letter.as_dict(), "program": app.name,
                          "seed": case.seed, "plan": name,

@@ -155,8 +155,7 @@ class RuntimeReport:
                 f"{self.serve.get('replays', 0)} replays, "
                 f"{self.serve.get('redeliveries', 0)} redeliveries, "
                 f"{self.serve.get('committed', 0)}/"
-                f"{self.serve.get('batches', 0)} batches committed, "
-                f"{self.serve.get('resharded', 0)} resharded")
+                f"{self.serve.get('batches', 0)} batches committed")
         return "\n".join(lines)
 
 

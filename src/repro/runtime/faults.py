@@ -324,6 +324,7 @@ class FaultInjector:
         self.stalls = 0
         self.slowdowns = 0
         self.traps_armed = 0
+        self.traps_fired = 0        # bumped by the interpreter's trap path
         self.quiescence_ticks = 0
 
     # -- input-stream perturbation ---------------------------------------------
@@ -447,6 +448,7 @@ class FaultInjector:
             "stalls": self.stalls,
             "slowdowns": self.slowdowns,
             "traps_armed": self.traps_armed,
+            "traps_fired": self.traps_fired,
             "quiescence_ticks": self.quiescence_ticks,
         }
 
@@ -491,8 +493,8 @@ def serve_plans() -> dict[str, FaultPlan]:
     there as a no-op.  ``worker-kill`` murders every worker once
     mid-stream (restart + journal replay must reproduce the oracle);
     ``worker-storm`` kills shard 0 on *every* incarnation, which is the
-    deterministic way to exhaust a restart budget and exercise
-    re-sharding onto survivors.
+    deterministic way to exhaust a restart budget: the run ends in a
+    ``ServeError`` (exit 3) naming the shard and its causes.
     """
     return {
         "worker-kill": FaultPlan.from_dict({

@@ -163,6 +163,8 @@ class Interpreter:
         no extra test, and this cold handler tells the two cases apart.
         """
         if self._fault_trap is not None:
+            if self.state.faults is not None:
+                self.state.faults.traps_fired += 1
             return TrapError(f"{self.function.name}: {self._fault_trap}")
         return TrapError(f"{self.function.name}: out of fuel (livelock?)")
 

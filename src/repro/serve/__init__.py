@@ -8,9 +8,8 @@
   pipeline per worker, watchdog failure classification, deterministic
   fault injection) and the batch runner it shares with the oracle;
 * :mod:`repro.serve.supervise` — the supervisor: liveness, crash
-  recovery with exponential backoff, the restart-budget circuit
-  breaker, re-sharding onto survivors, graceful drain, and the
-  sequential oracle it steps in its idle time.
+  recovery with exponential backoff up to a per-shard restart budget,
+  graceful drain, and the sequential oracle it steps in its idle time.
 
 See ``docs/serving.md`` for the architecture and lifecycle.
 """

@@ -16,17 +16,19 @@ so none rebuilds anything — and then supervises:
 * **crash recovery** — a dead worker is respawned with exponential
   backoff; the new incarnation replays the shard's journal from batch 1
   and the commit watermark drops the re-delivered prefix, so committed
-  output stays exactly-once per flow;
-* **circuit breaker** — a shard that keeps dying past its restart
-  budget is declared failed; its pending flows are re-sharded onto a
-  surviving worker slot (stderr warning, run marked degraded — CLI exit
-  ``EXIT_DEGRADED_SERVE``).  Relief incarnations run fault-free: the
-  injected faults model *that worker's* crashes, not the shard's data;
+  output stays exactly-once per flow.  That is the one recovery path: a
+  shard whose worker fails ``max_restarts + 1`` times raises
+  :class:`ServeError` (CLI exit 3) naming the shard, its causes and the
+  last worker error.  Every incarnation is a fork of the same
+  supervisor replaying the same journal, so a failure that outlives the
+  restarts would outlive any other worker too;
 * **graceful drain** — SIGTERM (or :meth:`ServeRuntime.request_drain`)
   asks every worker to finish its current batch and stop; stragglers
-  are killed after a grace period and whatever was committed stands.
+  are killed after a grace period and whatever was committed stands
+  (a stderr warning counts the undelivered tail; the stop was asked
+  for, so the run still exits 0 when the prefix verifies).
 
-Every lifecycle event (spawn, exit, restart, hang-kill, reshard, drain)
+Every lifecycle event (spawn, exit, restart, hang-kill, drain)
 also lands in the active Chrome trace as an instant event, and the
 counters fold into :class:`~repro.obs.report.RuntimeReport` via
 :meth:`ServeReport.runtime_report`.
@@ -53,12 +55,10 @@ import multiprocessing
 import signal
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 
 from repro.errors import (
-    EXIT_DEGRADED_SERVE,
     EXIT_FAILURE,
     EXIT_OK,
     DeadlockError,
@@ -73,16 +73,15 @@ from repro.serve.worker import BatchRunner, worker_main
 
 
 class ServeError(ReproError):
-    """The serving runtime could not deliver the stream (no survivors,
-    relief worker exhausted, or a protocol violation): CLI exit 3."""
+    """The serving runtime could not deliver the stream (a shard out of
+    restarts, or a protocol violation): CLI exit 3."""
 
 
 @dataclass(frozen=True)
 class ServePolicy:
     """Supervision knobs (defaults sized for tests and smoke runs)."""
 
-    max_restarts: int = 3       # per home shard, before the breaker trips
-    relief_restarts: int = 1    # per adopted (resharded) journal
+    max_restarts: int = 3       # per shard, before the run fails
     backoff_base: float = 0.05  # first restart delay, seconds
     backoff_cap: float = 1.0    # exponential backoff ceiling, seconds
     hang_timeout: float = 10.0  # silent-but-alive seconds before a kill
@@ -90,11 +89,9 @@ class ServePolicy:
     poll_interval: float = 0.05
 
     def __post_init__(self):
-        for name in ("max_restarts", "relief_restarts"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0 "
-                                 f"(got {value!r})")
+        if not isinstance(self.max_restarts, int) or self.max_restarts < 0:
+            raise ValueError(f"max_restarts must be an integer >= 0 "
+                             f"(got {self.max_restarts!r})")
         for name in ("backoff_base", "backoff_cap", "drain_grace",
                      "poll_interval"):
             value = getattr(self, name)
@@ -111,24 +108,27 @@ class ServePolicy:
         return min(self.backoff_cap, self.backoff_base * (2 ** restarts))
 
 
+#: The per-batch delta counters a :class:`ServeReport` sums per shard.
+_SUMMED = ("instructions", "weight", "iterations")
+
+
 @dataclass
 class _Slot:
-    """One worker slot: a home shard plus whatever journals it adopts."""
+    """One shard: its current worker incarnation and its history."""
 
     shard: int
     proc: object = None
     conn: object = None
-    assignment: int | None = None   # shard whose journal the proc replays
+    attempts: int = 0               # incarnations spawned so far
     restart_at: float | None = None
     last_activity: float = 0.0
-    failed: bool = False            # home shard's breaker tripped
     hang_killed: bool = False
     drain_killed: bool = False
-    saw_done: bool = False
     saw_drained: bool = False
     error: tuple | None = None      # (kind, detail) from the worker
     causes: list = field(default_factory=list)
-    orphans: deque = field(default_factory=deque)
+    #: Committed batches' execution counters, summed (see ``_handle``).
+    totals: dict = field(default_factory=lambda: dict.fromkeys(_SUMMED, 0))
 
 
 @dataclass
@@ -146,7 +146,6 @@ class ServeReport:
     shard_stats: list = field(default_factory=list)
     mismatches: list = field(default_factory=list)
     verified: bool | None = None    # None = verify not requested
-    degraded: bool = False
     drained: bool = False
     warnings: list = field(default_factory=list)
     #: How fast it was: ``wall_s`` (``run()`` entry to verdict),
@@ -157,20 +156,19 @@ class ServeReport:
     timings: dict = field(default_factory=dict)
 
     @property
-    def delivered(self) -> bool:
-        return self.counters.get("pending", 0) == 0
+    def ok(self) -> bool:
+        """Nothing committed differs from the oracle.  A run that could
+        not deliver raised :class:`ServeError` instead of reporting; one
+        that a drain cut short vouches for its committed prefix."""
+        return not self.mismatches
 
     @property
-    def ok(self) -> bool:
-        return (self.delivered and not self.degraded
-                and not self.mismatches)
+    def degraded(self) -> bool:
+        """A drain left batches undelivered."""
+        return self.drained and self.counters.get("pending", 0) > 0
 
     def exit_code(self) -> int:
-        if self.mismatches or (not self.delivered and not self.degraded):
-            return EXIT_FAILURE
-        if self.degraded:
-            return EXIT_DEGRADED_SERVE
-        return EXIT_OK
+        return EXIT_OK if self.ok else EXIT_FAILURE
 
     def as_dict(self) -> dict:
         return {
@@ -182,7 +180,6 @@ class ServeReport:
             "seed": self.seed,
             "plan": self.plan,
             "ok": self.ok,
-            "degraded": self.degraded,
             "drained": self.drained,
             "verified": self.verified,
             "counters": dict(self.counters),
@@ -199,20 +196,16 @@ class ServeReport:
         for entry in self.shard_stats:
             causes = (f" [{', '.join(entry['causes'])}]"
                       if entry["causes"] else "")
-            extra = ""
-            if entry["resharded_to"] is not None:
-                extra = f", resharded -> shard {entry['resharded_to']}"
             lines.append(
                 f"  shard {entry['shard']}: {entry['committed']}/"
                 f"{entry['batches']} batches, {entry['restarts']} restarts, "
-                f"{entry['redeliveries']} redelivered{causes}{extra}")
+                f"{entry['redeliveries']} redelivered{causes}")
         c = self.counters
         lines.append(
             f"  supervisor: {c.get('workers_spawned', 0)} workers, "
             f"{c.get('restarts', 0)} restarts, {c.get('replays', 0)} "
             f"replays, {c.get('redeliveries', 0)} redeliveries, "
-            f"{c.get('hang_kills', 0)} hang kills, "
-            f"{c.get('resharded', 0)} resharded")
+            f"{c.get('hang_kills', 0)} hang kills")
         if self.verified is not None:
             verdict = ("bit-identical to the sequential oracle"
                        if self.verified else
@@ -224,8 +217,7 @@ class ServeReport:
                 f"  throughput: {t['packets_per_s']:.0f} packets/s over "
                 f"{t['wall_s']:.3f} s (first commit {t['first_commit_s']:.3f}"
                 f" s, verify tail {t['verify_tail_s']:.3f} s)")
-        status = "ok" if self.ok else (
-            "degraded" if self.degraded else "FAIL")
+        status = "ok" if self.ok else "FAIL"
         if self.drained:
             status += " (drained)"
         lines.append(f"  overall: {status}")
@@ -374,10 +366,6 @@ class _OracleStream:
                 self._mismatches[shard, seq] = lines
 
 
-#: The per-batch delta counters a :class:`ServeReport` sums per shard.
-_SUMMED = ("instructions", "weight", "iterations")
-
-
 def _spawn_context():
     """Fork, the only start method: a worker is a copy of the supervisor
     that already holds the built app and stages."""
@@ -423,14 +411,9 @@ class ServeRuntime:
                                     for index in range(self.shards)]
         self._journal: Journal | None = None
         self._oracle: _OracleStream | None = None   # None = verify off
-        self._totals: list[dict[str, int]] = [      # per shard, see _handle
-            dict.fromkeys(_SUMMED, 0) for _ in range(self.shards)]
         self._started = 0.0
         self._first_commit: float | None = None
         self._last_commit: float | None = None
-        self._attempts: dict[int, int] = {}
-        self._resharded: dict[int, int] = {}
-        self._warnings: list[str] = []
         self._spawned = 0
         self._hang_kills = 0
 
@@ -486,64 +469,44 @@ class ServeRuntime:
             self._kill_all()
         return self._assemble()
 
-    def _worker_faults(self, slot: _Slot, assignment: int):
-        # Relief incarnations (adopted journals) run fault-free: the
-        # plan's worker faults model the home worker's crashes.
-        if self.plan is None or assignment != slot.shard:
-            return None
-        return self.plan.worker_faults(f"shard-{assignment}")
-
     # -- scheduling ----------------------------------------------------------
 
     def _maybe_start(self, slot: _Slot, now: float) -> None:
-        if slot.proc is not None or slot.restart_at is not None:
+        if (slot.proc is not None or slot.restart_at is not None
+                or self._drain_requested):
             return
-        if self._drain_requested:
-            return
-        assignment = self._next_assignment(slot)
-        if assignment is None:
-            return
-        self._spawn(slot, assignment, now)
+        journal = self._journal[slot.shard]
+        if journal.records and not journal.done:
+            self._spawn(slot, now)
 
-    def _next_assignment(self, slot: _Slot) -> int | None:
-        home = self._journal[slot.shard]
-        if not slot.failed and not home.done and len(home.records):
-            return slot.shard
-        if slot.orphans:
-            return slot.orphans.popleft()
-        return None
-
-    def _spawn(self, slot: _Slot, assignment: int, now: float) -> None:
-        incarnation = self._attempts.get(assignment, 0)
-        self._attempts[assignment] = incarnation + 1
-        if incarnation > 0 or assignment != slot.shard:
-            self._journal.note_replay(assignment)
+    def _spawn(self, slot: _Slot, now: float) -> None:
+        shard, incarnation = slot.shard, slot.attempts
+        slot.attempts += 1
+        if incarnation > 0:
+            self._journal.note_replay(shard)
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        batches = [record.packets
-                   for record in self._journal[assignment].records]
+        batches = [record.packets for record in self._journal[shard].records]
+        faults = (None if self.plan is None
+                  else self.plan.worker_faults(f"shard-{shard}"))
         proc = self._ctx.Process(
             target=worker_main,
-            args=(self._app, self._stages, assignment, incarnation,
-                  batches, child_conn, self._drain_event,
-                  self._worker_faults(slot, assignment)),
-            name=f"serve-shard-{assignment}-i{incarnation}",
+            args=(self._app, self._stages, shard, incarnation,
+                  batches, child_conn, self._drain_event, faults),
+            name=f"serve-shard-{shard}-i{incarnation}",
             daemon=True)
         proc.start()
         child_conn.close()
         slot.proc = proc
         slot.conn = parent_conn
-        slot.assignment = assignment
         slot.restart_at = None
         slot.last_activity = now
         slot.hang_killed = False
         slot.drain_killed = False
-        slot.saw_done = False
         slot.saw_drained = False
         slot.error = None
         self._spawned += 1
         instant("shard_spawn", cat="serve", tid=TID_RUNTIME,
-                shard=assignment, slot=slot.shard, incarnation=incarnation,
-                relief=assignment != slot.shard)
+                shard=shard, incarnation=incarnation)
 
     # -- the supervision loop ------------------------------------------------
 
@@ -568,8 +531,7 @@ class ServeRuntime:
             if not live:
                 if self._drain_started is not None:
                     return
-                if all(slot.restart_at is None and not slot.orphans
-                       for slot in self._slots):
+                if all(slot.restart_at is None for slot in self._slots):
                     return
                 if not (oracle_busy and self._oracle.step()):
                     time.sleep(policy.poll_interval)
@@ -613,7 +575,7 @@ class ServeRuntime:
                 self._last_commit = now
                 # Keep the sums the report needs; the payload lives on
                 # only until the oracle has compared it.
-                totals = self._totals[shard]
+                totals = slot.totals
                 for name in _SUMMED:
                     totals[name] += delta[name]
                 if self._oracle is not None:
@@ -623,56 +585,41 @@ class ServeRuntime:
         elif kind == "error":
             _, _shard, _incarnation, error_kind, detail = message
             slot.error = (error_kind, detail)
-        elif kind == "done":
-            slot.saw_done = True
         elif kind == "drained":
             slot.saw_drained = True
 
     # -- failure handling ----------------------------------------------------
 
     def _reap(self, slot: _Slot, now: float) -> None:
-        proc, assignment = slot.proc, slot.assignment
+        proc = slot.proc
         self._drain_messages_final(slot, now)
         proc.join(timeout=5.0)
         exitcode = proc.exitcode
         slot.conn.close()
         slot.proc = None
         slot.conn = None
-        slot.assignment = None
-        journal = self._journal[assignment]
-        finished = slot.saw_done or journal.done
-        cause = self._classify(slot, exitcode, finished)
+        journal = self._journal[slot.shard]
+        cause = self._classify(slot, exitcode, journal.done)
         instant("shard_exit", cat="serve", tid=TID_RUNTIME,
-                shard=assignment, slot=slot.shard, exitcode=exitcode,
-                cause=cause or "done")
-        if finished or slot.saw_drained or slot.drain_killed:
-            self._maybe_start(slot, now)
+                shard=slot.shard, exitcode=exitcode, cause=cause or "done")
+        if journal.done or slot.saw_drained or slot.drain_killed:
             return
-        slot.causes.append(f"shard-{assignment}: {cause}")
+        slot.causes.append(cause)
         if self._drain_started is not None:
             return                  # draining: no restarts
-        restarts = self._attempts[assignment] - 1
-        budget = (self.policy.max_restarts if assignment == slot.shard
-                  else self.policy.relief_restarts)
-        if restarts < budget:
-            delay = self.policy.backoff(restarts)
-            slot.restart_at = now + delay
-            if assignment != slot.shard:
-                # Re-queue the adopted journal so the respawn picks it up.
-                slot.orphans.appendleft(assignment)
-            instant("shard_restart", cat="serve", tid=TID_RUNTIME,
-                    shard=assignment, slot=slot.shard,
-                    incarnation=self._attempts[assignment],
-                    backoff=round(delay, 3))
-            return
-        if assignment != slot.shard:
+        restarts = slot.attempts - 1
+        if restarts >= self.policy.max_restarts:
+            last = f"; last error: {slot.error[1]}" if slot.error else ""
             raise ServeError(
-                f"relief worker for shard {assignment} (on slot "
-                f"{slot.shard}) exhausted its restart budget "
-                f"({budget}); {journal.pending} batches undeliverable")
-        slot.failed = True
-        self._reshard(slot, now)
-        self._maybe_start(slot, now)
+                f"shard {slot.shard} exhausted its restart budget "
+                f"({self.policy.max_restarts}): {slot.attempts} workers "
+                f"failed ({', '.join(slot.causes)}), {journal.pending} "
+                f"batches undelivered{last}")
+        delay = self.policy.backoff(restarts)
+        slot.restart_at = now + delay
+        instant("shard_restart", cat="serve", tid=TID_RUNTIME,
+                shard=slot.shard, incarnation=slot.attempts,
+                backoff=round(delay, 3))
 
     def _drain_messages_final(self, slot: _Slot, now: float) -> None:
         try:
@@ -695,36 +642,11 @@ class ServeRuntime:
             return f"killed (signal {-exitcode})"
         return f"exit {exitcode}"
 
-    def _reshard(self, slot: _Slot, now: float) -> None:
-        journal = self._journal[slot.shard]
-        survivors = sorted(
-            (other for other in self._slots
-             if other is not slot and not other.failed),
-            key=lambda other: (len(other.orphans), other.shard))
-        if not survivors:
-            raise ServeError(
-                f"shard {slot.shard} exhausted its restart budget "
-                f"({self.policy.max_restarts}) and no surviving shard "
-                f"can adopt its {journal.pending} pending batches")
-        survivor = survivors[0]
-        survivor.orphans.append(slot.shard)
-        self._resharded[slot.shard] = survivor.shard
-        message = (f"warning: shard {slot.shard} exhausted its restart "
-                   f"budget ({self.policy.max_restarts}); re-sharding "
-                   f"{journal.pending} pending batches onto shard "
-                   f"{survivor.shard}")
-        self._warnings.append(message)
-        print(message, file=sys.stderr)
-        instant("shard_reshard", cat="serve", tid=TID_RUNTIME,
-                shard=slot.shard, survivor=survivor.shard,
-                pending=journal.pending)
-        self._maybe_start(survivor, now)
-
     def _hang_kill(self, slot: _Slot) -> None:
         slot.hang_killed = True
         self._hang_kills += 1
         instant("shard_kill", cat="serve", tid=TID_RUNTIME,
-                shard=slot.assignment, slot=slot.shard, reason="hang")
+                shard=slot.shard, reason="hang")
         slot.proc.kill()
 
     def _begin_drain(self, now: float) -> None:
@@ -732,7 +654,6 @@ class ServeRuntime:
         self._drain_event.set()
         for slot in self._slots:
             slot.restart_at = None
-            slot.orphans.clear()
         instant("serve_drain", cat="serve", tid=TID_RUNTIME)
 
     def _drain_kill(self, now: float) -> None:
@@ -740,8 +661,7 @@ class ServeRuntime:
             if slot.proc is not None and slot.proc.is_alive():
                 slot.drain_killed = True
                 instant("shard_kill", cat="serve", tid=TID_RUNTIME,
-                        shard=slot.assignment, slot=slot.shard,
-                        reason="drain-grace-expired")
+                        shard=slot.shard, reason="drain-deadline")
                 slot.proc.kill()
 
     def _kill_all(self) -> None:
@@ -763,38 +683,30 @@ class ServeRuntime:
             batch=self.batch, packets=self.spec.packets, seed=self.spec.seed,
             plan=self.plan.name if self.plan is not None else None)
         report.drained = self._drain_started is not None
-        report.warnings = list(self._warnings)
         restarts_total = 0
-        for index in range(self.shards):
-            shard_journal = journal[index]
-            attempts = self._attempts.get(index, 0)
-            restarts = max(0, attempts - 1)
+        for slot in self._slots:
+            shard_journal = journal[slot.shard]
+            restarts = max(0, slot.attempts - 1)
             restarts_total += restarts
-            slot = self._slots[index]
             report.shard_stats.append({
-                "shard": index,
+                "shard": slot.shard,
                 "batches": len(shard_journal.records),
                 "committed": shard_journal.committed,
                 "restarts": restarts,
                 "replays": shard_journal.replays,
                 "redeliveries": shard_journal.redeliveries,
                 "causes": list(slot.causes),
-                "failed": slot.failed,
-                "resharded_to": self._resharded.get(index),
-                **self._totals[index],
+                **slot.totals,
             })
         counters = journal.counters()
         counters.update({
             "workers_spawned": self._spawned,
             "restarts": restarts_total,
             "hang_kills": self._hang_kills,
-            "resharded": len(self._resharded),
             "drained": report.drained,
         })
         report.counters = counters
-        report.degraded = bool(self._resharded) or (
-            report.drained and counters["pending"] > 0)
-        if report.drained and counters["pending"] > 0:
+        if report.degraded:
             message = (f"warning: drain left {counters['pending']} "
                        f"batches undelivered")
             report.warnings.append(message)

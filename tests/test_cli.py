@@ -238,11 +238,13 @@ def test_fuzz_bad_degrees_is_usage_error(capsys):
     ["serve", "--hang-timeout", "0"],
     ["serve", "--hang-timeout", "-1"],
     ["serve", "--hang-timeout", "nan"],
-    ["serve", "--drain-grace", "-1"],
-    ["serve", "--backoff", "-0.5"],
-    ["serve", "--backoff", "soon"],
-    ["serve", "--max-restarts", "-1"],
-    ["serve", "--max-restarts", "1.5"],
+    # Deleted serve flags, at values they once took: the restart budget,
+    # the backoff and the drain grace are ServePolicy's defaults now.
+    ["serve", "--drain-grace", "2"],
+    ["serve", "--backoff", "0.01"],
+    ["serve", "--backoff", "0.05"],
+    ["serve", "--max-restarts", "1"],
+    ["serve", "--max-restarts", "3"],
     # A partitioner knob its Knobs rejects.
     ["pipeline", "demo.ppc", "--epsilon", "nan"],
     ["pipeline", "demo.ppc", "--epsilon", "-1"],
@@ -359,9 +361,9 @@ CLI_SURFACE = {
     "run": "--cache-dir --dead-letters --degree --faults --feed "
            "--isolate-traps --iterations --no-cache --pps --profile "
            "--trace -d file",
-    "serve": "--app --backoff --batch --cache-dir --degree --drain-grace "
-             "--faults --hang-timeout --max-restarts --no-cache --output "
-             "--packets --profile --seed --shards --trace -d -o",
+    "serve": "--app --batch --cache-dir --degree --faults --hang-timeout "
+             "--no-cache --output --packets --profile --seed --shards "
+             "--trace -d -o",
 }
 
 
@@ -381,7 +383,7 @@ def test_cli_surface():
     assert surface == CLI_SURFACE
     long_options = {option for options in surface.values()
                     for option in options.split() if option.startswith("--")}
-    assert (len(surface), len(long_options)) == (7, 36)
+    assert (len(surface), len(long_options)) == (7, 33)
 
 
 @pytest.mark.parametrize("shape, size",

@@ -185,6 +185,27 @@ def test_trap_plan_passes_when_no_trap_fires(capsys):
             run["dead_letters"], run["oracle_dead_letters"]) == (1, 0, 0, 0)
 
 
+def test_a_quarantine_that_records_nothing_fails_the_faults_family(
+        monkeypatch):
+    """Dead letters are held to the traps the plan's injector saw fire,
+    a count the quarantine does not keep: a quarantine that resets the
+    trapped iteration but records nothing fails ``trap-storm``."""
+    import repro.runtime.scheduler as scheduler
+
+    def silent(name, interp, exc):
+        if not interp.can_quarantine():
+            return False
+        interp.quarantine_reset()
+        return True
+
+    monkeypatch.setattr(scheduler, "_quarantine", silent)
+    report = run_fuzz(1, start_seed=0, degrees=(2,),
+                      plans=("trap-storm",), shrink=False)
+    [failure] = report.failures
+    assert failure.phase == "faults"
+    assert "oracle fired 1 traps but left 0 dead letters" in failure.error
+
+
 def test_a_mismatch_is_reported_by_the_differential_family(monkeypatch):
     import repro.runtime.equivalence as equivalence
     from repro.runtime.equivalence import Mismatch

@@ -82,7 +82,7 @@ def test_plan_then_chaos_through_the_cli_stores_nothing_new(tmp_path,
     stored = _objects(CompileCache(root))
     assert stored == 2
     assert cli.main(["serve", "--app", "ip_v4", "-d", "2", "--shards", "2",
-                     "--backoff", "0.01", *shared]) == 0
+                     *shared]) == 0
     assert _objects(CompileCache(root)) == stored
     counters = opened[-1].counters()
     assert (counters["hits"], counters["misses"]) == (1, 0)

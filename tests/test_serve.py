@@ -4,18 +4,20 @@ Each test drives :class:`repro.serve.ServeRuntime` end to end with real
 worker processes; the deterministic worker faults
 (:class:`repro.runtime.faults.WorkerFaults`) make the crash-recovery
 paths reproducible: a self-SIGKILL at an exact commit boundary, a hang
-the hang clock must catch, a storm that exhausts the restart
-budget and trips the circuit breaker into re-sharding.  Everything is
+the hang clock must catch, a storm that exhausts the restart budget
+and ends the run in a ``ServeError``.  Everything is
 checked against the sequential oracle (``verify=True``), so these are
 differential tests, not just liveness tests.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.cli import main
-from repro.errors import EXIT_DEGRADED_SERVE, EXIT_OK
+from repro.errors import EXIT_OK, EXIT_RUNTIME
 from repro.runtime.faults import FaultPlan, serve_plans
 from repro.serve import (
     ServeError,
@@ -68,33 +70,71 @@ def test_worker_kill_replays_bit_identically():
         assert entry["committed"] == entry["batches"]
 
 
-def test_restart_budget_exhaustion_resharding():
-    """worker-storm kills shard 0 on every incarnation: the breaker
-    trips, the journal is adopted by a survivor, the run is degraded —
-    and still bit-identical."""
-    report = run_serve(plan=serve_plans()["worker-storm"])
-    assert report.degraded
-    assert not report.ok
-    assert report.exit_code() == EXIT_DEGRADED_SERVE
-    assert report.verified is True          # degraded, never wrong
-    assert report.counters["pending"] == 0  # relief delivered everything
-    assert report.counters["resharded"] == 1
-    entry = report.shard_stats[0]
-    assert entry["failed"] and entry["resharded_to"] == 1
-    assert any("re-sharding" in warning for warning in report.warnings)
+def test_restart_budget_exhaustion_is_a_serve_error():
+    """worker-storm kills shard 0 on every incarnation: after
+    ``max_restarts + 1`` deaths the run raises, naming the shard and
+    every cause, and leaves no worker process behind."""
+    with pytest.raises(ServeError) as caught:
+        run_serve(plan=serve_plans()["worker-storm"])
+    message = str(caught.value)
+    assert message.startswith("shard 0 exhausted its restart budget (3)")
+    assert message.count("killed (signal 9)") == FAST.max_restarts + 1
+    assert not multiprocessing.active_children()
 
 
 def test_no_survivor_raises_serve_error():
-    """Every shard storming means nobody can adopt anybody: the pool
-    collapses with a ServeError (CLI exit 3), not a hang."""
+    """Every shard storming: the first shard out of restarts ends the
+    run with a ServeError (CLI exit 3), not a hang."""
     plan = FaultPlan.from_dict(
         {"seed": 3, "workers": {"*": {"kill_after_batches": 0,
                                       "every_incarnation": True}}},
         name="total-storm")
-    with pytest.raises(ServeError):
+    with pytest.raises(ServeError, match="exhausted its restart budget"):
         run_serve(plan=plan, policy=ServePolicy(
-            max_restarts=1, relief_restarts=1,
-            backoff_base=0.01, backoff_cap=0.05))
+            max_restarts=1, backoff_base=0.01, backoff_cap=0.05))
+    assert not multiprocessing.active_children()
+
+
+def test_a_poison_batch_fails_the_run_with_its_trap(monkeypatch):
+    """A batch that traps in every worker incarnation — deterministic,
+    so a restart cannot help — fails the run after exactly
+    ``max_restarts + 1`` incarnations of its shard, and the error
+    carries the trap's own text.  The supervisor's oracle runs the same
+    batch cleanly: only the workers are poisoned."""
+    import os
+
+    from repro.apps.suite import build_app
+    from repro.errors import TrapError
+    from repro.serve import make_batches
+    from repro.serve.worker import BatchRunner
+
+    app = build_app("ipv4", packets=STREAM_PACKETS, seed=7)
+    poison = make_batches(shard_stream(app.stream(), 2)[0], STREAM_BATCH)[1]
+    supervisor, real = os.getpid(), BatchRunner.run
+
+    def run(self, packets):
+        if os.getpid() != supervisor and packets == poison:
+            raise TrapError("ipv4: rt_l1[70000] out of bounds")
+        return real(self, packets)
+
+    spawned = []
+    spawn = ServeRuntime._spawn
+
+    def recording_spawn(self, slot, now):
+        spawned.append(slot.shard)
+        spawn(self, slot, now)
+
+    monkeypatch.setattr(BatchRunner, "run", run)
+    monkeypatch.setattr(ServeRuntime, "_spawn", recording_spawn)
+    with pytest.raises(ServeError) as caught:
+        ServeRuntime("ipv4", shards=2, packets=STREAM_PACKETS,
+                     batch=STREAM_BATCH, policy=FAST).run()
+    message = str(caught.value)
+    assert message.startswith("shard 0 exhausted its restart budget (3)")
+    assert "(trap, trap, trap, trap)" in message
+    assert message.endswith("last error: ipv4: rt_l1[70000] out of bounds")
+    assert sorted(spawned) == [0] * (FAST.max_restarts + 1) + [1]
+    assert not multiprocessing.active_children()
 
 
 def test_hang_is_killed_and_classified():
@@ -114,7 +154,8 @@ def test_hang_is_killed_and_classified():
 def test_graceful_drain_keeps_committed_prefix():
     """request_drain mid-run: workers stop at batch boundaries, the
     committed prefix stands and still matches the oracle; the
-    undelivered tail makes the run degraded, not wrong."""
+    undelivered tail is warned about, not wrong: the stop was asked
+    for, so the run exits 0."""
     plan = FaultPlan.from_dict(
         {"seed": 9, "workers": {"*": {"hang_after_batches": 1,
                                       "every_incarnation": True}}},
@@ -130,9 +171,10 @@ def test_graceful_drain_keeps_committed_prefix():
     assert report.counters["drained"]
     assert not report.mismatches            # committed prefix verified
     assert report.counters["committed"] >= 1
+    assert report.ok and report.exit_code() == EXIT_OK
     if report.counters["pending"]:
         assert report.degraded
-        assert report.exit_code() == EXIT_DEGRADED_SERVE
+        assert any("drain left" in line for line in report.warnings)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -140,7 +182,7 @@ def test_graceful_drain_keeps_committed_prefix():
     ("hang_timeout", float("nan")),
     ("backoff_base", -0.5), ("backoff_cap", -1.0),
     ("drain_grace", -1.0), ("poll_interval", float("nan")),
-    ("max_restarts", -1), ("max_restarts", 1.5), ("relief_restarts", -1),
+    ("max_restarts", -1), ("max_restarts", 1.5),
 ])
 def test_serve_policy_checks_its_own_fields(field, value):
     """A policy that would break supervision is refused where it is
@@ -332,9 +374,7 @@ def test_oracle_failure_mid_run_is_loud_and_leaves_no_orphans(
         monkeypatch, capsys, failure):
     """The sequential PPS failing inside the supervision loop keeps its
     class and exit code, says where, and every worker is reaped."""
-    import multiprocessing
-
-    from repro.errors import EXIT_RUNTIME, DeadlockError, TrapError
+    from repro.errors import DeadlockError, TrapError
     from repro.serve import supervise
 
     real = supervise.oracle_deltas
@@ -376,8 +416,7 @@ def test_oracle_failure_mid_run_is_loud_and_leaves_no_orphans(
 
     code = main(["serve", "--app", "ipv4", "--shards", "2",
                  "--packets", str(STREAM_PACKETS),
-                 "--batch", str(STREAM_BATCH), "--backoff", "0.01",
-                 "--no-cache"])
+                 "--batch", str(STREAM_BATCH), "--no-cache"])
     assert code == EXIT_RUNTIME
     assert "shard 0 batch 2: " in capsys.readouterr().err
     assert not multiprocessing.active_children()
@@ -482,8 +521,6 @@ def test_a_runtime_runs_twice_with_the_same_numbers():
 
 
 def test_serving_without_fork_is_a_serve_error(monkeypatch):
-    import multiprocessing
-
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
     with pytest.raises(ServeError, match="fork"):
@@ -569,8 +606,7 @@ def test_worker_kill_shard_sweep():
 def test_cli_serve_parser_and_exit_codes(tmp_path, capsys):
     code = main(["serve", "--app", "ipv4", "--shards", "2",
                  "--packets", str(PACKETS), "--batch", str(BATCH),
-                 "--backoff", "0.01", "--no-cache",
-                 "-o", str(tmp_path / "serve.json")])
+                 "--no-cache", "-o", str(tmp_path / "serve.json")])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "bit-identical to the sequential oracle" in out
@@ -582,15 +618,15 @@ def test_cli_serve_parser_and_exit_codes(tmp_path, capsys):
     assert "  throughput: " in out
 
 
-def test_cli_serve_worker_storm_exits_degraded(capsys):
+def test_cli_serve_worker_storm_exits_3(capsys):
     code = main(["serve", "--app", "ipv4", "--shards", "2",
                  "--packets", str(PACKETS), "--batch", str(BATCH),
-                 "--faults", "worker-storm", "--backoff", "0.01",
-                 "--no-cache"])
-    assert code == EXIT_DEGRADED_SERVE
-    captured = capsys.readouterr()
-    assert "re-sharding" in captured.err
-    assert "degraded" in captured.out
+                 "--faults", "worker-storm", "--no-cache"])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "error: serve: shard 0 exhausted its restart budget" in err
+    assert "killed (signal 9)" in err
+    assert not multiprocessing.active_children()
 
 
 def test_cli_serve_trace_has_lifecycle_instants(tmp_path):
@@ -599,8 +635,8 @@ def test_cli_serve_trace_has_lifecycle_instants(tmp_path):
     trace = tmp_path / "serve-trace.json"
     code = main(["serve", "--app", "ipv4", "--shards", "2",
                  "--packets", str(PACKETS), "--batch", str(BATCH),
-                 "--faults", "worker-kill", "--backoff", "0.01",
-                 "--no-cache", "--trace", str(trace)])
+                 "--faults", "worker-kill", "--no-cache",
+                 "--trace", str(trace)])
     assert code == EXIT_OK
     events = json.loads(trace.read_text())["traceEvents"]
     names = {event["name"] for event in events}
