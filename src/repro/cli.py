@@ -24,11 +24,13 @@ PPS-C files conventionally use the ``.ppc`` extension.
 ``repro pipeline`` / ``repro run`` partition through the supervisor
 (:mod:`repro.pipeline.supervisor`): the result is independently verified
 (:mod:`repro.pipeline.verify`), and a verifier rejection or a
-partitioner error fails the command with its own message.
-``--keep-going`` on ``explore`` trades fail-fast for per-cell failure
-records; a failed cell reports its seed and a reproduce one-liner
-identically at every ``-j``.  ``fuzz`` runs every case through one
-table of check families (:mod:`repro.eval.fuzz`), uncached.
+partitioner error fails the command with its own message.  ``explore``
+and ``fuzz`` never stop at a failed cell or case: each is a record
+carrying its seed and a reproduce one-liner, identically at every
+``-j``, and the command exits 1 once the whole sweep has run.  ``fuzz``
+runs every case through one table of check families
+(:mod:`repro.eval.fuzz`), uncached.  ``--trace`` is written even when
+``run`` or ``serve`` fails.
 
 Partition results are memoized in a content-addressed artifact cache
 (``--cache-dir DIR``, default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``;
@@ -40,10 +42,11 @@ packets, seed and knobs they share its artifacts (every explore cell
 runs at the ``--seed`` as given).
 
 Exit codes (see :mod:`repro.errors`): 0 success, 1 compile/pipeline/IO
-failure (a verifier rejection and sweep worker crashes included), 2
-usage error (unknown PPS or app, a count or degree below 1, a knob its
-``Knobs`` or ``ServePolicy`` rejects, malformed ``--feed``, unknown or
-malformed fault plan), 3 runtime failure (interpreter trap,
+failure (a verifier rejection, and any failed explore cell or fuzz case,
+included), 2 usage error (unknown PPS or app, a count or degree below
+1, a knob its ``Knobs`` or ``ServePolicy`` rejects, malformed
+``--feed``, an unknown or malformed fault plan or one with a section
+the command cannot apply), 3 runtime failure (interpreter trap,
 deadlock/livelock, a ``repro serve`` shard out of restarts).  A
 SIGTERM-drained ``serve`` exits 0 once its committed prefix verifies,
 after a stderr warning that counts the undelivered tail.
@@ -55,6 +58,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from repro import compile_module
 from repro.apps.suite import FIGURE_APPS, STREAM_APPS
@@ -68,7 +72,6 @@ from repro.errors import (
     ReproError,
     TrapError,
 )
-from repro.eval.sweep import SweepError
 from repro.ir.function import Module
 from repro.ir.printer import format_function, format_module
 from repro.lang import FrontendError
@@ -230,16 +233,12 @@ def _add_workload_flags(parser, *, packets: int, seed: int | None = None,
                                  f"(default: {apps})")
 
 
-def _add_sweep_flags(parser, *, keep_going: bool = True) -> None:
+def _add_sweep_flags(parser) -> None:
     """How a command's cells are run (:func:`repro.eval.sweep.run_sweep`)."""
     parser.add_argument("-j", "--jobs", type=_positive_int, default=1,
                         help="fan the cells over N worker processes "
                              "(default: 1; the output is identical at "
                              "any -j level)")
-    if keep_going:
-        parser.add_argument("--keep-going", action="store_true",
-                            help="record failed cells and keep running "
-                                 "instead of failing fast")
 
 
 def _add_program_flags(parser, *, degree: int | None = None) -> None:
@@ -254,10 +253,37 @@ def _add_program_flags(parser, *, degree: int | None = None) -> None:
 
 def _add_fault_flags(parser) -> None:
     parser.add_argument("--faults", metavar="PLAN",
-                        help="fault-injection plan: a builtin plan name "
-                             "(serve: also worker-kill, worker-storm) or "
-                             "a JSON file; fuzz takes a comma-separated "
-                             "list (default: every builtin plan)")
+                        help="fault-injection plan: a plan name or a "
+                             "JSON file.  run and fuzz apply every "
+                             "section but workers (drop-light, "
+                             "delay-stall, mixed-loss, trap-storm; fuzz "
+                             "takes a comma-separated list, default all "
+                             "four), serve only workers (worker-kill, "
+                             "worker-storm)")
+
+
+@contextmanager
+def _traced(path: str | None):
+    """Trace the block to ``path`` when one is given (``--trace``).  The
+    file is written when the block returns and when it fails at run time
+    (a trap, a deadlock, a serve shard out of restarts: exit 3), so a
+    failed run keeps the trace that explains it; a usage, IO or compile
+    error, which stops the command before its run, writes none."""
+    from repro.obs import tracing
+
+    with tracing(enabled=bool(path)) as tracer:
+        ran = True
+        try:
+            yield tracer
+        except (DeadlockError, TrapError, ServeError):
+            raise
+        except Exception:
+            ran = False
+            raise
+        finally:
+            if ran and tracer is not None:
+                tracer.write(path)
+                print(f"wrote {path}")
 
 
 def _add_report_flags(parser, *, what: str) -> None:
@@ -327,14 +353,8 @@ def cmd_pipeline(args) -> int:
 def cmd_run(args) -> int:
     """``repro run``: sequential baseline, supervised partition,
     pipelined run, equivalence check — under a tracer with ``--trace``."""
-    from repro.obs import tracing
-
-    with tracing(enabled=bool(args.trace)) as tracer:
-        code = _run(args, tracer)
-    if tracer is not None:
-        tracer.write(args.trace)
-        print(f"wrote {args.trace}")
-    return code
+    with _traced(args.trace) as tracer:
+        return _run(args, tracer)
 
 
 def _run(args, tracer) -> int:
@@ -405,7 +425,9 @@ def _run(args, tracer) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.obs import emit_counter_events, tracing
+    """``repro serve``; ``-o`` is written only when the run produced a
+    report, ``--trace`` however the run ended."""
+    from repro.obs import emit_counter_events
     from repro.runtime.faults import resolve_plan
     from repro.serve import ServePolicy, ServeRuntime
 
@@ -420,19 +442,16 @@ def cmd_serve(args) -> int:
                            seed=args.seed, batch=args.batch, plan=plan,
                            policy=policy, cache=cache)
 
-    with tracing(enabled=bool(args.trace)) as tracer:
+    with _traced(args.trace) as tracer:
         report = runtime.run(install_sigterm=True)
-
-    print(report.render())
-    if args.profile:
-        print(report.runtime_report(cache=cache).render())
-    if args.output:
-        _write_json(args.output, report.as_dict())
-        print(f"wrote {args.output}")
-    if tracer is not None:
-        emit_counter_events(tracer, report.runtime_report(cache=cache))
-        tracer.write(args.trace)
-        print(f"wrote {args.trace}")
+        print(report.render())
+        if args.profile:
+            print(report.runtime_report(cache=cache).render())
+        if args.output:
+            _write_json(args.output, report.as_dict())
+            print(f"wrote {args.output}")
+        if tracer is not None:
+            emit_counter_events(tracer, report.runtime_report(cache=cache))
     return report.exit_code()
 
 
@@ -465,8 +484,7 @@ def cmd_explore(args) -> int:
         raise CLIError(str(exc)) from exc
 
     cache = _open_cache(args)
-    report = explore(space, jobs=args.jobs, cache=cache,
-                     keep_going=args.keep_going)
+    report = explore(space, jobs=args.jobs, cache=cache)
 
     frontier = deterministic_report(report)
     frontier_path = os.path.join(args.out, "frontier.json")
@@ -494,7 +512,6 @@ def cmd_explore(args) -> int:
 
 def cmd_fuzz(args) -> int:
     from repro.eval.fuzz import PROGEN, run_fuzz, self_test
-    from repro.runtime.faults import resolve_plan
 
     if args.self_test:
         outcome = self_test()
@@ -514,8 +531,6 @@ def cmd_fuzz(args) -> int:
         raise CLIError(f"bad app {', '.join(bad)}: choose from the apps "
                        f"with a packet stream, {', '.join(STREAM_APPS)}")
     plans = args.faults and tuple(_parse_list("--faults", args.faults))
-    for spec in plans or ():
-        resolve_plan(spec)  # a usage error here, not a failed case
     report = run_fuzz(args.seeds, start_seed=args.start_seed,
                       degrees=degrees, packets=args.packets,
                       programs=tuple(apps) or (PROGEN,), plans=plans,
@@ -634,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_flags(p_fuzz, packets=24, degrees="2,3,4",
                         apps="generated programs")
     _add_fault_flags(p_fuzz)
-    _add_sweep_flags(p_fuzz, keep_going=False)
+    _add_sweep_flags(p_fuzz)
     p_fuzz.add_argument("--self-test", action="store_true",
                         help="seed known partition defects instead; the "
                              "verifier must catch every one")
@@ -654,7 +669,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CLIError, FaultPlanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FrontendError, PipelineError, SweepError) as exc:
+    except (FrontendError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except DeadlockError as exc:

@@ -12,10 +12,13 @@ frontier beat fixed-k heuristics.  This module is that search for PPS-C:
    only inputs that can move a partition; how the solver reaches a cut
    (§3.3's resumed preflow) is not a dimension;
 2. **evaluate** every cell through the cached, parallel,
-   supervisor-verified pipeline (:mod:`repro.eval.sweep` fan-out): each
-   cell is partitioned via :func:`~repro.pipeline.supervisor.supervise_partition`
-   (one partition, independently verified; a rejection fails the cell)
-   and simulated with the observational-equivalence check on;
+   supervisor-verified pipeline (:class:`ExploreRow` tasks fanned out by
+   :mod:`repro.eval.sweep`): each cell is partitioned via
+   :func:`~repro.pipeline.supervisor.supervise_partition` (one
+   partition, independently verified; a rejection fails the cell) and
+   simulated with the observational-equivalence check on.  A failed
+   cell is a record under ``failures`` — its id, error and a one-liner
+   that re-runs that degree alone — and never ends the grid;
 3. **score** each cell on (simulated throughput — the speedup over the
    sequential PPS, transmitted live-set words, realized stage count);
    the cell also records the live-set overhead and the partition and
@@ -44,10 +47,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from time import perf_counter
 
 from repro.errors import ReproError
-from repro.runspec import Knobs
+from repro.runspec import Knobs, RunSpec
 
 #: Version of the frontier-report schema; bump on layout changes, with
 #: the regenerated ``BENCH_headline.json`` in the same commit.
@@ -164,6 +168,15 @@ class SearchSpace:
     def cell_count(self) -> int:
         return len(self.apps) * len(set(self.degrees)) * len(self.combos())
 
+    def rows(self, cache_dir: str | None = None) -> list["ExploreRow"]:
+        """The space's sweep tasks: one :class:`ExploreRow` per (app, knob
+        combo), each covering the whole degree row, in (app, combo)
+        order; ``cache_dir`` is the artifact cache every row shares."""
+        return [ExploreRow(RunSpec(app, self.packets, self.seed,
+                                   tuple(self.degrees), knobs, cache_dir))
+                for app in self.apps
+                for knobs in self.combos()]
+
     def canonical_rings(self) -> list[str]:
         from repro.machine.costs import cost_table
 
@@ -212,6 +225,152 @@ def cell_name(app: str, degree: int, knobs: Knobs) -> dict:
             "app": app,
             "config": {"degree": degree,
                        **{key: value for key, value, _, _ in dims}}}
+
+
+# -- a degree row: the sweep task -------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExploreRow:
+    """One (app, knobs) degree row of the paper's cost model, the sweep
+    task behind ``repro explore``: picklable for worker dispatch.
+
+    A row keeps all of a combo's degrees together so the worker shares
+    one analysis context and one baseline measurement across the row;
+    parallelism fans the (app, combo) pairs.  ``spec.knobs`` *are* the
+    combo.
+    """
+
+    spec: RunSpec
+
+    def describe(self) -> str:
+        spec = self.spec
+        knobs = "/".join(fragment for _, _, fragment, _
+                         in cell_dims(spec.knobs))
+        return (f"explore {spec.app} "
+                f"D={','.join(map(str, spec.degrees))} {knobs}")
+
+    def repro_command(self) -> str:
+        """A copy-paste one-liner that re-runs this exact row inline."""
+        spec = self.spec
+        degrees = ",".join(map(str, spec.degrees))
+        knobs = " ".join(flag for _, _, _, flag in cell_dims(spec.knobs))
+        return (f"repro explore --apps {spec.app} --degrees {degrees} "
+                f"{knobs} --packets {spec.packets} --seed {spec.seed} -j 1")
+
+    def cell(self, degree: int) -> "ExploreRow":
+        """The row narrowed to one degree: what names a failed cell."""
+        return replace(self, spec=replace(self.spec, degrees=(degree,)))
+
+    def failed_cell(self, degree: int, error: Exception) -> dict:
+        """The record of a cell that failed with ``error``: its id and the
+        one-liner that re-runs that degree alone."""
+        cell = self.cell(degree)
+        return {
+            "cell": cell_name(self.spec.app, degree, self.spec.knobs)["id"],
+            "app": self.spec.app,
+            "seed": self.spec.seed,
+            "error": str(error),
+            "task": cell.describe(),
+            "repro": cell.repro_command(),
+        }
+
+    def run(self) -> dict:
+        """Every degree is partitioned and verified through the
+        *supervisor*, sharing one analysis context, then simulated
+        against the row's sequential baseline with the
+        observational-equivalence check on.
+
+        The record carries one cell dict per degree; its ``metrics`` are
+        pure functions of the task, and the nondeterministic partition
+        wall seconds live under each cell's ``timing``.  A failed degree
+        is recorded under ``failures`` (:meth:`failed_cell`) and the
+        row's other degrees are still measured; a failure before the
+        degree loop (app build, baseline) raises, and fails every cell.
+        """
+        from repro.analysis.context import AnalysisContext
+        from repro.eval.metrics import measure_pipeline, measure_sequential
+        from repro.eval.sweep import SweepError
+
+        spec = self.spec
+        cache = spec.open_cache()
+        app, build_seconds = _timed(spec.build)
+        # Normalize, profile, SSA and the dependence model once per row.
+        context = AnalysisContext(app.module, app.pps_name,
+                                  spec.knobs.max_block_instructions)
+        baseline = measure_sequential(app)
+
+        cells = []
+        failures = []
+        for degree in sorted(set(spec.degrees)):
+            try:
+                cell, result = self._partition_cell(app, context, degree,
+                                                    cache)
+                measured = measure_pipeline(app, degree, baseline=baseline,
+                                            transform=result)
+                cell["metrics"].update({
+                    "speedup": round(measured.speedup, 4),
+                    # Six places: frontier.md prints three, and four would
+                    # round twice (0.33149 -> 0.3315 -> "0.332").
+                    "overhead": round(measured.overhead_ratio, 6),
+                    "transmitted_words": sum(measured.message_words),
+                    "longest_stage": round(measured.longest_stage, 4),
+                    "simulated_instructions": measured.total_instructions,
+                })
+                cells.append(cell)
+            except Exception as exc:
+                # A failed grid cell (partitioner bug, verifier rejection,
+                # measurement fault) is named by its own degree.
+                failures.append(self.failed_cell(
+                    degree, SweepError.naming(self.cell(degree), exc)))
+
+        return {
+            "app": spec.app,
+            "cells": cells,
+            "failures": failures,
+            "timing": {
+                "build_seconds": round(build_seconds, 4),
+                "partition_seconds": round(sum(
+                    cell["timing"]["partition_seconds"] for cell in cells),
+                    4)},
+            # A cache opened for this row alone: its counters are the row's.
+            "cache": cache.counters() if cache is not None else None,
+        }
+
+    def _partition_cell(self, app, context, degree: int, cache):
+        """One degree of the row through the supervisor: the cell's
+        record — name, partition work under ``metrics``, wall seconds
+        under ``timing`` — and the verified result behind it (``None`` at
+        degree 1, the sequential "pipeline": always valid, nothing cut).
+        A rejected partition raises, and the row records a failed cell."""
+        from repro.pipeline.supervisor import supervise_partition
+
+        spec = self.spec
+        cell = cell_name(spec.app, degree, spec.knobs)
+        if degree <= 1:
+            return {**cell,
+                    "metrics": {"stages": 1, "cut_iterations": 0,
+                                "pr_work": 0},
+                    "timing": {"partition_seconds": 0.0}}, None
+        outcome, seconds = _timed(
+            supervise_partition, app.module, app.pps_name, degree,
+            knobs=spec.knobs, profiler=app.profiler, cache=cache,
+            context=context)
+        diagnostics = outcome.result.assignment.diagnostics
+        cell["metrics"] = {
+            "stages": degree,
+            "cut_iterations": sum(diag.iterations for diag in diagnostics),
+            "pr_work": sum(diag.pr_work for diag in diagnostics),
+        }
+        cell["timing"] = {"partition_seconds": round(seconds, 4)}
+        return cell, outcome.result
+
+
+def _timed(function, *args, **kwargs):
+    """``(function(*args, **kwargs), wall seconds it took)``."""
+    start = perf_counter()
+    value = function(*args, **kwargs)
+    return value, perf_counter() - start
 
 
 # -- the objective -----------------------------------------------------------
@@ -348,36 +507,41 @@ def auto_pick(cells: list[dict]) -> dict | None:
 # -- the exploration driver --------------------------------------------------
 
 
-def explore(space: SearchSpace, *, jobs: int = 1, cache=None,
-            keep_going: bool = False) -> dict:
+def explore(space: SearchSpace, *, jobs: int = 1, cache=None) -> dict:
     """Evaluate ``space`` and return the full exploration report.
 
     The report is JSON-serializable: per app the cell list (task order —
     deterministic at any ``jobs`` level), the Pareto frontier ids, and
-    the auto-pick with provenance; plus sweep failures (``keep_going``)
-    and the nondeterministic timing/cache numbers that
-    :func:`deterministic_report` strips for the frontier artifact.
+    the auto-pick with provenance; plus every failed cell under
+    ``failures`` and the nondeterministic timing/cache numbers that
+    :func:`deterministic_report` strips for the frontier artifact.  A
+    failure never ends the grid: a failed degree is its own record, and
+    a row that failed before its degree loop, or whose worker died,
+    records each of its cells.  ``cache`` (a
+    :class:`~repro.cache.CompileCache`) is the artifact cache every row
+    shares; the counters the rows report are folded back into it.
     """
-    from repro.eval.sweep import explore_tasks, run_sweep
+    # Imported here so that importing repro.eval (for its metrics) does
+    # not import the process pool.
+    from repro.eval.sweep import SweepError, run_sweep
 
     space.validate()
-    tasks = explore_tasks(space, keep_going=keep_going)
-    results = run_sweep(tasks, jobs=jobs, keep_going=keep_going,
-                        cache=cache)
-
-    failures = [entry for entry in results if entry.get("failed")]
-    completed = [entry for entry in results if not entry.get("failed")]
-    # Cell-level keep-going: a row that survived may still carry failed
-    # degree cells; they join the artifact's ``failures`` list.
-    for entry in completed:
-        failures.extend(entry.get("cell_failures") or [])
+    rows = space.rows(str(cache.root) if cache is not None else None)
 
     by_app: dict[str, list[dict]] = {app: [] for app in space.apps}
+    failures: list[dict] = []
     timing = {"build_seconds": 0.0, "partition_seconds": 0.0}
-    for entry in completed:
+    for row, entry in zip(rows, run_sweep(rows, jobs=jobs)):
+        if isinstance(entry, SweepError):
+            failures += [row.failed_cell(degree, entry)
+                         for degree in sorted(set(row.spec.degrees))]
+            continue
         by_app[entry["app"]].extend(entry["cells"])
+        failures += entry["failures"]
         for key in timing:
             timing[key] += entry["timing"][key]
+        if cache is not None and entry["cache"]:
+            cache.merge_counters(entry["cache"])
 
     apps: dict[str, dict] = {}
     for app, cells in by_app.items():

@@ -8,11 +8,14 @@ input) or a stream app of the suite (``repro fuzz --apps``; the seed
 draws its traffic), both an :class:`~repro.apps.suite.AppInstance` with
 a ``stream`` / ``feed`` pair.  A case builds its program (``frontend``,
 then ``partition``) and runs the rows of :data:`FAMILIES` in order; a
-failure names that step or family (its ``phase``).  A failing generated
-program is *shrunk*: a brace-aware delta-debugging pass removes
-statements and whole nested regions while the failure signature (phase
-+ exception type) reproduces, so the artifact a CI failure uploads is
-close to minimal.
+failure names that step or family (its ``phase``), and a case that
+raised outside every check, or whose worker process died, fails in
+phase ``worker``.  Cases are :class:`FuzzCase` tasks of the sweep
+runner, and every failure is a record: the campaign always runs to the
+end.  A failing generated program is *shrunk*: a brace-aware
+delta-debugging pass removes statements and whole nested regions while
+the failure signature (phase + exception type) reproduces, so the
+artifact a CI failure uploads is close to minimal.
 
 ``self_test`` closes the loop on the verifier itself: it corrupts a
 known-good partition five ways — drop a transmitted live variable, flip
@@ -32,12 +35,13 @@ from repro.analysis.context import AnalysisContext
 from repro.analysis.dependence_graph import DepKind
 from repro.apps.suite import STREAM_APPS, AppInstance, build_app
 from repro.errors import ReproError
+from repro.eval.sweep import SweepError, run_sweep
 from repro.ir.function import Module
 from repro.pipeline.liveset import compute_cut_layouts
 from repro.pipeline.realize import realize_stages
 from repro.pipeline.transform import PipelineResult, pipeline_pps
 from repro.pipeline.verify import verify_partition
-from repro.runspec import app_pipeline
+from repro.runspec import RunSpec, app_pipeline
 from repro.runtime.equivalence import assert_equivalent, compare, observe
 from repro.runtime.faults import FaultInjector, builtin_plans, resolve_plan
 from repro.runtime.scheduler import (
@@ -184,19 +188,20 @@ FAMILIES = {
     "faults": _faults,
 }
 
-#: What a case can fail in, in order: its build steps, then the families.
-PHASES = ("frontend", "partition", *FAMILIES)
+#: What a case can fail in, in order: its worker (the case raised outside
+#: every check, or its process died), its build steps, then the families.
+PHASES = ("worker", "frontend", "partition", *FAMILIES)
 
 
 def check_program(program: str, degree: int, *, packets: int = 24,
-                  seed: int = 0, plans: tuple | None = None) -> list[dict]:
+                  seed: int = 0, plans: dict | None = None) -> list[dict]:
     """Build ``program`` — the PPS-C source of a generated program, or the
     name of a stream app — at ``degree`` and run every check family on
-    it, the ``faults`` family under ``plans`` (builtin plan names or JSON
-    files; default every builtin plan).  Returns the ``faults`` family's
+    it, the ``faults`` family under ``plans`` (resolved plans by name;
+    default every builtin plan).  Returns the ``faults`` family's
     records; a failure raises :class:`CheckFailure` naming its step or
     family."""
-    plans = {spec: resolve_plan(spec) for spec in plans or builtin_plans()}
+    plans = plans or builtin_plans()
     phase = "frontend"
     try:
         app = (build_app(program, packets=packets, seed=seed)
@@ -346,9 +351,10 @@ class FuzzReport:
                  f"{'ok' if self.ok else 'FAIL'}",
                  f"  {'family':<13} {'cases':>6} {'failed':>7}"]
         phases = [failure.phase for failure in self.failures]
-        for index, family in enumerate(FAMILIES, start=2):
-            reached = self.cases - sum(PHASES.index(phase) < index
-                                       for phase in phases)
+        for family in FAMILIES:
+            reached = self.cases - sum(
+                PHASES.index(phase) < PHASES.index(family)
+                for phase in phases)
             lines.append(f"  {family:<13} {reached:>6} "
                          f"{phases.count(family):>7}")
         lines[-1] += (f"   {len(self.runs)} plan runs, "
@@ -365,17 +371,31 @@ class FuzzReport:
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
-        return {**vars(self), "ok": self.ok,
-                "failures": [failure.as_dict() for failure in self.failures]}
+        """What ``repro fuzz --out`` writes: the campaign, its failures,
+        the ``faults`` family's totals per plan and every dead letter,
+        tagged; the per-run records stay in :attr:`runs`."""
+        totals: dict[str, dict] = {}
+        for run in self.runs:
+            plan = totals.setdefault(run["plan"], {
+                "runs": 0, "traps_fired": 0, "dead_letters": 0})
+            plan["runs"] += 1
+            plan["traps_fired"] += run["traps"]
+            plan["dead_letters"] += run["dead_letters"]
+        return {**{key: value for key, value in vars(self).items()
+                   if key not in ("failures", "runs")},
+                "ok": self.ok,
+                "failures": [failure.as_dict() for failure in self.failures],
+                "plan_totals": totals,
+                "dead_letters": self.dead_letters}
 
 
 def fuzz_case(seed: int, degree: int, packets: int, shrink_tests: int, *,
-              program: str = PROGEN, plans: tuple | None = None) -> dict:
+              program: str = PROGEN, plans: dict | None = None) -> dict:
     """Run one case; a failing generated program is shrunk within
     ``shrink_tests`` candidate programs (0 leaves it unshrunk).
 
-    ``plans`` names the ``faults`` family's plans (builtin names or JSON
-    files; None: every builtin plan).  Returns ``{"failure":
+    ``plans`` holds the ``faults`` family's resolved plans by name (None:
+    every builtin plan).  Returns ``{"failure":
     FuzzFailure | None, "runs": the faults family's records}``.  Fully
     determined by its arguments, so any sweep worker produces the same
     answer for the same case.
@@ -412,6 +432,45 @@ def fuzz_case(seed: int, degree: int, packets: int, shrink_tests: int, *,
         return {"failure": failure, "runs": []}
 
 
+@dataclass(frozen=True)
+class FuzzCase:
+    """One fuzz case as a sweep task: the program ``spec.app`` at its one
+    degree ``spec.degrees``, picklable for worker dispatch.  ``plans``
+    holds the ``faults`` family's resolved plans by name; the one-liner
+    names them, so the repr, which failure messages carry, leaves them
+    out."""
+
+    spec: RunSpec
+    plans: dict = field(repr=False)
+    shrink_tests: int = 0           # shrink budget (0 = unshrunk)
+
+    def run(self) -> dict:
+        spec = self.spec
+        [degree] = spec.degrees
+        return fuzz_case(spec.seed, degree, spec.packets, self.shrink_tests,
+                         program=spec.app, plans=self.plans)
+
+    def describe(self) -> str:
+        return f"fuzz {self.spec.app} D={self.spec.degrees[0]}"
+
+    def repro_command(self) -> str:
+        """A copy-paste one-liner that re-runs this exact case inline."""
+        spec = self.spec
+        apps = "" if spec.app == PROGEN else f" --apps {spec.app}"
+        faults = ("" if list(self.plans) == list(builtin_plans())
+                  else " --faults " + ",".join(self.plans))
+        return (f"repro fuzz{apps} --seeds 1 --start-seed {spec.seed} "
+                f"--degrees {spec.degrees[0]} --packets {spec.packets}"
+                f"{faults}")
+
+    def crashed(self, error: SweepError) -> FuzzFailure:
+        """The failure of a case that raised outside every check, or
+        whose worker died: phase ``worker``, reported like any other."""
+        return FuzzFailure(program=self.spec.app, seed=self.spec.seed,
+                           degree=self.spec.degrees[0], phase="worker",
+                           error=str(error), source=None)
+
+
 def run_fuzz(seeds: int = 50, *, start_seed: int = 0,
              degrees: tuple = (2, 3, 4), packets: int = 24,
              programs: tuple = (PROGEN,), plans: tuple | None = None,
@@ -421,24 +480,31 @@ def run_fuzz(seeds: int = 50, *, start_seed: int = 0,
     ``degrees`` through the check families.
 
     ``programs`` holds :data:`PROGEN` (generated programs) and/or stream
-    app names.  The cases are ``fuzz`` cells of the sweep runner
-    (:func:`repro.eval.sweep.run_sweep`; ``jobs`` is ``repro fuzz -j``).
+    app names, ``plans`` the ``faults`` family's plan names or JSON
+    files (None: every builtin plan), resolved once here: an unknown or
+    malformed plan is a :class:`~repro.errors.FaultPlanError` before any
+    case runs.  The cases are :class:`FuzzCase` tasks of the sweep runner
+    (:func:`repro.eval.sweep.run_sweep`; ``jobs`` is ``repro fuzz -j``),
+    one per (program, seed, degree) in that order, the programs sorted.
     Each case is a pure function of its program, seed and degree, and
     results are merged in that order, so the report is identical at any
-    parallelism level; a crashed case or a dead worker is a
-    :class:`~repro.eval.sweep.SweepError` naming the case.
+    parallelism level.  A case that crashed or whose worker died is a
+    ``worker`` failure, and the campaign still runs every other case.
     """
-    from repro.eval.sweep import fuzz_tasks, run_sweep
-
     report = FuzzReport(seeds=seeds, start_seed=start_seed,
                         degrees=tuple(degrees), packets=packets,
                         programs=tuple(sorted(set(programs))), plans=plans)
-    tasks = fuzz_tasks(report.programs,
-                       range(start_seed, start_seed + seeds), report.degrees,
-                       packets=packets, plans=plans,
-                       shrink_tests=max_shrink_tests if shrink else 0)
-    for result in run_sweep(tasks, jobs=jobs):
+    resolved = ({spec: resolve_plan(spec) for spec in plans} if plans
+                else builtin_plans())
+    cases = [FuzzCase(RunSpec(program, packets, seed, (degree,)), resolved,
+                      max_shrink_tests if shrink else 0)
+             for program in report.programs
+             for seed in range(start_seed, start_seed + seeds)
+             for degree in report.degrees]
+    for case, result in zip(cases, run_sweep(cases, jobs=jobs)):
         report.cases += 1
+        if isinstance(result, SweepError):
+            result = {"failure": case.crashed(result), "runs": []}
         if result["failure"] is not None:
             report.failures.append(result["failure"])
         report.runs += result["runs"]

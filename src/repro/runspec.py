@@ -14,7 +14,8 @@ themselves.
 
 :class:`RunSpec` names a benchmark-suite pipeline — app, traffic,
 degrees, knobs, cache directory — in a form a sweep worker can be
-sent, and :func:`app_pipeline` is the one step from such an app to its
+sent: every sweep task (an explore row, a fuzz case) carries one as
+its ``spec``, and :func:`app_pipeline` is the one step from such an app to its
 stages, so ``explore``, ``serve`` and ``fuzz --apps`` mean the same
 pipeline (and ``explore`` and ``serve`` the same cache entry) by "ip_v4
 at degree 4".
@@ -58,9 +59,10 @@ class Knobs:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """The picklable name of a suite pipeline: what ``run_sweep`` ships
-    to a sweep worker.  ``ServeRuntime`` builds from one once per run and
-    ships none: its workers are forks that inherit the built pipeline."""
+    """The picklable name of a suite pipeline: the ``spec`` of every task
+    ``run_sweep`` ships to a sweep worker, whose seed its failures name.
+    ``ServeRuntime`` builds from one once per run and ships none: its
+    workers are forks that inherit the built pipeline."""
 
     app: str
     packets: int

@@ -488,9 +488,10 @@ def builtin_plans() -> dict[str, FaultPlan]:
 def serve_plans() -> dict[str, FaultPlan]:
     """Seeded plans for the sharded serving runtime (``repro serve``).
 
-    Kept out of :func:`builtin_plans` because the in-process ``faults``
-    check family has no worker pool — a ``workers``-only plan would run
-    there as a no-op.  ``worker-kill`` murders every worker once
+    Kept out of :func:`builtin_plans` because ``run`` and the in-process
+    ``faults`` check family have no worker pool, and
+    :func:`resolve_plan` rejects a ``workers`` section there, as it
+    rejects every other section under ``serve``.  ``worker-kill`` murders every worker once
     mid-stream (restart + journal replay must reproduce the oracle);
     ``worker-storm`` kills shard 0 on *every* incarnation, which is the
     deterministic way to exhaust a restart budget: the run ends in a
@@ -513,14 +514,30 @@ def resolve_plan(spec: str, *, serve: bool = False) -> FaultPlan:
     """The one fault-plan resolver (``run --faults``, ``fuzz --faults``,
     ``serve --faults``): a builtin plan name — with ``serve``, also a
     :func:`serve_plans` name — or a JSON plan file.  Anything else is a
-    :class:`FaultPlanError` (CLI exit 2) naming the plans available."""
+    :class:`FaultPlanError` (CLI exit 2) naming the plans available, and
+    so is a plan with a section the command cannot apply: ``serve``
+    applies only ``workers``, and ``run`` / ``fuzz`` everything but
+    ``workers`` (they run in one process, with no worker pool)."""
     named = {**builtin_plans(), **(serve_plans() if serve else {})}
     if spec in named:
-        return named[spec]
-    try:
-        return FaultPlan.load(spec)
-    except OSError as exc:
-        raise FaultPlanError(
-            f"no fault plan {spec!r}: not a plan name and not a readable "
-            f"JSON file ({exc.strerror}); available plans: "
-            f"{', '.join(sorted(named))}") from exc
+        plan = named[spec]
+    else:
+        try:
+            plan = FaultPlan.load(spec)
+        except OSError as exc:
+            raise FaultPlanError(
+                f"no fault plan {spec!r}: not a plan name and not a "
+                f"readable JSON file ({exc.strerror}); available plans: "
+                f"{', '.join(sorted(named))}") from exc
+    if serve:
+        sections, why = ("inputs", "pipes", "stages"), \
+            "repro serve applies only 'workers'"
+    else:
+        sections, why = ("workers",), \
+            "repro run and repro fuzz have no worker pool"
+    for section in sections:
+        if getattr(plan, section):
+            raise FaultPlanError(
+                f"fault plan {spec!r} has section {section!r}, which "
+                f"this command cannot apply ({why})")
+    return plan

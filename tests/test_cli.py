@@ -249,6 +249,11 @@ def test_fuzz_bad_degrees_is_usage_error(capsys):
     ["pipeline", "demo.ppc", "--epsilon", "nan"],
     ["pipeline", "demo.ppc", "--epsilon", "-1"],
     ["explore", "--epsilons", "inf"],
+    # The deleted explore flag: a failed cell is always a record.
+    ["explore", "--keep-going"],
+    # A plan section serve cannot apply: it applies only workers.
+    ["serve", "--faults", "trap-storm"],
+    ["serve", "--faults", "drop-light"],
 ])
 def test_bad_list_flag_is_a_usage_error_on_every_command(argv, capsys):
     """Checked in parsing: exit 2 with an ``error:`` line, whether
@@ -301,10 +306,10 @@ def test_chaos_runs_a_json_plan_file_at_any_jobs(tmp_path, capsys):
                      "--out", str(output)]) == 0
         report = json.loads((output / "report.json").read_text())
         assert report["ok"] is True
-        assert [(run["program"], run["degree"], run["plan"])
-                for run in report["runs"]] == [
-            ("rx", degree, name) for degree in (1, 2)
-            for name in (str(plan), "drop-light")]
+        assert report["plan_totals"] == {
+            name: {"runs": 2, "traps_fired": 0, "dead_letters": 0}
+            for name in (str(plan), "drop-light")}
+        assert "runs" not in report
     assert "fuzz: 1 programs, 2 cases (rx; seeds 0..0, degrees 1,2, " \
         "8 packets): ok" in capsys.readouterr().out
 
@@ -329,13 +334,19 @@ def test_list_flags_take_commas_and_trailing_separators(tmp_path, capsys):
                  "--degrees", "2,3,"]) == 0
 
 
-def test_keep_going_flags_parse():
-    from repro.cli import build_parser
-
-    parser = build_parser()
-    assert parser.parse_args(["explore", "-j", "2",
-                              "--keep-going"]).keep_going is True
-    assert parser.parse_args(["explore"]).keep_going is False
+@pytest.mark.parametrize("command", ["run", "fuzz"])
+def test_a_workers_plan_is_a_usage_error_where_no_worker_pool_runs(
+        command, demo_file, tmp_path, capsys):
+    """``run`` and ``fuzz`` run in one process: a plan with a
+    ``workers`` section would do nothing there, so it exits 2 naming the
+    section instead of running as a silent no-op."""
+    plan = tmp_path / "workers.json"
+    plan.write_text('{"workers": {"*": {"kill_after_batches": 1}}}')
+    argv = (["run", demo_file, "--feed", "in_q=1"] if command == "run"
+            else ["fuzz", "--apps", "rx", "--packets", "4"])
+    assert main(argv + ["--faults", str(plan)]) == 2
+    assert f"error: fault plan {str(plan)!r} has section 'workers'" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["bench", "figures", "chaos"])
@@ -351,7 +362,7 @@ def test_bench_subcommand_is_gone(command, capsys):
 CLI_SURFACE = {
     "check": "file",
     "explore": "--apps --cache-dir --degrees --epsilons --jobs "
-               "--keep-going --max-block-instructions --no-cache "
+               "--max-block-instructions --no-cache "
                "--out --packets --rings --seed -j -o",
     "fuzz": "--apps --degrees --faults --jobs --out --packets --seeds "
             "--self-test --start-seed -j",
@@ -383,7 +394,7 @@ def test_cli_surface():
     assert surface == CLI_SURFACE
     long_options = {option for options in surface.values()
                     for option in options.split() if option.startswith("--")}
-    assert (len(surface), len(long_options)) == (7, 33)
+    assert (len(surface), len(long_options)) == (7, 32)
 
 
 @pytest.mark.parametrize("shape, size",

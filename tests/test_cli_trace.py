@@ -114,6 +114,21 @@ def test_trace_sequential_degree_one(demo_file, tmp_path, capsys):
                for e in doc["traceEvents"])
 
 
+def test_trace_is_written_when_the_run_traps(tmp_path, capsys):
+    """A run that fails at run time keeps the trace that explains it:
+    exit 3, and the file holds the sequential run that trapped."""
+    from test_errors import TRAPPING
+
+    source = tmp_path / "boom.ppc"
+    source.write_text(TRAPPING)
+    output = tmp_path / "t.json"
+    assert main(["run", str(source), "--feed", "in_q=1,2,3",
+                 "--iterations", "3", "--trace", str(output)]) == 3
+    assert "trap" in capsys.readouterr().err
+    names = {e["name"] for e in json.loads(output.read_text())["traceEvents"]}
+    assert "run_group" in names
+
+
 def test_trace_unknown_pps_exits_2(demo_file, tmp_path, capsys):
     assert main(["run", demo_file, "--pps", "nope", "-d", "2",
                  "--trace", str(tmp_path / "t.json")]) == 2

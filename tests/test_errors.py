@@ -11,8 +11,9 @@ from repro.errors import (
     ReproError,
     TrapError,
 )
+from repro.eval.explore import ExploreRow
 from repro.eval.fuzz import CheckFailure
-from repro.eval.sweep import SweepError, SweepTask
+from repro.eval.sweep import SweepError
 from repro.lang.errors import FrontendError, ParseError, SourceLocation
 from repro.pipeline.transform import PipelineError
 from repro.pipeline.verify import VerifyError, VerifyFinding, VerifyVerdict
@@ -64,8 +65,8 @@ PICKLED = [
                                offenders={"a": ("recv", "p")}),
                  ("kind", "parked", "offenders", "report"),
                  id="DeadlockError"),
-    pytest.param(SweepError("cell failed", task=SweepTask(
-        "explore", RunSpec("ipv4", packets=8, seed=7, degrees=(2,)))),
+    pytest.param(SweepError("cell failed", task=ExploreRow(
+        RunSpec("ipv4", packets=8, seed=7, degrees=(2,)))),
         ("task",), id="SweepError"),
     pytest.param(CheckFailure("verify", ValueError("boom")),
                  ("phase", "cause"), id="CheckFailure"),

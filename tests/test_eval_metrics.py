@@ -9,7 +9,7 @@ from repro.eval.metrics import (
     measure_sequential,
 )
 from repro.eval.report import format_series_table, render_figure
-from repro.eval.sweep import explore_tasks, run_sweep
+from repro.eval.sweep import run_sweep
 from repro.machine.costs import SCRATCH_RING
 from repro.pipeline.liveset import Strategy
 from repro.runspec import Knobs
@@ -80,8 +80,8 @@ def test_unified_message_never_smaller_than_packed(ipv4_app, ipv4_baseline):
 
 
 def test_speedup_series_structure():
-    [row] = run_sweep(explore_tasks(SearchSpace(apps=("tx",),
-                                                degrees=(1, 2), packets=24)))
+    [row] = run_sweep(SearchSpace(apps=("tx",), degrees=(1, 2),
+                                  packets=24).rows())
     for metric, identity in (("speedup", 1.0), ("overhead", 0.0)):
         series = {cell["config"]["degree"]: cell["metrics"][metric]
                   for cell in row["cells"]}

@@ -300,11 +300,15 @@ def test_explore_parallel_equals_sequential_cell_for_cell():
     assert pick["id"] in rendered
 
 
-def test_keep_going_records_failed_cell_with_degree_repro(monkeypatch):
-    """A single crashing grid cell lands under ``failures`` (with a
-    degree-exact repro one-liner) instead of killing the exploration;
-    the row's other degrees still get measured."""
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_cell_crash_is_recorded_at_every_jobs_level(monkeypatch, tmp_path,
+                                                     capsys, jobs):
+    """A crashing grid cell is a record — its id and a degree-exact
+    reproduce one-liner under ``failures`` — and never ends the grid: the
+    row's other degrees are measured, ``frontier.json`` / ``.md`` and
+    ``timings.json`` are still written, and ``repro explore`` exits 1."""
     import repro.pipeline.supervisor as supervisor_mod
+    from repro.cli import main
 
     real = supervisor_mod.supervise_partition
 
@@ -313,39 +317,60 @@ def test_keep_going_records_failed_cell_with_degree_repro(monkeypatch):
             raise RuntimeError("injected cell crash")
         return real(module, pps_name, degree, **kwargs)
 
+    # Forked pool workers inherit the patched supervisor.
     monkeypatch.setattr(supervisor_mod, "supervise_partition", boom)
-    report = explore(SMALL_SPACE, jobs=1, keep_going=True)
+    out = tmp_path / "explore"
+    assert main(["explore", "--apps", "rx", "--degrees", "1,2,3",
+                 "--packets", "8", "--no-cache", "-j", str(jobs),
+                 "-o", str(out)]) == 1
+    assert "1 sweep cells FAILED" in capsys.readouterr().out
 
-    failures = report["failures"]
-    assert len(failures) == 1
-    failure = failures[0]
-    assert failure["failed"] and failure["app"] == "rx"
+    frontier = json.loads((out / "frontier.json").read_text())
+    [failure] = frontier["failures"]
+    assert failure["cell"] == "rx/nn-ring/d3/e0.0625/b12"
+    assert failure["app"] == "rx" and failure["seed"] == 7
     assert "injected cell crash" in failure["error"]
-    assert failure["repro"].startswith("repro explore --apps rx")
-    assert "--degrees 3" in failure["repro"]
-    assert failure["cell"].startswith("rx/") and "/d3/" in failure["cell"]
+    assert failure["repro"].startswith("repro explore --apps rx --degrees 3 ")
+    assert failure["repro"] in (out / "frontier.md").read_text()
+    assert (out / "timings.json").exists()
 
     # The surviving degrees of the same row were still measured.
-    cells = report["apps"]["rx"]["cells"]
+    cells = frontier["apps"]["rx"]["cells"]
     assert [cell["config"]["degree"] for cell in cells] == [1, 2]
     assert [cell["metrics"]["stages"] for cell in cells] == [1, 2]
-
-    # The frontier artifact keeps the failures and renders the repro.
-    clean = deterministic_report(report)
-    assert clean["failures"] == failures
-    assert failure["repro"] in render_markdown(clean)
+    assert frontier["apps"]["rx"]["pick"] is not None
 
 
-def test_cell_crash_without_keep_going_fails_fast(monkeypatch):
-    from repro.eval.sweep import SweepError
-    import repro.pipeline.supervisor as supervisor_mod
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_row_that_fails_to_build_fails_every_cell_of_its_row(monkeypatch,
+                                                               jobs):
+    """A failure before the degree loop fails the whole row, and each of
+    its cells is recorded by its own id, in the shape of a failed
+    degree; the other app's row is untouched."""
+    from repro.runspec import RunSpec
 
-    def boom(module, pps_name, degree, **kwargs):
-        raise RuntimeError("injected cell crash")
+    real = RunSpec.build
 
-    monkeypatch.setattr(supervisor_mod, "supervise_partition", boom)
-    with pytest.raises(SweepError, match="injected cell crash"):
-        explore(SMALL_SPACE, jobs=1, keep_going=False)
+    def build(spec):
+        if spec.app == "tx":
+            raise RuntimeError("injected build failure")
+        return real(spec)
+
+    monkeypatch.setattr(RunSpec, "build", build)
+    report = explore(SearchSpace(apps=("rx", "tx"), degrees=(1, 2),
+                                 packets=8), jobs=jobs)
+    failures = report["failures"]
+    assert [failure["cell"] for failure in failures] == [
+        "tx/nn-ring/d1/e0.0625/b12", "tx/nn-ring/d2/e0.0625/b12"]
+    for degree, failure in zip((1, 2), failures):
+        assert set(failure) == {"cell", "app", "seed", "error", "task",
+                                "repro"}
+        assert "injected build failure" in failure["error"]
+        assert failure["repro"].startswith(
+            f"repro explore --apps tx --degrees {degree} ")
+    assert report["apps"]["tx"] == {"cells": [], "frontier": [],
+                                    "pick": None}
+    assert len(report["apps"]["rx"]["cells"]) == 2
 
 
 def test_deterministic_report_strips_wall_clock_fields():

@@ -159,16 +159,46 @@ def _die(seed):
 
 def test_dead_fuzz_worker_is_a_sweep_error_and_cli_exit_1(monkeypatch, capsys):
     """``fuzz -j`` runs on the sweep runner: a worker that dies mid-case
-    is a SweepError naming the seed (exit 1), not a pool traceback."""
+    leaves a SweepError that the report lists as a ``worker`` failure
+    naming the seed and a one-liner (exit 1), not a pool traceback."""
     import repro.eval.fuzz as fuzz_module
     from repro.cli import main
 
     # Forked pool workers inherit the patched generator.
     monkeypatch.setattr(fuzz_module, "random_pps_source", _die)
     assert main(["fuzz", "--seeds", "2", "--packets", "8", "-j", "2"]) == 1
-    err = capsys.readouterr().err
-    assert "sweep worker process died" in err
-    assert "reproduce: repro fuzz --seeds 1 --start-seed" in err
+    out = capsys.readouterr().out
+    assert "[worker] sweep worker process died" in out
+    assert "reproduce: repro fuzz --seeds 1 --start-seed" in out
+
+
+def _die_on_seed_1(seed, degree, packets, shrink_tests, **kwargs):
+    if seed == 1:
+        _die(seed)
+    return {"failure": None, "runs": []}
+
+
+def test_a_crashed_case_is_a_worker_failure_and_the_campaign_finishes(
+        monkeypatch):
+    """A case whose worker dies is reported like any other failing case,
+    phase ``worker``, and every other case is still reported: a clean
+    pass, or a ``worker`` failure of its own where the broken pool left
+    it unfinished."""
+    import repro.eval.fuzz as fuzz_module
+
+    monkeypatch.setattr(fuzz_module, "fuzz_case", _die_on_seed_1)
+    report = run_fuzz(3, degrees=(2,), packets=8, jobs=2)
+    assert report.cases == 3 and not report.ok
+    failed = {failure.seed: failure for failure in report.failures}
+    assert 1 in failed
+    for seed, failure in failed.items():
+        assert failure.phase == "worker"
+        assert (failure.program, failure.degree) == ("progen", 2)
+        assert "sweep worker process died before fuzz progen D=2 " \
+            "finished" in failure.error
+        assert f"--start-seed {seed} --degrees 2" in failure.error
+    assert "progen seed 1 D=2 [worker]" in report.render()
+    assert report.as_dict()["failures"][0]["phase"] == "worker"
 
 
 def test_trap_plan_passes_when_no_trap_fires(capsys):

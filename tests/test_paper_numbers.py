@@ -40,7 +40,7 @@ from repro.eval.metrics import (
     measure_replication,
     measure_sequential,
 )
-from repro.eval.sweep import explore_tasks, run_sweep
+from repro.eval.sweep import run_sweep
 from repro.machine.costs import NN_RING, SCRATCH_RING, SRAM_RING
 from repro.pipeline.cuts import select_stages
 from repro.pipeline.liveset import Strategy
@@ -206,9 +206,9 @@ def test_degree_ten_column(record):
     """The d=10 column of EXPERIMENTS.md's Figure 19–22 tables: the IPv4
     and IP PPSes keep scaling past the record's grid, RX/TX stay flat."""
     cells = {row["app"]: row["cells"][0]["metrics"]
-             for row in run_sweep(explore_tasks(SearchSpace(
+             for row in run_sweep(SearchSpace(
                  apps=("rx", "tx", "ipv4", "ip_v4", "ip_v6"), degrees=(10,),
-                 packets=PACKETS)))}
+                 packets=PACKETS).rows())}
     speedup = {name: cell["speedup"] for name, cell in cells.items()}
     overhead = {name: round(cell["overhead"], 3)
                 for name, cell in cells.items()}

@@ -618,15 +618,25 @@ def test_cli_serve_parser_and_exit_codes(tmp_path, capsys):
     assert "  throughput: " in out
 
 
-def test_cli_serve_worker_storm_exits_3(capsys):
+def test_cli_serve_worker_storm_exits_3(tmp_path, capsys):
+    """A shard out of restarts is exit 3, and ``--trace`` is still
+    written: it holds shard 0's four exits that explain the failure."""
+    import json
+
+    trace = tmp_path / "storm-trace.json"
     code = main(["serve", "--app", "ipv4", "--shards", "2",
                  "--packets", str(PACKETS), "--batch", str(BATCH),
-                 "--faults", "worker-storm", "--no-cache"])
+                 "--faults", "worker-storm", "--no-cache",
+                 "--trace", str(trace)])
     assert code == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert "error: serve: shard 0 exhausted its restart budget" in err
     assert "killed (signal 9)" in err
     assert not multiprocessing.active_children()
+    exits = [event["args"] for event in
+             json.loads(trace.read_text())["traceEvents"]
+             if event["name"] == "shard_exit" and event["args"]["shard"] == 0]
+    assert len(exits) == 4
 
 
 def test_cli_serve_trace_has_lifecycle_instants(tmp_path):
