@@ -87,6 +87,7 @@ class LoopDependenceModel:
         self._unit_weights: dict[int, int] | None = None
         self._unit_edges: list[DepEdge] | None = None
         self._unit_adjacency: tuple[dict, dict] | None = None
+        self._cut_recipe = None  # repro.flownet.model.cut_recipe
         obs.instant("dependence_model", cat="compile",
                     function=ssa.name, nodes=len(self.sgraph),
                     dep_edges=len(self.edges),

@@ -502,8 +502,6 @@ def cmd_explore(args) -> int:
 
     print(render_summary(report))
     failures = report.get("failures", [])
-    if failures:
-        print(f"  {len(failures)} sweep cells FAILED:")
     for failure in failures:
         print(f"    {failure['task']}: {failure['error']}")
     print(f"wrote {frontier_path}")

@@ -22,8 +22,9 @@ frontier beat fixed-k heuristics.  This module is that search for PPS-C:
 3. **score** each cell on (simulated throughput — the speedup over the
    sequential PPS, transmitted live-set words, realized stage count);
    the cell also records the live-set overhead and the partition and
-   simulation work, and keeps ``partition_seconds`` as nondeterministic
-   context;
+   simulation work, and keeps its wall seconds (``partition_seconds``,
+   ``measure_seconds``; per row also the build, analysis and baseline
+   seconds) as nondeterministic context;
 4. **emit** a per-app Pareto frontier (JSON + markdown, the markdown
    with the speedup and live-set overhead of every app by degree — at
    the default space, the paper's Figures 19–22 and its d=9 headline)
@@ -282,8 +283,9 @@ class ExploreRow:
         observational-equivalence check on.
 
         The record carries one cell dict per degree; its ``metrics`` are
-        pure functions of the task, and the nondeterministic partition
-        wall seconds live under each cell's ``timing``.  A failed degree
+        pure functions of the task, and the nondeterministic wall seconds
+        live under ``timing`` — each cell's partition and measurement,
+        and the row's :data:`ROW_TIMING` layers.  A failed degree
         is recorded under ``failures`` (:meth:`failed_cell`) and the
         row's other degrees are still measured; a failure before the
         degree loop (app build, baseline) raises, and fails every cell.
@@ -295,10 +297,14 @@ class ExploreRow:
         spec = self.spec
         cache = spec.open_cache()
         app, build_seconds = _timed(spec.build)
-        # Normalize, profile, SSA and the dependence model once per row.
+        # Normalize, profile, SSA and the dependence model once per row
+        # (the last two on the first degree that misses the cache).
+        start = perf_counter()
         context = AnalysisContext(app.module, app.pps_name,
                                   spec.knobs.max_block_instructions)
-        baseline = measure_sequential(app)
+        context.profiles_for(app.profiler)
+        analysis_seconds = perf_counter() - start
+        baseline, baseline_seconds = _timed(measure_sequential, app)
 
         cells = []
         failures = []
@@ -306,8 +312,10 @@ class ExploreRow:
             try:
                 cell, result = self._partition_cell(app, context, degree,
                                                     cache)
-                measured = measure_pipeline(app, degree, baseline=baseline,
-                                            transform=result)
+                measured, seconds = _timed(
+                    measure_pipeline, app, degree, baseline=baseline,
+                    transform=result)
+                cell["timing"]["measure_seconds"] = round(seconds, 4)
                 cell["metrics"].update({
                     "speedup": round(measured.speedup, 4),
                     # Six places: frontier.md prints three, and four would
@@ -330,9 +338,10 @@ class ExploreRow:
             "failures": failures,
             "timing": {
                 "build_seconds": round(build_seconds, 4),
-                "partition_seconds": round(sum(
-                    cell["timing"]["partition_seconds"] for cell in cells),
-                    4)},
+                "analysis_seconds": round(analysis_seconds, 4),
+                "baseline_seconds": round(baseline_seconds, 4),
+                **{key: round(sum(cell["timing"][key] for cell in cells), 4)
+                   for key in ("partition_seconds", "measure_seconds")}},
             # A cache opened for this row alone: its counters are the row's.
             "cache": cache.counters() if cache is not None else None,
         }
@@ -364,6 +373,14 @@ class ExploreRow:
         }
         cell["timing"] = {"partition_seconds": round(seconds, 4)}
         return cell, outcome.result
+
+
+#: The layers a row's wall time is spent in, as its ``timing`` keys:
+#: the app build, the analysis context with its profiles, the
+#: sequential baseline, and over its cells the partitions (supervised,
+#: verified) and the pipelined measurements.
+ROW_TIMING = ("build_seconds", "analysis_seconds", "baseline_seconds",
+              "partition_seconds", "measure_seconds")
 
 
 def _timed(function, *args, **kwargs):
@@ -530,7 +547,7 @@ def explore(space: SearchSpace, *, jobs: int = 1, cache=None) -> dict:
 
     by_app: dict[str, list[dict]] = {app: [] for app in space.apps}
     failures: list[dict] = []
-    timing = {"build_seconds": 0.0, "partition_seconds": 0.0}
+    timing = dict.fromkeys(ROW_TIMING, 0.0)
     for row, entry in zip(rows, run_sweep(rows, jobs=jobs)):
         if isinstance(entry, SweepError):
             failures += [row.failed_cell(degree, entry)

@@ -14,7 +14,8 @@ and what a failed task means for its report.  With:
   included, or a worker process that died (OOM-killed, segfault), its
   slot holds a :class:`SweepError` naming the task, identically at
   every ``-j`` level; the runner never raises for a task and never
-  hangs on a dead worker.
+  hangs on a dead worker, and the tasks a dead worker's pool left
+  unfinished run again instead of failing beside it.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ class SweepError(ReproError):
         detail = (f"seed={task.spec.seed} args={task!r}; "
                   f"reproduce: {task.repro_command()}")
         if isinstance(exc, BrokenProcessPool):
-            # The pool breaks for every task it holds: this one may have
-            # died, or only been running or queued beside the one that did.
+            # run_sweep re-runs every task a broken pool held and blames
+            # only one that broke a pool it ran in alone.
             return cls(f"sweep worker process died before "
                        f"{task.describe()} finished (killed or crashed); "
                        f"{detail}", task=task)
@@ -63,15 +64,34 @@ def run_sweep(tasks, *, jobs: int = 1) -> list:
     :class:`~repro.runspec.RunSpec` as ``spec``, ``describe()`` and
     ``repro_command()`` (a one-liner that re-runs it alone at ``-j 1``).
     An entry is the task's record, or the :class:`SweepError` naming it
-    when ``run()`` raised or the worker running it died; a broken pool
-    fills every slot it left unfinished the same way.  ``jobs <= 1``
-    runs inline through the same settling, so the parallel path cannot
-    diverge from the sequential one.
+    when ``run()`` raised or the worker running it died.  A dead worker
+    breaks its pool for every task the pool had not finished; those run
+    again in a fresh pool, and when a pool finishes none of them, the
+    first runs alone — so the one failure recorded is the task that
+    killed its worker.  ``jobs <= 1`` runs inline through the same
+    settling, so the parallel path cannot diverge from the sequential
+    one.
     """
     tasks = list(tasks)
     if jobs <= 1:
         return [_settle(task, task.run) for task in tasks]
     results: list = [None] * len(tasks)
+    pending = list(range(len(tasks)))
+    while pending:
+        broken = _run_pool(tasks, pending, results, jobs)
+        if len(broken) == len(pending):
+            _run_pool(tasks, broken[:1], results, 1)
+            broken = broken[1:]
+        pending = broken
+    return results
+
+
+def _run_pool(tasks, indices: list, results: list, jobs: int) -> list:
+    """Run ``tasks[i]`` for each of ``indices`` on a fresh pool, settling
+    ``results[i]``; returns, in ascending order, the indices left
+    unsettled because the pool broke.  A task that ran alone is settled
+    whatever happened: if its pool broke, it broke it."""
+    broken = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
 
         def submit(task) -> Future:
@@ -84,11 +104,15 @@ def run_sweep(tasks, *, jobs: int = 1) -> list:
                 dead.set_exception(exc)
                 return dead
 
-        futures = {submit(task): index for index, task in enumerate(tasks)}
+        futures = {submit(tasks[index]): index for index in indices}
         for future in as_completed(futures):
             index = futures[future]
-            results[index] = _settle(tasks[index], future.result)
-    return results
+            if (len(indices) > 1
+                    and isinstance(future.exception(), BrokenProcessPool)):
+                broken.append(index)
+            else:
+                results[index] = _settle(tasks[index], future.result)
+    return sorted(broken)
 
 
 def _settle(task, outcome):

@@ -22,8 +22,8 @@ with ``balanced=False``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Hashable
 
 from repro.flownet.network import INFINITE_CAPACITY, FlowNetwork
@@ -33,6 +33,8 @@ from repro.obs import tracer as obs
 #: Capacity at or above this threshold is treated as uncuttable when
 #: preflighting collapse feasibility.
 _INF_THRESHOLD = INFINITE_CAPACITY // 2
+
+_DST = attrgetter("dst")
 
 
 @dataclass
@@ -71,25 +73,6 @@ class BalancedCut:
     incremental: bool = True
     max_iterations: int = 10_000
     forceable: object = None  # predicate(key) -> bool; None = every node
-    _fmap: list | None = None  # per-node forceable verdicts, set by find()
-    _base_edge_count: int = 0  # pre-collapse edge count, set by find()
-
-    def _is_forceable(self, network: FlowNetwork, node: int) -> bool:
-        """Only *program* nodes may be contracted into the source or sink.
-
-        Variable/control nodes carry ∞ edges to their consumers; forcing
-        one would wrongly pin every consumer to that side of the cut.
-
-        The verdict per node never changes during a search (collapses add
-        edges, not nodes), so :meth:`find` precomputes a per-node map and
-        the hot constraint checks hit a list index instead of a predicate
-        call."""
-        fmap = self._fmap
-        if fmap is not None and node < len(fmap):
-            return fmap[node]
-        if self.forceable is None:
-            return True
-        return bool(self.forceable(network.key_of(node)))
 
     def _side_dims(self, side: set[int]) -> tuple:
         """Per-dimension weight of a cut side (empty when no dims)."""
@@ -115,13 +98,17 @@ class BalancedCut:
                 worst = max(worst, abs(value - target) / target)
         return worst
 
+    def _with_dims(self, result: BalancedCutResult, side: set[int]) -> None:
+        result.dim_weights = self._side_dims(side)
+        result.dim_deviation = self._deviation(result.dim_weights)
+
     def find(self, network: FlowNetwork, target_weight: float, *,
              dims: dict[int, tuple] | None = None,
              dim_targets: tuple | None = None) -> BalancedCutResult:
         """Find a minimum cut whose source side weighs ≈ ``target_weight``.
 
-        ``network`` is consumed (collapse edges are added); pass a clone if
-        the original must survive.
+        ``network`` is consumed (collapse edges are added); build another
+        if the original must survive.
 
         ``dims``/``dim_targets`` optionally add *dimensional* balance (the
         paper's flexible weight function): each node carries a weight
@@ -131,52 +118,43 @@ class BalancedCut:
         """
         assert network.source is not None and network.sink is not None
         weights = network.weights
+        source = network.source
         low = (1.0 - self.epsilon) * target_weight
         high = (1.0 + self.epsilon) * target_weight
         self._dims = dims or {}
         self._dim_targets = dim_targets or ()
+        count = network.node_count
+        # Only *program* nodes may be contracted into the source or sink:
+        # variable/control nodes carry ∞ edges to their consumers, and
+        # forcing one would wrongly pin every consumer to that side of
+        # the cut.  A node's verdict never changes during a search
+        # (collapses add edges, not nodes), so it is taken once per node.
         if self.forceable is None:
-            self._fmap = None
+            self._fmap = [True] * count
         else:
             forceable = self.forceable
             key_of = network.key_of
             self._fmap = [bool(forceable(key_of(node)))
-                          for node in range(network.node_count)]
-
+                          for node in range(count)]
         # Edges added after this point are collapse edges (s->v / w->t);
         # a forced node always lands on its forced side of every min cut,
-        # so those edges never cross a cut and the frontier scan can stop
-        # at the original edge list.
-        self._base_edge_count = len(network.forward_edges)
+        # so those edges never cross a cut and the frontier only needs
+        # each node's neighbors in the network as it is now.
+        self._neighbors = [frozenset(map(_DST, slots))
+                           for slots in network.adjacency_edges]
+        self._all = frozenset(range(count))
         solver = PushRelabel(network)
         solver.max_flow()
         pr_work = 0
-        all_nodes = frozenset(range(network.node_count))
-        source_forced: set[int] = {network.source}
+        source_forced: set[int] = {source}
         sink_forced: set[int] = {network.sink}
         best: BalancedCutResult | None = None
         best_nodes: set[int] = set()
         iterations = 0
 
         def side_weight(side: set[int]) -> int:
-            return sum(weights[node] for node in side
-                       if node != network.source)
-
-        def as_result(side: set[int], cut_value: int, weight: int,
-                      iteration: int) -> BalancedCutResult:
-            # source_side stays empty until acceptance: the node->key set
-            # is only materialized for the cut actually returned.
-            dim_weights = self._side_dims(side)
-            return BalancedCutResult(
-                source_side=set(),
-                cut_value=cut_value,
-                balanced=low <= weight <= high,
-                iterations=iteration,
-                target=target_weight,
-                weight=weight,
-                dim_weights=dim_weights,
-                dim_deviation=self._deviation(dim_weights),
-            )
+            # The source is on every source side and does not count.
+            return sum(map(weights.__getitem__, side)) - weights[source]
 
         while iterations < self.max_iterations:
             iterations += 1
@@ -187,13 +165,32 @@ class BalancedCut:
             # reachability from s) and the maximal one (complement of the
             # nodes reaching t).
             min_side = solver.min_cut_source_side()
-            max_side = all_nodes - solver.min_cut_sink_side()
+            sink_side = solver.min_cut_sink_side()
             min_weight = side_weight(min_side)
-            max_weight = side_weight(max_side)
+            if len(min_side) + len(sink_side) == count:
+                # The two sides coincide: one candidate, not two equal ones.
+                max_side, max_weight = min_side, min_weight
+                sides = ((min_side, min_weight),)
+            else:
+                max_side = self._all - sink_side
+                max_weight = side_weight(max_side)
+                sides = ((min_side, min_weight), (max_side, max_weight))
             accepted = False
-            for side, weight in ((min_side, min_weight),
-                                 (max_side, max_weight)):
-                candidate = as_result(side, cut_value, weight, iterations)
+            for side, weight in sides:
+                # source_side stays empty until acceptance: the node->key
+                # set is only materialized for the cut actually returned,
+                # and the per-dimension weights only where a comparison
+                # reads them (between balanced cuts).
+                candidate = BalancedCutResult(
+                    source_side=set(),
+                    cut_value=cut_value,
+                    balanced=low <= weight <= high,
+                    iterations=iterations,
+                    target=target_weight,
+                    weight=weight,
+                )
+                if self._dims and candidate.balanced:
+                    self._with_dims(candidate, side)
                 if best is None or self._better(candidate, best, target_weight):
                     best = candidate
                     best_nodes = side
@@ -214,20 +211,20 @@ class BalancedCut:
                 # Even the lightest min cut is too heavy: shed nodes into
                 # the sink (accepting a costlier cut).
                 grew_source = False
-                moved = self._grow_sink(network, solver, min_side,
-                                        source_forced, sink_forced)
+                moved = self._grow(network, min_side, source_forced,
+                                   sink_forced, to_source=False)
             elif max_weight < high:
                 # Even the heaviest min cut is too light: absorb nodes into
                 # the source.
                 grew_source = True
-                moved = self._grow_source(network, solver, max_side,
-                                          source_forced, sink_forced)
+                moved = self._grow(network, max_side, source_forced,
+                                   sink_forced, to_source=True)
             else:
                 # The balance point lies strictly between the extreme min
                 # cuts: grow the minimal side one (cheap) node at a time.
                 grew_source = True
-                moved = self._grow_source(network, solver, min_side,
-                                          source_forced, sink_forced)
+                moved = self._grow(network, min_side, source_forced,
+                                   sink_forced, to_source=True)
             if not moved:
                 break
             if self.incremental:
@@ -241,6 +238,8 @@ class BalancedCut:
                 solver.max_flow()
 
         assert best is not None
+        if self._dims and not best.balanced:
+            self._with_dims(best, best_nodes)
         best.source_side = {network.key_of(node) for node in best_nodes
                             if node not in (network.source, network.sink)}
         best.iterations = iterations
@@ -249,27 +248,19 @@ class BalancedCut:
 
     # -- collapse steps ------------------------------------------------------
 
-    def _grow_source(self, network: FlowNetwork, solver: PushRelabel,
-                     source_side: set[int], source_forced: set[int],
-                     sink_forced: set[int]) -> bool:
+    def _grow(self, network: FlowNetwork, source_side: set[int],
+              source_forced: set[int], sink_forced: set[int], *,
+              to_source: bool) -> bool:
+        """Contract the side being grown plus one cut-adjacent node into
+        the source (``to_source``) or the sink; False if no node fits."""
         frontier = self._pick(network, source_side, source_forced, sink_forced,
-                              to_source=True)
+                              to_source=to_source)
         if frontier is None:
             return False
-        self._contract(network, source_side | {frontier}, source_forced,
-                       to_source=True)
-        return True
-
-    def _grow_sink(self, network: FlowNetwork, solver: PushRelabel,
-                   source_side: set[int], source_forced: set[int],
-                   sink_forced: set[int]) -> bool:
-        sink_side = set(range(network.node_count)) - source_side
-        frontier = self._pick(network, source_side, source_forced, sink_forced,
-                              to_source=False)
-        if frontier is None:
-            return False
-        self._contract(network, sink_side | {frontier}, sink_forced,
-                       to_source=False)
+        side = source_side if to_source else self._all - source_side
+        self._contract(network, side | {frontier},
+                       source_forced if to_source else sink_forced,
+                       to_source=to_source)
         return True
 
     def _contract(self, network: FlowNetwork, nodes: set[int],
@@ -281,9 +272,15 @@ class BalancedCut:
         neighbors lie outside) are simply left for later rounds.  This
         keeps the forced sets closed under the stage-order constraints —
         the invariant that makes every future contraction feasible.
+        The order of the passes (ascending node order each) fixes the
+        order of the collapse edges, and with it the solver's next
+        discharge order.
         """
-        pending = {node for node in nodes
-                   if node not in forced and self._is_forceable(network, node)}
+        fmap = self._fmap
+        pending = {node for node in nodes - forced if fmap[node]}
+        link = network.link
+        source = network.source
+        sink = network.sink
         changed = True
         while changed:
             changed = False
@@ -291,12 +288,9 @@ class BalancedCut:
                 if not self._ready(network, node, forced, to_source=to_source):
                     continue
                 if to_source:
-                    network.add_edge(network.key_of(network.source),
-                                     network.key_of(node), INFINITE_CAPACITY)
+                    link(source, node, INFINITE_CAPACITY)
                 else:
-                    network.add_edge(network.key_of(node),
-                                     network.key_of(network.sink),
-                                     INFINITE_CAPACITY)
+                    link(node, sink, INFINITE_CAPACITY)
                 forced.add(node)
                 pending.discard(node)
                 changed = True
@@ -310,37 +304,32 @@ class BalancedCut:
         walks *through* non-forceable nodes (variable/control nodes) to the
         nearest forceable program nodes on that side.
         """
-        on_target_side = ((lambda node: node not in source_side) if outward
-                          else (lambda node: node in source_side))
-        seeds: set[int] = set()
-        for edge in network.forward_edges[:self._base_edge_count]:
-            src_in = edge.src in source_side
-            dst_in = edge.dst in source_side
-            if src_in == dst_in:
-                continue
-            seeds.add(edge.src)
-            seeds.add(edge.dst)
-        seeds = {node for node in seeds if on_target_side(node)}
-        seeds.discard(network.source)
-        seeds.discard(network.sink)
+        neighbors = self._neighbors
+        if outward:
+            seeds = set().union(*[neighbors[node] for node in source_side])
+            seeds -= source_side
+        else:
+            seeds = {node for node in source_side
+                     if not neighbors[node] <= source_side}
+        source = network.source
+        sink = network.sink
+        seeds.discard(source)
+        seeds.discard(sink)
+        fmap = self._fmap
         result: set[int] = set()
         seen: set[int] = set(seeds)
         work = list(seeds)
         while work:
             node = work.pop()
-            if self._is_forceable(network, node):
+            if fmap[node]:
                 result.add(node)
                 continue
             # Walk through variable/control nodes to their program nodes.
-            # Every adjacency slot of `node` has src == node (forward
-            # edges and reverse stubs alike), so dst is always the
-            # neighbor, whichever direction the underlying edge points.
-            for edge in network.adjacency_edges[node]:
-                neighbor = edge.dst
-                if (neighbor in seen or neighbor == network.source
-                        or neighbor == network.sink):
+            for neighbor in neighbors[node]:
+                if (neighbor in seen or neighbor == source
+                        or neighbor == sink):
                     continue
-                if on_target_side(neighbor):
+                if (neighbor not in source_side) == outward:
                     seen.add(neighbor)
                     work.append(neighbor)
         return result
@@ -359,10 +348,11 @@ class BalancedCut:
         smallest index for determinism.
         """
         forced = source_forced if to_source else sink_forced
+        fmap = self._fmap
 
         def eligible(node: int) -> bool:
             return (node not in source_forced and node not in sink_forced
-                    and self._is_forceable(network, node)
+                    and fmap[node]
                     and self._ready(network, node, forced,
                                     to_source=to_source)
                     and self._collapse_feasible(network, node, source_forced,
@@ -376,7 +366,7 @@ class BalancedCut:
         frontier = self._frontier(network, source_side, outward=to_source)
         pool = [node for node in frontier if eligible(node)]
         if not pool:
-            pool = [node for node in range(network.node_count)
+            pool = [node for node in self._all - source_forced - sink_forced
                     if eligible(node)]
             if not pool:
                 return None
@@ -422,12 +412,10 @@ class BalancedCut:
         # (inf_out / inf_in) — ∞ edges never change, so no capacity
         # filtering is needed here.
         neighbors = network.inf_out[node] if to_source else network.inf_in[node]
+        fmap = self._fmap
         for neighbor in neighbors:
-            if neighbor in forced:
-                continue
-            if not self._is_forceable(network, neighbor):
-                continue
-            return False
+            if neighbor not in forced and fmap[neighbor]:
+                return False
         return True
 
     @staticmethod
@@ -442,13 +430,12 @@ class BalancedCut:
         ``node`` backwards).
         """
         seen = {node}
-        queue = deque([node])
+        queue = [node]
         blocked = sink_forced if to_source else source_forced
         # Pure int walk over the static ∞ neighbor lists: forward uses
         # inf_out, backward inf_in (∞ edges never change once added).
         adjacency = network.inf_out if to_source else network.inf_in
-        while queue:
-            current = queue.popleft()
+        for current in queue:
             if current in blocked:
                 return False
             for nxt in adjacency[current]:

@@ -17,6 +17,11 @@ The network for one cut contains:
   (the "no dependence from later stages to earlier ones" criterion),
 * anchor edges ``source -> header unit`` and ``latch unit -> sink``.
 
+Everything about the network that does not depend on the cut — each
+value's unit endpoints and cost, and which unit pairs need a direction
+constraint — is resolved once per model (:func:`cut_recipe`); each cut
+then links only the edges whose units remain.
+
 For the 2nd..(D−1)th successive cuts, values and control objects defined
 in *already placed* stages but still used downstream get their definition
 edge from the source — cutting such an edge again models the forwarding
@@ -62,6 +67,84 @@ class CutNetwork:
                 if isinstance(key, tuple) and key and key[0] == "unit"}
 
 
+@dataclass
+class CutRecipe:
+    """What every cut network of one model is built from, in emission
+    order: resolved once per model (see :func:`cut_recipe`).
+
+    ``values`` holds one ``(origin_unit, uses, words, key)`` per variable
+    (``words`` its width) and then per control object (``words`` None:
+    it costs ``CCost``), ``uses`` the consuming units in ascending order,
+    each paired with whether its direction constraint is the first of
+    its unit pair.  ``constraints`` are the ordering and CFG
+    ``(later_unit, earlier_unit)`` pairs no earlier emission covers.
+
+    A constraint pair is emitted exactly when both its units remain, at
+    every occurrence alike, so only its first occurrence can ever add
+    the edge: the dedup is settled here once, not per cut.
+    """
+
+    values: list[tuple[int, tuple[tuple[int, bool], ...], int | None, tuple]]
+    constraints: list[tuple[int, int]]
+
+
+def cut_recipe(model: LoopDependenceModel) -> CutRecipe:
+    """The model's :class:`CutRecipe`, memoized on the model."""
+    if model._cut_recipe is None:
+        seen_pairs: set[tuple[int, int]] = set()
+
+        def resolve(def_unit: int, use_units: set[int]) -> tuple:
+            uses = []
+            for use_unit in sorted(use_units):
+                pair = (use_unit, def_unit)
+                uses.append((use_unit, pair not in seen_pairs))
+                seen_pairs.add(pair)
+            return tuple(uses)
+
+        values = []
+        # Variable nodes (step 1.6.3 / 1.6.5).
+        for reg, info in model.variables.items():
+            def_unit = model.unit_of_node(info.def_node)
+            use_units = {model.unit_of_node(node) for node in info.use_nodes}
+            use_units.discard(def_unit)
+            if use_units:
+                values.append((def_unit, resolve(def_unit, use_units),
+                               info.words, var_key(reg)))
+        # Control nodes (step 1.6.4 / 1.6.7).
+        for brancher, dependents in model.controlled.items():
+            branch_unit = model.unit_of_node(brancher)
+            dep_units = {model.unit_of_node(node) for node in dependents}
+            dep_units.discard(branch_unit)
+            if dep_units:
+                values.append((branch_unit, resolve(branch_unit, dep_units),
+                               None, ctl_key(brancher)))
+
+        constraints = []
+
+        def constrain(later_unit: int, earlier_unit: int) -> None:
+            pair = (later_unit, earlier_unit)
+            if pair not in seen_pairs:
+                seen_pairs.add(pair)
+                constraints.append(pair)
+
+        # Ordering constraints (memory / channels): direction only.
+        for edge in model.unit_edges():
+            if edge.kind is not DepKind.COLOCATE:  # COLOCATE: one unit
+                constrain(edge.dst, edge.src)
+        # Control-flow contiguity: a cut is "a set of control flow points
+        # that divide the PPS loop body into two pieces" — each stage must
+        # be a control-flow-closed region, so every summarized CFG edge
+        # constrains its head to be no earlier than its tail.
+        for src_node in model.sgraph.nodes:
+            src_unit = model.unit_of_node(src_node)
+            for dst_node in model.sgraph.succs(src_node):
+                dst_unit = model.unit_of_node(dst_node)
+                if src_unit != dst_unit:
+                    constrain(dst_unit, src_unit)
+        model._cut_recipe = CutRecipe(values, constraints)
+    return model._cut_recipe
+
+
 def build_cut_network(model: LoopDependenceModel, remaining: set[int],
                       placed: set[int], costs: CostModel) -> CutNetwork:
     """Build the Figure-5 network for one successive cut.
@@ -70,69 +153,50 @@ def build_cut_network(model: LoopDependenceModel, remaining: set[int],
     units already assigned to earlier stages (their live values enter from
     the source).
 
-    The first cut of every degree sees the same input (all units
-    remaining, nothing placed), and the balanced-cut search consumes its
-    network — so that network is built once per model and handed out as
-    a clone, which is much cheaper than re-walking the variable and
-    control maps for each degree.
+    Each cut's network is built afresh from the model's recipe: node
+    numbering and edge order fix push-relabel's discharge order, so a
+    network edited from the previous cut's (which would renumber its
+    nodes) would not do the same work.
     """
-    if not placed and remaining == set(model.units.members):
-        cached = getattr(model, "_first_cut_template", None)
-        if cached is not None and cached[0] is costs:
-            return CutNetwork(network=cached[1].clone(),
-                              units=set(remaining))
-        cut = _build_cut_network(model, remaining, placed, costs)
-        model._first_cut_template = (costs, cut.network.clone())
-        return cut
-    return _build_cut_network(model, remaining, placed, costs)
-
-
-def _build_cut_network(model: LoopDependenceModel, remaining: set[int],
-                       placed: set[int], costs: CostModel) -> CutNetwork:
+    recipe = cut_recipe(model)
     net = FlowNetwork()
-    net.add_node(SOURCE)
-    net.add_node(SINK)
+    source = net.add_node(SOURCE)
+    sink = net.add_node(SINK)
     net.set_source(SOURCE)
     net.set_sink(SINK)
+    weights = model.unit_weights()
+    # node[unit]: the unit's node index, or None when it is not remaining.
+    node: list[int | None] = [None] * len(weights)
     for unit in sorted(remaining):
-        net.add_node(unit_key(unit), weight=model.unit_weight(unit))
-
-    # Direction constraints are ∞ edges (dst_unit -> src_unit); many
-    # variables/controls relate the same unit pair, and parallel ∞ edges
-    # are pure redundancy — they never saturate, so reachability (and
-    # with it every min-cut side) is identical with one edge per pair.
-    # One dedup set covers all four constraint emitters below.
-    seen_pairs: set[tuple[int, int]] = set()
-
-    def constrain(later_unit: int, earlier_unit: int) -> None:
-        pair = (later_unit, earlier_unit)
-        if pair not in seen_pairs:
-            seen_pairs.add(pair)
-            net.add_edge(unit_key(later_unit), unit_key(earlier_unit),
-                         INFINITE_CAPACITY)
+        node[unit] = net.add_node(unit_key(unit), weight=weights[unit])
+    link = net.link
 
     # Anchors: the header starts stage 1 (only relevant for the first cut);
     # the latch ends the final stage.
     if model.header_unit in remaining and not placed:
-        net.add_edge(SOURCE, unit_key(model.header_unit), INFINITE_CAPACITY)
+        link(source, node[model.header_unit], INFINITE_CAPACITY)
     if model.latch_unit in remaining:
-        net.add_edge(unit_key(model.latch_unit), SINK, INFINITE_CAPACITY)
+        link(node[model.latch_unit], sink, INFINITE_CAPACITY)
 
-    # Variable nodes (step 1.6.3 / 1.6.5).
-    for reg, info in model.variables.items():
-        def_unit = model.unit_of_node(info.def_node)
-        use_units = {model.unit_of_node(node) for node in info.use_nodes}
-        use_units.discard(def_unit)
-        live_uses = use_units & remaining
-        if not live_uses:
+    # Direction constraints are ∞ edges (use_unit -> def_unit); many
+    # variables/controls relate the same unit pair, and parallel ∞ edges
+    # are pure redundancy — they never saturate, so reachability (and
+    # with it every min-cut side) is identical with one edge per pair.
+    vcost = costs.vcost
+    ccost = costs.ccost
+    for def_unit, uses, words, key in recipe.values:
+        live = [(node[use_unit], first) for use_unit, first in uses
+                if node[use_unit] is not None]
+        if not live:
             continue
-        if def_unit in remaining:
-            origin = unit_key(def_unit)
-        elif def_unit in placed:
-            origin = SOURCE  # already transmitted once; forwarding costs again
-        else:
-            continue
-        if len(live_uses) == 1:
+        origin = node[def_unit]
+        constrained = origin is not None
+        if origin is None:
+            if def_unit not in placed:
+                continue
+            origin = source  # already transmitted once; forwarding costs again
+        cap = ccost if words is None else vcost(words)
+        if len(live) == 1:
             # Single consumer: the variable node is a degree-2 pass-through
             # (finite def edge in, one ∞ edge out), so it collapses into a
             # direct def edge of the same capacity.  Every maximum flow and
@@ -140,71 +204,23 @@ def _build_cut_network(model: LoopDependenceModel, remaining: set[int],
             # direct edge, so cuts, cut values, and the canonical min-cut
             # sides over program nodes are unchanged — the network is just
             # one node and one edge smaller for the solver's BFS loops.
-            (use_unit,) = live_uses
-            net.add_edge(origin, unit_key(use_unit), costs.vcost(info.words))
-            if def_unit in remaining:
-                constrain(use_unit, def_unit)
+            ((use, first),) = live
+            link(origin, use, cap)
+            if first and constrained:
+                link(use, origin, INFINITE_CAPACITY)
             continue
-        key = var_key(reg)
-        if not net.has_node(key):
-            net.add_node(key, weight=0)
-        net.add_edge(origin, key, costs.vcost(info.words))
-        for use_unit in sorted(live_uses):
-            net.add_edge(key, unit_key(use_unit), INFINITE_CAPACITY)
-            if def_unit in remaining:
+        value = net.add_node(key)
+        link(origin, value, cap)
+        for use, first in live:
+            link(value, use, INFINITE_CAPACITY)
+            if first and constrained:
                 # Direction constraint: the use can never precede the def.
-                constrain(use_unit, def_unit)
+                link(use, origin, INFINITE_CAPACITY)
 
-    # Control nodes (step 1.6.4 / 1.6.7).
-    for brancher, dependents in model.controlled.items():
-        branch_unit = model.unit_of_node(brancher)
-        dep_units = {model.unit_of_node(node) for node in dependents}
-        dep_units.discard(branch_unit)
-        live_deps = dep_units & remaining
-        if not live_deps:
-            continue
-        if branch_unit in remaining:
-            origin = unit_key(branch_unit)
-        elif branch_unit in placed:
-            origin = SOURCE
-        else:
-            continue
-        if len(live_deps) == 1:
-            # Same pass-through collapse as single-use variables above.
-            (dep_unit,) = live_deps
-            net.add_edge(origin, unit_key(dep_unit), costs.ccost)
-            if branch_unit in remaining:
-                constrain(dep_unit, branch_unit)
-            continue
-        key = ctl_key(brancher)
-        if not net.has_node(key):
-            net.add_node(key, weight=0)
-        net.add_edge(origin, key, costs.ccost)
-        for dep_unit in sorted(live_deps):
-            net.add_edge(key, unit_key(dep_unit), INFINITE_CAPACITY)
-            if branch_unit in remaining:
-                constrain(dep_unit, branch_unit)
-
-    # Ordering constraints (memory / channels): direction only.
-    for edge in model.unit_edges():
-        if edge.kind is DepKind.COLOCATE:
-            continue  # collapsed into one unit already
-        if edge.src not in remaining or edge.dst not in remaining:
-            continue
-        constrain(edge.dst, edge.src)
-
-    # Control-flow contiguity: a cut is "a set of control flow points that
-    # divide the PPS loop body into two pieces" — each stage must be a
-    # control-flow-closed region, so every summarized CFG edge constrains
-    # its head to be no earlier than its tail.
-    for src_node in model.sgraph.nodes:
-        src_unit = model.unit_of_node(src_node)
-        for dst_node in model.sgraph.succs(src_node):
-            dst_unit = model.unit_of_node(dst_node)
-            if src_unit == dst_unit:
-                continue
-            if src_unit not in remaining or dst_unit not in remaining:
-                continue
-            constrain(dst_unit, src_unit)
+    for later_unit, earlier_unit in recipe.constraints:
+        later = node[later_unit]
+        earlier = node[earlier_unit]
+        if later is not None and earlier is not None:
+            link(later, earlier, INFINITE_CAPACITY)
 
     return CutNetwork(network=net, units=set(remaining), placed_units=set(placed))

@@ -35,24 +35,15 @@ class Edge:
     flow: int = 0
     rev: int = -1
 
-    @property
-    def residual(self) -> int:
-        return self.cap - self.flow
-
 
 class FlowNetwork:
     """A directed flow network with node weights (for balanced cuts)."""
 
     def __init__(self):
         self.edges: list[Edge] = []
-        self.adjacency: list[list[int]] = []  # node -> edge indices
-        # Object views of the adjacency, maintained in lockstep: the Edge
-        # at each adjacency slot, and its paired reverse Edge.  The solver
-        # hot loops (discharge, relabel BFS, residual reachability) walk
-        # these to skip the index->list->index double indirection.
+        # node -> the Edge at each of its slots (forward edges and the
+        # reverse stubs of its in-edges, so every slot's src is the node).
         self.adjacency_edges: list[list[Edge]] = []
-        self.adjacency_redges: list[list[Edge]] = []
-        self.forward_edges: list[Edge] = []
         # ∞ edges never saturate, so the residual graph always contains
         # them: the BFS loops walk these static int lists for ∞ edges
         # and only pay the cap/flow check on the finite remainder.
@@ -74,9 +65,7 @@ class FlowNetwork:
         index = len(self._keys)
         self._index[key] = index
         self._keys.append(key)
-        self.adjacency.append([])
         self.adjacency_edges.append([])
-        self.adjacency_redges.append([])
         self.inf_out.append([])
         self.inf_in.append([])
         self.fin_edges.append([])
@@ -90,28 +79,22 @@ class FlowNetwork:
     def key_of(self, index: int) -> Hashable:
         return self._keys[index]
 
-    def has_node(self, key: Hashable) -> bool:
-        return key in self._index
-
     def add_edge(self, src: Hashable, dst: Hashable, cap: int) -> int:
-        """Add a directed edge; returns the forward edge index."""
-        u = self._index[src]
-        v = self._index[dst]
-        forward = Edge(u, v, cap)
-        backward = Edge(v, u, 0)
-        forward_index = len(self.edges)
-        backward_index = forward_index + 1
-        forward.rev = backward_index
-        backward.rev = forward_index
-        self.edges.append(forward)
-        self.edges.append(backward)
-        self.adjacency[u].append(forward_index)
-        self.adjacency[v].append(backward_index)
+        """Add a directed edge between two keys; returns the forward
+        edge index."""
+        return self.link(self._index[src], self._index[dst], cap)
+
+    def link(self, u: int, v: int, cap: int) -> int:
+        """Add a directed edge between two node indices; returns the
+        forward edge index (even; its reverse stub is the next one)."""
+        edges = self.edges
+        forward_index = len(edges)
+        forward = Edge(u, v, cap, 0, forward_index + 1)
+        backward = Edge(v, u, 0, 0, forward_index)
+        edges.append(forward)
+        edges.append(backward)
         self.adjacency_edges[u].append(forward)
         self.adjacency_edges[v].append(backward)
-        self.adjacency_redges[u].append(backward)
-        self.adjacency_redges[v].append(forward)
-        self.forward_edges.append(forward)
         if cap >= INF_THRESHOLD:
             self.inf_out[u].append(v)
             self.inf_in[v].append(u)
@@ -136,33 +119,6 @@ class FlowNetwork:
     def node_count(self) -> int:
         return len(self._keys)
 
-    def total_weight(self) -> int:
-        return sum(self.weights)
-
     def reset_flow(self) -> None:
         for edge in self.edges:
             edge.flow = 0
-
-    def clone(self) -> "FlowNetwork":
-        """Deep copy (used to compare solver variants on the same input)."""
-        copy = FlowNetwork()
-        copy._keys = list(self._keys)
-        copy._index = dict(self._index)
-        copy.weights = list(self.weights)
-        copy.adjacency = [list(edge_ids) for edge_ids in self.adjacency]
-        copy.edges = [Edge(e.src, e.dst, e.cap, e.flow, e.rev) for e in self.edges]
-        edges = copy.edges
-        copy.adjacency_edges = [[edges[i] for i in ids]
-                                for ids in copy.adjacency]
-        copy.adjacency_redges = [[edges[edges[i].rev] for i in ids]
-                                 for ids in copy.adjacency]
-        copy.forward_edges = edges[0::2]
-        copy.inf_out = [list(ids) for ids in self.inf_out]
-        copy.inf_in = [list(ids) for ids in self.inf_in]
-        copy.fin_edges = [[e for e in slots if e.cap < INF_THRESHOLD]
-                          for slots in copy.adjacency_edges]
-        copy.fin_redges = [[e for e in slots if e.cap < INF_THRESHOLD]
-                           for slots in copy.adjacency_redges]
-        copy.source = self.source
-        copy.sink = self.sink
-        return copy

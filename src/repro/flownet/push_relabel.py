@@ -38,6 +38,9 @@ class PushRelabel:
         self._active_head = 0
         self._in_queue = [False] * count
         self._current = [0] * count  # current-arc position per node
+        # Nodes a discharge left holding excess (no residual edge out):
+        # after a discharge loop, the only non-terminal nodes with excess.
+        self._stranded: list[int] = []
         self._work_since_relabel = 0
         self._started = False
         #: Cumulative discharge operations (a machine-independent work
@@ -51,6 +54,7 @@ class PushRelabel:
         self.network.reset_flow()
         count = self.network.node_count
         self.excess = [0] * count
+        self._stranded = []
         self._started = True
         self._global_relabel()
         self.label[self.source] = count
@@ -83,11 +87,12 @@ class PushRelabel:
             self._global_relabel()
             self.label[self.source] = count
         self._saturate_source()
+        # Every other node that holds excess was stranded by an earlier
+        # loop: queue those in ascending order, as a full scan would.
         excess = self.excess
-        source = self.source
-        sink = self.sink
-        for node in range(count):
-            if excess[node] > 0 and node != source and node != sink:
+        stranded, self._stranded = self._stranded, []
+        for node in sorted(set(stranded)):
+            if excess[node] > 0:
                 self._enqueue(node)
         self._discharge_loop()
         return self.flow_value()
@@ -157,10 +162,9 @@ class PushRelabel:
                 return
             distance[start] = base
             queue = [start]
-            head = 0
-            while head < len(queue):
-                node = queue[head]
-                head += 1
+            push = queue.append
+            # A list iterator sees the items appended while it runs.
+            for node in queue:
                 next_distance = distance[node] + 1
                 # ∞ in-edges always have residual capacity; finite paired
                 # reverses (real finite edges and stubs of our outgoing
@@ -168,20 +172,17 @@ class PushRelabel:
                 for src in inf_in[node]:
                     if distance[src] == unset:
                         distance[src] = next_distance
-                        queue.append(src)
+                        push(src)
                 for reverse in fin_redges[node]:
-                    if reverse.cap > reverse.flow:
-                        src = reverse.src
-                        if distance[src] == unset:
-                            distance[src] = next_distance
-                            queue.append(src)
+                    src = reverse.src
+                    if distance[src] == unset and reverse.cap > reverse.flow:
+                        distance[src] = next_distance
+                        push(src)
 
         bfs(self.sink, 0)
         bfs(self.source, count)
-        for node in range(count):
-            if distance[node] == unset:
-                distance[node] = 2 * count
-        self.label = distance
+        self.label = [2 * count if value == unset else value
+                      for value in distance]
         self._current = [0] * count
         self._work_since_relabel = 0
 
@@ -216,36 +217,43 @@ class PushRelabel:
             arc = current[node]
             label_node = label[node]
             remaining = excess[node]
+            # Scan arcs from the current one; a push that leaves excess
+            # saturated its edge, so the scan moves on, and one that
+            # drains it keeps the arc for the next discharge.  A full
+            # scan without draining relabels to the exact minimum.
             while remaining > 0:
-                if arc >= degree:
-                    # Full scan without push: relabel to the exact minimum.
-                    new_label = None
-                    for edge in adjacency:
-                        if edge.cap > edge.flow:
-                            candidate = label[edge.dst] + 1
-                            if new_label is None or candidate < new_label:
-                                new_label = candidate
-                    if new_label is None or new_label > limit:
+                want = label_node - 1
+                for arc in range(arc, degree):
+                    edge = adjacency[arc]
+                    # The label test first: most arcs fail it.
+                    if label[edge.dst] != want:
+                        continue
+                    residual = edge.cap - edge.flow
+                    if residual > 0:
+                        delta = remaining if remaining < residual else residual
+                        edge.flow += delta
+                        edges[edge.rev].flow -= delta
+                        remaining -= delta
+                        dst = edge.dst
+                        excess[dst] += delta
+                        if (dst != source and dst != sink
+                                and not in_queue[dst]):
+                            in_queue[dst] = True
+                            active.append(dst)
+                        if not remaining:
+                            break
+                else:
+                    new_label = min([label[edge.dst] for edge in adjacency
+                                     if edge.cap > edge.flow],
+                                    default=limit) + 1
+                    if new_label > limit:
                         # No residual edge at all: the excess is truly
                         # stranded (only on disconnected inputs).
+                        self._stranded.append(node)
+                        arc = degree
                         break
                     label[node] = label_node = new_label
                     arc = 0
-                    continue
-                edge = adjacency[arc]
-                residual = edge.cap - edge.flow
-                if residual > 0 and label_node == label[edge.dst] + 1:
-                    delta = remaining if remaining < residual else residual
-                    edge.flow += delta
-                    edges[edge.rev].flow -= delta
-                    remaining -= delta
-                    dst = edge.dst
-                    excess[dst] += delta
-                    if dst != source and dst != sink and not in_queue[dst]:
-                        in_queue[dst] = True
-                        active.append(dst)
-                else:
-                    arc += 1
             excess[node] = remaining
             current[node] = arc
             work += 1
@@ -266,42 +274,37 @@ class PushRelabel:
 
     def _residual_reach(self, start: int, *, forward: bool) -> set[int]:
         network = self.network
-        seen = {start}
+        seen = [False] * network.node_count
+        seen[start] = True
         queue = [start]
-        head = 0
+        push = queue.append
         if forward:
             inf_out = network.inf_out
             fin_edges = network.fin_edges
-            while head < len(queue):
-                node = queue[head]
-                head += 1
+            for node in queue:
                 for dst in inf_out[node]:
-                    if dst not in seen:
-                        seen.add(dst)
-                        queue.append(dst)
+                    if not seen[dst]:
+                        seen[dst] = True
+                        push(dst)
                 for edge in fin_edges[node]:
-                    if edge.cap > edge.flow:
-                        dst = edge.dst
-                        if dst not in seen:
-                            seen.add(dst)
-                            queue.append(dst)
+                    dst = edge.dst
+                    if not seen[dst] and edge.cap > edge.flow:
+                        seen[dst] = True
+                        push(dst)
         else:
             # Who can reach `start`: follow residual edges backwards.  ∞
             # in-edges always qualify; finite paired reverses (real
             # finite in-edges and stubs of outgoing flow) are checked.
             inf_in = network.inf_in
             fin_redges = network.fin_redges
-            while head < len(queue):
-                node = queue[head]
-                head += 1
+            for node in queue:
                 for src in inf_in[node]:
-                    if src not in seen:
-                        seen.add(src)
-                        queue.append(src)
+                    if not seen[src]:
+                        seen[src] = True
+                        push(src)
                 for reverse in fin_redges[node]:
-                    if reverse.cap > reverse.flow:
-                        src = reverse.src
-                        if src not in seen:
-                            seen.add(src)
-                            queue.append(src)
-        return seen
+                    src = reverse.src
+                    if not seen[src] and reverse.cap > reverse.flow:
+                        seen[src] = True
+                        push(src)
+        return set(queue)

@@ -11,6 +11,7 @@ loop body mapped to a stage in ``1..D``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.analysis.dependence_graph import LoopDependenceModel
@@ -236,33 +237,23 @@ def refine_stages(model: LoopDependenceModel, assignment: StageAssignment,
     inv_scale_sq = [1.0 / (scale * scale) for scale in totals]
 
     def group_sums(group: set[int]) -> list[float]:
-        group_dims = [0.0] * n_dims
-        for member in sorted(group):
-            vector = unit_dims[member]
-            for index in range(n_dims):
-                group_dims[index] += vector[index]
-        return group_dims
-
-    def move_delta(group_dims: list[float], stage: int,
-                   new_stage: int) -> float:
-        from_load = loads[stage]
-        to_load = loads[new_stage]
-        delta = 0.0
+        vectors = [unit_dims[member] for member in sorted(group)]
+        sums = []
         for index in range(n_dims):
-            g = group_dims[index]
-            if g:
-                delta += (2.0 * g * (g + to_load[index] - from_load[index])
-                          * inv_scale_sq[index])
-        return delta
+            total = 0.0
+            for vector in vectors:
+                total += vector[index]
+            sums.append(total)
+        return sums
 
     header_unit = model.header_unit
     latch_unit = model.latch_unit
 
-    # closure() results are cached between passes: a computed group only
-    # depends on the stage labels of the units it explored (members plus
-    # the neighbors it examined), so after a move only the cache entries
-    # whose explored set intersects the moved group are dropped.
-    closure_cache: dict[tuple[int, bool], tuple[set[int] | None, set[int]]] = {}
+    # Closures are memoized per direction and kept across passes.  The
+    # unit graph is a DAG, so a unit's forward closure is itself plus
+    # the forward closures of its same-stage successors (backward:
+    # predecessors), built by set union from the memo.
+    memos: dict[bool, dict[int, set[int]]] = {True: {}, False: {}}
 
     def closure(unit: int, *, forward: bool) -> set[int] | None:
         """The unit plus its same-stage descendants (forward) / ancestors.
@@ -272,25 +263,43 @@ def refine_stages(model: LoopDependenceModel, assignment: StageAssignment,
         (earlier) stage.  Returns None if the group touches the pinned
         header or latch units.
         """
-        cached = closure_cache.get((unit, forward))
-        if cached is not None:
-            return cached[0]
-        stage_of = assignment.unit_stage
-        stage = stage_of[unit]
-        neighbors = succs if forward else preds
-        group = {unit}
-        explored = {unit}
-        work = [unit]
-        while work:
-            near = neighbors[work.pop()]
-            explored.update(near)
-            for neighbor in near:
-                if stage_of[neighbor] == stage and neighbor not in group:
-                    group.add(neighbor)
-                    work.append(neighbor)
-        result = None if header_unit in group or latch_unit in group else group
-        closure_cache[(unit, forward)] = (result, explored)
-        return result
+        memo = memos[forward]
+        group = memo.get(unit)
+        if group is None:
+            stage = stage_map[unit]
+            neighbors = succs if forward else preds
+            stack = [unit]
+            while stack:
+                top = stack[-1]
+                if top in memo:
+                    stack.pop()
+                    continue
+                near = [other for other in neighbors[top]
+                        if stage_map[other] == stage]
+                missing = [other for other in near if other not in memo]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                stack.pop()
+                closed = {top}
+                for other in near:
+                    closed |= memo[other]
+                memo[top] = closed
+            group = memo[unit]
+        if header_unit in group or latch_unit in group:
+            return None
+        return group
+
+    def reach(group: set[int], neighbors: dict, stage: int) -> set[int]:
+        """``group`` plus what it reaches through ``neighbors`` at ``stage``."""
+        found = set(group)
+        work = list(group)
+        for unit in work:
+            for other in neighbors[unit]:
+                if other not in found and stage_map[other] == stage:
+                    found.add(other)
+                    work.append(other)
+        return found
 
     def apply(group: set[int], stage: int, new_stage: int, sign: int) -> None:
         for member in sorted(group):
@@ -303,77 +312,99 @@ def refine_stages(model: LoopDependenceModel, assignment: StageAssignment,
     # source or destination stage is s or t (or whose group changed) can
     # have a different delta next pass.  Group dim-sums depend only on
     # group membership, so they survive load-only invalidations and a
-    # recomputed delta costs O(dims), not O(|group|·dims).
-    delta_cache: dict[tuple[int, int], float] = {}
+    # recomputed delta costs O(dims), not O(|group|·dims).  One slot per
+    # (candidate, direction), in scan order: ``deltas[slot]`` is None
+    # until computed, and inf for a move that is not allowed.
     gsum_cache: dict[tuple[int, bool], list[float]] = {}
-
-    moves = 0
-    improved = True
     candidates = [unit for unit in ordered
                   if unit not in (header_unit, latch_unit)]
-    while improved and moves < max_moves:
-        improved = False
-        best_delta = 0.0
-        best_move = None
-        for unit in candidates:
-            stage = stage_map[unit]
-            for direction in (1, -1):
-                new_stage = stage + direction
-                if not 1 <= new_stage <= degree:
-                    continue
-                forward = direction > 0
-                # A cached delta is only ever kept while the candidate's
-                # group, stage, and both endpoint loads are unchanged
-                # (see the invalidation below), so on a hit the closure
-                # walk is skipped entirely — the group is re-derived from
-                # the (necessarily still valid) closure cache only if the
-                # candidate wins the pass.
-                delta = delta_cache.get((unit, direction))
-                if delta is None:
-                    # Cached group sums likewise outlive load-only
-                    # invalidations, so a hit here proves the group is
-                    # still valid and skips the closure walk too.
-                    gsums = gsum_cache.get((unit, forward))
-                    if gsums is None:
-                        group = closure(unit, forward=forward)
-                        if group is None or len(group) > 64:
-                            continue
-                        gsums = group_sums(group)
-                        gsum_cache[(unit, forward)] = gsums
-                    delta = move_delta(gsums, stage, new_stage)
-                    delta_cache[(unit, direction)] = delta
-                if delta < best_delta - 1e-9:
-                    best_delta = delta
-                    best_move = (unit, forward, stage, new_stage)
-        if best_move is not None:
-            unit, forward, stage, new_stage = best_move
+    slots = [(unit, direction) for unit in candidates
+             for direction in (1, -1)]
+    slot_of = {slot: index for index, slot in enumerate(slots)}
+    deltas: list[float | None] = [None] * len(slots)
+
+    def slot_delta(unit: int, direction: int) -> float:
+        """Δ of moving the unit's group one stage in ``direction``."""
+        stage = stage_map[unit]
+        new_stage = stage + direction
+        if not 1 <= new_stage <= degree:
+            return math.inf
+        forward = direction > 0
+        gsums = gsum_cache.get((unit, forward))
+        if gsums is None:
             group = closure(unit, forward=forward)
-            for member in group:
-                assignment.unit_stage[member] = new_stage
-            apply(group, stage, new_stage, +1)
-            touched = (stage, new_stage)
-            stage_of = assignment.unit_stage
-            # Membership only depends on "explored node at the group's
-            # stage?" — moving `group` from s to t flips that verdict
-            # solely for entries whose own stage is s or t; everyone
-            # else's traversal sees the same include/exclude answers and
-            # stays valid, even when it explored a moved node.
-            for key, (_, explored) in list(closure_cache.items()):
-                if (stage_of[key[0]] in touched
-                        and not explored.isdisjoint(group)):
-                    del closure_cache[key]
-                    gsum_cache.pop(key, None)
-                    cand_unit, forward = key
-                    delta_cache.pop((cand_unit, 1 if forward else -1), None)
-            for key in list(delta_cache):
-                cand_unit, cand_direction = key
-                cand_stage = stage_of[cand_unit]
-                if (cand_stage in touched
-                        or cand_stage + cand_direction in touched
-                        or cand_unit in group):
-                    del delta_cache[key]
-            moves += 1
-            improved = True
+            if group is None or len(group) > 64:
+                return math.inf
+            gsums = gsum_cache[(unit, forward)] = group_sums(group)
+        from_load = loads[stage]
+        to_load = loads[new_stage]
+        delta = 0.0
+        for index in range(n_dims):
+            g = gsums[index]
+            if g:
+                delta += (2.0 * g * (g + to_load[index] - from_load[index])
+                          * inv_scale_sq[index])
+        return delta
+
+    def invalidate(unit: int, direction: int) -> None:
+        slot = slot_of.get((unit, direction))
+        if slot is not None:
+            deltas[slot] = None
+
+    # Candidates by their current stage, for the delta invalidation.
+    at_stage: dict[int, set[int]] = {stage: set()
+                                     for stage in range(0, degree + 2)}
+    for unit in candidates:
+        at_stage[stage_map[unit]].add(unit)
+    moves = 0
+    while moves < max_moves:
+        # First candidate wins: a later one must beat the best by 1e-9.
+        threshold = 0.0 - 1e-9
+        best = None
+        for slot, delta in enumerate(deltas):
+            if delta is None:
+                delta = deltas[slot] = slot_delta(*slots[slot])
+            if delta < threshold:
+                threshold = delta - 1e-9
+                best = slot
+        if best is None:
+            break
+        unit, direction = slots[best]
+        stage = stage_map[unit]
+        new_stage = stage + direction
+        forward = direction > 0
+        group = closure(unit, forward=forward)
+        for member in group:
+            stage_map[member] = new_stage
+        apply(group, stage, new_stage, +1)
+        at_stage[stage] -= group
+        at_stage[new_stage] |= group
+        # Which closures the move changes, the stage order being legal
+        # (every constraint points forward or stays): a group moved later
+        # was closed under its same-stage successors, so only its own
+        # members and its same-stage ancestors left behind lose members
+        # going forward, and only its members and its same-stage
+        # descendants where it lands gain members going backward; a group
+        # moved earlier mirrors that.  Every other closure sees the same
+        # stage labels.
+        stale = {
+            True: reach(group, preds, stage if forward else new_stage),
+            False: reach(group, succs, new_stage if forward else stage),
+        }
+        for stale_forward, units in stale.items():
+            memo = memos[stale_forward]
+            for member in units:
+                memo.pop(member, None)
+                gsum_cache.pop((member, stale_forward), None)
+                invalidate(member, 1 if stale_forward else -1)
+        touched = {stage, new_stage}
+        for other in touched | {min(touched) - 1}:
+            for member in at_stage[other]:
+                invalidate(member, 1)
+        for other in touched | {max(touched) + 1}:
+            for member in at_stage[other]:
+                invalidate(member, -1)
+        moves += 1
     return moves
 
 

@@ -31,6 +31,10 @@ def network_for(model, costs=NN_RING, placed=None):
     return build_cut_network(model, remaining, set(placed or ()), costs)
 
 
+def keys_of(net):
+    return {net.key_of(index) for index in range(net.node_count)}
+
+
 def edges_of(net):
     return [(net.key_of(e.src), net.key_of(e.dst), e.cap)
             for i, e in enumerate(net.edges) if i % 2 == 0]
@@ -48,7 +52,7 @@ def test_every_remaining_unit_is_a_node():
     model = model_of(STANDARD_PPS)
     net = network_for(model).network
     for unit in model.units.members:
-        assert net.has_node(unit_key(unit))
+        assert unit_key(unit) in keys_of(net)
         index = net.node(unit_key(unit))
         assert net.weights[index] == model.unit_weight(unit)
 
@@ -121,7 +125,7 @@ def test_placed_units_forward_from_source():
     cut_net = build_cut_network(model, set(model.units.members) - placed,
                                 placed, NN_RING)
     net = cut_net.network
-    assert not net.has_node(unit_key(model.header_unit))
+    assert unit_key(model.header_unit) not in keys_of(net)
     forwarded = [(src, dst, cap) for src, dst, cap in edges_of(net)
                  if src == SOURCE and isinstance(dst, tuple)
                  and dst[0] in ("var", "ctl")]

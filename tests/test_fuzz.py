@@ -181,22 +181,20 @@ def _die_on_seed_1(seed, degree, packets, shrink_tests, **kwargs):
 def test_a_crashed_case_is_a_worker_failure_and_the_campaign_finishes(
         monkeypatch):
     """A case whose worker dies is reported like any other failing case,
-    phase ``worker``, and every other case is still reported: a clean
-    pass, or a ``worker`` failure of its own where the broken pool left
-    it unfinished."""
+    phase ``worker``, and it is the only failure: the cases the broken
+    pool left unfinished run again and are checked."""
     import repro.eval.fuzz as fuzz_module
 
     monkeypatch.setattr(fuzz_module, "fuzz_case", _die_on_seed_1)
-    report = run_fuzz(3, degrees=(2,), packets=8, jobs=2)
-    assert report.cases == 3 and not report.ok
-    failed = {failure.seed: failure for failure in report.failures}
-    assert 1 in failed
-    for seed, failure in failed.items():
-        assert failure.phase == "worker"
-        assert (failure.program, failure.degree) == ("progen", 2)
-        assert "sweep worker process died before fuzz progen D=2 " \
-            "finished" in failure.error
-        assert f"--start-seed {seed} --degrees 2" in failure.error
+    report = run_fuzz(8, degrees=(2,), packets=8, jobs=2)
+    assert report.cases == 8 and not report.ok
+    assert [failure.seed for failure in report.failures] == [1]
+    (failure,) = report.failures
+    assert failure.phase == "worker"
+    assert (failure.program, failure.degree) == ("progen", 2)
+    assert "sweep worker process died before fuzz progen D=2 " \
+        "finished" in failure.error
+    assert "--start-seed 1 --degrees 2" in failure.error
     assert "progen seed 1 D=2 [worker]" in report.render()
     assert report.as_dict()["failures"][0]["phase"] == "worker"
 

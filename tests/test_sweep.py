@@ -172,22 +172,20 @@ def test_failure_is_the_same_at_every_jobs_level(app):
 
 
 def test_worker_crash_is_a_sweep_error_not_a_hang():
-    """A worker that dies breaks the pool: the crashed task's slot, and
-    every slot the pool left unfinished, is a SweepError naming its own
-    task; nothing raises."""
-    tasks = _tasks(["a", "crash", "b"])
+    """A worker that dies breaks the pool: the crashed task's slot is a
+    SweepError naming it, every task the pool left unfinished runs again
+    and keeps its record, and nothing raises."""
+    tasks = _tasks(["a", "crash", "b", "c", "d"])
     results = run_sweep(tasks, jobs=2)
-    assert isinstance(results[1], SweepError)
-    for task, entry in zip(tasks, results):
-        if isinstance(entry, SweepError):
-            message = str(entry)
-            assert entry.task == task
-            assert "sweep worker process died" in message
-            assert f"seed={task.spec.seed}" in message
-            assert repr(task) in message
-            assert f"reproduce: {task.repro_command()}" in message
-        else:
-            assert entry["app"] == task.spec.app
+    entry = results[1]
+    assert isinstance(entry, SweepError) and entry.task == tasks[1]
+    message = str(entry)
+    assert "sweep worker process died" in message
+    assert f"seed={tasks[1].spec.seed}" in message
+    assert repr(tasks[1]) in message
+    assert f"reproduce: {tasks[1].repro_command()}" in message
+    assert [entry["app"] for index, entry in enumerate(results)
+            if index != 1] == ["a", "b", "c", "d"]
 
 
 def test_fuzz_app_repro_command_is_a_fuzz_one_liner():
