@@ -78,15 +78,10 @@ class AnalysisContext:
             with obs.span("ssa_construct", cat="compile",
                           pps=self.pps_name):
                 ssa = clone_function(self.work)
-                construct_ssa(ssa)
+                construct_ssa(ssa, self.liveness)  # the clone's, unrenamed
                 self._ssa = ssa
                 self._ssa_loop = find_pps_loop(ssa)
         return self._ssa
-
-    @property
-    def ssa_loop(self) -> PpsLoop:
-        self.ssa  # ensure construction
-        return self._ssa_loop
 
     @property
     def model(self) -> LoopDependenceModel:
@@ -100,8 +95,8 @@ class AnalysisContext:
 
     @property
     def liveness(self) -> Liveness:
-        """Liveness over the normalized copy (lazy: only layout/verify
-        consumers need it)."""
+        """Liveness over the normalized copy (lazy: SSA construction,
+        layout and the verifier read it)."""
         if self._liveness is None:
             self._liveness = Liveness(self.work)
         return self._liveness

@@ -21,14 +21,8 @@ class DominatorTree:
         self.graph = graph
         self.idom = idom  # entry maps to itself
         self.order = order  # reverse postorder
-        self._depth: dict[Node, int] = {}
         root = graph.entry
         assert root is not None
-        self._depth[root] = 0
-        for node in order:
-            if node == root or node not in idom:
-                continue
-            self._depth[node] = self._depth[idom[node]] + 1
         self._children: dict[Node, list[Node]] = {node: [] for node in order}
         for node in order:
             if node != root and node in idom:
@@ -97,9 +91,6 @@ class DominatorTree:
 
     def children(self, node: Node) -> list[Node]:
         return list(self._children.get(node, []))
-
-    def depth(self, node: Node) -> int:
-        return self._depth[node]
 
     def dominance_frontiers(self) -> dict[Node, set[Node]]:
         """Cytron-style dominance frontiers for every node."""

@@ -112,14 +112,6 @@ class PushRelabel:
         """Nodes that can reach the sink in the residual graph."""
         return self._residual_reach(self.sink, forward=False)
 
-    def cut_value(self, source_side: set[int]) -> int:
-        """Capacity of the cut defined by ``source_side``."""
-        total = 0
-        for edge in self.network.edges:
-            if edge.cap > 0 and edge.src in source_side and edge.dst not in source_side:
-                total += edge.cap
-        return total
-
     # -- internals -------------------------------------------------------------
 
     def _enqueue(self, node: int) -> None:

@@ -160,10 +160,10 @@ class _Checker:
             self.model = context.model
             self.liveness = context.liveness
         else:
-            ssa = clone_function(self.work)
-            construct_ssa(ssa)
-            self.model = LoopDependenceModel(ssa, find_pps_loop(ssa))
             self.liveness = Liveness(self.work)
+            ssa = clone_function(self.work)
+            construct_ssa(ssa, self.liveness)
+            self.model = LoopDependenceModel(ssa, find_pps_loop(ssa))
         self.node_stage = self._node_stages()
 
     def fail(self, check: str, detail: str, *, cut: int | None = None,

@@ -36,18 +36,24 @@ Statistics accounting is per *run* of non-blocking instructions: its
 instruction count and weight (and the terminator's, on a block's
 trailing run) are pre-summed and charged before its first instruction
 executes.  An inlined block first does what the driver does for a block
-it sees — ``prev_block``, its hit in ``block_hits``, the ``fuel`` charge
-and test — so counters, traps and injected-trap firing points stay where
-the instruction-by-instruction oracle in :mod:`repro.testing.reference`
-puts them.  A step keeps these books in locals — ``ni`` / ``nw`` for the
-instruction count and weight, ``fuel``, ``prev`` for ``prev_block`` —
-and one ``finally`` settles them into the interpreter, so a return, a
-wait key or a trap leaves exactly what a write at every charge would;
-code that reads them mid-step reads the locals (``stats.weight + nw``).
-A block's hits are ``hits[k] += 1``, ``k`` its number in
-:attr:`CompiledFunction.block_names`.  Instructions that can block
-account for themselves only once they succeed, exactly like the oracle,
-so completed runs produce bit-identical statistics, traps and messages;
+it sees — ``prev_block``, its hit in ``block_hits`` (``hits[k] += 1``),
+the ``fuel`` charge and test — so counters, traps and injected-trap
+firing points stay where the instruction-by-instruction oracle in
+:mod:`repro.testing.reference` puts them.  A step keeps these books in
+locals — ``ni`` / ``nw``, ``fuel``, ``prev`` — and a ``finally``
+settles them, so a return, a wait key or a trap leaves what a write at
+every charge would.  That is the *checked* text.  Each region has a
+*fuel bound*, the most its block entries take along any path; while
+the gauge holds more, the driver runs the *plain* text, which tests no
+gauge and writes a charge or ``prev`` only where it can be read: ahead
+of a call that may trap, in a branch that raises, where the region is
+left or a join begins, ahead of a sequencer mark (which reads
+``stats.weight + nw``).  It settles the gauge from the charges,
+``interp.fuel -= ni + fx``.
+The checked text is generated only for a region the gauge may run out
+in.  Instructions that can block account for themselves only once they
+succeed, exactly like the oracle, so completed runs produce
+bit-identical statistics, traps and messages;
 ``tests/test_runtime_compiled_differential.py`` enforces this over
 randomized programs.
 
@@ -119,19 +125,24 @@ class CompiledBlock:
     region (the block's trailing run, then the rest of ``region``,
     inline) and returns the next block's name, ``None`` for return.
     ``cost`` is the fuel the driver charges per execution of the block,
-    ``number`` its index into ``block_hits`` and ``source`` the
-    generated text."""
+    ``fuel_bound`` the most fuel the region takes (``cost`` included):
+    while the gauge holds more, the driver runs ``steps`` (the plain
+    text), otherwise ``checked``; ``number`` is its index into
+    ``block_hits`` and ``source`` the plain text."""
 
-    __slots__ = ("name", "number", "steps", "cost", "source", "region")
+    __slots__ = ("name", "number", "steps", "cost", "fuel_bound", "source",
+                 "region", "checked")
 
     def __init__(self, name: str, number: int, steps, cost: int,
-                 source: str, region):
+                 fuel_bound: int, source: str, region):
         self.name = name
         self.number = number
         self.steps = tuple(steps)
         self.cost = cost
+        self.fuel_bound = fuel_bound
         self.source = source
         self.region = tuple(region)
+        self.checked = None
 
 
 class _LazyBlocks(dict):
@@ -144,7 +155,8 @@ class _LazyBlocks(dict):
     keep every key of the weak-keyed compilation cache alive."""
 
     __slots__ = ("_function", "_compiled", "pinned", "index", "live",
-                 "owner", "parent", "joins", "merges", "arms", "tagged")
+                 "owner", "parent", "joins", "merges", "arms", "tagged",
+                 "bounds")
 
     def __init__(self, function: Function, compiled: "CompiledFunction"):
         self._function = weakref.ref(function)
@@ -152,7 +164,7 @@ class _LazyBlocks(dict):
         self.pinned: set = set()  # loop starts: the driver must see them
         self.index = None
 
-    def __missing__(self, name: str) -> CompiledBlock:
+    def __missing__(self, name: str, checked: bool = False) -> CompiledBlock:
         function = self._function()
         if self.index is None:
             self._plan(function)
@@ -166,9 +178,17 @@ class _LazyBlocks(dict):
                     for value in phi.incomings.values()
                     if isinstance(value, VReg))
                 self.live[block] = sum(1 << index[reg] for reg in live)
-        block = self[name] = _compile_block(self, function,
-                                            function.block(name))
+        block = _compile_block(self, function, function.block(name), checked)
+        if not checked:
+            self[name] = block
         return block
+
+    def checked(self, block: CompiledBlock) -> tuple:
+        """``block``'s checked steps, generated on first need (under the
+        plan in force, should a pin have replanned since)."""
+        if block.checked is None:
+            block.checked = self.__missing__(block.name, True).steps
+        return block.checked
 
     def _plan(self, function: Function) -> None:
         """Decide every region of ``function`` before any is written, in
@@ -186,7 +206,8 @@ class _LazyBlocks(dict):
         side that cannot fall out nests under the ``if`` (of two such, one
         that leaves the region) and ``other`` follows at the ``if``'s
         level, or under ``else`` when both fall out.  A block that would
-        nest deeper than ``_MAX_DEPTH`` becomes a root: plan again."""
+        nest deeper than ``_MAX_DEPTH`` becomes a root: plan again.
+        Last, ``bounds`` gives each root its region's fuel bound."""
         blocks, graph = function.blocks, cfg_of(function)
         order = graph.reverse_postorder()
         number = {name: position for position, name in enumerate(order)}
@@ -253,8 +274,18 @@ class _LazyBlocks(dict):
                 if depth[name] > _MAX_DEPTH >= depth[above]:
                     deep.add(name)
             if not deep:
-                return
+                break
             roots |= deep
+        # The most fuel a region's block entries can take: over its paths
+        # (acyclic, so in this order), of len(instructions) + 1 each.
+        reach, bounds = {}, {}
+        for name in order:
+            home = owner.get(name, name)
+            reach[name] = len(blocks[name].instructions) + 1 + max(
+                (reach[source] for source in graph.preds(name)
+                 if owner.get(name)), default=0)
+            bounds[home] = max(bounds.get(home, 0), reach[name])
+        self.bounds = bounds
 
     def inline(self, home: str | None, target: str) -> bool:
         """Whether ``target`` runs inline in the region of root ``home``
@@ -427,10 +458,21 @@ class _Step:
     describe the path being written: whoever opens a nested side
     restores both (and ``indent``) behind it, and a join takes them from
     the ``sites`` its incoming paths left — each a hole in ``lines`` for
-    that path's write-backs, its indentation, ``loaded`` and ``dirty``."""
+    that path's write-backs, its indentation, ``loaded`` and ``dirty``.
 
-    def __init__(self, blocks: _LazyBlocks, function: Function, root: str):
+    The checked text writes each book as it changes; the plain one owes
+    ``ni``/``nw`` and ``prev`` (``came``) down the path (:meth:`books`).
+    ``owed`` is the fuel of the blocks entered less the instructions
+    charged: ``base`` (0 less the root's charges) wherever control
+    leaves, and ``fx`` on a path that raises with a block half paid."""
+
+    def __init__(self, blocks: _LazyBlocks, function: Function, root: str,
+                 checked: bool = False):
         self.blocks, self.function = blocks, function
+        self.checked, self.fuel = checked, False  # fuel: settles the gauge
+        self.ni = self.nw = self.owed = 0
+        self.came = self.fx = self.base = None
+        self.opened = 0 if checked else None  # where ``try:`` goes
         self.lines: list = []          # text, and the holes of open sites
         self.env: dict = {"TrapError": TrapError}
         self.slots: dict[VReg, int] = {}
@@ -499,15 +541,66 @@ class _Step:
 
     def charge(self, instructions: int, weight: int, *,
                transmission: bool = False) -> None:
-        self.emit(f"ni += {instructions}", f"nw += {weight}")
+        if self.opened is None:  # nothing before it is accounted
+            self.opened = len(self.lines)
+        if self.checked:
+            self.emit(f"ni += {instructions}", f"nw += {weight}")
+        self.ni, self.nw = self.ni + instructions, self.nw + weight
+        self.owed -= instructions
         if transmission:
             self.emit(f"stats.transmission_weight += {weight}")
 
+    def enter(self, block: BasicBlock) -> None:
+        """What the driver does for a block it sees, inline."""
+        cost = len(block.instructions) + 1
+        self.emit(f"hits[{self.numbers[block.name]}] += 1")
+        if self.checked:
+            self.emit(f"fuel -= {cost}",
+                      "if fuel <= 0: raise interp._fuel_exhausted()")
+        self.owed += cost
+
+    def leave(self, block: str) -> None:
+        if self.checked:
+            self.emit(f"prev = {block!r}")
+        self.came = block
+
+    def books(self, trap: bool = False) -> str:
+        """The writes of what the plain text owes, on one line (``fx``
+        always ahead of a raise, which the root's charge may precede)."""
+        if self.checked:
+            return ""
+        writes = [f"{book} += {due}" for book, due
+                  in (("ni", self.ni), ("nw", self.nw)) if due]
+        if self.came:
+            writes.append(f"prev = {self.came!r}")
+        if self.fuel and self.owed != self.fx and (trap or self.base):
+            writes.append(f"fx = {self.owed}")
+        return "; ".join(writes)
+
+    def trap(self, statement: str) -> str:
+        """``statement``, which raises, behind the books it may read."""
+        return "; ".join(filter(None, (self.books(True), statement)))
+
+    def settle(self) -> None:
+        """Write what the path owes, for something ahead to read."""
+        self.emit(*filter(None, [self.books()]))
+        self.ni = self.nw = 0
+        self.came, self.fx = None, self.owed if self.base else None
+
+    def snapshot(self) -> tuple:
+        return (set(self.loaded), set(self.dirty), self.ni, self.nw,
+                self.came, self.owed, self.fx)
+
+    def restore(self, state: tuple) -> None:
+        loaded, dirty, self.ni, self.nw, self.came, self.owed, self.fx = state
+        self.loaded, self.dirty = set(loaded), set(dirty)
+
     @contextmanager
-    def side(self, test: str, state):
-        """A nested side, entered on ``test`` with the registers as
-        ``state`` (``loaded``, ``dirty``) has them."""
-        indent, self.loaded, self.dirty = self.indent, *map(set, state)
+    def side(self, test: str, state: tuple):
+        """A nested side, entered on ``test`` with the path as ``state``
+        (a :meth:`snapshot`) has it."""
+        indent = self.indent
+        self.restore(state)
         self.emit(test)
         self.indent += _INDENT
         yield
@@ -516,13 +609,19 @@ class _Step:
     def finish(self):
         """Compile the text as a function named after the root block;
         returns ``(function, source)``.  Every step charges, so every
-        step keeps books."""
+        step keeps books: the plain text enters ``try`` at its first
+        charge, behind what returns a wait key."""
         name = "at_" + re.sub(r"\W", "_", self.region[0])
         lines = [line for entry in self.lines for line in
                  ([entry] if entry.__class__ is str else entry)]
+        opened = self.opened or 0
         named = set(_NAMED.findall("\n".join(lines)))
-        books = [book for book in _BOOKS if book in named]
-        settle = "; ".join(_BOOKS[book][1] for book in books)
+        if self.fuel:
+            named.add("ni")
+        books = {book: _BOOKS[book] for book in _BOOKS if book in named}
+        if self.fuel:
+            books["fx"] = (str(self.base), "interp.fuel -= ni + fx")
+        settle = "; ".join(value[1] for value in books.values())
         named.update(_NAMED.findall(settle))
         source = "".join((
             f"def {name}(interp):\n",
@@ -530,10 +629,11 @@ class _Step:
               for local, value in _PROLOGUE.items() if local in named),
             *(f"{_INDENT}{local} = interp.state.regions.get({region!r})\n"
               for region, local in self.frames.items()),
-            _INDENT + "; ".join(f"{book} = {_BOOKS[book][0]}"
-                                for book in books),
-            f"\n{_INDENT}try:\n",
-            *(f"{_INDENT}{line}\n" for line in lines),
+            _INDENT + "; ".join(f"{book} = {value[0]}"
+                                for book, value in books.items()), "\n",
+            *(f"{line}\n" for line in lines[:opened]),
+            f"{_INDENT}try:\n",
+            *(f"{_INDENT}{line}\n" for line in lines[opened:]),
             f"{_INDENT}finally:\n{_INDENT * 2}{settle}\n"))
         exec(_code(source), self.env)
         return self.env.pop(name), source
@@ -564,8 +664,9 @@ def _emit_binop(step: _Step, inst: BinOp) -> None:
             "try:",
             _INDENT + step.store(inst.dest, f"{func}({lhs}, {rhs})"),
             "except ZeroDivisionError as exc:",
-            _INDENT + 'raise TrapError(f"{interp.function.name}: {exc} at %s") '
-            "from exc" % _lit(str(inst.location)),
+            _INDENT + step.trap('raise TrapError(f"{interp.function.name}: '
+                                '{exc} at %s") from exc'
+                                % _lit(str(inst.location))),
         )
     elif op in COMPARISON_OPS:
         step.write(inst.dest, f"1 if {lhs} {op} {rhs} else 0")
@@ -593,9 +694,9 @@ def _emit_element(step: _Step, array, index: str) -> None:
     """Bind ``frame`` to the scratch array and bounds-check ``index``."""
     step.emit(
         f"frame = interp.arrays[{array.name!r}]",
-        "if not 0 <= %s < len(frame): raise TrapError("
-        'f"{interp.function.name}: %s[{%s}] out of bounds")'
-        % (index, _lit(array.name), index),
+        f"if not 0 <= {index} < len(frame): " + step.trap(
+            'raise TrapError(f"{interp.function.name}: %s[{%s}] out of '
+            'bounds")' % (_lit(array.name), index)),
     )
 
 
@@ -618,7 +719,7 @@ def _emit_phi(step: _Step, inst: Phi) -> None:
         if step.pred in inst.incomings:
             step.write(inst.dest, step.read(inst.incomings[step.pred]))
         else:
-            step.emit(missing % _lit(step.pred))
+            step.emit(step.trap(missing % _lit(step.pred)))
         return
     # Every incoming is read before the chain: a branch's store must not
     # pass for the load of a register a later branch reads.
@@ -627,7 +728,7 @@ def _emit_phi(step: _Step, inst: Phi) -> None:
     for number, (pred, value) in enumerate(incomings):
         step.emit(f"{'elif' if number else 'if'} prev == {pred!r}: "
                   + step.store(inst.dest, value))
-    step.emit(("else: " if incomings else "") + missing % "{prev}")
+    step.emit(("else: " if incomings else "") + step.trap(missing % "{prev}"))
 
 
 #: Non-blocking intrinsics that are one method call on the machine state
@@ -682,7 +783,7 @@ def _emit_access(step: _Step, inst: Call, args: list[str]) -> None:
         fast, slow = (step.store(inst.dest, fast),
                       step.store(inst.dest, _WRAP % slow))
     if isinstance(offset, Const) and wrap32(offset.value) < 0:
-        step.emit(slow)
+        step.emit(step.trap(slow))
         return
     if lookup == "mem":
         test = f"(d := {step.frame(inst.args[0].name)}) is not None"
@@ -697,15 +798,15 @@ def _emit_access(step: _Step, inst: Call, args: list[str]) -> None:
     elif width:
         test += f" and 0 <= {at} < {size}" + (f" - {width - 1}" if width > 1
                                               else "")
-    step.emit(f"if {test}: {fast}", f"else: {slow}")
+    step.emit(f"if {test}: {fast}", f"else: {step.trap(slow)}")
 
 
 def _emit_call(step: _Step, inst: Call) -> None:
     name, dest = inst.callee, inst.dest
     if not inst.is_intrinsic:
-        step.emit(
+        step.emit(step.trap(
             'raise TrapError(f"{interp.function.name}: user call %s reached '
-            'the interpreter (inlining missed it)")' % _lit(repr(name)))
+            'the interpreter (inlining missed it)")' % _lit(repr(name))))
         return
     args = [step.read(arg) for arg in inst.args
             if not isinstance(arg, PipeRef)]
@@ -713,6 +814,8 @@ def _emit_call(step: _Step, inst: Call) -> None:
     if name in _ACCESSORS:
         _emit_access(step, inst, args)
     elif method is not None:
+        if name != "trace":  # the others may trap
+            step.settle()
         call = f"{method}({', '.join(args)})"
         if dest is None:
             step.emit(call)
@@ -725,6 +828,7 @@ def _emit_call(step: _Step, inst: Call) -> None:
         step.write(dest, _WRAP % f"({args[0]} & 0xFFFFFFFF) * 2654435761")
     elif name == "mem_add":
         region, addr, delta = args
+        step.settle()
         step.emit(
             f"old = state.region_read({region}, {addr})",
             f"state.region_write({region}, {addr}, "
@@ -732,7 +836,8 @@ def _emit_call(step: _Step, inst: Call) -> None:
         )
         step.write(dest, _WRAP % "old")
     else:  # pragma: no cover - the verifier rejects earlier
-        step.emit("raise TrapError(%r)" % f"unimplemented intrinsic {name!r}")
+        step.emit(step.trap("raise TrapError(%r)"
+                            % f"unimplemented intrinsic {name!r}"))
 
 
 _EMIT = {
@@ -752,10 +857,13 @@ def _emit_run(step: _Step, instructions, terminator=None) -> None:
     charged = instructions + ([terminator] if terminator is not None else [])
     if charged:
         step.charge(len(charged), sum(inst.weight() for inst in charged))
+    if terminator is not None and step.base is None:  # the root is paid
+        step.fx = step.base = step.owed
     for inst in instructions:
         emit = _EMIT.get(type(inst))
         if emit is None:
-            step.emit("raise TrapError(%r)" % f"unknown instruction {inst}")
+            step.emit(step.trap("raise TrapError(%r)"
+                                % f"unknown instruction {inst}"))
         else:
             emit(step, inst)
 
@@ -766,7 +874,9 @@ def _emit_run(step: _Step, instructions, terminator=None) -> None:
 def _emit_exit(step: _Step, block: BasicBlock, target: str | None) -> None:
     """Leave the region from ``block`` for ``target`` (``None``: return)."""
     step.flush(step.blocks.live.get(target, 0))
-    step.emit(f"prev = {block.name!r}", f"return {target!r}")
+    step.leave(block.name)
+    step.settle()
+    step.emit(f"return {target!r}")
 
 
 def _emit_edge(step: _Step, block: BasicBlock, target: str) -> str | None:
@@ -776,9 +886,10 @@ def _emit_edge(step: _Step, block: BasicBlock, target: str) -> str | None:
     plan = step.blocks
     if not plan.inline(step.home, target):
         return _emit_exit(step, block, target)
-    step.emit(f"prev = {block.name!r}")
+    step.leave(block.name)
     if target not in plan.merges:
         return target
+    step.settle()  # paths meet with nothing owed
     hole: list[str] = []
     step.lines.append(hole)
     step.sites.setdefault(target, []).append(
@@ -813,14 +924,14 @@ def _emit_block(step: _Step, block: BasicBlock, run) -> str | None:
         head(step, inst)
         ahead = []
     _emit_run(step, ahead, term)
-    state = set(step.loaded), set(step.dirty)
+    state = step.snapshot()
     if isinstance(term, Branch) and term.if_true != term.if_false:
         nested, other, flat = plan.arms[block.name]
         test = step.read(term.cond)
         _emit_side(step, block, nested, f"if {test}:" if nested
                    == term.if_true else f"if not {test}:", state)
         if flat:
-            step.loaded, step.dirty = state
+            step.restore(state)
             return _emit_edge(step, block, other)
         _emit_side(step, block, other, "else:", state)
     elif isinstance(term, (Jump, Branch)):
@@ -860,9 +971,10 @@ def _emit_nodes(step: _Step, name: str, run=None) -> None:
             sites = step.sites.pop(name, None)
             if sites:  # they meet: what survives, what is written back
                 step.pred, live = None, plan.live[name]
-                step.loaded = set.intersection(*(site[2] for site in sites))
-                step.dirty = step.loaded.intersection(
-                    slot for site in sites for slot in site[3])
+                loaded = set.intersection(*(site[2] for site in sites))
+                step.restore((loaded, loaded.intersection(
+                    slot for site in sites for slot in site[3]),
+                    0, 0, None, step.base, step.base))
                 for hole, indent, _, dirty in sites:
                     hole += [indent + line for line
                              in step.spills(dirty - step.loaded, live)]
@@ -874,13 +986,13 @@ def _emit_nodes(step: _Step, name: str, run=None) -> None:
             waits = [_READY[kind] % f"interp.pipes[{pipe!r}]" for kind, pipe
                      in filter(None, map(_pipe_wait, block.instructions))]
             if waits:
-                with step.side(f"if not ({' and '.join(waits)}):",
-                               (step.loaded, step.dirty)):
+                state = step.snapshot()
+                with step.side(f"if not ({' and '.join(waits)}):", state):
                     step.flush(plan.live[name])
+                    step.settle()
                     step.emit(f"return {name!r}")
-            step.emit(f"hits[{step.numbers[name]}] += 1",
-                      f"fuel -= {len(block.instructions) + 1}",
-                      "if fuel <= 0: raise interp._fuel_exhausted()")
+                step.restore(state)
+            step.enter(block)
             run = block.instructions
         follows, run = _emit_block(step, block, run), None
         if step.home is not None:
@@ -901,8 +1013,9 @@ def _emit_pipe_in(step: _Step, inst: PipeIn) -> None:
     step.emit(
         "message = pipe.recv()",
         "if not isinstance(message, tuple): message = (message,)",
-        "if len(message) != %d: raise TrapError(f\"{interp.function.name}: "
-        'pipe_in expected %d words, got {len(message)}")' % (count, count),
+        f"if len(message) != {count}: " + step.trap(
+            'raise TrapError(f"{interp.function.name}: pipe_in expected %d '
+            'words, got {len(message)}")' % count),
     )
     step.charge(1, inst.weight(), transmission=True)
     words = [f"w{number}" for number in range(count)]
@@ -923,8 +1036,9 @@ def _emit_pipe_recv(step: _Step, inst: Call) -> None:
     step.charge(1, inst.weight())
     step.emit(
         "message = pipe.recv()",
-        "if isinstance(message, tuple): raise TrapError(%r)"
-        % f"pipe_recv on {name} found a multi-word message",
+        "if isinstance(message, tuple): " + step.trap(
+            "raise TrapError(%r)"
+            % f"pipe_recv on {name} found a multi-word message"),
     )
     step.write(inst.dest, _WRAP % "message")
 
@@ -957,6 +1071,7 @@ def _emit_seq_wait(step: _Step, inst) -> None:
     step.emit(f"if state.sequencers.get({resource}, 0) != {_TURN}: "
               f"return ('seq', {resource})")
     step.charge(1, inst.weight())
+    step.settle()  # the mark reads the weight
     # First wait of the iteration acquires the resource.
     step.emit(f"interp._held.setdefault({resource}, stats.weight + nw)")
 
@@ -967,9 +1082,11 @@ def _emit_seq_advance(step: _Step, inst) -> None:
     step.charge(1, inst.weight())
     step.emit(
         f"current, expected = state.sequencers.get({resource}, 0), {_TURN}",
-        'if current != expected: raise TrapError(f"{interp.function.name}: '
-        "sequencer for {%s} advanced out of order ({current} != {expected})"
-        '")' % resource,
+        "if current != expected: " + step.trap(
+            'raise TrapError(f"{interp.function.name}: sequencer for {%s} '
+            'advanced out of order ({current} != {expected})")' % resource))
+    step.settle()  # the mark reads the weight
+    step.emit(
         f"state.advance_sequencer({resource}, current + 1)",
         f"start = interp._held.pop({resource}, None)",
         "if start is not None:",
@@ -1029,11 +1146,17 @@ def _own_step(inst):
 
 
 def _compile_block(blocks: _LazyBlocks, function: Function,
-                   block: BasicBlock) -> CompiledBlock:
+                   block: BasicBlock, checked: bool = False) -> CompiledBlock:
+    """``block`` as a root: the plain text, or the ``checked`` one."""
     assert block.terminator is not None, block.name
+    cost = len(block.instructions) + 1  # +1 guards empty-block cycles
+    bound = cost if block.name in blocks.owner else blocks.bounds[block.name]
+    heads = [index for index, inst in enumerate(block.instructions)
+             if _own_step(inst)]
     built, run = [], []
-    step = _Step(blocks, function, block.name)
-    for inst in block.instructions:
+    step = _Step(blocks, function, block.name, checked)
+    step.fuel = not checked and bound > cost and not heads
+    for index, inst in enumerate(block.instructions):
         head = _own_step(inst)
         if head is None:
             run.append(inst)
@@ -1042,8 +1165,10 @@ def _compile_block(blocks: _LazyBlocks, function: Function,
             # The step in front ends here, and the next reads interp.regs.
             _emit_run(step, run)
             step.flush()
+            step.settle()
             built.append(step.finish())
-            step, run = _Step(blocks, function, block.name), []
+            step, run = _Step(blocks, function, block.name, checked), []
+        step.fuel = not checked and bound > cost and index == heads[-1]
         key = _pipe_wait(inst)
         if key:  # bind ``pipe``; its wait key unless it is ready
             step.emit(f"pipe = interp.pipes[{key[1]!r}]", "if not "
@@ -1055,6 +1180,5 @@ def _compile_block(blocks: _LazyBlocks, function: Function,
     built.append(step.finish())
     return CompiledBlock(
         block.name, step.numbers[block.name],
-        [function for function, _ in built],
-        len(block.instructions) + 1,  # +1 guards empty-block cycles
+        [function for function, _ in built], cost, bound,
         "".join(text for _, text in built), step.region)

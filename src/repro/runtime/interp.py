@@ -13,7 +13,11 @@ functions that :mod:`repro.runtime.compile` writes the first time a
 block runs — one call per region (a root block and every block whose
 predecessors are all inside: typically a whole loop body), operands
 pre-resolved, registers in locals, ``prev_block`` kept by the generated
-code.  While blocked, the driver publishes what it waits for in
+code.  The driver pays a root's fuel and tests the gauge; while it holds
+more than the region's ``fuel_bound`` no block entry inside can run it
+out, so the step it runs tests nothing, and otherwise it runs the
+region's checked text, which tests at every block entry.  While
+blocked, the driver publishes what it waits for in
 ``wait_key`` (``("recv", pipe)``, ``("send", pipe)``, ``("rbuf", port)``,
 ``("seq", resource)``, or ``None`` for a voluntary yield, once every
 :data:`BURST` loop iterations), which the scheduler uses to park and
@@ -137,10 +141,15 @@ class Interpreter:
                     for _ in range(self._slow_yields):
                         yield
             hits[block.number] += 1
-            self.fuel -= block.cost
-            if self.fuel <= 0:
-                raise self._fuel_exhausted()
-            for step in block.steps:
+            if self.fuel > block.fuel_bound:  # no entry can run it out
+                self.fuel -= block.cost
+                steps = block.steps
+            else:
+                self.fuel -= block.cost
+                if self.fuel <= 0:
+                    raise self._fuel_exhausted()
+                steps = blocks.checked(block)
+            for step in steps:
                 result = step(self)
                 while result.__class__ is tuple:  # a wait key: blocked
                     stats.blocked += 1

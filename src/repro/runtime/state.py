@@ -88,7 +88,8 @@ class Pipe:
     """A bounded FIFO of messages (words or word tuples).
 
     ``send``/``recv`` notify the machine's :class:`WakeHub` so interpreters
-    parked on the pipe resume exactly when it becomes ready.
+    parked on the pipe resume exactly when it becomes ready — only while
+    the hub holds a waiter, with the pipe's two wait keys built once.
 
     ``sent`` / ``received`` / ``high_water`` (the depth high-water mark)
     feed the runtime profile; they tick per *message*, which is orders of
@@ -104,6 +105,9 @@ class Pipe:
     received: int = 0
     high_water: int = 0
 
+    def __post_init__(self):
+        self.wait_keys = ("recv", self.name), ("send", self.name)
+
     def can_send(self) -> bool:
         return self.capacity <= 0 or len(self.queue) < self.capacity
 
@@ -113,8 +117,9 @@ class Pipe:
         self.sent += 1
         if len(queue) > self.high_water:
             self.high_water = len(queue)
-        if self.hub is not None:
-            self.hub.notify(("recv", self.name))
+        hub = self.hub
+        if hub is not None and hub._waiters:
+            hub.notify(self.wait_keys[0])
 
     def can_recv(self) -> bool:
         return bool(self.queue)
@@ -122,8 +127,9 @@ class Pipe:
     def recv(self):
         message = self.queue.popleft()
         self.received += 1
-        if self.capacity > 0 and self.hub is not None:
-            self.hub.notify(("send", self.name))
+        hub = self.hub
+        if self.capacity > 0 and hub is not None and hub._waiters:
+            hub.notify(self.wait_keys[1])
         return message
 
 

@@ -23,12 +23,17 @@ from repro.ir.values import Const, Value, VReg
 from repro.obs import tracer as obs
 
 
-def construct_ssa(function: Function) -> None:
-    """Rewrite ``function`` into pruned SSA form, in place."""
+def construct_ssa(function: Function,
+                  liveness: Liveness | None = None) -> None:
+    """Rewrite ``function`` into pruned SSA form, in place.  ``liveness``
+    is that of ``function`` as it stands, or of the function it was
+    cloned from (same block names, same registers), if the caller has
+    it already."""
     graph = cfg_of(function)
     dom = DominatorTree.compute(graph)
     frontiers = dom.dominance_frontiers()
-    liveness = Liveness(function)
+    if liveness is None:
+        liveness = Liveness(function)
 
     # 1. Collect definition sites per original register.
     def_blocks: dict[VReg, set[str]] = {}

@@ -211,12 +211,13 @@ _CALLER_EXEMPT = {
 }
 
 
-def _references(node) -> list[str]:
+def _references(node, attributes_only: bool = False) -> list[str]:
     import ast
 
-    return [sub.id if isinstance(sub, ast.Name) else sub.attr
+    return [sub.attr if isinstance(sub, ast.Attribute) else sub.id
             for sub in ast.walk(node)
-            if isinstance(sub, (ast.Name, ast.Attribute))]
+            if isinstance(sub, ast.Attribute)
+            or not attributes_only and isinstance(sub, ast.Name)]
 
 
 def _uncalled(package: Path) -> list[str]:
@@ -226,18 +227,20 @@ def _uncalled(package: Path) -> list[str]:
 
     A reference is a name read or an attribute access anywhere under
     ``package``, ``testing/`` included (imports and ``__all__`` strings
-    do not count); one inside the definition's own body — recursion —
-    does not count either.  The check is by name, so
-    a method shares references with any same-named attribute."""
+    do not count); a method's is an attribute access only, so a local
+    variable of its name does not hide it.  One inside the definition's
+    own body — recursion — does not count either.  The check is by name,
+    so a method shares references with any same-named attribute."""
     import ast
     from collections import Counter
 
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    referenced, recursive = Counter(), Counter()
+    referenced, attributes, recursive = Counter(), Counter(), Counter()
     definitions = []
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         referenced.update(_references(tree))
+        attributes.update(_references(tree, attributes_only=True))
         if package / "testing" in path.parents:
             continue
         for node in tree.body:
@@ -250,16 +253,18 @@ def _uncalled(package: Path) -> list[str]:
             else:
                 continue
             for member in members:
-                recursive[member.name] += _references(member).count(
-                    member.name)
+                method = member is not node
+                recursive[method, member.name] += _references(
+                    member, method).count(member.name)
                 if not member.name.startswith("_"):
-                    qualified = (member.name if member is node
-                                 else f"{owner}{member.name}")
+                    qualified = (f"{owner}{member.name}" if method
+                                 else member.name)
                     definitions.append(
                         (f"{path.relative_to(package)}: {qualified}",
-                         member.name))
-    return [label for label, name in definitions
-            if referenced[name] == recursive[name]]
+                         method, member.name))
+    return [label for label, method, name in definitions
+            if (attributes if method else referenced)[name]
+            == recursive[method, name]]
 
 
 def test_every_public_analysis_function_has_a_caller_in_src():
@@ -298,3 +303,18 @@ def test_the_caller_scan_flags_plain_and_recursive_orphans(tmp_path):
                                   "sub/mod.py: Leaf",
                                   "sub/mod.py: Leaf.copy",
                                   "sub/mod.py: orphan"]
+
+    # A local variable that shares a method's name does not call it; an
+    # attribute access of that name does.
+    (package / "meter.py").write_text(
+        "class Meter:\n"
+        "    def total(self):\n"
+        "        return 0\n\n"
+        "    def reset(self):\n"
+        "        return 0\n\n"
+        "METER = Meter()\n\n"
+        "def tally(values):\n"
+        "    total = sum(values)\n"
+        "    return total + METER.reset()\n\n"
+        "TALLY = tally([1])\n")
+    assert _uncalled(package)[:1] == ["meter.py: Meter.total"]
