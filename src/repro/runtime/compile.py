@@ -25,12 +25,16 @@ leaves the region and only if it is live on that edge (a trap drops the
 rest: quarantine zeroes ``regs`` and an aborting trap never reads them).
 At a join a local survives iff it is current on every incoming path; what
 only some paths changed and the join still needs is written back where
-those paths end.  Constants are literals, the 32-bit wrap, bounds checks
-and trap messages are inline, a packet, rbuf or region accessor is a
-subscript of the live buffer (found through a lookup bound per step) and
-a method call only where it traps (:data:`_ACCESSORS`), and the other
-intrinsics are method calls on the machine state.  A region returns the
-name of the block the driver runs next (``None`` for return).
+those paths end.  Constants are literals; bounds checks and trap
+messages are inline, and so is the 32-bit wrap, behind a range test
+that runs it only on overflow (:data:`_FIT`).  A packet, rbuf or region
+accessor is a subscript of the live buffer and a method call only where
+it traps (:data:`_ACCESSORS`): a packet or rbuf element is looked up
+once per path, into a *view* (:meth:`_Step.view`) that a join keeps
+like a loaded register and that a write of the handle or a method call
+drops.  The other intrinsics are method calls on the machine state.  A
+region returns the name of the block the driver runs next (``None`` for
+return).
 
 Statistics accounting is per *run* of non-blocking instructions: its
 instruction count and weight (and the terminator's, on a block's
@@ -408,8 +412,13 @@ def pipe_directions(function: Function) -> tuple[tuple, frozenset, frozenset]:
 #: One level of indentation (with four blanks, a fifth of the text).
 _INDENT = "\t"
 
-#: ``wrap32`` of an expression, inline.
-_WRAP = "((%s) + 0x80000000 & 0xFFFFFFFF) - 0x80000000"
+#: ``wrap32`` of a local, inline, behind the test that it overflows: a
+#: word costs one chained compare, where the wrap is three big-int steps.
+_FIT = "if not -0x80000000 <= %s <= 0x7FFFFFFF: %s = " \
+    "((%s) + 0x80000000 & 0xFFFFFFFF) - 0x80000000"
+#: The locals of a packet's (``pkt``) or rbuf element's (``elt``) view,
+#: by its handle register's slot: the object, its bytes, their length.
+_VIEWS = {"pkt": ("p%d", "d%d", "n%d"), "elt": ("e%d", "ed%d", "en%d")}
 
 #: Locals a step binds before its first line, when its text names them.
 _PROLOGUE = {
@@ -453,12 +462,13 @@ class _Step:
     Registers are numbered in order of first appearance: register ``n``
     is global ``Kn`` (the :class:`VReg` key into ``interp.regs``) and,
     once read or written, local ``rn``.  Register values are always
-    wrapped 32-bit words — every write below stores one — which is why
-    ``& | ^ >> ~`` need no wrap of their own.  ``loaded`` and ``dirty``
+    wrapped 32-bit words — every write below stores one, what may not be
+    one through :meth:`wrap` — which is why ``& | ^ >> ~`` need no wrap
+    of their own.  ``loaded``, ``dirty`` and ``views`` (:meth:`view`)
     describe the path being written: whoever opens a nested side
-    restores both (and ``indent``) behind it, and a join takes them from
+    restores them (and ``indent``) behind it, and a join takes them from
     the ``sites`` its incoming paths left — each a hole in ``lines`` for
-    that path's write-backs, its indentation, ``loaded`` and ``dirty``.
+    that path's write-backs, its indentation and those three sets.
 
     The checked text writes each book as it changes; the plain one owes
     ``ni``/``nw`` and ``prev`` (``came``) down the path (:meth:`books`).
@@ -479,6 +489,7 @@ class _Step:
         self.indent = _INDENT
         self.loaded: set[int] = set()  # slots whose local is current
         self.dirty: set[int] = set()   # ... and newer than interp.regs
+        self.views: set[str] = set()   # handle views bound (by ``p``/``e``)
         self.region = [root]           # the blocks written so far
         self.home = None if root in blocks.owner else root
         self.sites: dict[str, list] = {}  # join -> its paths so far
@@ -517,16 +528,49 @@ class _Step:
             self.emit(f"r{slot} = regs[K{slot}]")
         return f"r{slot}"
 
-    def store(self, dest: VReg, expr: str) -> str:
-        """The statement writing ``expr`` (a wrapped word) to ``dest``."""
+    def local(self, dest: VReg) -> str:
+        """``dest``'s local, about to be written (its views go stale)."""
         slot = self._slot(dest)
         self.loaded.add(slot)
         self.dirty.add(slot)
-        return f"r{slot} = {expr}"
+        self.views -= {f"p{slot}", f"e{slot}"}
+        return f"r{slot}"
+
+    def store(self, dest: VReg, expr: str) -> str:
+        """The statement writing ``expr`` (a wrapped word) to ``dest``."""
+        return f"{self.local(dest)} = {expr}"
 
     def write(self, dest: VReg | None, expr: str) -> None:
         if dest is not None:
             self.emit(self.store(dest, expr))
+
+    def wrap(self, dest: VReg | str | None, expr: str | None = None) -> None:
+        """Write ``expr`` to ``dest`` (a register or a local's name) as a
+        word — with no ``expr``, make what ``dest`` holds one: the wrap
+        runs only if the value is out of range."""
+        if dest is not None:
+            name = dest if dest.__class__ is str else self.local(dest)
+            if expr is not None:
+                self.emit(f"{name} = {expr}")
+            self.emit(_FIT % (name, name, name))
+
+    def view(self, lookup: str, handle) -> tuple[str, str, str]:
+        """The locals of ``handle``'s packet (``lookup`` ``pkt``) or rbuf
+        element (``elt``), its bytes and their length: -1 where there is
+        none (or the packet is freed), so every fast test fails into the
+        method, which traps.  Bound once per path for a register, until
+        it is written or a method call (:data:`_METHODS`) may free it;
+        a constant handle is looked up at every access."""
+        text, slot = self.read(handle), self.slots.get(handle)
+        view, data, size = names = ("p", "d", "n") if slot is None else \
+            tuple(name % slot for name in _VIEWS[lookup])
+        if view not in self.views:
+            live = f" and not {view}.freed" if lookup == "pkt" else ""
+            self.emit(f"{size} = len({data} := {view}.data) if ({view} := "
+                      f"{lookup}({text})) is not None{live} else -1")
+            if slot is not None:
+                self.views.add(view)
+        return names
 
     def spills(self, slots, live: int) -> list[str]:
         """The write-backs of those of ``slots`` that ``live`` (a mask)
@@ -588,12 +632,12 @@ class _Step:
         self.came, self.fx = None, self.owed if self.base else None
 
     def snapshot(self) -> tuple:
-        return (set(self.loaded), set(self.dirty), self.ni, self.nw,
-                self.came, self.owed, self.fx)
+        return (set(self.loaded), set(self.dirty), set(self.views), self.ni,
+                self.nw, self.came, self.owed, self.fx)
 
     def restore(self, state: tuple) -> None:
-        loaded, dirty, self.ni, self.nw, self.came, self.owed, self.fx = state
-        self.loaded, self.dirty = set(loaded), set(dirty)
+        self.loaded, self.dirty, self.views = map(set, state[:3])
+        self.ni, self.nw, self.came, self.owed, self.fx = state[3:]
 
     @contextmanager
     def side(self, test: str, state: tuple):
@@ -671,7 +715,7 @@ def _emit_binop(step: _Step, inst: BinOp) -> None:
     elif op in COMPARISON_OPS:
         step.write(inst.dest, f"1 if {lhs} {op} {rhs} else 0")
     elif op in ("+", "-", "*", "<<"):
-        step.write(inst.dest, _WRAP % f"{lhs} {op} {rhs}")
+        step.wrap(inst.dest, f"{lhs} {op} {rhs}")
     elif op in ("&", "|", "^", ">>"):
         step.write(inst.dest, f"{lhs} {op} {rhs}")
     else:
@@ -681,7 +725,7 @@ def _emit_binop(step: _Step, inst: BinOp) -> None:
 def _emit_unop(step: _Step, inst: UnOp) -> None:
     operand = step.read(inst.operand)
     if inst.op == "-":
-        step.write(inst.dest, _WRAP % f"-{operand}")
+        step.wrap(inst.dest, f"-{operand}")
     elif inst.op == "~":
         step.write(inst.dest, f"~{operand}")
     elif inst.op == "!":
@@ -750,55 +794,57 @@ _METHODS = {
 #: live packet (``pkt``), rbuf element (``elt``) or region frame (``mem``),
 #: calling the method otherwise, to trap as the reference oracle does:
 #: name -> (lookup, bytes reached, access, method).  The access reaches
-#: buffer ``d`` at ``{0}``, ``{1}``... (offset + 0, 1..., or the metadata
-#: key) and ``{v}`` is the value stored.
+#: buffer ``{d}`` (of packet ``{p}``) at ``{0}``, ``{1}``... (offset + 0,
+#: 1..., or the metadata key) and ``{v}`` is the value stored.
 _ACCESSORS = {
-    "pkt_load": ("pkt", 1, "d[{0}]", "packets.load"),
-    "pkt_load_u16": ("pkt", 2, "d[{0}] << 8 | d[{1}]", "packets.load_u16"),
-    "pkt_load_u32": ("pkt", 4, _WRAP % "d[{0}] << 24 | d[{1}] << 16 | "
-                     "d[{2}] << 8 | d[{3}]", "packets.load_u32"),
-    "pkt_store": ("pkt", 1, "d[{0}] = {v} & 0xFF", "packets.store"),
-    "pkt_store_u16": ("pkt", 2, "d[{0}] = {v} >> 8 & 0xFF; d[{1}] = {v} "
+    "pkt_load": ("pkt", 1, "{d}[{0}]", "packets.load"),
+    "pkt_load_u16": ("pkt", 2, "{d}[{0}] << 8 | {d}[{1}]", "packets.load_u16"),
+    "pkt_load_u32": ("pkt", 4, "{d}[{0}] << 24 | {d}[{1}] << 16 | {d}[{2}] "
+                     "<< 8 | {d}[{3}]", "packets.load_u32"),
+    "pkt_store": ("pkt", 1, "{d}[{0}] = {v} & 0xFF", "packets.store"),
+    "pkt_store_u16": ("pkt", 2, "{d}[{0}] = {v} >> 8 & 0xFF; {d}[{1}] = {v} "
                       "& 0xFF", "packets.store_u16"),
-    "pkt_store_u32": ("pkt", 4, "d[{0}] = {v} >> 24 & 0xFF; d[{1}] = {v} >> "
-                      "16 & 0xFF; d[{2}] = {v} >> 8 & 0xFF; d[{3}] = {v} & "
-                      "0xFF", "packets.store_u32"),
-    "pkt_meta_get": ("pkt", 0, _WRAP % "p.meta.get({0}, 0)",
-                     "packets.meta_get"),
-    "pkt_meta_set": ("pkt", 0, "p.meta[{0}] = {v}", "packets.meta_set"),
-    "rbuf_load": ("elt", 1, "d[{0}]", "devices.rbuf_load"),
-    "mem_read": ("mem", 1, _WRAP % "d[{0}]", "state.region_read"),
+    "pkt_store_u32": ("pkt", 4, "{d}[{0}] = {v} >> 24 & 0xFF; {d}[{1}] = {v} "
+                      ">> 16 & 0xFF; {d}[{2}] = {v} >> 8 & 0xFF; {d}[{3}] = "
+                      "{v} & 0xFF", "packets.store_u32"),
+    "pkt_meta_get": ("pkt", 0, "{p}.meta.get({0}, 0)", "packets.meta_get"),
+    "pkt_meta_set": ("pkt", 0, "{p}.meta[{0}] = {v}", "packets.meta_set"),
+    "rbuf_load": ("elt", 1, "{d}[{0}]", "devices.rbuf_load"),
+    "mem_read": ("mem", 1, "{d}[{0}]", "state.region_read"),
 }
+#: ... those that may read what is not a word: a host's or four bytes.
+_UNWRAPPED = ("pkt_load_u32", "pkt_meta_get", "mem_read")
 
 
 def _emit_access(step: _Step, inst: Call, args: list[str]) -> None:
     """One of :data:`_ACCESSORS`: the access behind the test that it lies
-    inside, else the method (alone at a negative literal offset)."""
+    inside, through the handle's view, else the method (alone at a
+    negative literal offset); then the wrap of a value that may need it."""
     lookup, width, access, method = _ACCESSORS[inst.callee]
-    at, offset = args[1], inst.args[1]
-    fast = access.format(at, *(f"{at} + {k}" for k in range(1, width)),
-                         v=args[-1])
+    at, offset, dest = args[1], inst.args[1], inst.dest
     slow = f"{method}({', '.join(args)})"
-    if inst.dest is not None:
-        fast, slow = (step.store(inst.dest, fast),
-                      step.store(inst.dest, _WRAP % slow))
     if isinstance(offset, Const) and wrap32(offset.value) < 0:
-        step.emit(step.trap(slow))
-        return
-    if lookup == "mem":
-        test = f"(d := {step.frame(inst.args[0].name)}) is not None"
-        size = "len(d)"
+        step.emit(step.trap(slow if dest is None else step.store(dest, slow)))
     else:
-        step.emit(f"p = {lookup}({args[0]})")
-        test = ("p is not None and not p.freed" if lookup == "pkt"
-                else "p is not None")
-        size = "len(d := p.data)"
-    if width and isinstance(offset, Const):  # folded: ``13 < len(d)``
-        test += f" and {at} + {width - 1} < {size}"
-    elif width:
-        test += f" and 0 <= {at} < {size}" + (f" - {width - 1}" if width > 1
+        if lookup == "mem":
+            view, data, size = None, "d", "len(d)"
+            test = f"(d := {step.frame(inst.args[0].name)}) is not None and "
+        else:
+            (view, data, size), test = step.view(lookup, inst.args[0]), ""
+        if not width:
+            test += f"{size} >= 0"
+        elif isinstance(offset, Const):  # folded: ``13 < n1``
+            test += f"{at} + {width - 1} < {size}"
+        else:
+            test += f"0 <= {at} < {size}" + (f" - {width - 1}" if width > 1
                                               else "")
-    step.emit(f"if {test}: {fast}", f"else: {step.trap(slow)}")
+        fast = access.format(at, *(f"{at} + {k}" for k in range(1, width)),
+                             v=args[-1], p=view, d=data)
+        if dest is not None:  # after the view: it may be ``dest``'s
+            fast, slow = step.store(dest, fast), step.store(dest, slow)
+        step.emit(f"if {test}: {fast}", f"else: {step.trap(slow)}")
+    if inst.callee in _UNWRAPPED:
+        step.wrap(dest)
 
 
 def _emit_call(step: _Step, inst: Call) -> None:
@@ -814,27 +860,26 @@ def _emit_call(step: _Step, inst: Call) -> None:
     if name in _ACCESSORS:
         _emit_access(step, inst, args)
     elif method is not None:
-        if name != "trace":  # the others may trap
+        if name != "trace":  # the others may trap, or free a packet
             step.settle()
+            step.views.clear()
         call = f"{method}({', '.join(args)})"
         if dest is None:
             step.emit(call)
         else:
-            step.write(dest, _WRAP % call)
+            step.wrap(dest, call)
     elif name == "pipe_empty":
         step.write(dest, f"0 if interp.pipes[{inst.args[0].name!r}].queue "
                          f"else 1")
     elif name == "hash32":
-        step.write(dest, _WRAP % f"({args[0]} & 0xFFFFFFFF) * 2654435761")
+        step.wrap(dest, f"({args[0]} & 0xFFFFFFFF) * 2654435761")
     elif name == "mem_add":
         region, addr, delta = args
         step.settle()
-        step.emit(
-            f"old = state.region_read({region}, {addr})",
-            f"state.region_write({region}, {addr}, "
-            + _WRAP % f"old + {delta}" + ")",
-        )
-        step.write(dest, _WRAP % "old")
+        step.emit(f"old = state.region_read({region}, {addr})")
+        step.wrap("new", f"old + {delta}")
+        step.emit(f"state.region_write({region}, {addr}, new)")
+        step.wrap(dest, "old")
     else:  # pragma: no cover - the verifier rejects earlier
         step.emit(step.trap("raise TrapError(%r)"
                             % f"unimplemented intrinsic {name!r}"))
@@ -893,7 +938,8 @@ def _emit_edge(step: _Step, block: BasicBlock, target: str) -> str | None:
     hole: list[str] = []
     step.lines.append(hole)
     step.sites.setdefault(target, []).append(
-        (hole, step.indent, set(step.loaded), set(step.dirty)))
+        (hole, step.indent, set(step.loaded), set(step.dirty),
+         set(step.views)))
     if target in plan.tagged:
         step.emit(f"nxt = {step.tags.setdefault(target, len(step.tags))}")
     return None
@@ -974,8 +1020,9 @@ def _emit_nodes(step: _Step, name: str, run=None) -> None:
                 loaded = set.intersection(*(site[2] for site in sites))
                 step.restore((loaded, loaded.intersection(
                     slot for site in sites for slot in site[3]),
+                    set.intersection(*(site[4] for site in sites)),
                     0, 0, None, step.base, step.base))
-                for hole, indent, _, dirty in sites:
+                for hole, indent, _, dirty, _ in sites:
                     hole += [indent + line for line
                              in step.spills(dirty - step.loaded, live)]
                 if name in plan.tagged:
@@ -1018,11 +1065,11 @@ def _emit_pipe_in(step: _Step, inst: PipeIn) -> None:
             'words, got {len(message)}")' % count),
     )
     step.charge(1, inst.weight(), transmission=True)
-    words = [f"w{number}" for number in range(count)]
+    words = [step.local(dest) for dest in inst.dests]
     if words:
         step.emit(f"{', '.join(words)}, = message")
-    for dest, word in zip(inst.dests, words):
-        step.write(dest, _WRAP % word)
+    for dest in dict.fromkeys(inst.dests):  # a host may feed any int
+        step.wrap(dest)
 
 
 def _emit_pipe_out(step: _Step, inst: PipeOut) -> None:
@@ -1040,7 +1087,7 @@ def _emit_pipe_recv(step: _Step, inst: Call) -> None:
             "raise TrapError(%r)"
             % f"pipe_recv on {name} found a multi-word message"),
     )
-    step.write(inst.dest, _WRAP % "message")
+    step.wrap(inst.dest, "message")
 
 
 def _emit_pipe_send(step: _Step, inst: Call) -> None:
@@ -1053,7 +1100,7 @@ def _emit_rbuf_next(step: _Step, inst: Call) -> None:
     step.emit(f"element = interp.state.devices.rbuf_next({port})",
               f"if element is None: return ('rbuf', {port})")
     step.charge(1, inst.weight())
-    step.write(inst.dest, _WRAP % "element")
+    step.wrap(inst.dest, "element")
 
 
 # The replication pseudo-instructions: their resource enters through the
