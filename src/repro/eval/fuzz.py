@@ -474,8 +474,7 @@ class FuzzCase:
 def run_fuzz(seeds: int = 50, *, start_seed: int = 0,
              degrees: tuple = (2, 3, 4), packets: int = 24,
              programs: tuple = (PROGEN,), plans: tuple | None = None,
-             shrink: bool = True, max_shrink_tests: int = 200,
-             jobs: int = 1) -> FuzzReport:
+             max_shrink_tests: int = 200, jobs: int = 1) -> FuzzReport:
     """Run every case of ``programs`` x ``seeds`` from ``start_seed`` x
     ``degrees`` through the check families.
 
@@ -497,7 +496,7 @@ def run_fuzz(seeds: int = 50, *, start_seed: int = 0,
     resolved = ({spec: resolve_plan(spec) for spec in plans} if plans
                 else builtin_plans())
     cases = [FuzzCase(RunSpec(program, packets, seed, (degree,)), resolved,
-                      max_shrink_tests if shrink else 0)
+                      max_shrink_tests)
              for program in report.programs
              for seed in range(start_seed, start_seed + seeds)
              for degree in report.degrees]

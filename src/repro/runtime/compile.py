@@ -40,24 +40,26 @@ Statistics accounting is per *run* of non-blocking instructions: its
 instruction count and weight (and the terminator's, on a block's
 trailing run) are pre-summed and charged before its first instruction
 executes.  An inlined block first does what the driver does for a block
-it sees — ``prev_block``, its hit in ``block_hits`` (``hits[k] += 1``),
-the ``fuel`` charge and test — so counters, traps and injected-trap
-firing points stay where the instruction-by-instruction oracle in
-:mod:`repro.testing.reference` puts them.  A step keeps these books in
-locals — ``ni`` / ``nw``, ``fuel``, ``prev`` — and a ``finally``
-settles them, so a return, a wait key or a trap leaves what a write at
-every charge would.  That is the *checked* text.  Each region has a
-*fuel bound*, the most its block entries take along any path; while
-the gauge holds more, the driver runs the *plain* text, which tests no
-gauge and writes a charge or ``prev`` only where it can be read: ahead
-of a call that may trap, in a branch that raises, where the region is
-left or a join begins, ahead of a sequencer mark (which reads
-``stats.weight + nw``).  It settles the gauge from the charges,
-``interp.fuel -= ni + fx``.
-The checked text is generated only for a region the gauge may run out
-in.  Instructions that can block account for themselves only once they
-succeed, exactly like the oracle, so completed runs produce
-bit-identical statistics, traps and messages;
+it sees — ``prev_block`` and its hit in ``block_hits`` (``hits[k] +=
+1``) — so counters, traps and injected-trap firing points stay where the
+instruction-by-instruction oracle in :mod:`repro.testing.reference` puts
+them.  A step keeps its books in locals, ``ni`` / ``nw`` and ``prev``,
+and a ``finally`` settles them, so a return, a wait key or a trap leaves
+what a write at every charge would; it writes a charge or ``prev`` to
+those locals only where it can be read: ahead of a call that may trap,
+in a branch that raises, where the region is left or a join begins,
+ahead of a sequencer mark (which reads ``stats.weight + nw``).  That is
+the *plain* text.  The budget is the instruction count itself: a block
+entry traps once ``stats.instructions`` plus the block's cost reaches
+``interp.limit``.  Each region has a *fuel bound*, the most its block
+entries retire along any path; while the count is further from the limit
+than that, the driver runs the plain text, which tests nothing.
+Otherwise it runs the *checked* text, generated only for a region that
+may reach the limit: the plain text plus one test per inline block
+entry, ``if ni + <due and cost> >= room:``, where ``room`` is the limit
+less the count when the step began.  Instructions that can block account
+for themselves only once they succeed, exactly like the oracle, so
+completed runs produce bit-identical statistics, traps and messages;
 ``tests/test_runtime_compiled_differential.py`` enforces this over
 randomized programs.
 
@@ -128,11 +130,12 @@ class CompiledBlock:
     accounted — and otherwise ``None``, except the last: that is the
     region (the block's trailing run, then the rest of ``region``,
     inline) and returns the next block's name, ``None`` for return.
-    ``cost`` is the fuel the driver charges per execution of the block,
-    ``fuel_bound`` the most fuel the region takes (``cost`` included):
-    while the gauge holds more, the driver runs ``steps`` (the plain
-    text), otherwise ``checked``; ``number`` is its index into
-    ``block_hits`` and ``source`` the plain text."""
+    ``cost`` is the instructions one execution of the block retires,
+    ``fuel_bound`` the most the region retires (``cost`` included):
+    while ``stats.instructions`` plus that stays below the interpreter's
+    ``limit``, the driver runs ``steps`` (the plain text), otherwise
+    ``checked``; ``number`` is its index into ``block_hits`` and
+    ``source`` the plain text."""
 
     __slots__ = ("name", "number", "steps", "cost", "fuel_bound", "source",
                  "region", "checked")
@@ -280,7 +283,7 @@ class _LazyBlocks(dict):
             if not deep:
                 break
             roots |= deep
-        # The most fuel a region's block entries can take: over its paths
+        # The most a region's block entries can retire: over its paths
         # (acyclic, so in this order), of len(instructions) + 1 each.
         reach, bounds = {}, {}
         for name in order:
@@ -412,10 +415,11 @@ def pipe_directions(function: Function) -> tuple[tuple, frozenset, frozenset]:
 #: One level of indentation (with four blanks, a fifth of the text).
 _INDENT = "\t"
 
-#: ``wrap32`` of a local, inline, behind the test that it overflows: a
-#: word costs one chained compare, where the wrap is three big-int steps.
-_FIT = "if not -0x80000000 <= %s <= 0x7FFFFFFF: %s = " \
-    "((%s) + 0x80000000 & 0xFFFFFFFF) - 0x80000000"
+#: ``wrap32`` of an expression, inline.
+_WRAP = "((%s) + 0x80000000 & 0xFFFFFFFF) - 0x80000000"
+#: ... of a local, behind the test that it overflows: a word costs one
+#: chained compare, where the wrap is three big-int steps.
+_FIT = "if not -0x80000000 <= %s <= 0x7FFFFFFF: %s = " + _WRAP
 #: The locals of a packet's (``pkt``) or rbuf element's (``elt``) view,
 #: by its handle register's slot: the object, its bytes, their length.
 _VIEWS = {"pkt": ("p%d", "d%d", "n%d"), "elt": ("e%d", "ed%d", "en%d")}
@@ -430,13 +434,13 @@ _PROLOGUE = {
     "hits": "interp.stats.block_hits",
     "pkt": "interp.state.packets._packets.get",
     "elt": "interp.state.devices._elements.get",
+    "room": "interp.limit - interp.stats.instructions",
 }
 #: A step's books: locals loaded like those, and settled into the
 #: interpreter once, by a ``finally`` around the step, however it ends.
 _BOOKS = {
     "ni": ("0", "stats.instructions += ni"),
     "nw": ("0", "stats.weight += nw"),
-    "fuel": ("interp.fuel", "interp.fuel = fuel"),
     "prev": ("interp.prev_block", "interp.prev_block = prev"),
 }
 #: ... all found by name (a hit inside a trap message binds one too many).
@@ -470,19 +474,17 @@ class _Step:
     the ``sites`` its incoming paths left — each a hole in ``lines`` for
     that path's write-backs, its indentation and those three sets.
 
-    The checked text writes each book as it changes; the plain one owes
-    ``ni``/``nw`` and ``prev`` (``came``) down the path (:meth:`books`).
-    ``owed`` is the fuel of the blocks entered less the instructions
-    charged: ``base`` (0 less the root's charges) wherever control
-    leaves, and ``fx`` on a path that raises with a block half paid."""
+    The text owes ``ni``/``nw`` and ``prev`` (``came``) down the path
+    and writes them where they can be read (:meth:`books`); the
+    ``checked`` text adds a test of the limit at every inline block
+    entry (:meth:`enter`)."""
 
     def __init__(self, blocks: _LazyBlocks, function: Function, root: str,
                  checked: bool = False):
-        self.blocks, self.function = blocks, function
-        self.checked, self.fuel = checked, False  # fuel: settles the gauge
-        self.ni = self.nw = self.owed = 0
-        self.came = self.fx = self.base = None
-        self.opened = 0 if checked else None  # where ``try:`` goes
+        self.blocks, self.function, self.checked = blocks, function, checked
+        self.ni = self.nw = 0
+        self.came = None
+        self.opened = None  # where ``try:`` goes
         self.lines: list = []          # text, and the holes of open sites
         self.env: dict = {"TrapError": TrapError}
         self.slots: dict[VReg, int] = {}
@@ -587,57 +589,45 @@ class _Step:
                transmission: bool = False) -> None:
         if self.opened is None:  # nothing before it is accounted
             self.opened = len(self.lines)
-        if self.checked:
-            self.emit(f"ni += {instructions}", f"nw += {weight}")
         self.ni, self.nw = self.ni + instructions, self.nw + weight
-        self.owed -= instructions
         if transmission:
             self.emit(f"stats.transmission_weight += {weight}")
 
     def enter(self, block: BasicBlock) -> None:
-        """What the driver does for a block it sees, inline."""
-        cost = len(block.instructions) + 1
+        """What the driver does for a block it sees, inline: in the
+        checked text, with its test of the limit (everything before the
+        block is charged, settled in ``ni`` or still due)."""
         self.emit(f"hits[{self.numbers[block.name]}] += 1")
         if self.checked:
-            self.emit(f"fuel -= {cost}",
-                      "if fuel <= 0: raise interp._fuel_exhausted()")
-        self.owed += cost
+            cost = len(block.instructions) + 1
+            self.emit(f"if ni + {self.ni + cost} >= room: "
+                      + self.trap("raise interp._fuel_exhausted()"))
 
-    def leave(self, block: str) -> None:
-        if self.checked:
-            self.emit(f"prev = {block!r}")
-        self.came = block
-
-    def books(self, trap: bool = False) -> str:
-        """The writes of what the plain text owes, on one line (``fx``
-        always ahead of a raise, which the root's charge may precede)."""
-        if self.checked:
-            return ""
+    def books(self) -> str:
+        """The writes of what the path owes, on one line."""
         writes = [f"{book} += {due}" for book, due
                   in (("ni", self.ni), ("nw", self.nw)) if due]
         if self.came:
             writes.append(f"prev = {self.came!r}")
-        if self.fuel and self.owed != self.fx and (trap or self.base):
-            writes.append(f"fx = {self.owed}")
         return "; ".join(writes)
 
     def trap(self, statement: str) -> str:
         """``statement``, which raises, behind the books it may read."""
-        return "; ".join(filter(None, (self.books(True), statement)))
+        return "; ".join(filter(None, (self.books(), statement)))
 
     def settle(self) -> None:
         """Write what the path owes, for something ahead to read."""
         self.emit(*filter(None, [self.books()]))
         self.ni = self.nw = 0
-        self.came, self.fx = None, self.owed if self.base else None
+        self.came = None
 
     def snapshot(self) -> tuple:
         return (set(self.loaded), set(self.dirty), set(self.views), self.ni,
-                self.nw, self.came, self.owed, self.fx)
+                self.nw, self.came)
 
     def restore(self, state: tuple) -> None:
         self.loaded, self.dirty, self.views = map(set, state[:3])
-        self.ni, self.nw, self.came, self.owed, self.fx = state[3:]
+        self.ni, self.nw, self.came = state[3:]
 
     @contextmanager
     def side(self, test: str, state: tuple):
@@ -653,18 +643,14 @@ class _Step:
     def finish(self):
         """Compile the text as a function named after the root block;
         returns ``(function, source)``.  Every step charges, so every
-        step keeps books: the plain text enters ``try`` at its first
-        charge, behind what returns a wait key."""
+        step keeps books: it enters ``try`` at its first charge, behind
+        what returns a wait key."""
         name = "at_" + re.sub(r"\W", "_", self.region[0])
         lines = [line for entry in self.lines for line in
                  ([entry] if entry.__class__ is str else entry)]
         opened = self.opened or 0
         named = set(_NAMED.findall("\n".join(lines)))
-        if self.fuel:
-            named.add("ni")
         books = {book: _BOOKS[book] for book in _BOOKS if book in named}
-        if self.fuel:
-            books["fx"] = (str(self.base), "interp.fuel -= ni + fx")
         settle = "; ".join(value[1] for value in books.values())
         named.update(_NAMED.findall(settle))
         source = "".join((
@@ -871,8 +857,8 @@ def _emit_call(step: _Step, inst: Call) -> None:
     elif name == "pipe_empty":
         step.write(dest, f"0 if interp.pipes[{inst.args[0].name!r}].queue "
                          f"else 1")
-    elif name == "hash32":
-        step.wrap(dest, f"({args[0]} & 0xFFFFFFFF) * 2654435761")
+    elif name == "hash32":  # 0, or past 2**31: the wrap always runs
+        step.write(dest, _WRAP % f"({args[0]} & 0xFFFFFFFF) * 2654435761")
     elif name == "mem_add":
         region, addr, delta = args
         step.settle()
@@ -902,8 +888,6 @@ def _emit_run(step: _Step, instructions, terminator=None) -> None:
     charged = instructions + ([terminator] if terminator is not None else [])
     if charged:
         step.charge(len(charged), sum(inst.weight() for inst in charged))
-    if terminator is not None and step.base is None:  # the root is paid
-        step.fx = step.base = step.owed
     for inst in instructions:
         emit = _EMIT.get(type(inst))
         if emit is None:
@@ -919,7 +903,7 @@ def _emit_run(step: _Step, instructions, terminator=None) -> None:
 def _emit_exit(step: _Step, block: BasicBlock, target: str | None) -> None:
     """Leave the region from ``block`` for ``target`` (``None``: return)."""
     step.flush(step.blocks.live.get(target, 0))
-    step.leave(block.name)
+    step.came = block.name
     step.settle()
     step.emit(f"return {target!r}")
 
@@ -931,10 +915,10 @@ def _emit_edge(step: _Step, block: BasicBlock, target: str) -> str | None:
     plan = step.blocks
     if not plan.inline(step.home, target):
         return _emit_exit(step, block, target)
-    step.leave(block.name)
+    step.came = block.name
     if target not in plan.merges:
         return target
-    step.settle()  # paths meet with nothing owed
+    step.settle()  # paths meet with nothing due
     hole: list[str] = []
     step.lines.append(hole)
     step.sites.setdefault(target, []).append(
@@ -1021,7 +1005,7 @@ def _emit_nodes(step: _Step, name: str, run=None) -> None:
                 step.restore((loaded, loaded.intersection(
                     slot for site in sites for slot in site[3]),
                     set.intersection(*(site[4] for site in sites)),
-                    0, 0, None, step.base, step.base))
+                    0, 0, None))
                 for hole, indent, _, dirty, _ in sites:
                     hole += [indent + line for line
                              in step.spills(dirty - step.loaded, live)]
@@ -1198,12 +1182,9 @@ def _compile_block(blocks: _LazyBlocks, function: Function,
     assert block.terminator is not None, block.name
     cost = len(block.instructions) + 1  # +1 guards empty-block cycles
     bound = cost if block.name in blocks.owner else blocks.bounds[block.name]
-    heads = [index for index, inst in enumerate(block.instructions)
-             if _own_step(inst)]
     built, run = [], []
     step = _Step(blocks, function, block.name, checked)
-    step.fuel = not checked and bound > cost and not heads
-    for index, inst in enumerate(block.instructions):
+    for inst in block.instructions:
         head = _own_step(inst)
         if head is None:
             run.append(inst)
@@ -1215,7 +1196,6 @@ def _compile_block(blocks: _LazyBlocks, function: Function,
             step.settle()
             built.append(step.finish())
             step, run = _Step(blocks, function, block.name, checked), []
-        step.fuel = not checked and bound > cost and index == heads[-1]
         key = _pipe_wait(inst)
         if key:  # bind ``pipe``; its wait key unless it is ready
             step.emit(f"pipe = interp.pipes[{key[1]!r}]", "if not "

@@ -16,8 +16,8 @@ The fault-free path pays nothing (the same zero-overhead discipline as
   *creation*, so unwrapped pipes keep the plain ``can_send``;
 * stage slowdowns add yields inside the existing once-per-iteration
   ``loop_start`` branch of the interpreter drivers;
-* injected traps reprogram the interpreter's *fuel* gauge, reusing the
-  fuel check the hot loops already perform.
+* injected traps lower the interpreter's instruction *limit*, reusing
+  the livelock guard's test the hot loops already perform.
 
 Stall countdowns advance on scheduler *quiescence* (a virtual clock):
 every time the ready deque empties, :meth:`FaultInjector.on_quiescence`

@@ -13,15 +13,16 @@ functions that :mod:`repro.runtime.compile` writes the first time a
 block runs — one call per region (a root block and every block whose
 predecessors are all inside: typically a whole loop body), operands
 pre-resolved, registers in locals, ``prev_block`` kept by the generated
-code.  The driver pays a root's fuel and tests the gauge; while it holds
-more than the region's ``fuel_bound`` no block entry inside can run it
-out, so the step it runs tests nothing, and otherwise it runs the
-region's checked text, which tests at every block entry.  While
-blocked, the driver publishes what it waits for in
-``wait_key`` (``("recv", pipe)``, ``("send", pipe)``, ``("rbuf", port)``,
-``("seq", resource)``, or ``None`` for a voluntary yield, once every
-:data:`BURST` loop iterations), which the scheduler uses to park and
-wake interpreters.
+code.  A block entry traps once ``stats.instructions`` plus the block's
+cost reaches ``limit`` (:data:`FUEL`, or lower while an injected trap is
+armed).  While the count plus the region's ``fuel_bound`` stays below
+it, no entry inside can reach it and the step the driver runs tests
+nothing; otherwise the driver tests the root's entry and runs the
+region's checked text, which tests every inline entry.  While blocked,
+the driver publishes what it waits for in ``wait_key`` (``("recv",
+pipe)``, ``("send", pipe)``, ``("rbuf", port)``, ``("seq", resource)``,
+or ``None`` for a voluntary yield, once every :data:`BURST` loop
+iterations), which the scheduler uses to park and wake interpreters.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ from repro.runtime.state import MachineState
 #: step blocks), so an unbounded stage ring holds ``BURST`` messages in
 #: steady state.  Blocking FIFOs make the answer schedule-independent.
 BURST = 32
+
+#: The livelock guard: a block entry that would take an interpreter's
+#: instruction count to this many traps "out of fuel".
+FUEL = 100_000_000
 
 
 @dataclass(slots=True)
@@ -77,8 +82,7 @@ class Interpreter:
                  loop_start: str | None = None,
                  max_iterations: int | None = None,
                  seq_offset: int = 0,
-                 seq_stride: int = 1,
-                 fuel: int = 100_000_000):
+                 seq_stride: int = 1):
         self.function = function
         self.state = state
         self.seq_offset = seq_offset
@@ -94,7 +98,7 @@ class Interpreter:
                                  block_hits=[0] * len(program.block_names))
         self.loop_start = loop_start
         self.max_iterations = max_iterations
-        self.fuel = fuel
+        self.limit = FUEL  # the instruction count a block entry traps at
         self.finished = False
         self.wait_key: tuple | None = None
         self.prev_block: str | None = None
@@ -102,11 +106,10 @@ class Interpreter:
         self._held: dict = {}  # serially held resources -> weight mark
         # Chaos hooks (all inert unless a fault plan arms them): extra
         # per-iteration yields, a pending injected trap (fired through the
-        # existing fuel check so the fault-free path gains no test), and
-        # the block to resume from after a quarantine restart.
+        # existing ``limit`` test so the fault-free path gains no test),
+        # and the block to resume from after a quarantine restart.
         self._slow_yields = 0
         self._fault_trap: str | None = None
-        self._fault_restore_fuel = 0
         self._resume_block: str | None = None
 
     # -- driver -----------------------------------------------------------------
@@ -141,13 +144,11 @@ class Interpreter:
                     for _ in range(self._slow_yields):
                         yield
             hits[block.number] += 1
-            if self.fuel > block.fuel_bound:  # no entry can run it out
-                self.fuel -= block.cost
-                steps = block.steps
+            if stats.instructions + block.fuel_bound < self.limit:
+                steps = block.steps  # no entry can reach the limit
+            elif stats.instructions + block.cost >= self.limit:
+                raise self._fuel_exhausted()
             else:
-                self.fuel -= block.cost
-                if self.fuel <= 0:
-                    raise self._fuel_exhausted()
                 steps = blocks.checked(block)
             for step in steps:
                 result = step(self)
@@ -165,11 +166,13 @@ class Interpreter:
     # -- chaos hooks (fault injection + trap isolation) -------------------------
 
     def _fuel_exhausted(self) -> Exception:
-        """Build the trap for a zero fuel gauge (cold path).
+        """Build the trap for a block entry that reaches ``limit`` (cold
+        path).
 
-        Injected traps ride on the existing fuel check: arming one lowers
-        ``fuel`` to the target instruction budget, so the hot loop needs
-        no extra test, and this cold handler tells the two cases apart.
+        Injected traps ride on the existing ``limit`` test: arming one
+        lowers ``limit`` to the target instruction count, so the hot loop
+        needs no extra test, and this cold handler tells the two cases
+        apart.
         """
         if self._fault_trap is not None:
             if self.state.faults is not None:
@@ -179,10 +182,9 @@ class Interpreter:
 
     def arm_injected_trap(self, after_instructions: int, message: str) -> None:
         """Trap after roughly ``after_instructions`` more instructions."""
-        budget = max(1, after_instructions)
-        if budget < self.fuel:
-            self._fault_restore_fuel = self.fuel - budget
-            self.fuel = budget
+        limit = self.stats.instructions + max(1, after_instructions)
+        if limit < self.limit:
+            self.limit = limit
             self._fault_trap = message
 
     def can_quarantine(self) -> bool:
@@ -212,10 +214,8 @@ class Interpreter:
         # their full budget.
         if self.stats.iterations > 0:
             self.stats.iterations -= 1
-        if self._fault_trap is not None:
-            # The injected trap fired (or is being cleared): restore the
-            # real fuel gauge so the restart is not starved.
-            self.fuel = max(self.fuel, 0) + self._fault_restore_fuel
-            self._fault_restore_fuel = 0
-            self._fault_trap = None
+        # An injected trap fired (or is being cleared): the restart runs
+        # to the livelock guard.
+        self.limit = FUEL
+        self._fault_trap = None
         self._resume_block = self.loop_start

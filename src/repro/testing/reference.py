@@ -71,7 +71,7 @@ class ReferenceInterpreter:
         self.max_iterations = config.max_iterations
         self.seq_offset = config.seq_offset
         self.seq_stride = config.seq_stride
-        self.fuel = config.fuel
+        self.fuel = config.limit
         self.regs = config.regs
         self.arrays = config.arrays
         self.stats = config.stats

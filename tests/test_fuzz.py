@@ -228,7 +228,7 @@ def test_a_quarantine_that_records_nothing_fails_the_faults_family(
 
     monkeypatch.setattr(scheduler, "_quarantine", silent)
     report = run_fuzz(1, start_seed=0, degrees=(2,),
-                      plans=("trap-storm",), shrink=False)
+                      plans=("trap-storm",), max_shrink_tests=0)
     [failure] = report.failures
     assert failure.phase == "faults"
     assert "oracle fired 1 traps but left 0 dead letters" in failure.error
@@ -243,7 +243,7 @@ def test_a_mismatch_is_reported_by_the_differential_family(monkeypatch):
     with pytest.raises(CheckFailure) as excinfo:
         check_program(SIMPLE, 3, packets=8)
     assert excinfo.value.signature == ("differential", "AssertionError")
-    report = run_fuzz(1, degrees=(2,), packets=8, shrink=False)
+    report = run_fuzz(1, degrees=(2,), packets=8, max_shrink_tests=0)
     [failure] = report.failures
     assert failure.phase == "differential"
     assert "[differential]" in report.render()

@@ -1,12 +1,12 @@
-"""The fuel bound: each region knows the most fuel one execution of it
-can take, and while the gauge holds more than that the driver runs a
-text that tests no gauge and writes its books only where they can be
-read.
+"""The fuel bound: each region knows the most instructions one execution
+of it can retire, and while the interpreter's count is further than that
+from its limit the driver runs a text that tests no limit and writes its
+books only where they can be read.
 
 Two things must hold for that to change no number.  The bound must
 cover every path a region can take (checked here against what executed
-paths of the suite cells really charged), and wherever the gauge can run
-out in a region — an armed injected trap, a livelock — the driver must
+paths of the suite cells really charged), and wherever the limit can be
+reached in a region — an armed injected trap, a livelock — the driver must
 switch to the checked text in time, and the two texts must leave the
 same counters at every point a run can stop: a return, a wait, a trap.
 The budget sweeps below arm a trap at every budget from 0 to past the
@@ -59,8 +59,9 @@ from test_runtime_regions import (
 
 
 def spent_per_region(monkeypatch):
-    """Record, per generated root, the most fuel one execution of its
-    region took (its own cost included), by wrapping the region's step."""
+    """Record, per generated root, the most instructions one execution of
+    its region retired (its own cost included), by wrapping the region's
+    step: what it retires, and what the root's steps ahead of it did."""
     spent = {}
     generate = codegen._compile_block
 
@@ -68,14 +69,16 @@ def spent_per_region(monkeypatch):
         compiled = generate(blocks, function, block, checked)
         *heads, region = compiled.steps
         key = (function.name, block.name)
+        ahead = max((index for index, inst in enumerate(block.instructions)
+                     if codegen._own_step(inst)), default=0)
 
         def step(interp):
-            before = interp.fuel
+            before = interp.stats.instructions
             try:
                 return region(interp)
             finally:
-                spent[key] = max(spent.get(key, 0),
-                                 before - interp.fuel + compiled.cost)
+                spent[key] = max(spent.get(key, 0), ahead
+                                 + interp.stats.instructions - before)
         compiled.steps = (*heads, step)
         return compiled
 
@@ -257,7 +260,7 @@ def run(function, packets, budget=None, log=None):
     stats, state = interpreter.stats, interpreter.state
     return dict(
         stats={name: getattr(stats, name) for name in FIELDS},
-        fuel=interpreter.fuel, prev=interpreter.prev_block,
+        limit=interpreter.limit, prev=interpreter.prev_block,
         traces=state.traces, regions=state.regions,
         sent=list(state.pipe("out").queue),
         letters=[vars(letter) for letter in state.dead_letters])
@@ -315,12 +318,12 @@ def test_an_armed_budget_swept_past_the_bound_matches_the_checked_text(
         function = build()
         plain = run(function, packets, budget)
         blocks = compile_function(function).blocks
-        # ``entry`` ran plain, the gauge then too low for ``head``'s.
+        # ``entry`` ran plain, the limit then too close for ``head``'s.
         crossed += (blocks["entry"].checked is None
                     and blocks["head"].checked is not None)
         assert plain == always_checked(build(), packets, budget), budget
         # The injected trap fires at the first block entry that takes the
-        # gauge to zero, every block before it paid in full; then the
+        # count to the limit, every block before it paid in full; then the
         # case's own trap is quarantined too.
         paid, previous = 0, None
         for number in log:

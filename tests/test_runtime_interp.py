@@ -212,7 +212,7 @@ def test_stats_weight_counts_machine_model():
     assert stats.weight > stats.instructions
 
 
-def test_fuel_guard_stops_runaway():
+def test_fuel_guard_stops_runaway(monkeypatch):
     module = compile_module("""
         pps p { for (;;) { int i = 0;
             while (i < 1000000) { i++; }
@@ -221,8 +221,9 @@ def test_fuel_guard_stops_runaway():
     state = MachineState(module)
     from repro.analysis.cfg import find_pps_loop
     loop = find_pps_loop(module.pps("p"))
+    monkeypatch.setattr("repro.runtime.interp.FUEL", 10_000)
     interp = Interpreter(module.pps("p"), state, loop_start=loop.header,
-                         max_iterations=5, fuel=10_000)
+                         max_iterations=5)
     with pytest.raises(TrapError, match="fuel"):
         run_group({"p": interp})
 

@@ -9,7 +9,7 @@ what its dead letter names, where an injected trap fires, what survives
 a join and a back edge, a phi at a block that runs inline, and which
 blocks may never run inline.  Behaviour is compared with
 ``repro.testing.reference``; what the oracle does not model (quarantine,
-the fuel gauge, ``prev_block``) is pinned as literals that the
+the instruction limit, ``prev_block``) is pinned as literals that the
 basic-block generator before regions also produced, or derived from the
 blocks a packet is known to pass through.
 """
@@ -59,8 +59,6 @@ from test_runtime_compiled_differential import (
     TRAPPING_PPS,
     fresh_state,
 )
-
-FUEL = 100_000_000
 
 
 def function_of(blocks):
@@ -150,10 +148,10 @@ def test_chain_runs_inline_and_matches_reference():
     assert interpreter.stats.block_counts == {
         "entry": 1, "head": 4, "a": 4, "b": 4, "cold": 1, "c3": 3, "latch": 4}
     assert interpreter.prev_block == "latch"
-    # The gauge pays a block's instructions plus one when the block is
-    # entered; over whole blocks that is what the oracle counts one
-    # instruction and one terminator at a time.
-    assert FUEL - interpreter.fuel == oracle.stats.instructions == 48
+    # A block retires its instructions plus one; over whole blocks that
+    # is what the oracle counts one instruction and one terminator at a
+    # time.
+    assert interpreter.stats.instructions == oracle.stats.instructions == 48
 
 
 def test_trap_in_the_third_inlined_block_aborts_like_the_reference():
@@ -166,7 +164,7 @@ def test_trap_in_the_third_inlined_block_aborts_like_the_reference():
     # Charge before execute: c3 was paid in full, the oracle stopped at
     # its first instruction (the trace and the jump are the difference).
     assert interpreter.stats.instructions == oracle.stats.instructions + 2
-    assert interpreter.stats.instructions == FUEL - interpreter.fuel == 35
+    assert interpreter.stats.instructions == 35
     assert interpreter.prev_block == "b"
 
 
@@ -183,8 +181,7 @@ def test_trap_in_the_third_inlined_block_is_quarantined_with_its_names():
     # and the pass the trap gave back found the pipe empty at ``head``.
     assert state.traces == {1: [0, 10, 6, 0], 2: [20, 14], 9: [4]}
     assert (interpreter.stats.instructions, interpreter.stats.weight,
-            interpreter.stats.traps, FUEL - interpreter.fuel) \
-        == (47, 55, 1, 50)
+            interpreter.stats.traps) == (47, 55, 1)
     assert interpreter.stats.block_counts == {
         "entry": 1, "head": 5, "a": 4, "b": 4, "cold": 1, "c3": 3, "latch": 3}
 
@@ -194,20 +191,13 @@ EXECUTED = ["entry"] + [block for packet in (5, 3, 4, 7) for block in
                         ("head", "a", "b", "cold" if packet == 3 else "c3",
                          "latch")]
 
-#: ``FUEL - interp.fuel`` after the whole run, by ``after_instructions``
-#: 1 … 48 (what the restart goes on to spend differs with the block the
-#: trap took out); recorded from the basic-block generator.
-SPENT = [48, 49, 50, 51, 43, 44, 45, 46, 47, 48, 49, 50, 51, 49, 50, 51,
-         44, 45, 46, 47, 48, 49, 50, 51, 49, 50, 51, 43, 44, 45, 46, 47,
-         48, 49, 50, 51, 49, 50, 51, 43, 44, 45, 46, 47, 48, 49, 50, 51]
 
-
-@pytest.mark.parametrize("budget", range(1, len(SPENT) + 1))
+@pytest.mark.parametrize("budget", range(1, 49))  # the clean run's 48
 def test_injected_trap_fires_at_the_block_entry_the_gauge_runs_out(budget):
     # Whoever enters the block — the driver, or the region the block is
-    # inline in — the trap fires at the first entry that takes the gauge
-    # to zero, with every earlier block paid in full and the one before
-    # it named.
+    # inline in — the trap fires at the first entry whose cost takes the
+    # instruction count to the limit, with every earlier block paid in
+    # full and the one before it named.
     function = chain()
     cost = {name: len(block.instructions) + 1
             for name, block in function.blocks.items()}
@@ -224,7 +214,6 @@ def test_injected_trap_fires_at_the_block_entry_the_gauge_runs_out(budget):
     (letter,) = state.dead_letters
     assert (letter.instructions, letter.last_block, letter.detail) \
         == (paid, previous, "f: injected")
-    assert FUEL - interpreter.fuel == SPENT[budget - 1]
 
 
 def test_register_written_mid_region_survives_the_back_edge():
@@ -625,13 +614,13 @@ def test_the_suite_stays_inside_its_dispatch_budget():
 
 
 #: A write to one of the interpreter's books in generated text.
-BOOK_WRITE = re.compile(r"(stats\.instructions|stats\.weight|interp\.fuel"
+BOOK_WRITE = re.compile(r"(stats\.instructions|stats\.weight"
                         r"|interp\.prev_block) [-+]?= ")
 
 
 @pytest.mark.parametrize("name", SUITE)
 def test_a_step_settles_its_books_once(name):
-    # Charges, the fuel gauge and ``prev_block`` live in locals; the one
+    # Charges and ``prev_block`` live in locals; the one
     # line under the step's ``finally`` writes each back at most once.
     for function, stats in suite_run(name):
         for generated in compile_function(function).blocks.values():

@@ -240,7 +240,7 @@ def oracle(monkeypatch, case):
 
 def checked(monkeypatch, case):
     """The outcome of the checked text alone: every region's bound out of
-    the gauge's reach, and a trap armed past what the run takes."""
+    the limit's reach, and a trap armed past what the run takes."""
     generate = codegen._compile_block
 
     def always(*args, **kwargs):
