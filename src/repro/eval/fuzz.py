@@ -139,8 +139,8 @@ def _differential(case: Case) -> list:
 def _faults(case: Case) -> list[dict]:
     """The same under each fault plan, a record per plan.  The plan
     perturbs the stream once, and the sequential oracle and the pipeline
-    share it; its stalls and slowdowns only reorder the interleaving, so
-    the observables must still be equal.  A plan that injects traps voids
+    share it; its ring bounds only reorder the interleaving, so the
+    observables must still be equal.  A plan that injects traps voids
     equality, and both runs must instead drain with one dead letter per
     injected trap that fired, as the plan's injector counted it."""
     app, degree = case.app, case.result.degree

@@ -13,21 +13,18 @@ callee's body is already call-free when spliced into its callers.
 from __future__ import annotations
 
 from repro.analysis.graph import Digraph
+from repro.ir.clone import clone_instruction, clone_terminator
 from repro.ir.function import BasicBlock, Function, Module
 from repro.ir.instructions import (
     ArrayLoad,
     ArrayStore,
     Assign,
-    BinOp,
-    Branch,
     Call,
     Instruction,
     Jump,
     Phi,
     Return,
-    SwitchTerm,
     Terminator,
-    UnOp,
 )
 from repro.ir.values import ArrayRef, Const, Value, VReg
 
@@ -64,46 +61,26 @@ class _Cloner:
             block = self.caller.new_block(f"{self.tag}_{name}_")
             self.block_map[name] = block.name
 
+    def rename(self, inst: Instruction, clone: Instruction) -> Instruction:
+        """Point ``clone`` (a copy of ``inst``) at fresh registers,
+        allocated for ``inst``'s defs, then its uses, as they appear."""
+        for reg in inst.defs():
+            self.map_reg(reg)
+        for value in inst.uses():
+            self.map_value(value)
+        clone.replace_defs(self.reg_map)
+        clone.replace_uses(self.reg_map)
+        return clone
+
     def clone_instruction(self, inst: Instruction) -> Instruction:
-        if isinstance(inst, Assign):
-            return Assign(self.map_reg(inst.dest), self.map_value(inst.src),
-                          location=inst.location)
-        if isinstance(inst, UnOp):
-            return UnOp(self.map_reg(inst.dest), inst.op,
-                        self.map_value(inst.operand), location=inst.location)
-        if isinstance(inst, BinOp):
-            return BinOp(self.map_reg(inst.dest), inst.op,
-                         self.map_value(inst.lhs), self.map_value(inst.rhs),
-                         location=inst.location)
-        if isinstance(inst, Call):
-            dest = self.map_reg(inst.dest) if inst.dest is not None else None
-            args = [self.map_value(arg) for arg in inst.args]
-            return Call(dest, inst.callee, args, location=inst.location)
-        if isinstance(inst, ArrayLoad):
-            return ArrayLoad(self.map_reg(inst.dest), self.map_array(inst.array),
-                             self.map_value(inst.index), location=inst.location)
-        if isinstance(inst, ArrayStore):
-            return ArrayStore(self.map_array(inst.array),
-                              self.map_value(inst.index),
-                              self.map_value(inst.value), location=inst.location)
-        raise TypeError(f"cannot clone {type(inst).__name__} during inlining")
+        clone = self.rename(inst, clone_instruction(inst))
+        if isinstance(clone, (ArrayLoad, ArrayStore)):
+            clone.array = self.map_array(clone.array)
+        return clone
 
     def clone_terminator(self, term: Terminator, return_to: str,
                          result_reg: VReg | None) -> tuple[list[Instruction], Terminator]:
         """Clone a terminator; returns (extra tail instructions, terminator)."""
-        if isinstance(term, Jump):
-            return [], Jump(self.block_map[term.target], location=term.location)
-        if isinstance(term, Branch):
-            return [], Branch(self.map_value(term.cond),
-                              self.block_map[term.if_true],
-                              self.block_map[term.if_false],
-                              location=term.location)
-        if isinstance(term, SwitchTerm):
-            cases = {key: self.block_map[target]
-                     for key, target in term.cases.items()}
-            return [], SwitchTerm(self.map_value(term.value), cases,
-                                  self.block_map[term.default],
-                                  location=term.location)
         if isinstance(term, Return):
             extra: list[Instruction] = []
             if result_reg is not None:
@@ -111,7 +88,9 @@ class _Cloner:
                          if term.value is not None else Const(0))
                 extra.append(Assign(result_reg, value, location=term.location))
             return extra, Jump(return_to, location=term.location)
-        raise TypeError(f"cannot clone terminator {type(term).__name__}")
+        clone = self.rename(term, clone_terminator(term))
+        clone.retarget(self.block_map)
+        return [], clone
 
 
 def _find_user_call(function: Function,

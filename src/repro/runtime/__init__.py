@@ -23,7 +23,6 @@ from repro.runtime.faults import (
     DeadLetter,
     FaultInjector,
     FaultPlan,
-    FaultyPipe,
     builtin_plans,
 )
 from repro.runtime.interp import Interpreter, InterpStats
@@ -40,7 +39,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultPlanError",
-    "FaultyPipe",
     "Interpreter",
     "InterpStats",
     "MPACKET_SIZE",

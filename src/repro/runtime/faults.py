@@ -1,28 +1,28 @@
 """Deterministic, seeded fault injection for the runtime.
 
 A :class:`FaultPlan` describes *what* to break — packet loss, duplication,
-corruption and reordering delays at the inputs, transient pipe-full
-stalls, per-stage slowdowns, and injected interpreter traps at a chosen
-instruction count.  A :class:`FaultInjector` executes one plan against a
-concrete run.  All randomness derives from the plan's seed (one
-``random.Random`` for the input stream, an independently salted one for
-runtime events), so a plan replays bit-identically.
+corruption and reordering delays at the inputs, bounded stage rings, and
+injected interpreter traps at a chosen instruction count.  A
+:class:`FaultInjector` executes one plan against a concrete run.  All
+randomness derives from the plan's seed (one ``random.Random`` for the
+input stream), so a plan replays bit-identically.
+
+A plan perturbs the schedule only the way the hardware does: it bounds
+the realized stage rings (``.xfer`` pipes), so a sender that finds its
+ring full parks until the next stage receives — the runtime's own
+``Pipe.can_send`` / ``Pipe.recv`` path.  Blocking FIFOs make a run's
+answer independent of the schedule, so a bound never changes what the
+pipeline computes.  A program's own pipes stay its host interface and
+are never bounded.
 
 The fault-free path pays nothing (the same zero-overhead discipline as
 :mod:`repro.obs`): the hooks live at *rare* boundaries only —
 
 * input perturbation happens host-side, before the run starts;
-* pipe stalls ride on a :class:`FaultyPipe` subclass substituted at pipe
-  *creation*, so unwrapped pipes keep the plain ``can_send``;
-* stage slowdowns add yields inside the existing once-per-iteration
-  ``loop_start`` branch of the interpreter drivers;
+* ring bounds are set on each pipe once, when the injector is armed or
+  the ring is created;
 * injected traps lower the interpreter's instruction *limit*, reusing
   the livelock guard's test the hot loops already perform.
-
-Stall countdowns advance on scheduler *quiescence* (a virtual clock):
-every time the ready deque empties, :meth:`FaultInjector.on_quiescence`
-ticks active stalls and notifies the wake hub when one expires, so a
-stalled pipeline resumes deterministically instead of hanging.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ from fnmatch import fnmatch
 from random import Random
 
 from repro.errors import FaultPlanError
+from repro.runtime.equivalence import is_external
 from repro.runtime.state import Pipe
-
-#: Salt separating the runtime RNG stream from the input-stream RNG.
-_RUNTIME_SALT = 0x9E3779B9
 
 
 @dataclass
@@ -52,19 +50,17 @@ class InputFaults:
 
 @dataclass
 class PipeFaults:
-    """Transient pipe-full stalls: after every ``stall_every`` sends the
-    pipe refuses further sends for ``stall_for`` quiescence ticks."""
+    """A bound on the matching stage rings: each holds at most
+    ``capacity`` messages, and a sender parks while it is full."""
 
-    stall_every: int = 0
-    stall_for: int = 1
+    capacity: int
 
 
 @dataclass
 class StageFaults:
     """Per-stage perturbations, matched against interpreter names."""
 
-    slowdown: int = 0         # extra scheduler yields per loop iteration
-    trap_at: int = 0          # inject a trap after ~N more weighted units
+    trap_at: int = 0          # inject a trap after N more instructions
 
 
 @dataclass
@@ -107,8 +103,8 @@ class FaultPlan:
     def semantics_preserving(self) -> bool:
         """True when surviving-packet outputs must match the fault-free
         pipeline exactly: drops/duplicates/delays perturb only the input
-        stream (shared by every run), stalls and slowdowns perturb only
-        scheduling.  Corruption and injected traps void the guarantee."""
+        stream (shared by every run), ring bounds perturb only scheduling.
+        Corruption and injected traps void the guarantee."""
         return (not self.has_traps()
                 and all(spec.corrupt == 0 for spec in self.inputs.values()))
 
@@ -156,10 +152,15 @@ class FaultPlan:
 
     def worker_faults(self, shard_name: str) -> "WorkerFaults | None":
         """The worker fault spec matching ``shard-<index>``, if any."""
-        for pattern, spec in self.workers.items():
-            if fnmatch(str(shard_name), pattern):
-                return spec
-        return None
+        return _match(self.workers, shard_name)
+
+
+def _match(specs: dict, key: str):
+    """The spec of the first glob in ``specs`` that ``key`` matches."""
+    for pattern, spec in specs.items():
+        if fnmatch(str(key), pattern):
+            return spec
+    return None
 
 
 def _section(data: dict, key: str) -> dict:
@@ -204,27 +205,21 @@ def _parse_input_faults(key: str, spec: dict) -> InputFaults:
 
 
 def _parse_pipe_faults(key: str, spec: dict) -> PipeFaults:
-    unknown = set(spec) - {"stall_every", "stall_for"}
+    unknown = set(spec) - {"capacity"}
     if unknown:
         raise FaultPlanError(
             f"pipes[{key!r}]: unknown keys {sorted(unknown)}")
-    return PipeFaults(
-        stall_every=_count("pipes", "stall_every",
-                           spec.get("stall_every", 0)),
-        stall_for=_count("pipes", "stall_for", spec.get("stall_for", 1),
-                         minimum=1),
-    )
+    return PipeFaults(capacity=_count("pipes", "capacity",
+                                      spec.get("capacity"), minimum=1))
 
 
 def _parse_stage_faults(key: str, spec: dict) -> StageFaults:
-    unknown = set(spec) - {"slowdown", "trap_at"}
+    unknown = set(spec) - {"trap_at"}
     if unknown:
         raise FaultPlanError(
             f"stages[{key!r}]: unknown keys {sorted(unknown)}")
     return StageFaults(
-        slowdown=_count("stages", "slowdown", spec.get("slowdown", 0)),
-        trap_at=_count("stages", "trap_at", spec.get("trap_at", 0)),
-    )
+        trap_at=_count("stages", "trap_at", spec.get("trap_at", 0)))
 
 
 def _parse_worker_faults(key: str, spec: dict) -> WorkerFaults:
@@ -249,51 +244,6 @@ def _parse_worker_faults(key: str, spec: dict) -> WorkerFaults:
 
 
 @dataclass
-class FaultyPipe(Pipe):
-    """A :class:`Pipe` that periodically refuses sends.
-
-    After every ``stall_every`` accepted sends the pipe *stalls*: it
-    reports full for ``stall_for`` quiescence ticks, parking would-be
-    senders exactly like a full bounded pipe.  The injector's virtual
-    clock (:meth:`FaultInjector.on_quiescence`) expires the stall and
-    notifies the hub.  Messages are never lost — stalls perturb only
-    scheduling, so any fault plan built from them is
-    semantics-preserving.
-    """
-
-    stall_every: int = 0
-    stall_for: int = 1
-    injector: "FaultInjector | None" = None
-    _since_stall: int = 0
-    _stall_remaining: int = 0
-
-    def can_send(self) -> bool:
-        if self._stall_remaining > 0:
-            return False
-        return super().can_send()
-
-    def send(self, message) -> None:
-        super().send(message)
-        if self.stall_every > 0:
-            self._since_stall += 1
-            if self._since_stall >= self.stall_every:
-                self._since_stall = 0
-                self._stall_remaining = self.stall_for
-                if self.injector is not None:
-                    self.injector.stalls += 1
-
-    def tick_stall(self) -> bool:
-        """Advance the stall countdown one quiescence tick.  Returns True
-        if the stall was active (and wakes parked senders on expiry)."""
-        if self._stall_remaining <= 0:
-            return False
-        self._stall_remaining -= 1
-        if self._stall_remaining == 0 and self.hub is not None:
-            self.hub.notify(("send", self.name))
-        return True
-
-
-@dataclass
 class DeadLetter:
     """One quarantined packet iteration (see scheduler trap isolation)."""
 
@@ -314,18 +264,13 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan):
         self.plan = plan
         self._stream_rng = Random(plan.seed)
-        self._runtime_rng = Random(plan.seed ^ _RUNTIME_SALT)
-        self._wrapped: list[FaultyPipe] = []
         # Counters for the runtime report.
         self.drops = 0
         self.duplicates = 0
         self.corruptions = 0
         self.delays = 0
-        self.stalls = 0
-        self.slowdowns = 0
         self.traps_armed = 0
         self.traps_fired = 0        # bumped by the interpreter's trap path
-        self.quiescence_ticks = 0
 
     # -- input-stream perturbation ---------------------------------------------
 
@@ -337,7 +282,7 @@ class FaultInjector:
         pipelined degree) sees identical inputs, which is what makes the
         ``faults`` check family of ``repro fuzz`` sound.
         """
-        spec = self._match(self.plan.inputs, key)
+        spec = _match(self.plan.inputs, key)
         if spec is None:
             return list(items)
         rng = self._stream_rng
@@ -384,56 +329,29 @@ class FaultInjector:
     # -- arming a machine ------------------------------------------------------
 
     def arm(self, state) -> None:
-        """Attach to ``state``: wrap existing pipes and register for
-        late-created ones (the realized stages' ``.xfer`` rings)."""
+        """Attach to ``state``: bound its matching stage rings, and those
+        it creates later (the realized stages' ``.xfer`` rings)."""
         state.faults = self
-        for name in list(state.pipes):
-            state.pipes[name] = self.wrap_pipe(state.pipes[name])
+        for pipe in state.pipes.values():
+            self.bound(pipe)
 
-    def wrap_pipe(self, pipe: Pipe) -> Pipe:
-        if isinstance(pipe, FaultyPipe):
-            return pipe
-        spec = self._match(self.plan.pipes, pipe.name)
-        if spec is None or spec.stall_every <= 0:
-            return pipe
-        faulty = FaultyPipe(
-            name=pipe.name, capacity=pipe.capacity, queue=pipe.queue,
-            hub=pipe.hub, sent=pipe.sent, received=pipe.received,
-            high_water=pipe.high_water,
-            stall_every=spec.stall_every, stall_for=spec.stall_for,
-            injector=self,
-        )
-        self._wrapped.append(faulty)
-        return faulty
+    def bound(self, pipe: Pipe) -> None:
+        """Set the plan's capacity on ``pipe`` if it is a matching stage
+        ring; a program's own pipes are its host interface and stay as
+        they are."""
+        spec = _match(self.plan.pipes, pipe.name)
+        if spec is not None and not is_external(pipe.name):
+            pipe.capacity = spec.capacity
 
     def arm_interpreters(self, interpreters: dict) -> None:
-        """Apply stage slowdowns and injected traps by interpreter name."""
+        """Arm injected traps by interpreter name."""
         for name, interp in interpreters.items():
-            spec = self._match(self.plan.stages, name)
-            if spec is None:
-                continue
-            if spec.slowdown > 0:
-                interp._slow_yields = spec.slowdown
-                self.slowdowns += 1
-            if spec.trap_at > 0:
+            spec = _match(self.plan.stages, name)
+            if spec is not None and spec.trap_at > 0:
                 interp.arm_injected_trap(
                     spec.trap_at,
                     f"injected trap (plan seed {self.plan.seed})")
                 self.traps_armed += 1
-
-    # -- virtual clock ---------------------------------------------------------
-
-    def on_quiescence(self) -> bool:
-        """Advance stalls one tick when the scheduler quiesces.  Returns
-        True while any stall was active (the scheduler re-checks its
-        ready deque before judging the quiescence final)."""
-        active = False
-        for pipe in self._wrapped:
-            if pipe.tick_stall():
-                active = True
-        if active:
-            self.quiescence_ticks += 1
-        return active
 
     # -- reporting -------------------------------------------------------------
 
@@ -445,19 +363,9 @@ class FaultInjector:
             "duplicates": self.duplicates,
             "corruptions": self.corruptions,
             "delays": self.delays,
-            "stalls": self.stalls,
-            "slowdowns": self.slowdowns,
             "traps_armed": self.traps_armed,
             "traps_fired": self.traps_fired,
-            "quiescence_ticks": self.quiescence_ticks,
         }
-
-    @staticmethod
-    def _match(specs: dict, key: str):
-        for pattern, spec in specs.items():
-            if fnmatch(str(key), pattern):
-                return spec
-        return None
 
 
 def builtin_plans() -> dict[str, FaultPlan]:
@@ -471,12 +379,12 @@ def builtin_plans() -> dict[str, FaultPlan]:
         "delay-stall": FaultPlan.from_dict({
             "seed": 23,
             "inputs": {"*": {"delay": 0.5, "max_delay": 6}},
-            "pipes": {"*.xfer*": {"stall_every": 5, "stall_for": 3}},
+            "pipes": {"*.xfer*": {"capacity": 2}},
         }, name="delay-stall"),
         "mixed-loss": FaultPlan.from_dict({
             "seed": 37,
             "inputs": {"*": {"drop": 0.1, "duplicate": 0.1, "delay": 0.25}},
-            "stages": {"*": {"slowdown": 2}},
+            "pipes": {"*.xfer*": {"capacity": 1}},
         }, name="mixed-loss"),
         "trap-storm": FaultPlan.from_dict({
             "seed": 53,

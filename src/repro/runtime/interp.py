@@ -104,11 +104,10 @@ class Interpreter:
         self.prev_block: str | None = None
         self.pipes: dict = {}
         self._held: dict = {}  # serially held resources -> weight mark
-        # Chaos hooks (all inert unless a fault plan arms them): extra
-        # per-iteration yields, a pending injected trap (fired through the
-        # existing ``limit`` test so the fault-free path gains no test),
-        # and the block to resume from after a quarantine restart.
-        self._slow_yields = 0
+        # Chaos hooks (inert unless a fault plan arms them): a pending
+        # injected trap (fired through the existing ``limit`` test so the
+        # fault-free path gains no test), and the block to resume from
+        # after a quarantine restart.
         self._fault_trap: str | None = None
         self._resume_block: str | None = None
 
@@ -138,11 +137,6 @@ class Interpreter:
                     return
                 if not stats.iterations % BURST:
                     yield  # cooperative scheduling point, once per burst
-                if self._slow_yields:
-                    # Injected per-stage slowdown: surrender the scheduler
-                    # slot a few extra times per iteration.
-                    for _ in range(self._slow_yields):
-                        yield
             hits[block.number] += 1
             if stats.instructions + block.fuel_bound < self.limit:
                 steps = block.steps  # no entry can reach the limit

@@ -4,7 +4,8 @@
 interpreter is finished, or everyone left is blocked on empty pipes /
 full bounded pipes / idle devices / sequencers.  This executes a whole
 pipelined PPS — or several communicating PPSes — faithfully, including
-bounded stage pipes (a full ring blocks the sender).
+bounded stage pipes (a full ring blocks the sender), the one way a
+fault plan perturbs the schedule.
 
 The scheduler keeps a ready deque and parks blocked interpreters on the
 :class:`~repro.runtime.state.WakeHub` key of the resource they are
@@ -106,49 +107,38 @@ def run_group(interpreters: dict[str, Interpreter], *,
             hub.attach(wake)
         steps = 0
         try:
-            while True:
-                while ready:
-                    steps += 1
-                    if steps > MAX_STEPS:
-                        raise TrapError(
-                            "scheduler exceeded MAX_STEPS (livelock?)")
-                    if not steps % quantum:
-                        watchdog.check_progress(interpreters)
-                    name = ready.popleft()
-                    queued.discard(name)
-                    interp = interpreters[name]
-                    try:
-                        next(generators[name])
-                    except StopIteration:
-                        continue
-                    except TrapError as exc:
-                        if not (isolate_traps
-                                and _quarantine(name, interp, exc)):
-                            raise
-                        # Fresh generator resuming at the loop start; the
-                        # stage keeps draining the pipeline.
-                        generators[name] = interp.run()
-                        queued.add(name)
-                        ready.append(name)
-                        continue
-                    key = interp.wait_key
-                    if key is None:
-                        # Voluntary yield (burst end, slowdown): runnable.
-                        queued.add(name)
-                        ready.append(name)
-                    else:
-                        parked.add(name)
-                        interp.state.wake_hub.park(key, name)
-                # Quiescent.  Let armed fault injectors advance their virtual
-                # clock first — an expiring pipe stall may wake a waiter.
-                advanced = False
-                for injector in injectors.values():
-                    if injector.on_quiescence():
-                        advanced = True
-                if advanced:
+            while ready:
+                steps += 1
+                if steps > MAX_STEPS:
+                    raise TrapError(
+                        "scheduler exceeded MAX_STEPS (livelock?)")
+                if not steps % quantum:
+                    watchdog.check_progress(interpreters)
+                name = ready.popleft()
+                queued.discard(name)
+                interp = interpreters[name]
+                try:
+                    next(generators[name])
+                except StopIteration:
                     continue
-                watchdog.check_quiescence(interpreters)
-                break
+                except TrapError as exc:
+                    if not (isolate_traps and _quarantine(name, interp, exc)):
+                        raise
+                    # Fresh generator resuming at the loop start; the
+                    # stage keeps draining the pipeline.
+                    generators[name] = interp.run()
+                    queued.add(name)
+                    ready.append(name)
+                    continue
+                key = interp.wait_key
+                if key is None:
+                    # Voluntary yield (burst end): runnable.
+                    queued.add(name)
+                    ready.append(name)
+                else:
+                    parked.add(name)
+                    interp.state.wake_hub.park(key, name)
+            watchdog.check_quiescence(interpreters)
         except BaseException:
             for hub in hubs.values():
                 hub.detach()

@@ -167,9 +167,9 @@ class MachineState:
             pipe = Pipe(name, capacity=self.pipe_capacity, hub=self.wake_hub)
             if self.faults is not None:
                 # Late-created pipes (the realized stages' .xfer rings)
-                # must honour an armed fault plan too.  This check runs
+                # take an armed fault plan's bound too.  This check runs
                 # once per pipe *creation*, never on the send/recv path.
-                pipe = self.faults.wrap_pipe(pipe)
+                self.faults.bound(pipe)
             self.pipes[name] = pipe
         return pipe
 

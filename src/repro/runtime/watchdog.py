@@ -40,9 +40,9 @@ steps the scheduler calls :meth:`Watchdog.check_progress`, which samples
 total retired instructions and raises ``DeadlockError(kind="livelock")``
 when a whole quantum passed without progress.  A step runs one
 interpreter until it blocks or ends a burst (``interp.BURST`` loop
-iterations).  The quantum stays far above ``interpreters × slowdown``
-for the builtin fault plans — an injected slowdown yields once per
-iteration without retiring instructions.
+iterations), and a blocked interpreter is parked until what it waits
+for changes, so a run that can move retires instructions in nearly
+every step.
 
 The raised error carries the full parked inventory, the offending
 subset, and the run's :class:`~repro.obs.report.RuntimeReport`, so a

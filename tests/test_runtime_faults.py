@@ -1,4 +1,4 @@
-"""Deterministic fault injection: plans, perturbation, stalls, traps."""
+"""Deterministic fault injection: plans, perturbation, ring bounds, traps."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.runtime.equivalence import assert_equivalent, observe
 from repro.runtime.faults import (
     FaultInjector,
     FaultPlan,
-    FaultyPipe,
     builtin_plans,
 )
 from repro.runtime.scheduler import run_pipeline, run_sequential
@@ -45,15 +44,15 @@ def test_plan_round_trips_through_dict():
     plan = FaultPlan.from_dict({
         "seed": 9,
         "inputs": {"in_q": {"drop": 0.25, "delay": 0.5, "max_delay": 3}},
-        "pipes": {"*.xfer*": {"stall_every": 4, "stall_for": 2}},
-        "stages": {"*": {"slowdown": 1}},
+        "pipes": {"*.xfer*": {"capacity": 2}},
+        "stages": {"*": {"trap_at": 40}},
     })
     again = FaultPlan.from_dict(plan_to_dict(plan))
     assert plan_to_dict(again) == plan_to_dict(plan)
     assert again.seed == 9
     assert again.inputs["in_q"].drop == 0.25
-    assert again.pipes["*.xfer*"].stall_every == 4
-    assert again.stages["*"].slowdown == 1
+    assert again.pipes["*.xfer*"].capacity == 2
+    assert again.stages["*"].trap_at == 40
 
 
 @pytest.mark.parametrize("data", [
@@ -62,14 +61,25 @@ def test_plan_round_trips_through_dict():
     {"inputs": {"*": {"drop": 1.5}}},
     {"inputs": {"*": {"surprise": 0.1}}},
     {"inputs": {"*": {"max_delay": 0}}},
-    {"pipes": {"*": {"stall_every": -1}}},
+    {"pipes": {"*": {"capacity": 0}}},
     {"stages": {"*": {"trap_at": "soon"}}},
     {"stages": "everywhere"},
     [],
+    {"pipes": {"*": {}}},
+    {"pipes": {"*": {"capacity": 2, "stall_every": 5}}},
+    {"stages": {"*": {"slowdown": 2}}},
 ])
 def test_plan_validation_rejects(data):
     with pytest.raises(FaultPlanError):
         FaultPlan.from_dict(data)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("pipes", "stall_every"), ("pipes", "stall_for"), ("stages", "slowdown"),
+])
+def test_plan_error_names_a_retired_key(section, key):
+    with pytest.raises(FaultPlanError, match=key):
+        FaultPlan.from_dict({section: {"*": {key: 1}}})
 
 
 def test_plan_rejects_invalid_json():
@@ -189,42 +199,24 @@ def test_corruption_flips_one_bit():
     assert word != 12345 and bin(word ^ 12345).count("1") == 1
 
 
-# -- pipe wrapping and stalls -------------------------------------------------
+# -- bounded stage rings ------------------------------------------------------
 
 
-def test_arm_wraps_matching_pipes_including_late_ones():
+def test_arm_bounds_stage_rings_including_late_ones():
     module = compile_module(STANDARD_PPS)
     state = MachineState(module)
-    plan = FaultPlan.from_dict(
-        {"pipes": {"*": {"stall_every": 2, "stall_for": 1}}})
+    plan = FaultPlan.from_dict({"pipes": {"*": {"capacity": 2}}})
     FaultInjector(plan).arm(state)
-    assert isinstance(state.pipes["in_q"], FaultyPipe)
-    late = state.pipe("made_up_later")
-    assert isinstance(late, FaultyPipe)
+    assert state.pipe("worker.xfer1").capacity == 2
+    # A program's own pipes are its host interface: never bounded.
+    assert state.pipes["in_q"].capacity == 0
+    assert state.pipe("made_up_later").capacity == 0
 
 
-def test_stalled_pipe_refuses_sends_until_ticked():
-    hub = WakeHub()
-    pipe = FaultyPipe("p", hub=hub, stall_every=2, stall_for=2)
-    pipe.send(1)
-    assert pipe.can_send()
-    pipe.send(2)
-    assert not pipe.can_send()       # stall engaged after 2 sends
-    assert pipe.tick_stall()
-    assert not pipe.can_send()       # stall_for=2: still stalled
-    assert pipe.tick_stall()
-    assert pipe.can_send()
-    assert not pipe.tick_stall()     # idle stall is a no-op
-    assert list(pipe.queue) == [1, 2]  # stalls never lose messages
-
-
-def test_stalls_and_slowdowns_preserve_equivalence():
+def test_bounded_rings_preserve_equivalence():
     module = compile_module(STANDARD_PPS)
-    plan = FaultPlan.from_dict({
-        "seed": 1,
-        "pipes": {"*.xfer*": {"stall_every": 3, "stall_for": 2}},
-        "stages": {"*": {"slowdown": 2}},
-    })
+    plan = FaultPlan.from_dict({"seed": 1,
+                                "pipes": {"*.xfer*": {"capacity": 1}}})
 
     baseline_state = MachineState(module)
     iterations = standard_setup(baseline_state)
@@ -233,13 +225,26 @@ def test_stalls_and_slowdowns_preserve_equivalence():
     baseline = observe(baseline_state)
 
     for degree in (2, 3):
-        result = pipeline_pps(module, "worker", degree)
-        state = MachineState(module)
-        FaultInjector(plan).arm(state)
-        iterations = standard_setup(state)
-        run_pipeline(result.stages, state, iterations=iterations)
-        assert_equivalent(baseline, observe(state))
-        assert state.faults.stalls > 0  # the plan actually engaged
+        stages = pipeline_pps(module, "worker", degree).stages
+        runs = {}
+        for label, armed in (("free", None), ("bounded", plan)):
+            state = MachineState(module)
+            if armed is not None:
+                FaultInjector(armed).arm(state)
+            iterations = standard_setup(state)
+            result = run_pipeline(stages, state, iterations=iterations)
+            assert_equivalent(baseline, observe(state))
+            runs[label] = state, result.stats
+        state, stats = runs["bounded"]
+        rings = [pipe for name, pipe in state.pipes.items()
+                 if ".xfer" in name]
+        assert len(rings) == degree - 1
+        # The bound bit: every ring filled to it, and a stage waited
+        # more often than it does over unbounded rings.
+        assert all(ring.high_water == 1 for ring in rings)
+        free = runs["free"][1]
+        assert any(stats[name].blocked > free[name].blocked
+                   for name in stats)
 
 
 # -- injected traps and isolation ---------------------------------------------

@@ -514,7 +514,6 @@ def test_bounded_pipes_send_a_stage_out_of_its_region_and_back():
         pipe.capacity = int(".xfer" in name)  # the stage pipes: one slot
     app.feed(bounded, app.stream())
     interpreters = pipeline_interpreters(stages, bounded, packets)
-    interpreters[stages[-1].function.name]._slow_yields = 3  # rings fill
     result = run_group(interpreters)
     assert_equivalent(observe(sequential), observe(bounded))
     assert sum(stats.blocked for stats in result.stats.values()) > packets
