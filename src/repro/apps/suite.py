@@ -114,9 +114,9 @@ class AppInstance:
     feed: Callable[[MachineState, list], int] = field(repr=False,
                                                       default=None)
 
-    def fresh_state(self, **kwargs) -> tuple[MachineState, int]:
+    def fresh_state(self) -> tuple[MachineState, int]:
         """A populated machine state and the iteration budget for stage 1."""
-        state = MachineState(self.module, **kwargs)
+        state = MachineState(self.module)
         iterations = self.setup(state)
         return state, iterations
 
@@ -245,16 +245,10 @@ def build_app(name: str, *, packets: int = 200, seed: int = 7) -> AppInstance:
             return feed(state, stream())
 
         def setup_v4(state: MachineState) -> int:
-            _load_common_tables(state)
-            stream = _traffic(packets, seed).ipv4_stream()
-            _adopt_stream(state, stream, "ip_in")
-            return len(stream)
+            return feed(state, _traffic(packets, seed).ipv4_stream())
 
         def setup_v6(state: MachineState) -> int:
-            _load_common_tables(state)
-            stream = _traffic(packets, seed).ipv6_stream()
-            _adopt_stream(state, stream, "ip_in")
-            return len(stream)
+            return feed(state, _traffic(packets, seed).ipv6_stream())
 
         traffic_kind = "IPv6" if use_v6 else "IPv4"
         return AppInstance(name, "ip", source, module, setup,

@@ -44,9 +44,9 @@ runs at the ``--seed`` as given).
 Exit codes (see :mod:`repro.errors`): 0 success, 1 compile/pipeline/IO
 failure (a verifier rejection, and any failed explore cell or fuzz case,
 included), 2 usage error (unknown PPS or app, a count or degree below
-1, a knob its ``Knobs`` or ``ServePolicy`` rejects, malformed
-``--feed``, an unknown or malformed fault plan or one with a section
-the command cannot apply), 3 runtime failure (interpreter trap,
+1, a knob its ``Knobs`` rejects, a ``serve --hang-timeout`` not above 0,
+malformed ``--feed``, an unknown or malformed fault plan or one with a
+section the command cannot apply), 3 runtime failure (interpreter trap,
 deadlock/livelock, a ``repro serve`` shard out of restarts).  A
 SIGTERM-drained ``serve`` exits 0 once its committed prefix verifies,
 after a stderr warning that counts the undelivered tail.
@@ -429,18 +429,17 @@ def cmd_serve(args) -> int:
     report, ``--trace`` however the run ended."""
     from repro.obs import emit_counter_events
     from repro.runtime.faults import resolve_plan
-    from repro.serve import ServePolicy, ServeRuntime
+    from repro.serve import ServeRuntime
 
     plan = resolve_plan(args.faults, serve=True) if args.faults else None
+    cache = _open_cache(args)
     try:
-        policy = ServePolicy(hang_timeout=args.hang_timeout)
+        runtime = ServeRuntime(args.app, shards=args.shards,
+                               degree=args.degree, packets=args.packets,
+                               seed=args.seed, batch=args.batch, plan=plan,
+                               hang_timeout=args.hang_timeout, cache=cache)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
-    cache = _open_cache(args)
-    runtime = ServeRuntime(args.app, shards=args.shards,
-                           degree=args.degree, packets=args.packets,
-                           seed=args.seed, batch=args.batch, plan=plan,
-                           policy=policy, cache=cache)
 
     with _traced(args.trace) as tracer:
         report = runtime.run(install_sigterm=True)

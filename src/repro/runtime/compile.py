@@ -27,7 +27,10 @@ At a join a local survives iff it is current on every incoming path; what
 only some paths changed and the join still needs is written back where
 those paths end.  Constants are literals; bounds checks and trap
 messages are inline, and so is the 32-bit wrap, behind a range test
-that runs it only on overflow (:data:`_FIT`).  A packet, rbuf or region
+that runs it only on overflow (:data:`_FIT`); a pipe receive has none,
+since a host's words are wrapped where they enter the pipe
+(:meth:`~repro.runtime.state.MachineState.feed_pipe`) and a stage sends
+only registers.  A packet, rbuf or region
 accessor is a subscript of the live buffer and a method call only where
 it traps (:data:`_ACCESSORS`): a packet or rbuf element is looked up
 once per path, into a *view* (:meth:`_Step.view`) that a join keeps
@@ -1050,10 +1053,8 @@ def _emit_pipe_in(step: _Step, inst: PipeIn) -> None:
     )
     step.charge(1, inst.weight(), transmission=True)
     words = [step.local(dest) for dest in inst.dests]
-    if words:
+    if words:  # every word a pipe holds is wrapped (feed_pipe, pipe_out)
         step.emit(f"{', '.join(words)}, = message")
-    for dest in dict.fromkeys(inst.dests):  # a host may feed any int
-        step.wrap(dest)
 
 
 def _emit_pipe_out(step: _Step, inst: PipeOut) -> None:
@@ -1071,7 +1072,7 @@ def _emit_pipe_recv(step: _Step, inst: Call) -> None:
             "raise TrapError(%r)"
             % f"pipe_recv on {name} found a multi-word message"),
     )
-    step.wrap(inst.dest, "message")
+    step.write(inst.dest, "message")
 
 
 def _emit_pipe_send(step: _Step, inst: Call) -> None:

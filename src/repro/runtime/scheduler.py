@@ -35,10 +35,6 @@ from repro.runtime.watchdog import Watchdog
 #: is broken beyond isolation and the run aborts with the last trap.
 MAX_TRAPS_PER_STAGE = 1000
 
-#: Livelock guard: scheduler steps (one interpreter resumed once, for up
-#: to a burst of loop iterations) a ``run_group`` may take before it traps.
-MAX_STEPS = 100_000_000
-
 
 @dataclass
 class RunResult:
@@ -109,9 +105,6 @@ def run_group(interpreters: dict[str, Interpreter], *,
         try:
             while ready:
                 steps += 1
-                if steps > MAX_STEPS:
-                    raise TrapError(
-                        "scheduler exceeded MAX_STEPS (livelock?)")
                 if not steps % quantum:
                     watchdog.check_progress(interpreters)
                 name = ready.popleft()

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import TrapError
 from repro.ir.function import Module
+from repro.ir.types import wrap32
 from repro.runtime.devices import DeviceModel
 from repro.runtime.packets import PacketStore
 
@@ -136,9 +137,8 @@ class Pipe:
 class MachineState:
     """Shared memories, pipes, packet store, devices, and trace buffers."""
 
-    def __init__(self, module: Module, *, pipe_capacity: int = 0):
+    def __init__(self, module: Module):
         self.module = module
-        self.pipe_capacity = pipe_capacity
         self.wake_hub = WakeHub()
         self.regions: dict[str, list[int] | tuple[int, ...]] = {
             name: [0] * region.size for name, region in module.regions.items()
@@ -147,8 +147,7 @@ class MachineState:
                                  for name, region in module.regions.items()}
         self.pipes: dict[str, Pipe] = {}
         for name in module.pipes:
-            self.pipes[name] = Pipe(name, capacity=pipe_capacity,
-                                    hub=self.wake_hub)
+            self.pipes[name] = Pipe(name, hub=self.wake_hub)
         self.packets = PacketStore()
         self.devices = DeviceModel(hub=self.wake_hub)
         self.traces: dict[int, list[int]] = {}
@@ -164,7 +163,7 @@ class MachineState:
     def pipe(self, name: str) -> Pipe:
         pipe = self.pipes.get(name)
         if pipe is None:
-            pipe = Pipe(name, capacity=self.pipe_capacity, hub=self.wake_hub)
+            pipe = Pipe(name, hub=self.wake_hub)
             if self.faults is not None:
                 # Late-created pipes (the realized stages' .xfer rings)
                 # take an armed fault plan's bound too.  This check runs
@@ -228,6 +227,10 @@ class MachineState:
             region[: len(values)] = values
 
     def feed_pipe(self, name: str, messages) -> None:
+        """Queue host messages on ``name``, each word (and each word of a
+        tuple) wrapped to 32 bits: whatever a pipe holds is a word, so
+        no receive tests one."""
         pipe = self.pipe(name)
         for message in messages:
-            pipe.send(message)
+            pipe.send(tuple(map(wrap32, message))
+                      if isinstance(message, tuple) else wrap32(message))

@@ -8,8 +8,9 @@
   pipeline per worker, watchdog failure classification, deterministic
   fault injection) and the batch runner it shares with the oracle;
 * :mod:`repro.serve.supervise` — the supervisor: liveness, crash
-  recovery with exponential backoff up to a per-shard restart budget,
-  graceful drain, and the sequential oracle it steps in its idle time.
+  recovery (a dead worker respawned at once) up to a per-shard restart
+  budget, graceful drain, and the sequential oracle it steps in its idle
+  time.
 
 See ``docs/serving.md`` for the architecture and lifecycle.
 """
@@ -23,7 +24,6 @@ from repro.serve.shard import (
 )
 from repro.serve.supervise import (
     ServeError,
-    ServePolicy,
     ServeReport,
     ServeRuntime,
     compare_deltas,
@@ -35,7 +35,6 @@ __all__ = [
     "BatchRecord",
     "Journal",
     "ServeError",
-    "ServePolicy",
     "ServeReport",
     "ServeRuntime",
     "ShardJournal",

@@ -13,23 +13,25 @@ so none rebuilds anything — and then supervises:
   is SIGKILLed and classified ``hang`` (the in-interpreter stall cases
   — deadlock / livelock — classify themselves through the runtime
   watchdog before the hang clock ever fires);
-* **crash recovery** — a dead worker is respawned with exponential
-  backoff; the new incarnation replays the shard's journal from batch 1
-  and the commit watermark drops the re-delivered prefix, so committed
-  output stays exactly-once per flow.  That is the one recovery path: a
-  shard whose worker fails ``max_restarts + 1`` times raises
-  :class:`ServeError` (CLI exit 3) naming the shard, its causes and the
-  last worker error.  Every incarnation is a fork of the same
-  supervisor replaying the same journal, so a failure that outlives the
+* **crash recovery** — a dead worker is respawned in the supervision
+  step that reaps it; the new incarnation replays the shard's journal
+  from batch 1 and the commit watermark drops the re-delivered prefix,
+  so committed output stays exactly-once per flow.  That is the one
+  recovery path: a shard whose worker fails ``MAX_RESTARTS + 1`` times
+  raises :class:`ServeError` (CLI exit 3) naming the shard, its causes
+  and the last worker error.  Every incarnation is a fork of the same
+  supervisor replaying the same journal, so waiting before a restart
+  would change nothing it does, and a failure that outlives the
   restarts would outlive any other worker too;
 * **graceful drain** — SIGTERM (or :meth:`ServeRuntime.request_drain`)
   asks every worker to finish its current batch and stop; stragglers
-  are killed after a grace period and whatever was committed stands
-  (a stderr warning counts the undelivered tail; the stop was asked
-  for, so the run still exits 0 when the prefix verifies).
+  are killed after ``DRAIN_GRACE`` seconds and whatever was committed
+  stands (a stderr warning counts the undelivered tail; the stop was
+  asked for, so the run still exits 0 when the prefix verifies).
 
-Every lifecycle event (spawn, exit, restart, hang-kill, drain)
-also lands in the active Chrome trace as an instant event, and the
+Every lifecycle event (spawn, exit, hang-kill, drain) also lands in
+the active Chrome trace as an instant event — a restart is the spawn of
+an incarnation >= 1, after the exit that names its cause — and the
 counters fold into :class:`~repro.obs.report.RuntimeReport` via
 :meth:`ServeReport.runtime_report`.
 
@@ -77,35 +79,13 @@ class ServeError(ReproError):
     restarts, or a protocol violation): CLI exit 3."""
 
 
-@dataclass(frozen=True)
-class ServePolicy:
-    """Supervision knobs (defaults sized for tests and smoke runs)."""
-
-    max_restarts: int = 3       # per shard, before the run fails
-    backoff_base: float = 0.05  # first restart delay, seconds
-    backoff_cap: float = 1.0    # exponential backoff ceiling, seconds
-    hang_timeout: float = 10.0  # silent-but-alive seconds before a kill
-    drain_grace: float = 2.0    # seconds a drain waits before killing
-    poll_interval: float = 0.05
-
-    def __post_init__(self):
-        if not isinstance(self.max_restarts, int) or self.max_restarts < 0:
-            raise ValueError(f"max_restarts must be an integer >= 0 "
-                             f"(got {self.max_restarts!r})")
-        for name in ("backoff_base", "backoff_cap", "drain_grace",
-                     "poll_interval"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"{name} must be >= 0 seconds "
-                                 f"(got {value!r})")
-        if not self.hang_timeout > 0:
-            # 0 or less would judge every worker hung before its first
-            # batch.
-            raise ValueError(f"hang_timeout must be > 0 seconds "
-                             f"(got {self.hang_timeout!r})")
-
-    def backoff(self, restarts: int) -> float:
-        return min(self.backoff_cap, self.backoff_base * (2 ** restarts))
+#: Worker failures a shard survives; one more ends the run.
+MAX_RESTARTS = 3
+#: Seconds a drain waits for workers to stop before killing them.
+DRAIN_GRACE = 2.0
+#: Seconds the supervisor waits for a worker message when it has
+#: nothing else to do.
+POLL_INTERVAL = 0.05
 
 
 #: The per-batch delta counters a :class:`ServeReport` sums per shard.
@@ -120,7 +100,6 @@ class _Slot:
     proc: object = None
     conn: object = None
     attempts: int = 0               # incarnations spawned so far
-    restart_at: float | None = None
     last_activity: float = 0.0
     hang_killed: bool = False
     drain_killed: bool = False
@@ -381,17 +360,23 @@ class ServeRuntime:
 
     def __init__(self, app_name: str, *, shards: int = 4, degree: int = 1,
                  packets: int = 40, seed: int = 7, batch: int = 8,
-                 plan=None, policy: ServePolicy | None = None,
+                 plan=None, hang_timeout: float = 10.0,
                  cache=None, verify: bool = True):
         if shards < 1:
             raise ServeError(f"need at least 1 shard, got {shards}")
+        if not hang_timeout > 0:
+            # 0 or less would judge every worker hung before its first
+            # batch.
+            raise ValueError(f"hang_timeout must be > 0 seconds "
+                             f"(got {hang_timeout!r})")
         #: The pipeline being served, built once per run by the supervisor.
         self.spec = RunSpec(app_name, packets, seed, (degree,))
         self.shards = shards
         self.degree = degree
         self.batch = batch
         self.plan = plan
-        self.policy = policy or ServePolicy()
+        #: Seconds a live worker may stay silent before a hang kill.
+        self.hang_timeout = hang_timeout
         self.cache = cache
         self.verify = verify
 
@@ -472,8 +457,7 @@ class ServeRuntime:
     # -- scheduling ----------------------------------------------------------
 
     def _maybe_start(self, slot: _Slot, now: float) -> None:
-        if (slot.proc is not None or slot.restart_at is not None
-                or self._drain_requested):
+        if slot.proc is not None or self._drain_requested:
             return
         journal = self._journal[slot.shard]
         if journal.records and not journal.done:
@@ -498,7 +482,6 @@ class ServeRuntime:
         child_conn.close()
         slot.proc = proc
         slot.conn = parent_conn
-        slot.restart_at = None
         slot.last_activity = now
         slot.hang_killed = False
         slot.drain_killed = False
@@ -511,16 +494,13 @@ class ServeRuntime:
     # -- the supervision loop ------------------------------------------------
 
     def _supervise(self) -> None:
-        policy = self.policy
         while True:
             now = time.monotonic()
             if self._drain_requested and self._drain_started is None:
                 self._begin_drain(now)
-            for slot in self._slots:
-                if slot.restart_at is not None and now >= slot.restart_at:
-                    slot.restart_at = None
-                    self._maybe_start(slot, now)
             live = [slot for slot in self._slots if slot.proc is not None]
+            if not live:
+                return
             # Idle time belongs to the oracle: while it has batches left
             # (and no drain is waiting on us) the supervisor only polls
             # the workers, and simulates one oracle batch whenever none
@@ -528,17 +508,9 @@ class ServeRuntime:
             oracle_busy = (self._oracle is not None
                            and not self._oracle.exhausted
                            and self._drain_started is None)
-            if not live:
-                if self._drain_started is not None:
-                    return
-                if all(slot.restart_at is None for slot in self._slots):
-                    return
-                if not (oracle_busy and self._oracle.step()):
-                    time.sleep(policy.poll_interval)
-                continue
             ready = connection_wait(
                 [slot.conn for slot in live],
-                timeout=0 if oracle_busy else policy.poll_interval)
+                timeout=0 if oracle_busy else POLL_INTERVAL)
             if oracle_busy and not ready:
                 self._oracle.step()
             now = time.monotonic()
@@ -551,18 +523,22 @@ class ServeRuntime:
                 if not slot.proc.is_alive() and not slot.conn.poll():
                     self._reap(slot, now)
                 elif (self._drain_started is None
-                      and now - slot.last_activity > policy.hang_timeout):
+                      and now - slot.last_activity > self.hang_timeout):
                     self._hang_kill(slot)
             if (self._drain_started is not None
-                    and now - self._drain_started > policy.drain_grace):
+                    and now - self._drain_started > DRAIN_GRACE):
                 self._drain_kill(now)
 
-    def _drain_messages(self, slot: _Slot, now: float) -> None:
+    def _drain_messages(self, slot: _Slot, now: float, *,
+                        reap: bool = True) -> None:
+        """Handle every message the worker has sent.  At EOF it is gone:
+        reap it, unless this is the reap's own last read."""
         try:
             while slot.conn.poll():
                 self._handle(slot, slot.conn.recv(), now)
         except (EOFError, OSError):
-            self._reap(slot, now)
+            if reap:
+                self._reap(slot, now)
 
     def _handle(self, slot: _Slot, message: tuple, now: float) -> None:
         slot.last_activity = now
@@ -592,7 +568,7 @@ class ServeRuntime:
 
     def _reap(self, slot: _Slot, now: float) -> None:
         proc = slot.proc
-        self._drain_messages_final(slot, now)
+        self._drain_messages(slot, now, reap=False)
         proc.join(timeout=5.0)
         exitcode = proc.exitcode
         slot.conn.close()
@@ -607,26 +583,14 @@ class ServeRuntime:
         slot.causes.append(cause)
         if self._drain_started is not None:
             return                  # draining: no restarts
-        restarts = slot.attempts - 1
-        if restarts >= self.policy.max_restarts:
+        if slot.attempts > MAX_RESTARTS:
             last = f"; last error: {slot.error[1]}" if slot.error else ""
             raise ServeError(
                 f"shard {slot.shard} exhausted its restart budget "
-                f"({self.policy.max_restarts}): {slot.attempts} workers "
+                f"({MAX_RESTARTS}): {slot.attempts} workers "
                 f"failed ({', '.join(slot.causes)}), {journal.pending} "
                 f"batches undelivered{last}")
-        delay = self.policy.backoff(restarts)
-        slot.restart_at = now + delay
-        instant("shard_restart", cat="serve", tid=TID_RUNTIME,
-                shard=slot.shard, incarnation=slot.attempts,
-                backoff=round(delay, 3))
-
-    def _drain_messages_final(self, slot: _Slot, now: float) -> None:
-        try:
-            while slot.conn.poll():
-                self._handle(slot, slot.conn.recv(), now)
-        except (EOFError, OSError):
-            pass
+        self._maybe_start(slot, now)
 
     def _classify(self, slot: _Slot, exitcode, finished: bool) -> str:
         if finished:
@@ -652,8 +616,6 @@ class ServeRuntime:
     def _begin_drain(self, now: float) -> None:
         self._drain_started = now
         self._drain_event.set()
-        for slot in self._slots:
-            slot.restart_at = None
         instant("serve_drain", cat="serve", tid=TID_RUNTIME)
 
     def _drain_kill(self, now: float) -> None:

@@ -238,8 +238,9 @@ def test_fuzz_bad_degrees_is_usage_error(capsys):
     ["serve", "--hang-timeout", "0"],
     ["serve", "--hang-timeout", "-1"],
     ["serve", "--hang-timeout", "nan"],
-    # Deleted serve flags, at values they once took: the restart budget,
-    # the backoff and the drain grace are ServePolicy's defaults now.
+    # Deleted serve flags, at values they once took: the restart budget
+    # and the drain grace are constants of repro.serve.supervise now, and
+    # a dead worker is restarted at once.
     ["serve", "--drain-grace", "2"],
     ["serve", "--backoff", "0.01"],
     ["serve", "--backoff", "0.05"],

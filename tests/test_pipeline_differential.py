@@ -12,6 +12,8 @@ from repro.pipeline.liveset import Strategy
 from repro.pipeline.transform import pipeline_pps
 from repro.runspec import Knobs
 from repro.runtime import (
+    FaultInjector,
+    FaultPlan,
     MachineState,
     assert_equivalent,
     observe,
@@ -106,11 +108,11 @@ def test_bounded_stage_pipes_preserve_equivalence():
     run_sequential(module.pps("worker"), baseline_state, iterations=30)
     baseline = observe(baseline_state)
     result = pipeline_pps(module, "worker", 4)
-    state = MachineState(module, pipe_capacity=2)
+    state = MachineState(module)
     standard_setup(state, 30)
-    # Only the *stage* pipes should be bounded: the harness pre-loads the
+    # Only the *stage* pipes are bounded: the harness pre-loads the
     # external input and drains the external output after the run.
-    state.pipe("in_q").capacity = 0
-    state.pipe("out_q").capacity = 0
+    FaultInjector(FaultPlan.from_dict(
+        {"pipes": {"*.xfer*": {"capacity": 2}}})).arm(state)
     run_pipeline(result.stages, state, iterations=30)
     assert_equivalent(baseline, observe(state))

@@ -21,7 +21,7 @@ from repro.eval.explore import SearchSpace, explore
 from repro.pipeline.cuts import select_stages
 from repro.pipeline.verify import verify_partition
 from repro.runspec import Knobs, RunSpec, app_pipeline
-from repro.serve import ServePolicy, ServeRuntime
+from repro.serve import ServeRuntime
 
 PACKETS, SEED = 24, 7
 
@@ -52,7 +52,6 @@ def test_plan_chaos_and_serve_share_one_pipeline_per_description(tmp_path):
     before = _objects(serve_cache)
     served = ServeRuntime(
         "ip_v4", shards=2, degree=2, packets=PACKETS, seed=SEED,
-        policy=ServePolicy(backoff_base=0.01, backoff_cap=0.05),
         cache=serve_cache).run()
     assert served.ok, served.render()
     assert _objects(serve_cache) == before

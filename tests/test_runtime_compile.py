@@ -300,7 +300,9 @@ def test_wake_hub_parks_and_notifies():
 
 def test_pipe_operations_notify_hub():
     module = compile_module(STANDARD_PPS)
-    state = MachineState(module, pipe_capacity=1)
+    state = MachineState(module)
+    for pipe in state.pipes.values():
+        pipe.capacity = 1
     events = []
     state.wake_hub.attach(events.append)
     state.wake_hub.park(("recv", "in_q"), "reader")

@@ -407,12 +407,14 @@ def run_shape(function, budget=None, capacity=0):
     """``function`` over PACKETS, trap isolation on; with ``capacity``
     every pipe is bounded and ``out`` starts full, so the first send
     finds it not ready, and drains empty ``out`` and ``log``."""
-    state = MachineState(Module(), pipe_capacity=capacity)
+    state = MachineState(Module())
     state.feed_pipe("q", PACKETS)
     interpreter = Interpreter(function, state, loop_start="head",
                               max_iterations=len(PACKETS))
     group = {"f": interpreter}
     if capacity:
+        for pipe in ("q", "out", "log"):
+            state.pipe(pipe).capacity = capacity
         state.feed_pipe("out", [(0, 0)])
         for pipe in ("out", "log"):
             group[pipe] = Interpreter(drain(pipe), state, loop_start="head")

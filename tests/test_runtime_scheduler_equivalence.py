@@ -49,7 +49,9 @@ def test_bounded_pipe_backpressure():
         pps producer { for (;;) { int v = pipe_recv(in_q);
                                   pipe_send(mid, v); } }
     """)
-    state = MachineState(module, pipe_capacity=2)
+    state = MachineState(module)
+    for pipe in state.pipes.values():
+        pipe.capacity = 2
     state.feed_pipe("in_q", [1, 2, 3, 4, 5])
     run_sequential(module.pps("producer"), state, iterations=5)
     # mid is full at 2; the producer blocks and the run quiesces.

@@ -79,7 +79,9 @@ def test_bounded_capacity_cycle_is_a_deadlock():
                                   int b = pipe_recv(data);
                                   trace(1, t + a + b); } }
     """)
-    state = MachineState(module, pipe_capacity=1)
+    state = MachineState(module)
+    for pipe in state.pipes.values():
+        pipe.capacity = 1
     state.feed_pipe("in_q", [10, 20])
     interpreters = {
         "producer": _interp(module, "producer", state, max_iterations=2),
@@ -105,7 +107,9 @@ def test_never_consuming_stage_deadlocks_its_upstream():
                               if (t < 0) { trace(2, pipe_recv(data)); }
                               trace(2, t); } }
     """)
-    state = MachineState(module, pipe_capacity=1)
+    state = MachineState(module)
+    for pipe in state.pipes.values():
+        pipe.capacity = 1
     state.feed_pipe("in_q", [1, 2, 3])
     interpreters = {
         "producer": _interp(module, "producer", state, max_iterations=3),
@@ -158,7 +162,9 @@ def test_sink_backpressure_is_normal():
         pps producer { for (;;) { int v = pipe_recv(in_q);
                                   pipe_send(mid, v); } }
     """)
-    state = MachineState(module, pipe_capacity=2)
+    state = MachineState(module)
+    for pipe in state.pipes.values():
+        pipe.capacity = 2
     state.feed_pipe("in_q", [1, 2, 3, 4, 5])
     run_sequential(module.pps("producer"), state, iterations=5)
     assert len(state.pipe("mid").queue) == 2  # quiesced full, no error

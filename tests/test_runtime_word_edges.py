@@ -1,16 +1,18 @@
 """Word edges and handle views of the generated step, against the oracle.
 
 Generated code keeps a register a wrapped 32-bit word without wrapping
-every value: ``+ - * <<``, unary ``-``, ``hash32``, a method's result,
-what a pipe or rbuf delivers, a region word, a ``u32`` packet load and a
-metadata word are written plainly and wrapped only when a range test
-finds them outside ``[-2**31, 2**31)``.  Host calls — ``feed_pipe``,
+every value: ``+ - * <<``, unary ``-``, a method's result, what an rbuf
+delivers, a region word, a ``u32`` packet load and a metadata word are
+written plainly and wrapped only when a range test finds them outside
+``[-2**31, 2**31)``; ``hash32`` is always wrapped.  Host calls —
 ``load_region``, ``adopt(meta=...)`` — may hand in words that were never
-wrapped, so the test stays on those too.  And a step looks a packet or
-rbuf element up once per path (its *view*: the object, its bytes and
-their length), until the handle's register is written or a method call
-that may free it runs; a join keeps a view only if every path into it
-holds one.
+wrapped, so the test stays on those too.  What a pipe delivers is
+written with no test at all: ``feed_pipe`` wraps a host's words where
+they enter the pipe, and a stage sends only registers.  And a step
+looks a packet or rbuf element up once per path (its *view*: the
+object, its bytes and their length), until the handle's register is
+written or a method call that may free it runs; a join keeps a view
+only if every path into it holds one.
 
 Each case runs one program through the reference oracle of
 :mod:`repro.testing.reference`, through the plain text, and through the
@@ -78,7 +80,7 @@ def pipe_in_words():
 #: feed, setup(state), iterations).
 WORDS = {
     # Every arithmetic site over the edges: INT_MAX + 1, INT_MIN - 1,
-    # -INT_MIN, multiply and shift overflow, hash32; pipe_recv wraps the
+    # -INT_MIN, multiply and shift overflow, hash32; feed_pipe wraps the
     # host's unwrapped words (0xFFFFFFFF, 2**32 + 1, 2**40).
     "arithmetic": (
         pps("int a = pipe_recv(q); int b = pipe_recv(q); "
@@ -110,7 +112,8 @@ WORDS = {
         packets_of((b"\xff\xff\xff\xff\x80\x00\x00\x00\x7f\xff\xff\xff",
                     {1: 0xFFFFFFFF, 2: 0x80000000, 3: -0x80000001})),
         5),
-    # A pipe_in of one word and of three, fed unwrapped words.
+    # A pipe_in of one word and of three, fed unwrapped words (queued
+    # wrapped).
     "pipe_in words": (
         pipe_in_words,
         [0xFFFFFFFF, (0x80000000, 1 << 35, INT_MAX), 1 << 40,
@@ -276,6 +279,15 @@ def test_word_edges_match_the_reference(monkeypatch, name):
     words = [word for values in expected["traces"].values()
              for word in values]
     assert words and all(INT_MIN <= word <= INT_MAX for word in words)
+
+
+def test_feed_pipe_queues_words():
+    """A host word is wrapped where it enters a pipe, alone or in a
+    tuple, so no pipe receive tests one."""
+    state = MachineState(Module())
+    state.feed_pipe("q", [0xFFFFFFFF, 1 << 40,
+                          (0x80000000, 1 << 35, -0x80000001)])
+    assert list(state.pipe("q").queue) == [-1, 0, (INT_MIN, 0, INT_MAX)]
 
 
 @pytest.mark.parametrize("name", VIEWS)

@@ -21,24 +21,19 @@ from repro.errors import EXIT_OK, EXIT_RUNTIME
 from repro.runtime.faults import FaultPlan, serve_plans
 from repro.serve import (
     ServeError,
-    ServePolicy,
     ServeRuntime,
     shard_stream,
+    supervise,
 )
 
 #: Small but kill-eligible: every shard gets >= 2 batches at 2 shards.
 PACKETS, BATCH = 24, 4
-
-#: Serving-runtime tests spawn real worker processes; the snappy
-#: backoff keeps a full crash-recovery cycle well under a second.
-FAST = ServePolicy(backoff_base=0.01, backoff_cap=0.05)
 
 
 def run_serve(app="ipv4", **kwargs):
     kwargs.setdefault("shards", 2)
     kwargs.setdefault("packets", PACKETS)
     kwargs.setdefault("batch", BATCH)
-    kwargs.setdefault("policy", FAST)
     return ServeRuntime(app, **kwargs).run()
 
 
@@ -72,33 +67,33 @@ def test_worker_kill_replays_bit_identically():
 
 def test_restart_budget_exhaustion_is_a_serve_error():
     """worker-storm kills shard 0 on every incarnation: after
-    ``max_restarts + 1`` deaths the run raises, naming the shard and
+    ``MAX_RESTARTS + 1`` deaths the run raises, naming the shard and
     every cause, and leaves no worker process behind."""
     with pytest.raises(ServeError) as caught:
         run_serve(plan=serve_plans()["worker-storm"])
     message = str(caught.value)
     assert message.startswith("shard 0 exhausted its restart budget (3)")
-    assert message.count("killed (signal 9)") == FAST.max_restarts + 1
+    assert message.count("killed (signal 9)") == supervise.MAX_RESTARTS + 1
     assert not multiprocessing.active_children()
 
 
-def test_no_survivor_raises_serve_error():
+def test_no_survivor_raises_serve_error(monkeypatch):
     """Every shard storming: the first shard out of restarts ends the
     run with a ServeError (CLI exit 3), not a hang."""
+    monkeypatch.setattr(supervise, "MAX_RESTARTS", 1)
     plan = FaultPlan.from_dict(
         {"seed": 3, "workers": {"*": {"kill_after_batches": 0,
                                       "every_incarnation": True}}},
         name="total-storm")
     with pytest.raises(ServeError, match="exhausted its restart budget"):
-        run_serve(plan=plan, policy=ServePolicy(
-            max_restarts=1, backoff_base=0.01, backoff_cap=0.05))
+        run_serve(plan=plan)
     assert not multiprocessing.active_children()
 
 
 def test_a_poison_batch_fails_the_run_with_its_trap(monkeypatch):
     """A batch that traps in every worker incarnation — deterministic,
     so a restart cannot help — fails the run after exactly
-    ``max_restarts + 1`` incarnations of its shard, and the error
+    ``MAX_RESTARTS + 1`` incarnations of its shard, and the error
     carries the trap's own text.  The supervisor's oracle runs the same
     batch cleanly: only the workers are poisoned."""
     import os
@@ -128,12 +123,12 @@ def test_a_poison_batch_fails_the_run_with_its_trap(monkeypatch):
     monkeypatch.setattr(ServeRuntime, "_spawn", recording_spawn)
     with pytest.raises(ServeError) as caught:
         ServeRuntime("ipv4", shards=2, packets=STREAM_PACKETS,
-                     batch=STREAM_BATCH, policy=FAST).run()
+                     batch=STREAM_BATCH).run()
     message = str(caught.value)
     assert message.startswith("shard 0 exhausted its restart budget (3)")
     assert "(trap, trap, trap, trap)" in message
     assert message.endswith("last error: ipv4: rt_l1[70000] out of bounds")
-    assert sorted(spawned) == [0] * (FAST.max_restarts + 1) + [1]
+    assert sorted(spawned) == [0] * (supervise.MAX_RESTARTS + 1) + [1]
     assert not multiprocessing.active_children()
 
 
@@ -143,15 +138,14 @@ def test_hang_is_killed_and_classified():
     plan = FaultPlan.from_dict(
         {"seed": 5, "workers": {"shard-0": {"hang_after_batches": 1}}},
         name="one-hang")
-    report = run_serve(plan=plan, policy=ServePolicy(
-        backoff_base=0.01, backoff_cap=0.05, hang_timeout=0.5))
+    report = run_serve(plan=plan, hang_timeout=0.5)
     assert report.ok
     assert report.counters["hang_kills"] == 1
     assert any("hang" in cause
                for cause in report.shard_stats[0]["causes"])
 
 
-def test_graceful_drain_keeps_committed_prefix():
+def test_graceful_drain_keeps_committed_prefix(monkeypatch):
     """request_drain mid-run: workers stop at batch boundaries, the
     committed prefix stands and still matches the oracle; the
     undelivered tail is warned about, not wrong: the stop was asked
@@ -160,11 +154,9 @@ def test_graceful_drain_keeps_committed_prefix():
         {"seed": 9, "workers": {"*": {"hang_after_batches": 1,
                                       "every_incarnation": True}}},
         name="drain-hang")
+    monkeypatch.setattr(supervise, "DRAIN_GRACE", 0.5)
     runtime = ServeRuntime("ipv4", shards=2, packets=PACKETS, batch=BATCH,
-                           plan=plan,
-                           policy=ServePolicy(backoff_base=0.01,
-                                              hang_timeout=5.0,
-                                              drain_grace=0.5))
+                           plan=plan, hang_timeout=5.0)
     runtime.on_commit = lambda shard, seq: runtime.request_drain()
     report = runtime.run()
     assert report.drained
@@ -180,16 +172,13 @@ def test_graceful_drain_keeps_committed_prefix():
 @pytest.mark.parametrize("field, value", [
     ("hang_timeout", 0.0), ("hang_timeout", -1.0),
     ("hang_timeout", float("nan")),
-    ("backoff_base", -0.5), ("backoff_cap", -1.0),
-    ("drain_grace", -1.0), ("poll_interval", float("nan")),
-    ("max_restarts", -1), ("max_restarts", 1.5),
 ])
 def test_serve_policy_checks_its_own_fields(field, value):
-    """A policy that would break supervision is refused where it is
-    defined: ``hang_timeout=-1`` would hang-kill every worker and end in
+    """The one supervision value a caller sets is refused where it is
+    taken: ``hang_timeout=-1`` would hang-kill every worker and end in
     a ``ServeError``."""
     with pytest.raises(ValueError, match=field):
-        ServePolicy(**{field: value})
+        ServeRuntime("ipv4", **{field: value})
 
 
 def test_empty_shards_are_not_spawned():
@@ -278,7 +267,7 @@ def test_tampered_delta_is_named_whichever_side_arrives_first(
     seq = {"first": 1, "middle": (count + 1) // 2, "last": count}[position]
     report = Tampering(
         "ipv4", shards=2, packets=STREAM_PACKETS, batch=STREAM_BATCH,
-        policy=FAST, victim=(1, seq), field=field,
+        victim=(1, seq), field=field,
         oracle_first=oracle_first).run()
     assert report.verified is False
     assert report.exit_code() == EXIT_FAILURE
@@ -345,7 +334,7 @@ def test_verified_run_retains_no_delta_payload():
     """Deltas are compared and released at commit: after the verdict
     the runtime references only the sums ``_assemble`` reports."""
     runtime = ServeRuntime("ipv4", shards=2, packets=STREAM_PACKETS,
-                           batch=STREAM_BATCH, policy=FAST)
+                           batch=STREAM_BATCH)
     assert holds_observables({"probe": {"tx": []}})     # the walker works
     report = runtime.run()
     assert report.verified is True
@@ -357,8 +346,6 @@ def test_verified_run_retains_no_delta_payload():
 
 
 def test_verify_off_never_builds_an_oracle(monkeypatch):
-    from repro.serve import supervise
-
     def forbidden(*args, **kwargs):
         raise AssertionError("verify=False touched the oracle")
 
@@ -375,8 +362,6 @@ def test_oracle_failure_mid_run_is_loud_and_leaves_no_orphans(
     """The sequential PPS failing inside the supervision loop keeps its
     class and exit code, says where, and every worker is reaped."""
     from repro.errors import DeadlockError, TrapError
-    from repro.serve import supervise
-
     real = supervise.oracle_deltas
 
     def failing(app, batches, **kwargs):
@@ -397,14 +382,14 @@ def test_oracle_failure_mid_run_is_loud_and_leaves_no_orphans(
 
     monkeypatch.setattr(supervise, "oracle_deltas", failing)
     monkeypatch.setattr(ServeRuntime, "_kill_all", recording_kill_all)
-    # Both workers stop, alive, after their first batch and FAST's hang
-    # timeout (10 s) never fires: they are still serving, by construction,
+    # Both workers stop, alive, after their first batch and the default
+    # hang timeout (10 s) never fires: they are still serving, by construction,
     # when the oracle fails on its second.
     hold = FaultPlan.from_dict(
         {"seed": 1, "workers": {"*": {"hang_after_batches": 1}}},
         name="hold")
     runtime = ServeRuntime("ipv4", shards=2, packets=STREAM_PACKETS,
-                           batch=STREAM_BATCH, plan=hold, policy=FAST)
+                           batch=STREAM_BATCH, plan=hold)
     with pytest.raises(TrapError if failure == "trap" else DeadlockError,
                        match="shard 0 batch 2: ") as caught:
         runtime.run()
@@ -510,8 +495,7 @@ def test_uncached_pipeline_is_cut_once(monkeypatch):
 
 
 def test_a_runtime_runs_twice_with_the_same_numbers():
-    runtime = ServeRuntime("ipv4", shards=2, packets=64, batch=BATCH,
-                           policy=FAST)
+    runtime = ServeRuntime("ipv4", shards=2, packets=64, batch=BATCH)
     first, second = runtime.run(), runtime.run()
     assert second.ok and second.verified is True
     assert second.counters == first.counters
@@ -532,7 +516,7 @@ def test_drain_verifies_the_committed_prefix_only(monkeypatch):
     batch of the undelivered tail is simulated, every committed one is
     compared."""
     from repro.apps.suite import build_app
-    from repro.serve import Journal, make_batches, shard_oracle, supervise
+    from repro.serve import Journal, make_batches, shard_oracle
 
     app = build_app("ipv4", packets=STREAM_PACKETS, seed=7)
     journal = Journal(2)
@@ -590,8 +574,7 @@ def test_worker_kill_shard_sweep():
     for shards in (2, 4, 8):
         report = ServeRuntime(
             "ipv4", shards=shards, degree=1, packets=48, seed=7, batch=2,
-            plan=serve_plans()["worker-kill"], policy=FAST,
-            verify=True).run()
+            plan=serve_plans()["worker-kill"], verify=True).run()
         assert report.ok, report.render()
         assert report.counters["restarts"] > 0, \
             f"shards {shards}: no worker was killed mid-stream"
@@ -620,7 +603,8 @@ def test_cli_serve_parser_and_exit_codes(tmp_path, capsys):
 
 def test_cli_serve_worker_storm_exits_3(tmp_path, capsys):
     """A shard out of restarts is exit 3, and ``--trace`` is still
-    written: it holds shard 0's four exits that explain the failure."""
+    written: it holds shard 0's four spawns, incarnations 0 to 3, and
+    the four exits that explain the failure."""
     import json
 
     trace = tmp_path / "storm-trace.json"
@@ -633,10 +617,13 @@ def test_cli_serve_worker_storm_exits_3(tmp_path, capsys):
     assert "error: serve: shard 0 exhausted its restart budget" in err
     assert "killed (signal 9)" in err
     assert not multiprocessing.active_children()
-    exits = [event["args"] for event in
-             json.loads(trace.read_text())["traceEvents"]
+    events = json.loads(trace.read_text())["traceEvents"]
+    exits = [event["args"] for event in events
              if event["name"] == "shard_exit" and event["args"]["shard"] == 0]
     assert len(exits) == 4
+    assert [event["args"]["incarnation"] for event in events
+            if event["name"] == "shard_spawn"
+            and event["args"]["shard"] == 0] == [0, 1, 2, 3]
 
 
 def test_cli_serve_trace_has_lifecycle_instants(tmp_path):
@@ -650,7 +637,9 @@ def test_cli_serve_trace_has_lifecycle_instants(tmp_path):
     assert code == EXIT_OK
     events = json.loads(trace.read_text())["traceEvents"]
     names = {event["name"] for event in events}
-    assert {"serve", "shard_spawn", "shard_exit",
-            "shard_restart"} <= names
+    assert {"serve", "shard_spawn", "shard_exit"} <= names
+    # A restart is a spawn of incarnation 1 or more.
+    assert any(event["args"]["incarnation"] >= 1 for event in events
+               if event["name"] == "shard_spawn")
     counters = [e for e in events if e["ph"] == "C" and e["name"] == "serve"]
     assert counters and counters[0]["args"]["restarts"] >= 1
