@@ -6,9 +6,10 @@ two NPF benchmarks:
 * IPv4 forwarding: ``rx``, ``ipv4``, ``scheduler``, ``qm``, ``tx``;
 * IP forwarding: ``rx``, ``ip`` (with v4 and v6 traffic variants), ``tx``.
 
-Each instance knows how to populate a fresh machine state with its input
-traffic and supporting tables, so the evaluation harness and the tests
-drive every PPS identically.  ``tests/test_full_application.py`` chains
+Each instance has one input recipe — ``stream()`` draws its traffic and
+``feed(state, stream)`` loads its tables and that stream into a machine
+state — so the evaluation harness, the check families, the serving pool
+and the tests drive every PPS identically.  ``tests/test_full_application.py`` chains
 them through their pipes into the whole applications.
 """
 
@@ -95,30 +96,34 @@ _ACL_RULES = (
 
 @dataclass
 class AppInstance:
-    """One compiled benchmark PPS plus its input-feeding recipe."""
+    """One compiled benchmark PPS plus its input recipe.
+
+    ``stream()`` returns the input traffic, and ``feed(state, stream)``
+    loads the app's tables and that (possibly perturbed) stream into a
+    machine state and returns the iteration budget for stage 1.  Every
+    run of every app — measured, fuzzed, served — is fed that way."""
 
     name: str
     pps_name: str
     source: str
     module: Module
-    setup: Callable[[MachineState], int] = field(repr=False, default=None)
+    stream: Callable[[], list] = field(repr=False)
+    feed: Callable[[MachineState, list], int] = field(repr=False)
     description: str = ""
-    #: Traffic-class setups for profile-dimensioned balancing (multi-path
-    #: PPSes like the IP PPS provide one per code path).
-    profile_setups: list = field(repr=False, default=None)
-    #: Check-harness split of ``setup``: ``stream()`` returns the input
-    #: packet list, ``feed(state, stream)`` loads tables and feeds an
-    #: (optionally perturbed) stream.  Only stream-driven PPSes provide
-    #: them; ``setup`` stays the single-call path everywhere else.
-    stream: Callable[[], list] = field(repr=False, default=None)
-    feed: Callable[[MachineState, list], int] = field(repr=False,
-                                                      default=None)
+    #: One stream recipe per traffic class, for profile-dimensioned
+    #: balancing (multi-path PPSes like the IP PPS have one per code
+    #: path; a single-class app has none).
+    class_streams: tuple[Callable[[], list], ...] = field(repr=False,
+                                                          default=())
+
+    def setup(self, state: MachineState) -> int:
+        """Feed ``state`` the app's own stream: ``feed(state, stream())``."""
+        return self.feed(state, self.stream())
 
     def fresh_state(self) -> tuple[MachineState, int]:
         """A populated machine state and the iteration budget for stage 1."""
         state = MachineState(self.module)
-        iterations = self.setup(state)
-        return state, iterations
+        return state, self.setup(state)
 
     @cached_property
     def profiler(self):
@@ -169,7 +174,6 @@ def _adopt_stream(state: MachineState, packets: list[bytes],
         })
         state.pipe(pipe).send(handle)
 
-
 #: The PPSes of the two benchmark applications, in paper order: the
 #: series of Figures 19/21 and of Figures 20/22 (``ip`` as its IPv4 and
 #: IPv6 traffic variants).
@@ -181,116 +185,85 @@ APPS = tuple(dict.fromkeys(IPV4_FORWARDING_PPSES + IP_FORWARDING_PPSES))
 #: of ``repro explore``, whose default report is ``BENCH_headline.json``
 #: and whose ``frontier.md`` draws the figures.
 FIGURE_APPS = APPS
-#: The apps with a stream/feed split: the only apps ``repro fuzz --apps``
-#: and ``repro serve`` can drive.
-STREAM_APPS = ("rx", "ipv4", "ip_v4", "ip_v6")
 
 
 def build_app(name: str, *, packets: int = 200, seed: int = 7) -> AppInstance:
-    """Build one benchmark PPS by name, one of :data:`APPS`."""
+    """Build one benchmark PPS by name, one of :data:`APPS`: its source
+    compiled, and its ``stream`` / ``feed`` recipe over ``packets``
+    packets of traffic drawn from ``seed``."""
+
+    def ipv4_stream() -> list:
+        return _traffic(packets, seed).ipv4_stream()
+
+    def ipv6_stream() -> list:
+        return _traffic(packets, seed).ipv6_stream()
+
+    def app(pps_name: str, source: str, stream, feed, description: str,
+            class_streams: tuple = ()) -> AppInstance:
+        return AppInstance(name, pps_name, source, _compile(source), stream,
+                           feed, description, class_streams)
+
     if name == "rx":
-        source = rx_source()
-        module = _compile(source)
-
-        def stream() -> list:
-            return _traffic(packets, seed).ipv4_stream()
-
         def feed(state: MachineState, stream: list) -> int:
             for data in stream:
                 state.devices.feed_packet(0, data)
             return len(stream)
 
-        def setup(state: MachineState) -> int:
-            return feed(state, stream())
-
-        return AppInstance(name, "rx", source, module, setup,
-                           "packet receive / reassembly",
-                           stream=stream, feed=feed)
+        return app("rx", rx_source(), ipv4_stream, feed,
+                   "packet receive / reassembly")
 
     if name == "ipv4":
-        source = ipv4_source()
-        module = _compile(source)
-
-        def stream() -> list:
-            return _traffic(packets, seed).ipv4_stream()
-
         def feed(state: MachineState, stream: list) -> int:
             _load_common_tables(state)
             _adopt_stream(state, stream, "ipv4_in")
             return len(stream)
 
-        def setup(state: MachineState) -> int:
-            return feed(state, stream())
-
-        return AppInstance(name, "ipv4", source, module, setup,
-                           "IPv4 forwarding (NPF IPv4 benchmark)",
-                           stream=stream, feed=feed)
+        return app("ipv4", ipv4_source(), ipv4_stream, feed,
+                   "IPv4 forwarding (NPF IPv4 benchmark)")
 
     if name in ("ip_v4", "ip_v6"):
-        source = ip_source()
-        module = _compile(source)
-        use_v6 = name.endswith("v6")
-
-        def stream() -> list:
-            generator = _traffic(packets, seed)
-            return (generator.ipv6_stream() if use_v6
-                    else generator.ipv4_stream())
-
         def feed(state: MachineState, stream: list) -> int:
             _load_common_tables(state)
             _adopt_stream(state, stream, "ip_in")
             return len(stream)
 
-        def setup(state: MachineState) -> int:
-            return feed(state, stream())
-
-        def setup_v4(state: MachineState) -> int:
-            return feed(state, _traffic(packets, seed).ipv4_stream())
-
-        def setup_v6(state: MachineState) -> int:
-            return feed(state, _traffic(packets, seed).ipv6_stream())
-
-        traffic_kind = "IPv6" if use_v6 else "IPv4"
-        return AppInstance(name, "ip", source, module, setup,
-                           f"IP forwarding, {traffic_kind} traffic",
-                           profile_setups=[setup_v4, setup_v6],
-                           stream=stream, feed=feed)
+        v6 = name == "ip_v6"
+        return app("ip", ip_source(), ipv6_stream if v6 else ipv4_stream,
+                   feed, f"IP forwarding, {'IPv6' if v6 else 'IPv4'} traffic",
+                   class_streams=(ipv4_stream, ipv6_stream))
 
     if name == "scheduler":
-        source = scheduler_source()
-        module = _compile(source)
+        # No input pipe: the stream only counts the decisions to make,
+        # and the queues start that full.
+        def stream() -> list:
+            return list(range(packets))
 
-        def setup(state: MachineState) -> int:
+        def feed(state: MachineState, stream: list) -> int:
+            count = len(stream)
             state.load_region("sched_weights", [4, 2, 1, 1])
-            state.load_region("qlen", [packets // 2, packets // 4,
-                                       packets // 8, packets // 8])
+            state.load_region("qlen", [count // 2, count // 4,
+                                       count // 8, count // 8])
             state.load_region("sched_state", [0, 4, 0, 0, 0, 0])
-            return packets
+            return count
 
-        return AppInstance(name, "scheduler", source, module, setup,
-                           "WRR scheduler (shared flow state)")
+        return app("scheduler", scheduler_source(), stream, feed,
+                   "WRR scheduler (shared flow state)")
 
     if name == "qm":
-        source = qm_source()
-        module = _compile(source)
-
-        def setup(state: MachineState) -> int:
+        # An enqueue per packet, then a dequeue per two.
+        def feed(state: MachineState, stream: list) -> int:
             _load_common_tables(state)
-            stream = _traffic(packets, seed).ipv4_stream()
             _adopt_stream(state, stream, "qm_enq")
-            for index in range(packets // 2):
+            dequeues = len(stream) // 2
+            for index in range(dequeues):
                 state.pipe("qm_deq").send(index % qm_mod.N_QUEUES)
-            return packets + packets // 2
+            return len(stream) + dequeues
 
-        return AppInstance(name, "qm", source, module, setup,
-                           "queue manager (shared flow state)")
+        return app("qm", qm_source(), ipv4_stream, feed,
+                   "queue manager (shared flow state)")
 
     if name == "tx":
-        source = tx_source()
-        module = _compile(source)
-
-        def setup(state: MachineState) -> int:
-            stream = _traffic(packets, seed).ipv4_stream()
+        def feed(state: MachineState, stream: list) -> int:
             for index, data in enumerate(stream):
                 handle = state.packets.adopt(data, meta={
                     META_LEN: len(data),
@@ -300,8 +273,7 @@ def build_app(name: str, *, packets: int = 200, seed: int = 7) -> AppInstance:
                 state.pipe("tx_in").send(handle)
             return len(stream)
 
-        return AppInstance(name, "tx", source, module, setup,
-                           "packet transmit / segmentation")
+        return app("tx", tx_source(), ipv4_stream, feed,
+                   "packet transmit / segmentation")
 
     raise ValueError(f"unknown app {name!r} (apps: {', '.join(APPS)})")
-

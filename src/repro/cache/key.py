@@ -76,9 +76,7 @@ def cost_identity(costs: CostModel) -> dict:
     Every parameter that shapes the flow network (VCost/CCost) or the
     realized transmission code (send/receive overheads) is included, so
     two tables differing in *any* field occupy different cache
-    addresses.  ``repro explore`` asserts pairwise-distinct identities
-    for the tables of a search space before enumerating it
-    (:meth:`repro.eval.explore.SearchSpace.validate`).
+    addresses.
     """
     return {
         "table_version": COST_TABLE_VERSION,

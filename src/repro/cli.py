@@ -15,7 +15,7 @@ Usage (also via ``python -m repro``)::
         --faults worker-kill                 # supervised sharded serving
     repro explore [-o DIR]                   # Pareto frontier, Figures 19-22
     repro fuzz [--seeds 50] [--out DIR]      # progen fuzz of the partitioner
-    repro fuzz --apps rx,ipv4 --seeds 1      # the same checks on stream apps
+    repro fuzz --apps rx,qm --seeds 1        # the same checks on suite apps
     repro fuzz --faults drop-light -j 4      # one fault plan, parallel
     repro fuzz --self-test                   # verifier mutation self-test
 
@@ -61,7 +61,7 @@ import sys
 from contextlib import contextmanager
 
 from repro import compile_module
-from repro.apps.suite import FIGURE_APPS, STREAM_APPS
+from repro.apps.suite import APPS, FIGURE_APPS
 from repro.errors import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -523,10 +523,10 @@ def cmd_fuzz(args) -> int:
 
     degrees = tuple(_parse_list("--degrees", args.degrees, _positive_int))
     apps = _parse_list("--apps", args.apps) if args.apps else []
-    bad = [app for app in apps if app not in STREAM_APPS]
+    bad = [app for app in apps if app not in APPS]
     if bad:
-        raise CLIError(f"bad app {', '.join(bad)}: choose from the apps "
-                       f"with a packet stream, {', '.join(STREAM_APPS)}")
+        raise CLIError(f"bad app {', '.join(bad)}: choose from "
+                       f"{', '.join(APPS)}")
     plans = args.faults and tuple(_parse_list("--faults", args.faults))
     report = run_fuzz(args.seeds, start_seed=args.start_seed,
                       degrees=degrees, packets=args.packets,
@@ -593,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="fault-tolerant sharded serving (supervised worker pool)")
-    p_serve.add_argument("--app", default="ipv4", choices=STREAM_APPS,
+    p_serve.add_argument("--app", default="ipv4", choices=APPS,
                          help="benchmark app (default: ipv4)")
     p_serve.add_argument("--shards", type=_positive_int, default=4,
                          help="worker processes / flow shards (default: 4)")

@@ -47,7 +47,6 @@ CI through a warm ``-j 2`` one, both byte for byte.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, replace
 from time import perf_counter
 
@@ -106,15 +105,9 @@ class SearchSpace:
 
         A bad app or degree is an :class:`ExploreError`; a knob its
         :class:`~repro.runspec.Knobs` rejects, or an unknown cost table,
-        a ``ValueError``.  Also asserts that every selected cost table
-        has a *distinct* compile-cache identity
-        (:func:`repro.cache.key.cost_identity`) — the cache is salted
-        with the full cost table, and this is where that invariant is
-        checked before a search relies on it.
+        a ``ValueError``.
         """
         from repro.apps.suite import APPS
-        from repro.cache.key import cost_identity
-        from repro.machine.costs import cost_table
 
         if not self.apps:
             raise ExploreError("search space has no apps")
@@ -129,24 +122,6 @@ class SearchSpace:
                 raise ExploreError(f"bad degree {degree!r}: must be an "
                                    f"integer >= 1")
         self.combos()  # Knobs and cost_table raise ValueError on bad knobs
-        identities: dict[str, str] = {}
-        for ring in self.rings:
-            table = cost_table(ring)
-            # Compare the cost *parameters* (identity minus the name):
-            # two same-parameter tables are distinct cache addresses —
-            # the key is salted with the name — but exploring both would
-            # evaluate identical cells under two labels.
-            fields = {key: value
-                      for key, value in cost_identity(table).items()
-                      if key != "name"}
-            identity = json.dumps(fields, sort_keys=True)
-            clash = identities.get(identity)
-            if clash is not None and clash != table.name:
-                raise ExploreError(
-                    f"cost tables {clash!r} and {table.name!r} have "
-                    f"identical cost parameters; exploring both would "
-                    f"duplicate every cell under two labels")
-            identities[identity] = table.name
         return self
 
     def combos(self) -> list[Knobs]:

@@ -4,9 +4,9 @@ The paper's transformation is correct only if the pipelined PPS observes
 what the sequential PPS observes.  ``run_fuzz`` asks that of every
 *case*, a (program, seed, degree) triple.  A program is a generated
 PPS-C program (:mod:`repro.testing.progen`; the seed draws it and its
-input) or a stream app of the suite (``repro fuzz --apps``; the seed
-draws its traffic), both an :class:`~repro.apps.suite.AppInstance` with
-a ``stream`` / ``feed`` pair.  A case builds its program (``frontend``,
+input) or any app of the suite (``repro fuzz --apps``; the seed draws
+its traffic), both an :class:`~repro.apps.suite.AppInstance` with its
+``stream`` / ``feed`` pair.  A case builds its program (``frontend``,
 then ``partition``) and runs the rows of :data:`FAMILIES` in order; a
 failure names that step or family (its ``phase``), and a case that
 raised outside every check, or whose worker process died, fails in
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from repro import compile_module
 from repro.analysis.context import AnalysisContext
 from repro.analysis.dependence_graph import DepKind
-from repro.apps.suite import STREAM_APPS, AppInstance, build_app
+from repro.apps.suite import APPS, AppInstance, build_app
 from repro.errors import ReproError
 from repro.eval.sweep import SweepError, run_sweep
 from repro.ir.function import Module
@@ -74,7 +74,7 @@ class CheckFailure(ReproError):
 
 
 def generated_app(source: str, seed: int, packets: int) -> AppInstance:
-    """A generated program as a stream app: ``seed`` fills its ``tab*``
+    """A generated program as an app: ``seed`` fills its ``tab*``
     tables and draws the ``packets`` words of its ``in_q`` stream."""
     module = compile_module(source, "<fuzz>")
 
@@ -196,7 +196,7 @@ PHASES = ("worker", "frontend", "partition", *FAMILIES)
 def check_program(program: str, degree: int, *, packets: int = 24,
                   seed: int = 0, plans: dict | None = None) -> list[dict]:
     """Build ``program`` — the PPS-C source of a generated program, or the
-    name of a stream app — at ``degree`` and run every check family on
+    name of a suite app — at ``degree`` and run every check family on
     it, the ``faults`` family under ``plans`` (resolved plans by name;
     default every builtin plan).  Returns the ``faults`` family's
     records; a failure raises :class:`CheckFailure` naming its step or
@@ -205,7 +205,7 @@ def check_program(program: str, degree: int, *, packets: int = 24,
     phase = "frontend"
     try:
         app = (build_app(program, packets=packets, seed=seed)
-               if program in STREAM_APPS
+               if program in APPS
                else generated_app(program, seed, packets))
         phase = "partition"
         case = Case(app, seed, app_pipeline(app, degree), plans)

@@ -74,21 +74,21 @@ def measure_sequential(app: AppInstance) -> SequentialMeasurement:
 def make_profiler(app: AppInstance):
     """A profiler for :func:`repro.pipeline.transform.pipeline_pps`.
 
-    Runs the normalized PPS once per traffic class of the app and returns
+    Feeds each traffic-class stream of the app (``app.class_streams``)
+    through ``app.feed``, runs the normalized PPS on it and returns
     per-class block execution frequencies (executions per iteration), or
     ``None`` when the app has a single class (static weights suffice, as
     in the paper).  Inside ``src/`` the one caller is
     :attr:`AppInstance.profiler <repro.apps.suite.AppInstance.profiler>`.
     """
-    setups = app.profile_setups
-    if not setups or len(setups) < 2:
+    if len(app.class_streams) < 2:
         return None
 
     def profiler(function: Function) -> list[dict[str, float]]:
         profiles = []
-        for setup in setups:
+        for stream in app.class_streams:
             state = MachineState(app.module)
-            iterations = setup(state)
+            iterations = app.feed(state, stream())
             stats = run_sequential(function, state, iterations=iterations)
             profiles.append({
                 name: count / max(1, iterations)

@@ -7,7 +7,6 @@ from repro.machine.costs import (
     CostModel,
     cost_table,
     cost_table_names,
-    register_cost_table,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "SRAM_RING",
     "cost_table",
     "cost_table_names",
-    "register_cost_table",
 ]

@@ -58,36 +58,58 @@ class CostModel:
         return self.vcost_per_word * words
 
 
-# -- named cost-table registry ----------------------------------------------
-#
+#: Register-based nearest-neighbor ring between adjacent MicroEngines.
+NN_RING = CostModel(
+    name="nn-ring",
+    vcost_per_word=2,
+    ccost=2,
+    send_fixed=2,
+    send_per_word=1,
+    recv_fixed=2,
+    recv_per_word=1,
+)
+
+#: Scratchpad-memory ring (any PE pair, higher per-message overhead).
+SCRATCH_RING = CostModel(
+    name="scratch-ring",
+    vcost_per_word=4,
+    ccost=4,
+    send_fixed=8,
+    send_per_word=2,
+    recv_fixed=8,
+    recv_per_word=2,
+)
+
+#: SRAM ring (largest capacity, heaviest overhead).
+SRAM_RING = CostModel(
+    name="sram-ring",
+    vcost_per_word=6,
+    ccost=6,
+    send_fixed=14,
+    send_per_word=3,
+    recv_fixed=14,
+    recv_per_word=3,
+)
+
 # The design-space explorer (``repro explore``) and the CLI resolve cost
-# tables by *name*; the registry is the single authority mapping names
-# (and their short CLI aliases) to :class:`CostModel` instances.  Every
-# registered table's field values are salted into the compile-cache key
+# tables by *name*, through these two fixed tables.  Every table's field
+# values are salted into the compile-cache key
 # (:func:`repro.cache.key.cost_identity`), so two tables that differ in
 # any parameter can never serve each other's cached partitions.
 
 #: Canonical table name -> :class:`CostModel`.
-COST_TABLES: dict[str, CostModel] = {}
+COST_TABLES: dict[str, CostModel] = {
+    "nn-ring": NN_RING,
+    "scratch-ring": SCRATCH_RING,
+    "sram-ring": SRAM_RING,
+}
 
 #: Short alias (e.g. ``nn``) -> canonical table name (``nn-ring``).
-_COST_ALIASES: dict[str, str] = {}
-
-
-def register_cost_table(model: CostModel, *aliases: str) -> CostModel:
-    """Register ``model`` under its canonical name plus ``aliases``.
-
-    Rejects duplicate names/aliases outright — a silently shadowed cost
-    table would make ``repro explore`` results unreproducible.
-    """
-    if model.name in COST_TABLES or model.name in _COST_ALIASES:
-        raise ValueError(f"cost table {model.name!r} already registered")
-    COST_TABLES[model.name] = model
-    for alias in aliases:
-        if alias in COST_TABLES or alias in _COST_ALIASES:
-            raise ValueError(f"cost-table alias {alias!r} already taken")
-        _COST_ALIASES[alias] = model.name
-    return model
+_COST_ALIASES: dict[str, str] = {
+    "nn": "nn-ring",
+    "scratch": "scratch-ring",
+    "sram": "sram-ring",
+}
 
 
 def cost_table(name: str) -> CostModel:
@@ -102,42 +124,8 @@ def cost_table(name: str) -> CostModel:
 
 
 def cost_table_names(*, aliases: bool = False) -> list[str]:
-    """The registered canonical names (optionally plus aliases)."""
+    """The canonical table names (optionally plus aliases)."""
     names = sorted(COST_TABLES)
     if aliases:
         names += sorted(_COST_ALIASES)
     return names
-
-
-#: Register-based nearest-neighbor ring between adjacent MicroEngines.
-NN_RING = register_cost_table(CostModel(
-    name="nn-ring",
-    vcost_per_word=2,
-    ccost=2,
-    send_fixed=2,
-    send_per_word=1,
-    recv_fixed=2,
-    recv_per_word=1,
-), "nn")
-
-#: Scratchpad-memory ring (any PE pair, higher per-message overhead).
-SCRATCH_RING = register_cost_table(CostModel(
-    name="scratch-ring",
-    vcost_per_word=4,
-    ccost=4,
-    send_fixed=8,
-    send_per_word=2,
-    recv_fixed=8,
-    recv_per_word=2,
-), "scratch")
-
-#: SRAM ring (largest capacity, heaviest overhead).
-SRAM_RING = register_cost_table(CostModel(
-    name="sram-ring",
-    vcost_per_word=6,
-    ccost=6,
-    send_fixed=14,
-    send_per_word=3,
-    recv_fixed=14,
-    recv_per_word=3,
-), "sram")

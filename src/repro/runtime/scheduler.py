@@ -42,9 +42,6 @@ class RunResult:
 
     stats: dict[str, InterpStats] = field(default_factory=dict)
 
-    def total_weight(self) -> int:
-        return sum(stats.weight for stats in self.stats.values())
-
 
 def _quarantine(name: str, interp: Interpreter, exc: TrapError) -> bool:
     """Try to isolate a trapped iteration; True when the stage may go on."""

@@ -422,9 +422,6 @@ class ServeRuntime:
         self._started = time.monotonic()
         # Built once; every worker incarnation is a fork that inherits it.
         app = self._app = self.spec.build()
-        if app.stream is None or app.feed is None:
-            raise ServeError(f"app {self.spec.app!r} cannot be served "
-                             f"(no stream/feed split)")
         if self.degree > 1:
             self._stages = app_pipeline(app, self.degree,
                                         knobs=self.spec.knobs,

@@ -19,11 +19,12 @@ from repro.apps.common import (
     TAG_SCHED,
     TAG_TX,
 )
-from repro.apps.suite import APPS, STREAM_APPS, build_app
+from repro.apps.suite import APPS, build_app
 from repro.apps.traffic import make_ipv4_packet
 from repro.eval.metrics import make_profiler
 from repro.pipeline.transform import pipeline_pps
 from repro.runtime import (
+    MachineState,
     assert_equivalent,
     observe,
     run_pipeline,
@@ -40,12 +41,24 @@ def test_app_compiles_and_runs(name):
     assert stats.iterations >= iterations
 
 
-def test_stream_apps_are_exactly_the_apps_with_a_stream():
-    """``STREAM_APPS`` (what ``repro fuzz --apps`` and ``repro serve`` accept)
-    is declared, not derived, so hold it to what ``build_app`` builds."""
-    assert STREAM_APPS == tuple(name for name in APPS
-                                if build_app(name, packets=4).stream
-                                is not None)
+def test_every_app_is_fed_from_its_stream():
+    """Every app has one input recipe: ``stream()`` is a function of the
+    seed alone, so ``setup`` and a ``feed`` of a fresh ``stream()`` run
+    alike, and a shorter stream (what a dropping fault plan leaves)
+    feeds a shorter run."""
+    for name in APPS:
+        app = build_app(name, packets=16)
+        function = app.module.pps(app.pps_name)
+        runs = []
+        for feed in (app.setup,
+                     lambda state: app.feed(state, app.stream())):
+            state = MachineState(app.module)
+            iterations = feed(state)
+            run_sequential(function, state, iterations=iterations)
+            runs.append((iterations, observe(state)))
+        assert runs[0] == runs[1], name
+        short = app.feed(MachineState(app.module), app.stream()[:8])
+        assert 0 < short < runs[0][0], name
 
 
 def test_rx_forwards_wellformed_packets():
@@ -170,16 +183,15 @@ def test_pipelined_apps_equivalent(name, degree):
 
 # -- feeding in batches (what `repro serve` does) ----------------------------
 
-STREAMABLE_APPS = ["rx", "ipv4", "ip_v4", "ip_v6"]
+BATCH_APPS = ["rx", "ipv4", "ip_v4", "ip_v6", "tx"]
 
 
-@pytest.mark.parametrize("name", STREAMABLE_APPS)
+@pytest.mark.parametrize("name", BATCH_APPS)
 def test_batch_feeds_leave_regions_as_fresh_loads_do(name):
     """``feed`` copies the process-wide tables in on every call: after
     each of N batch feeds on one machine state, every region equals what
-    a fresh state gets from a single load."""
-    from repro.runtime import MachineState
-
+    a fresh state gets from a single load.  Scheduler and qm are out:
+    their regions are shared flow state, which a run writes."""
     app = build_app(name, packets=12)
     stream = app.stream()
     batches = [stream[start:start + 4] for start in range(0, len(stream), 4)]

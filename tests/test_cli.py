@@ -213,13 +213,13 @@ def test_fuzz_bad_degrees_is_usage_error(capsys):
     ["explore", "--degrees", "x"],
     ["fuzz", "--degrees", ","],
     ["explore", "--apps", ","],
-    # An app outside repro.apps.suite.APPS, or outside STREAM_APPS where
-    # the command streams packets.
+    # An app outside repro.apps.suite.APPS (every command takes every
+    # app of it); serve serves one app, not a list.
     ["explore", "--apps", "nope"],
     ["fuzz", "--apps", "nope"],
     ["serve", "--app", "nope"],
-    ["fuzz", "--apps", "scheduler"],
-    ["serve", "--app", "scheduler"],
+    ["fuzz", "--apps", "scheduler,nope"],
+    ["serve", "--app", "scheduler,tx"],
     # A count or degree below 1.
     ["explore", "--packets", "0"],
     ["explore", "--packets", "-3"],
@@ -333,6 +333,42 @@ def test_list_flags_take_commas_and_trailing_separators(tmp_path, capsys):
     assert report["plans"] == ["drop-light"]
     assert main(["fuzz", "--seeds", "2", "--packets", "8",
                  "--degrees", "2,3,"]) == 0
+
+
+def test_an_inputs_key_matches_what_the_command_feeds(demo_file, tmp_path,
+                                                     capsys):
+    """A plan's ``inputs`` globs match what each command feeds: ``run``
+    the ``--feed`` pipe names, ``fuzz`` the case's PPS name —
+    ``generated`` for every generated program — so under ``fuzz`` a plan
+    keyed by a pipe name perturbs nothing."""
+    import json
+    import re
+
+    from repro.eval.fuzz import run_fuzz
+
+    plans = {}
+    for key in ("in_q", "generated"):
+        plans[key] = tmp_path / f"{key}.json"
+        plans[key].write_text(json.dumps(
+            {"seed": 5, "name": f"drop-{key}",
+             "inputs": {key: {"drop": 0.5}}}))
+    feed = ",".join(str(value) for value in range(1, 13))
+    assert main(["run", demo_file, "-d", "2", "--feed", f"in_q={feed}",
+                 "--iterations", "12", "--faults", str(plans["in_q"]),
+                 "--profile", "--no-cache"]) == 0
+    drops = re.search(r"faults: plan drop-in_q \(seed 5\) drops=(\d+)",
+                      capsys.readouterr().out)
+    assert drops and int(drops.group(1)) > 0
+
+    report = run_fuzz(2, degrees=(2,), packets=24,
+                      plans=tuple(str(path) for path in plans.values()))
+    assert report.ok, report.render()
+    fed = {(run["plan"], run["seed"]): (run["fed"], run["faults"]["drops"])
+           for run in report.runs}
+    for seed in (0, 1):
+        assert fed[str(plans["in_q"]), seed] == (24, 0)
+        kept, dropped = fed[str(plans["generated"]), seed]
+        assert dropped > 0 and kept == 24 - dropped
 
 
 @pytest.mark.parametrize("command", ["run", "fuzz"])

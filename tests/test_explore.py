@@ -222,25 +222,6 @@ def test_search_space_rejects_bad_knobs():
                     rings=("token-ring",)).validate()
 
 
-def test_search_space_rejects_parameter_identical_cost_tables():
-    from repro.machine.costs import NN_RING, CostModel, register_cost_table
-
-    clone = CostModel(name="nn-ring-clone-for-test",
-                      vcost_per_word=NN_RING.vcost_per_word,
-                      ccost=NN_RING.ccost,
-                      send_fixed=NN_RING.send_fixed,
-                      send_per_word=NN_RING.send_per_word,
-                      recv_fixed=NN_RING.recv_fixed,
-                      recv_per_word=NN_RING.recv_per_word)
-    try:
-        register_cost_table(clone)
-    except ValueError:
-        pass  # already registered by an earlier test in this process
-    with pytest.raises(ExploreError, match="identical cost parameters"):
-        SearchSpace(apps=("rx",), degrees=(2,),
-                    rings=("nn-ring", clone.name)).validate()
-
-
 def test_search_space_dict_roundtrip_canonicalizes():
     """``as_dict`` is the report's ``space``: canonical, and unchanged
     by the JSON round trip into ``frontier.json``."""

@@ -199,6 +199,21 @@ def test_a_crashed_case_is_a_worker_failure_and_the_campaign_finishes(
     assert report.as_dict()["failures"][0]["phase"] == "worker"
 
 
+@pytest.mark.parametrize("app", ["scheduler", "qm", "tx"])
+def test_the_families_check_the_apps_beyond_the_packet_forwarders(app):
+    """Scheduler, qm and tx are fed like every other suite app, so every
+    family runs on them at every degree under every builtin plan, and
+    ``trap-storm`` quarantines an iteration of each."""
+    from repro.runtime.faults import builtin_plans
+
+    for degree in (1, 2, 4):
+        records = check_program(app, degree, packets=30, seed=7)
+        assert [record["plan"] for record in records] == list(builtin_plans())
+        [storm] = [record for record in records
+                   if record["plan"] == "trap-storm"]
+        assert storm["dead_letters"] == storm["traps"] > 0, (degree, storm)
+
+
 def test_trap_plan_passes_when_no_trap_fires(capsys):
     """Seed 2 at D=2 arms a trap in the oracle and on both stages, but
     none runs the 500 weighted units that fire it: no trap fires, no

@@ -41,18 +41,16 @@ def test_cost_table_registry_resolves_names_and_aliases():
         cost_table("token-ring")
 
 
-def test_cost_table_registry_rejects_duplicates():
-    from repro.machine import register_cost_table
+def test_builtin_cost_tables_have_distinct_parameters():
+    """Two tables with the same parameters would be one ring under two
+    names: ``repro explore --rings`` would evaluate every cell twice."""
+    from repro.cache.key import cost_identity
+    from repro.machine.costs import COST_TABLES
 
-    clash = CostModel("nn-ring", vcost_per_word=1, ccost=1, send_fixed=1,
-                      send_per_word=1, recv_fixed=1, recv_per_word=1)
-    with pytest.raises(ValueError, match="already registered"):
-        register_cost_table(clash)
-    fresh = CostModel("fresh-ring-for-test", vcost_per_word=1, ccost=1,
-                      send_fixed=1, send_per_word=1, recv_fixed=1,
-                      recv_per_word=1)
-    with pytest.raises(ValueError, match="already taken"):
-        register_cost_table(fresh, "nn")
+    parameters = {frozenset(item for item in cost_identity(table).items()
+                            if item[0] != "name")
+                  for table in COST_TABLES.values()}
+    assert len(parameters) == len(COST_TABLES) == 3
 
 
 def test_cost_identity_covers_every_cost_parameter():

@@ -91,12 +91,7 @@ def test_the_bound_covers_what_every_executed_path_charged(monkeypatch, name):
     spent = spent_per_region(monkeypatch)
     app = build_app(name, packets=24)
 
-    def fed():
-        state = MachineState(app.module)
-        if app.stream is None:
-            return state, app.setup(state)
-        return state, app.feed(state, app.stream())
-
+    fed = app.fresh_state
     state, packets = fed()
     function = app.module.pps(app.pps_name)
     groups = [{function.name: sequential_interpreter(function, state,

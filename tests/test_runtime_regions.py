@@ -551,12 +551,7 @@ def suite_run(name):
     app = build_app(name, packets=24)
     module = app.module
 
-    def fed():
-        state = MachineState(module)
-        if app.stream is None:
-            return state, app.setup(state)
-        return state, app.feed(state, app.stream())
-
+    fed = app.fresh_state
     state, packets = fed()
     groups = [{app.pps_name: sequential_interpreter(
         module.pps(app.pps_name), state, packets)}]
@@ -667,13 +662,7 @@ def scheduled_case(kind, which):
         return module, "generated", lambda: (
             fresh_state(module, which, SCHEDULE_PACKETS), SCHEDULE_PACKETS)
     app = build_app(which, packets=SCHEDULE_PACKETS)
-
-    def fed():
-        state = MachineState(app.module)
-        if app.stream is None:
-            return state, app.setup(state)
-        return state, app.feed(state, app.stream())
-    return app.module, app.pps_name, fed
+    return app.module, app.pps_name, app.fresh_state
 
 
 def run_at_each_burst(monkeypatch, stages, fed, **options):

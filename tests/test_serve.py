@@ -49,6 +49,14 @@ def test_clean_run_delivers_and_verifies():
     assert report.counters["messages_compared"] > 0
 
 
+def test_tx_is_served_pipelined_and_verified():
+    """Every suite app can be served: tx, fed by its stream like the
+    forwarders, at degree 2 against the sequential oracle."""
+    report = run_serve("tx", degree=2, packets=60, batch=8)
+    assert report.ok and report.verified is True
+    assert report.counters["pending"] == 0
+
+
 def test_worker_kill_replays_bit_identically():
     """A worker SIGKILLed at a commit boundary is restarted, replays its
     journal, and the committed output still matches the oracle."""
